@@ -69,6 +69,9 @@ type LeaderSession struct {
 	pending []wire.AdminBody // admin bodies queued behind the outstanding one
 	seq     uint64           // sequence of the next AdminMsg
 	sentSeq uint64           // sequence of the outstanding AdminMsg
+	// resumeAckDue is set by a verified Resume: the next AdminMsg emitted
+	// answers it, so it goes out under the ResumeAck envelope type.
+	resumeAckDue bool
 }
 
 // NewLeaderSession returns a leader-side engine for the given user,
@@ -295,20 +298,18 @@ func (l *LeaderSession) maybeSendNext(ev *LeaderEvent) error {
 }
 
 // emitAdmin builds {L, A, N_{2i+1}, N_{2i+2}, X}_Ka and moves to
-// WaitingForAck.
-func (l *LeaderSession) emitAdmin(body wire.AdminBody) (*wire.Envelope, error) {
-	return l.emitAdminAs(wire.TypeAdminMsg, body)
-}
-
-// emitAdminAs is emitAdmin under an explicit envelope type: the resumption
-// sub-protocol reuses the AdminMsg shape as its ResumeAck, with the type
+// WaitingForAck. The first message after a verified Resume is the ResumeAck
+// {L, A, N_f, N_l, X}_Ka: the same shape under a distinct envelope type,
 // authenticated through the AEAD header.
-func (l *LeaderSession) emitAdminAs(typ wire.Type, body wire.AdminBody) (*wire.Envelope, error) {
+func (l *LeaderSession) emitAdmin(body wire.AdminBody) (*wire.Envelope, error) {
 	next, err := crypto.NewNonce()
 	if err != nil {
 		return nil, err
 	}
-	env := wire.Envelope{Type: typ, Sender: l.leader, Receiver: l.user}
+	env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: l.leader, Receiver: l.user}
+	if l.resumeAckDue {
+		env.Type = wire.TypeResumeAck
+	}
 	l.seq++
 	p := wire.AdminMsgPayload{
 		Leader: l.leader,
@@ -326,5 +327,6 @@ func (l *LeaderSession) emitAdminAs(typ wire.Type, body wire.AdminBody) (*wire.E
 	l.myNonce = next
 	l.sentSeq = l.seq
 	l.phase = LeaderWaitingForAck
+	l.resumeAckDue = false
 	return &env, nil
 }

@@ -134,10 +134,8 @@ func (m *MemberSession) Handle(env wire.Envelope) (MemberEvent, error) {
 	switch env.Type {
 	case wire.TypeAuthKeyDist:
 		return m.handleKeyDist(env)
-	case wire.TypeAdminMsg:
+	case wire.TypeAdminMsg, wire.TypeResumeAck:
 		return m.handleAdmin(env)
-	case wire.TypeResumeAck:
-		return m.handleResumeAck(env)
 	default:
 		return MemberEvent{}, fmt.Errorf("%w: member got %s", ErrState, env.Type)
 	}
@@ -190,10 +188,17 @@ func (m *MemberSession) handleKeyDist(env wire.Envelope) (MemberEvent, error) {
 
 // handleAdmin processes a group-management message
 // {L, A, N_{2i+1}, N_{2i+2}, X}_Ka and acknowledges it with
-// {A, L, N_{2i+2}, N_{2i+3}}_Ka (Section 3.2).
+// {A, L, N_{2i+2}, N_{2i+3}}_Ka (Section 3.2). The standby's ResumeAck is
+// the same message under its own envelope type (authenticated through the
+// AEAD header), accepted only while Resuming: it must echo the fresh resume
+// nonce, completes the resumption, and its Ack restarts the pipeline.
 func (m *MemberSession) handleAdmin(env wire.Envelope) (MemberEvent, error) {
-	if m.phase != MemberConnected {
-		return MemberEvent{}, fmt.Errorf("%w: AdminMsg in phase %s", ErrState, m.phase)
+	want := MemberConnected
+	if env.Type == wire.TypeResumeAck {
+		want = MemberResuming
+	}
+	if m.phase != want {
+		return MemberEvent{}, fmt.Errorf("%w: %s in phase %s", ErrState, env.Type, m.phase)
 	}
 	plain, err := m.session.Open(env.Payload, env.Header())
 	if err != nil {
@@ -226,8 +231,9 @@ func (m *MemberSession) handleAdmin(env wire.Envelope) (MemberEvent, error) {
 	reply.Payload = box
 
 	m.myNonce = next
+	m.phase = MemberConnected
 	m.accepted++
-	return MemberEvent{Reply: &reply, Admin: p.Body, Seq: p.Seq}, nil
+	return MemberEvent{Reply: &reply, Connected: want == MemberResuming, Admin: p.Body, Seq: p.Seq}, nil
 }
 
 // Leave ends the session: it returns the ReqClose envelope {A, L}_Ka and

@@ -78,7 +78,9 @@ func ResumeLeaderSession(leader, user string, longTerm crypto.Key, st SessionSta
 // HandleResume verifies a member's Resume against the replicated session
 // state: the payload must authenticate under K_a and echo the member's
 // latest replicated nonce. On success the chain advances to the member's
-// fresh nonce; the caller then emits the ResumeAck via EmitResumeAck.
+// fresh nonce, and the next body the caller Sends — the post-promotion key
+// material — goes out as the ResumeAck; the member's standard Ack then
+// resumes the pipeline.
 func (l *LeaderSession) HandleResume(env wire.Envelope) (LeaderEvent, error) {
 	if env.Type != wire.TypeResume {
 		return LeaderEvent{}, fmt.Errorf("%w: HandleResume got %s", ErrState, env.Type)
@@ -96,18 +98,8 @@ func (l *LeaderSession) HandleResume(env wire.Envelope) (LeaderEvent, error) {
 		return LeaderEvent{}, fmt.Errorf("%w: resume does not echo the replicated nonce", ErrFreshness)
 	}
 	l.memberNonce = p.NNext
+	l.resumeAckDue = true
 	return LeaderEvent{Accepted: true}, nil
-}
-
-// EmitResumeAck builds the ResumeAck {L, A, N_f, N_l, X}_Ka completing the
-// resumption, with body X (the post-promotion NewGroupKey). It is the
-// AdminMsg emission under a distinct envelope type: the engine moves to
-// WaitingForAck and the member's standard Ack resumes the pipeline.
-func (l *LeaderSession) EmitResumeAck(body wire.AdminBody) (*wire.Envelope, error) {
-	if l.phase != LeaderConnected {
-		return nil, fmt.Errorf("%w: EmitResumeAck in phase %s", ErrState, l.phase)
-	}
-	return l.emitAdminAs(wire.TypeResumeAck, body)
 }
 
 // --- member side ---
@@ -167,45 +159,4 @@ func (m *MemberSession) StartResume() (wire.Envelope, error) {
 	m.myNonce = nf
 	m.phase = MemberResuming
 	return env, nil
-}
-
-// handleResumeAck processes the standby's ResumeAck exactly like an
-// AdminMsg — same shape, same freshness guard against the fresh resume
-// nonce — and completes the resumption: the engine is Connected again and
-// the returned Ack restarts the ordinary pipeline.
-func (m *MemberSession) handleResumeAck(env wire.Envelope) (MemberEvent, error) {
-	if m.phase != MemberResuming {
-		return MemberEvent{}, fmt.Errorf("%w: ResumeAck in phase %s", ErrState, m.phase)
-	}
-	plain, err := m.session.Open(env.Payload, env.Header())
-	if err != nil {
-		return MemberEvent{}, fmt.Errorf("%w: resume ack: %v", ErrAuth, err)
-	}
-	p, err := wire.UnmarshalAdminMsg(plain)
-	if err != nil {
-		return MemberEvent{}, fmt.Errorf("%w: resume ack: %v", ErrAuth, err)
-	}
-	if p.Leader != m.leader || p.User != m.user {
-		return MemberEvent{}, fmt.Errorf("%w: resume ack names %q/%q", ErrIdentity, p.Leader, p.User)
-	}
-	if !p.NPrev.Equal(m.myNonce) {
-		return MemberEvent{}, fmt.Errorf("%w: resume ack carries stale nonce", ErrFreshness)
-	}
-
-	next, err := crypto.NewNonce()
-	if err != nil {
-		return MemberEvent{}, err
-	}
-	reply := wire.Envelope{Type: wire.TypeAck, Sender: m.user, Receiver: m.leader}
-	ack := wire.AckPayload{User: m.user, Leader: m.leader, NPrev: p.NNext, NNext: next}
-	box, err := m.session.Seal(ack.Marshal(), reply.Header())
-	if err != nil {
-		return MemberEvent{}, err
-	}
-	reply.Payload = box
-
-	m.myNonce = next
-	m.phase = MemberConnected
-	m.accepted++
-	return MemberEvent{Reply: &reply, Connected: true, Admin: p.Body, Seq: p.Seq}, nil
 }

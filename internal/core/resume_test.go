@@ -66,7 +66,7 @@ func TestResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ackEnv, err := l.EmitResumeAck(wire.NewGroupKey{Epoch: 7, Key: key})
+	ackEnv, err := l.Send(wire.NewGroupKey{Epoch: 7, Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestResumeAckReplayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ackEnv, err := l.EmitResumeAck(wire.NewGroupKey{Epoch: 7, Key: key})
+	ackEnv, err := l.Send(wire.NewGroupKey{Epoch: 7, Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,293 @@
+package group
+
+// Admission: how a connection becomes a member. The first frame selects the
+// role — AuthInitReq opens the password join (Section 3.2), Resume the
+// failover resumption sub-protocol (internal/core/resume.go), a sealed
+// ReplState hello subscribes a standby — and both member routes end in the
+// one admitLocked. The paper's leader keeps exactly one authoritative state
+// per user (Fig. 3); admitting through a single function is what keeps the
+// runtime's registry, key tree, replica stream and resumable table agreeing
+// on it.
+
+import (
+	"enclaves/internal/core"
+	"enclaves/internal/queue"
+	"enclaves/internal/replica"
+	"enclaves/internal/transport"
+	"enclaves/internal/wire"
+)
+
+// serveConn runs the protocol for one inbound connection.
+func (g *Leader) serveConn(conn transport.Conn) {
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		conn.Close()
+		return
+	}
+	g.conns[conn] = true
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.conns, conn)
+		g.mu.Unlock()
+		conn.Close()
+	}()
+
+	first, err := conn.Recv()
+	if err != nil {
+		return
+	}
+	var s *memberConn
+	switch first.Type {
+	case wire.TypeAuthInitReq:
+		s = g.joinHandshake(conn, first)
+	case wire.TypeResume:
+		s = g.resumeHandshake(conn, first)
+	case wire.TypeReplState:
+		g.serveReplica(conn, first)
+		return
+	default:
+		g.logf("group: connection opened with %s, dropping", first.Type)
+		return
+	}
+	if s != nil {
+		g.runMember(s)
+	}
+}
+
+// newMemberConn wraps an authenticating connection; it is not a member until
+// admitLocked registers it.
+func (g *Leader) newMemberConn(conn transport.Conn, engine *core.LeaderSession) *memberConn {
+	return &memberConn{
+		user:   engine.User(),
+		conn:   conn,
+		engine: engine,
+		out:    queue.NewBounded[outFrame](g.outboxCap),
+		slot:   g.reg.slotFor(engine.User()),
+	}
+}
+
+// joinHandshake answers the first message of the password join: the frame's
+// (unauthenticated) sender name selects the long-term key, and the encrypted
+// identities inside then authenticate the claim. The member's AuthAckKey —
+// the handshake's third message — arrives on the read loop like any other
+// protocol frame, and handleProtocol admits on the engine's acceptance.
+func (g *Leader) joinHandshake(conn transport.Conn, first wire.Envelope) *memberConn {
+	g.mu.Lock()
+	longTerm, known := g.users[first.Sender]
+	g.mu.Unlock()
+	if !known {
+		g.logf("group: join from unknown user %q", first.Sender)
+		return nil
+	}
+	engine, err := core.NewLeaderSession(g.name, first.Sender, longTerm)
+	if err != nil {
+		return nil
+	}
+	ev, err := engine.Handle(first)
+	if err != nil {
+		g.logf("group: auth of %q failed: %v", first.Sender, err)
+		return nil
+	}
+	if err := conn.Send(*ev.Reply); err != nil {
+		return nil
+	}
+	return g.newMemberConn(conn, engine)
+}
+
+// resumeHandshake runs the failover resumption sub-protocol: the member proves
+// possession of its replicated session key and latest chained nonce, and is
+// admitted with no password re-handshake. On any failure the connection
+// drops and the member falls back to the full join.
+func (g *Leader) resumeHandshake(conn transport.Conn, first wire.Envelope) *memberConn {
+	user := first.Sender
+	reject := func(detail string) *memberConn {
+		g.logf("group: resume of %q rejected: %s", user, detail)
+		mResumeRejected.Inc()
+		mRejected.Inc()
+		g.audit.emit(Event{Kind: EventRejected, User: user, Epoch: g.Epoch(), Detail: "resume: " + detail})
+		return nil
+	}
+
+	g.mu.Lock()
+	st, ok := g.resumable[user]
+	longTerm, known := g.users[user]
+	g.mu.Unlock()
+	if !ok || !known {
+		return reject("no resumable session")
+	}
+	engine, err := core.ResumeLeaderSession(g.name, user, longTerm, st)
+	if err != nil {
+		return reject(err.Error())
+	}
+	if _, err := engine.HandleResume(first); err != nil {
+		// Authentication or freshness failure: the resumable entry stays, so
+		// a replayed Resume cannot burn a member's one shot at resumption.
+		return reject(err.Error())
+	}
+
+	// Claim the entry (one-shot: admitLocked consumes it, so a second resume
+	// for the same user must re-handshake) and admit in the same critical
+	// section, so no rekey can slip between the two.
+	s := g.newMemberConn(conn, engine)
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return nil
+	}
+	_, claimed := g.resumable[user]
+	if claimed {
+		g.admitLocked(s, true)
+	}
+	g.mu.Unlock()
+	if !claimed {
+		return reject("session already resumed")
+	}
+	return s
+}
+
+// admitLocked makes an authenticated session the member's one live session:
+// register it, inform the group, and bring it up to date. Both routes end
+// here; resumed selects the only intended differences — the audit kind and
+// counter, and how the key material travels. A password join gets keys per
+// the rekey policy over the AdminMsg pipeline. A resumption gets the current
+// keys inside the ResumeAck that completes its handshake and triggers no
+// rotation: Promote already rotated once, and the member held the earlier
+// keys legitimately. Caller holds g.mu.
+//
+//enclavelint:guardedby Leader.mu
+func (g *Leader) admitLocked(s *memberConn, resumed bool) {
+	// Whichever route admits the user, any replicated pre-promotion session
+	// is superseded: left in place, a Resume frame an adversary withheld in
+	// flight would still be fresh against its untouched nonce and, replayed,
+	// would displace the live session.
+	delete(g.resumable, s.user)
+	if displaced := g.reg.insert(s); displaced != nil {
+		// Out of the registry, neither the liveness sweep nor eviction would
+		// ever reach the old session again; end it here.
+		displaced.out.Close()
+		displaced.conn.Close()
+	} else {
+		mMembers.Add(1)
+		g.tm.memberDelta(1)
+	}
+	kind, counter, verb := EventJoined, mJoins, "joined"
+	if resumed {
+		kind, counter, verb = EventResumed, mResumes, "resumed"
+	}
+	counter.Inc()
+	g.tm.joined()
+	g.logf("group: %s %s (members: %d)", s.user, verb, g.reg.size())
+	g.audit.emit(Event{Kind: kind, User: s.user, Epoch: g.epoch})
+	g.joinTreeLocked(s.user, resumed)
+	s.mu.Lock()
+	if es, ok := s.engine.ExportState(); ok {
+		g.replPublish(replica.Delta{
+			Kind: wire.ReplMemberUp, User: s.user,
+			Session: es.SessionKey, Nonce: es.Nonce, Seq: es.Seq,
+		})
+	}
+	s.mu.Unlock()
+
+	// Inform the rest of the group first, then bring the new member up to
+	// date. Admin messages to each member are totally ordered by the
+	// verified pipeline, so every member sees a consistent history.
+	g.broadcastAdminLocked(wire.MemberJoined{Name: s.user}, s.user)
+
+	switch {
+	case resumed:
+		// The first body in the fresh outbox: the engine seals it as the
+		// ResumeAck, and everything after it queues behind the member's ack.
+		g.sendCurrentKeysLocked(s)
+	case g.rekey.OnJoin && g.coalesce > 0:
+		// Coalescing: hand the joiner the current key material so it can
+		// read group traffic immediately, then fold this join's rotation
+		// into the pending window with the rest of the burst.
+		g.sendCurrentKeysLocked(s)
+		g.requestRekeyLocked()
+	case g.rekey.OnJoin:
+		// Flat: rekeyLocked broadcasts NewGroupKey to everyone including
+		// the new member. LKH: the rotation's KeyUpdate frames are sealed
+		// under subtree keys the joiner does not hold yet, so hand it the
+		// complete post-rotation path afterwards.
+		if err := g.rekeyLocked(); err != nil {
+			g.logf("group: rekey on join: %v", err)
+		}
+		if g.tree != nil {
+			g.sendCurrentKeysLocked(s)
+		}
+	default:
+		g.sendCurrentKeysLocked(s)
+	}
+	g.sendAdminLocked(s, wire.MemberList{Names: g.reg.names()})
+}
+
+// serveReplica authenticates a standby's subscription hello and attaches it
+// to the replication sender with a snapshot of the current state. The
+// snapshot is built and the subscriber attached inside one critical
+// section, so every g.mu-serialized delta emitted afterwards linearizes
+// after the snapshot; only the enqueue happens under the lock — the
+// sender's writer goroutine seals and transmits.
+func (g *Leader) serveReplica(conn transport.Conn, first wire.Envelope) {
+	if g.repl == nil {
+		g.logf("group: replication subscription without replication enabled, dropping")
+		return
+	}
+	standby, n0, err := g.repl.HandleHello(first)
+	if err != nil {
+		g.logf("group: %v", err)
+		return
+	}
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return
+	}
+	snap := g.snapshotLocked()
+	g.repl.Attach(conn, standby, n0, snap)
+	g.mu.Unlock()
+	g.logf("group: standby %q subscribed (%d members)", standby, len(snap.Members))
+
+	// The stream is one-way; park on the read side so serveConn's teardown
+	// does not close the connection under the sender. Anything the standby
+	// sends after the hello is ignored.
+	for {
+		if _, err := conn.Recv(); err != nil {
+			return
+		}
+	}
+}
+
+// snapshotLocked captures the replicable group state. Caller holds g.mu;
+// per-member engine state is read under each member's own lock (the
+// permitted Leader.mu -> memberConn.mu order).
+func (g *Leader) snapshotLocked() replica.State {
+	st := replica.State{
+		Primary:      g.name,
+		Epoch:        g.epoch,
+		GroupKey:     g.groupKey,
+		AuditSeq:     g.audit.current(),
+		Members:      make(map[string]replica.Session),
+		RekeyPending: g.rekeyPending,
+	}
+	if g.tree != nil {
+		st.LKHArity = g.tree.Arity()
+		recs := g.tree.Records()
+		st.Tree = make(map[uint64]wire.ReplLKHNode, len(recs))
+		for _, r := range recs {
+			st.Tree[uint64(r.ID)] = toReplNode(r)
+		}
+	}
+	for _, s := range g.reg.appendAll(nil, "") {
+		s.mu.Lock()
+		es, ok := s.engine.ExportState()
+		s.mu.Unlock()
+		if ok {
+			st.Members[s.user] = replica.Session{
+				SessionKey: es.SessionKey, Nonce: es.Nonce, Seq: es.Seq,
+			}
+		}
+	}
+	return st
+}

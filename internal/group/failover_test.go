@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"enclaves/internal/core"
 	"enclaves/internal/crypto"
 	"enclaves/internal/faultnet"
 	"enclaves/internal/lkh"
@@ -396,10 +397,15 @@ func counterVal(t testing.TB, name string) uint64 {
 // TestResumeIsOneShot: a second Resume for an already-resumed session is
 // refused (the replicated entry is claimed on success), forcing the full
 // handshake — a captured Resume frame cannot be replayed into a second
-// session.
+// session. A password rejoin consumes the entry just the same: a Resume the
+// adversary withheld in flight is still fresh against the replicated nonce,
+// and must not displace the session that superseded it.
 func TestResumeIsOneShot(t *testing.T) {
 	kr := newReplKey(t)
-	keys := map[string]crypto.Key{"alice": crypto.DeriveKey("alice", leaderName, "alice-pw")}
+	keys := map[string]crypto.Key{
+		"alice": crypto.DeriveKey("alice", leaderName, "alice-pw"),
+		"bob":   crypto.DeriveKey("bob", leaderName, "bob-pw"),
+	}
 	primary, err := NewLeader(Config{Name: leaderName, Users: keys, ReplKey: kr, ReplPing: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -433,15 +439,25 @@ func TestResumeIsOneShot(t *testing.T) {
 	if err := alice.WaitReady(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "alice replicated", func() bool {
+	bobConn, err := net.Dial("primary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := member.Join(bobConn, "bob", leaderName, keys["bob"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "alice and bob replicated, quiescent", func() bool {
 		st := sb.State()
-		_, ok := st.Members["alice"]
-		return ok && st.Epoch == primary.Epoch()
+		bs, ok := bob.ResumeState()
+		return ok && len(st.Members) == 2 && st.Epoch == primary.Epoch() &&
+			st.Members["bob"].Nonce.Equal(bs.Nonce)
 	})
 
 	st := sb.State()
 	sb.Stop()
-	promoted, err := Promote(Config{Users: keys}, st)
+	var audit eventLog
+	promoted, err := Promote(Config{Users: keys, OnEvent: audit.sink}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,8 +482,8 @@ func TestResumeIsOneShot(t *testing.T) {
 		t.Fatalf("first resume: %v", err)
 	}
 	defer resumed.Leave()
-	if promoted.ResumableSessions() != 0 {
-		t.Fatalf("resumable entry not claimed after success")
+	if promoted.ResumableSessions() != 1 {
+		t.Fatalf("resumable sessions = %d after alice resumed, want 1 (bob's)", promoted.ResumableSessions())
 	}
 
 	// Second resume from the same (now stale) state must be refused.
@@ -479,6 +495,64 @@ func TestResumeIsOneShot(t *testing.T) {
 		t.Fatal("stale resume state produced a second session")
 	}
 	c2.Close()
+
+	// Bob's Resume is captured and dropped in flight; bob gives up and
+	// rejoins by password.
+	bs, ok := bob.ResumeState()
+	if !ok {
+		t.Fatal("no resume state from bob")
+	}
+	eng, err := core.ResumeMemberSession("bob", leaderName, keys["bob"], bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured, err := eng.StartResume()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c3, err := net.Dial("standby")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejoined, err := member.Join(c3, "bob", leaderName, keys["bob"])
+	if err != nil {
+		t.Fatalf("password rejoin: %v", err)
+	}
+	defer rejoined.Leave()
+	if err := rejoined.WaitReady(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := promoted.ResumableSessions(); n != 0 {
+		t.Fatalf("resumable sessions = %d after bob's password rejoin, want 0", n)
+	}
+
+	// The replay, on a fresh connection, finds nothing to resume.
+	c4, err := net.Dial("standby")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c4.Close()
+	if err := c4.Send(captured); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "replayed Resume rejected and audited", func() bool {
+		for _, e := range audit.snapshot() {
+			if e.Kind == EventRejected && e.User == "bob" && e.Detail == "resume: no resumable session" {
+				return true
+			}
+		}
+		return false
+	})
+	if n := audit.count(EventResumed); n != 1 {
+		t.Errorf("%d Resumed events, want 1 (alice only)", n)
+	}
+	// Bob's live session was not displaced: it still delivers.
+	if err := resumed.SendData([]byte("still here")); err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, rejoined, "multicast on bob's rejoined session", func(e member.Event) bool {
+		return e.Kind == member.EventData && string(e.Data) == "still here"
+	})
 }
 
 // TestPromoteDropsUnknownUserWithAudit: a replicated session for a user the

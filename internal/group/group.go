@@ -449,11 +449,11 @@ func (g *Leader) Serve(l transport.Listener) error {
 			}
 			return fmt.Errorf("group: accept: %w", err)
 		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.serveConn(conn)
-		}()
+		// ServeConn registers the handler under g.mu, so a connection
+		// accepted while Close runs cannot add work behind its wg.Wait.
+		if g.ServeConn(conn) != nil {
+			return nil
+		}
 	}
 }
 
@@ -602,82 +602,6 @@ func (g *Leader) Expel(user string) error {
 	return nil
 }
 
-// serveConn runs the protocol for one inbound connection. The first frame
-// selects the role: AuthInitReq starts the ordinary join handshake, Resume
-// starts the failover resumption sub-protocol, and a ReplState hello (with
-// replication enabled) subscribes a standby.
-func (g *Leader) serveConn(conn transport.Conn) {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		conn.Close()
-		return
-	}
-	g.conns[conn] = true
-	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		delete(g.conns, conn)
-		g.mu.Unlock()
-		conn.Close()
-	}()
-
-	first, err := conn.Recv()
-	if err != nil {
-		return
-	}
-	var s *memberConn
-	switch first.Type {
-	case wire.TypeAuthInitReq:
-		s = g.startJoin(conn, first)
-	case wire.TypeResume:
-		s = g.startResume(conn, first)
-	case wire.TypeReplState:
-		g.serveReplica(conn, first)
-		return
-	default:
-		g.logf("group: connection opened with %s, dropping", first.Type)
-		return
-	}
-	if s == nil {
-		return
-	}
-	g.runMember(s)
-}
-
-// startJoin runs the password-based join handshake: the first frame's
-// (unauthenticated) sender name selects the long-term key, and the
-// encrypted identities inside then authenticate the claim. It returns the
-// registered-but-not-yet-accepted member connection, or nil on failure.
-func (g *Leader) startJoin(conn transport.Conn, first wire.Envelope) *memberConn {
-	g.mu.Lock()
-	longTerm, known := g.users[first.Sender]
-	g.mu.Unlock()
-	if !known {
-		g.logf("group: join from unknown user %q", first.Sender)
-		return nil
-	}
-	engine, err := core.NewLeaderSession(g.name, first.Sender, longTerm)
-	if err != nil {
-		return nil
-	}
-	ev, err := engine.Handle(first)
-	if err != nil {
-		g.logf("group: auth of %q failed: %v", first.Sender, err)
-		return nil
-	}
-	if err := conn.Send(*ev.Reply); err != nil {
-		return nil
-	}
-	return &memberConn{
-		user:   engine.User(),
-		conn:   conn,
-		engine: engine,
-		out:    queue.NewBounded[outFrame](g.outboxCap),
-		slot:   g.reg.slotFor(engine.User()),
-	}
-}
-
 // runMember drives an established member connection: a writer goroutine
 // drains the outbox while readLoop processes inbound frames; on either
 // ending, the member is torn down.
@@ -748,198 +672,6 @@ func (g *Leader) runMember(s *memberConn) {
 		}
 		s.drained(1)
 	}
-}
-
-// serveReplica authenticates a standby's subscription hello and attaches it
-// to the replication sender with a snapshot of the current state. The
-// snapshot is built and the subscriber attached inside one critical
-// section, so every g.mu-serialized delta emitted afterwards linearizes
-// after the snapshot; only the enqueue happens under the lock — the
-// sender's writer goroutine seals and transmits.
-func (g *Leader) serveReplica(conn transport.Conn, first wire.Envelope) {
-	if g.repl == nil {
-		g.logf("group: replication subscription without replication enabled, dropping")
-		return
-	}
-	standby, n0, err := g.repl.HandleHello(first)
-	if err != nil {
-		g.logf("group: %v", err)
-		return
-	}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	snap := g.snapshotLocked()
-	g.repl.Attach(conn, standby, n0, snap)
-	g.mu.Unlock()
-	g.logf("group: standby %q subscribed (%d members)", standby, len(snap.Members))
-
-	// The stream is one-way; park on the read side so serveConn's teardown
-	// does not close the connection under the sender. Anything the standby
-	// sends after the hello is ignored.
-	for {
-		if _, err := conn.Recv(); err != nil {
-			return
-		}
-	}
-}
-
-// snapshotLocked captures the replicable group state. Caller holds g.mu;
-// per-member engine state is read under each member's own lock (the
-// permitted Leader.mu -> memberConn.mu order).
-func (g *Leader) snapshotLocked() replica.State {
-	st := replica.State{
-		Primary:      g.name,
-		Epoch:        g.epoch,
-		GroupKey:     g.groupKey,
-		AuditSeq:     g.audit.current(),
-		Members:      make(map[string]replica.Session),
-		RekeyPending: g.rekeyPending,
-	}
-	if g.tree != nil {
-		st.LKHArity = g.tree.Arity()
-		recs := g.tree.Records()
-		st.Tree = make(map[uint64]wire.ReplLKHNode, len(recs))
-		for _, r := range recs {
-			st.Tree[uint64(r.ID)] = toReplNode(r)
-		}
-	}
-	for _, s := range g.reg.appendAll(nil, "") {
-		s.mu.Lock()
-		es, ok := s.engine.ExportState()
-		s.mu.Unlock()
-		if ok {
-			st.Members[s.user] = replica.Session{
-				SessionKey: es.SessionKey, Nonce: es.Nonce, Seq: es.Seq,
-			}
-		}
-	}
-	return st
-}
-
-// startResume runs the failover resumption sub-protocol: the member proves
-// possession of its replicated session key and latest chained nonce, and
-// re-attaches with no password re-handshake. The ResumeAck carries the
-// current (post-promotion) group key, so a resumed member never holds a
-// pre-promotion key. On any failure the connection drops and the member
-// falls back to the full rejoin.
-func (g *Leader) startResume(conn transport.Conn, first wire.Envelope) *memberConn {
-	user := first.Sender
-	reject := func(detail string) *memberConn {
-		g.logf("group: resume of %q rejected: %s", user, detail)
-		mResumeRejected.Inc()
-		mRejected.Inc()
-		g.audit.emit(Event{Kind: EventRejected, User: user, Epoch: g.Epoch(), Detail: "resume: " + detail})
-		return nil
-	}
-
-	g.mu.Lock()
-	st, ok := g.resumable[user]
-	_, known := g.users[user]
-	g.mu.Unlock()
-	if !ok || !known {
-		return reject("no resumable session")
-	}
-	g.mu.Lock()
-	longTerm := g.users[user]
-	g.mu.Unlock()
-	engine, err := core.ResumeLeaderSession(g.name, user, longTerm, st)
-	if err != nil {
-		return reject(err.Error())
-	}
-	if _, err := engine.HandleResume(first); err != nil {
-		// Authentication or freshness failure: the resumable entry stays, so
-		// a replayed Resume cannot burn a member's one shot at resumption.
-		return reject(err.Error())
-	}
-
-	// Claim the entry (one-shot: a second resume for the same user must
-	// re-handshake) and read the key the ResumeAck will carry.
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
-	if _, still := g.resumable[user]; !still {
-		g.mu.Unlock()
-		return reject("session already resumed")
-	}
-	delete(g.resumable, user)
-	// The ResumeAck carries the member's current key material: under LKH
-	// its complete leaf-to-root path (creating a leaf if the replicated
-	// tree lacked one), the flat group key otherwise.
-	var body wire.AdminBody
-	bodyEpoch := g.epoch
-	if g.tree != nil {
-		if _, _, ok := g.tree.Leaf(user); !ok {
-			if err := g.tree.Join(user); err != nil {
-				g.logf("group: resume leaf for %s: %v", user, err)
-			}
-			g.replTreeLocked()
-		}
-		if pk, ok := g.pathKeysLocked(user); ok {
-			body = pk
-		}
-	}
-	if body == nil {
-		body = wire.NewGroupKey{Epoch: g.epoch, Key: g.groupKey}
-	}
-	g.mu.Unlock()
-
-	s := &memberConn{
-		user:   user,
-		conn:   conn,
-		engine: engine,
-		out:    queue.NewBounded[outFrame](g.outboxCap),
-		slot:   g.reg.slotFor(user),
-	}
-	now := time.Now()
-	s.mu.Lock()
-	ack, err := engine.EmitResumeAck(body)
-	if err == nil {
-		s.trackLocked(*ack, now)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return reject(err.Error())
-	}
-	if err := conn.Send(*ack); err != nil {
-		return nil
-	}
-
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
-	if displaced := g.reg.insert(s); displaced == nil {
-		mMembers.Add(1)
-		g.tm.memberDelta(1)
-	}
-	mResumes.Inc()
-	g.tm.joined()
-	g.logf("group: %s resumed (members: %d)", user, g.reg.size())
-	g.audit.emit(Event{Kind: EventResumed, User: user, Epoch: g.epoch})
-	g.broadcastAdminLocked(wire.MemberJoined{Name: user}, user)
-	// A rekey may have won the race between reading the ResumeAck body and
-	// registering; queue the current key so the member converges (ordered
-	// after the ResumeAck by the ack-gated pipeline).
-	if g.epoch != bodyEpoch {
-		g.sendCurrentKeysLocked(s)
-	}
-	g.sendAdminLocked(s, wire.MemberList{Names: g.reg.names()})
-	s.mu.Lock()
-	if es, ok := engine.ExportState(); ok {
-		g.replPublish(replica.Delta{
-			Kind: wire.ReplMemberUp, User: user,
-			Session: es.SessionKey, Nonce: es.Nonce, Seq: es.Seq,
-		})
-	}
-	s.mu.Unlock()
-	g.mu.Unlock()
-	return s
 }
 
 // readLoop processes frames from one member until the connection drops or
@@ -1029,7 +761,7 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 		return false
 	}
 	if ev.Accepted {
-		g.acceptLocked(s)
+		g.admitLocked(s, false)
 	}
 	if ev.Closed {
 		// Only a session still in the registry departs: a stale one (already
@@ -1070,56 +802,6 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (wire.Envelope, bool) {
 	mSealLatency.Observe(time.Since(start))
 	s.trackLocked(*env, start)
 	return *env, true
-}
-
-// acceptLocked finishes a successful join: register the member, inform the
-// group, and distribute keys per policy.
-func (g *Leader) acceptLocked(s *memberConn) {
-	if displaced := g.reg.insert(s); displaced == nil {
-		mMembers.Add(1)
-		g.tm.memberDelta(1)
-	}
-	g.logf("group: %s joined (members: %d)", s.user, g.reg.size())
-	mJoins.Inc()
-	g.tm.joined()
-	g.audit.emit(Event{Kind: EventJoined, User: s.user, Epoch: g.epoch})
-	g.joinTreeLocked(s.user)
-	s.mu.Lock()
-	if es, ok := s.engine.ExportState(); ok {
-		g.replPublish(replica.Delta{
-			Kind: wire.ReplMemberUp, User: s.user,
-			Session: es.SessionKey, Nonce: es.Nonce, Seq: es.Seq,
-		})
-	}
-	s.mu.Unlock()
-
-	// Inform the rest of the group first, then bring the new member up to
-	// date. Admin messages to each member are totally ordered by the
-	// verified pipeline, so every member sees a consistent history.
-	g.broadcastAdminLocked(wire.MemberJoined{Name: s.user}, s.user)
-
-	switch {
-	case g.rekey.OnJoin && g.coalesce > 0:
-		// Coalescing: hand the joiner the current key material so it can
-		// read group traffic immediately, then fold this join's rotation
-		// into the pending window with the rest of the burst.
-		g.sendCurrentKeysLocked(s)
-		g.requestRekeyLocked()
-	case g.rekey.OnJoin:
-		// Flat: rekeyLocked broadcasts NewGroupKey to everyone including
-		// the new member. LKH: the rotation's KeyUpdate frames are sealed
-		// under subtree keys the joiner does not hold yet, so hand it the
-		// complete post-rotation path afterwards.
-		if err := g.rekeyLocked(); err != nil {
-			g.logf("group: rekey on join: %v", err)
-		}
-		if g.tree != nil {
-			g.sendCurrentKeysLocked(s)
-		}
-	default:
-		g.sendCurrentKeysLocked(s)
-	}
-	g.sendAdminLocked(s, wire.MemberList{Names: g.reg.names()})
 }
 
 // departedLocked announces a departure and rotates the key per policy. The

@@ -186,25 +186,28 @@ func (g *Leader) pathKeysLocked(user string) (wire.PathKeys, bool) {
 }
 
 // sendCurrentKeysLocked hands one member the current key material: its full
-// leaf-to-root path under LKH, the flat group key otherwise.
+// leaf-to-root path under LKH, the flat group key otherwise (or when the
+// tree holds no path for it — a resumed member must get its ResumeAck).
 func (g *Leader) sendCurrentKeysLocked(s *memberConn) {
 	if g.tree != nil {
 		if pk, ok := g.pathKeysLocked(s.user); ok {
 			g.sendAdminLocked(s, pk)
+			return
 		}
-		return
 	}
 	g.sendAdminLocked(s, wire.NewGroupKey{Epoch: g.epoch, Key: g.groupKey})
 }
 
-// joinTreeLocked places a joining member's leaf (marking its path dirty for
-// the next rotation) and replicates the structural change. A rejoin whose
-// old leaf survived keeps the leaf and just re-dirties the path.
-func (g *Leader) joinTreeLocked(user string) {
+// joinTreeLocked ensures an admitted member has a leaf and replicates the
+// structural change. A new leaf marks its path dirty for the next rotation.
+// A password rejoin whose old leaf survived keeps the leaf and re-dirties
+// the path; a resumed member's surviving leaf is left clean — it held those
+// keys legitimately and goes on holding them.
+func (g *Leader) joinTreeLocked(user string, resumed bool) {
 	if g.tree == nil {
 		return
 	}
-	if err := g.tree.Join(user); err != nil {
+	if err := g.tree.Join(user); err != nil && !resumed {
 		g.tree.MarkDirty(user)
 	}
 	g.replTreeLocked()

@@ -23,7 +23,7 @@ import (
 //     hold a pre-promotion key.
 //
 // Members that hit ErrLeaderSilent re-attach through the resumption
-// sub-protocol (core.ResumeLeaderSession / startResume) under their
+// sub-protocol (core.ResumeLeaderSession / resumeHandshake) under their
 // existing session keys — no password re-handshake, no O(n) re-enrollment
 // storm. Sessions whose replicated nonce lags (an ack in flight when the
 // primary died) fail the freshness check and fall back to the ordinary
@@ -102,7 +102,7 @@ func Promote(cfg Config, st replica.State) (*Leader, error) {
 	// The forced post-promotion rotation (exactly one: rekeyLocked emits the
 	// single EventRekeyed and ReplRekey delta). The registry is still empty,
 	// so the broadcast has no receivers; resuming members get the new key in
-	// their ResumeAck, and late rejoiners through acceptLocked. Under LKH
+	// their ResumeAck, and late rejoiners through the join route. Under LKH
 	// the rotation covers the root plus every path the replica recorded
 	// dirty — departures the crash caught mid-window stay forward-secret —
 	// rather than cutting a whole new flat key.

@@ -193,55 +193,74 @@ func JoinOpts(conn transport.Conn, user, leader string, longTerm crypto.Key, opt
 	if err != nil {
 		return nil, err
 	}
-	// The silence timeout also bounds the handshake itself: over a lossy
-	// link a lost join frame would otherwise block Recv below forever,
-	// since the three-message join has no retransmission. Closing the conn
-	// fails the join so a supervisor can redial.
-	hsDone := make(chan struct{})
-	defer close(hsDone)
+	return attach(conn, engine, initReq, opts)
+}
+
+// attach is the one way a session attaches to a group. It sends the engine's
+// opening frame — AuthInitReq for a password join, Resume for a failover
+// resumption (a join is a resume with no prior state) — pumps the engine to
+// MemberConnected, builds the Member and starts its loops. The only
+// difference past the opening frame is what the completing frame carries: a
+// ResumeAck brings the post-promotion key material as an admin body, which
+// goes through the same apply path as any later AdminMsg, so a resumed
+// Member is ready on return while a joined one waits for its first key
+// (WaitReady). On failure the caller still owns conn.
+func attach(conn transport.Conn, engine *core.MemberSession, opening wire.Envelope, opts Options) (*Member, error) {
+	// The silence timeout also bounds the exchange itself: neither handshake
+	// retransmits, so over a lossy link a lost frame would otherwise block
+	// Recv below forever. Closing the conn fails the attempt so a supervisor
+	// can redial or fall back.
 	if opts.SilenceTimeout > 0 {
-		go func() {
-			t := time.NewTimer(opts.SilenceTimeout)
-			defer t.Stop()
-			select {
-			case <-hsDone:
-			case <-t.C:
-				conn.Close()
-			}
-		}()
+		bound := time.AfterFunc(opts.SilenceTimeout, func() { conn.Close() })
+		defer bound.Stop()
 	}
-	if err := conn.Send(initReq); err != nil {
-		return nil, fmt.Errorf("member: send join: %w", err)
+	if err := conn.Send(opening); err != nil {
+		return nil, fmt.Errorf("member: send %s: %w", opening.Type, err)
 	}
-	// Wait for the key distribution; a hostile network may interleave
-	// junk, which the engine rejects without state change.
-	for engine.Phase() != core.MemberConnected {
-		env, err := conn.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("member: join: %w", err)
+	// A hostile network may interleave junk, which the engine rejects without
+	// state change; the one frame it accepts (AuthKeyDist or ResumeAck)
+	// completes the exchange. A refused resumption is never answered — it
+	// surfaces as the leader dropping the connection.
+	var (
+		env wire.Envelope
+		ev  core.MemberEvent
+	)
+	for !ev.Connected {
+		var err error
+		if env, err = conn.Recv(); err != nil {
+			return nil, fmt.Errorf("member: awaiting reply to %s: %w", opening.Type, err)
 		}
-		ev, err := engine.Handle(env)
-		if err != nil {
-			continue // rejected frame; keep waiting for the genuine one
-		}
-		if ev.Reply != nil {
-			if err := conn.Send(*ev.Reply); err != nil {
-				return nil, fmt.Errorf("member: send key ack: %w", err)
-			}
-		}
+		ev, _ = engine.Handle(env) // a rejected frame yields the zero event
 	}
 
 	m := &Member{
-		name:       user,
-		leader:     leader,
+		name:       engine.User(),
+		leader:     engine.Leader(),
 		conn:       conn,
 		engine:     engine,
 		silence:    opts.SilenceTimeout,
-		view:       map[string]bool{user: true},
+		view:       map[string]bool{engine.User(): true},
 		events:     queue.New[Event](),
 		done:       make(chan struct{}),
 		outQ:       queue.New[wire.Envelope](),
 		writerDone: make(chan struct{}),
+	}
+	m.mu.Lock()
+	out := m.applyAdminLocked(ev, env.Payload)
+	keyed := m.groupKey.Valid()
+	m.mu.Unlock()
+	resumed := opening.Type == wire.TypeResume
+	if resumed && !keyed {
+		return nil, errors.New("member: resume ack carried no group key")
+	}
+	// The completing reply goes out only now that the loops are about to
+	// start: from the leader's point of view the pipeline (re)starts here,
+	// and what follows must find a running receive loop.
+	if err := conn.Send(*ev.Reply); err != nil {
+		return nil, fmt.Errorf("member: send %s: %w", ev.Reply.Type, err)
+	}
+	if resumed {
+		mResumed.Inc()
 	}
 	m.lastRecv.Store(time.Now().UnixNano())
 	go m.recvLoop()
@@ -249,6 +268,7 @@ func JoinOpts(conn transport.Conn, user, leader string, longTerm crypto.Key, opt
 	if m.silence > 0 {
 		go m.silenceWatchdog()
 	}
+	m.emit(out, ev.Seq)
 	return m, nil
 }
 
@@ -332,7 +352,12 @@ func (m *Member) WaitReady(timeout time.Duration) error {
 		if left {
 			return ErrLeft
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case <-m.done:
+			return ErrNoGroupKey // the connection died first; no key will come
+		default:
+			time.Sleep(time.Millisecond)
+		}
 	}
 	return ErrNoGroupKey
 }
@@ -484,7 +509,7 @@ func (m *Member) handle(env wire.Envelope) {
 	case wire.TypeResumeAck:
 		// A retransmitted ResumeAck (our completing ack was lost) is rejected
 		// by the engine — the resumption already consumed it — but the re-ack
-		// cache seeded by Resume answers it, same as a duplicate AdminMsg.
+		// cache seeded by attach answers it, same as a duplicate AdminMsg.
 		m.handleAdmin(env)
 	case wire.TypeKeyUpdate:
 		m.handleKeyUpdate(env)
@@ -515,8 +540,31 @@ func (m *Member) handleAdmin(env wire.Envelope) {
 		}
 		return
 	}
+	out := m.applyAdminLocked(ev, env.Payload)
+	m.mu.Unlock()
+
+	// Acks bypass the batching queue: the pipeline is ack-gated with at most
+	// one AdminMsg outstanding per member, so there is never an ack backlog
+	// to coalesce — routing them through the writer would only add a
+	// goroutine handoff to the round trip that gates every broadcast. Conn
+	// implementations are safe for concurrent use, so the direct send may
+	// interleave with the writer's batches.
+	if err := m.conn.Send(*ev.Reply); err != nil {
+		return
+	}
+	m.emit(out, ev.Seq)
+}
+
+// applyAdminLocked applies one frame the engine accepted to the member's
+// state — key material and view — and caches its acknowledgment for re-acks.
+// It returns the application event to emit, if any. The join handshake's
+// AuthKeyDist is the one accepted frame without a body: nothing to apply,
+// and its reply is never re-sent. Caller holds m.mu.
+func (m *Member) applyAdminLocked(ev core.MemberEvent, payload []byte) Event {
 	var out Event
 	switch body := ev.Admin.(type) {
+	case nil:
+		return out
 	case wire.NewGroupKey:
 		m.installGroupKeyLocked(body.Key, body.Epoch)
 		out = Event{Kind: EventRekey, Epoch: body.Epoch}
@@ -535,29 +583,20 @@ func (m *Member) handleAdmin(env wire.Envelope) {
 		}
 		out = Event{Kind: EventJoined, Name: m.name} // our own join completed
 	case wire.Heartbeat:
-		// Liveness probe: the ack sent below is the whole point; no
-		// application event. Receipt already refreshed the silence watchdog.
+		// Liveness probe: the ack is the whole point; no application event.
+		// Receipt already refreshed the silence watchdog.
 	}
-	if ev.Reply != nil {
-		m.lastAdminPayload = append(m.lastAdminPayload[:0], env.Payload...)
-		ack := *ev.Reply
-		m.lastAck = &ack
-	}
-	m.mu.Unlock()
+	m.lastAdminPayload = append(m.lastAdminPayload[:0], payload...)
+	ack := *ev.Reply
+	m.lastAck = &ack
+	return out
+}
 
-	// Acks bypass the batching queue: the pipeline is ack-gated with at most
-	// one AdminMsg outstanding per member, so there is never an ack backlog
-	// to coalesce — routing them through the writer would only add a
-	// goroutine handoff to the round trip that gates every broadcast. Conn
-	// implementations are safe for concurrent use, so the direct send may
-	// interleave with the writer's batches.
-	if ev.Reply != nil {
-		if err := m.conn.Send(*ev.Reply); err != nil {
-			return
-		}
-	}
+// emit delivers an event produced by a group-management message to the
+// application, correlated with the leader's pipeline sequence.
+func (m *Member) emit(out Event, seq uint64) {
 	if out.Kind != 0 {
-		out.Seq = ev.Seq
+		out.Seq = seq
 		m.events.Push(out)
 		mEvents.Inc()
 	}

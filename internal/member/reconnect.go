@@ -73,7 +73,10 @@ type Session struct {
 
 	mu      sync.Mutex
 	current *Member // nil while down
-	closed  bool
+	// attaching is the connection of the attach attempt in flight, if any, so
+	// Close can fail an exchange the endpoint never answers.
+	attaching transport.Conn
+	closed    bool
 
 	events  *queue.Queue[Event]
 	done    chan struct{}
@@ -101,169 +104,160 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		done:    make(chan struct{}),
 		closing: make(chan struct{}),
 	}
-	m, err := s.joinOnce()
+	m, _, err := s.attachOnce(nil)
 	if err != nil {
 		return nil, err
 	}
-	s.current = m
 	go s.supervise(m)
 	return s, nil
 }
 
-// joinOnce tries every endpoint once and returns the first success.
-func (s *Session) joinOnce() (*Member, error) {
-	var lastErr error
+// attachOnce tries every endpoint once, in order, and installs the first
+// session that comes up as s.current. A join is a resume with no prior
+// state: where prior names the endpoint's leader (the promoted standby
+// assumes the primary's name — the members' long-term keys bind it — so
+// only its address differs) the resumption sub-protocol goes first, and a
+// refusal falls back to the password join on the same endpoint. resumed
+// reports which route attached. ErrLeft means Close ended the attempt.
+func (s *Session) attachOnce(prior *core.SessionState) (m *Member, resumed bool, err error) {
+	err = errors.New("no endpoints")
 	for _, ep := range s.cfg.Endpoints {
-		conn, err := ep.Dial()
-		if err != nil {
-			lastErr = err
-			continue
+		if prior != nil && prior.Leader == ep.Leader {
+			mResumeAttempts.Inc()
+			if m, err = s.attachTo(ep, prior); err == nil {
+				return m, true, nil
+			}
+			mResumeFallback.Inc()
 		}
-		m, err := JoinOpts(conn, s.cfg.User, ep.Leader, ep.LongTerm, Options{SilenceTimeout: s.cfg.SilenceTimeout})
-		if err != nil {
-			conn.Close()
-			lastErr = err
-			continue
+		if m, err = s.attachTo(ep, nil); err == nil {
+			return m, false, nil
 		}
-		if err := m.WaitReady(s.cfg.ReadyTimeout); err != nil {
-			m.Leave()
-			lastErr = err
-			continue
+		if errors.Is(err, ErrLeft) {
+			return nil, false, err
 		}
-		return m, nil
 	}
-	if lastErr == nil {
-		lastErr = errors.New("no endpoints")
-	}
-	return nil, fmt.Errorf("member: all endpoints failed: %w", lastErr)
+	return nil, false, fmt.Errorf("member: all endpoints failed: %w", err)
 }
 
-// supervise pumps the current member's events and rejoins on involuntary
-// loss. A session lost to leader silence (failover) first tries the
-// resumption sub-protocol — re-attaching to the promoted standby under the
-// existing session key, no password re-handshake — and only falls back to
-// the full join when resumption is refused or unreachable.
-func (s *Session) supervise(m *Member) {
-	defer close(s.done)
-	rng := newJitterRNG(s.cfg.User)
-	s.events.Push(Event{Kind: EventJoined, Name: s.cfg.User})
-	for {
-		failure := s.pump(m)
-		s.mu.Lock()
-		s.current = nil
-		closed := s.closed
+// attachTo runs one attach attempt against one endpoint: dial, resume from
+// prior (or join when nil), wait for the group key. The whole attempt is
+// bounded by ReadyTimeout — with no SilenceTimeout the handshake itself has
+// no deadline, and an endpoint that accepts and never answers must not wedge
+// the session — and its connection is visible to Close throughout.
+func (s *Session) attachTo(ep Endpoint, prior *core.SessionState) (*Member, error) {
+	conn, err := ep.Dial()
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if s.closed { // Close found nothing in flight to close
 		s.mu.Unlock()
-		if closed || failure == nil {
-			// Voluntary close.
-			s.events.Push(Event{Kind: EventClosed})
-			s.events.Close()
+		conn.Close()
+		return nil, ErrLeft
+	}
+	s.attaching = conn
+	s.mu.Unlock()
+	bound := time.AfterFunc(s.cfg.ReadyTimeout, func() { conn.Close() })
+	defer bound.Stop()
+
+	var m *Member
+	opts := Options{SilenceTimeout: s.cfg.SilenceTimeout}
+	if prior != nil {
+		m, err = Resume(conn, *prior, ep.LongTerm, opts)
+	} else {
+		m, err = JoinOpts(conn, s.cfg.User, ep.Leader, ep.LongTerm, opts)
+	}
+	if err == nil {
+		err = m.WaitReady(s.cfg.ReadyTimeout)
+	}
+
+	// Installing the member and forgetting the connection are one step under
+	// s.mu, so Close finds either the attempt's connection or the member it
+	// became — never neither (which would leave pump blocked on a session
+	// nobody closes).
+	s.mu.Lock()
+	s.attaching = nil
+	if err == nil && s.closed {
+		err = ErrLeft
+	}
+	if err == nil {
+		s.current = m
+	}
+	s.mu.Unlock()
+	switch {
+	case err == nil:
+		return m, nil
+	case m != nil:
+		m.Leave()
+	default:
+		conn.Close()
+	}
+	return nil, err
+}
+
+// supervise pumps the current member's events and re-attaches on
+// involuntary loss, one supervised loop with jittered exponential backoff. A
+// session lost to leader silence (failover) carries its state into the
+// attempts as prior, so they try the resumption sub-protocol — re-attaching
+// to the promoted standby under the existing session key — before the full
+// join; an ordinary connection loss to a healthy leader re-joins directly (a
+// live primary has no resumable entry and would refuse anyway).
+func (s *Session) supervise(m *Member) {
+	final := Event{Kind: EventClosed} // Err stays nil unless the session gives up
+	defer func() {
+		s.events.Push(final)
+		s.events.Close()
+		close(s.done)
+	}()
+	rng := newJitterRNG(s.cfg.User)
+	var (
+		prior   *core.SessionState
+		backoff time.Duration
+		round   int
+	)
+	for {
+		if m != nil {
+			s.events.Push(Event{Kind: EventJoined, Name: s.cfg.User})
+			failure := s.pump(m)
+			s.mu.Lock()
+			s.current = nil
+			s.mu.Unlock()
+			if failure == nil {
+				return // voluntary close
+			}
+			prior = nil
+			if errors.Is(failure, ErrLeaderSilent) {
+				if st, ok := m.ResumeState(); ok {
+					prior = &st
+				}
+			}
+			m, backoff, round = nil, s.cfg.Backoff, 0
+		}
+		if round++; s.cfg.MaxRounds > 0 && round > s.cfg.MaxRounds {
+			final.Err = ErrGaveUp
 			return
 		}
-		// Silence means the leader is gone (wedged, partitioned, dead) — the
-		// failover case resumption exists for. An ordinary connection loss to
-		// a healthy leader re-joins directly; a live primary has no resumable
-		// entry and would refuse anyway.
-		var resumeSt core.SessionState
-		var canResume bool
-		if errors.Is(failure, ErrLeaderSilent) {
-			resumeSt, canResume = m.ResumeState()
+		// The wait is cancellable: Close must not block behind a sleep that
+		// can reach 32x the base backoff.
+		wait := time.NewTimer(rng.jittered(backoff))
+		select {
+		case <-wait.C:
+		case <-s.closing:
+			wait.Stop()
+			return
 		}
-
-		// Rejoin rounds with jittered exponential backoff. The wait is
-		// cancellable: Close must not block behind a sleep that can reach 32x
-		// the base backoff.
-		backoff := s.cfg.Backoff
-		round := 0
-		for {
-			round++
-			if s.cfg.MaxRounds > 0 && round > s.cfg.MaxRounds {
-				s.events.Push(Event{Kind: EventClosed, Err: ErrGaveUp})
-				s.events.Close()
-				return
-			}
-			wait := time.NewTimer(rng.jittered(backoff))
-			select {
-			case <-wait.C:
-			case <-s.closing:
-				wait.Stop()
-			}
-			if backoff < 32*s.cfg.Backoff {
-				backoff *= 2
-			}
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				s.events.Push(Event{Kind: EventClosed})
-				s.events.Close()
-				return
-			}
-			var next *Member
-			if canResume {
-				mResumeAttempts.Inc()
-				if r, err := s.resumeOnce(resumeSt); err == nil {
-					next = r
-				} else {
-					mResumeFallback.Inc()
-				}
-			}
-			if next == nil {
-				mRejoins.Inc()
-				joined, err := s.joinOnce()
-				if err != nil {
-					continue
-				}
-				next = joined
-				canResume = false // fresh session; the old state is obsolete
-			}
-			s.mu.Lock()
-			if s.closed {
-				// Close ran while the join/resume was in flight: it found no
-				// current member to Leave, so this one is ours to dismantle —
-				// installing it would leave pump blocked on a session nobody
-				// ever closes.
-				s.mu.Unlock()
-				next.Leave()
-				s.events.Push(Event{Kind: EventClosed})
-				s.events.Close()
-				return
-			}
-			s.current = next
-			s.mu.Unlock()
-			m = next
-			s.events.Push(Event{Kind: EventJoined, Name: s.cfg.User})
-			break
+		if backoff < 32*s.cfg.Backoff {
+			backoff *= 2
 		}
+		next, resumed, err := s.attachOnce(prior)
+		if errors.Is(err, ErrLeft) {
+			return // Close ended the attempt
+		}
+		if !resumed {
+			mRejoins.Inc() // the round reached the password join
+		}
+		m = next
 	}
-}
-
-// resumeOnce tries the resumption sub-protocol against every endpoint
-// carrying the failed session's leader identity: the promoted standby
-// assumes the primary's name (the members' long-term keys bind it), so only
-// its address differs.
-func (s *Session) resumeOnce(st core.SessionState) (*Member, error) {
-	var lastErr error
-	for _, ep := range s.cfg.Endpoints {
-		if ep.Leader != st.Leader {
-			continue
-		}
-		conn, err := ep.Dial()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		m, err := Resume(conn, st, ep.LongTerm, Options{SilenceTimeout: s.cfg.SilenceTimeout})
-		if err != nil {
-			conn.Close()
-			lastErr = err
-			continue
-		}
-		return m, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("member: no endpoint matches the resumable leader")
-	}
-	return nil, lastErr
 }
 
 // jitterRNG is a tiny deterministic PRNG (splitmix64) seeded from the
@@ -371,7 +365,7 @@ func (s *Session) Up() bool {
 }
 
 // Close leaves the group (if joined) and stops the supervision loop,
-// interrupting any in-progress rejoin backoff.
+// interrupting any in-progress rejoin backoff or attach attempt.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -380,12 +374,15 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	close(s.closing)
-	m := s.current
+	m, attaching := s.current, s.attaching
 	s.mu.Unlock()
 
 	var err error
 	if m != nil {
 		err = m.Leave()
+	}
+	if attaching != nil {
+		attaching.Close()
 	}
 	<-s.done
 	return err

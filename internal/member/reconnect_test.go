@@ -306,3 +306,84 @@ func TestCloseDuringRejoinRace(t *testing.T) {
 	}
 	waitSession(t, "leader drains the raced join", func() bool { return len(g.Members()) == 0 })
 }
+
+// TestSilentEndpointCannotWedgeSession: an endpoint that accepts the
+// connection and never answers. With no SilenceTimeout the handshake has no
+// deadline of its own, so every attach attempt is bounded by ReadyTimeout,
+// and Close ends the attempt in flight instead of waiting it out.
+func TestSilentEndpointCannotWedgeSession(t *testing.T) {
+	net := transport.NewMemNetwork()
+	defer net.Close()
+	silent, err := net.Listen("silent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	accepted := make(chan transport.Conn, 16) // holds the few conns the test opens, so none is collected or closed
+	go func() {
+		for {
+			c, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+
+	// NewSession gives up on the silent endpoint after ReadyTimeout.
+	failed := make(chan error, 1)
+	go func() {
+		_, err := NewSession(SessionConfig{
+			User:         "alice",
+			Endpoints:    []Endpoint{endpoint(net, "silent", "alice")},
+			ReadyTimeout: 50 * time.Millisecond,
+		})
+		failed <- err
+	}()
+	select {
+	case err := <-failed:
+		if err == nil {
+			t.Fatal("session came up against an endpoint that never answered")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("NewSession wedged on an endpoint that accepts and stays silent")
+	}
+	<-accepted
+
+	// A rejoin stuck on the silent endpoint, with ReadyTimeout far away: only
+	// Close reaching the in-flight connection can end it.
+	startLeader(t, net, "primary", []string{"alice"})
+	var calls atomic.Int32
+	var firstConn transport.Conn
+	ep := endpoint(net, "primary", "alice")
+	ep.Dial = func() (transport.Conn, error) {
+		if calls.Add(1) == 1 {
+			c, err := net.Dial("primary")
+			firstConn = c
+			return c, err
+		}
+		return net.Dial("silent")
+	}
+	s, err := NewSession(SessionConfig{
+		User:         "alice",
+		Endpoints:    []Endpoint{ep},
+		Backoff:      2 * time.Millisecond,
+		ReadyTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstConn.Close()
+	<-accepted // the rejoin attempt is now parked on the silent endpoint
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung behind an attach attempt the endpoint never answered")
+	}
+}
