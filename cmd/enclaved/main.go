@@ -159,7 +159,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	users := deriveUsers(passwords, *name)
 	policy, err := parsePolicy(*rekeyOn)
 	if err != nil {
 		return err
@@ -171,18 +170,9 @@ func run(args []string) error {
 		}
 	}
 
-	logf := func(string, ...any) {}
-	var onEvent func(group.Event)
-	if *verbose {
-		logf = log.Printf
-		onEvent = func(e group.Event) { log.Printf("enclaved: audit: %s", e) }
-	}
 	cfg := group.Config{
-		Name:    *name,
-		Users:   users,
-		Rekey:   policy,
-		Logf:    logf,
-		OnEvent: onEvent,
+		Name:  *name,
+		Rekey: policy,
 		Liveness: group.Liveness{
 			HeartbeatInterval: *heartbeat,
 			AckTimeout:        *ackWait,
@@ -193,28 +183,37 @@ func run(args []string) error {
 		LKH:           *lkhOn,
 		LKHArity:      *lkhArity,
 	}
+	if *verbose {
+		cfg.Logf = log.Printf
+		cfg.OnEvent = func(e group.Event) { log.Printf("enclaved: audit: %s", e) }
+	}
 
+	// Metrics must be live before any group exists: precreated groups count
+	// into group_directory_groups at construction, and increments to a
+	// disabled registry are dropped.
+	if *metricsAddr != "" {
+		srv, maddr, err := startMetricsServer(*metricsAddr)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		log.Printf("enclaved: metrics on http://%s/metrics, pprof on http://%s/debug/pprof/", maddr, maddr)
+	}
 	if multiTenant {
 		return runDirectory(directoryParams{
-			template:    cfg,
-			passwords:   passwords,
-			addr:        *addr,
-			metricsAddr: *metricsAddr,
-			groups:      *nGroups,
-			maxGroups:   *maxGroups,
-			ttl:         *groupTTL,
+			template:  cfg,
+			passwords: passwords,
+			addr:      *addr,
+			groups:    *nGroups,
+			maxGroups: *maxGroups,
+			ttl:       *groupTTL,
 		})
 	}
 
+	cfg.Users = deriveKeys(passwords, *name)[*name]
 	var leader *group.Leader
 	if *standby {
-		leader, err = runStandby(standbyConfig{
-			group:   cfg,
-			from:    *replFrom,
-			self:    *standbyName,
-			key:     replKey,
-			silence: *replSilence,
-		})
+		leader, err = runStandby(cfg, *replFrom, *standbyName, replKey, *replSilence)
 	} else {
 		cfg.ReplKey, cfg.ReplPing = replKey, *replPing
 		leader, err = group.NewLeader(cfg)
@@ -227,16 +226,6 @@ func run(args []string) error {
 		leader.Close()
 		return err
 	}
-	if *metricsAddr != "" {
-		srv, maddr, err := startMetricsServer(*metricsAddr)
-		if err != nil {
-			l.Close()
-			leader.Close()
-			return err
-		}
-		defer srv.Close()
-		log.Printf("enclaved: metrics on http://%s/metrics, pprof on http://%s/debug/pprof/", maddr, maddr)
-	}
 	role := "leader"
 	switch {
 	case *standby:
@@ -245,7 +234,7 @@ func run(args []string) error {
 		role = fmt.Sprintf("leader (replicating, ping %v)", *replPing)
 	}
 	log.Printf("enclaved: %s %q serving %d users on %s (rekey on %s, coalesce %v, heartbeat %v, ack timeout %v, outbox %d, fan-out workers %d)",
-		role, *name, len(users), l.Addr(), *rekeyOn, *coalesce, *heartbeat, *ackWait, *outbox, *fanWorkers)
+		role, *name, len(cfg.Users), l.Addr(), *rekeyOn, *coalesce, *heartbeat, *ackWait, *outbox, *fanWorkers)
 
 	// Graceful shutdown on SIGINT/SIGTERM: close the listener and every
 	// member connection, then exit cleanly.
@@ -264,29 +253,17 @@ func run(args []string) error {
 // config template (per-group configs clone it with group-specific Name,
 // Tenant, and Users) plus the directory shape.
 type directoryParams struct {
-	template    group.Config
-	passwords   map[string]string
-	addr        string
-	metricsAddr string
-	groups      int
-	maxGroups   int
-	ttl         time.Duration
+	template  group.Config
+	passwords map[string]string
+	addr      string
+	groups    int
+	maxGroups int
+	ttl       time.Duration
 }
 
 // runDirectory serves a multi-tenant daemon: a group directory behind one
 // shared listener accepting plain and multiplexed connections alike.
 func runDirectory(p directoryParams) error {
-	// Metrics must be live before the directory exists: precreated groups
-	// count into group_directory_groups at construction, and increments to a
-	// disabled registry are dropped.
-	if p.metricsAddr != "" {
-		srv, maddr, err := startMetricsServer(p.metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		log.Printf("enclaved: metrics on http://%s/metrics, pprof on http://%s/debug/pprof/", maddr, maddr)
-	}
 	precreate := make([]string, 0, p.groups+1)
 	precreate = append(precreate, p.template.Name)
 	for i := 0; i < p.groups; i++ {
@@ -295,15 +272,20 @@ func runDirectory(p directoryParams) error {
 			precreate = append(precreate, g)
 		}
 	}
+	// Per-group key derivation: the group ID is the leader identity in the
+	// derivation, so one password file yields unrelated keys per group — the
+	// isolation-by-construction boundary. The precreated groups derive as one
+	// batch so start-up uses every core whatever the groups × users shape; a
+	// dynamic group derives when its first connection names it.
+	precreated := deriveKeys(p.passwords, precreate...)
 	dir, err := group.NewDirectory(group.DirectoryConfig{
 		NewConfig: func(g string) (group.Config, error) {
 			cfg := p.template
 			cfg.Name = g
 			cfg.Tenant = g
-			// Per-group key derivation: the group ID is the leader identity
-			// in the derivation, so one password file yields unrelated keys
-			// per group — the isolation-by-construction boundary.
-			cfg.Users = deriveUsers(p.passwords, g)
+			if cfg.Users = precreated[g]; cfg.Users == nil {
+				cfg.Users = deriveKeys(p.passwords, g)[g]
+			}
 			return cfg, nil
 		},
 		Precreate:  precreate,
@@ -315,6 +297,7 @@ func runDirectory(p directoryParams) error {
 	if err != nil {
 		return err
 	}
+	precreated = nil // every Leader holds its own copy now; no connection is served yet
 	nl, err := net.Listen("tcp", p.addr)
 	if err != nil {
 		dir.Close()
@@ -334,34 +317,26 @@ func runDirectory(p directoryParams) error {
 	return dir.Serve(nl)
 }
 
-// standbyConfig carries what the hot-standby phase needs: the replication
-// subscription parameters and the leader config to promote with.
-type standbyConfig struct {
-	group   group.Config
-	from    string
-	self    string
-	key     crypto.Key
-	silence time.Duration
-}
-
-// runStandby replicates from the primary until it is declared dead, then
-// promotes the replica and returns the promoted leader, ready to serve. A
-// termination signal during the standby phase exits cleanly instead of
-// promoting (the primary is still alive — a second leader must not appear).
-func runStandby(sc standbyConfig) (*group.Leader, error) {
+// runStandby replicates leader cfg.Name from the primary at from — as
+// standby self, over the channel sealed under key — until the stream has
+// been silent past silence, then promotes the replica with cfg and returns
+// the promoted leader, ready to serve. A termination signal during the
+// standby phase exits cleanly instead of promoting (the primary is still
+// alive — a second leader must not appear).
+func runStandby(cfg group.Config, from, self string, key crypto.Key, silence time.Duration) (*group.Leader, error) {
 	sb, err := replica.NewStandby(replica.StandbyConfig{
-		Standby: sc.self,
-		Primary: sc.group.Name,
-		Key:     sc.key,
-		Dial:    func() (transport.Conn, error) { return transport.DialTCP(sc.from) },
-		Silence: sc.silence,
+		Standby: self,
+		Primary: cfg.Name,
+		Key:     key,
+		Dial:    func() (transport.Conn, error) { return transport.DialTCP(from) },
+		Silence: silence,
 		Logf:    log.Printf,
 	})
 	if err != nil {
 		return nil, err
 	}
 	log.Printf("enclaved: standby %q replicating leader %q from %s (silence budget %v)",
-		sc.self, sc.group.Name, sc.from, sc.silence)
+		self, cfg.Name, from, silence)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -375,8 +350,8 @@ func runStandby(sc standbyConfig) (*group.Leader, error) {
 	st := sb.State()
 	sb.Stop()
 	log.Printf("enclaved: primary silent past %v; promoting with %d members at epoch %d",
-		sc.silence, len(st.Members), st.Epoch)
-	return group.Promote(sc.group, st)
+		silence, len(st.Members), st.Epoch)
+	return group.Promote(cfg, st)
 }
 
 // loadReplKey derives the replication key K_r from the shared secret file:
@@ -425,7 +400,7 @@ func startMetricsServer(addr string) (*http.Server, string, error) {
 }
 
 // loadPasswords parses the "name:password" users file. Derivation into
-// long-term keys is separate (deriveUsers) because a multi-tenant daemon
+// long-term keys is separate (deriveKeys) because a multi-tenant daemon
 // derives the same password set once per group, bound to each group's
 // identity.
 func loadPasswords(path string) (map[string]string, error) {
@@ -459,24 +434,9 @@ func loadPasswords(path string) (map[string]string, error) {
 	return passwords, nil
 }
 
-// deriveUsers binds a password set to one leader identity, yielding the
-// per-user long-term keys P_user for that group.
-func deriveUsers(passwords map[string]string, leader string) map[string]crypto.Key {
-	users := make(map[string]crypto.Key, len(passwords))
-	for name, password := range passwords {
-		users[name] = crypto.DeriveKey(name, leader, password)
-	}
-	return users
-}
-
-// loadUsers parses the users file and derives long-term keys for leader.
-func loadUsers(path, leader string) (map[string]crypto.Key, error) {
-	passwords, err := loadPasswords(path)
-	if err != nil {
-		return nil, err
-	}
-	return deriveUsers(passwords, leader), nil
-}
+// deriveKeys is crypto.DeriveKeys behind a seam, so tests can count how many
+// derivations a start-up performs.
+var deriveKeys = crypto.DeriveKeys
 
 // parsePolicy parses the -rekey flag.
 func parsePolicy(s string) (group.RekeyPolicy, error) {

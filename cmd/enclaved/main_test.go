@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"enclaves/internal/crypto"
 )
 
 // TestMetricsServer boots the -metrics-addr endpoint and asserts the
@@ -72,7 +74,7 @@ func TestMetricsServer(t *testing.T) {
 	}
 }
 
-func TestLoadUsers(t *testing.T) {
+func TestLoadPasswords(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "users.txt")
 	content := `# comment
@@ -83,30 +85,34 @@ bob:secret:with:colons
 	if err := os.WriteFile(path, []byte(content), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	users, err := loadUsers(path, "leader")
+	passwords, err := loadPasswords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Passwords with colons keep everything after the first colon.
+	if len(passwords) != 2 || passwords["alice"] != "secret1" || passwords["bob"] != "secret:with:colons" {
+		t.Fatalf("passwords = %q", passwords)
+	}
+	users := crypto.DeriveKeys(passwords, "leader")["leader"]
 	if len(users) != 2 {
 		t.Fatalf("got %d users, want 2", len(users))
 	}
-	if !users["alice"].Valid() || !users["bob"].Valid() {
-		t.Error("derived keys invalid")
+	if !users["alice"].Equal(crypto.DeriveKey("alice", "leader", "secret1")) {
+		t.Error("alice's key is not DeriveKey of her password at this leader")
 	}
-	// Passwords with colons keep everything after the first colon.
 	if users["alice"].Equal(users["bob"]) {
 		t.Error("distinct users derived the same key")
 	}
 }
 
-func TestLoadUsersErrors(t *testing.T) {
+func TestLoadPasswordsErrors(t *testing.T) {
 	dir := t.TempDir()
 
 	empty := filepath.Join(dir, "empty.txt")
 	if err := os.WriteFile(empty, []byte("# nothing\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadUsers(empty, "leader"); err == nil {
+	if _, err := loadPasswords(empty); err == nil {
 		t.Error("empty users file accepted")
 	}
 
@@ -114,12 +120,51 @@ func TestLoadUsersErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("no-colon-here\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadUsers(bad, "leader"); err == nil {
+	if _, err := loadPasswords(bad); err == nil {
 		t.Error("malformed line accepted")
 	}
 
-	if _, err := loadUsers(filepath.Join(dir, "missing.txt"), "leader"); err == nil {
+	if _, err := loadPasswords(filepath.Join(dir, "missing.txt")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestStartupDerivesEachKeyOnce counts derivations through the deriveKeys
+// seam: a single-tenant start-up derives one key per user, a multi-tenant
+// one a key per user per precreated group (the default group included) and
+// none for the -name identity it does not serve on its own. The unparsable
+// listen address ends each run right after the keys exist.
+func TestStartupDerivesEachKeyOnce(t *testing.T) {
+	users := filepath.Join(t.TempDir(), "users.txt")
+	if err := os.WriteFile(users, []byte("m0:pw\nm1:pw\nm2:pw\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	const nUsers = 3
+	derived := 0
+	deriveKeys = func(passwords map[string]string, leaders ...string) map[string]map[string]crypto.Key {
+		derived += len(passwords) * len(leaders)
+		return crypto.DeriveKeys(passwords, leaders...)
+	}
+	defer func() { deriveKeys = crypto.DeriveKeys }()
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"single-tenant", nil, nUsers},
+		{"groups 5", []string{"-groups", "5"}, (5 + 1) * nUsers},
+		{"groups 2 with lkh", []string{"-groups", "2", "-lkh"}, (2 + 1) * nUsers},
+		{"default group named like a precreated one", []string{"-groups", "2", "-name", "g1"}, 2 * nUsers},
+		{"dynamic only", []string{"-max-groups", "-1"}, nUsers},
+	} {
+		derived = 0
+		err := run(append([]string{"-users", users, "-addr", "bad:addr:extra"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), "too many colons") {
+			t.Errorf("%s: err = %v, want the listen failure", tc.name, err)
+		}
+		if derived != tc.want {
+			t.Errorf("%s: %d derivations, want %d", tc.name, derived, tc.want)
+		}
 	}
 }
 

@@ -266,13 +266,18 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 	ready := make(chan error, sessions)
 	var wg sync.WaitGroup
 	rampT0 := time.Now()
-	for g := 0; g < cfg.Groups; g++ {
+	gids := make([]string, cfg.Groups)
+	for g := range gids {
+		gids[g] = fmt.Sprintf("g%d", g)
+	}
+	keys := crypto.DeriveKeys(cfg.passwords(), gids...)
+	for g, gid := range gids {
 		for m := 0; m < cfg.Members; m++ {
 			wg.Add(1)
-			go func(g, m int) {
+			go func(m int, mx *transport.Mux) {
 				defer wg.Done()
-				l.runWorker(g, m, muxes[(g*cfg.Members+m)%cfg.Conns], ready)
-			}(g, m)
+				l.runWorker(gid, m, keys[gid][fmt.Sprintf("m%d", m)], mx, ready)
+			}(m, muxes[(g*cfg.Members+m)%cfg.Conns])
 		}
 	}
 	joined := 0
@@ -358,13 +363,10 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 // users m0..m(M-1) in every group with the same per-group derivation enclaved
 // uses.
 func selfHost(cfg loadConfig) (*group.Directory, net.Listener, error) {
+	passwords := cfg.passwords()
 	dir, err := group.NewDirectory(group.DirectoryConfig{
 		NewConfig: func(g string) (group.Config, error) {
-			users := make(map[string]crypto.Key, cfg.Members)
-			for i := 0; i < cfg.Members; i++ {
-				u := fmt.Sprintf("m%d", i)
-				users[u] = crypto.DeriveKey(u, g, cfg.Password)
-			}
+			users := crypto.DeriveKeys(passwords, g)[g]
 			return group.Config{Name: g, Tenant: g, Users: users, Rekey: group.DefaultRekeyPolicy()}, nil
 		},
 		MaxDynamic: -1,
@@ -381,14 +383,21 @@ func selfHost(cfg loadConfig) (*group.Directory, net.Listener, error) {
 	return dir, nl, nil
 }
 
-// runWorker is one member's whole lifetime: derive the per-group key once,
-// join (reporting the initial join outcome on ready), produce and consume
-// traffic, and — if this is the group's churn slot — cycle leave/rejoin
-// until stop. Every failure is counted exactly once, inside session().
-func (l *loader) runWorker(g, m int, mx *transport.Mux, ready chan<- error) {
-	gid := fmt.Sprintf("g%d", g)
+// passwords gives users m0..m(M-1) the load password.
+func (c loadConfig) passwords() map[string]string {
+	p := make(map[string]string, c.Members)
+	for m := 0; m < c.Members; m++ {
+		p[fmt.Sprintf("m%d", m)] = c.Password
+	}
+	return p
+}
+
+// runWorker is one member's whole lifetime: join (reporting the initial
+// join outcome on ready), produce and consume traffic, and — if this is the
+// group's churn slot — cycle leave/rejoin until stop. Every failure is
+// counted exactly once, inside session().
+func (l *loader) runWorker(gid string, m int, key crypto.Key, mx *transport.Mux, ready chan<- error) {
 	user := fmt.Sprintf("m%d", m)
-	key := crypto.DeriveKey(user, gid, l.cfg.Password)
 	churner := l.cfg.Churn > 0 && l.cfg.Members > 1 && m == l.cfg.Members-1
 
 	// lastEpoch carries the high-water epoch across this worker's sessions:

@@ -21,6 +21,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // KeySize is the size of all symmetric keys in bytes (AES-256).
@@ -235,33 +238,69 @@ const DeriveKeyIterations = 4096
 // passwords at different leaders produce unrelated keys.
 func DeriveKey(user, leader, password string) Key {
 	salt := []byte("enclaves/v1|" + leader + "|" + user)
-	raw := pbkdf2(sha256.New().Size(), []byte(password), salt, DeriveKeyIterations, KeySize)
+	raw := pbkdf2([]byte(password), salt, DeriveKeyIterations, KeySize)
 	k, _ := KeyFromBytes(raw) // length is KeySize by construction
 	return k
 }
 
-// pbkdf2 implements PBKDF2-HMAC-SHA256 (RFC 2898) on the standard library.
-func pbkdf2(hashLen int, password, salt []byte, iter, keyLen int) []byte {
-	numBlocks := (keyLen + hashLen - 1) / hashLen
-	out := make([]byte, 0, numBlocks*hashLen)
-	block := make([]byte, 4)
-	for i := 1; i <= numBlocks; i++ {
-		binary.BigEndian.PutUint32(block, uint32(i))
-		mac := hmac.New(sha256.New, password)
-		mac.Write(salt)
-		mac.Write(block)
-		u := mac.Sum(nil)
-		t := make([]byte, len(u))
-		copy(t, u)
-		for j := 1; j < iter; j++ {
-			mac = hmac.New(sha256.New, password)
-			mac.Write(u)
-			u = mac.Sum(nil)
-			for x := range t {
-				t[x] ^= u[x]
-			}
+// DeriveKeys derives every user's key at every leader, indexed leader then
+// user. The derivations are independent and CPU-bound, so they spread over
+// min(GOMAXPROCS, n) goroutines; on one P they run inline.
+func DeriveKeys(passwords map[string]string, leaders ...string) map[string]map[string]Key {
+	type job struct{ leader, user string }
+	jobs := make([]job, 0, len(leaders)*len(passwords))
+	out := make(map[string]map[string]Key, len(leaders))
+	for _, leader := range leaders {
+		out[leader] = make(map[string]Key, len(passwords))
+		for user := range passwords {
+			jobs = append(jobs, job{leader, user})
 		}
-		out = append(out, t...)
+	}
+	keys := make([]Key, len(jobs))
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+			keys[i] = DeriveKey(jobs[i].user, jobs[i].leader, passwords[jobs[i].user])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for i, j := range jobs {
+		out[j.leader][j.user] = keys[i]
+	}
+	return out
+}
+
+// pbkdf2 implements PBKDF2-HMAC-SHA256 (RFC 2898) on the standard library.
+// One keyed HMAC serves the whole derivation: Reset restores the state
+// precomputed from the password, so an iteration costs two SHA-256
+// compressions and no allocation.
+func pbkdf2(password, salt []byte, iter, keyLen int) []byte {
+	mac := hmac.New(sha256.New, password)
+	numBlocks := (keyLen + sha256.Size - 1) / sha256.Size
+	out := make([]byte, 0, numBlocks*sha256.Size)
+	u := make([]byte, 0, sha256.Size)
+	for i := 1; i <= numBlocks; i++ {
+		mac.Reset()
+		mac.Write(salt)
+		mac.Write(binary.BigEndian.AppendUint32(nil, uint32(i)))
+		out = mac.Sum(out)
+		t := out[len(out)-sha256.Size:]
+		u = append(u[:0], t...)
+		for j := 1; j < iter; j++ {
+			mac.Reset()
+			mac.Write(u)
+			u = mac.Sum(u[:0])
+			subtle.XORBytes(t, t, u)
+		}
 	}
 	return out[:keyLen]
 }

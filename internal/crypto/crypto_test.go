@@ -3,6 +3,8 @@ package crypto
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -253,15 +255,40 @@ func TestDeriveKeySeparation(t *testing.T) {
 	}
 }
 
-func TestPBKDF2KnownVector(t *testing.T) {
-	// RFC 7914 section 11 test vector: PBKDF2-HMAC-SHA-256
-	// P="passwd", S="salt", c=1, dkLen=64.
-	got := pbkdf2(32, []byte("passwd"), []byte("salt"), 1, 64)
-	want, _ := hex.DecodeString(
-		"55ac046e56e3089fec1691c22544b605f94185216dde0465e68b9d57c20dacbc" +
-			"49ca9cccf179b645991664b39d77ef317c71b845b1e30bd509112041d3a19783")
-	if !bytes.Equal(got, want) {
-		t.Errorf("pbkdf2 = %x, want %x", got, want)
+// TestPBKDF2KnownAnswers pins PBKDF2-HMAC-SHA256 at iteration counts
+// {1, 2, 4096} and output lengths {20, 32, 64} — truncated, exact and
+// multi-block — on the RFC 7914 section 11 inputs ("passwd"/"salt", whose
+// c=1 dkLen=64 row is the RFC's own vector, and "Password"/"NaCl") and on
+// the widely published "password"/"salt" set.
+func TestPBKDF2KnownAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		password, salt string
+		iter, keyLen   int
+		want           string
+	}{
+		{"password", "salt", 1, 20, "120fb6cffcf8b32c43e7225256c4f837a86548c9"},
+		{"password", "salt", 1, 32, "120fb6cffcf8b32c43e7225256c4f837a86548c92ccc35480805987cb70be17b"},
+		{"password", "salt", 2, 32, "ae4d0c95af6b46d32d0adff928f06dd02a303f8ef3c251dfd6e2d85a95474c43"},
+		{"password", "salt", 4096, 20, "c5e478d59288c841aa530db6845c4c8d962893a0"},
+		{"password", "salt", 4096, 32, "c5e478d59288c841aa530db6845c4c8d962893a001ce4e11a4963873aa98134a"},
+		{"passwd", "salt", 1, 64, "55ac046e56e3089fec1691c22544b605f94185216dde0465e68b9d57c20dacbc" +
+			"49ca9cccf179b645991664b39d77ef317c71b845b1e30bd509112041d3a19783"},
+		{"passwd", "salt", 2, 20, "2d412f896e76685e30df569f0a740634e31f031f"},
+		{"passwd", "salt", 2, 64, "2d412f896e76685e30df569f0a740634e31f031f749d607d9e44210bffb91a6a" +
+			"b670f500c78862001959f7d7b9f96afb3605700298acb14427e0239463c66f20"},
+		{"passwd", "salt", 4096, 64, "21943fd5b7a10905c38fad60157ff498e1e81df1e03254325682a74dca3b2be8" +
+			"f3ab1ccb49d0a5095e69792ba334c6fdaf55d266a9922c760d3c5f5c3ec22c52"},
+		{"Password", "NaCl", 1, 32, "c600404e39c9e97a7d7a745b32c3e7426387b365693c7f59300fd8a03aab4c6e"},
+		{"Password", "NaCl", 2, 64, "7897885f70bce63d18e043ad11c3a4b71a326b50c5e183d740d8924f5c3ead46" +
+			"1d35bad7561465d9f404c65376086aa5c5d36bbd1dab359e41d33b7839fb6196"},
+		{"Password", "NaCl", 4096, 20, "438b6f1df76520b1c9989ddf976545b40f1ab4d9"},
+		{"Password", "NaCl", 4096, 64, "438b6f1df76520b1c9989ddf976545b40f1ab4d9da723a81aa5083108b0da61f" +
+			"e1a2be306bc4e96259eaefdeb066a3bf6ecfa07de966472029831582717d7e6a"},
+	} {
+		got := hex.EncodeToString(pbkdf2([]byte(tc.password), []byte(tc.salt), tc.iter, tc.keyLen))
+		if got != tc.want {
+			t.Errorf("pbkdf2(%q, %q, c=%d, dkLen=%d) = %s, want %s", tc.password, tc.salt, tc.iter, tc.keyLen, got, tc.want)
+		}
 	}
 }
 
@@ -270,11 +297,91 @@ func TestPBKDF2SecondVector(t *testing.T) {
 	if testing.Short() {
 		t.Skip("80000 iterations in -short mode")
 	}
-	got := pbkdf2(32, []byte("Password"), []byte("NaCl"), 80000, 64)
+	got := pbkdf2([]byte("Password"), []byte("NaCl"), 80000, 64)
 	want, _ := hex.DecodeString(
 		"4ddcd8f60b98be21830cee5ef22701f9641a4418d04c0414aeff08876b34ab56" +
 			"a1d425a1225833549adb841b51c9b3176a272bdebba1d078478f62b397f33c8d")
 	if !bytes.Equal(got, want) {
 		t.Errorf("pbkdf2 = %x, want %x", got, want)
+	}
+}
+
+// TestDeriveKeyGolden pins DeriveKey's output to the bytes every deployed
+// leader and member binary already agrees on (captured at commit 00c29b4,
+// before the kernel was rewritten): a change to the salt format, iteration
+// count or PRF locks every user out, and must not pass silently.
+func TestDeriveKeyGolden(t *testing.T) {
+	const want = "a29604d6c1c008ba3684188849c7c71b0c8eb607d3f8d59e602267f1c03c050b"
+	if got := hex.EncodeToString(DeriveKey("alice", "leader", "hunter2").Bytes()); got != want {
+		t.Errorf("DeriveKey(alice, leader, hunter2) = %s, want %s", got, want)
+	}
+}
+
+// TestDeriveKeyAllocs fails if the kernel goes back to building an HMAC per
+// iteration (24,579 allocations per key at the 4,096 iterations).
+func TestDeriveKeyAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() { DeriveKey("alice", "leader", "hunter2") })
+	if allocs > 16 {
+		t.Errorf("DeriveKey allocates %.0f times per call, want <= 16", allocs)
+	}
+}
+
+// TestDeriveKeysMatchesSerial checks the parallel helper against a serial
+// DeriveKey loop, inline (one P) and fanned out (four).
+func TestDeriveKeysMatchesSerial(t *testing.T) {
+	passwords := map[string]string{"alice": "a-pw", "bob": "b-pw", "carol": "c-pw"}
+	leaders := []string{"g0", "g1", "g2"}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := DeriveKeys(passwords, leaders...)
+		runtime.GOMAXPROCS(prev)
+		if len(got) != len(leaders) {
+			t.Fatalf("GOMAXPROCS=%d: %d leaders, want %d", procs, len(got), len(leaders))
+		}
+		for _, leader := range leaders {
+			if len(got[leader]) != len(passwords) {
+				t.Errorf("GOMAXPROCS=%d: leader %s has %d users, want %d", procs, leader, len(got[leader]), len(passwords))
+			}
+			for user, password := range passwords {
+				if !got[leader][user].Equal(DeriveKey(user, leader, password)) {
+					t.Errorf("GOMAXPROCS=%d: key for %s at %s differs from DeriveKey", procs, user, leader)
+				}
+			}
+		}
+	}
+	if got := DeriveKeys(passwords); len(got) != 0 {
+		t.Errorf("no leaders: got %d entries", len(got))
+	}
+}
+
+var sinkKey Key
+
+// BenchmarkDeriveKey measures PBKDF2 long-term key derivation (paid once
+// per user, not per message).
+func BenchmarkDeriveKey(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkKey = DeriveKey("alice", "leader", "hunter2")
+	}
+}
+
+// BenchmarkDeriveKeys times a whole start-up's derivations in the two
+// shapes the benchmark spawns: one group of 512 users, 128 groups of 4.
+func BenchmarkDeriveKeys(b *testing.B) {
+	for _, shape := range []struct{ groups, users int }{{1, 512}, {128, 4}} {
+		passwords := make(map[string]string, shape.users)
+		for u := 0; u < shape.users; u++ {
+			passwords[fmt.Sprintf("m%d", u)] = "bench-password"
+		}
+		leaders := make([]string, shape.groups)
+		for g := range leaders {
+			leaders[g] = fmt.Sprintf("g%d", g)
+		}
+		b.Run(fmt.Sprintf("%dx%d", shape.groups, shape.users), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkKey = DeriveKeys(passwords, leaders...)["g0"]["m0"]
+			}
+		})
 	}
 }

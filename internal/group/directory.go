@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,9 +50,6 @@ type DirectoryConfig struct {
 	// connections, no members) and inactive for this long. Zero disables
 	// collection.
 	TTL time.Duration
-	// Stripes overrides the group-table stripe count (rounded up to a power
-	// of two; zero selects a default sized from GOMAXPROCS).
-	Stripes int
 	// Logf, if non-nil, receives diagnostic log lines.
 	Logf func(format string, args ...any)
 }
@@ -72,13 +70,23 @@ type dirEntry struct {
 	lastActive atomic.Int64
 }
 
+// dirCreation is a group being built. Lookups that find it wait on done for
+// the creator's outcome instead of building a second Leader.
+type dirCreation struct {
+	done   chan struct{}
+	leader *Leader
+	err    error
+}
+
 // dirStripe is one bucket of the group table; the same explicit Lock/Unlock
 // wrapper shape as the member registry's stripe, for the sealunderlock
-// analyzer.
+// analyzer. creating holds the in-flight creations apart from groups, so the
+// lookup hit path probes only finished entries.
 type dirStripe struct {
-	mu     sync.Mutex
-	groups map[string]*dirEntry
-	_      [24]byte // pad to discourage false sharing between adjacent stripes
+	mu       sync.Mutex
+	groups   map[string]*dirEntry
+	creating map[string]*dirCreation
+	_        [16]byte // pad to discourage false sharing between adjacent stripes
 }
 
 // Lock acquires the stripe.
@@ -123,14 +131,7 @@ func NewDirectory(cfg DirectoryConfig) (*Directory, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	shards := cfg.Stripes
-	if shards <= 0 {
-		shards = defaultShardCount()
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
+	n := stripeCount(0)
 	d := &Directory{
 		cfg:     cfg,
 		logf:    logf,
@@ -141,19 +142,11 @@ func NewDirectory(cfg DirectoryConfig) (*Directory, error) {
 	}
 	for i := range d.stripes {
 		d.stripes[i].groups = make(map[string]*dirEntry)
+		d.stripes[i].creating = make(map[string]*dirCreation)
 	}
-	if cfg.Default != "" {
-		found := false
-		for _, g := range cfg.Precreate {
-			if g == cfg.Default {
-				found = true
-				break
-			}
-		}
-		if !found {
-			d.Close()
-			return nil, fmt.Errorf("group: default group %q not in Precreate", cfg.Default)
-		}
+	if cfg.Default != "" && !slices.Contains(cfg.Precreate, cfg.Default) {
+		d.Close()
+		return nil, fmt.Errorf("group: default group %q not in Precreate", cfg.Default)
 	}
 	for _, g := range cfg.Precreate {
 		if g == "" {
@@ -178,8 +171,8 @@ func (d *Directory) stripeFor(group string) *dirStripe {
 
 // Lookup resolves a group ID to its Leader, creating the group on demand
 // when dynamic creation permits. The steady-state path is one stripe lock
-// and a map probe; construction happens outside any lock, with racing
-// creators converging on a single winner.
+// and a map probe; construction happens outside any lock, and racing first
+// lookups wait for the one creator.
 func (d *Directory) Lookup(group string) (*Leader, error) {
 	if d.closed.Load() {
 		return nil, errDirectoryClosed
@@ -195,38 +188,79 @@ func (d *Directory) Lookup(group string) (*Leader, error) {
 	return d.create(group, true)
 }
 
-// create builds a group's Leader and installs it. dynamic groups reserve a
-// slot against MaxDynamic first and are eligible for TTL collection.
-func (d *Directory) create(group string, dynamic bool) (*Leader, error) {
-	if dynamic {
-		max := int64(d.cfg.MaxDynamic)
-		if max == 0 {
-			return nil, fmt.Errorf("%w: %q", errUnknownGroup, group)
+// reserveDynamic takes one slot against MaxDynamic, by CAS so a create storm
+// across stripes cannot overshoot the cap.
+func (d *Directory) reserveDynamic() bool {
+	limit := int64(d.cfg.MaxDynamic)
+	for {
+		cur := d.dynamic.Load()
+		if limit >= 0 && cur >= limit {
+			return false
 		}
-		if max > 0 {
-			// Reserve before constructing, give back on any failure path.
-			for {
-				cur := d.dynamic.Load()
-				if cur >= max {
-					return nil, fmt.Errorf("%w: %q (dynamic group limit %d reached)", errUnknownGroup, group, max)
-				}
-				if d.dynamic.CompareAndSwap(cur, cur+1) {
-					break
-				}
-			}
-		} else {
-			d.dynamic.Add(1)
+		if d.dynamic.CompareAndSwap(cur, cur+1) {
+			return true
 		}
 	}
-	release := func() {
+}
+
+// create builds a group's Leader and installs it, once: callers that race
+// the creator wait for its outcome and share it. dynamic groups reserve a
+// slot against MaxDynamic first and are eligible for TTL collection.
+func (d *Directory) create(group string, dynamic bool) (*Leader, error) {
+	st := d.stripeFor(group)
+	st.Lock()
+	if e := st.groups[group]; e != nil {
+		st.Unlock()
+		e.lastActive.Store(time.Now().UnixNano())
+		return e.leader, nil
+	}
+	if c := st.creating[group]; c != nil {
+		st.Unlock()
+		<-c.done
+		return c.leader, c.err
+	}
+	if dynamic && !d.reserveDynamic() {
+		st.Unlock()
+		return nil, fmt.Errorf("%w: %q (dynamic group limit %d reached)", errUnknownGroup, group, d.cfg.MaxDynamic)
+	}
+	c := &dirCreation{done: make(chan struct{})}
+	st.creating[group] = c
+	st.Unlock()
+
+	// Waiters read c.leader and c.err only after done is closed.
+	defer close(c.done)
+	ld, err := d.build(group)
+	st.Lock()
+	delete(st.creating, group)
+	if err == nil && d.closed.Load() {
+		err = errDirectoryClosed
+	}
+	if err == nil {
+		e := &dirEntry{leader: ld, dynamic: dynamic}
+		e.lastActive.Store(time.Now().UnixNano())
+		st.groups[group] = e
+	}
+	st.Unlock()
+	if err != nil {
+		if ld != nil {
+			ld.Close()
+		}
 		if dynamic {
 			d.dynamic.Add(-1)
 		}
+		c.err = err
+		return nil, err
 	}
+	c.leader = ld
+	mGroups.Add(1)
+	d.logf("group: directory created %q (dynamic=%v)", group, dynamic)
+	return ld, nil
+}
 
+// build constructs the Leader for a group from its NewConfig.
+func (d *Directory) build(group string) (*Leader, error) {
 	cfg, err := d.cfg.NewConfig(group)
 	if err != nil {
-		release()
 		return nil, err
 	}
 	if cfg.Name == "" {
@@ -235,35 +269,7 @@ func (d *Directory) create(group string, dynamic bool) (*Leader, error) {
 	if cfg.Tenant == "" {
 		cfg.Tenant = group
 	}
-	ld, err := NewLeader(cfg)
-	if err != nil {
-		release()
-		return nil, err
-	}
-	e := &dirEntry{leader: ld, dynamic: dynamic}
-	e.lastActive.Store(time.Now().UnixNano())
-
-	st := d.stripeFor(group)
-	st.Lock()
-	if prior := st.groups[group]; prior != nil {
-		// Lost the creation race: the winner's leader is the group.
-		st.Unlock()
-		ld.Close()
-		release()
-		prior.lastActive.Store(time.Now().UnixNano())
-		return prior.leader, nil
-	}
-	if d.closed.Load() {
-		st.Unlock()
-		ld.Close()
-		release()
-		return nil, errDirectoryClosed
-	}
-	st.groups[group] = e
-	st.Unlock()
-	mGroups.Add(1)
-	d.logf("group: directory created %q (dynamic=%v)", group, dynamic)
-	return ld, nil
+	return NewLeader(cfg)
 }
 
 // gcLoop sweeps dynamic groups that have been idle past the TTL.
@@ -343,18 +349,6 @@ func (d *Directory) Groups() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Size returns the number of live groups.
-func (d *Directory) Size() int {
-	n := 0
-	for i := range d.stripes {
-		st := &d.stripes[i]
-		st.Lock()
-		n += len(st.groups)
-		st.Unlock()
-	}
-	return n
 }
 
 // route is the transport.MuxConfig Accept hook: resolve the connection's

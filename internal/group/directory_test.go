@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,8 +209,8 @@ func TestDirectoryLimits(t *testing.T) {
 	if _, err := d.Lookup("dyn2"); !errors.Is(err, errUnknownGroup) {
 		t.Fatalf("lookup over cap: err = %v, want errUnknownGroup", err)
 	}
-	if got := d.Size(); got != 4 {
-		t.Fatalf("Size = %d, want 4", got)
+	if got := len(d.Groups()); got != 4 {
+		t.Fatalf("%d groups, want 4", got)
 	}
 
 	// Zero MaxDynamic: only precreated groups exist.
@@ -229,6 +230,124 @@ func TestDirectoryLimits(t *testing.T) {
 	cfg3.Default = "ghost"
 	if _, err := NewDirectory(cfg3); err == nil {
 		t.Fatal("Default outside Precreate accepted")
+	}
+}
+
+// TestDirectoryCreateOnce pins single creation under a thundering first
+// lookup: 32 concurrent Lookups of one new group run NewConfig (every
+// user's key derivation) once, take one MaxDynamic slot, and all get the
+// same Leader. The creator is held inside NewConfig until the others have
+// had time to reach the in-flight entry, so they are waiters, not late hits.
+func TestDirectoryCreateOnce(t *testing.T) {
+	const callers = 32
+	var calls atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	cfg := dirConfig(t)
+	inner := cfg.NewConfig
+	cfg.NewConfig = func(group string) (Config, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return inner(group)
+	}
+	cfg.MaxDynamic = 1
+	d, err := NewDirectory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	leaders := make([]*Leader, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			leaders[i], errs[i] = d.Lookup("fresh")
+		}(i)
+	}
+	<-entered
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	for i := range leaders {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if leaders[i] != leaders[0] {
+			t.Fatalf("caller %d got a different Leader", i)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("NewConfig ran %d times, want 1", n)
+	}
+	if n := d.dynamic.Load(); n != 1 {
+		t.Errorf("dynamic slots taken = %d, want 1", n)
+	}
+}
+
+// TestDirectoryCreateFailureReleasesWaiters: when a creation fails, every
+// waiter gets its error (a caller too late to wait fails the same way on
+// its own attempt), the slot is given back, nothing stays behind in the
+// stripe, and a later Lookup starts a fresh creation.
+func TestDirectoryCreateFailureReleasesWaiters(t *testing.T) {
+	const callers = 32
+	boom := errors.New("config backend down")
+	var calls atomic.Int32
+	var healthy atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	cfg := dirConfig(t)
+	inner := cfg.NewConfig
+	cfg.NewConfig = func(group string) (Config, error) {
+		if healthy.Load() {
+			return inner(group)
+		}
+		if calls.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return Config{}, boom
+	}
+	cfg.MaxDynamic = 1
+	d, err := NewDirectory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = d.Lookup("flaky")
+		}(i)
+	}
+	<-entered
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Errorf("caller %d: err = %v, want %v", i, err, boom)
+		}
+	}
+	st := d.stripeFor("flaky")
+	st.Lock()
+	pending, installed := len(st.creating), len(st.groups)
+	st.Unlock()
+	if pending != 0 || installed != 0 {
+		t.Errorf("after failure: %d in-flight, %d installed, want 0 and 0", pending, installed)
+	}
+	if n := d.dynamic.Load(); n != 0 {
+		t.Errorf("dynamic slots taken = %d, want 0", n)
+	}
+	healthy.Store(true)
+	if _, err := d.Lookup("flaky"); err != nil {
+		t.Errorf("lookup after the failure: %v", err)
 	}
 }
 
@@ -256,15 +375,15 @@ func TestDirectoryGC(t *testing.T) {
 
 	// While the member is connected, the group survives any number of TTLs.
 	time.Sleep(4 * cfg.TTL)
-	if got := d.Size(); got != 2 {
-		t.Fatalf("Size with live member = %d, want 2", got)
+	if got := len(d.Groups()); got != 2 {
+		t.Fatalf("%d groups with a live member, want 2", got)
 	}
 
 	if err := mb.Leave(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for d.Size() != 1 {
+	for len(d.Groups()) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("idle dynamic group never collected; groups = %v", d.Groups())
 		}
@@ -345,8 +464,8 @@ func TestDirectoryThousandGroups(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if got := d.Size(); got != groups {
-		t.Fatalf("Size = %d, want %d", got, groups)
+	if got := len(d.Groups()); got != groups {
+		t.Fatalf("%d groups, want %d", got, groups)
 	}
 	// Every group is independently keyed and at its own (join-driven) epoch.
 	for _, g := range []string{"g0000", "g0511", "g1023"} {

@@ -297,7 +297,10 @@ func TestFailoverResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	go promoted.Serve(sbL)
-	t.Cleanup(func() { sbL.Close() })
+	// Deferred, not t.Cleanup: it must run before promoted.Close and the
+	// sessions' Close, or a session caught mid-redial waits forever in Dial
+	// on a listener nobody accepts from.
+	defer sbL.Close()
 
 	deadline := time.Now().Add(20 * time.Second)
 	allResumed := func() bool {

@@ -148,10 +148,14 @@ func TestAckDeadlineEvictsSilentMember(t *testing.T) {
 		ms := g.Members()
 		return len(ms) == 1 && ms[0] == "alice"
 	})
-	ev, ok := audit.find(EventEvicted, "dead")
-	if !ok {
-		t.Fatal("no EventEvicted audit record for the dead member")
-	}
+	// The audit record is emitted after the registry drops the member, so
+	// it can trail the membership change observed above.
+	var ev Event
+	waitFor(t, "EventEvicted audit record for the dead member", func() bool {
+		var ok bool
+		ev, ok = audit.find(EventEvicted, "dead")
+		return ok
+	})
 	if !strings.Contains(ev.Detail, "ack deadline") {
 		t.Fatalf("eviction detail = %q, want ack deadline cause", ev.Detail)
 	}

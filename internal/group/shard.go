@@ -50,31 +50,26 @@ func (s *stripe) Lock() { s.mu.Lock() }
 // Unlock releases the stripe.
 func (s *stripe) Unlock() { s.mu.Unlock() }
 
-// defaultShardCount sizes the registry when the caller does not: enough
+// stripeCount sizes a striped table. shards <= 0 selects a default: enough
 // stripes that GOMAXPROCS concurrent touchers rarely collide (4× over-
 // provisioning keeps the collision probability low by birthday bound),
-// clamped to [8, 256] and rounded up to a power of two for mask indexing.
-func defaultShardCount() int {
-	n := 4 * runtime.GOMAXPROCS(0)
-	if n < 8 {
-		n = 8
-	}
-	if n > 256 {
-		n = 256
-	}
-	return n
-}
-
-// newRegistry builds a registry with the given stripe count (rounded up to
-// a power of two; <= 0 selects defaultShardCount).
-func newRegistry(shards int) *registry {
+// clamped to [8, 256]. The result is rounded up to a power of two for mask
+// indexing.
+func stripeCount(shards int) int {
 	if shards <= 0 {
-		shards = defaultShardCount()
+		shards = min(max(4*runtime.GOMAXPROCS(0), 8), 256)
 	}
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
+	return n
+}
+
+// newRegistry builds a registry with the given stripe count (see
+// stripeCount).
+func newRegistry(shards int) *registry {
+	n := stripeCount(shards)
 	r := &registry{stripes: make([]stripe, n), mask: uint32(n - 1)}
 	for i := range r.stripes {
 		r.stripes[i].members = make(map[string]*memberConn)
