@@ -19,8 +19,8 @@ import (
 // random forwarding delays. Where internal/faultnet perturbs whole envelopes,
 // this perturbs the stream itself — every length prefix, mux header, and AEAD
 // body gets split across arbitrary read boundaries — so it exercises exactly
-// the partial-read/partial-write handling of the TCP framing and the
-// group-multiplexing layer that a switch under pressure would.
+// the partial-read/partial-write handling of the one TCP framing, the
+// group-multiplexing layer, that a switch under pressure would.
 type chaosTCPProxy struct {
 	l      net.Listener
 	target string
@@ -139,9 +139,9 @@ func nextData(t *testing.T, mb *member.Member) member.Event {
 	}
 }
 
-// TestChaosTCPRoundTrip runs the full join/broadcast/leave protocol — plain
-// and multiplexed clients, several groups on one directory — through the
-// byte-chunking proxy. Correctness bar: every handshake completes, every
+// TestChaosTCPRoundTrip runs the full join/broadcast/leave protocol —
+// several groups on one directory, members of each on different sockets —
+// through the byte-chunking proxy. Correctness bar: every handshake completes, every
 // multicast arrives intact and in order, and departures still trigger the
 // on-leave rekey, no matter how the stream is sliced.
 func TestChaosTCPRoundTrip(t *testing.T) {
@@ -191,15 +191,8 @@ func chaosTCPRoundTrip(t *testing.T, seed int64) {
 		return mb
 	}
 
-	// A classic plain-framing client and two mux clients, all through the
-	// proxy: the sniffing path and the mux path both see mangled streams.
-	plainConn, err := transport.DialTCP(proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m0 := join(plainConn, "main", "m0")
-	defer m0.Leave()
-
+	// Two client sockets through the proxy, so every group's traffic crosses
+	// mangled streams in both directions.
 	muxB, err := transport.DialMux(proxy.Addr(), transport.MuxConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -219,6 +212,8 @@ func chaosTCPRoundTrip(t *testing.T, seed int64) {
 		}
 		return c
 	}
+	m0 := join(open(muxC, "main"), "main", "m0")
+	defer m0.Leave()
 	m1 := join(open(muxB, "main"), "main", "m1")
 	groups := []string{"side0", "side1"}
 	side := make(map[string][2]*member.Member, len(groups))

@@ -45,16 +45,17 @@
 // mode: one process hosts many independent groups — each with its own
 // users, keys, epochs, rekeyer, and audit stream — behind the one listener.
 // -groups N precreates groups g0..g(N-1) alongside the default group
-// (-name, where plain unlabeled connections land); -max-groups caps groups
+// (-name, where unlabeled streams land); -max-groups caps groups
 // created on demand by the first connection naming them (0 forbids dynamic
 // creation, negative is unlimited); -group-ttl garbage-collects dynamic
 // groups idle past the window. Every group derives its member keys with the
 // group ID as the leader identity, so the same username in two groups holds
 // unrelated keys — cross-tenant key bleed is impossible by construction.
 // Clients multiplex many group sessions over one TCP connection (the mux
-// framing in internal/wire); classic single-group clients keep working
-// unchanged. Multi-tenant mode excludes -standby/-repl-secret: replication
-// is per-group and not yet directory-aware.
+// framing in internal/wire); a single-session client (cmd/enclave) is the
+// one-stream case and lands in the default group. Multi-tenant mode excludes
+// -standby/-repl-secret: replication is per-group and not yet
+// directory-aware.
 //
 // -metrics-addr enables metrics collection and serves an operations
 // endpoint on the given address: GET /metrics returns a flat JSON snapshot
@@ -262,7 +263,7 @@ type directoryParams struct {
 }
 
 // runDirectory serves a multi-tenant daemon: a group directory behind one
-// shared listener accepting plain and multiplexed connections alike.
+// shared listener, each stream routed by its group label.
 func runDirectory(p directoryParams) error {
 	precreate := make([]string, 0, p.groups+1)
 	precreate = append(precreate, p.template.Name)

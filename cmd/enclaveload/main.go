@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/bits"
 	"net"
 	"os"
 	"runtime"
@@ -52,6 +51,7 @@ import (
 	"enclaves/internal/crypto"
 	"enclaves/internal/group"
 	"enclaves/internal/member"
+	"enclaves/internal/metrics"
 	"enclaves/internal/transport"
 )
 
@@ -342,12 +342,12 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 		Rekeys:       rekeys1 - rekeys0,
 		RekeysPerSec: round2(float64(rekeys1-rekeys0) / window),
 
-		LatencySamples: h.count.Load(),
-		LatencyP50Ms:   nsToMs(h.quantile(0.50)),
-		LatencyP90Ms:   nsToMs(h.quantile(0.90)),
-		LatencyP99Ms:   nsToMs(h.quantile(0.99)),
-		LatencyP999Ms:  nsToMs(h.quantile(0.999)),
-		LatencyMaxMs:   nsToMs(h.max.Load()),
+		LatencySamples: h.Count(),
+		LatencyP50Ms:   durMs(h.Quantile(0.50)),
+		LatencyP90Ms:   durMs(h.Quantile(0.90)),
+		LatencyP99Ms:   durMs(h.Quantile(0.99)),
+		LatencyP999Ms:  durMs(h.Quantile(0.999)),
+		LatencyMaxMs:   durMs(h.Max()),
 
 		Errors:           l.stats.errors.Load(),
 		ErrorSamples:     l.stats.sampleList(),
@@ -498,7 +498,7 @@ func (l *loader) session(gid, user string, key crypto.Key, mx *transport.Mux, la
 				if l.stats.measuring.Load() && len(ev.Data) >= 8 {
 					sentAt := int64(binary.BigEndian.Uint64(ev.Data))
 					if d := time.Now().UnixNano() - sentAt; d >= 0 {
-						l.stats.lat.observe(d)
+						l.stats.lat.Record(time.Duration(d))
 					}
 				}
 			}
@@ -587,7 +587,7 @@ func observeEpoch(s *loadStats, last *atomic.Uint64, epoch uint64, gid, user str
 type loadStats struct {
 	joins, sent, recv, rekeys atomic.Uint64
 	errors, epochRegressions  atomic.Uint64
-	lat                       latHist
+	lat                       metrics.Histogram
 	measuring                 atomic.Bool // inside the measured window
 	stopped                   atomic.Bool // teardown begun; failures are noise
 
@@ -622,75 +622,6 @@ func (s *loadStats) firstSample() string {
 		return "(none recorded)"
 	}
 	return s.samples[0]
-}
-
-// latHist is a lock-free log-linear histogram: power-of-two buckets split by
-// two sub-bits (resolution ~25% per bucket), indexed straight from the bit
-// length, so observe is two atomic adds. Values are nanoseconds.
-const latBuckets = 62 * 4
-
-type latHist struct {
-	buckets [latBuckets]atomic.Uint64
-	count   atomic.Uint64
-	max     atomic.Int64
-}
-
-func (h *latHist) observe(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	h.buckets[latBucket(ns)].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.max.Load()
-		if ns <= old || h.max.CompareAndSwap(old, ns) {
-			return
-		}
-	}
-}
-
-func latBucket(ns int64) int {
-	v := uint64(ns)
-	if v < 4 {
-		return int(v)
-	}
-	exp := bits.Len64(v) - 1          // floor(log2), >= 2
-	sub := (v >> (uint(exp) - 2)) & 3 // two bits under the leading one
-	idx := (exp-1)*4 + int(sub)
-	if idx >= latBuckets {
-		return latBuckets - 1
-	}
-	return idx
-}
-
-// latValue is the lower bound of bucket idx — the inverse of latBucket.
-func latValue(idx int) int64 {
-	if idx < 4 {
-		return int64(idx)
-	}
-	exp := idx/4 + 1
-	sub := idx % 4
-	return int64(1)<<uint(exp) | int64(sub)<<uint(exp-2)
-}
-
-// quantile returns the lower bound of the bucket holding the q-th sample.
-func (h *latHist) quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum > target {
-			return latValue(i)
-		}
-	}
-	return h.max.Load()
 }
 
 // raiseNoFile lifts RLIMIT_NOFILE to its hard cap so tens of thousands of
@@ -728,6 +659,6 @@ func readRSS(pid int) float64 {
 	return 0
 }
 
-func nsToMs(ns int64) float64 { return round2(float64(ns) / 1e6) }
+func durMs(d time.Duration) float64 { return round2(float64(d) / 1e6) }
 
 func round2(f float64) float64 { return float64(int64(f*100+0.5)) / 100 }

@@ -87,39 +87,3 @@ func TestLoadConfigValidate(t *testing.T) {
 		}
 	}
 }
-
-// TestLatHist pins the log-linear histogram: bucket bounds invert correctly,
-// indexing is monotone, and quantiles land inside the observed range.
-func TestLatHist(t *testing.T) {
-	for _, v := range []int64{0, 1, 3, 4, 7, 8, 100, 1023, 1 << 20, 1<<62 - 1} {
-		idx := latBucket(v)
-		if lo := latValue(idx); lo > v {
-			t.Errorf("latValue(latBucket(%d)) = %d > value", v, lo)
-		}
-		if idx+1 < latBuckets {
-			if hi := latValue(idx + 1); hi <= v && idx != latBuckets-1 {
-				t.Errorf("value %d not below next bucket bound %d", v, hi)
-			}
-		}
-	}
-	for i := 1; i < latBuckets; i++ {
-		if latValue(i) <= latValue(i-1) {
-			t.Fatalf("bucket bounds not strictly increasing at %d", i)
-		}
-	}
-
-	var h latHist
-	for i := int64(1); i <= 1000; i++ {
-		h.observe(i * int64(time.Microsecond))
-	}
-	p50, p99 := h.quantile(0.50), h.quantile(0.99)
-	if p50 < 300*int64(time.Microsecond) || p50 > 700*int64(time.Microsecond) {
-		t.Errorf("p50 = %v, want ~500us", time.Duration(p50))
-	}
-	if p99 < 700*int64(time.Microsecond) || p99 > 1100*int64(time.Microsecond) {
-		t.Errorf("p99 = %v, want ~990us", time.Duration(p99))
-	}
-	if h.quantile(1) > h.max.Load() {
-		t.Error("quantile(1) exceeds observed max")
-	}
-}

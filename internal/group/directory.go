@@ -38,9 +38,9 @@ type DirectoryConfig struct {
 	// groups are permanent: never garbage-collected, never counted against
 	// MaxDynamic.
 	Precreate []string
-	// Default, when non-empty, is the group a plain (non-multiplexed)
-	// connection with no group label routes to — the backward-compatible
-	// single-group behavior. It must be listed in Precreate.
+	// Default, when non-empty, is the group a stream with no group label
+	// routes to — where single-session clients (transport.DialTCP) land. It
+	// must be listed in Precreate.
 	Default string
 	// MaxDynamic caps groups created on demand by the first connection that
 	// names them. Zero forbids dynamic creation entirely (only precreated
@@ -112,10 +112,9 @@ type Directory struct {
 	// a create storm cannot overshoot the cap.
 	dynamic atomic.Int64
 
-	// cmu guards conns, the raw sockets currently being served, so Close
-	// can unblock every demux loop.
-	cmu   sync.Mutex
-	conns map[net.Conn]struct{}
+	// srv serves every socket accepted by Serve, routing each stream
+	// through route; Close hangs them all up.
+	srv *transport.MuxServer
 
 	closed atomic.Bool
 	stop   chan struct{}
@@ -137,9 +136,9 @@ func NewDirectory(cfg DirectoryConfig) (*Directory, error) {
 		logf:    logf,
 		stripes: make([]dirStripe, n),
 		mask:    uint32(n - 1),
-		conns:   make(map[net.Conn]struct{}),
 		stop:    make(chan struct{}),
 	}
+	d.srv = transport.NewMuxServer(transport.MuxConfig{Accept: d.route, Logf: cfg.Logf})
 	for i := range d.stripes {
 		d.stripes[i].groups = make(map[string]*dirEntry)
 		d.stripes[i].creating = make(map[string]*dirCreation)
@@ -352,7 +351,7 @@ func (d *Directory) Groups() []string {
 }
 
 // route is the transport.MuxConfig Accept hook: resolve the connection's
-// group (empty label means the default group, the plain-connection path)
+// group (empty label means the default group, the single-session path)
 // and hand the connection to its leader. Must not block — ServeConn only
 // registers a goroutine.
 func (d *Directory) route(group string, c transport.Conn) {
@@ -376,36 +375,14 @@ func (d *Directory) route(group string, c transport.Conn) {
 }
 
 // Serve accepts and routes connections from a shared raw listener until the
-// listener fails or Close is called. Each connection may be plain (one
-// session, routed to the default group) or multiplexed (many sessions, each
-// labeled with its group). It blocks; run it in a goroutine.
+// listener fails or Close is called. Every connection is multiplexed: one
+// session or many, each stream labeled with its group (no label means the
+// default group). It blocks; run it in a goroutine.
 func (d *Directory) Serve(nl net.Listener) error {
-	muxCfg := transport.MuxConfig{Accept: d.route, Logf: d.cfg.Logf}
-	for {
-		nc, err := nl.Accept()
-		if err != nil {
-			if d.closed.Load() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("group: directory accept: %w", err)
-		}
-		d.cmu.Lock()
-		if d.closed.Load() {
-			d.cmu.Unlock()
-			nc.Close()
-			return nil
-		}
-		d.conns[nc] = struct{}{}
-		d.cmu.Unlock()
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			transport.ServeMuxConn(nc, muxCfg)
-			d.cmu.Lock()
-			delete(d.conns, nc)
-			d.cmu.Unlock()
-		}()
+	if err := d.srv.Serve(nl); err != nil {
+		return fmt.Errorf("group: directory accept: %w", err)
 	}
+	return nil
 }
 
 // Close stops the GC, waits for connection handlers, and closes every
@@ -419,11 +396,7 @@ func (d *Directory) Close() {
 	// Unblock every demux loop: closing the raw sockets ends their reads,
 	// which in turn closes every stream and lets leader-side handlers
 	// finish.
-	d.cmu.Lock()
-	for nc := range d.conns {
-		nc.Close()
-	}
-	d.cmu.Unlock()
+	d.srv.Close()
 	d.wg.Wait()
 	for i := range d.stripes {
 		st := &d.stripes[i]

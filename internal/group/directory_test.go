@@ -159,33 +159,220 @@ func TestDirectoryIsolation(t *testing.T) {
 	}
 }
 
-// TestDirectoryPlainConnRoutesToDefault pins the backward-compatible path:
-// a classic unmultiplexed client on the shared listener lands in the
-// default group.
-func TestDirectoryPlainConnRoutesToDefault(t *testing.T) {
-	cfg := dirConfig(t)
-	cfg.Precreate = []string{"main"}
-	cfg.Default = "main"
-	d, addr := startDirectory(t, cfg)
+// startTCPLeader serves one leader for group g (dirConfig's users) on a
+// loopback ListenTCP listener — the single-tenant daemon — and returns it
+// with its address.
+func startTCPLeader(t *testing.T, g string, outboxLimit int) (*Leader, string) {
+	t.Helper()
+	cfg, err := dirConfig(t).NewConfig(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Name = g
+	cfg.OutboxLimit = outboxLimit
+	ld, err := NewLeader(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ld.Serve(l)
+	t.Cleanup(func() {
+		ld.Close()
+		l.Close()
+	})
+	return ld, l.Addr()
+}
 
-	c, err := transport.DialTCP(addr)
+// deafSocket is a socket whose owner can stop reading it: once stalled, Read
+// parks until Close, so the peer's writes back up into the socket buffers.
+type deafSocket struct {
+	net.Conn
+	stalled atomic.Bool
+	closed  chan struct{}
+	once    sync.Once
+}
+
+func (c *deafSocket) Read(p []byte) (int, error) {
+	if c.stalled.Load() {
+		<-c.closed
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *deafSocket) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestStalledReaderDoesNotWedgeLeader is the slow-consumer regression over
+// TCP: an authenticated member that stops reading its socket parks the
+// leader's writer for it inside a socket write. Evicting that member closes
+// its stream while the leader holds its group lock, so the close must not
+// wait for the parked write — the eviction and the next join both complete.
+func TestStalledReaderDoesNotWedgeLeader(t *testing.T) {
+	const g = "main"
+	ld, addr := startTCPLeader(t, g, 8)
+	join := func(user string, c transport.Conn) *member.Member {
+		t.Helper()
+		type result struct {
+			mb  *member.Member
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			mb, err := member.Join(c, user, g, crypto.DeriveKey(user, g, "pw-"+user))
+			if err == nil {
+				err = mb.WaitReady(5 * time.Second)
+			}
+			done <- result{mb, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatalf("join %s: %v", user, r.err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return r.mb
+		case <-time.After(5 * time.Second):
+			t.Fatalf("join %s hung: the leader is wedged", user)
+			return nil
+		}
+	}
+	dial := func() transport.Conn {
+		t.Helper()
+		c, err := transport.DialTCP(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	m0 := join("m0", dial())
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := member.Join(c, "m0", "main", crypto.DeriveKey("m0", "main", "pw-m0"))
+	nc.(*net.TCPConn).SetReadBuffer(4 << 10) // fill up sooner
+	stall := &deafSocket{Conn: nc, closed: make(chan struct{})}
+	c1, err := transport.NewNetConn(stall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mb.WaitReady(5 * time.Second); err != nil {
+	join("m1", c1)
+	waitFor(t, "m0 and m1 admitted", func() bool { return len(ld.Members()) == 2 })
+
+	// m1 stops reading; m0's multicasts back up in the socket, park m1's
+	// writer, overflow its outbox, and get it evicted.
+	stall.stalled.Store(true)
+	payload := make([]byte, 256<<10)
+	waitFor(t, "stalled m1 evicted", func() bool {
+		if err := m0.SendData(payload); err != nil {
+			t.Fatalf("m0 multicast: %v", err)
+		}
+		return len(ld.Members()) == 1
+	})
+
+	m2 := join("m2", dial())
+	if err := m0.SendData([]byte("still serving")); err != nil {
 		t.Fatal(err)
 	}
-	defer mb.Leave()
-	ld, err := d.Lookup("main")
-	if err != nil {
-		t.Fatal(err)
+	waitEvent(t, m2, "multicast after the eviction", func(e member.Event) bool {
+		return e.Kind == member.EventData && string(e.Data) == "still serving"
+	})
+}
+
+// TestEveryClientReachesEveryDaemon pins the one framing: each way a client
+// can open a session — a single-session dial, a mux stream naming the group,
+// a mux stream with no label — completes join, multicast and leave against
+// each way a daemon can listen, a one-leader listener and a directory with a
+// default group.
+func TestEveryClientReachesEveryDaemon(t *testing.T) {
+	const g = "main"
+	type daemon struct {
+		name  string
+		start func(t *testing.T) (addr string, members func() []string)
 	}
-	if got := ld.Members(); len(got) != 1 || got[0] != "m0" {
-		t.Fatalf("main members = %v, want [m0]", got)
+	daemons := []daemon{
+		{"Leader.Serve(ListenTCP)", func(t *testing.T) (string, func() []string) {
+			ld, addr := startTCPLeader(t, g, 0)
+			return addr, ld.Members
+		}},
+		{"Directory.Serve", func(t *testing.T) (string, func() []string) {
+			cfg := dirConfig(t)
+			cfg.Precreate = []string{g}
+			cfg.Default = g
+			d, addr := startDirectory(t, cfg)
+			ld, err := d.Lookup(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return addr, ld.Members
+		}},
+	}
+	openOn := func(label string) func(t *testing.T, addr string) transport.Conn {
+		return func(t *testing.T, addr string) transport.Conn {
+			m, err := transport.DialMux(addr, transport.MuxConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			c, err := m.Open(label)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+	}
+	type client struct {
+		name string
+		dial func(t *testing.T, addr string) transport.Conn
+	}
+	clients := []client{
+		{"DialTCP", func(t *testing.T, addr string) transport.Conn {
+			c, err := transport.DialTCP(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"DialMux+Open(name)", openOn(g)},
+		{`DialMux+Open("")`, openOn("")},
+	}
+	for _, dm := range daemons {
+		for _, cl := range clients {
+			t.Run(cl.name+" to "+dm.name, func(t *testing.T) {
+				addr, members := dm.start(t)
+				join := func(user string) *member.Member {
+					mb, err := member.Join(cl.dial(t, addr), user, g, crypto.DeriveKey(user, g, "pw-"+user))
+					if err != nil {
+						t.Fatalf("join %s: %v", user, err)
+					}
+					if err := mb.WaitReady(5 * time.Second); err != nil {
+						t.Fatalf("ready %s: %v", user, err)
+					}
+					return mb
+				}
+				m0, m1 := join("m0"), join("m1")
+				waitFor(t, "both members admitted", func() bool { return len(members()) == 2 })
+				if err := m0.SendData([]byte("one framing")); err != nil {
+					t.Fatal(err)
+				}
+				ev := waitEvent(t, m1, "multicast", func(e member.Event) bool { return e.Kind == member.EventData })
+				if string(ev.Data) != "one framing" || ev.From != "m0" {
+					t.Fatalf("m1 got %q from %q", ev.Data, ev.From)
+				}
+				for _, mb := range []*member.Member{m0, m1} {
+					if err := mb.Leave(); err != nil {
+						t.Fatalf("%s leave: %v", mb.Name(), err)
+					}
+				}
+				waitFor(t, "both members gone", func() bool { return len(members()) == 0 })
+			})
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package metrics is the runtime's observability substrate: atomic
-// counters, gauges, and fixed-bucket latency histograms, collected in a
+// counters, gauges, and log-linear latency histograms, collected in a
 // process-wide registry that snapshots to expvar-style JSON. Every hot
 // layer (group leader, member, transport, faultnet, queue) registers its
 // instruments here at init, so one snapshot covers the whole pipeline —
@@ -17,6 +17,7 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"sort"
 	"sync"
@@ -145,43 +146,63 @@ func (g *StripedGauge) Stripes() int { return len(g.slots) }
 
 func (g *StripedGauge) snapshotValue() any { return g.Value() }
 
-// Histogram is a fixed-bucket latency histogram. Buckets are exponential
-// powers of two from 8µs to ~8.6s, which spans AEAD sealing (~µs) through
-// chaos-soak ack round trips (~s) without configuration. All updates are
-// lock-free atomics; quantiles are estimated from the bucket the target
-// rank lands in (upper bound), so p50/p99 are conservative to within one
-// bucket width.
+// Histogram is a lock-free log-linear latency histogram: power-of-two
+// buckets split by two sub-bits (a bucket spans at most 25% of its lower
+// bound), indexed straight from the bit length of the nanosecond value, so
+// it resolves AEAD sealing (~µs) and chaos-soak ack round trips (~s) alike
+// without configuration. The zero value is ready to use, unregistered;
+// NewHistogram registers one with Default. Quantiles report the upper bound
+// of the bucket the target rank lands in, capped at the observed maximum, so
+// p50/p99 are conservative to within one bucket width.
 type Histogram struct {
 	name   string
-	counts [histBuckets + 1]atomic.Uint64 // last bucket = overflow
+	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sumNS  atomic.Uint64
 	maxNS  atomic.Uint64
 }
 
-// histBuckets bounds: bucket i holds observations <= histLow << i.
-const (
-	histBuckets = 21
-	histLowNS   = 8 << 10 // 8192ns ≈ 8µs
-)
+// histBuckets covers every non-negative int64 nanosecond count: values below
+// 4 get a bucket each, then four buckets per power of two up to 2^63.
+const histBuckets = 62 * 4
 
-// bucketBound returns the inclusive upper bound of bucket i in ns.
-func bucketBound(i int) uint64 { return histLowNS << uint(i) }
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	if !on.Load() {
-		return
+// histBucket is the index of the bucket holding ns (ns < 2^63).
+func histBucket(ns uint64) int {
+	if ns < 4 {
+		return int(ns)
 	}
+	exp := bits.Len64(ns) - 1    // floor(log2), >= 2
+	sub := ns >> uint(exp-2) & 3 // two bits under the leading one
+	return (exp-1)*4 + int(sub)
+}
+
+// histBound is the inclusive lower bound of bucket i — the inverse of
+// histBucket — and so the exclusive upper bound of bucket i-1.
+func histBound(i int) uint64 {
+	if i < 4 {
+		return uint64(i)
+	}
+	exp := uint(i/4 + 1)
+	return 1<<exp | uint64(i%4)<<(exp-2)
+}
+
+// Observe records one duration while collection is enabled; disabled, it
+// costs one atomic load.
+func (h *Histogram) Observe(d time.Duration) {
+	if on.Load() {
+		h.Record(d)
+	}
+}
+
+// Record records one duration regardless of the process-wide switch, for a
+// histogram that is its owner's own measurement (the load generator's
+// delivery latency) rather than runtime instrumentation.
+func (h *Histogram) Record(d time.Duration) {
 	ns := uint64(d.Nanoseconds())
 	if d < 0 {
 		ns = 0
 	}
-	i := 0
-	for i < histBuckets && ns > bucketBound(i) {
-		i++
-	}
-	h.counts[i].Add(1)
+	h.counts[histBucket(ns)].Add(1)
 	h.count.Add(1)
 	h.sumNS.Add(ns)
 	for {
@@ -195,8 +216,12 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns how many observations were recorded.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
+// Max returns the largest observation; zero with none.
+func (h *Histogram) Max() time.Duration { return time.Duration(h.maxNS.Load()) }
+
 // Quantile estimates the q-th quantile (0 < q <= 1) as the upper bound of
-// the bucket containing that rank; zero with no observations.
+// the bucket containing that rank, never above Max; zero with no
+// observations.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {
@@ -207,16 +232,13 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		rank = 1
 	}
 	var seen uint64
-	for i := 0; i <= histBuckets; i++ {
+	for i := range h.counts {
 		seen += h.counts[i].Load()
 		if seen >= rank {
-			if i == histBuckets {
-				return time.Duration(h.maxNS.Load())
-			}
-			return time.Duration(bucketBound(i))
+			return time.Duration(min(histBound(i+1), h.maxNS.Load()))
 		}
 	}
-	return time.Duration(h.maxNS.Load())
+	return h.Max()
 }
 
 // HistogramSnapshot is the JSON form of a histogram.

@@ -3,7 +3,10 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -120,6 +123,11 @@ func TestDisabledPathIsNoop(t *testing.T) {
 	if c.Value() != 0 || h.Count() != 0 {
 		t.Fatalf("disabled instruments recorded: counter=%d hist=%d", c.Value(), h.Count())
 	}
+	// Record is the owner's own measurement: it ignores the switch.
+	h.Record(time.Second)
+	if h.Count() != 1 || h.Max() != time.Second {
+		t.Fatalf("Record while disabled: count=%d max=%v", h.Count(), h.Max())
+	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -163,6 +171,61 @@ func TestHistogramOverflowAndNegative(t *testing.T) {
 	// Overflow quantiles report the tracked max, not a bucket bound.
 	if q := h.Quantile(1.0); q != time.Hour {
 		t.Fatalf("q1.0 = %v, want 1h (tracked max)", q)
+	}
+}
+
+// TestHistogramBuckets pins the log-linear indexing: bucket bounds invert
+// correctly, every value lies inside its bucket, and bounds increase.
+func TestHistogramBuckets(t *testing.T) {
+	for _, v := range []uint64{0, 1, 3, 4, 7, 8, 100, 1023, 1 << 20, 1<<63 - 1} {
+		i := histBucket(v)
+		if i >= histBuckets {
+			t.Fatalf("histBucket(%d) = %d, beyond the %d buckets", v, i, histBuckets)
+		}
+		if lo := histBound(i); lo > v {
+			t.Errorf("histBound(histBucket(%d)) = %d > value", v, lo)
+		}
+		if hi := histBound(i + 1); hi <= v {
+			t.Errorf("value %d not below next bucket bound %d", v, hi)
+		}
+	}
+	for i := 1; i <= histBuckets; i++ {
+		if histBound(i) <= histBound(i-1) {
+			t.Fatalf("bucket bounds not strictly increasing at %d", i)
+		}
+	}
+}
+
+// TestHistogramResolution pins the log-linear buckets' resolution: there is
+// no floor, so microsecond observations report as microseconds (the seal
+// path is ~1µs), and on a seeded sample every quantile is within one bucket
+// — 25% — above the exact order statistic.
+func TestHistogramResolution(t *testing.T) {
+	var fast, spread Histogram
+	r := rand.New(rand.NewSource(20010621))
+	sample := make([]time.Duration, 10000)
+	withEnabled(t, func() {
+		for i := 0; i < 1000; i++ {
+			fast.Observe(time.Microsecond)
+		}
+		for i := range sample {
+			// Log-uniform over 100ns..1s, the range the runtime observes.
+			sample[i] = time.Duration(100 * math.Pow(1e7, r.Float64()))
+			spread.Observe(sample[i])
+		}
+	})
+	if p50 := fast.Quantile(0.50); p50 < time.Microsecond || p50 >= 2*time.Microsecond {
+		t.Fatalf("p50 of 1µs observations = %v, want in [1µs, 2µs)", p50)
+	}
+	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	for _, q := range []float64{0.01, 0.25, 0.50, 0.90, 0.99, 0.999, 1} {
+		exact := sample[int(q*float64(len(sample)))-1]
+		if got := spread.Quantile(q); got < exact || float64(got) > 1.25*float64(exact) {
+			t.Errorf("q%v = %v, want within 25%% above the exact %v", q, got, exact)
+		}
+	}
+	if spread.Quantile(1) != spread.Max() {
+		t.Errorf("q1 = %v, want the observed max %v", spread.Quantile(1), spread.Max())
 	}
 }
 

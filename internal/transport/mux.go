@@ -1,16 +1,21 @@
-// Connection multiplexing for the multi-tenant daemon: many independent
-// member sessions — typically in many different groups — share one TCP
-// connection, one buffered writer, and one read loop. Each session is a
-// *stream* identified by a client-allocated uint32 and bound to a group ID
-// at open; the server materializes the stream on its first data frame and
-// routes it to that group's leader like any other accepted connection.
+// Connection multiplexing, the one framing of every TCP byte stream in the
+// repo: many independent member sessions — typically in many different
+// groups — share one TCP connection, one buffered writer, and one read loop.
+// Each session is a *stream* identified by a client-allocated uint32 and
+// bound to a group ID at open; the server materializes the stream on its
+// first data frame and routes it to that group's leader like any other
+// accepted connection. A single-session client (DialTCP) is the one-stream
+// case: a Mux with one unlabeled stream whose Close hangs up the socket.
 //
 // Flow control is per-stream and deliberately brutal: every stream has a
 // bounded receive queue, and a stream whose consumer falls behind is killed
 // (MuxClose both ways) rather than allowed to stall the shared socket. A
 // slow group can therefore never head-of-line-block the connection — the
 // same "bounded memory beats unbounded hope" policy the group layer applies
-// to slow members, applied one layer down.
+// to slow members, applied one layer down. A sole stream gets no exemption.
+// The same goes for a peer that stops reading the socket itself: closing a
+// stream never waits for the socket, and a write that stalls for
+// writeTimeout hangs the connection up.
 package transport
 
 import (
@@ -20,6 +25,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"enclaves/internal/queue"
 	"enclaves/internal/wire"
@@ -40,9 +46,6 @@ type MuxConfig struct {
 	// (<= 0 selects DefaultRecvWindow). A stream that overflows its window
 	// is killed, not waited for.
 	RecvWindow int
-	// WriteBuf sizes the connection's shared buffered writer
-	// (<= 0 selects DefaultWriteBuf).
-	WriteBuf int
 	// Logf, if non-nil, receives diagnostics (killed streams, decode
 	// errors).
 	Logf func(format string, args ...any)
@@ -53,13 +56,6 @@ func (cfg MuxConfig) recvWindow() int {
 		return DefaultRecvWindow
 	}
 	return cfg.RecvWindow
-}
-
-func (cfg MuxConfig) writeBuf() int {
-	if cfg.WriteBuf <= 0 {
-		return DefaultWriteBuf
-	}
-	return cfg.WriteBuf
 }
 
 func (cfg MuxConfig) logf(format string, args ...any) {
@@ -81,6 +77,8 @@ type Mux struct {
 	wmu  sync.Mutex
 	w    *bufio.Writer
 	werr error
+	// wtimeout is writeTimeout; a field only so a test can shorten it.
+	wtimeout time.Duration
 
 	//enclavelint:guardedby Mux.mu
 	mu      sync.Mutex
@@ -97,6 +95,19 @@ type Mux struct {
 
 	nextID atomic.Uint32
 }
+
+// maxStreams caps the live streams of one connection, so one socket — which
+// costs its opener one fd — cannot make the server hold unbounded sessions,
+// each a serving goroutine and a receive window. Far above any in-tree
+// client (the load generator spreads thousands of sessions over hundreds of
+// sockets); a peer that opens more is cut off.
+const maxStreams = 1 << 14
+
+// writeTimeout bounds one write-and-flush on the shared socket. A peer that
+// stops reading fills the socket buffer and would otherwise park every
+// writer on the connection for ever; past the bound the connection is torn
+// down, which frees them, the read loop and the fd.
+const writeTimeout = 10 * time.Second
 
 // maxDeadStreams caps the tombstone set. Only a peer that keeps streaming
 // into killed streams without ever processing the MuxClose replies can grow
@@ -129,59 +140,30 @@ func DialMux(addr string, cfg MuxConfig) (*Mux, error) {
 // NewMuxClient wraps an established net.Conn as a client-side Mux and
 // starts its demux read loop.
 func NewMuxClient(nc net.Conn, cfg MuxConfig) *Mux {
-	m := newMux(nc, bufio.NewReader(nc), cfg)
+	m := newMux(nc, cfg)
 	go m.run()
 	return m
 }
 
-func newMux(nc net.Conn, r *bufio.Reader, cfg MuxConfig) *Mux {
+func newMux(nc net.Conn, cfg MuxConfig) *Mux {
 	setNoDelay(nc)
 	return &Mux{
-		cfg:     cfg,
-		nc:      nc,
-		r:       r,
-		w:       bufio.NewWriterSize(nc, cfg.writeBuf()),
-		streams: make(map[uint32]*muxStream),
-		dead:    make(map[uint32]struct{}),
+		cfg:      cfg,
+		nc:       nc,
+		r:        bufio.NewReader(nc),
+		w:        bufio.NewWriterSize(nc, DefaultWriteBuf),
+		wtimeout: writeTimeout,
+		streams:  make(map[uint32]*muxStream),
+		dead:     make(map[uint32]struct{}),
 	}
 }
 
-// ServeMuxConn serves one inbound daemon connection, accepting both
-// framings: it sniffs the first frame's magic byte, and a plain envelope
-// means a classic single-session connection (the frame is handed back to
-// the session as its first Recv, and Accept gets group "" — the caller's
-// default route); a mux frame means a multiplexed connection, and the
-// demux loop runs until the socket dies. Blocks for the lifetime of the
-// connection either way; callers run it in a per-connection goroutine.
+// ServeMuxConn serves one inbound connection: the demux loop runs until the
+// socket dies or the peer sends a frame that is not mux-framed
+// (wire.ErrBadFrame), then the socket is closed. Blocks for the lifetime of
+// the connection; callers run it in a per-connection goroutine.
 func ServeMuxConn(nc net.Conn, cfg MuxConfig) error {
-	setNoDelay(nc)
-	br := bufio.NewReader(nc)
-	body, err := wire.ReadRawFrame(br)
-	if err != nil {
-		nc.Close()
-		return err
-	}
-	if !wire.IsMuxBody(body) {
-		env, err := wire.Decode(body)
-		if err != nil {
-			nc.Close()
-			return err
-		}
-		c := &tcpConn{
-			conn:    nc,
-			w:       bufio.NewWriterSize(nc, cfg.writeBuf()),
-			r:       br,
-			pending: &env,
-		}
-		cfg.Accept("", c)
-		return nil
-	}
-	m := newMux(nc, br, cfg)
-	if err := m.dispatch(body); err != nil {
-		m.Close()
-		return err
-	}
-	return m.run()
+	return newMux(nc, cfg).run()
 }
 
 // Open starts a new stream bound to group. Stream IDs are allocated only on
@@ -208,7 +190,7 @@ func (m *Mux) Open(group string) (Conn, error) {
 }
 
 // run is the demux read loop: it routes every inbound frame to its stream
-// until the socket dies, then tears every stream down.
+// until the socket dies, then hangs up and tears every stream down.
 func (m *Mux) run() error {
 	var err error
 	for {
@@ -221,7 +203,7 @@ func (m *Mux) run() error {
 			break
 		}
 	}
-	m.teardown()
+	m.Close()
 	return err
 }
 
@@ -229,9 +211,6 @@ func (m *Mux) run() error {
 // connection-fatal error; per-stream trouble kills the stream and keeps the
 // connection (that is the point of the mux).
 func (m *Mux) dispatch(body []byte) error {
-	if !wire.IsMuxBody(body) {
-		return fmt.Errorf("%w: plain frame on mux connection", wire.ErrBadFrame)
-	}
 	f, err := wire.DecodeMux(body)
 	if err != nil {
 		return err
@@ -257,6 +236,10 @@ func (m *Mux) dispatch(body []byte) error {
 			return nil
 		}
 		// Server side: first frame of a new stream materializes it.
+		if len(m.streams) >= maxStreams {
+			m.mu.Unlock()
+			return fmt.Errorf("transport: mux peer opened more than %d streams", maxStreams)
+		}
 		s = &muxStream{
 			m:     m,
 			id:    f.Stream,
@@ -320,7 +303,10 @@ func (m *Mux) killStream(s *muxStream) error {
 // sends a best-effort MuxClose; tombstone records the ID as dead until the
 // peer's own MuxClose arrives (only meaningful for unilateral kills on the
 // accepting side — a client-side ID can't be resurrected because Accept is
-// nil there).
+// nil there). The notification goes out on its own goroutine: a leader
+// closes an evicted member's stream while holding its group lock, and the
+// writer lock may be held by a write parked on a peer that stopped reading —
+// closing a stream must never wait for the socket.
 func (m *Mux) closeStream(s *muxStream, notifyPeer, tombstone bool) {
 	m.mu.Lock()
 	if m.streams[s.id] != s {
@@ -334,40 +320,50 @@ func (m *Mux) closeStream(s *muxStream, notifyPeer, tombstone bool) {
 	m.mu.Unlock()
 	s.recvQ.Close()
 	if notifyPeer {
-		m.writeFrame(func(w *bufio.Writer) error {
+		go m.writeFrame(nil, func(w *bufio.Writer) error {
 			return wire.WriteMuxFrame(w, s.group, s.id, wire.MuxClose, wire.Envelope{})
 		})
 	}
 }
 
-// teardown closes every stream after the read loop exits.
-func (m *Mux) teardown() {
+// Close tears down the connection and every stream on it. The read loop
+// calls it on exit, so a socket whose peer hung up is released at once rather
+// than held until its owner remembers to close it.
+func (m *Mux) Close() error {
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return nil
+	}
 	streams := m.streams
 	m.streams = make(map[uint32]*muxStream)
 	m.closed = true
 	m.mu.Unlock()
+	err := m.nc.Close()
 	for _, s := range streams {
 		s.recvQ.Close()
 	}
-}
-
-// Close tears down the connection and every stream on it.
-func (m *Mux) Close() error {
-	err := m.nc.Close()
-	m.teardown()
 	return err
 }
 
-// writeFrame runs one write-and-flush under the shared writer lock,
-// normalizing errors and keeping the first failure sticky: once the socket
-// is dead every stream's sends fail fast instead of buffering into a void.
-func (m *Mux) writeFrame(write func(w *bufio.Writer) error) error {
+// writeFrame runs one write-and-flush under the shared writer lock, bounded
+// by writeTimeout, normalizing errors and keeping the first failure sticky:
+// a socket that failed a write is dead, so it is hung up (ending the read
+// loop and every stream) and every later send fails fast instead of
+// buffering into a void. s is the stream whose data this is, nil for a
+// MuxClose: a closed stream sends nothing, checked under the lock so that no
+// data frame can follow the stream's MuxClose and re-materialise the ID on a
+// peer that has already retired it.
+func (m *Mux) writeFrame(s *muxStream, write func(w *bufio.Writer) error) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	if m.werr != nil {
 		return m.werr
 	}
+	if s != nil && s.recvQ.Closed() {
+		return ErrClosed
+	}
+	m.nc.SetWriteDeadline(time.Now().Add(m.wtimeout))
 	err := write(m.w)
 	if err == nil {
 		err = m.w.Flush()
@@ -377,12 +373,13 @@ func (m *Mux) writeFrame(write func(w *bufio.Writer) error) error {
 			err = ErrClosed
 		}
 		m.werr = err
+		m.Close()
 	}
 	return err
 }
 
 func (s *muxStream) Send(e wire.Envelope) error {
-	err := s.m.writeFrame(func(w *bufio.Writer) error {
+	err := s.m.writeFrame(s, func(w *bufio.Writer) error {
 		return wire.WriteMuxFrame(w, s.group, s.id, wire.MuxData, e)
 	})
 	if err != nil {
@@ -400,7 +397,7 @@ func (s *muxStream) SendEncoded(enc *Encoded) error {
 	if err != nil {
 		return err
 	}
-	err = s.m.writeFrame(func(w *bufio.Writer) error {
+	err = s.m.writeFrame(s, func(w *bufio.Writer) error {
 		return s.spliceLocked(w, frame)
 	})
 	if err != nil {
@@ -411,7 +408,7 @@ func (s *muxStream) SendEncoded(enc *Encoded) error {
 }
 
 func (s *muxStream) SendBatch(batch []Outgoing) error {
-	err := s.m.writeFrame(func(w *bufio.Writer) error {
+	err := s.m.writeFrame(s, func(w *bufio.Writer) error {
 		for _, o := range batch {
 			if o.Enc != nil {
 				frame, err := o.Enc.Frame()
@@ -437,10 +434,10 @@ func (s *muxStream) SendBatch(batch []Outgoing) error {
 }
 
 // spliceLocked writes one data frame for this stream reusing a shared
-// pre-encoded plain frame (length prefix + envelope bytes). Caller holds
-// the writer lock via writeFrame.
-func (s *muxStream) spliceLocked(w *bufio.Writer, plainFrame []byte) error {
-	envBytes := plainFrame[4:] // strip the plain frame's length prefix
+// pre-encoded envelope (Encoded.Frame: length prefix + envelope bytes).
+// Caller holds the writer lock via writeFrame.
+func (s *muxStream) spliceLocked(w *bufio.Writer, envFrame []byte) error {
+	envBytes := envFrame[4:] // strip the shared encoding's length prefix
 	var prefix [64]byte
 	if _, err := w.Write(wire.AppendMuxPrefix(prefix[:0], s.group, s.id, len(envBytes))); err != nil {
 		return err

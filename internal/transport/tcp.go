@@ -1,14 +1,12 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
-	"enclaves/internal/wire"
+	"enclaves/internal/queue"
 )
 
 // DefaultWriteBuf sizes the buffered writer wrapped around network
@@ -20,47 +18,6 @@ import (
 // a many-thousand-connection daemon.
 const DefaultWriteBuf = 32 << 10
 
-// tcpConn adapts a net.Conn to the framed Conn interface.
-type tcpConn struct {
-	conn   net.Conn
-	closed atomic.Bool
-
-	sendMu sync.Mutex
-	w      *bufio.Writer
-
-	recvMu sync.Mutex
-	r      *bufio.Reader
-	// pending is an already-decoded envelope handed back by a server that
-	// sniffed the connection's first frame to pick a framing (see
-	// ServeMuxConn); the first Recv returns it.
-	pending *wire.Envelope
-}
-
-var _ Conn = (*tcpConn)(nil)
-
-// NewNetConn wraps an established net.Conn (TCP, Unix socket, net.Pipe) as
-// a framed transport connection with the default write buffer. TCP
-// connections get TCP_NODELAY set explicitly: the transport does its own
-// write coalescing (buffered writer + batched flush), so Nagle's algorithm
-// could only add latency on top, never save a syscall.
-func NewNetConn(c net.Conn) Conn {
-	return NewNetConnSize(c, DefaultWriteBuf)
-}
-
-// NewNetConnSize is NewNetConn with an explicit write-buffer size in bytes
-// (<= 0 selects DefaultWriteBuf).
-func NewNetConnSize(c net.Conn, writeBuf int) Conn {
-	if writeBuf <= 0 {
-		writeBuf = DefaultWriteBuf
-	}
-	setNoDelay(c)
-	return &tcpConn{
-		conn: c,
-		w:    bufio.NewWriterSize(c, writeBuf),
-		r:    bufio.NewReader(c),
-	}
-}
-
 // setNoDelay disables Nagle's algorithm on TCP connections. Go's net package
 // does this by default, but the transport's write-coalescing contract depends
 // on it (a flush must hit the wire now, not after a delayed-ack timer), so it
@@ -71,151 +28,152 @@ func setNoDelay(c net.Conn) {
 	}
 }
 
-// DialTCP connects to a framed TCP endpoint.
+// soleStream is the one stream of a single-session connection: a mux stream
+// like any other, except that closing it hangs up the socket it alone uses.
+type soleStream struct {
+	Conn
+	m *Mux
+}
+
+func (s soleStream) Close() error { return s.m.Close() }
+
+// NewNetConn wraps an established net.Conn (TCP, Unix socket, net.Pipe) as a
+// single-session connection: a client Mux carrying one stream with no group
+// label, which the server routes to its default (or only) group.
+func NewNetConn(c net.Conn) (Conn, error) {
+	m := NewMuxClient(c, MuxConfig{})
+	s, err := m.Open("")
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	return soleStream{Conn: s, m: m}, nil
+}
+
+// DialTCP connects a single session to a TCP endpoint (see NewNetConn).
 func DialTCP(addr string) (Conn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return NewNetConn(c), nil
+	return NewNetConn(c)
 }
 
-func (c *tcpConn) Send(e wire.Envelope) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if err := wire.WriteFrame(c.w, e); err != nil {
-		return c.sendErr(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return c.sendErr(err)
-	}
-	countSend(e)
-	return nil
+// MuxServer serves sockets as mux connections: the one accept-and-serve
+// policy behind both a one-leader listener (ListenTCP) and a multi-tenant
+// directory. It owns every socket it accepted — Close hangs them all up —
+// but not the listeners, which stay their callers'.
+type MuxServer struct {
+	cfg MuxConfig
+	wg  sync.WaitGroup
+
+	mu     sync.Mutex
+	socks  map[net.Conn]struct{}
+	closed bool
 }
 
-// SendEncoded writes the shared pre-encoded frame verbatim: when a relay
-// fans one envelope out to N TCP members, the encoding happened once in
-// Encoded.Frame and each connection only pays the write.
-func (c *tcpConn) SendEncoded(enc *Encoded) error {
-	frame, err := enc.Frame()
-	if err != nil {
-		return err
-	}
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if _, err := c.w.Write(frame); err != nil {
-		return c.sendErr(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return c.sendErr(err)
-	}
-	countSend(enc.Env())
-	return nil
+// NewMuxServer returns a server that hands every stream opened on any of its
+// sockets to cfg.Accept.
+func NewMuxServer(cfg MuxConfig) *MuxServer {
+	return &MuxServer{cfg: cfg, socks: make(map[net.Conn]struct{})}
 }
 
-// SendBatch writes every frame into the buffered writer and flushes once,
-// collapsing a drained outbox into a single syscall (modulo buffer size).
-func (c *tcpConn) SendBatch(batch []Outgoing) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	for _, o := range batch {
-		if o.Enc != nil {
-			frame, err := o.Enc.Frame()
-			if err != nil {
-				return err
+// Serve accepts sockets from nl and serves each on its own goroutine until
+// nl fails (the error is returned) or is closed or Close is called (nil).
+func (s *MuxServer) Serve(nl net.Listener) error {
+	for {
+		nc, err := nl.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return nil
 			}
-			if _, err := c.w.Write(frame); err != nil {
-				return c.sendErr(err)
-			}
-		} else if err := wire.WriteFrame(c.w, o.Env); err != nil {
-			return c.sendErr(err)
+			return err
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			nc.Close() // accepted while Close was running
+			return nil
+		}
+		s.socks[nc] = struct{}{}
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go func() {
+			defer s.wg.Done()
+			ServeMuxConn(nc, s.cfg)
+			s.mu.Lock()
+			delete(s.socks, nc)
+			s.mu.Unlock()
+		}()
 	}
-	if err := c.w.Flush(); err != nil {
-		return c.sendErr(err)
-	}
-	for _, o := range batch {
-		countSend(o.Envelope())
-	}
-	return nil
 }
 
-func (c *tcpConn) Recv() (wire.Envelope, error) {
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
-	if c.pending != nil {
-		e := *c.pending
-		c.pending = nil
-		countRecv(e)
-		return e, nil
+// Close hangs up every socket (which closes the streams on it) and waits for
+// their read loops. Serve returns once its listener is closed too.
+func (s *MuxServer) Close() {
+	s.mu.Lock()
+	s.closed = true
+	for nc := range s.socks {
+		nc.Close()
 	}
-	e, err := wire.ReadFrame(c.r)
-	if err != nil {
-		return wire.Envelope{}, c.recvErr(err)
-	}
-	countRecv(e)
-	return e, nil
+	s.mu.Unlock()
+	s.wg.Wait()
 }
 
-func (c *tcpConn) Close() error {
-	c.closed.Store(true)
-	return c.conn.Close()
-}
-
-// sendErr and recvErr map the raw net errors of a locally closed connection
-// onto the transport's stable ErrClosed sentinel: after Close, pending and
-// future operations fail with an error callers can errors.Is against,
-// matching the in-memory transports. A peer's close stays io.EOF and a
-// network failure stays what it was — only the local-shutdown edge is
-// normalized.
-func (c *tcpConn) sendErr(err error) error {
-	if c.closed.Load() || errors.Is(err, net.ErrClosed) {
-		return ErrClosed
-	}
-	return err
-}
-
-func (c *tcpConn) recvErr(err error) error {
-	if c.closed.Load() || errors.Is(err, net.ErrClosed) {
-		return ErrClosed
-	}
-	return err
-}
-
-// tcpListener adapts a net.Listener.
+// tcpListener is a MuxServer behind the Listener interface: Accept yields
+// the streams opened on any accepted socket.
 type tcpListener struct {
-	l      net.Listener
-	closed atomic.Bool
+	l       net.Listener
+	srv     *MuxServer
+	streams *queue.Queue[Conn]
+	// err is what Accept reports once serving has ended: ErrClosed after
+	// Close, otherwise the net error that stopped the accept loop. Written
+	// before streams closes, read after.
+	err error
 }
 
 var _ Listener = (*tcpListener)(nil)
 
-// ListenTCP starts a framed TCP listener on addr (e.g. "127.0.0.1:0").
+// ListenTCP starts a TCP listener on addr (e.g. "127.0.0.1:0") for one
+// leader: the one-group case of a directory, so stream group labels are
+// ignored — whatever a client names, this leader is the group it reached.
 func ListenTCP(addr string) (Listener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return &tcpListener{l: l}, nil
+	t := &tcpListener{l: l, streams: queue.New[Conn]()}
+	t.srv = NewMuxServer(MuxConfig{Accept: func(_ string, c Conn) {
+		if t.streams.Push(c) != nil {
+			c.Close() // serving has ended; nobody will take the stream
+		}
+	}})
+	go func() {
+		if t.err = t.srv.Serve(l); t.err == nil {
+			t.err = ErrClosed
+		}
+		t.streams.Close()
+	}()
+	return t, nil
 }
 
-// Accept blocks until a connection arrives. After Close — including a Close
-// that lands while Accept is blocked — it returns ErrClosed, the same stable
-// sentinel every transport uses, rather than a raw net error string.
+// Accept blocks until a client opens a stream. After Close — including a
+// Close that lands while Accept is blocked — it returns ErrClosed, the same
+// stable sentinel every transport uses, rather than a raw net error string.
 func (t *tcpListener) Accept() (Conn, error) {
-	c, err := t.l.Accept()
+	c, err := t.streams.Pop()
 	if err != nil {
-		if t.closed.Load() || errors.Is(err, net.ErrClosed) {
-			return nil, ErrClosed
-		}
-		return nil, err
+		return nil, t.err
 	}
-	return NewNetConn(c), nil
+	return c, nil
 }
 
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
+// Close stops accepting, hangs up every socket and waits for their read
+// loops.
 func (t *tcpListener) Close() error {
-	t.closed.Store(true)
-	return t.l.Close()
+	err := t.l.Close()
+	t.srv.Close()
+	return err
 }

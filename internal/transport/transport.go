@@ -18,7 +18,7 @@ import (
 )
 
 // Transport-wide instruments, shared by the in-memory pipe and the TCP
-// adapter so a snapshot reports total wire traffic regardless of medium.
+// mux so a snapshot reports total wire traffic regardless of medium.
 // Bytes count ciphertext payloads, the dominant term of frame size.
 var (
 	mFramesSent = metrics.NewCounter("transport_frames_sent_total")
@@ -97,7 +97,7 @@ type Conn interface {
 	// Recv blocks until an envelope arrives or the connection closes.
 	Recv() (wire.Envelope, error)
 	// Close tears the connection down; pending and future Recv calls
-	// return ErrClosed (or io errors for network transports).
+	// return ErrClosed.
 	Close() error
 }
 

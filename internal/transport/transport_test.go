@@ -208,16 +208,17 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
+
+	// The server sees the session when its first frame arrives.
+	want := env(wire.TypeAuthInitReq, "alice", "payload-bytes")
+	if err := client.Send(want); err != nil {
+		t.Fatal(err)
+	}
 	r := <-accepted
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
 	defer r.c.Close()
-
-	want := env(wire.TypeAuthInitReq, "alice", "payload-bytes")
-	if err := client.Send(want); err != nil {
-		t.Fatal(err)
-	}
 	got, err := r.c.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +250,10 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 	}()
 	client, err := DialTCP(l.Addr())
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Send(env(wire.TypeAuthInitReq, "alice", "hello")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Recv(); err == nil {

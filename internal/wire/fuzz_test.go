@@ -46,11 +46,11 @@ func fuzzSeeds(f *F) []Envelope {
 type F = testing.F
 
 // FuzzDecode feeds arbitrary bytes to Decode: it must never panic, and any
-// envelope it accepts must survive an Encode/Decode round trip unchanged
+// envelope it accepts must survive an encode/Decode round trip unchanged
 // (accepted frames are canonical).
 func FuzzDecode(f *testing.F) {
 	for _, e := range fuzzSeeds(f) {
-		enc, err := Encode(e)
+		enc, err := encode(e)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc, err := Encode(e)
+		enc, err := encode(e)
 		if err != nil {
 			t.Fatalf("decoded envelope fails to re-encode: %v", err)
 		}
@@ -85,16 +85,17 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip drives Encode -> Decode and EncodeFrame -> ReadFrame with
-// arbitrary envelope fields: every in-bounds envelope must round-trip
-// exactly through both paths, and the two encodings must agree.
+// FuzzRoundTrip drives EncodeFrame -> Decode and WriteMuxFrame ->
+// ReadRawFrame -> DecodeMux with arbitrary envelope fields: every in-bounds
+// envelope must round-trip exactly through both, and the pooled writer must
+// emit the bytes EncodeMuxFrame builds around the shared envelope encoding.
 func FuzzRoundTrip(f *testing.F) {
 	for _, e := range fuzzSeeds(f) {
 		f.Add(uint8(e.Type), e.Sender, e.Receiver, e.Payload)
 	}
 	f.Fuzz(func(t *testing.T, typ uint8, sender, receiver string, payload []byte) {
 		e := Envelope{Type: Type(typ), Sender: sender, Receiver: receiver, Payload: payload}
-		enc, err := Encode(e)
+		enc, err := encode(e)
 		if err != nil {
 			if len(sender) > MaxNameLen || len(receiver) > MaxNameLen || len(payload) > MaxPayloadLen {
 				return // out of bounds, rejection is the contract
@@ -109,55 +110,71 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed envelope: %v != %v", got, e)
 		}
 
-		frame, err := EncodeFrame(e)
+		frame, err := EncodeMuxFrame(receiver, uint32(typ), MuxData, e)
 		if err != nil {
-			t.Fatalf("EncodeFrame after Encode succeeded: %v", err)
+			t.Fatalf("EncodeMuxFrame after EncodeFrame succeeded: %v", err)
 		}
-		if !bytes.Equal(frame[4:], enc) {
-			t.Fatal("EncodeFrame body differs from Encode")
+		if !bytes.HasSuffix(frame, enc) {
+			t.Fatal("EncodeMuxFrame does not end in the envelope encoding")
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, e); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+		if err := WriteMuxFrame(&buf, receiver, uint32(typ), MuxData, e); err != nil {
+			t.Fatalf("WriteMuxFrame: %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), frame) {
-			t.Fatal("WriteFrame bytes differ from EncodeFrame")
+			t.Fatal("WriteMuxFrame bytes differ from EncodeMuxFrame")
 		}
-		got, err = ReadFrame(&buf)
+		body, err := ReadRawFrame(&buf)
 		if err != nil {
-			t.Fatalf("ReadFrame own frame: %v", err)
+			t.Fatalf("ReadRawFrame own frame: %v", err)
 		}
-		if got.Type != e.Type || got.Sender != e.Sender || got.Receiver != e.Receiver || !bytes.Equal(got.Payload, e.Payload) {
-			t.Fatalf("frame round trip changed envelope: %v != %v", got, e)
+		mf, err := DecodeMux(body)
+		if err != nil {
+			t.Fatalf("DecodeMux own frame: %v", err)
+		}
+		got = mf.Env
+		if mf.Group != receiver || mf.Stream != uint32(typ) || got.Type != e.Type || got.Sender != e.Sender || got.Receiver != e.Receiver || !bytes.Equal(got.Payload, e.Payload) {
+			t.Fatalf("frame round trip changed envelope: %v != %v", mf, e)
 		}
 	})
 }
 
-// FuzzReadFrame feeds arbitrary byte streams to ReadFrame: it must never
-// panic or over-allocate on adversarial length prefixes, and whatever it
-// accepts must be a canonical frame.
+// FuzzReadFrame feeds arbitrary byte streams to the read path of every
+// connection, ReadRawFrame -> DecodeMux: it must never panic or
+// over-allocate on adversarial length prefixes, and whatever it accepts
+// must be a canonical frame.
 func FuzzReadFrame(f *testing.F) {
-	for _, e := range fuzzSeeds(f) {
-		frame, err := EncodeFrame(e)
+	for i, e := range fuzzSeeds(f) {
+		frame, err := EncodeMuxFrame(e.Receiver, uint32(i), MuxData, e)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame)
-		// Two frames back to back: ReadFrame must consume exactly one.
+		// Two frames back to back: the reader must consume exactly one.
 		f.Add(append(append([]byte{}, frame...), frame...))
+		// The same envelope without a mux header must be rejected.
+		bare, err := EncodeFrame(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bare)
 	}
 	// Length prefix promising far more than the stream holds, and an
 	// oversized declared frame that must be rejected before allocation.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{0x00, 0x00, 0x01, 0x00, magic})
+	f.Add([]byte{0x00, 0x00, 0x01, 0x00, muxMagic})
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		r := bytes.NewReader(stream)
-		e, err := ReadFrame(r)
+		body, err := ReadRawFrame(r)
 		if err != nil {
 			return
 		}
-		enc, err := EncodeFrame(e)
+		mf, err := DecodeMux(body)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeMuxFrame(mf.Group, mf.Stream, mf.Flag, mf.Env)
 		if err != nil {
 			t.Fatalf("accepted frame fails to re-encode: %v", err)
 		}

@@ -1,18 +1,19 @@
-// Mux framing: the multi-tenant daemon serves thousands of groups behind
-// one listener, and clients hosting members of many groups share one TCP
-// connection for all of them. A mux frame wraps an ordinary envelope with a
-// routing header — group ID, stream ID, and a control flag — so one
-// byte-stream carries many independent member sessions without any
-// per-session socket. The header, like envelope headers, is forgeable
-// metadata: nothing security-relevant depends on it, because every payload
-// stays sealed under per-session or per-group keys that are themselves
-// derived per group (cross-group ciphertexts fail authentication, so group
-// isolation does not rest on the router honoring the label).
+// Mux framing, the only framing of a byte stream in the repo: a daemon
+// serves thousands of groups behind one listener, and clients hosting
+// members of many groups share one TCP connection for all of them. A mux
+// frame wraps an ordinary envelope with a routing header — group ID, stream
+// ID, and a control flag — so one byte-stream carries many independent member
+// sessions without any per-session socket; a single-session client sends the
+// same frames on one stream with an empty group ID. The header, like envelope
+// headers, is forgeable metadata: nothing security-relevant depends on it,
+// because every payload stays sealed under per-session or per-group keys that
+// are themselves derived per group (cross-group ciphertexts fail
+// authentication, so group isolation does not rest on the router honoring the
+// label).
 //
-// Layout (after the usual 4-byte big-endian length prefix shared with plain
-// frames, so one reader handles both framings):
+// Layout (after a 4-byte big-endian length prefix):
 //
-//	[0]    muxMagic (0xE6; plain envelopes start with 0xE5)
+//	[0]    muxMagic (0xE6; the inner envelope encoding starts with 0xE5)
 //	[1]    mux version
 //	[2]    flag (data | close)
 //	[3:7]  stream ID, big-endian
@@ -66,12 +67,6 @@ func (f MuxFrame) String() string {
 	return fmt.Sprintf("%s stream=%d group=%q %s", f.Flag, f.Stream, f.Group, f.Env)
 }
 
-// IsMuxBody reports whether a raw frame body (ReadRawFrame output) is
-// mux-framed rather than a plain envelope.
-func IsMuxBody(data []byte) bool {
-	return len(data) > 0 && data[0] == muxMagic
-}
-
 // muxHeaderSize is the encoded size of the mux routing header.
 func muxHeaderSize(group string) int { return 3 + 4 + 4 + len(group) }
 
@@ -82,7 +77,7 @@ func appendMuxHeader(dst []byte, group string, stream uint32, flag MuxFlag) []by
 }
 
 // checkMuxBounds rejects mux frames beyond the encoding limits before any
-// allocation, same contract as checkBounds for plain envelopes.
+// allocation, same contract as checkBounds for bare envelopes.
 func checkMuxBounds(group string, flag MuxFlag, e Envelope) error {
 	if len(group) > MaxNameLen {
 		return fmt.Errorf("%w: group ID too long", ErrTooLarge)
@@ -125,8 +120,10 @@ func AppendMuxPrefix(dst []byte, group string, stream uint32, envLen int) []byte
 	return appendMuxHeader(dst, group, stream, MuxData)
 }
 
-// muxFramePool recycles WriteMuxFrame encode buffers, same lifecycle as
-// framePool: the buffer is fully consumed by one Write and never escapes.
+// muxFramePool recycles WriteMuxFrame encode buffers: the buffer is fully
+// consumed by one Write and never escapes — unlike EncodeFrame and
+// EncodeMuxFrame, whose results are handed to callers and must own their
+// storage.
 var muxFramePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // WriteMuxFrame writes a length-prefixed mux frame to w as a single Write
@@ -154,9 +151,8 @@ func WriteMuxFrame(w io.Writer, group string, stream uint32, flag MuxFlag, e Env
 	return nil
 }
 
-// DecodeMux parses a mux frame body (a ReadRawFrame result for which
-// IsMuxBody is true). Like Decode, the inner envelope's Payload aliases the
-// input rather than copying it.
+// DecodeMux parses a mux frame body (a ReadRawFrame result). Like Decode,
+// the inner envelope's Payload aliases the input rather than copying it.
 func DecodeMux(data []byte) (MuxFrame, error) {
 	p := parser{data: data}
 	if p.uint8() != muxMagic {
@@ -191,8 +187,7 @@ func DecodeMux(data []byte) (MuxFrame, error) {
 }
 
 // ReadRawFrame reads one length-prefixed frame body from r without
-// interpreting it — the demux read path, which dispatches on the leading
-// magic byte (plain envelope vs mux).
+// interpreting it — the demux read path, which hands it to DecodeMux.
 func ReadRawFrame(r io.Reader) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {

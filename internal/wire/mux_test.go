@@ -13,9 +13,6 @@ func TestMuxRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsMuxBody(frame[4:]) {
-		t.Fatal("mux frame body not recognized as mux")
-	}
 	r := bytes.NewReader(frame)
 	body, err := ReadRawFrame(r)
 	if err != nil {
@@ -131,28 +128,28 @@ func TestDecodeMuxMalformed(t *testing.T) {
 	if _, err := DecodeMux(bad); err == nil {
 		t.Fatal("unknown mux flag accepted")
 	}
-	// Plain envelope body is not a mux body.
-	plain, err := Encode(env)
+	// A bare envelope body is not a mux body.
+	plain, err := encode(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsMuxBody(plain) {
-		t.Fatal("plain envelope claimed as mux")
-	}
-	if _, err := DecodeMux(plain); err == nil {
-		t.Fatal("plain envelope accepted as mux frame")
+	if _, err := DecodeMux(plain); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("bare envelope as mux frame: err = %v, want ErrBadFrame", err)
 	}
 }
 
-// TestReadRawFrameDispatch pins the shared-reader contract: one stream can
-// interleave plain and mux frames, and the leading magic byte of each raw
-// body is enough to route it.
+// TestReadRawFrameDispatch pins the one-framing contract on a shared reader:
+// a frame that carries a bare envelope (what a pre-mux client would send)
+// still reads as a raw body, and DecodeMux — the only parser behind the
+// reader — rejects it without disturbing the frames around it.
 func TestReadRawFrameDispatch(t *testing.T) {
 	env := Envelope{Type: TypeAppData, Sender: "alice", Receiver: "leader", Payload: []byte("x")}
-	var stream bytes.Buffer
-	if err := WriteFrame(&stream, env); err != nil {
+	bare, err := EncodeFrame(env)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var stream bytes.Buffer
+	stream.Write(bare)
 	if err := WriteMuxFrame(&stream, "g1", 5, MuxData, env); err != nil {
 		t.Fatal(err)
 	}
@@ -161,18 +158,12 @@ func TestReadRawFrameDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsMuxBody(body) {
-		t.Fatal("plain frame dispatched as mux")
-	}
-	if _, err := Decode(body); err != nil {
-		t.Fatal(err)
+	if _, err := DecodeMux(body); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("bare envelope frame: err = %v, want ErrBadFrame", err)
 	}
 	body, err = ReadRawFrame(&stream)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !IsMuxBody(body) {
-		t.Fatal("mux frame not dispatched as mux")
 	}
 	if _, err := DecodeMux(body); err != nil {
 		t.Fatal(err)

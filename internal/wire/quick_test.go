@@ -40,11 +40,11 @@ func randomEnvelope(r *rand.Rand) Envelope {
 	}
 }
 
-// TestEnvelopeRoundTripProperty: Decode(Encode(e)) == e for arbitrary
+// TestEnvelopeRoundTripProperty: Decode(encode(e)) == e for arbitrary
 // envelopes within limits.
 func TestEnvelopeRoundTripProperty(t *testing.T) {
 	f := func(e Envelope) bool {
-		data, err := Encode(e)
+		data, err := encode(e)
 		if err != nil {
 			return false
 		}
@@ -143,7 +143,7 @@ func TestEncodingUnambiguousProperty(t *testing.T) {
 	seen := make(map[string]Envelope)
 	for i := 0; i < 2000; i++ {
 		e := randomEnvelope(r)
-		data, err := Encode(e)
+		data, err := encode(e)
 		if err != nil {
 			continue
 		}

@@ -16,8 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 )
 
 // Type identifies a message on the wire.
@@ -178,18 +176,11 @@ func appendLenPrefixed(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// Encode serializes the envelope into a self-delimiting frame.
-func Encode(e Envelope) ([]byte, error) {
-	if err := checkBounds(e); err != nil {
-		return nil, err
-	}
-	return appendEnvelope(make([]byte, 0, encodedSize(e)), e), nil
-}
-
-// EncodeFrame serializes the envelope into the complete length-prefixed
-// frame WriteFrame would emit, in one exactly-sized allocation. The result
-// can be handed verbatim to any number of byte-stream writers — the
-// encode-once fan-out path of the leader relay (transport.Conn.SendEncoded).
+// EncodeFrame serializes the envelope behind a 4-byte big-endian length
+// prefix, in one exactly-sized allocation. The result can be shared by any
+// number of byte-stream writers — the encode-once fan-out path of the leader
+// relay (transport.Conn.SendEncoded), where each mux stream splices its own
+// routing header in front of the bytes after the prefix.
 func EncodeFrame(e Envelope) ([]byte, error) {
 	if err := checkBounds(e); err != nil {
 		return nil, err
@@ -200,10 +191,11 @@ func EncodeFrame(e Envelope) ([]byte, error) {
 	return appendEnvelope(buf, e), nil
 }
 
-// Decode parses a frame produced by Encode. The returned envelope's Payload
-// aliases data rather than copying it: callers that reuse or mutate the
-// input buffer afterwards must copy the payload first. (ReadFrame allocates
-// a fresh buffer per frame, so its envelopes are always safe to retain.)
+// Decode parses an envelope encoding (EncodeFrame's output after the length
+// prefix). The returned envelope's Payload aliases data rather than copying
+// it: callers that reuse or mutate the input buffer afterwards must copy the
+// payload first. (ReadRawFrame allocates a fresh buffer per frame, so
+// envelopes decoded from it are always safe to retain.)
 func Decode(data []byte) (Envelope, error) {
 	p := parser{data: data}
 	if p.uint8() != magic {
@@ -225,39 +217,6 @@ func Decode(data []byte) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("%w: name too long", ErrTooLarge)
 	}
 	return e, nil
-}
-
-// framePool recycles encode buffers for WriteFrame, whose output is fully
-// consumed by one Write call and never escapes — unlike Encode/EncodeFrame,
-// whose results are handed to callers and must own their storage.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
-// WriteFrame writes a length-prefixed frame to w as a single Write call,
-// encoding into a pooled buffer with the length prefix reserved up front.
-func WriteFrame(w io.Writer, e Envelope) error {
-	if err := checkBounds(e); err != nil {
-		return err
-	}
-	bp := framePool.Get().(*[]byte)
-	n := encodedSize(e)
-	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(n))
-	buf = appendEnvelope(buf, e)
-	_, err := w.Write(buf)
-	*bp = buf[:0]
-	framePool.Put(bp)
-	if err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one length-prefixed frame from r.
-func ReadFrame(r io.Reader) (Envelope, error) {
-	data, err := ReadRawFrame(r)
-	if err != nil {
-		return Envelope{}, err
-	}
-	return Decode(data)
 }
 
 // --- deterministic binary building blocks ---

@@ -9,6 +9,16 @@ import (
 	"enclaves/internal/crypto"
 )
 
+// encode is the envelope encoding Decode parses: EncodeFrame's output after
+// the length prefix.
+func encode(e Envelope) ([]byte, error) {
+	frame, err := EncodeFrame(e)
+	if err != nil {
+		return nil, err
+	}
+	return frame[4:], nil
+}
+
 func TestEnvelopeEncodeDecodeRoundTrip(t *testing.T) {
 	tests := []struct {
 		name string
@@ -22,7 +32,7 @@ func TestEnvelopeEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			data, err := Encode(tt.env)
+			data, err := encode(tt.env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,16 +51,16 @@ func TestEnvelopeEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeRejectsOversize(t *testing.T) {
-	if _, err := Encode(Envelope{Type: TypeAck, Sender: strings.Repeat("x", MaxNameLen+1)}); !errors.Is(err, ErrTooLarge) {
+	if _, err := encode(Envelope{Type: TypeAck, Sender: strings.Repeat("x", MaxNameLen+1)}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize sender: err = %v", err)
 	}
-	if _, err := Encode(Envelope{Type: TypeAck, Payload: make([]byte, MaxPayloadLen+1)}); !errors.Is(err, ErrTooLarge) {
+	if _, err := encode(Envelope{Type: TypeAck, Payload: make([]byte, MaxPayloadLen+1)}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize payload: err = %v", err)
 	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	good, _ := Encode(Envelope{Type: TypeAck, Sender: "a", Receiver: "b", Payload: []byte("xyz")})
+	good, _ := encode(Envelope{Type: TypeAck, Sender: "a", Receiver: "b", Payload: []byte("xyz")})
 	tests := []struct {
 		name string
 		data []byte
@@ -98,28 +108,32 @@ func TestWriteReadFrame(t *testing.T) {
 		{Type: TypeAuthKeyDist, Sender: "l", Receiver: "a", Payload: []byte("two")},
 		{Type: TypeReqClose, Sender: "a", Receiver: "l"},
 	}
-	for _, e := range envs {
-		if err := WriteFrame(&buf, e); err != nil {
+	for i, e := range envs {
+		if err := WriteMuxFrame(&buf, "g", uint32(i), MuxData, e); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, want := range envs {
-		got, err := ReadFrame(&buf)
+		body, err := ReadRawFrame(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+		got, err := DecodeMux(body)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.Stream != uint32(i) || got.Env.Type != want.Type || !bytes.Equal(got.Env.Payload, want.Payload) {
 			t.Errorf("frame %d: got %v want %v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := ReadRawFrame(&buf); err == nil {
 		t.Error("read from empty stream succeeded")
 	}
 }
 
 func TestReadFrameRejectsHugeLength(t *testing.T) {
 	data := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00}
-	if _, err := ReadFrame(bytes.NewReader(data)); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadRawFrame(bytes.NewReader(data)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("huge frame length: err = %v", err)
 	}
 }
