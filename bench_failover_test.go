@@ -108,7 +108,7 @@ func benchFailover(b *testing.B, n int) {
 		// No injected faults — the fault network is here purely as the kill
 		// switch: SeverAll blackholes every live link at once, so the primary
 		// dies silently instead of sending FINs.
-		fnet := faultnet.NewNetwork(inner, faultnet.Plan{})
+		fnet := faultnet.NewNetwork(inner.Dial, faultnet.Plan{})
 
 		// Join the whole group with bounded concurrency, each session
 		// draining its event stream; the drain timestamps every EventJoined,

@@ -138,13 +138,13 @@ func TestChaosFailoverUnderChurn(t *testing.T) {
 	// chaos stays on the member side: the fault window is per connection, so
 	// a channel that redials on every chain break would face chaos forever
 	// and never reach the steady state this test kills.
-	fnet := faultnet.NewNetwork(inner, faultnet.Plan{
+	fnet := faultnet.NewNetwork(inner.Dial, faultnet.Plan{
 		Seed:     *chaosSeedFlag,
 		Outbound: faultnet.DirFaults{Drop: 0.05, Dup: 0.03, Reorder: 0.10},
 		Inbound:  faultnet.DirFaults{Drop: 0.05, Reorder: 0.10},
 		Heal:     700 * time.Millisecond,
 	})
-	replnet := faultnet.NewNetwork(inner, faultnet.Plan{})
+	replnet := faultnet.NewNetwork(inner.Dial, faultnet.Plan{})
 	sb, err := replica.NewStandby(replica.StandbyConfig{
 		Standby: "standby", Primary: leaderName, Key: kr,
 		Dial:    func() (transport.Conn, error) { return replnet.Dial("primary") },

@@ -14,110 +14,83 @@ import (
 	"enclaves/internal/transport"
 )
 
-// chaosTCPProxy is a faultnet-style adversary for the byte layer: a loopback
-// TCP proxy that forwards traffic in tiny randomly-sized chunks with seeded
-// random forwarding delays. Where internal/faultnet perturbs whole envelopes,
-// this perturbs the stream itself — every length prefix, mux header, and AEAD
-// body gets split across arbitrary read boundaries — so it exercises exactly
-// the partial-read/partial-write handling of the one TCP framing, the
-// group-multiplexing layer, that a switch under pressure would.
-type chaosTCPProxy struct {
-	l      net.Listener
-	target string
-	seed   int64
-	wg     sync.WaitGroup
-
-	mu    sync.Mutex
-	conns []net.Conn
-	next  int64
+// chunkedConn is the byte layer's fault policy: a net.Conn that writes and
+// reads in tiny randomly-sized chunks with seeded random pauses. Where
+// internal/faultnet perturbs whole envelopes, this perturbs the stream itself
+// — every length prefix, mux header, and AEAD body gets split across
+// arbitrary read and write boundaries — so it exercises exactly the
+// partial-read/partial-write handling of the one TCP framing, the
+// group-multiplexing layer, that a switch under pressure would. Being a
+// net.Conn it goes wherever one does (transport.NewNetConn, NewMuxClient),
+// and the frame-level policy stacks on top:
+// faultnet.Wrap(transport.NewNetConn(chunked(c, seed)), plan).
+type chunkedConn struct {
+	net.Conn
+	// One PRNG per direction, derived from the seed, so a failing seed
+	// replays the same chunking. The mux serializes writers behind its write
+	// lock and reads from one loop; the mutexes only make that explicit.
+	wmu, rmu   sync.Mutex
+	wrng, rrng *rand.Rand
 }
 
-func startChaosProxy(t *testing.T, target string, seed int64) *chaosTCPProxy {
+func chunked(c net.Conn, seed int64) net.Conn {
+	return &chunkedConn{
+		Conn: c,
+		wrng: rand.New(rand.NewSource(seed)),
+		rrng: rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
+	}
+}
+
+// chunk draws the next chunk size, 1..16 bytes capped at max, pausing a
+// little before a quarter of the chunks.
+func chunk(rng *rand.Rand, max int) int {
+	k := 1 + rng.Intn(16)
+	if k > max {
+		k = max
+	}
+	if rng.Intn(4) == 0 {
+		time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+	}
+	return k
+}
+
+// Write forwards p in chunks: partial writes, as the peer sees them.
+func (c *chunkedConn) Write(p []byte) (int, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	for off := 0; off < len(p); {
+		k := chunk(c.wrng, len(p)-off)
+		n, err := c.Conn.Write(p[off : off+k])
+		off += n
+		if err != nil {
+			return off, err
+		}
+	}
+	return len(p), nil
+}
+
+// Read returns at most one chunk: short, delayed reads.
+func (c *chunkedConn) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	c.rmu.Lock()
+	k := chunk(c.rrng, len(p))
+	c.rmu.Unlock()
+	return c.Conn.Read(p[:k])
+}
+
+// dialChunkedMux opens a client socket to addr whose byte stream is chunked
+// in both directions.
+func dialChunkedMux(t *testing.T, addr string, seed int64) *transport.Mux {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &chaosTCPProxy{l: l, target: target, seed: seed}
-	p.wg.Add(1)
-	go p.acceptLoop()
-	t.Cleanup(p.Close)
-	return p
-}
-
-func (p *chaosTCPProxy) Addr() string { return p.l.Addr().String() }
-
-func (p *chaosTCPProxy) Close() {
-	p.l.Close()
-	p.mu.Lock()
-	for _, c := range p.conns {
-		c.Close()
-	}
-	p.conns = nil
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-func (p *chaosTCPProxy) track(c net.Conn) {
-	p.mu.Lock()
-	p.conns = append(p.conns, c)
-	p.mu.Unlock()
-}
-
-func (p *chaosTCPProxy) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		in, err := p.l.Accept()
-		if err != nil {
-			return
-		}
-		out, err := net.Dial("tcp", p.target)
-		if err != nil {
-			in.Close()
-			continue
-		}
-		p.track(in)
-		p.track(out)
-		// Per-direction seeds derived deterministically from the proxy seed
-		// and connection order, so a failing seed replays the same chunking.
-		p.mu.Lock()
-		s := p.next
-		p.next += 2
-		p.mu.Unlock()
-		p.wg.Add(2)
-		go p.pump(out, in, p.seed+s)
-		go p.pump(in, out, p.seed+s+1)
-	}
-}
-
-// pump forwards src to dst in chunks of 1..16 bytes, sleeping a little
-// before a quarter of the chunks: partial writes on one side, delayed reads
-// on the other.
-func (p *chaosTCPProxy) pump(dst, src net.Conn, seed int64) {
-	defer p.wg.Done()
-	rng := rand.New(rand.NewSource(seed))
-	buf := make([]byte, 4096)
-	for {
-		n, err := src.Read(buf)
-		for off := 0; off < n; {
-			k := 1 + rng.Intn(16)
-			if off+k > n {
-				k = n - off
-			}
-			if rng.Intn(4) == 0 {
-				time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
-			}
-			if _, werr := dst.Write(buf[off : off+k]); werr != nil {
-				return
-			}
-			off += k
-		}
-		if err != nil {
-			// Propagate the close so leaves complete their round trip.
-			dst.Close()
-			return
-		}
-	}
+	m := transport.NewMuxClient(chunked(nc, seed), transport.MuxConfig{})
+	t.Cleanup(func() { m.Close() })
+	return m
 }
 
 // nextData drains events until application data arrives (joins and rekeys
@@ -141,9 +114,9 @@ func nextData(t *testing.T, mb *member.Member) member.Event {
 
 // TestChaosTCPRoundTrip runs the full join/broadcast/leave protocol —
 // several groups on one directory, members of each on different sockets —
-// through the byte-chunking proxy. Correctness bar: every handshake completes, every
-// multicast arrives intact and in order, and departures still trigger the
-// on-leave rekey, no matter how the stream is sliced.
+// through byte-chunking sockets. Correctness bar: every handshake completes,
+// every multicast arrives intact and in order, and departures still trigger
+// the on-leave rekey, no matter how the stream is sliced.
 func TestChaosTCPRoundTrip(t *testing.T) {
 	for _, seed := range []int64{1, 20010621, 424242} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -177,8 +150,6 @@ func chaosTCPRoundTrip(t *testing.T, seed int64) {
 		nl.Close()
 		dir.Close()
 	})
-	proxy := startChaosProxy(t, nl.Addr().String(), seed)
-
 	join := func(c transport.Conn, g, u string) *member.Member {
 		t.Helper()
 		mb, err := member.Join(c, u, g, crypto.DeriveKey(u, g, "pw-"+u))
@@ -191,18 +162,10 @@ func chaosTCPRoundTrip(t *testing.T, seed int64) {
 		return mb
 	}
 
-	// Two client sockets through the proxy, so every group's traffic crosses
-	// mangled streams in both directions.
-	muxB, err := transport.DialMux(proxy.Addr(), transport.MuxConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer muxB.Close()
-	muxC, err := transport.DialMux(proxy.Addr(), transport.MuxConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer muxC.Close()
+	// Two chunked client sockets, so every group's traffic crosses mangled
+	// streams in both directions.
+	muxB := dialChunkedMux(t, nl.Addr().String(), seed)
+	muxC := dialChunkedMux(t, nl.Addr().String(), seed+1)
 
 	open := func(m *transport.Mux, g string) transport.Conn {
 		t.Helper()

@@ -3,6 +3,7 @@ package enclaves
 import (
 	"flag"
 	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -52,10 +53,44 @@ var chaosSeedFlag = flag.Int64("chaosseed", 20010621, "fault-injection seed for 
 //   - the leader's epoch never moves backwards;
 //   - a post-heal multicast reaches every survivor, proving the group key
 //     is consistent.
+//
+// The one plan runs over both media the fault link can sit in front of: an
+// in-memory network, and TCP loopback where the frame-level faults stack on
+// top of a byte-level one (every socket write and read is chunked, see
+// chunked in chaos_tcp_test.go).
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
+	t.Run("mem", func(t *testing.T) {
+		inner := transport.NewMemNetwork()
+		defer inner.Close()
+		l, err := inner.Listen("leader")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaosSoak(t, l, inner.Dial)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		l, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		var dials atomic.Int64
+		chaosSoak(t, l, func(addr string) (transport.Conn, error) {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return transport.NewNetConn(chunked(nc, *chaosSeedFlag+dials.Add(1)))
+		})
+	})
+}
+
+// chaosSoak is the soak itself, against a leader serving l and members
+// dialing l.Addr() through dial.
+func chaosSoak(t *testing.T, l transport.Listener, dial func(addr string) (transport.Conn, error)) {
 	const (
 		leaderName = "leader"
 		survivors  = 4
@@ -110,13 +145,6 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-
-	inner := transport.NewMemNetwork()
-	defer inner.Close()
-	l, err := inner.Listen(leaderName)
-	if err != nil {
-		t.Fatal(err)
-	}
 	go g.Serve(l)
 
 	// The fault plan every member link runs through (the i-th dial derives
@@ -124,7 +152,7 @@ func TestChaosSoak(t *testing.T) {
 	// from dial: ~8% loss both ways, reordering, duplication, one 200ms
 	// blackhole partition, all healing after 900ms so convergence can be
 	// asserted unconditionally.
-	fnet := faultnet.NewNetwork(inner, faultnet.Plan{
+	fnet := faultnet.NewNetwork(dial, faultnet.Plan{
 		Seed:       *chaosSeedFlag,
 		Outbound:   faultnet.DirFaults{Drop: 0.08, Dup: 0.05, Reorder: 0.15},
 		Inbound:    faultnet.DirFaults{Drop: 0.08, Reorder: 0.10},
@@ -163,7 +191,7 @@ func TestChaosSoak(t *testing.T) {
 			Endpoints: []member.Endpoint{{
 				Leader:   leaderName,
 				LongTerm: keys[u],
-				Dial:     func() (transport.Conn, error) { return fnet.Dial(leaderName) },
+				Dial:     func() (transport.Conn, error) { return fnet.Dial(l.Addr()) },
 			}},
 			Backoff:        20 * time.Millisecond,
 			ReadyTimeout:   time.Second,
@@ -203,7 +231,7 @@ func TestChaosSoak(t *testing.T) {
 	// The victim authenticates over a clean link, then dies silently: the
 	// conn stays open, nothing is ever acknowledged again. Only the
 	// liveness layer can notice.
-	victimConn := silentJoin(t, inner, leaderName, victim, keys[victim])
+	victimConn := silentJoin(t, dial, l.Addr(), leaderName, victim, keys[victim])
 	defer victimConn.Close()
 	// Drain so the leader's writes don't pile up in the pipe, counting
 	// duplicate AdminMsg frames along the way: the victim's link is clean
@@ -506,7 +534,7 @@ func TestChaosSoakLarge(t *testing.T) {
 
 	// The chaos contingent: sessions with auto-rejoin behind the seeded
 	// fault plan (drops, dup, reorder, one partition, healing at 900ms).
-	fnet := faultnet.NewNetwork(inner, faultnet.Plan{
+	fnet := faultnet.NewNetwork(inner.Dial, faultnet.Plan{
 		Seed:       *chaosSeedFlag,
 		Outbound:   faultnet.DirFaults{Drop: 0.08, Dup: 0.05, Reorder: 0.15},
 		Inbound:    faultnet.DirFaults{Drop: 0.08, Reorder: 0.10},
@@ -558,7 +586,7 @@ func TestChaosSoakLarge(t *testing.T) {
 
 	// The victim authenticates on a clean link and never acks again; a drain
 	// keeps the pipe from backing up so only the liveness layer can kill it.
-	victimConn := silentJoin(t, inner, leaderName, victim, keys[victim])
+	victimConn := silentJoin(t, inner.Dial, leaderName, leaderName, victim, keys[victim])
 	defer victimConn.Close()
 	go func() {
 		for {
@@ -692,9 +720,9 @@ func TestChaosSoakLarge(t *testing.T) {
 // engine and then goes silent forever: the conn stays open, no frame is
 // ever acknowledged. This is the failure mode the liveness layer exists
 // for — a transport error never fires.
-func silentJoin(t *testing.T, net *transport.MemNetwork, leader, user string, key crypto.Key) transport.Conn {
+func silentJoin(t *testing.T, dial func(addr string) (transport.Conn, error), addr, leader, user string, key crypto.Key) transport.Conn {
 	t.Helper()
-	conn, err := net.Dial(leader)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func run(out io.Writer) error {
 	fmt.Fprintln(out, "Every scenario runs the real implementations over an adversarial network.")
 	fmt.Fprintln(out)
 
-	outcomes, err := attack.RunAll()
+	outcomes, err := attack.RunAll(attack.Memory)
 	if err != nil {
 		return err
 	}

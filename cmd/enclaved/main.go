@@ -86,10 +86,9 @@ import (
 	"enclaves/internal/replica"
 	"enclaves/internal/transport"
 
-	// Blank imports register the remaining layers' instruments, so the
+	// The blank import registers the member layer's instruments, so the
 	// /metrics snapshot always enumerates the full schema (zero-valued
 	// until used) and dashboards can rely on key presence.
-	_ "enclaves/internal/faultnet"
 	_ "enclaves/internal/member"
 )
 

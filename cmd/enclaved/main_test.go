@@ -39,7 +39,7 @@ func TestMetricsServer(t *testing.T) {
 		t.Fatalf("snapshot has %d instruments, want >= 12: %v", len(snap), snap)
 	}
 	// Every instrumented layer must be represented.
-	for _, prefix := range []string{"group_", "member_", "transport_", "faultnet_", "queue_"} {
+	for _, prefix := range []string{"group_", "member_", "transport_", "queue_"} {
 		found := false
 		for name := range snap {
 			if strings.HasPrefix(name, prefix) {
@@ -49,6 +49,13 @@ func TestMetricsServer(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("no %s* instrument in snapshot", prefix)
+		}
+	}
+	// The daemon does not link the adversary: internal/faultnet registers its
+	// counters at init, so their absence shows the package is not imported.
+	for name := range snap {
+		if strings.HasPrefix(name, "faultnet_") {
+			t.Errorf("daemon snapshot carries %s: cmd/enclaved links internal/faultnet", name)
 		}
 	}
 	// Histograms serialize as objects with quantile fields.

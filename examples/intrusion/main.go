@@ -43,7 +43,7 @@ func run() error {
 			current = s.ID
 			fmt.Printf("--- %s: %s ---\n", s.ID, s.Name)
 		}
-		o, err := s.Run()
+		o, err := s.Run(attack.Memory)
 		if err != nil {
 			return fmt.Errorf("scenario %s/%s: %w", s.ID, s.Protocol, err)
 		}

@@ -27,7 +27,7 @@ import (
 //     of the original seal-under-Leader.mu bug (broadcastAdminLocked).
 //
 // Flagged calls: (*crypto.Cipher).Seal/Open, cipher.AEAD Seal/Open, one-shot
-// crypto.Seal/Open, and Send/SendEncoded/SendBatch methods on transport
+// crypto.Seal/Open, and Send/SendBatch methods on transport
 // types.
 var SealUnderLock = &Analyzer{
 	Name: "sealunderlock",
@@ -272,7 +272,7 @@ func (w *lockWalker) flaggedCall(call *ast.CallExpr) string {
 		if typeIs(rt, "crypto/cipher", "AEAD") {
 			return "AEAD " + name
 		}
-	case "Send", "SendEncoded", "SendBatch":
+	case "Send", "SendBatch":
 		rt := recvType(f)
 		if rt == nil {
 			return ""

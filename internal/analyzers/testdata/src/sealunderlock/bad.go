@@ -43,6 +43,6 @@ func (h *hub) sendUnderLock(env wire.Envelope) error {
 // Lock() in sight, but the *Locked suffix says the caller already holds one.
 func (h *hub) broadcastAdminLocked(enc *transport.Encoded) {
 	for _, c := range h.peers {
-		_ = c.SendEncoded(enc) // want `transport SendEncoded inside broadcastAdminLocked`
+		_ = c.SendBatch([]transport.Outgoing{{Enc: enc}}) // want `transport SendBatch inside broadcastAdminLocked`
 	}
 }

@@ -13,10 +13,12 @@
 // attack fails. cmd/attackdemo prints the resulting table, reproducing the
 // paper's qualitative claim (experiment ids A1-A4 in DESIGN.md).
 //
-// Each scenario wires the victim's connection through a transport.Link, the
-// Dolev-Yao adversarial hub: the attacker observes all frames and injects or
-// replays at will, and — for the insider attacks — participates as a
-// legitimately joined member who leaks its keys.
+// Each scenario puts a faultnet.Link — the Dolev-Yao network of Section 3.1 —
+// in front of the connection the victim dials: the attacker observes all
+// frames and injects or replays at will, and — for the insider attacks —
+// participates as a legitimately joined member who leaks its keys. The Link
+// wraps whatever the Medium dials, so the same scenarios run over an
+// in-memory network and against a leader behind a real TCP socket.
 package attack
 
 import (
@@ -25,6 +27,23 @@ import (
 
 	"enclaves/internal/transport"
 )
+
+// Medium opens the network one scenario runs on: the listener its leader
+// serves, and the dialer that reaches that listener's address.
+type Medium func() (transport.Listener, func(addr string) (transport.Conn, error), error)
+
+// Memory is the in-process medium: a fresh transport.MemNetwork.
+func Memory() (transport.Listener, func(addr string) (transport.Conn, error), error) {
+	net := transport.NewMemNetwork()
+	l, err := net.Listen(leaderName)
+	return l, net.Dial, err
+}
+
+// TCP is the deployed medium: a loopback socket, every stream mux-framed.
+func TCP() (transport.Listener, func(addr string) (transport.Conn, error), error) {
+	l, err := transport.ListenTCP("127.0.0.1:0")
+	return l, transport.DialTCP, err
+}
 
 // Outcome is the result of one attack scenario against one protocol.
 type Outcome struct {
@@ -65,7 +84,7 @@ type Scenario struct {
 	Name     string
 	Protocol string
 	Expected bool
-	Run      func() (Outcome, error)
+	Run      func(Medium) (Outcome, error)
 }
 
 // All returns every scenario in report order.
@@ -87,51 +106,17 @@ func All() []Scenario {
 	}
 }
 
-// RunAll executes every scenario and returns the outcomes.
-func RunAll() ([]Outcome, error) {
+// RunAll executes every scenario on net and returns the outcomes.
+func RunAll(net Medium) ([]Outcome, error) {
 	var out []Outcome
 	for _, s := range All() {
-		o, err := s.Run()
+		o, err := s.Run(net)
 		if err != nil {
 			return out, fmt.Errorf("attack %s/%s: %w", s.ID, s.Protocol, err)
 		}
 		out = append(out, o)
 	}
 	return out, nil
-}
-
-// bridge pumps frames between an adversarial link endpoint and a real
-// connection in both directions until either side closes.
-func bridge(a, b transport.Conn) {
-	go pump(a, b)
-	go pump(b, a)
-}
-
-func pump(src, dst transport.Conn) {
-	for {
-		env, err := src.Recv()
-		if err != nil {
-			dst.Close()
-			return
-		}
-		if err := dst.Send(env); err != nil {
-			src.Close()
-			return
-		}
-	}
-}
-
-// interceptedDial dials addr on net and interposes an adversarial link: the
-// returned Conn is what the victim uses; every frame crosses the returned
-// Link.
-func interceptedDial(net *transport.MemNetwork, addr string) (transport.Conn, *transport.Link, error) {
-	upstream, err := net.Dial(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	link := transport.NewLink()
-	bridge(link.BSide(), upstream)
-	return link.ASide(), link, nil
 }
 
 // waitUntil polls cond for up to the timeout.

@@ -5,19 +5,29 @@ import (
 	"testing"
 )
 
-func runScenario(t *testing.T, run func() (Outcome, error), wantSuccess bool) Outcome {
+// media is every network the scenarios must reach the same verdict on: the
+// in-memory one, and a leader behind a real TCP socket.
+var media = []struct {
+	name string
+	net  Medium
+}{{"mem", Memory}, {"tcp", TCP}}
+
+func runScenario(t *testing.T, run func(Medium) (Outcome, error), wantSuccess bool) {
 	t.Helper()
-	o, err := run()
-	if err != nil {
-		t.Fatalf("scenario error: %v", err)
+	for _, m := range media {
+		t.Run(m.name, func(t *testing.T) {
+			o, err := run(m.net)
+			if err != nil {
+				t.Fatalf("scenario error: %v", err)
+			}
+			if o.Succeeded != wantSuccess {
+				t.Fatalf("attack outcome = %v, want %v: %s", o.Succeeded, wantSuccess, o.Detail)
+			}
+			if !o.AsExpected() {
+				t.Fatalf("outcome disagrees with the paper: %s", o)
+			}
+		})
 	}
-	if o.Succeeded != wantSuccess {
-		t.Fatalf("attack outcome = %v, want %v: %s", o.Succeeded, wantSuccess, o.Detail)
-	}
-	if !o.AsExpected() {
-		t.Fatalf("outcome disagrees with the paper: %s", o)
-	}
-	return o
 }
 
 func TestForgedDenied(t *testing.T) {
@@ -58,30 +68,32 @@ func TestImprovedResistsAll(t *testing.T) {
 			continue
 		}
 		s := s
-		t.Run(s.ID, func(t *testing.T) {
-			o, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if o.Succeeded {
-				t.Errorf("improved protocol fell to %s: %s", s.ID, o.Detail)
-			}
-		})
+		t.Run(s.ID, func(t *testing.T) { runScenario(t, s.Run, false) })
 	}
 }
 
+// TestRunAll is the whole table on each medium: every attack succeeds against
+// internal/legacy and every attack is rejected by the improved leader,
+// whether the adversary sits on a pipe or on a socket.
 func TestRunAll(t *testing.T) {
-	outcomes, err := RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outcomes) != 9 {
-		t.Fatalf("got %d outcomes, want 9", len(outcomes))
-	}
-	for _, o := range outcomes {
-		if !o.AsExpected() {
-			t.Errorf("outcome disagrees with the paper: %s", o)
-		}
+	for _, m := range media {
+		t.Run(m.name, func(t *testing.T) {
+			outcomes, err := RunAll(m.net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(outcomes) != 9 {
+				t.Fatalf("got %d outcomes, want 9", len(outcomes))
+			}
+			for _, o := range outcomes {
+				if !o.AsExpected() {
+					t.Errorf("outcome disagrees with the paper: %s", o)
+				}
+				if want := o.Protocol == "legacy"; o.Succeeded != want {
+					t.Errorf("%s/%s succeeded=%v over %s", o.ID, o.Protocol, o.Succeeded, m.name)
+				}
+			}
+		})
 	}
 }
 

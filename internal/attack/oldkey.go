@@ -19,8 +19,9 @@ import (
 //
 // The scenario drives the sans-IO engines directly so the session-1 key can
 // be exfiltrated before the engines zeroize it; this mirrors the model's
-// Oops event, which publishes every closed session key to the intruder.
-func OldSessionKeyCompromise() (Outcome, error) {
+// Oops event, which publishes every closed session key to the intruder. No
+// frame crosses a network, so the Medium goes unused.
+func OldSessionKeyCompromise(Medium) (Outcome, error) {
 	out := Outcome{
 		ID:       "A5",
 		Name:     "old-session-key compromise",

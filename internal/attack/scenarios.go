@@ -3,8 +3,10 @@ package attack
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"enclaves/internal/crypto"
+	"enclaves/internal/faultnet"
 	"enclaves/internal/group"
 	"enclaves/internal/legacy"
 	"enclaves/internal/member"
@@ -30,15 +32,23 @@ func keyOf(user string) crypto.Key {
 	return crypto.DeriveKey(user, leaderName, user+"-pw")
 }
 
-// --- legacy test bench ---
-
-type legacyBench struct {
-	leader *legacy.Leader
-	net    *transport.MemNetwork
+// bench is one scenario's stage: a leader of either protocol serving a
+// medium's listener, the dialer that reaches it, and the victim's connection
+// with the adversary in front — link is what the victim uses, and every
+// frame it exchanges crosses it.
+type bench[L leader] struct {
+	leader L
 	list   transport.Listener
+	dial   func() (transport.Conn, error)
+	link   *faultnet.Link
 }
 
-func newLegacyBench(users ...string) (*legacyBench, error) {
+type leader interface {
+	Serve(transport.Listener) error
+	Close()
+}
+
+func legacyBench(net Medium, users ...string) (*bench[*legacy.Leader], error) {
 	g, err := legacy.NewLeader(legacy.LeaderConfig{
 		Name:         leaderName,
 		Users:        userKeys(users...),
@@ -47,30 +57,10 @@ func newLegacyBench(users ...string) (*legacyBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := transport.NewMemNetwork()
-	l, err := net.Listen(leaderName)
-	if err != nil {
-		return nil, err
-	}
-	go func() { _ = g.Serve(l) }()
-	return &legacyBench{leader: g, net: net, list: l}, nil
+	return serve(net, g)
 }
 
-func (b *legacyBench) close() {
-	b.leader.Close()
-	b.list.Close()
-	b.net.Close()
-}
-
-// --- improved test bench ---
-
-type improvedBench struct {
-	leader *group.Leader
-	net    *transport.MemNetwork
-	list   transport.Listener
-}
-
-func newImprovedBench(users ...string) (*improvedBench, error) {
+func improvedBench(net Medium, users ...string) (*bench[*group.Leader], error) {
 	g, err := group.NewLeader(group.Config{
 		Name:  leaderName,
 		Users: userKeys(users...),
@@ -79,28 +69,43 @@ func newImprovedBench(users ...string) (*improvedBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := transport.NewMemNetwork()
-	l, err := net.Listen(leaderName)
+	return serve(net, g)
+}
+
+func serve[L leader](net Medium, g L) (*bench[L], error) {
+	l, dial, err := net()
 	if err != nil {
+		g.Close()
 		return nil, err
 	}
 	go func() { _ = g.Serve(l) }()
-	return &improvedBench{leader: g, net: net, list: l}, nil
+	b := &bench[L]{leader: g, list: l, dial: func() (transport.Conn, error) { return dial(l.Addr()) }}
+	c, err := b.dial()
+	if err != nil {
+		b.close()
+		return nil, err
+	}
+	b.link = faultnet.Wrap(c, faultnet.Plan{})
+	return b, nil
 }
 
-func (b *improvedBench) close() {
+// joinInsider dials the leader on a connection of its own, which the
+// adversary leaves alone, and joins as eve with her legitimate password.
+func joinInsider[M any](dial func() (transport.Conn, error), join func(transport.Conn, string, string, crypto.Key) (M, error)) (M, error) {
+	c, err := dial()
+	if err != nil {
+		var none M
+		return none, err
+	}
+	return join(c, evilName, leaderName, keyOf(evilName))
+}
+
+func (b *bench[L]) close() {
+	if b.link != nil {
+		b.link.Close()
+	}
 	b.leader.Close()
 	b.list.Close()
-	b.net.Close()
-}
-
-func contains(list []string, want string) bool {
-	for _, s := range list {
-		if s == want {
-			return true
-		}
-	}
-	return false
 }
 
 // --- A1: forged connection_denied -------------------------------------------
@@ -108,29 +113,25 @@ func contains(list []string, want string) bool {
 // ForgedDenialLegacy forges the plaintext connection_denied of the legacy
 // pre-authentication exchange; the victim gives up although the leader
 // would have accepted it (Section 2.3, first attack).
-func ForgedDenialLegacy() (Outcome, error) {
+func ForgedDenialLegacy(net Medium) (Outcome, error) {
 	out := Outcome{ID: "A1", Name: "forged connection_denied (DoS)", Protocol: "legacy", Expected: true}
-	b, err := newLegacyBench(victimName)
+	b, err := legacyBench(net, victimName)
 	if err != nil {
 		return out, err
 	}
 	defer b.close()
 
-	conn, link, err := interceptedDial(b.net, leaderName)
-	if err != nil {
-		return out, err
-	}
 	// Suppress the genuine ack_open and pre-inject the forged denial.
-	link.SetFilter(func(d transport.Direction, e wire.Envelope) bool {
-		return !(d == transport.BToA && e.Type == wire.TypeAckOpen)
+	b.link.SetFilter(func(d faultnet.Direction, e wire.Envelope) bool {
+		return !(d == faultnet.Inbound && e.Type == wire.TypeAckOpen)
 	})
 	denial := wire.Envelope{Type: wire.TypeConnDenied, Sender: leaderName, Receiver: victimName,
 		Payload: wire.LegacyOpenPayload{From: leaderName}.Marshal()}
-	if err := link.Inject(transport.BToA, denial); err != nil {
+	if err := b.link.Inject(faultnet.Inbound, denial); err != nil {
 		return out, err
 	}
 
-	_, joinErr := legacy.Join(conn, victimName, leaderName, keyOf(victimName))
+	_, joinErr := legacy.Join(b.link, victimName, leaderName, keyOf(victimName))
 	out.Succeeded = errors.Is(joinErr, legacy.ErrDenied)
 	if out.Succeeded {
 		out.Detail = "victim believed the forged denial and gave up"
@@ -143,32 +144,28 @@ func ForgedDenialLegacy() (Outcome, error) {
 // ForgedDenialImproved repeats the attack against the improved protocol:
 // the pre-authentication exchange no longer exists, so there is nothing
 // unauthenticated to forge; injected junk is ignored and the join completes.
-func ForgedDenialImproved() (Outcome, error) {
+func ForgedDenialImproved(net Medium) (Outcome, error) {
 	out := Outcome{ID: "A1", Name: "forged connection_denied (DoS)", Protocol: "improved", Expected: false}
-	b, err := newImprovedBench(victimName)
+	b, err := improvedBench(net, victimName)
 	if err != nil {
 		return out, err
 	}
 	defer b.close()
 
-	conn, link, err := interceptedDial(b.net, leaderName)
-	if err != nil {
-		return out, err
-	}
 	// The attacker injects both a legacy-style denial and a garbage
 	// AuthKeyDist before the genuine reply can arrive.
 	denial := wire.Envelope{Type: wire.TypeConnDenied, Sender: leaderName, Receiver: victimName,
 		Payload: wire.LegacyOpenPayload{From: leaderName}.Marshal()}
 	garbage := wire.Envelope{Type: wire.TypeAuthKeyDist, Sender: leaderName, Receiver: victimName,
 		Payload: []byte("not a ciphertext")}
-	if err := link.Inject(transport.BToA, denial); err != nil {
+	if err := b.link.Inject(faultnet.Inbound, denial); err != nil {
 		return out, err
 	}
-	if err := link.Inject(transport.BToA, garbage); err != nil {
+	if err := b.link.Inject(faultnet.Inbound, garbage); err != nil {
 		return out, err
 	}
 
-	m, joinErr := member.Join(conn, victimName, leaderName, keyOf(victimName))
+	m, joinErr := member.Join(b.link, victimName, leaderName, keyOf(victimName))
 	if joinErr != nil {
 		out.Succeeded = true
 		out.Detail = fmt.Sprintf("join blocked: %v", joinErr)
@@ -185,31 +182,23 @@ func ForgedDenialImproved() (Outcome, error) {
 // MembershipForgeryLegacy has the insider eve forge mem_removed({eve})
 // under the shared group key, convincing the victim that eve has left while
 // the leader still counts her as a member (Section 2.3, second attack).
-func MembershipForgeryLegacy() (Outcome, error) {
+func MembershipForgeryLegacy(net Medium) (Outcome, error) {
 	out := Outcome{ID: "A2", Name: "insider forges mem_removed", Protocol: "legacy", Expected: true}
-	b, err := newLegacyBench(victimName, evilName)
+	b, err := legacyBench(net, victimName, evilName)
 	if err != nil {
 		return out, err
 	}
 	defer b.close()
 
-	conn, link, err := interceptedDial(b.net, leaderName)
+	victim, err := legacy.Join(b.link, victimName, leaderName, keyOf(victimName))
 	if err != nil {
 		return out, err
 	}
-	victim, err := legacy.Join(conn, victimName, leaderName, keyOf(victimName))
+	evil, err := joinInsider(b.dial, legacy.Join)
 	if err != nil {
 		return out, err
 	}
-	evilConn, err := b.net.Dial(leaderName)
-	if err != nil {
-		return out, err
-	}
-	evil, err := legacy.Join(evilConn, evilName, leaderName, keyOf(evilName))
-	if err != nil {
-		return out, err
-	}
-	if !waitUntil(settle, func() bool { return contains(victim.Members(), evilName) }) {
+	if !waitUntil(settle, func() bool { return slices.Contains(victim.Members(), evilName) }) {
 		return out, errors.New("victim never saw the insider join")
 	}
 
@@ -222,12 +211,12 @@ func MembershipForgeryLegacy() (Outcome, error) {
 		return out, err
 	}
 	forged.Payload = box
-	if err := link.Inject(transport.BToA, forged); err != nil {
+	if err := b.link.Inject(faultnet.Inbound, forged); err != nil {
 		return out, err
 	}
 
-	dropped := waitUntil(settle, func() bool { return !contains(victim.Members(), evilName) })
-	stillMember := contains(b.leader.Members(), evilName)
+	dropped := waitUntil(settle, func() bool { return !slices.Contains(victim.Members(), evilName) })
+	stillMember := slices.Contains(b.leader.Members(), evilName)
 	out.Succeeded = dropped && stillMember
 	if out.Succeeded {
 		out.Detail = "victim's view dropped the insider; leader still lists her"
@@ -241,34 +230,26 @@ func MembershipForgeryLegacy() (Outcome, error) {
 // protocol: membership changes travel as AdminMsg under the victim's
 // per-member session key, which the insider does not hold. Knowing the
 // group key no longer helps.
-func MembershipForgeryImproved() (Outcome, error) {
+func MembershipForgeryImproved(net Medium) (Outcome, error) {
 	out := Outcome{ID: "A2", Name: "insider forges mem_removed", Protocol: "improved", Expected: false}
-	b, err := newImprovedBench(victimName, evilName)
+	b, err := improvedBench(net, victimName, evilName)
 	if err != nil {
 		return out, err
 	}
 	defer b.close()
 
-	conn, link, err := interceptedDial(b.net, leaderName)
-	if err != nil {
-		return out, err
-	}
-	victim, err := member.Join(conn, victimName, leaderName, keyOf(victimName))
+	victim, err := member.Join(b.link, victimName, leaderName, keyOf(victimName))
 	if err != nil {
 		return out, err
 	}
 	defer victim.Leave()
-	evilConn, err := b.net.Dial(leaderName)
-	if err != nil {
-		return out, err
-	}
-	evil, err := member.Join(evilConn, evilName, leaderName, keyOf(evilName))
+	evil, err := joinInsider(b.dial, member.Join)
 	if err != nil {
 		return out, err
 	}
 	defer evil.Leave()
 	if !waitUntil(settle, func() bool {
-		return contains(victim.Members(), evilName) && victim.Epoch() == evil.Epoch() && victim.Epoch() > 0
+		return slices.Contains(victim.Members(), evilName) && victim.Epoch() == evil.Epoch() && victim.Epoch() > 0
 	}) {
 		return out, errors.New("group never converged")
 	}
@@ -282,18 +263,18 @@ func MembershipForgeryImproved() (Outcome, error) {
 		return out, err
 	}
 	forged.Payload = box
-	if err := link.Inject(transport.BToA, forged); err != nil {
+	if err := b.link.Inject(faultnet.Inbound, forged); err != nil {
 		return out, err
 	}
 	// Attempt 2: replay the leader's own earlier AdminMsg frames.
-	if _, err := link.ReplayMatching(func(c transport.Captured) bool {
-		return c.Dir == transport.BToA && c.Env.Type == wire.TypeAdminMsg
+	if _, err := b.link.ReplayMatching(func(c faultnet.Captured) bool {
+		return c.Dir == faultnet.Inbound && c.Env.Type == wire.TypeAdminMsg
 	}); err != nil {
 		return out, err
 	}
 
 	rejected := waitUntil(settle, func() bool { return victim.Rejected() > 0 })
-	dropped := !contains(victim.Members(), evilName)
+	dropped := !slices.Contains(victim.Members(), evilName)
 	out.Succeeded = dropped
 	if dropped {
 		out.Detail = "victim's view corrupted"
@@ -308,27 +289,19 @@ func MembershipForgeryImproved() (Outcome, error) {
 // KeyRollbackLegacy replays an old new_key message after the insider was
 // expelled, rolling the victim back to a group key the expelled member
 // still holds (Section 2.3, third attack).
-func KeyRollbackLegacy() (Outcome, error) {
+func KeyRollbackLegacy(net Medium) (Outcome, error) {
 	out := Outcome{ID: "A3", Name: "new_key replay (key rollback)", Protocol: "legacy", Expected: true}
-	b, err := newLegacyBench(victimName, evilName)
+	b, err := legacyBench(net, victimName, evilName)
 	if err != nil {
 		return out, err
 	}
 	defer b.close()
 
-	conn, link, err := interceptedDial(b.net, leaderName)
+	victim, err := legacy.Join(b.link, victimName, leaderName, keyOf(victimName))
 	if err != nil {
 		return out, err
 	}
-	victim, err := legacy.Join(conn, victimName, leaderName, keyOf(victimName))
-	if err != nil {
-		return out, err
-	}
-	evilConn, err := b.net.Dial(leaderName)
-	if err != nil {
-		return out, err
-	}
-	evil, err := legacy.Join(evilConn, evilName, leaderName, keyOf(evilName))
+	evil, err := joinInsider(b.dial, legacy.Join)
 	if err != nil {
 		return out, err
 	}
@@ -355,9 +328,9 @@ func KeyRollbackLegacy() (Outcome, error) {
 
 	// Replay the captured epoch-2 new_key (the first NewKey toward alice).
 	replayed := false
-	for i, c := range link.Captured() {
-		if c.Dir == transport.BToA && c.Env.Type == wire.TypeNewKey {
-			if err := link.Replay(i); err != nil {
+	for i, c := range b.link.Captured() {
+		if c.Dir == faultnet.Inbound && c.Env.Type == wire.TypeNewKey {
+			if err := b.link.Replay(i); err != nil {
 				return out, err
 			}
 			replayed = true
@@ -383,29 +356,20 @@ func KeyRollbackLegacy() (Outcome, error) {
 // KeyRollbackImproved repeats the replay against the improved protocol: key
 // distribution rides the AdminMsg exchange whose freshness is proven by the
 // victim's own latest nonce, so every replayed frame is rejected.
-func KeyRollbackImproved() (Outcome, error) {
+func KeyRollbackImproved(net Medium) (Outcome, error) {
 	out := Outcome{ID: "A3", Name: "new_key replay (key rollback)", Protocol: "improved", Expected: false}
-	b, err := newImprovedBench(victimName, evilName)
+	b, err := improvedBench(net, victimName, evilName)
 	if err != nil {
 		return out, err
 	}
 	defer b.close()
 
-	conn, link, err := interceptedDial(b.net, leaderName)
-	if err != nil {
-		return out, err
-	}
-	victim, err := member.Join(conn, victimName, leaderName, keyOf(victimName))
+	victim, err := member.Join(b.link, victimName, leaderName, keyOf(victimName))
 	if err != nil {
 		return out, err
 	}
 	defer victim.Leave()
-	evilConn, err := b.net.Dial(leaderName)
-	if err != nil {
-		return out, err
-	}
-	evil, err := member.Join(evilConn, evilName, leaderName, keyOf(evilName))
-	if err != nil {
+	if _, err := joinInsider(b.dial, member.Join); err != nil {
 		return out, err
 	}
 	if !waitUntil(settle, func() bool { return len(b.leader.Members()) == 2 }) {
@@ -418,7 +382,6 @@ func KeyRollbackImproved() (Outcome, error) {
 	if !waitUntil(settle, func() bool { return victim.Epoch() == epoch2 }) {
 		return out, errors.New("rekey never propagated")
 	}
-	_ = evil
 
 	if err := b.leader.Expel(evilName); err != nil {
 		return out, err
@@ -433,8 +396,8 @@ func KeyRollbackImproved() (Outcome, error) {
 
 	// Replay every AdminMsg the leader ever sent to the victim — including
 	// the epoch-2 key distribution.
-	n, err := link.ReplayMatching(func(c transport.Captured) bool {
-		return c.Dir == transport.BToA && c.Env.Type == wire.TypeAdminMsg
+	n, err := b.link.ReplayMatching(func(c faultnet.Captured) bool {
+		return c.Dir == faultnet.Inbound && c.Env.Type == wire.TypeAdminMsg
 	})
 	if err != nil {
 		return out, err
@@ -458,63 +421,53 @@ func KeyRollbackImproved() (Outcome, error) {
 // ForcedDisconnectLegacy forges the PLAINTEXT req_close of the legacy
 // protocol; the leader closes the victim's session although the victim
 // never asked to leave.
-func ForcedDisconnectLegacy() (Outcome, error) {
+func ForcedDisconnectLegacy(net Medium) (Outcome, error) {
 	out := Outcome{ID: "A4", Name: "forged close (forced disconnect)", Protocol: "legacy", Expected: true}
-	b, err := newLegacyBench(victimName)
+	b, err := legacyBench(net, victimName)
 	if err != nil {
 		return out, err
 	}
 	defer b.close()
 
-	conn, link, err := interceptedDial(b.net, leaderName)
-	if err != nil {
+	if _, err := legacy.Join(b.link, victimName, leaderName, keyOf(victimName)); err != nil {
 		return out, err
 	}
-	victim, err := legacy.Join(conn, victimName, leaderName, keyOf(victimName))
-	if err != nil {
-		return out, err
-	}
-	if !waitUntil(settle, func() bool { return contains(b.leader.Members(), victimName) }) {
+	if !waitUntil(settle, func() bool { return slices.Contains(b.leader.Members(), victimName) }) {
 		return out, errors.New("victim never registered")
 	}
 
 	forged := wire.Envelope{Type: wire.TypeLegacyReqClose, Sender: victimName, Receiver: leaderName,
 		Payload: wire.LegacyOpenPayload{From: victimName}.Marshal()}
-	if err := link.Inject(transport.AToB, forged); err != nil {
+	if err := b.link.Inject(faultnet.Outbound, forged); err != nil {
 		return out, err
 	}
 
-	out.Succeeded = waitUntil(settle, func() bool { return !contains(b.leader.Members(), victimName) })
+	out.Succeeded = waitUntil(settle, func() bool { return !slices.Contains(b.leader.Members(), victimName) })
 	if out.Succeeded {
 		out.Detail = "leader closed the session on a forged plaintext req_close"
 	} else {
 		out.Detail = "leader kept the session"
 	}
-	_ = victim
 	return out, nil
 }
 
 // ForcedDisconnectImproved repeats the forgery against the improved
 // protocol: ReqClose is {A, L}_Ka, and the attacker does not hold the
 // session key, so the leader rejects the forgery and the session survives.
-func ForcedDisconnectImproved() (Outcome, error) {
+func ForcedDisconnectImproved(net Medium) (Outcome, error) {
 	out := Outcome{ID: "A4", Name: "forged close (forced disconnect)", Protocol: "improved", Expected: false}
-	b, err := newImprovedBench(victimName)
+	b, err := improvedBench(net, victimName)
 	if err != nil {
 		return out, err
 	}
 	defer b.close()
 
-	conn, link, err := interceptedDial(b.net, leaderName)
-	if err != nil {
-		return out, err
-	}
-	victim, err := member.Join(conn, victimName, leaderName, keyOf(victimName))
+	victim, err := member.Join(b.link, victimName, leaderName, keyOf(victimName))
 	if err != nil {
 		return out, err
 	}
 	defer victim.Leave()
-	if !waitUntil(settle, func() bool { return contains(b.leader.Members(), victimName) && victim.Epoch() > 0 }) {
+	if !waitUntil(settle, func() bool { return slices.Contains(b.leader.Members(), victimName) && victim.Epoch() > 0 }) {
 		return out, errors.New("victim never registered")
 	}
 
@@ -530,12 +483,12 @@ func ForcedDisconnectImproved() (Outcome, error) {
 		return out, err
 	}
 	forged.Payload = box
-	if err := link.Inject(transport.AToB, forged); err != nil {
+	if err := b.link.Inject(faultnet.Outbound, forged); err != nil {
 		return out, err
 	}
 	plaintext := wire.Envelope{Type: wire.TypeLegacyReqClose, Sender: victimName, Receiver: leaderName,
 		Payload: wire.LegacyOpenPayload{From: victimName}.Marshal()}
-	if err := link.Inject(transport.AToB, plaintext); err != nil {
+	if err := b.link.Inject(faultnet.Outbound, plaintext); err != nil {
 		return out, err
 	}
 
@@ -546,7 +499,7 @@ func ForcedDisconnectImproved() (Outcome, error) {
 		return out, err
 	}
 	alive := waitUntil(settle, func() bool { return victim.Epoch() > epochBefore })
-	stillMember := contains(b.leader.Members(), victimName)
+	stillMember := slices.Contains(b.leader.Members(), victimName)
 	out.Succeeded = !(alive && stillMember)
 	if out.Succeeded {
 		out.Detail = fmt.Sprintf("session damaged (alive=%v member=%v)", alive, stillMember)

@@ -1,19 +1,25 @@
-// Package faultnet is a deterministic fault-injection network for chaos
-// testing the Enclaves runtime. It wraps transport.Conn endpoints with a
-// fault pipeline — frame drops, duplication, reordering, delivery delays,
-// timed partitions, and connection resets — where every probabilistic
-// decision is drawn from a seeded math/rand PRNG, so any chaos run is
-// reproducible from its seed and a failing seed can be replayed exactly.
+// Package faultnet is the one network of Section 3.1, as a Link that sits in
+// front of any transport.Conn — an in-memory pipe or a TCP mux stream alike.
+// That network "can lose or delay messages", and whoever controls it can
+// "read all the messages exchanged, replay old messages, and send arbitrary
+// messages they can construct". The adversary's moves are methods: Captured,
+// SetFilter, Inject, Replay/ReplayMatching. The unreliable medium is the
+// Plan — frame drops, duplication, reordering, delays, timed partitions and
+// connection resets, every probabilistic decision drawn from a seeded
+// math/rand PRNG so a chaos run is reproducible from its seed — plus
+// Sever/Restore for crashes. A zero Plan is the pure adversary link of the
+// Section 2.3 attack scenarios, under which the protocol must stay secure; a
+// Plan with no filter installed is the lossy link of the chaos soaks, under
+// which it must stay live.
 //
-// Where transport.Link models a *malicious* Dolev-Yao adversary (arbitrary
-// injection and replay of frames), faultnet models an *unreliable but
-// honest* network: the lossy, reordering, partitioning links the paper
-// assumes in Section 3.1 ("messages can be lost or delayed"). The two
-// compose: the protocol must stay secure under Link and stay live under
-// faultnet.
+// Every frame entering a Link passes the same stages in the same order:
+// capture, filter, sever, dice. Only the last consumes PRNG draws, so a
+// frame the adversary filtered or a crash swallowed never shifts the
+// decisions made for the frames around it.
 package faultnet
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -25,9 +31,9 @@ import (
 	"enclaves/internal/wire"
 )
 
-// Process-wide totals across every fault-injected connection, mirroring the
-// per-conn Stats so a metrics snapshot shows how much chaos a run injected
-// without walking the connection list.
+// Process-wide totals across every Link, mirroring the per-link Stats so a
+// metrics snapshot shows how much chaos a run injected without walking the
+// connection list.
 var (
 	mDelivered  = metrics.NewCounter("faultnet_delivered_total")
 	mDropped    = metrics.NewCounter("faultnet_dropped_total")
@@ -67,7 +73,8 @@ type Partition struct {
 }
 
 // Plan declares the faults of one wrapped connection. The zero value
-// injects nothing (a transparent wrapper).
+// injects nothing: a transparent wrapper, on which only the adversary's
+// methods act.
 type Plan struct {
 	// Seed seeds the PRNG driving every probabilistic decision. Two runs
 	// with the same seed and the same frame sequence make identical
@@ -84,18 +91,39 @@ type Plan struct {
 	Heal time.Duration
 }
 
-// Stats counts what the fault pipeline did to one wrapped connection.
-// Retrieve with Conn.Stats; all fields are totals across both directions.
+// Stats counts what the link did to the frames crossing it. Retrieve with
+// Link.Stats; all fields are totals across both directions.
 type Stats struct {
 	Delivered  uint64
-	Dropped    uint64 // includes partition blackholing
+	Dropped    uint64 // includes filtered, severed and partitioned frames
 	Duplicated uint64
 	Reordered  uint64
 	Resets     uint64
 }
 
-// Conn is a fault-injected transport connection.
-type Conn struct {
+// Direction names the flow of a frame through a Link, in the Plan's terms.
+type Direction uint8
+
+const (
+	// Outbound frames were sent by the wrapped endpoint, toward its peer.
+	Outbound Direction = iota + 1
+	// Inbound frames were sent by the peer, toward the wrapped endpoint.
+	Inbound
+)
+
+// Captured is one frame observed by the adversary.
+type Captured struct {
+	Dir Direction
+	Env wire.Envelope
+}
+
+// FilterFunc inspects an in-flight frame; returning false drops it.
+type FilterFunc func(Direction, wire.Envelope) bool
+
+// Link is a connection whose every frame crosses the network of Section
+// 3.1: recorded, droppable by a filter, subject to the Plan's faults, and
+// open to injected and replayed frames in either direction.
+type Link struct {
 	inner transport.Conn
 	plan  Plan
 	start time.Time
@@ -103,6 +131,13 @@ type Conn struct {
 	outQ *queue.Queue[wire.Envelope] // Send -> out pump
 	inQ  *queue.Queue[wire.Envelope] // in pump -> Recv
 	raw  *queue.Queue[wire.Envelope] // inner.Recv feeder -> in pump
+	// outDone closes when the outbound pump has exited and hung up, which is
+	// what Close waits for.
+	outDone chan struct{}
+
+	mu       sync.Mutex // guards captured and filter
+	captured []Captured
+	filter   FilterFunc
 
 	delivered, dropped, duplicated, reordered, resets atomic.Uint64
 
@@ -114,73 +149,97 @@ type Conn struct {
 	// the frames around it: a run with a sever and one without make
 	// identical per-frame decisions for every frame that reaches the dice.
 	severed atomic.Bool
-
-	closeOnce sync.Once
 }
 
-// Link is the chaos-rig name for a fault-injected connection: the unit a
-// failover test severs and restores.
-type Link = Conn
-
-var _ transport.Conn = (*Conn)(nil)
+var _ transport.Conn = (*Link)(nil)
 
 // holdFlushIdle is how long a pump waits with held (reordered) frames and
 // no new input before flushing them anyway, so a held frame cannot be
 // starved forever on a quiet link.
 const holdFlushIdle = 50 * time.Millisecond
 
-// Wrap runs conn behind the fault pipeline described by plan. Frames the
-// endpoint sends pass the Outbound faults before reaching the peer; frames
-// the peer sends pass the Inbound faults before Recv returns them.
-func Wrap(conn transport.Conn, plan Plan) *Conn {
-	c := &Conn{
-		inner: conn,
-		plan:  plan,
-		start: time.Now(),
-		outQ:  queue.New[wire.Envelope](),
-		inQ:   queue.New[wire.Envelope](),
-		raw:   queue.New[wire.Envelope](),
+// Wrap puts conn behind a Link. Frames the endpoint sends pass the Outbound
+// faults before reaching the peer; frames the peer sends pass the Inbound
+// faults before Recv returns them.
+func Wrap(conn transport.Conn, plan Plan) *Link {
+	c := &Link{
+		inner:   conn,
+		plan:    plan,
+		start:   time.Now(),
+		outQ:    queue.New[wire.Envelope](),
+		inQ:     queue.New[wire.Envelope](),
+		raw:     queue.New[wire.Envelope](),
+		outDone: make(chan struct{}),
 	}
 	// Each direction gets its own PRNG stream (derived deterministically
 	// from the seed) and its own single pump goroutine, so the decision
 	// sequence per direction depends only on the seed and the frame order.
-	go c.pump(c.outQ, plan.Outbound, rand.New(rand.NewSource(plan.Seed)), func(e wire.Envelope) bool {
-		return c.inner.Send(e) == nil
-	})
+	go func() {
+		defer close(c.outDone)
+		c.pump(c.outQ, plan.Outbound, rand.New(rand.NewSource(plan.Seed)), func(e wire.Envelope) bool {
+			return c.inner.Send(e) == nil
+		})
+		// Nothing more will be sent: Close has drained the queue, or the
+		// connection died under a frame.
+		c.hangUp()
+	}()
 	go c.feedRaw()
-	go c.pump(c.raw, plan.Inbound, rand.New(rand.NewSource(plan.Seed^0x5DEECE66D)), func(e wire.Envelope) bool {
-		return c.inQ.Push(e) == nil
-	})
+	go func() {
+		c.pump(c.raw, plan.Inbound, rand.New(rand.NewSource(plan.Seed^0x5DEECE66D)), func(e wire.Envelope) bool {
+			return c.inQ.Push(e) == nil
+		})
+		// The peer hung up, which a transparent wrapper passes on: Recv
+		// drains what survived, then reports it. A crashed host hears no
+		// FIN, though — a severed link stays half-open until a later send
+		// finds the connection dead.
+		if !c.severed.Load() {
+			c.hangUp()
+		}
+	}()
 	return c
 }
 
-// Pipe returns two connected in-memory endpoints with plan's faults
-// injected on the A side (Outbound = A to B, Inbound = B to A). The B side
-// is a plain clean endpoint.
-func Pipe(plan Plan) (*Conn, transport.Conn) {
+// Pipe returns two connected in-memory endpoints with the Link on the A side
+// (Outbound = A to B, Inbound = B to A). The B side is a plain clean
+// endpoint.
+func Pipe(plan Plan) (*Link, transport.Conn) {
 	a, b := transport.Pipe()
 	return Wrap(a, plan), b
 }
 
-// Send queues one envelope for fault-injected transmission.
-func (c *Conn) Send(e wire.Envelope) error {
-	if err := c.outQ.Push(e); err != nil {
+// admit is the head of the ingress order, run before a frame reaches its
+// pump: the adversary records it, then the filter may drop it.
+func (c *Link) admit(dir Direction, e wire.Envelope) bool {
+	c.mu.Lock()
+	c.captured = append(c.captured, Captured{Dir: dir, Env: e})
+	filter := c.filter
+	c.mu.Unlock()
+	if filter != nil && !filter(dir, e) {
+		c.countDrop()
+		return false
+	}
+	return true
+}
+
+// Send hands one envelope to the network. A nil error means the adversary
+// has recorded it, not that it will arrive: the sender cannot tell.
+func (c *Link) Send(e wire.Envelope) error {
+	if c.outQ.Closed() {
+		return transport.ErrClosed
+	}
+	if c.admit(Outbound, e) && c.outQ.Push(e) != nil {
 		return transport.ErrClosed
 	}
 	return nil
 }
 
-// SendEncoded queues the envelope form: the fault pipeline drops, holds,
-// and duplicates envelopes, so the shared frame bytes do not apply here.
-func (c *Conn) SendEncoded(enc *transport.Encoded) error { return c.Send(enc.Env()) }
-
 // SendBatch queues each envelope in order; there is no flush to batch.
-func (c *Conn) SendBatch(batch []transport.Outgoing) error {
+func (c *Link) SendBatch(batch []transport.Outgoing) error {
 	return transport.SendEach(c, batch)
 }
 
 // Recv returns the next surviving inbound envelope.
-func (c *Conn) Recv() (wire.Envelope, error) {
+func (c *Link) Recv() (wire.Envelope, error) {
 	e, err := c.inQ.Pop()
 	if err != nil {
 		return e, transport.ErrClosed
@@ -188,33 +247,102 @@ func (c *Conn) Recv() (wire.Envelope, error) {
 	return e, nil
 }
 
-// Close tears down the wrapper and the underlying connection.
-func (c *Conn) Close() error {
-	c.closeOnce.Do(func() {
-		c.inner.Close()
-		c.outQ.Close()
-		c.raw.Close()
-		c.inQ.Close()
-	})
+// Close stops intake and waits for the outbound pump to finish the frames
+// Send already accepted and hang up. Those frames still meet the plan's
+// faults, but nobody waits out their delays, so the drain is bounded by one
+// DelayMax. A clean link therefore loses nothing sent before Close.
+func (c *Link) Close() error {
+	c.outQ.Close()
+	<-c.outDone
 	return nil
+}
+
+// hangUp tears down the link and the underlying connection at once, with no
+// drain: how either pump ends, and all a reset does.
+func (c *Link) hangUp() {
+	c.outQ.Close()
+	c.inner.Close()
+	c.raw.Close()
+	c.inQ.Close()
+}
+
+// SetFilter installs a drop rule applied to subsequent frames. A nil filter
+// delivers everything.
+func (c *Link) SetFilter(f FilterFunc) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.filter = f
+}
+
+// Captured returns a copy of every frame observed so far, in order: each
+// frame whose Send has returned, and each peer frame that has arrived.
+// Injected frames are the adversary's own and are not recorded.
+func (c *Link) Captured() []Captured {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]Captured(nil), c.captured...)
+}
+
+// Inject delivers an adversary-crafted frame in the given direction, as if
+// the corresponding endpoint had sent it. It is the network itself acting,
+// so the frame meets neither the filter nor the plan's faults.
+func (c *Link) Inject(dir Direction, e wire.Envelope) error {
+	if c.outQ.Closed() {
+		return transport.ErrClosed
+	}
+	if dir == Outbound {
+		return c.inner.Send(e)
+	}
+	if c.inQ.Push(e) != nil {
+		return transport.ErrClosed
+	}
+	return nil
+}
+
+// Replay re-delivers the i-th captured frame to its original destination.
+func (c *Link) Replay(i int) error {
+	c.mu.Lock()
+	if i < 0 || i >= len(c.captured) {
+		c.mu.Unlock()
+		return fmt.Errorf("faultnet: replay index %d out of range", i)
+	}
+	f := c.captured[i]
+	c.mu.Unlock()
+	return c.Inject(f.Dir, f.Env)
+}
+
+// ReplayMatching re-delivers every captured frame satisfying pred, in
+// capture order, and returns how many were replayed.
+func (c *Link) ReplayMatching(pred func(Captured) bool) (int, error) {
+	replayed := 0
+	for _, f := range c.Captured() {
+		if !pred(f) {
+			continue
+		}
+		if err := c.Inject(f.Dir, f.Env); err != nil {
+			return replayed, err
+		}
+		replayed++
+	}
+	return replayed, nil
 }
 
 // Sever blackholes the link in both directions — the crash half of the
 // crash/restart primitive. Unlike Close, the endpoints stay alive: Send
 // still accepts frames (they die in the pipeline) and Recv keeps blocking,
 // which is exactly what a peer of a crashed process observes.
-func (c *Conn) Sever() { c.severed.Store(true) }
+func (c *Link) Sever() { c.severed.Store(true) }
 
 // Restore lifts a Sever; frames flow (and consume PRNG draws) again.
 // Frames swallowed during the window stay lost — a restart recovers the
 // host, not the packets.
-func (c *Conn) Restore() { c.severed.Store(false) }
+func (c *Link) Restore() { c.severed.Store(false) }
 
 // Severed reports whether the link is currently severed.
-func (c *Conn) Severed() bool { return c.severed.Load() }
+func (c *Link) Severed() bool { return c.severed.Load() }
 
 // Stats returns the fault counters so far.
-func (c *Conn) Stats() Stats {
+func (c *Link) Stats() Stats {
 	return Stats{
 		Delivered:  c.delivered.Load(),
 		Dropped:    c.dropped.Load(),
@@ -224,28 +352,33 @@ func (c *Conn) Stats() Stats {
 	}
 }
 
-// feedRaw moves frames from the underlying connection into the inbound
+func (c *Link) countDrop() {
+	c.dropped.Add(1)
+	mDropped.Inc()
+}
+
+// feedRaw admits frames from the underlying connection into the inbound
 // pump's queue, decoupling the pump from the blocking Recv.
-func (c *Conn) feedRaw() {
+func (c *Link) feedRaw() {
 	for {
 		e, err := c.inner.Recv()
 		if err != nil {
 			c.raw.Close()
 			return
 		}
-		if c.raw.Push(e) != nil {
+		if c.admit(Inbound, e) && c.raw.Push(e) != nil {
 			return
 		}
 	}
 }
 
 // healed reports whether the chaos window has closed.
-func (c *Conn) healed() bool {
+func (c *Link) healed() bool {
 	return c.plan.Heal > 0 && time.Since(c.start) >= c.plan.Heal
 }
 
 // partitioned reports whether a partition window is currently open.
-func (c *Conn) partitioned() bool {
+func (c *Link) partitioned() bool {
 	elapsed := time.Since(c.start)
 	for _, p := range c.plan.Partitions {
 		if elapsed >= p.Start && elapsed < p.Stop {
@@ -255,28 +388,39 @@ func (c *Conn) partitioned() bool {
 	return false
 }
 
-// pump applies one direction's faults. It is the only goroutine touching
-// its PRNG, so the decision stream is a pure function of seed and frame
-// order. deliver reports whether the destination is still accepting frames.
-func (c *Conn) pump(src *queue.Queue[wire.Envelope], f DirFaults, rng *rand.Rand, deliver func(wire.Envelope) bool) {
+// pump applies one direction's faults to the frames its ingress admitted.
+// It is the only goroutine touching its PRNG, so the decision stream is a
+// pure function of seed and frame order. deliver reports whether the
+// destination is still accepting frames.
+func (c *Link) pump(src *queue.Queue[wire.Envelope], f DirFaults, rng *rand.Rand, deliver func(wire.Envelope) bool) {
 	holdMax := f.HoldMax
 	if holdMax <= 0 {
 		holdMax = 4
 	}
+	// severDrop blackholes one frame if the link is severed. A crash loses
+	// held frames too: nothing a dead process buffered ever reaches the wire.
+	severDrop := func() bool {
+		if !c.severed.Load() {
+			return false
+		}
+		c.countDrop()
+		mSeverDrops.Inc()
+		return true
+	}
+	emit := func(e wire.Envelope) bool {
+		if !deliver(e) {
+			return false
+		}
+		c.delivered.Add(1)
+		mDelivered.Inc()
+		return true
+	}
 	var held []wire.Envelope
 	flushHeld := func() {
 		for _, h := range held {
-			// A crash loses held frames too: nothing a dead process buffered
-			// ever reaches the wire.
-			if c.severed.Load() {
-				c.dropped.Add(1)
-				mDropped.Inc()
-				mSeverDrops.Inc()
-				continue
+			if !severDrop() {
+				emit(h)
 			}
-			deliver(h)
-			c.delivered.Add(1)
-			mDelivered.Inc()
 		}
 		held = held[:0]
 	}
@@ -290,12 +434,11 @@ func (c *Conn) pump(src *queue.Queue[wire.Envelope], f DirFaults, rng *rand.Rand
 		}
 		idleSince := time.Now()
 		for {
-			if e, ok := src.TryPop(); ok {
-				return e, true
-			}
-			if src.Closed() {
-				var zero wire.Envelope
-				return zero, false
+			// Read the flag first: a queue seen closed and then empty has
+			// nothing more to give.
+			closed := src.Closed()
+			if e, ok := src.TryPop(); ok || closed {
+				return e, ok
 			}
 			if len(held) > 0 && time.Since(idleSince) > holdFlushIdle {
 				flushHeld()
@@ -316,30 +459,24 @@ func (c *Conn) pump(src *queue.Queue[wire.Envelope], f DirFaults, rng *rand.Rand
 		// Sever overrides everything, including a closed chaos window: a
 		// crashed host delivers nothing no matter how clean the link is. The
 		// drop happens before any PRNG draw, preserving decision alignment.
-		if c.severed.Load() {
-			c.dropped.Add(1)
-			mDropped.Inc()
-			mSeverDrops.Inc()
+		if severDrop() {
 			continue
 		}
 		if c.healed() {
 			flushHeld()
-			if !deliver(e) {
+			if !emit(e) {
 				return
 			}
-			c.delivered.Add(1)
-			mDelivered.Inc()
 			continue
 		}
 		if f.ResetAfter > 0 && count > f.ResetAfter {
 			c.resets.Add(1)
 			mResets.Inc()
-			c.Close()
+			c.hangUp()
 			return
 		}
 		if c.partitioned() {
-			c.dropped.Add(1)
-			mDropped.Inc()
+			c.countDrop()
 			continue
 		}
 		// Every frame consumes one PRNG draw per decision in a fixed
@@ -355,11 +492,11 @@ func (c *Conn) pump(src *queue.Queue[wire.Envelope], f DirFaults, rng *rand.Rand
 			delay = f.DelayMin
 		}
 		if drop {
-			c.dropped.Add(1)
-			mDropped.Inc()
+			c.countDrop()
 			continue
 		}
-		if delay > 0 {
+		// A closing link still rolls the delay but does not sit it out.
+		if delay > 0 && !src.Closed() {
 			time.Sleep(delay)
 		}
 		if reorder && len(held) < holdMax {
@@ -368,11 +505,9 @@ func (c *Conn) pump(src *queue.Queue[wire.Envelope], f DirFaults, rng *rand.Rand
 			held = append(held, e)
 			continue
 		}
-		if !deliver(e) {
+		if !emit(e) {
 			return
 		}
-		c.delivered.Add(1)
-		mDelivered.Inc()
 		if dup {
 			deliver(e)
 			c.duplicated.Add(1)
@@ -383,36 +518,30 @@ func (c *Conn) pump(src *queue.Queue[wire.Envelope], f DirFaults, rng *rand.Rand
 	}
 }
 
-// Network wraps an in-memory network so every dialed connection gets the
-// fault plan, each with its own deterministic seed (base seed + dial
-// index). Dial order therefore determines seeds; keep it deterministic in
-// reproducible tests.
+// Network puts a Link in front of every connection it dials, each with its
+// own deterministic seed (base seed + dial index). Dial order therefore
+// determines seeds; keep it deterministic in reproducible tests. Links wrap
+// the dialing side only, which covers both directions of the connection.
 type Network struct {
-	inner *transport.MemNetwork
+	dial  func(addr string) (transport.Conn, error)
 	plan  Plan
 	dials atomic.Int64
 
 	mu    sync.Mutex
-	conns []*Conn
+	conns []*Link
 }
 
-// NewNetwork wraps net with plan-driven fault injection on dialed
-// connections.
-func NewNetwork(net *transport.MemNetwork, plan Plan) *Network {
-	return &Network{inner: net, plan: plan}
+// NewNetwork returns a network that reaches addresses through dial — an
+// in-memory network's Dial, transport.DialTCP — and runs every connection
+// under plan.
+func NewNetwork(dial func(addr string) (transport.Conn, error), plan Plan) *Network {
+	return &Network{dial: dial, plan: plan}
 }
 
-// Listen passes through to the underlying network: faults are injected at
-// the dialing side, which covers both directions of the link.
-func (n *Network) Listen(addr string) (transport.Listener, error) {
-	return n.inner.Listen(addr)
-}
-
-// Dial connects through the fault pipeline. The i-th dial uses seed
-// plan.Seed+i, so concurrent sessions see independent but reproducible
-// fault streams.
-func (n *Network) Dial(addr string) (*Conn, error) {
-	raw, err := n.inner.Dial(addr)
+// Dial connects through a Link. The i-th dial uses seed plan.Seed+i, so
+// concurrent sessions see independent but reproducible fault streams.
+func (n *Network) Dial(addr string) (*Link, error) {
+	raw, err := n.dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -425,37 +554,32 @@ func (n *Network) Dial(addr string) (*Conn, error) {
 	return c, nil
 }
 
-// SeverAll severs every connection dialed so far — the whole-host crash a
-// failover test kills the primary with when members share one network.
-func (n *Network) SeverAll() {
+// each runs f on every connection dialed so far.
+func (n *Network) each(f func(*Link)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, c := range n.conns {
-		c.Sever()
+		f(c)
 	}
 }
 
+// SeverAll severs every connection dialed so far — the whole-host crash a
+// failover test kills the primary with when members share one network.
+func (n *Network) SeverAll() { n.each((*Link).Sever) }
+
 // RestoreAll lifts every sever.
-func (n *Network) RestoreAll() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, c := range n.conns {
-		c.Restore()
-	}
-}
+func (n *Network) RestoreAll() { n.each((*Link).Restore) }
 
 // Stats sums the fault counters across every connection dialed so far.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var total Stats
-	for _, c := range n.conns {
+	n.each(func(c *Link) {
 		s := c.Stats()
 		total.Delivered += s.Delivered
 		total.Dropped += s.Dropped
 		total.Duplicated += s.Duplicated
 		total.Reordered += s.Reordered
 		total.Resets += s.Resets
-	}
+	})
 	return total
 }

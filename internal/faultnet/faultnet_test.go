@@ -239,7 +239,7 @@ func TestNetworkSeedsPerDial(t *testing.T) {
 		}
 	}()
 
-	net := NewNetwork(inner, Plan{Seed: 100, Outbound: DirFaults{Drop: 0.5}})
+	net := NewNetwork(inner.Dial, Plan{Seed: 100, Outbound: DirFaults{Drop: 0.5}})
 	c1, err := net.Dial("svc")
 	if err != nil {
 		t.Fatal(err)

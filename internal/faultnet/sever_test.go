@@ -134,8 +134,9 @@ func TestSeverPreservesDeterminism(t *testing.T) {
 // TestNetworkSeverAll: the whole-host kill switch severs every dialed
 // connection at once.
 func TestNetworkSeverAll(t *testing.T) {
-	n := NewNetwork(transport.NewMemNetwork(), Plan{})
-	l, err := n.Listen("leader")
+	inner := transport.NewMemNetwork()
+	n := NewNetwork(inner.Dial, Plan{})
+	l, err := inner.Listen("leader")
 	if err != nil {
 		t.Fatal(err)
 	}

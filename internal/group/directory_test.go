@@ -277,6 +277,9 @@ func TestStalledReaderDoesNotWedgeLeader(t *testing.T) {
 	})
 
 	m2 := join("m2", dial())
+	// m2's join rekeyed the group; a multicast m0 seals before it has the new
+	// key is one m2 cannot open.
+	waitFor(t, "m0 on m2's epoch", func() bool { return m0.Epoch() == m2.Epoch() })
 	if err := m0.SendData([]byte("still serving")); err != nil {
 		t.Fatal(err)
 	}

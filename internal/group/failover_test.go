@@ -198,7 +198,7 @@ func TestFailoverResume(t *testing.T) {
 
 	// All links to the primary run through the fault network so SeverAll is
 	// the kill switch; the standby's address is dialed clean.
-	fn := faultnet.NewNetwork(net, faultnet.Plan{})
+	fn := faultnet.NewNetwork(net.Dial, faultnet.Plan{})
 	sb, err := replica.NewStandby(replica.StandbyConfig{
 		Standby: "standby", Primary: leaderName, Key: kr,
 		Dial:    func() (transport.Conn, error) { return fn.Dial("primary") },

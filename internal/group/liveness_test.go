@@ -263,10 +263,8 @@ func (c *stallConn) Send(e wire.Envelope) error {
 	return c.Conn.Send(e)
 }
 
-// The fast paths must route through the budgeted Send, or the embedded
-// conn's implementations would bypass the stall entirely.
-func (c *stallConn) SendEncoded(enc *transport.Encoded) error { return c.Send(enc.Env()) }
-
+// The batch path must route through the budgeted Send, or the embedded
+// conn's implementation would bypass the stall entirely.
 func (c *stallConn) SendBatch(batch []transport.Outgoing) error { return transport.SendEach(c, batch) }
 
 type stallListener struct {

@@ -246,7 +246,7 @@ func TestLKHFailoverResume(t *testing.T) {
 	}
 	go primary.Serve(primL)
 
-	fn := faultnet.NewNetwork(net, faultnet.Plan{})
+	fn := faultnet.NewNetwork(net.Dial, faultnet.Plan{})
 	sb, err := replica.NewStandby(replica.StandbyConfig{
 		Standby: "standby", Primary: leaderName, Key: kr,
 		Dial:    func() (transport.Conn, error) { return fn.Dial("primary") },

@@ -389,24 +389,6 @@ func (s *muxStream) Send(e wire.Envelope) error {
 	return nil
 }
 
-// SendEncoded splices the stream's own mux prefix in front of the shared
-// envelope bytes, so a fan-out to N streams pays one envelope encode
-// (Encoded.Frame) and N small headers.
-func (s *muxStream) SendEncoded(enc *Encoded) error {
-	frame, err := enc.Frame()
-	if err != nil {
-		return err
-	}
-	err = s.m.writeFrame(s, func(w *bufio.Writer) error {
-		return s.spliceLocked(w, frame)
-	})
-	if err != nil {
-		return err
-	}
-	countSend(enc.env)
-	return nil
-}
-
 func (s *muxStream) SendBatch(batch []Outgoing) error {
 	err := s.m.writeFrame(s, func(w *bufio.Writer) error {
 		for _, o := range batch {

@@ -1,11 +1,9 @@
 // Package transport provides the point-to-point links of the Enclaves
-// architecture (Figure 1): an in-memory network for tests and examples, a
-// TCP transport for deployment, and an adversarial hub that gives a
-// Dolev-Yao attacker full control of the network — observation, dropping,
-// injection, duplication and replay of frames — matching the threat model
-// of Section 3.1 ("compromised participants and outsiders can read all the
-// messages exchanged, replay old messages, and send arbitrary messages they
-// can construct").
+// architecture (Figure 1): an in-memory network for tests and examples and a
+// TCP transport for deployment. Both are honest and carry no policy; the
+// network of Section 3.1 — lossy, and controlled by a Dolev-Yao attacker who
+// reads, drops, injects and replays frames — is faultnet.Link, which sits in
+// front of any Conn this package produces.
 package transport
 
 import (
@@ -44,9 +42,9 @@ var ErrClosed = errors.New("transport: closed")
 // once and shared across a fan-out: the leader relay wraps the envelope in
 // one Encoded and hands the same value to every member's connection.
 // Byte-stream transports encode the frame on first use and then write the
-// identical bytes N times; message-oriented transports (pipes, links) never
-// trigger the encoding at all. Safe for concurrent use; the frame bytes
-// must be treated as immutable by every consumer.
+// identical bytes N times; message-oriented transports (pipes) never trigger
+// the encoding at all. Safe for concurrent use; the frame bytes must be
+// treated as immutable by every consumer.
 type Encoded struct {
 	env  wire.Envelope
 	once sync.Once
@@ -56,9 +54,6 @@ type Encoded struct {
 
 // NewEncoded wraps an envelope for encode-once fan-out.
 func NewEncoded(env wire.Envelope) *Encoded { return &Encoded{env: env} }
-
-// Env returns the wrapped envelope.
-func (e *Encoded) Env() wire.Envelope { return e.env }
 
 // Frame returns the complete length-prefixed frame (wire.EncodeFrame),
 // encoding on first call and reusing the bytes for every later one.
@@ -87,10 +82,6 @@ func (o Outgoing) Envelope() wire.Envelope {
 type Conn interface {
 	// Send transmits one envelope.
 	Send(wire.Envelope) error
-	// SendEncoded transmits an envelope whose wire frame is shared across
-	// a fan-out; byte-stream transports write the pre-encoded bytes
-	// instead of re-encoding per connection.
-	SendEncoded(*Encoded) error
 	// SendBatch transmits the batch in order with at most one flush, so a
 	// drained outbox costs one syscall instead of one per frame.
 	SendBatch([]Outgoing) error
@@ -154,8 +145,6 @@ func (c *pipeConn) Send(e wire.Envelope) error {
 	countSend(e)
 	return nil
 }
-
-func (c *pipeConn) SendEncoded(enc *Encoded) error { return c.Send(enc.env) }
 
 func (c *pipeConn) SendBatch(batch []Outgoing) error { return SendEach(c, batch) }
 

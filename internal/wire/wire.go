@@ -179,7 +179,7 @@ func appendLenPrefixed(dst []byte, s string) []byte {
 // EncodeFrame serializes the envelope behind a 4-byte big-endian length
 // prefix, in one exactly-sized allocation. The result can be shared by any
 // number of byte-stream writers — the encode-once fan-out path of the leader
-// relay (transport.Conn.SendEncoded), where each mux stream splices its own
+// relay (transport.Outgoing.Enc), where each mux stream splices its own
 // routing header in front of the bytes after the prefix.
 func EncodeFrame(e Envelope) ([]byte, error) {
 	if err := checkBounds(e); err != nil {
