@@ -236,15 +236,16 @@ func run(args []string) error {
 	log.Printf("enclaved: %s %q serving %d users on %s (rekey on %s, coalesce %v, heartbeat %v, ack timeout %v, outbox %d, fan-out workers %d)",
 		role, *name, len(cfg.Users), l.Addr(), *rekeyOn, *coalesce, *heartbeat, *ackWait, *outbox, *fanWorkers)
 
-	// Graceful shutdown on SIGINT/SIGTERM: close the listener and every
-	// member connection, then exit cleanly.
+	// Graceful shutdown on SIGINT/SIGTERM: close every member connection,
+	// then the listener. The leader closes first: only then does Serve read
+	// the accept error as a clean stop (exit 0) and not as a failure.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		sig := <-sigCh
 		log.Printf("enclaved: %v, shutting down", sig)
-		l.Close()
 		leader.Close()
+		l.Close()
 	}()
 	return leader.Serve(l)
 }

@@ -5,9 +5,12 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"enclaves/internal/crypto"
 )
@@ -171,6 +174,41 @@ func TestStartupDerivesEachKeyOnce(t *testing.T) {
 		}
 		if derived != tc.want {
 			t.Errorf("%s: %d derivations, want %d", tc.name, derived, tc.want)
+		}
+	}
+}
+
+// TestSingleTenantSigtermExitsClean: SIGTERM ends a single-tenant daemon
+// with a nil error from run, i.e. exit status 0. It used to close the
+// listener before the leader, so Serve saw an accept error on a leader not
+// yet closed and the daemon exited 1 with "group: accept: transport: closed".
+func TestSingleTenantSigtermExitsClean(t *testing.T) {
+	users := filepath.Join(t.TempDir(), "users.txt")
+	if err := os.WriteFile(users, []byte("m0:pw\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	// The test's own handler keeps a signal that lands before run has
+	// registered its handler from killing the test binary; the signal is
+	// sent again until run has seen one.
+	own := make(chan os.Signal, 1)
+	signal.Notify(own, syscall.SIGTERM)
+	defer signal.Stop(own)
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"-users", users, "-addr", "127.0.0.1:0"}) }()
+	deadline := time.After(10 * time.Second)
+	for {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run after SIGTERM = %v, want nil (exit 0)", err)
+			}
+			return
+		case <-time.After(20 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("daemon still serving 10 s after SIGTERM")
 		}
 	}
 }

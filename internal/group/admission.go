@@ -192,34 +192,17 @@ func (g *Leader) admitLocked(s *memberConn, resumed bool) {
 
 	// Inform the rest of the group first, then bring the new member up to
 	// date. Admin messages to each member are totally ordered by the
-	// verified pipeline, so every member sees a consistent history.
-	g.broadcastAdminLocked(wire.MemberJoined{Name: s.user}, s.user)
-
-	switch {
-	case resumed:
-		// The first body in the fresh outbox: the engine seals it as the
-		// ResumeAck, and everything after it queues behind the member's ack.
-		g.sendCurrentKeysLocked(s)
-	case g.rekey.OnJoin && g.coalesce > 0:
-		// Coalescing: hand the joiner the current key material so it can
-		// read group traffic immediately, then fold this join's rotation
-		// into the pending window with the rest of the burst.
-		g.sendCurrentKeysLocked(s)
-		g.requestRekeyLocked()
-	case g.rekey.OnJoin:
-		// Flat: rekeyLocked broadcasts NewGroupKey to everyone including
-		// the new member. LKH: the rotation's KeyUpdate frames are sealed
-		// under subtree keys the joiner does not hold yet, so hand it the
-		// complete post-rotation path afterwards.
-		if err := g.rekeyLocked(); err != nil {
-			g.logf("group: rekey on join: %v", err)
-		}
-		if g.tree != nil {
-			g.sendCurrentKeysLocked(s)
-		}
-	default:
-		g.sendCurrentKeysLocked(s)
-	}
+	// verified pipeline, so every member sees a consistent history. A flat
+	// rotation's broadcast skips the joiner, whose view comes from MemberList;
+	// LKH's KeyUpdate frames are sealed under subtree keys it does not hold
+	// yet; inside a coalescing window it reads group traffic on the current
+	// key at once. In every case it gets the current keys just below.
+	rotate := !resumed && g.rekey.OnJoin
+	g.announceLocked(wire.MemberJoined{Name: s.user}, wire.NewGroupKey{Joined: []string{s.user}}, "join "+s.user, s.user,
+		rotate, rotate && g.coalesce <= 0)
+	// On a resumption this is the first body in the fresh outbox: the engine
+	// seals it as the ResumeAck, and the rest queues behind the member's ack.
+	g.sendCurrentKeysLocked(s)
 	g.sendAdminLocked(s, wire.MemberList{Names: g.reg.names()})
 }
 
@@ -269,7 +252,7 @@ func (g *Leader) snapshotLocked() replica.State {
 		GroupKey:     g.groupKey,
 		AuditSeq:     g.audit.current(),
 		Members:      make(map[string]replica.Session),
-		RekeyPending: g.rekeyPending,
+		RekeyPending: g.rekeyPending > 0,
 	}
 	if g.tree != nil {
 		st.LKHArity = g.tree.Arity()

@@ -64,7 +64,10 @@ type Event struct {
 	User string
 	// Epoch is the group-key epoch after the event.
 	Epoch uint64
-	// Detail carries diagnostic context (e.g. the rejection reason).
+	// Detail carries diagnostic context: the rejection reason, the eviction
+	// cause, and for Rekeyed why the epoch moved — "join <user>",
+	// "leave <user>" (evictions included), "expel <user>", "manual",
+	// "coalesced <k>" for a window that folded k triggers, "promotion".
 	Detail string
 }
 

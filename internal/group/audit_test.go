@@ -70,13 +70,18 @@ func auditGroup(t *testing.T, log *eventLog, users ...string) (*Leader, *transpo
 
 func TestAuditLifecycleEvents(t *testing.T) {
 	var log eventLog
-	g, net := auditGroup(t, &log, "alice", "bob")
+	g, net := auditGroup(t, &log, "alice", "bob", "carol")
 
 	alice := join(t, net, "alice")
 	bob := join(t, net, "bob")
-	waitFor(t, "two members", func() bool { return len(g.Members()) == 2 })
-	waitFor(t, "two join events", func() bool { return log.count(EventJoined) == 2 })
+	carol := join(t, net, "carol")
+	defer carol.Leave()
+	waitFor(t, "three members", func() bool { return len(g.Members()) == 3 })
+	waitFor(t, "three join events", func() bool { return log.count(EventJoined) == 3 })
 
+	if err := g.Rekey(); err != nil {
+		t.Fatal(err)
+	}
 	if err := alice.Leave(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +93,23 @@ func TestAuditLifecycleEvents(t *testing.T) {
 	waitFor(t, "expel event", func() bool { return log.count(EventExpelled) == 1 })
 	_ = bob
 
-	// Rekeys fired on join and leave per the default policy.
-	if log.count(EventRekeyed) == 0 {
-		t.Error("no rekey events recorded")
-	}
-
-	// Events carry the right users.
-	var joinedUsers []string
+	// Events carry the right users, and every rotation names its cause: with
+	// notice and key in one message, "why did the epoch move" is answered by
+	// the audit stream alone.
+	var joinedUsers, causes []string
 	for _, e := range log.snapshot() {
-		if e.Kind == EventJoined {
+		switch e.Kind {
+		case EventJoined:
 			joinedUsers = append(joinedUsers, e.User)
+		case EventRekeyed:
+			causes = append(causes, e.Detail)
 		}
 	}
-	if strings.Join(joinedUsers, ",") != "alice,bob" {
+	if strings.Join(joinedUsers, ",") != "alice,bob,carol" {
 		t.Errorf("joined users = %v", joinedUsers)
+	}
+	if want := "join alice,join bob,join carol,manual,leave alice,expel bob"; strings.Join(causes, ",") != want {
+		t.Errorf("rekey causes = %q, want %q", causes, want)
 	}
 }
 

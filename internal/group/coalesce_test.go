@@ -105,6 +105,10 @@ func TestCoalescedJoinBurstSingleRekey(t *testing.T) {
 	if n := logr.count(EventRekeyed); n != 1 {
 		t.Fatalf("audit saw %d EventRekeyed, want exactly 1 for the burst", n)
 	}
+	// The one rotation says what it stood for: all five joins.
+	if e, _ := logr.last(EventRekeyed); e.Detail != "coalesced 5" {
+		t.Errorf("rekey cause = %q, want %q", e.Detail, "coalesced 5")
+	}
 }
 
 // muteConn wraps a member-side conn; once armed it silently drops every

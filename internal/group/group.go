@@ -152,7 +152,7 @@ type Leader struct {
 	// LKH is disabled. Like repl, producers only enqueue.
 	kuQ *queue.Queue[kuJob]
 
-	mu       sync.Mutex
+	mu       sync.RWMutex // read side: sealFrame's wait for a change in progress
 	users    map[string]crypto.Key
 	groupKey crypto.Key
 	epoch    uint64
@@ -169,7 +169,8 @@ type Leader struct {
 	// rekeyPending/rekeyTimer implement the coalescing window: the first
 	// debounced trigger arms the timer, later triggers inside the window
 	// fold into it, and any immediate rotation absorbs the pending one.
-	rekeyPending bool
+	// rekeyPending counts the triggers waiting on the window.
+	rekeyPending int
 	rekeyTimer   *time.Timer
 	// bcastBuf is the reusable fan-out snapshot for admin broadcasts; it is
 	// only touched under mu, so one buffer serves every broadcast.
@@ -502,7 +503,7 @@ func (g *Leader) Close() {
 		g.rekeyTimer.Stop()
 		g.rekeyTimer = nil
 	}
-	g.rekeyPending = false
+	g.rekeyPending = 0
 	conns := make([]transport.Conn, 0, len(g.conns))
 	for c := range g.conns {
 		conns = append(conns, c)
@@ -538,14 +539,19 @@ func (g *Leader) Rekey() error {
 	if g.closed {
 		return errLeaderClosed
 	}
-	return g.rekeyLocked()
+	return g.rekeyLocked("manual", wire.NewGroupKey{}, "")
 }
 
-func (g *Leader) rekeyLocked() error {
+// rekeyLocked rotates the group key now; cause becomes the audit event's
+// Detail. delta names the membership change the rotation answers and skip
+// the joiner it must not reach: the flat path adds epoch and key and
+// broadcasts that one body. Under LKH keys travel as KeyUpdate frames, the
+// caller has announced the change itself, and delta is empty.
+func (g *Leader) rekeyLocked(cause string, delta wire.NewGroupKey, skip string) error {
 	// An immediate rotation satisfies any pending debounced one: absorb it
 	// so the window cannot fire a redundant second broadcast.
-	if g.rekeyPending {
-		g.rekeyPending = false
+	if g.rekeyPending > 0 {
+		g.rekeyPending = 0
 		if g.rekeyTimer != nil {
 			g.rekeyTimer.Stop()
 			g.rekeyTimer = nil
@@ -553,7 +559,7 @@ func (g *Leader) rekeyLocked() error {
 		mRekeysCoalesced.Inc()
 	}
 	if g.tree != nil {
-		return g.rekeyTreeLocked()
+		return g.rekeyTreeLocked(cause)
 	}
 	kg, err := crypto.NewKey()
 	if err != nil {
@@ -561,12 +567,13 @@ func (g *Leader) rekeyLocked() error {
 	}
 	g.groupKey = kg
 	g.epoch++
-	g.logf("group: rekey to epoch %d", g.epoch)
+	g.logf("group: rekey to epoch %d (%s)", g.epoch, cause)
 	mRekeys.Inc()
 	g.tm.rekey(g.epoch)
-	g.audit.emit(Event{Kind: EventRekeyed, Epoch: g.epoch})
+	g.audit.emit(Event{Kind: EventRekeyed, Epoch: g.epoch, Detail: cause})
 	g.replPublish(replica.Delta{Kind: wire.ReplRekey, Epoch: g.epoch, GroupKey: kg})
-	g.broadcastAdminLocked(wire.NewGroupKey{Epoch: g.epoch, Key: kg}, "")
+	delta.Epoch, delta.Key = g.epoch, kg
+	g.broadcastAdminLocked(delta, skip)
 	return nil
 }
 
@@ -717,10 +724,12 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 		s.ackLocked(ev.AckedSeq, now)
 		// Mirror the advanced chained nonce to the standby: the session is
 		// only resumable from a nonce both sides agree on.
-		if es, ok := s.engine.ExportState(); ok {
-			g.replPublish(replica.Delta{
-				Kind: wire.ReplSessionSync, User: s.user, Nonce: es.Nonce, Seq: es.Seq,
-			})
+		if g.repl != nil {
+			if es, ok := s.engine.ExportState(); ok {
+				g.replPublish(replica.Delta{
+					Kind: wire.ReplSessionSync, User: s.user, Nonce: es.Nonce, Seq: es.Seq,
+				})
+			}
 		}
 	}
 	if ev.Closed {
@@ -765,7 +774,7 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 	}
 	if ev.Closed {
 		// Only a session still in the registry departs: a stale one (already
-		// evicted, or displaced by a rejoin) must not broadcast MemberLeft or
+		// evicted, or displaced by a rejoin) must not announce a departure or
 		// trigger a rotation for a user who may be a live member again.
 		if g.reg.remove(s) {
 			mLeaves.Inc()
@@ -787,6 +796,16 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 func (g *Leader) sealFrame(s *memberConn, f outFrame) (wire.Envelope, bool) {
 	if f.sealed {
 		return f.env, true
+	}
+	// A membership change holds mu for its whole fan-out and this read side
+	// waits one out, so nobody holds a rotation's key, and multicasts under
+	// it, while a peer's copy is not yet queued: the relayed frame would
+	// overtake the key there and be dropped.
+	g.mu.RLock()
+	closed := g.closed
+	g.mu.RUnlock()
+	if closed {
+		return wire.Envelope{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -816,17 +835,35 @@ func (g *Leader) departedLocked(user string, immediate bool) {
 	// RotateDirty retires every key the member held.
 	g.leaveTreeLocked(user)
 	g.replPublish(replica.Delta{Kind: wire.ReplMemberDown, User: user})
-	g.broadcastAdminLocked(wire.MemberLeft{Name: user}, "")
-	if !g.rekey.OnLeave || g.reg.size() == 0 {
-		return
+	rotate := g.rekey.OnLeave && g.reg.size() > 0
+	cause := "leave " + user
+	if immediate {
+		cause = "expel " + user
 	}
-	if immediate || g.coalesce <= 0 {
-		if err := g.rekeyLocked(); err != nil {
-			g.logf("group: rekey on leave: %v", err)
+	g.announceLocked(wire.MemberLeft{Name: user}, wire.NewGroupKey{Left: []string{user}}, cause, "",
+		rotate, rotate && (immediate || g.coalesce <= 0))
+}
+
+// announceLocked tells every member but skip about one membership change and
+// rotates per policy: rotate says the policy asks for a rotation, now that it
+// may not wait for the coalescing window. A flat rotation that happens now
+// carries the change itself (delta) — one AdminMsg per member, and after a
+// leave the departed member's key is dead one ack round trip later, not two.
+// notice travels on its own only where no key message follows at once: LKH,
+// the coalescing window, the policy off, a resumption.
+func (g *Leader) announceLocked(notice wire.AdminBody, delta wire.NewGroupKey, cause, skip string, rotate, now bool) {
+	if !now || g.tree != nil {
+		delta = wire.NewGroupKey{}
+		g.broadcastAdminLocked(notice, skip)
+	}
+	switch {
+	case now:
+		if err := g.rekeyLocked(cause, delta, skip); err != nil {
+			g.logf("group: rekey (%s): %v", cause, err)
 		}
-		return
+	case rotate:
+		g.requestRekeyLocked()
 	}
-	g.requestRekeyLocked()
 }
 
 // broadcastAdminLocked queues an admin body for every member except skip.

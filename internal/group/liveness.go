@@ -30,7 +30,7 @@ type Liveness struct {
 	HeartbeatInterval time.Duration
 	// AckTimeout is the deadline for acknowledging an outstanding AdminMsg
 	// (heartbeat or otherwise). A member that misses it is evicted: removed
-	// from the membership, announced via MemberLeft, rekeyed per the
+	// from the membership, announced to the survivors, rekeyed per the
 	// on-leave policy, and surfaced as an EventEvicted audit event. Zero
 	// disables eviction.
 	AckTimeout time.Duration
@@ -149,7 +149,7 @@ func (g *Leader) livenessTick(now time.Time) {
 
 // evictLocked expels a member the failure detector (ack deadline) or the
 // slow-consumer policy (outbox overflow) has given up on. The group-level
-// effect is identical to a voluntary leave — MemberLeft broadcast plus the
+// effect is identical to a voluntary leave — the announcement plus the
 // on-leave rekey — so forward secrecy holds against dead members exactly as
 // it does against departed ones.
 func (g *Leader) evictLocked(s *memberConn, detail string) {

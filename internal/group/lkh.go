@@ -66,17 +66,17 @@ func fromReplNode(n wire.ReplLKHNode) lkh.Record {
 // root always included, so every rotation still bumps the epoch and yields
 // a fresh group key), replicate the changed tree records, and hand the
 // updates to the publisher. Caller holds g.mu.
-func (g *Leader) rekeyTreeLocked() error {
+func (g *Leader) rekeyTreeLocked(cause string) error {
 	ups, err := g.tree.RotateDirty()
 	if err != nil {
 		return err
 	}
 	g.groupKey = g.tree.RootKey()
 	g.epoch++
-	g.logf("group: rekey to epoch %d (%d subtree updates)", g.epoch, len(ups))
+	g.logf("group: rekey to epoch %d (%s, %d subtree updates)", g.epoch, cause, len(ups))
 	mRekeys.Inc()
 	g.tm.rekey(g.epoch)
-	g.audit.emit(Event{Kind: EventRekeyed, Epoch: g.epoch})
+	g.audit.emit(Event{Kind: EventRekeyed, Epoch: g.epoch, Detail: cause})
 	g.replTreeLocked()
 	g.replPublish(replica.Delta{Kind: wire.ReplRekey, Epoch: g.epoch, GroupKey: g.groupKey})
 	g.enqueueKeyUpdatesLocked(ups)

@@ -8,6 +8,7 @@ import (
 	"enclaves/internal/core"
 	"enclaves/internal/lkh"
 	"enclaves/internal/replica"
+	"enclaves/internal/wire"
 )
 
 // Promote builds a Leader from a standby's replicated state after the
@@ -106,7 +107,7 @@ func Promote(cfg Config, st replica.State) (*Leader, error) {
 	// the rotation covers the root plus every path the replica recorded
 	// dirty — departures the crash caught mid-window stay forward-secret —
 	// rather than cutting a whole new flat key.
-	if err := g.rekeyLocked(); err != nil {
+	if err := g.rekeyLocked("promotion", wire.NewGroupKey{}, ""); err != nil {
 		g.mu.Unlock()
 		g.Close()
 		return nil, fmt.Errorf("group: post-promotion rekey: %w", err)

@@ -2,6 +2,7 @@ package group
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"enclaves/internal/replica"
@@ -9,10 +10,10 @@ import (
 )
 
 // requestRekeyLocked registers one policy-triggered rotation with the
-// coalescing window. With no window configured it rotates immediately.
-// Otherwise the first trigger arms a one-shot timer and every further
-// trigger inside the window folds into it, so a k-member churn burst costs
-// one epoch bump and one NewGroupKey broadcast instead of k.
+// coalescing window (callers rotate on their own when none is configured).
+// The first trigger arms a one-shot timer and every further trigger inside
+// the window folds into it, so a k-member churn burst costs one epoch bump
+// and one NewGroupKey broadcast instead of k.
 //
 // Accounting invariant (asserted by the chaos soak): at quiescence, every
 // trigger is accounted for exactly once —
@@ -25,17 +26,11 @@ import (
 //
 // The caller holds g.mu.
 func (g *Leader) requestRekeyLocked() {
-	if g.coalesce <= 0 {
-		if err := g.rekeyLocked(); err != nil {
-			g.logf("group: rekey: %v", err)
-		}
-		return
-	}
-	if g.rekeyPending {
+	g.rekeyPending++
+	if g.rekeyPending > 1 {
 		mRekeysCoalesced.Inc()
 		return
 	}
-	g.rekeyPending = true
 	// Replicate the armed window: if the primary crashes before the flush,
 	// the promoted standby owes the group this rotation (and the ledger its
 	// coalesced credit) — see Promote.
@@ -43,18 +38,19 @@ func (g *Leader) requestRekeyLocked() {
 	g.rekeyTimer = time.AfterFunc(g.coalesce, g.flushRekey)
 }
 
-// flushRekey fires when the coalescing window elapses. The pending flag
+// flushRekey fires when the coalescing window elapses. The pending count
 // may already be gone — an immediate rotation absorbed it, or Close
 // cancelled it — in which case there is nothing to do.
 func (g *Leader) flushRekey() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.closed || !g.rekeyPending {
+	if g.closed || g.rekeyPending == 0 {
 		return
 	}
-	g.rekeyPending = false
+	cause := fmt.Sprintf("coalesced %d", g.rekeyPending)
+	g.rekeyPending = 0
 	g.rekeyTimer = nil
-	if err := g.rekeyLocked(); err != nil {
+	if err := g.rekeyLocked(cause, wire.NewGroupKey{}, ""); err != nil {
 		g.logf("group: coalesced rekey: %v", err)
 	}
 }

@@ -138,7 +138,7 @@ func TestAutoRekeyerRacesCoalescingWindow(t *testing.T) {
 		g.mu.Lock()
 		pending := g.rekeyPending
 		g.mu.Unlock()
-		if !pending {
+		if pending == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -557,31 +557,41 @@ func (m *Member) handleAdmin(env wire.Envelope) {
 
 // applyAdminLocked applies one frame the engine accepted to the member's
 // state — key material and view — and caches its acknowledgment for re-acks.
-// It returns the application event to emit, if any. The join handshake's
+// It returns the application events to emit, in order. The join handshake's
 // AuthKeyDist is the one accepted frame without a body: nothing to apply,
 // and its reply is never re-sent. Caller holds m.mu.
-func (m *Member) applyAdminLocked(ev core.MemberEvent, payload []byte) Event {
-	var out Event
+func (m *Member) applyAdminLocked(ev core.MemberEvent, payload []byte) []Event {
+	var out []Event
 	switch body := ev.Admin.(type) {
 	case nil:
-		return out
+		return nil
 	case wire.NewGroupKey:
+		// The membership change the rotation answers applies first, so the
+		// application sees who left or joined before the key that followed.
+		for _, n := range body.Left {
+			delete(m.view, n)
+			out = append(out, Event{Kind: EventLeft, Name: n})
+		}
+		for _, n := range body.Joined {
+			m.view[n] = true
+			out = append(out, Event{Kind: EventJoined, Name: n})
+		}
 		m.installGroupKeyLocked(body.Key, body.Epoch)
-		out = Event{Kind: EventRekey, Epoch: body.Epoch}
+		out = append(out, Event{Kind: EventRekey, Epoch: body.Epoch})
 	case wire.PathKeys:
-		out = m.applyPathKeysLocked(body)
+		out = append(out, m.applyPathKeysLocked(body))
 	case wire.MemberJoined:
 		m.view[body.Name] = true
-		out = Event{Kind: EventJoined, Name: body.Name}
+		out = append(out, Event{Kind: EventJoined, Name: body.Name})
 	case wire.MemberLeft:
 		delete(m.view, body.Name)
-		out = Event{Kind: EventLeft, Name: body.Name}
+		out = append(out, Event{Kind: EventLeft, Name: body.Name})
 	case wire.MemberList:
 		m.view = make(map[string]bool, len(body.Names))
 		for _, n := range body.Names {
 			m.view[n] = true
 		}
-		out = Event{Kind: EventJoined, Name: m.name} // our own join completed
+		out = append(out, Event{Kind: EventJoined, Name: m.name}) // our own join completed
 	case wire.Heartbeat:
 		// Liveness probe: the ack is the whole point; no application event.
 		// Receipt already refreshed the silence watchdog.
@@ -592,13 +602,15 @@ func (m *Member) applyAdminLocked(ev core.MemberEvent, payload []byte) Event {
 	return out
 }
 
-// emit delivers an event produced by a group-management message to the
-// application, correlated with the leader's pipeline sequence.
-func (m *Member) emit(out Event, seq uint64) {
-	if out.Kind != 0 {
-		out.Seq = seq
-		m.events.Push(out)
-		mEvents.Inc()
+// emit delivers the events produced by one group-management message to the
+// application, each correlated with the leader's pipeline sequence.
+func (m *Member) emit(out []Event, seq uint64) {
+	for _, e := range out {
+		if e.Kind != 0 {
+			e.Seq = seq
+			m.events.Push(e)
+			mEvents.Inc()
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package member
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -192,6 +193,52 @@ func TestAdminEventsUpdateView(t *testing.T) {
 	}
 	if got := m.Members(); len(got) != 2 {
 		t.Errorf("view after left = %v", got)
+	}
+}
+
+// TestKeyCarriesMembershipChange: a NewGroupKey naming the change it answers
+// is one AdminMsg to the engine and three events to the application — who
+// left, who joined, then the key — all under that message's one sequence
+// number, with view and epoch moved together by the time the first event is
+// out.
+func TestKeyCarriesMembershipChange(t *testing.T) {
+	f, m := joinThrough(t)
+	f.sendAdmin(wire.MemberList{Names: []string{"alice", "bob", "dave"}})
+	f.pump(1)
+	nextEvent(t, m)
+
+	key, _ := crypto.NewKey()
+	f.sendAdmin(wire.NewGroupKey{Epoch: 5, Key: key, Joined: []string{"carol"}, Left: []string{"bob"}})
+	f.pump(1) // one ack for the one message
+	want := []Event{
+		{Kind: EventLeft, Name: "bob"},
+		{Kind: EventJoined, Name: "carol"},
+		{Kind: EventRekey, Epoch: 5},
+	}
+	var seq uint64
+	for i, w := range want {
+		ev := nextEvent(t, m)
+		if ev.Kind != w.Kind || ev.Name != w.Name || ev.Epoch != w.Epoch {
+			t.Fatalf("event %d = %v, want %v", i, ev, w)
+		}
+		if i == 0 {
+			seq = ev.Seq
+			if got := m.Members(); !reflect.DeepEqual(got, []string{"alice", "carol", "dave"}) {
+				t.Errorf("view at the first event = %v", got)
+			}
+			if m.Epoch() != 5 {
+				t.Errorf("epoch at the first event = %d, want 5", m.Epoch())
+			}
+		}
+		if ev.Seq == 0 || ev.Seq != seq {
+			t.Errorf("event %d has seq %d, want the message's %d (non-zero)", i, ev.Seq, seq)
+		}
+	}
+	if ev, ok := m.TryNext(); ok {
+		t.Errorf("extra event %v", ev)
+	}
+	if err := m.SendData([]byte("on the new key")); err != nil {
+		t.Fatal(err)
 	}
 }
 

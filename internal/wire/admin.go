@@ -50,18 +50,28 @@ func (k AdminKind) String() string {
 	}
 }
 
+// MaxDeltaNames bounds each of a NewGroupKey's membership lists: a rotation
+// answers the change that triggered it, never a roster (that is MemberList).
+const MaxDeltaNames = 64
+
 // NewGroupKey distributes a new group key K'_g with its epoch. Epochs
-// increase strictly; members use them to label application data.
+// increase strictly; members use them to label application data. Joined and
+// Left name the membership change the rotation answers, so that change costs
+// a member one AdminMsg, not a notice and then a key; both are empty for a
+// rotation no change caused and in a joiner's own copy. Receivers apply Left,
+// then Joined, then the key; senders keep each list within MaxDeltaNames.
 type NewGroupKey struct {
-	Epoch uint64
-	Key   crypto.Key
+	Epoch  uint64
+	Key    crypto.Key
+	Joined []string
+	Left   []string
 }
 
 // AdminKind implements AdminBody.
 func (NewGroupKey) AdminKind() AdminKind { return AdminNewGroupKey }
 
 func (b NewGroupKey) String() string {
-	return fmt.Sprintf("NewGroupKey(epoch=%d, %s)", b.Epoch, b.Key)
+	return fmt.Sprintf("NewGroupKey(epoch=%d, %s, joined=%v, left=%v)", b.Epoch, b.Key, b.Joined, b.Left)
 }
 
 // MemberJoined announces that a user has joined the group.
@@ -164,6 +174,12 @@ func MarshalAdminBody(body AdminBody) []byte {
 	case NewGroupKey:
 		b.putUint64(v.Epoch)
 		b.bytes = append(b.bytes, v.Key.Bytes()...)
+		for _, names := range [][]string{v.Joined, v.Left} {
+			b.putUint8(uint8(len(names)))
+			for _, n := range names {
+				b.putString(n)
+			}
+		}
 	case MemberJoined:
 		b.putString(v.Name)
 	case MemberLeft:
@@ -197,8 +213,17 @@ func UnmarshalAdminBody(data []byte) (AdminBody, error) {
 	kind := AdminKind(p.uint8())
 	switch kind {
 	case AdminNewGroupKey:
-		epoch := p.uint64()
+		out := NewGroupKey{Epoch: p.uint64()}
 		raw := p.fixed(crypto.KeySize)
+		for _, names := range []*[]string{&out.Joined, &out.Left} {
+			n := p.uint8()
+			if n > MaxDeltaNames {
+				return nil, fmt.Errorf("%w: new group key: delta of %d names", ErrBadPayload, n)
+			}
+			for ; n > 0 && p.err == nil; n-- {
+				*names = append(*names, p.string())
+			}
+		}
 		if err := p.finish(); err != nil {
 			return nil, fmt.Errorf("%w: new group key: %v", ErrBadPayload, err)
 		}
@@ -206,7 +231,8 @@ func UnmarshalAdminBody(data []byte) (AdminBody, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: new group key: %v", ErrBadPayload, err)
 		}
-		return NewGroupKey{Epoch: epoch, Key: k}, nil
+		out.Key = k
+		return out, nil
 	case AdminMemberJoined:
 		name := p.string()
 		if err := p.finish(); err != nil {

@@ -185,16 +185,20 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzKeyUpdate drives the LKH payload codecs with arbitrary bytes: neither
-// UnmarshalKeyUpdate nor UnmarshalKeySync nor the PathKeys admin-body
-// decoder may panic or over-allocate, and whatever they accept must
-// re-marshal canonically (including the AD prefix KeyUpdate seals bind to).
+// FuzzKeyUpdate drives the key-carrying payload codecs with arbitrary bytes:
+// neither UnmarshalKeyUpdate nor UnmarshalKeySync nor the PathKeys and
+// NewGroupKey admin-body decoders may panic or over-allocate, and whatever
+// they accept must re-marshal canonically (including the AD prefix KeyUpdate
+// seals bind to).
 func FuzzKeyUpdate(f *testing.F) {
 	ku := KeyUpdatePayload{Node: 9, Ver: 3, Under: 4, Epoch: 12, Root: true, Box: bytes.Repeat([]byte{0xAB}, 60)}
 	f.Add(ku.Marshal())
 	f.Add(KeyUpdatePayload{Node: 1, Ver: 1, Under: 2, Epoch: 1}.Marshal())
 	f.Add(KeySyncPayload{Epoch: 41}.Marshal())
 	f.Add(MarshalAdminBody(PathKeys{Epoch: 7, Root: 1, Leaf: 5}))
+	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 8}))
+	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 9, Joined: []string{"carol"}}))
+	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 10, Joined: []string{"erin", ""}, Left: []string{"bob", "dave"}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 41))
 
@@ -213,9 +217,10 @@ func FuzzKeyUpdate(f *testing.F) {
 			}
 		}
 		if body, err := UnmarshalAdminBody(data); err == nil {
-			if pk, ok := body.(PathKeys); ok {
-				if !bytes.Equal(MarshalAdminBody(pk), data) {
-					t.Fatalf("accepted path keys are not canonical: %x", data)
+			switch body.(type) {
+			case PathKeys, NewGroupKey:
+				if !bytes.Equal(MarshalAdminBody(body), data) {
+					t.Fatalf("accepted %s is not canonical: %x", body.AdminKind(), data)
 				}
 			}
 		}

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -202,13 +204,15 @@ func TestAckPayloadRoundTrip(t *testing.T) {
 func TestAdminMsgPayloadRoundTrip(t *testing.T) {
 	bodies := []AdminBody{
 		NewGroupKey{Epoch: 42, Key: mustKey(t)},
+		NewGroupKey{Epoch: 43, Key: mustKey(t), Left: []string{"dave"}},
+		NewGroupKey{Epoch: 44, Key: mustKey(t), Joined: []string{"erin", "carol"}, Left: []string{"bob"}},
 		MemberJoined{Name: "carol"},
 		MemberLeft{Name: "dave"},
 		MemberList{Names: []string{"alice", "bob", "carol"}},
 		MemberList{},
 	}
 	for _, body := range bodies {
-		t.Run(body.AdminKind().String(), func(t *testing.T) {
+		t.Run(body.String(), func(t *testing.T) {
 			in := AdminMsgPayload{
 				Leader: "l", User: "u",
 				NPrev: mustNonce(t), NNext: mustNonce(t),
@@ -280,6 +284,67 @@ func TestPayloadUnmarshalRejectsTrailingBytes(t *testing.T) {
 	data := append(in.Marshal(), 0x00)
 	if _, err := UnmarshalAck(data); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// TestNewGroupKeyGolden pins the encoding: kind, epoch, key, then the two
+// membership lists, each a one-byte count and length-prefixed names in the
+// order given. A rotation no change caused ends in two zero counts.
+func TestNewGroupKeyGolden(t *testing.T) {
+	raw := make([]byte, crypto.KeySize)
+	for i := range raw {
+		raw[i] = byte(i)
+	}
+	key, err := crypto.KeyFromBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = "01" + "0000000000000207" + "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+	for _, tc := range []struct {
+		body NewGroupKey
+		want string
+	}{
+		{NewGroupKey{Epoch: 0x207, Key: key}, head + "00" + "00"},
+		{NewGroupKey{Epoch: 0x207, Key: key, Left: []string{"bob"}}, head + "00" + "01" + "00000003626f62"},
+		{NewGroupKey{Epoch: 0x207, Key: key, Joined: []string{"eve", "al"}, Left: []string{"bob"}},
+			head + "02" + "00000003657665" + "00000002616c" + "01" + "00000003626f62"},
+	} {
+		enc := MarshalAdminBody(tc.body)
+		if got := hex.EncodeToString(enc); got != tc.want {
+			t.Errorf("%s encodes as\n %s, want\n %s", tc.body, got, tc.want)
+		}
+		back, err := UnmarshalAdminBody(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if !reflect.DeepEqual(back, tc.body) {
+			t.Errorf("round trip: got %s want %s", back, tc.body)
+		}
+	}
+}
+
+// TestNewGroupKeyDeltaBounded: a list longer than MaxDeltaNames is refused
+// before any name is read, a list at the bound is not, and a count that
+// promises more names than the body holds is a bad payload, not a panic.
+func TestNewGroupKeyDeltaBounded(t *testing.T) {
+	names := make([]string, MaxDeltaNames)
+	for i := range names {
+		names[i] = "m"
+	}
+	atBound := MarshalAdminBody(NewGroupKey{Epoch: 1, Key: mustKey(t), Left: names})
+	if _, err := UnmarshalAdminBody(atBound); err != nil {
+		t.Fatalf("delta of %d names rejected: %v", MaxDeltaNames, err)
+	}
+	countAt := 1 + 8 + crypto.KeySize // the joined count; the body above has none joined
+	over := MarshalAdminBody(NewGroupKey{Epoch: 1, Key: mustKey(t)})
+	over[countAt] = MaxDeltaNames + 1
+	if _, err := UnmarshalAdminBody(over); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("delta of %d names: err = %v, want ErrBadPayload", MaxDeltaNames+1, err)
+	}
+	short := MarshalAdminBody(NewGroupKey{Epoch: 1, Key: mustKey(t)})
+	short[countAt] = 3
+	if _, err := UnmarshalAdminBody(short); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("count beyond the body: err = %v, want ErrBadPayload", err)
 	}
 }
 
