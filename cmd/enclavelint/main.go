@@ -1,10 +1,10 @@
 // Command enclavelint runs the protocol-invariant analyzers over the
 // module: the code-level analogues of the paper's machine-checked secrecy
-// invariants. Generation 1 checks single functions (never seal under a
-// protocol lock, cached AEADs on hot paths, crypto/rand only, exhaustive
-// wire-type handling, no key bytes in logs); generation 2 adds the
-// interprocedural passes (keytaint, noncereuse, lockorder) that follow
-// those invariants across call edges.
+// invariants. Three check one package at a time (crypto/rand only, cached
+// AEADs on hot paths, exhaustive wire-type handling); three follow values
+// and effects across call edges (keytaint: no key bytes in logs, errors or
+// events; noncereuse: fresh nonces; lockorder: declared lock order, and no
+// seal or send under a lock).
 //
 // Usage:
 //

@@ -143,7 +143,7 @@ func TestRunBadPattern(t *testing.T) {
 
 func sampleDiags() []analyzers.Diagnostic {
 	return []analyzers.Diagnostic{{
-		Analyzer: "sealunderlock",
+		Analyzer: "lockorder",
 		Pos:      token.Position{Filename: "/repo/internal/group/group.go", Line: 42, Column: 7},
 		Message:  "AEAD Cipher.Seal while holding l.mu",
 	}}
@@ -191,7 +191,7 @@ func TestWriteSARIFFindings(t *testing.T) {
 	}
 	r := log.Runs[0].Results[0]
 	loc := r.Locations[0].Physical
-	if r.RuleID != "sealunderlock" || r.Level != "error" ||
+	if r.RuleID != "lockorder" || r.Level != "error" ||
 		loc.Artifact.URI != "internal/group/group.go" ||
 		loc.Region.StartLine != 42 || loc.Region.StartColumn != 7 {
 		t.Errorf("unexpected sarif result: %s", raw)
@@ -201,7 +201,7 @@ func TestWriteSARIFFindings(t *testing.T) {
 func TestEmitGitHubAnnotations(t *testing.T) {
 	var out strings.Builder
 	emit(sampleDiags(), false, true, "/repo", &out)
-	want := "::error file=internal/group/group.go,line=42,col=7,title=enclavelint/sealunderlock::AEAD Cipher.Seal while holding l.mu\n"
+	want := "::error file=internal/group/group.go,line=42,col=7,title=enclavelint/lockorder::AEAD Cipher.Seal while holding l.mu\n"
 	if out.String() != want {
 		t.Errorf("github annotation:\ngot  %q\nwant %q", out.String(), want)
 	}
@@ -214,7 +214,7 @@ func TestEmitJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &parsed); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
 	}
-	if len(parsed) != 1 || parsed[0]["analyzer"] != "sealunderlock" || parsed[0]["line"] != float64(42) {
+	if len(parsed) != 1 || parsed[0]["analyzer"] != "lockorder" || parsed[0]["line"] != float64(42) {
 		t.Errorf("unexpected JSON payload: %s", out.String())
 	}
 }
@@ -222,7 +222,7 @@ func TestEmitJSON(t *testing.T) {
 func TestEmitPlain(t *testing.T) {
 	var out strings.Builder
 	emit(sampleDiags(), false, false, "/repo", &out)
-	want := "internal/group/group.go:42:7: sealunderlock: AEAD Cipher.Seal while holding l.mu\n"
+	want := "internal/group/group.go:42:7: lockorder: AEAD Cipher.Seal while holding l.mu\n"
 	if out.String() != want {
 		t.Errorf("plain output:\ngot  %q\nwant %q", out.String(), want)
 	}

@@ -1,9 +1,12 @@
 // Package analyzers implements enclavelint, a static-analysis layer that
 // machine-checks the code-level invariants this reproduction has accumulated:
-// never seal under a protocol lock (PR 2), always use the cached AEAD on hot
-// paths (PR 3), never draw crypto material from math/rand, handle every wire
-// message type exhaustively, and never let raw key bytes reach logs or audit
-// events.
+// never seal under a protocol lock (PR 2) and take locks in the declared
+// order, always use the cached AEAD on hot paths (PR 3), never draw crypto
+// material from math/rand, handle every wire message type exhaustively,
+// never reuse a nonce, and never let key bytes reach logs, errors or audit
+// events. Single-file checks (cryptorand, cachedcipher, wireexhaustive) are
+// unit Analyzers; the rest (keytaint, noncereuse, lockorder) are
+// ModuleAnalyzers that follow values and effects across call edges.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf, testdata corpora with // want comments) but is
@@ -59,14 +62,14 @@ func (d Diagnostic) String() string {
 
 // IgnorePrefix introduces a justified exemption comment:
 //
-//	//enclavelint:ignore sealunderlock reason the caller cannot observe ordering otherwise
+//	//enclavelint:ignore lockorder reason the caller cannot observe ordering otherwise
 //
 // The directive suppresses matching diagnostics reported on its own line or
 // the line directly below it. The analyzer list is comma-separated; the
 // free-text justification is mandatory — a bare directive is itself reported.
 const IgnorePrefix = "//enclavelint:ignore"
 
-// badDirectiveAnalyzer attributes malformed ignore directives.
+// badDirectiveAnalyzer attributes malformed, misplaced and stale directives.
 const badDirectiveAnalyzer = "enclavelint"
 
 type ignoreDirective struct {
@@ -77,49 +80,71 @@ type ignoreDirective struct {
 	pos       token.Pos
 }
 
+// directivePrefix introduces every enclavelint directive.
+const directivePrefix = "//enclavelint:"
+
 // parseIgnores scans a file's comments for ignore directives. Malformed
-// directives (no analyzer names, or no justification) are returned as
-// diagnostics so an exemption can never silently lose its reason.
+// directives are returned as diagnostics, so none is ever silently dropped:
+// an ignore with no analyzer names or no justification (an exemption must
+// never lose its reason), a guardedby anywhere but a function's doc comment
+// (where it would check nothing), and an unknown verb.
 func parseIgnores(fset *token.FileSet, f *ast.File) ([]ignoreDirective, []Diagnostic) {
+	onFunc := map[*ast.Comment]bool{}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
+			for _, c := range fd.Doc.List {
+				onFunc[c] = true
+			}
+		}
+	}
 	var dirs []ignoreDirective
 	var bad []Diagnostic
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, IgnorePrefix) {
+			body, ok := strings.CutPrefix(c.Text, directivePrefix)
+			if !ok {
 				continue
 			}
-			rest := strings.TrimPrefix(c.Text, IgnorePrefix)
-			fields := strings.Fields(rest)
-			pos := fset.Position(c.Pos())
-			if len(fields) == 0 {
+			report := func(format string, args ...any) {
 				bad = append(bad, Diagnostic{
 					Analyzer: badDirectiveAnalyzer,
-					Pos:      pos,
-					Message:  "ignore directive names no analyzers (want //enclavelint:ignore <analyzer,...> <justification>)",
+					Pos:      fset.Position(c.Pos()),
+					Message:  fmt.Sprintf(format, args...),
 				})
-				continue
 			}
-			if len(fields) < 2 {
-				bad = append(bad, Diagnostic{
-					Analyzer: badDirectiveAnalyzer,
-					Pos:      pos,
-					Message:  fmt.Sprintf("ignore directive for %q has no justification; exemptions must say why", fields[0]),
-				})
-				continue
+			fields := strings.Fields(body)
+			dir := directivePrefix
+			if len(fields) > 0 {
+				dir, fields = dir+fields[0], fields[1:]
 			}
-			names := map[string]bool{}
-			for _, n := range strings.Split(fields[0], ",") {
-				if n != "" {
-					names[n] = true
+			switch {
+			case dir == LockOrderAnnotation || dir == FreshAnnotation:
+			case dir == GuardedByAnnotation:
+				if !onFunc[c] {
+					report("guardedby directive is not on a function's doc comment, so it checks nothing: move it to the function whose callers hold the lock, or make it a plain comment")
 				}
+			case dir != IgnorePrefix:
+				report("unknown directive %s (want ignore, lockorder, guardedby or fresh): it is ignored", dir)
+			case len(fields) == 0:
+				report("ignore directive names no analyzers (want //enclavelint:ignore <analyzer,...> <justification>)")
+			case len(fields) < 2:
+				report("ignore directive for %q has no justification; exemptions must say why", fields[0])
+			default:
+				names := map[string]bool{}
+				for _, n := range strings.Split(fields[0], ",") {
+					if n != "" {
+						names[n] = true
+					}
+				}
+				pos := fset.Position(c.Pos())
+				dirs = append(dirs, ignoreDirective{
+					file:      pos.Filename,
+					line:      pos.Line,
+					analyzers: names,
+					reason:    strings.Join(fields[1:], " "),
+					pos:       c.Pos(),
+				})
 			}
-			dirs = append(dirs, ignoreDirective{
-				file:      pos.Filename,
-				line:      pos.Line,
-				analyzers: names,
-				reason:    strings.Join(fields[1:], " "),
-				pos:       c.Pos(),
-			})
 		}
 	}
 	return dirs, bad

@@ -3,31 +3,39 @@ package analyzers
 import (
 	"go/parser"
 	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestCryptoRandCorpus(t *testing.T)     { runCorpus(t, CryptoRand, "cryptorand") }
-func TestSealUnderLockCorpus(t *testing.T)  { runCorpus(t, SealUnderLock, "sealunderlock") }
 func TestCachedCipherCorpus(t *testing.T)   { runCorpus(t, CachedCipher, "cachedcipher") }
 func TestWireExhaustiveCorpus(t *testing.T) { runCorpus(t, WireExhaustive, "wireexhaustive") }
-func TestKeyHygieneCorpus(t *testing.T)     { runCorpus(t, KeyHygiene, "keyhygiene") }
+func TestKeyTaintCorpus(t *testing.T)       { runModuleCorpus(t, KeyTaint, "keytaint") }
+func TestNonceReuseCorpus(t *testing.T)     { runModuleCorpus(t, NonceReuse, "noncereuse") }
+func TestLockOrderCorpus(t *testing.T)      { runModuleCorpus(t, LockOrder, "lockorder") }
+
+// The keyhygiene and sealunderlock corpora seed keytaint's direct sinks and
+// local checks and lockorder's seal rule, under the names of the analyzers
+// that once owned those rules.
+func TestKeyHygieneCorpus(t *testing.T)    { runModuleCorpus(t, KeyTaint, "keyhygiene") }
+func TestSealUnderLockCorpus(t *testing.T) { runModuleCorpus(t, LockOrder, "sealunderlock") }
 
 // TestIgnoreDirectiveParsing pins the exemption grammar: analyzers list and
 // a mandatory free-text justification.
 func TestIgnoreDirectiveParsing(t *testing.T) {
 	src := `package p
 
-//enclavelint:ignore sealunderlock the caller is a cold path
+//enclavelint:ignore lockorder the caller is a cold path
 var a int
 
-//enclavelint:ignore sealunderlock,cachedcipher shared justification
+//enclavelint:ignore lockorder,cachedcipher shared justification
 var b int
 
 //enclavelint:ignore
 var c int
 
-//enclavelint:ignore keyhygiene
+//enclavelint:ignore keytaint
 var d int
 `
 	fset := token.NewFileSet()
@@ -39,10 +47,10 @@ var d int
 	if len(dirs) != 2 {
 		t.Fatalf("got %d well-formed directives, want 2", len(dirs))
 	}
-	if !dirs[0].analyzers["sealunderlock"] || dirs[0].reason == "" {
+	if !dirs[0].analyzers["lockorder"] || dirs[0].reason == "" {
 		t.Errorf("first directive parsed wrong: %+v", dirs[0])
 	}
-	if !dirs[1].analyzers["sealunderlock"] || !dirs[1].analyzers["cachedcipher"] {
+	if !dirs[1].analyzers["lockorder"] || !dirs[1].analyzers["cachedcipher"] {
 		t.Errorf("comma-separated analyzer list parsed wrong: %+v", dirs[1])
 	}
 	if len(bad) != 2 {
@@ -76,12 +84,50 @@ func TestIgnoreSuppression(t *testing.T) {
 		{at("x.go", 11, "cachedcipher"), true},
 		{at("x.go", 12, "cachedcipher"), false},
 		{at("x.go", 9, "cachedcipher"), false},
-		{at("x.go", 11, "sealunderlock"), false},
+		{at("x.go", 11, "lockorder"), false},
 		{at("y.go", 11, "cachedcipher"), false},
 	}
 	for _, c := range cases {
 		if got := suppressed(c.d, dirs); got != c.want {
 			t.Errorf("suppressed(%s:%d %s) = %v, want %v", c.d.Pos.Filename, c.d.Pos.Line, c.d.Analyzer, got, c.want)
+		}
+	}
+}
+
+// TestStaleSuppression runs the full Check pipeline over a corpus of
+// directives: one live ignore, one stale, one naming an unknown analyzer, a
+// guardedby on a struct field, and a misspelled verb. The corpus is loaded
+// under a scoped import path so the analyzers actually run.
+func TestStaleSuppression(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "staleignore")
+	units, err := LoadDir(dir, pkgCore)
+	if err != nil {
+		t.Fatalf("loading corpus: %v", err)
+	}
+	kinds := []struct{ substr, names string }{
+		{"stale ignore directive", "cryptorand"},
+		{"unknown analyzer", "keyhygine"},
+		{"guardedby directive is not on a function", ""},
+		{"unknown directive", "//enclavelint:guardby"},
+	}
+	got := make([][]Diagnostic, len(kinds))
+next:
+	for _, d := range Check(units) {
+		for i, k := range kinds {
+			if strings.Contains(d.Message, k.substr) {
+				got[i] = append(got[i], d)
+				continue next
+			}
+		}
+		// The live directive must keep suppressing: no cryptorand finding
+		// may leak through, and nothing else should fire.
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+	for i, k := range kinds {
+		if len(got[i]) != 1 {
+			t.Errorf("got %d %q reports, want 1: %v", len(got[i]), k.substr, got[i])
+		} else if !strings.Contains(got[i][0].Message, k.names) {
+			t.Errorf("%q report does not name %s: %s", k.substr, k.names, got[i][0].Message)
 		}
 	}
 }

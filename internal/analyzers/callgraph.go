@@ -9,13 +9,13 @@ import (
 )
 
 // This file is the interprocedural half of the framework: a module-wide
-// function index and call graph over every loaded unit. PR 4's analyzers
-// are deliberately intraprocedural — each inspects one function body — which
-// means a key that flows through a single helper call, a nonce consumed by a
-// sealing helper, or a lock taken two frames down are all invisible to them.
-// Module analyzers (keytaint, noncereuse, lockorder) run over a Module
-// instead of a Unit and follow values and effects across call edges using
-// per-function summaries computed to a fixpoint.
+// function index and call graph over every loaded unit. A unit analyzer
+// inspects one package at a time, so a key that flows through a single
+// helper call, a nonce consumed by a sealing helper, or a lock taken two
+// frames down are all invisible to it. Module analyzers (keytaint,
+// noncereuse, lockorder) run over a Module instead of a Unit and follow
+// values and effects across call edges using per-function summaries
+// computed to a fixpoint.
 
 // A FuncID names a declared function or method uniquely across the module:
 // "pkg/path.Name" for package functions, "pkg/path.(Recv).Name" for methods
@@ -61,14 +61,58 @@ func (fn *FuncNode) Sig() *types.Signature {
 // Params returns the dataflow parameter list: the receiver (when present)
 // followed by the declared parameters, so summaries can treat methods and
 // functions uniformly with the receiver as parameter 0.
-func (fn *FuncNode) Params() []*types.Var {
-	sig := fn.Sig()
+func (fn *FuncNode) Params() []*types.Var { return recvFirstParams(fn.Obj) }
+
+// recvFirstParams returns f's receiver (when present) followed by its
+// declared parameters.
+func recvFirstParams(f *types.Func) []*types.Var {
+	sig, _ := f.Type().(*types.Signature)
+	if sig == nil {
+		return nil
+	}
 	var out []*types.Var
 	if sig.Recv() != nil {
 		out = append(out, sig.Recv())
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
 		out = append(out, sig.Params().At(i))
+	}
+	return out
+}
+
+// callerArg is one caller-side argument paired with the callee parameter
+// slot it feeds (receiver-first indexing; variadic overflow clamps onto the
+// last parameter).
+type callerArg struct {
+	expr  ast.Expr
+	param int
+}
+
+// callArgsOf enumerates a call's arguments with their callee parameter
+// slots, the method receiver included as parameter 0.
+func callArgsOf(call *ast.CallExpr, f *types.Func) []callerArg {
+	sig, _ := f.Type().(*types.Signature)
+	if sig == nil {
+		return nil
+	}
+	var out []callerArg
+	offset := 0
+	if sig.Recv() != nil {
+		offset = 1
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			out = append(out, callerArg{expr: sel.X, param: 0})
+		}
+	}
+	nparams := sig.Params().Len()
+	for i, a := range call.Args {
+		p := i
+		if sig.Variadic() && p >= nparams-1 {
+			p = nparams - 1
+		}
+		if p >= nparams {
+			continue
+		}
+		out = append(out, callerArg{expr: a, param: p + offset})
 	}
 	return out
 }

@@ -1,11 +1,13 @@
 package analyzers
 
-// KeyTaint is the interprocedural successor to keyhygiene: where keyhygiene
-// pins the single-function cases (raw Key.Bytes() or a key-named byte slice
-// passed straight to a log call), keytaint follows key-derived bytes through
-// any chain of module-internal calls — helper wrappers, struct-building
-// marshal methods, value plumbing through returns and slices — and reports
-// when they reach an observable channel:
+// KeyTaint keeps raw key material out of observable channels. crypto.Key
+// redacts itself (String prints a fingerprint), but Key.Bytes() and
+// key-named byte slices are raw secrets: one fmt.Printf or audit-event copy
+// puts P_a/K_a — the values the paper's PVS proofs guard — into logs,
+// metrics, or crash dumps. keytaint follows key-derived bytes from the
+// source, directly or through any chain of module-internal calls — helper
+// wrappers, struct-building marshal methods, value plumbing through returns
+// and slices — and reports when they reach an observable channel:
 //
 //   - logging sinks (fmt/log/slog, printf-shaped helpers) and metrics;
 //   - error values (fmt.Errorf via the fmt sink, errors.New explicitly) —
@@ -23,13 +25,13 @@ package analyzers
 // sealing sanitize (external callees are clean by default); encodings,
 // formatting, append/copy, and string conversion propagate.
 //
-// Division of labor: a tainted argument that is *directly* key material by
-// keyhygiene's syntactic definition is keyhygiene's finding and skipped
-// here, so the two analyzers partition the space instead of double
-// reporting. See taint.go for the engine.
+// Two local checks ride along in the same pass: crypto.Key formatted with
+// %x/%X/%#v (which bypass its String method and reflect over the unexported
+// key bytes), and key material converted to string. See taint.go for the
+// engine.
 var KeyTaint = &ModuleAnalyzer{
 	Name: "keytaint",
-	Doc:  "forbid key-derived bytes from reaching logs, errors, metrics, audit events, or unsealed wire frames across function boundaries",
+	Doc:  "forbid raw or key-derived bytes in logs, errors, metrics, audit events, string conversions, or unsealed wire frames, across function boundaries",
 	Run:  runKeyTaint,
 }
 

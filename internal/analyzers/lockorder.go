@@ -8,17 +8,18 @@ import (
 	"strings"
 )
 
-// LockOrder machine-checks the documented lock hierarchy. internal/group's
-// concurrency comment declares the acquisition order
+// LockOrder machine-checks the two lock invariants on one walk of each
+// function body, tracking held locks (defer Unlock keeps a lock held;
+// goroutine and function-literal bodies start lock-free).
+//
+// Order. internal/group's concurrency comment declares the acquisition order
 //
 //	//enclavelint:lockorder Leader.mu < stripe < memberConn.mu
 //
 // and every deadlock the model checker ever found in this codebase was an
 // inversion of exactly that kind of edge: thread 1 takes Leader.mu then a
 // registry stripe, thread 2 takes the stripe then blocks on Leader.mu. The
-// analyzer derives the hierarchy from the annotations, tracks held locks
-// through each function body (defer Unlock keeps a lock held; goroutine
-// bodies start lock-free), and reports:
+// analyzer derives the hierarchy from the annotations and reports:
 //
 //   - a direct inversion: acquiring a class the declared order says must
 //     come before one already held;
@@ -36,9 +37,21 @@ import (
 // Leader.mu" contract is checked too. Classes never mentioned by any
 // annotation are unconstrained: the analyzer enforces declared order, it
 // does not invent one.
+//
+// Seal off the lock (the PR 2 invariant). AEAD Seal/Open and blocking
+// transport sends must never run while a mutex — classed or not — is held.
+// Sealing is ~1µs of AES-GCM per message and a send can block on a peer's
+// TCP window; doing either under Leader.mu serialized the whole group behind
+// one slow member. Functions named *Locked declare "caller holds a lock" and
+// run under a pseudo-held <caller> lock with no order constraint: the shape
+// of the original seal-under-Leader.mu bug (broadcastAdminLocked). This rule
+// is intraprocedural by design — a transitive closure would condemn
+// by-design patterns like engine dispatch under a per-member writer lock.
+// Flagged calls: (*crypto.Cipher).Seal/Open, cipher.AEAD Seal/Open, one-shot
+// crypto.Seal/Open, and Send/SendBatch methods on transport types.
 var LockOrder = &ModuleAnalyzer{
 	Name: "lockorder",
-	Doc:  "enforce the annotated lock acquisition order across call chains",
+	Doc:  "enforce the annotated lock acquisition order across call chains, and forbid AEAD Seal/Open and blocking transport sends while a mutex is held",
 	Run:  runLockOrder,
 }
 
@@ -60,9 +73,6 @@ func runLockOrder(p *ModulePass) {
 		pass:    p,
 	}
 	e.collectAnnotations()
-	if len(e.before) == 0 && len(e.guards) == 0 {
-		return // nothing declared, nothing to enforce
-	}
 	e.closeOrder()
 	// Local pass: per-function acquires and non-goroutine callees.
 	e.mod.EachFunc(func(fn *FuncNode) {
@@ -281,38 +291,59 @@ func hasLockMethods(named *types.Named) bool {
 	return lock && unlock
 }
 
-// classOfMutexOp classifies a Lock/Unlock-family call into (class key, op).
-// Wrapper inner mutexes canonicalize to the wrapper class.
-func (e *lockOrderEngine) classOfMutexOp(info *types.Info, call *ast.CallExpr) (string, mutexOpKind) {
+// typeClass is the lock class of a whole named type: a lock wrapper.
+func (e *lockOrderEngine) typeClass(n *types.Named) string {
+	return e.intern(n.Obj().Pkg().Path()+"."+n.Obj().Name(), n.Obj().Name())
+}
+
+type lockOpKind int
+
+const (
+	opNone lockOpKind = iota
+	opLock
+	opUnlock
+)
+
+// lockOp recognizes X.Lock / X.RLock / X.TryLock / X.Unlock / X.RUnlock
+// calls on a lock: a sync.Mutex / sync.RWMutex, or a lock wrapper — a named
+// type with its own Lock/Unlock methods, or a struct carrying a mutex (the
+// registry stripe in internal/group). Holding a wrapper is holding its inner
+// mutex. The returned heldLock carries the receiver's expression text and
+// its class, "" for a mutex no class names (a local, say); wrapper inner
+// mutexes canonicalize to the wrapper class. A Lock-family call on anything
+// else returns its op with an empty expr.
+func (e *lockOrderEngine) lockOp(info *types.Info, call *ast.CallExpr) (heldLock, lockOpKind) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", opNone
+		return heldLock{}, opNone
 	}
-	var op mutexOpKind
+	var op lockOpKind
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "TryLock", "TryRLock":
 		op = opLock
 	case "Unlock", "RUnlock":
 		op = opUnlock
 	default:
-		return "", opNone
+		return heldLock{}, opNone
 	}
 	f := funcOf(info, call)
 	if f == nil {
-		return "", opNone
+		return heldLock{}, opNone
 	}
 	rt := recvType(f)
 	if rt == nil {
-		return "", opNone
+		return heldLock{}, opNone
 	}
-	if typeIs(rt, "sync", "Mutex") || typeIs(rt, "sync", "RWMutex") {
-		return e.classOfMutexExpr(info, sel.X), op
+	lk := heldLock{expr: types.ExprString(sel.X)}
+	switch n := namedOf(rt); {
+	case typeIs(rt, "sync", "Mutex") || typeIs(rt, "sync", "RWMutex"):
+		lk.cls = e.classOfMutexExpr(info, sel.X)
+	case n != nil && hasLockMethods(n) && n.Obj().Pkg() != nil:
+		lk.cls = e.typeClass(n)
+	case !isLockWrapper(rt):
+		return heldLock{}, op
 	}
-	// A wrapper's own Lock/Unlock: the wrapper type is the class.
-	if n := namedOf(rt); n != nil && hasLockMethods(n) && n.Obj().Pkg() != nil {
-		return e.intern(n.Obj().Pkg().Path()+"."+n.Obj().Name(), n.Obj().Name()), op
-	}
-	return "", op
+	return lk, op
 }
 
 // classOfMutexExpr derives the class of a raw mutex expression: a field
@@ -329,11 +360,11 @@ func (e *lockOrderEngine) classOfMutexExpr(info *types.Info, x ast.Expr) string 
 		if owner == nil || owner.Obj().Pkg() == nil {
 			return ""
 		}
-		pkg := owner.Obj().Pkg().Path()
 		if hasLockMethods(owner) {
-			return e.intern(pkg+"."+owner.Obj().Name(), owner.Obj().Name())
+			return e.typeClass(owner)
 		}
-		return e.intern(pkg+"."+owner.Obj().Name()+"."+x.Sel.Name, owner.Obj().Name()+"."+x.Sel.Name)
+		name := owner.Obj().Name() + "." + x.Sel.Name
+		return e.intern(owner.Obj().Pkg().Path()+"."+name, name)
 	case *ast.Ident:
 		// An embedded mutex promoted through a named type: the type is the
 		// class when it wraps a mutex.
@@ -345,17 +376,25 @@ func (e *lockOrderEngine) classOfMutexExpr(info *types.Info, x ast.Expr) string 
 		if n == nil || n.Obj().Pkg() == nil || !isLockWrapper(n) {
 			return ""
 		}
-		return e.intern(n.Obj().Pkg().Path()+"."+n.Obj().Name(), n.Obj().Name())
+		return e.typeClass(n)
 	}
 	return ""
 }
 
-// A heldLock is one acquired lock on the current path.
+// callerLock is the expr of a lock held on entry, and the key of the
+// pseudo-held lock a *Locked function runs under.
+const callerLock = "<caller>"
+
+// A heldLock is one lock held on the current path.
 type heldLock struct {
 	pos  token.Pos
-	expr string // receiver expression text, for same-instance detection
+	expr string // receiver expression text, or callerLock
+	cls  string // lock class, "" when none
 }
 
+// lockOrderHeld is the held set. Locks taken on the path are keyed by
+// receiver expression text ("h.mu", "st"); locks held on entry by class
+// (guardedby) or by callerLock (the *Locked convention).
 type lockOrderHeld map[string]heldLock
 
 func (h lockOrderHeld) clone() lockOrderHeld {
@@ -368,7 +407,7 @@ func (h lockOrderHeld) clone() lockOrderHeld {
 
 // localSummary walks one function body, recording acquires and callees
 // (outside goroutine/literal bodies) and — in the reporting phase —
-// flagging order violations.
+// flagging order violations and seals under a lock.
 func (e *lockOrderEngine) localSummary(fn *FuncNode) *lockOrderSummary {
 	w := &lockOrderWalker{
 		eng:  e,
@@ -378,8 +417,11 @@ func (e *lockOrderEngine) localSummary(fn *FuncNode) *lockOrderSummary {
 	}
 	held := lockOrderHeld{}
 	for _, cls := range e.guards[fn.ID] {
-		held[cls] = heldLock{pos: fn.Decl.Pos(), expr: "<caller>"}
+		held[cls] = heldLock{pos: fn.Decl.Pos(), expr: callerLock, cls: cls}
 		w.sum.acquires[cls] = true
+	}
+	if strings.HasSuffix(fn.Decl.Name.Name, "Locked") {
+		held[callerLock] = heldLock{pos: fn.Decl.Pos(), expr: callerLock}
 	}
 	w.block(fn.Decl.Body.List, held)
 	return w.sum
@@ -406,17 +448,21 @@ func (w *lockOrderWalker) block(stmts []ast.Stmt, held lockOrderHeld) {
 	}
 }
 
+// stmt threads the held set through one statement. Branch bodies get a
+// cloned set: a lock acquired inside a branch does not leak past it.
 func (w *lockOrderWalker) stmt(s ast.Stmt, held lockOrderHeld) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		w.expr(s.X, held)
 	case *ast.DeferStmt:
 		// defer X.Unlock() releases at return: the lock stays held here.
-		if cls, op := w.eng.classOfMutexOp(w.info, s.Call); op == opUnlock && cls != "" {
+		if lk, op := w.eng.lockOp(w.info, s.Call); op == opUnlock && lk.expr != "" {
 			return
 		}
 		w.expr(s.Call, held)
 	case *ast.GoStmt:
+		// The goroutine body runs without the spawner's locks; its
+		// arguments are evaluated here, under them.
 		for _, arg := range s.Call.Args {
 			w.expr(arg, held)
 		}
@@ -512,6 +558,8 @@ func (w *lockOrderWalker) stmt(s ast.Stmt, held lockOrderHeld) {
 	}
 }
 
+// expr scans one expression tree in syntactic order, updating held as
+// Lock/Unlock calls appear and checking every other call against it.
 func (w *lockOrderWalker) expr(e ast.Expr, held lockOrderHeld) {
 	if e == nil {
 		return
@@ -519,57 +567,58 @@ func (w *lockOrderWalker) expr(e ast.Expr, held lockOrderHeld) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
+			// A literal runs in its own context: no held locks, and no
+			// *Locked convention — closures built inside *Locked functions
+			// are typically enqueued to run after release (the PR 2
+			// writer-goroutine pattern), not under the lock.
 			w.sub().block(n.Body.List, lockOrderHeld{})
 			return false
 		case *ast.CallExpr:
-			if cls, op := w.eng.classOfMutexOp(w.info, n); op != opNone {
-				if cls == "" {
-					return true
-				}
-				switch op {
-				case opLock:
-					w.acquire(n, cls, held)
-				case opUnlock:
-					delete(held, cls)
-				}
-				return true
+			lk, op := w.eng.lockOp(w.info, n)
+			switch {
+			case op == opNone:
+				w.checkCall(n, held)
+			case lk.expr == "":
+				// A Lock-named method on something that is not a lock.
+			case op == opLock:
+				w.acquire(n, lk, held)
+			default:
+				delete(held, lk.expr)
+				delete(held, lk.cls) // releasing a lock held on entry
 			}
-			w.checkCall(n, held)
 		}
 		return true
 	})
 }
 
-// acquire records taking cls with held already held, reporting inversions
+// acquire records taking lk with held already held, reporting inversions
 // and same-instance re-acquires.
-func (w *lockOrderWalker) acquire(call *ast.CallExpr, cls string, held lockOrderHeld) {
+func (w *lockOrderWalker) acquire(call *ast.CallExpr, lk heldLock, held lockOrderHeld) {
 	e := w.eng
-	exprText := ""
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		exprText = types.ExprString(sel.X)
-	}
-	if prev, dup := held[cls]; dup && prev.expr == exprText {
-		w.reportf(call.Pos(), "acquiring %s twice on the same path (first at line %d): sync mutexes self-deadlock",
-			e.display[cls], e.mod.Fset.Position(prev.pos).Line)
-	}
-	for heldCls, info := range held {
-		if heldCls == cls {
-			continue
+	if lk.cls != "" {
+		if prev, dup := held[lk.expr]; dup {
+			w.reportf(call.Pos(), "acquiring %s twice on the same path (first at line %d): sync mutexes self-deadlock",
+				e.display[lk.cls], e.mod.Fset.Position(prev.pos).Line)
 		}
-		if e.before[cls] != nil && e.before[cls][heldCls] {
-			w.reportf(call.Pos(), "acquiring %s while holding %s (line %d) inverts the declared lock order %s < %s: deadlock with any thread locking in order",
-				e.display[cls], e.display[heldCls], e.mod.Fset.Position(info.pos).Line, e.display[cls], e.display[heldCls])
+		for _, h := range held {
+			if h.cls != lk.cls && e.before[lk.cls][h.cls] {
+				w.reportf(call.Pos(), "acquiring %s while holding %s (line %d) inverts the declared lock order %s < %s: deadlock with any thread locking in order",
+					e.display[lk.cls], e.display[h.cls], e.mod.Fset.Position(h.pos).Line, e.display[lk.cls], e.display[h.cls])
+			}
+		}
+		if w.sum != nil {
+			w.sum.acquires[lk.cls] = true
 		}
 	}
-	held[cls] = heldLock{pos: call.Pos(), expr: exprText}
-	if w.sum != nil {
-		w.sum.acquires[cls] = true
-	}
+	lk.pos = call.Pos()
+	held[lk.expr] = lk
 }
 
-// checkCall applies callee summaries: a module-internal callee that
-// transitively acquires an earlier class must not run under a later one.
+// checkCall applies the seal rule and callee summaries: a module-internal
+// callee that transitively acquires an earlier class must not run under a
+// later one.
 func (w *lockOrderWalker) checkCall(call *ast.CallExpr, held lockOrderHeld) {
+	w.checkSeal(call, held)
 	e := w.eng
 	f := funcOf(w.info, call)
 	id := funcID(f)
@@ -586,16 +635,71 @@ func (w *lockOrderWalker) checkCall(call *ast.CallExpr, held lockOrderHeld) {
 		return
 	}
 	for cls := range sum.acquires {
-		for heldCls, info := range held {
-			if heldCls == cls {
-				continue
-			}
-			if e.before[cls] != nil && e.before[cls][heldCls] {
+		for _, h := range held {
+			if h.cls != cls && e.before[cls][h.cls] {
 				w.reportf(call.Pos(), "%s acquires %s, called while holding %s (line %d): inverts the declared lock order %s < %s through the call chain",
-					f.Name(), e.display[cls], e.display[heldCls], e.mod.Fset.Position(info.pos).Line, e.display[cls], e.display[heldCls])
+					f.Name(), e.display[cls], e.display[h.cls], e.mod.Fset.Position(h.pos).Line, e.display[cls], e.display[h.cls])
 			}
 		}
 	}
+}
+
+// checkSeal flags AEAD work or a blocking send made while a lock taken in
+// this body is held, or anywhere in a *Locked function.
+func (w *lockOrderWalker) checkSeal(call *ast.CallExpr, held lockOrderHeld) {
+	kind := flaggedCall(w.info, call)
+	if kind == "" {
+		return
+	}
+	var names []string
+	for _, h := range held {
+		if h.expr != callerLock {
+			names = append(names, h.expr)
+		}
+	}
+	if len(names) > 0 {
+		sort.Strings(names)
+		w.reportf(call.Pos(), "%s while holding %s: move AEAD work and sends off the lock (PR 2 invariant)",
+			kind, strings.Join(names, ", "))
+	} else if _, ok := held[callerLock]; ok {
+		w.reportf(call.Pos(), "%s inside %s: *Locked functions run under the caller's lock; enqueue instead and seal/send after release",
+			kind, w.fn.Decl.Name.Name)
+	}
+}
+
+// flaggedCall classifies a call as AEAD work or a blocking transport send,
+// returning a human-readable description or "".
+func flaggedCall(info *types.Info, call *ast.CallExpr) string {
+	f := funcOf(info, call)
+	if f == nil {
+		return ""
+	}
+	name := f.Name()
+	switch name {
+	case "Seal", "Open":
+		rt := recvType(f)
+		if rt == nil {
+			if isPkgFunc(f, cryptoPath, name) {
+				return "one-shot crypto." + name
+			}
+			return ""
+		}
+		if typeIs(rt, cryptoPath, "Cipher") {
+			return "AEAD Cipher." + name
+		}
+		if typeIs(rt, "crypto/cipher", "AEAD") {
+			return "AEAD " + name
+		}
+	case "Send", "SendBatch":
+		rt := recvType(f)
+		if rt == nil {
+			return ""
+		}
+		if n := namedOf(rt); n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == transportPath {
+			return "transport " + name
+		}
+	}
+	return ""
 }
 
 func (w *lockOrderWalker) reportf(pos token.Pos, format string, args ...any) {

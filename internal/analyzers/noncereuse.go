@@ -539,7 +539,7 @@ func (w *nonceWalker) call(call *ast.CallExpr, env nonceEnv) {
 	if sum == nil || len(sum.consumes) == 0 {
 		return
 	}
-	for _, a := range callArgsOf(w.info, call, f) {
+	for _, a := range callArgsOf(call, f) {
 		if sum.consumes[a.param] && a.expr != nil {
 			w.consumeVia(a.expr, env, f.Name())
 		}
@@ -695,33 +695,4 @@ func nonceSliceBase(info *types.Info, e ast.Expr) types.Object {
 		return nil
 	}
 	return obj
-}
-
-// callArgsOf pairs caller arguments with receiver-first callee parameter
-// indexes (shared with the taint engine's convention).
-func callArgsOf(info *types.Info, call *ast.CallExpr, f *types.Func) []callerArg {
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil {
-		return nil
-	}
-	var out []callerArg
-	offset := 0
-	if sig.Recv() != nil {
-		offset = 1
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			out = append(out, callerArg{expr: sel.X, param: 0})
-		}
-	}
-	nparams := sig.Params().Len()
-	for i, a := range call.Args {
-		p := i
-		if sig.Variadic() && p >= nparams-1 {
-			p = nparams - 1
-		}
-		if p >= nparams {
-			continue
-		}
-		out = append(out, callerArg{expr: a, param: p + offset})
-	}
-	return out
 }

@@ -1,5 +1,7 @@
 package analyzers
 
+import "slices"
+
 // A ScopedAnalyzer pairs an analyzer with the exact import paths it gates.
 // Scoping lives here — at the driver layer, not inside the analyzers — so
 // the same analyzers run unconditionally over testdata corpora in tests.
@@ -13,12 +15,7 @@ type ScopedAnalyzer struct {
 
 // Applies reports whether the analyzer gates the package at path.
 func (s ScopedAnalyzer) Applies(path string) bool {
-	for _, p := range s.Packages {
-		if p == path {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.Packages, path)
 }
 
 const (
@@ -38,20 +35,15 @@ const (
 //   - cryptorand: the protocol packages named by the invariant; faultnet is
 //     exempt (seeded determinism is its purpose), as are examples/ and the
 //     attack driver.
-//   - sealunderlock: every package that both locks and seals or sends —
-//     including legacy, whose frozen baseline documents its exemptions.
 //   - cachedcipher: hot-path packages only; legacy and attack use the
 //     one-shot helpers by design (the legacy protocol is the frozen
 //     vulnerable baseline, not a hot path).
 //   - wireexhaustive: every package that dispatches on wire enums.
-//   - keyhygiene: every package that handles key material.
 func Registry() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{CryptoRand, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgReplica, pkgLkh}},
-		{SealUnderLock, []string{pkgCore, pkgMember, pkgGroup, pkgTransport, pkgLegacy, pkgReplica}},
 		{CachedCipher, []string{pkgCore, pkgMember, pkgGroup, pkgReplica}},
 		{WireExhaustive, []string{pkgCore, pkgMember, pkgGroup, pkgLegacy, pkgWire, pkgReplica}},
-		{KeyHygiene, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgLegacy, pkgReplica, pkgLkh}},
 	}
 }
 
@@ -66,12 +58,7 @@ type ScopedModuleAnalyzer struct {
 
 // Applies reports whether findings in the package at path are gated.
 func (s ScopedModuleAnalyzer) Applies(path string) bool {
-	for _, p := range s.Packages {
-		if p == path {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.Packages, path)
 }
 
 // ModuleRegistry returns every interprocedural analyzer with the packages
@@ -84,20 +71,22 @@ func (s ScopedModuleAnalyzer) Applies(path string) bool {
 //     engines, the replica delta stream, and the legacy baseline is exempt
 //     (its fixed-nonce bug is the documented vulnerability, caught by its
 //     own corpus).
-//   - lockorder: the packages with annotated hierarchies and their callers;
-//     packages with no annotations produce no findings by construction.
+//   - lockorder: every package that locks — the annotated hierarchies and
+//     their callers, plus every package that also seals or sends under a
+//     lock, including legacy, whose frozen baseline documents its
+//     exemptions.
 func ModuleRegistry() []ScopedModuleAnalyzer {
 	return []ScopedModuleAnalyzer{
 		{KeyTaint, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgLegacy, pkgReplica, pkgLkh}},
 		{NonceReuse, []string{pkgCore, pkgMember, pkgGroup, pkgReplica}},
-		{LockOrder, []string{pkgCore, pkgMember, pkgGroup, pkgTransport, pkgReplica, pkgLkh}},
+		{LockOrder, []string{pkgCore, pkgMember, pkgGroup, pkgTransport, pkgLegacy, pkgReplica, pkgLkh}},
 	}
 }
 
 // All returns the unit analyzers without scope, for tests and tools that
 // want to run one analyzer over arbitrary code.
 func All() []*Analyzer {
-	return []*Analyzer{CryptoRand, SealUnderLock, CachedCipher, WireExhaustive, KeyHygiene}
+	return []*Analyzer{CryptoRand, CachedCipher, WireExhaustive}
 }
 
 // AllModule returns the module analyzers without scope.

@@ -6,12 +6,18 @@ import "testing"
 // table is part of the contract (faultnet's seeded randomness and legacy's
 // one-shot ciphers are deliberate, not oversights).
 func TestRegistryScope(t *testing.T) {
-	byName := map[string]ScopedAnalyzer{}
+	applies := map[string]func(string) bool{}
 	for _, sa := range Registry() {
-		byName[sa.Name] = sa
+		applies[sa.Name] = sa.Applies
 	}
-	if len(byName) != 5 {
-		t.Fatalf("registry has %d analyzers, want 5", len(byName))
+	if len(applies) != 3 {
+		t.Fatalf("registry has %d unit analyzers, want 3", len(applies))
+	}
+	for _, sa := range ModuleRegistry() {
+		applies[sa.Name] = sa.Applies
+	}
+	if len(applies) != 6 {
+		t.Fatalf("registries have %d analyzers in all, want 6", len(applies))
 	}
 	cases := []struct {
 		analyzer string
@@ -22,29 +28,29 @@ func TestRegistryScope(t *testing.T) {
 		{"cryptorand", "enclaves/internal/wire", true},
 		{"cryptorand", "enclaves/internal/faultnet", false}, // seeded by design
 		{"cryptorand", "enclaves/examples/membership", false},
-		{"sealunderlock", "enclaves/internal/group", true},
-		{"sealunderlock", "enclaves/internal/legacy", true},
-		{"sealunderlock", "enclaves/internal/crypto", false}, // no locks there
 		{"cachedcipher", "enclaves/internal/core", true},
 		{"cachedcipher", "enclaves/internal/legacy", false}, // one-shot by design
 		{"cachedcipher", "enclaves/internal/attack", false},
 		{"wireexhaustive", "enclaves/internal/wire", true},
 		{"wireexhaustive", "enclaves/internal/legacy", true},
 		{"wireexhaustive", "enclaves/internal/transport", false},
-		{"keyhygiene", "enclaves/internal/crypto", true},
-		{"keyhygiene", "enclaves/internal/legacy", true},
-		{"keyhygiene", "enclaves/internal/faultnet", false},
+		{"lockorder", "enclaves/internal/group", true},
+		{"lockorder", "enclaves/internal/legacy", true},
+		{"lockorder", "enclaves/internal/crypto", false}, // no locks there
+		{"keytaint", "enclaves/internal/crypto", true},
+		{"keytaint", "enclaves/internal/legacy", true},
+		{"keytaint", "enclaves/internal/faultnet", false},
 	}
 	for _, c := range cases {
-		sa, ok := byName[c.analyzer]
+		f, ok := applies[c.analyzer]
 		if !ok {
 			t.Fatalf("analyzer %s not registered", c.analyzer)
 		}
-		if got := sa.Applies(c.path); got != c.want {
+		if got := f(c.path); got != c.want {
 			t.Errorf("%s.Applies(%s) = %v, want %v", c.analyzer, c.path, got, c.want)
 		}
 	}
-	if len(All()) != 5 {
-		t.Errorf("All() returned %d analyzers, want 5", len(All()))
+	if len(All()) != 3 || len(AllModule()) != 3 {
+		t.Errorf("All() and AllModule() returned %d and %d analyzers, want 3 and 3", len(All()), len(AllModule()))
 	}
 }

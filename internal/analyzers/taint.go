@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -13,6 +14,10 @@ import (
 // summaries prove they return key material) to observable sinks (logging,
 // errors, metrics, audit events, unsealed wire frames), following values
 // through assignments, struct-typed locals, slices, calls, and returns.
+// Material passed straight to a sink and material laundered through helpers
+// are the same finding. Two rules have no dataflow shape and run as local
+// checks in the reporting pass: crypto.Key formatted with a verb that
+// bypasses its redacting String, and string(…) of syntactic key material.
 //
 // The lattice is a bitset per value: bit i says "tainted iff parameter i of
 // the enclosing function is tainted" (the receiver is parameter 0 for
@@ -175,28 +180,74 @@ func (sc *taintScope) snapshot() uint64 {
 }
 
 // nameTaintSource reports whether a byte-sequence value's name marks it as
-// key material (the same convention keyhygiene pins, plus "secret" and
+// key material (keyMaterial's "key" names, plus "secret" and
 // password-derived material), with a description for diagnostics.
 func nameTaintSource(name string, t types.Type) (string, bool) {
 	if t == nil || !isByteSeq(t) {
 		return "", false
 	}
-	marked := false
 	for _, hot := range []string{"key", "secret", "password", "passwd"} {
 		if lowerContains(name, hot) {
-			marked = true
-			break
+			return keyNamed(name)
 		}
 	}
-	if !marked {
-		return "", false
-	}
+	return "", false
+}
+
+// keyNamed describes a marked name as key material unless it names a
+// derived, non-secret value (fingerprints, hashes, identifiers).
+func keyNamed(name string) (string, bool) {
 	for _, safe := range []string{"fingerprint", "fp", "hash", "digest", "sum", "id", "name"} {
 		if lowerContains(name, safe) {
 			return "", false
 		}
 	}
 	return "key material " + name, true
+}
+
+// keyMaterial reports whether e syntactically denotes raw key bytes and, if
+// so, a short description for the diagnostic: Key.Bytes(), a byte sequence
+// whose name contains "key", a slice or conversion of either.
+func keyMaterial(info *types.Info, e ast.Expr) (string, bool) {
+	e = ast.Unparen(e)
+	if sl, ok := e.(*ast.SliceExpr); ok {
+		e = ast.Unparen(sl.X)
+	}
+	var name string
+	switch e := e.(type) {
+	case *ast.CallExpr:
+		if f := funcOf(info, e); isMethod(f, cryptoPath, "Key", "Bytes") {
+			return "raw Key.Bytes()", true
+		}
+		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+			if desc, ok := keyMaterial(info, e.Args[0]); ok {
+				return desc + " (as string)", true
+			}
+		}
+		return "", false
+	case *ast.Ident:
+		name = e.Name
+	case *ast.SelectorExpr:
+		name = e.Sel.Name
+	default:
+		return "", false
+	}
+	if tv, ok := info.Types[e]; !ok || !isByteSeq(tv.Type) || !lowerContains(name, "key") {
+		return "", false
+	}
+	return keyNamed(name)
+}
+
+func isByteSeq(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		b, ok := u.Elem().Underlying().(*types.Basic)
+		return ok && b.Kind() == types.Byte
+	case *types.Array:
+		b, ok := u.Elem().Underlying().(*types.Basic)
+		return ok && b.Kind() == types.Byte
+	}
+	return false
 }
 
 // walk visits every statement, updating state; when sinkCheck is set (the
@@ -266,44 +317,34 @@ func (sc *taintScope) sinkHit(pos token.Pos, bits taintBits, org, sink string) {
 // checkCallSinks flags tainted arguments meeting sinks at a call: logging
 // and printf-shaped helpers, error constructors, metrics, and any
 // module-internal callee whose summary says a parameter reaches a sink
-// inside it. Arguments that are directly key material by keyhygiene's own
-// syntactic definition are skipped — those are keyhygiene findings; this
-// analyzer owns the flows keyhygiene provably cannot see.
+// inside it. It also runs the two local checks: string conversions of key
+// material and redaction-bypassing format verbs on crypto.Key.
 func (sc *taintScope) checkCallSinks(call *ast.CallExpr) {
+	if tv, ok := sc.info.Types[call.Fun]; ok && tv.IsType() {
+		sc.checkStringConversion(call, tv.Type)
+		return
+	}
 	f := funcOf(sc.info, call)
 	if f == nil {
 		// Printf-shaped func values (Config.Logf and friends) do not
-		// resolve to a *types.Func, so the syntactic generation is blind to
-		// them entirely; this analyzer owns them, direct key material
-		// included.
+		// resolve to a *types.Func.
 		if name, ok := printfFuncVal(sc.info, call); ok {
 			for _, a := range call.Args {
-				bits := sc.exprBits(a)
-				org := sc.exprOrigin(a)
-				if desc, direct := keyMaterial(sc.info, a); direct {
-					bits |= taintIntrinsic
-					org = desc
-				}
-				sc.sinkHit(a.Pos(), bits, org, "a diagnostic log line ("+name+")")
+				sc.sinkHit(a.Pos(), sc.exprBits(a), sc.exprOrigin(a), "a diagnostic log line ("+name+")")
 			}
 		}
 		return
 	}
 	if isPkgFunc(f, "errors", "New") {
 		for _, a := range call.Args {
-			if _, direct := keyMaterial(sc.info, a); direct {
-				continue
-			}
 			sc.sinkHit(a.Pos(), sc.exprBits(a), sc.exprOrigin(a), "an error value (errors.New)")
 		}
 		return
 	}
-	if sink, _ := formatSink(f, call); sink {
+	if sink, format := formatSink(f, call); sink {
+		sc.checkKeyVerbs(call, format)
 		for _, a := range call.Args {
-			if _, direct := keyMaterial(sc.info, a); direct {
-				continue
-			}
-			sc.sinkHit(a.Pos(), sc.exprBits(a), sc.exprOrigin(a), sinkLabel(f, call))
+			sc.sinkHit(a.Pos(), sc.exprBits(a), sc.exprOrigin(a), sinkLabel(f))
 		}
 		return
 	}
@@ -313,13 +354,154 @@ func (sc *taintScope) checkCallSinks(call *ast.CallExpr) {
 	if sum == nil || len(sum.sinks) == 0 {
 		return
 	}
-	for _, a := range sc.callerArgs(call, f) {
+	for _, a := range callArgsOf(call, f) {
 		what, ok := sum.sinks[a.param]
 		if !ok || a.expr == nil {
 			continue
 		}
 		sc.sinkHit(a.expr.Pos(), sc.exprBits(a.expr), sc.exprOrigin(a.expr), what+" (via "+f.Name()+")")
 	}
+}
+
+// checkStringConversion flags string(…) of syntactic key material: strings
+// cannot be zeroed and end up in logs and dumps.
+func (sc *taintScope) checkStringConversion(call *ast.CallExpr, to types.Type) {
+	if sc.eng.pass == nil || len(call.Args) != 1 {
+		return
+	}
+	if b, ok := to.Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
+		return
+	}
+	if desc, ok := keyMaterial(sc.info, call.Args[0]); ok {
+		sc.eng.pass.Reportf(call.Pos(), "%s converted to string: strings are unzeroable and leak into logs and dumps; keep key bytes in []byte and compare with subtle", desc)
+	}
+}
+
+// checkKeyVerbs flags a crypto.Key rendered by %x, %X or %#v, which bypass
+// its redacting String method and reflect over the unexported key bytes.
+func (sc *taintScope) checkKeyVerbs(call *ast.CallExpr, format int) {
+	if sc.eng.pass == nil {
+		return
+	}
+	for i, v := range formatVerbs(sc.info, call, format) {
+		if v != 'x' && v != 'X' && v != '#' || i >= len(call.Args) {
+			continue
+		}
+		arg := call.Args[i]
+		if t, ok := sc.info.Types[arg]; !ok || !typeIs(t.Type, cryptoPath, "Key") {
+			continue
+		}
+		spelled := string(v)
+		if v == '#' {
+			spelled = "#v"
+		}
+		sc.eng.pass.Reportf(arg.Pos(), "crypto.Key formatted with %%%s bypasses its redacting String method and dumps the raw key; use %%s or Key.Fingerprint", spelled)
+	}
+}
+
+// printfStem reports whether name ends in a printf-convention logging stem
+// (logf, debugf, auditf, ...).
+func printfStem(name string) bool {
+	lower := strings.ToLower(name)
+	for _, stem := range []string{"logf", "printf", "errorf", "debugf", "warnf", "infof", "tracef", "auditf"} {
+		if strings.HasSuffix(lower, stem) {
+			return true
+		}
+	}
+	return false
+}
+
+// formatSink decides whether a resolved callee is a logging/metrics sink.
+// It returns the index of the format-string parameter, or -1 when the call
+// has no (or an undecidable) format string.
+func formatSink(f *types.Func, call *ast.CallExpr) (sink bool, formatIndex int) {
+	if f.Pkg() != nil {
+		switch f.Pkg().Path() {
+		case "fmt", "log", "log/slog", metricsPath:
+			return true, formatParamIndex(f)
+		}
+	}
+	if rt := recvType(f); rt != nil {
+		if typeIs(rt, "log", "Logger") || typeIs(rt, "log/slog", "Logger") {
+			return true, formatParamIndex(f)
+		}
+		if n := namedOf(rt); n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == metricsPath {
+			return true, formatParamIndex(f)
+		}
+	}
+	if strings.HasSuffix(f.Name(), "f") && len(call.Args) >= 1 && printfStem(f.Name()) {
+		return true, formatParamIndex(f)
+	}
+	return false, -1
+}
+
+// formatParamIndex finds the string parameter directly before a variadic
+// tail — the printf convention — or -1.
+func formatParamIndex(f *types.Func) int {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || !sig.Variadic() || sig.Params().Len() < 2 {
+		return -1
+	}
+	i := sig.Params().Len() - 2
+	b, ok := sig.Params().At(i).Type().Underlying().(*types.Basic)
+	if !ok || b.Info()&types.IsString == 0 {
+		return -1
+	}
+	return i
+}
+
+// formatVerbs maps argument indexes of call to the format verb that will
+// render them ('#' standing for %#v), when the format string is a
+// compile-time constant and simple enough to pair verbs to arguments (no
+// '*' width/precision args).
+func formatVerbs(info *types.Info, call *ast.CallExpr, formatIndex int) map[int]byte {
+	if formatIndex < 0 || formatIndex >= len(call.Args) {
+		return nil
+	}
+	tv, ok := info.Types[call.Args[formatIndex]]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return nil
+	}
+	format := constant.StringVal(tv.Value)
+	verbs := map[int]byte{}
+	arg := formatIndex + 1
+	for i := 0; i < len(format); i++ {
+		if format[i] != '%' {
+			continue
+		}
+		i++
+		if i < len(format) && format[i] == '%' {
+			continue
+		}
+		sharp := false
+		for i < len(format) && strings.IndexByte("+-# 0123456789.", format[i]) >= 0 {
+			if format[i] == '#' {
+				sharp = true
+			}
+			i++
+		}
+		if i >= len(format) {
+			break
+		}
+		if format[i] == '*' || format[i] == '[' {
+			return nil // dynamic width or explicit indexes: give up
+		}
+		v := format[i]
+		if sharp && v == 'v' {
+			v = '#'
+		}
+		verbs[arg] = v
+		arg++
+	}
+	return verbs
+}
+
+// sinkLabel renders a resolved sink callee for a diagnostic message.
+func sinkLabel(f *types.Func) string {
+	if f.Pkg() != nil && recvType(f) == nil {
+		return f.Pkg().Name() + "." + f.Name()
+	}
+	return f.Name()
 }
 
 // printfFuncVal recognizes calls through printf-shaped func values — a
@@ -336,20 +518,14 @@ func printfFuncVal(info *types.Info, call *ast.CallExpr) (string, bool) {
 	default:
 		return "", false
 	}
-	if tv, ok := info.Types[fun]; !ok || tv.IsType() {
+	if tv, ok := info.Types[fun]; !ok || tv.IsType() || !printfStem(name) {
 		return "", false
 	}
-	lower := strings.ToLower(name)
-	for _, stem := range []string{"logf", "printf", "errorf", "debugf", "warnf", "infof", "tracef", "auditf"} {
-		if strings.HasSuffix(lower, stem) {
-			return name, true
-		}
-	}
-	return "", false
+	return name, true
 }
 
 // checkEventSink flags tainted values copied into audit/metrics event
-// structs — the cross-function analogue of keyhygiene's checkEventLit.
+// structs, which are exported and retained.
 func (sc *taintScope) checkEventSink(lit *ast.CompositeLit) {
 	tv, ok := sc.info.Types[lit]
 	if !ok {
@@ -366,9 +542,6 @@ func (sc *taintScope) checkEventSink(lit *ast.CompositeLit) {
 		e := elt
 		if kv, ok := elt.(*ast.KeyValueExpr); ok {
 			e = kv.Value
-		}
-		if _, direct := keyMaterial(sc.info, e); direct {
-			continue
 		}
 		sc.sinkHit(e.Pos(), sc.exprBits(e), sc.exprOrigin(e), "a retained "+typeLabel(named)+" event")
 	}
@@ -718,67 +891,14 @@ func (sc *taintScope) multiBits(e ast.Expr, n int) []taintBits {
 	return out
 }
 
-// callerArg is one caller-side argument paired with the callee parameter
-// slot it feeds (receiver-first indexing; variadic overflow clamps onto the
-// last parameter).
-type callerArg struct {
-	expr  ast.Expr
-	param int
-}
-
-// callerArgs enumerates the call's arguments with their callee parameter
-// slots, the method receiver included as parameter 0.
-func (sc *taintScope) callerArgs(call *ast.CallExpr, f *types.Func) []callerArg {
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil {
-		return nil
-	}
-	var out []callerArg
-	offset := 0
-	if sig.Recv() != nil {
-		offset = 1
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			out = append(out, callerArg{expr: sel.X, param: 0})
-		}
-	}
-	nparams := sig.Params().Len()
-	for i, a := range call.Args {
-		p := i
-		if sig.Variadic() && p >= nparams-1 {
-			p = nparams - 1
-		}
-		if p >= nparams {
-			continue
-		}
-		out = append(out, callerArg{expr: a, param: p + offset})
-	}
-	return out
-}
-
 // argTaints folds the caller's arguments into per-callee-parameter taint.
 func (sc *taintScope) argTaints(call *ast.CallExpr, f *types.Func) []taintBits {
-	n := len(sc.fnParamsOf(f))
+	n := len(recvFirstParams(f))
 	out := make([]taintBits, n)
-	for _, a := range sc.callerArgs(call, f) {
+	for _, a := range callArgsOf(call, f) {
 		if a.param < n {
 			out[a.param] |= sc.exprBits(a.expr)
 		}
-	}
-	return out
-}
-
-// fnParamsOf returns the receiver-first parameter list of any callee.
-func (sc *taintScope) fnParamsOf(f *types.Func) []*types.Var {
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil {
-		return nil
-	}
-	var out []*types.Var
-	if sig.Recv() != nil {
-		out = append(out, sig.Recv())
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		out = append(out, sig.Params().At(i))
 	}
 	return out
 }

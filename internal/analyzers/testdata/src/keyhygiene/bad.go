@@ -29,7 +29,7 @@ func leakNamed(k crypto.Key) string {
 func leakEvent(k crypto.Key) Event {
 	return Event{
 		Kind:   "rekey",
-		Detail: string(k.Bytes()), // want `copied into keyhygiene\.Event` `raw Key\.Bytes\(\) converted to string`
+		Detail: string(k.Bytes()), // want `reaches a retained keyhygiene\.Event event` `raw Key\.Bytes\(\) converted to string`
 	}
 }
 

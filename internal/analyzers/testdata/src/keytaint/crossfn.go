@@ -1,8 +1,7 @@
-// Package keytaint seeds cross-function key-material flows that the
-// intraprocedural keyhygiene analyzer provably cannot see: every finding in
-// this file travels through at least one call edge (a return value, a sink
-// buried in a callee, or a struct carrier) before it becomes observable.
-// The generational test asserts the whole PR 4 registry is silent here.
+// Package keytaint seeds cross-function key-material flows: every finding
+// in this file travels through at least one call edge (a return value, a
+// sink buried in a callee, or a struct carrier) before it becomes
+// observable. Direct sinks live in the keyhygiene corpus.
 package keytaint
 
 import (
@@ -14,8 +13,8 @@ import (
 )
 
 // exportKey launders raw key bytes through a return value: the call site
-// below is neither Key.Bytes() nor a key-named identifier, so the syntactic
-// generation sees nothing.
+// below is neither Key.Bytes() nor a key-named identifier, so only the
+// function summary connects it to the source.
 func exportKey(k crypto.Key) []byte {
 	return k.Bytes()
 }
@@ -66,8 +65,8 @@ func recordRekey(k crypto.Key, epoch int) RekeyEvent {
 }
 
 // config carries a printf-shaped func field — the repo's logging idiom. No
-// *types.Func exists at its call sites, so the syntactic generation cannot
-// even name the sink, let alone track what reaches it.
+// *types.Func exists at its call sites, so the sink is recognized by the
+// field's name and type instead.
 type config struct {
 	logf func(format string, args ...any)
 }

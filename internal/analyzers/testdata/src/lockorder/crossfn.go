@@ -1,7 +1,7 @@
 // Package lockorder seeds violations of an annotated lock hierarchy,
 // including one that only exists across a call chain: the callee's
-// transitive-acquires summary meets the caller's held set. The
-// generational test asserts the whole PR 4 registry is silent here.
+// transitive-acquires summary meets the caller's held set. The seal rule
+// has its own corpus, sealunderlock.
 package lockorder
 
 import "sync"

@@ -1,8 +1,7 @@
 // Package noncereuse seeds cross-function nonce-lifecycle violations: a
 // helper that seals its nonce argument gets a consuming summary, so reuse
-// and unproved freshness surface at call sites the single-function
-// generation of analyzers cannot connect. The generational test asserts
-// the whole PR 4 registry is silent here.
+// and unproved freshness surface at call sites, a call edge away from the
+// seal.
 package noncereuse
 
 import "enclaves/internal/crypto"

@@ -79,7 +79,7 @@ type dirCreation struct {
 }
 
 // dirStripe is one bucket of the group table; the same explicit Lock/Unlock
-// wrapper shape as the member registry's stripe, for the sealunderlock
+// wrapper shape as the member registry's stripe, for the lockorder
 // analyzer. creating holds the in-flight creations apart from groups, so the
 // lookup hit path probes only finished entries.
 type dirStripe struct {

@@ -361,6 +361,10 @@ func TestEveryClientReachesEveryDaemon(t *testing.T) {
 				}
 				m0, m1 := join("m0"), join("m1")
 				waitFor(t, "both members admitted", func() bool { return len(members()) == 2 })
+				// m1 is ready on the key its join rotated in; m0 installs that
+				// key asynchronously, and a multicast under m0's older key is
+				// one m1 never held.
+				waitFor(t, "both members on one key", func() bool { return m0.Epoch() == m1.Epoch() })
 				if err := m0.SendData([]byte("one framing")); err != nil {
 					t.Fatal(err)
 				}

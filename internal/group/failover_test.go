@@ -238,10 +238,11 @@ func TestFailoverResume(t *testing.T) {
 	waitFor(t, "standby synced with full membership", func() bool {
 		return sb.Synced() && len(sb.State().Members) == n
 	})
-	// Let in-flight SessionSync deltas land so every replicated nonce is
-	// current (the group is quiescent; a few ping intervals suffice).
-	waitFor(t, "replica quiescent at the primary's epoch", func() bool {
-		return sb.State().Epoch == primary.Epoch()
+	// Let in-flight acks and their SessionSync deltas land so every
+	// replicated nonce is current: a member whose last ack is still in
+	// flight at the kill would resume with a nonce the replica never saw.
+	waitFor(t, "replica caught up with every member's pipeline", func() bool {
+		return sb.State().Epoch == primary.Epoch() && replicaCaughtUp(primary, sb)
 	})
 
 	epochAtKill := primary.Epoch()
@@ -385,6 +386,23 @@ func TestFailoverResume(t *testing.T) {
 	}
 
 	t.Logf("failover: detection %v, full resumption %v, %d/%d resumed, 0 rejoins", detection, failover, resumes, n)
+}
+
+// replicaCaughtUp reports whether no member has an AdminMsg awaiting its ack
+// on g and sb replicates the nonce and sequence each pipeline rests on.
+func replicaCaughtUp(g *Leader, sb *replica.Standby) bool {
+	rep := sb.State().Members
+	for _, s := range g.reg.appendAll(nil, "") {
+		s.mu.Lock()
+		es, ok := s.engine.ExportState()
+		idle := len(s.unacked) == 0
+		s.mu.Unlock()
+		r, have := rep[s.user]
+		if !ok || !idle || !have || !r.Nonce.Equal(es.Nonce) || r.Seq != es.Seq {
+			return false
+		}
+	}
+	return true
 }
 
 // counterVal reads one counter from the global snapshot.

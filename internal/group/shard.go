@@ -35,9 +35,9 @@ type registry struct {
 
 // stripe is one lock-striped bucket of the registry. Lock/Unlock are
 // explicit wrapper methods (rather than exposing the embedded mutex) so the
-// sealunderlock analyzer can treat a held stripe exactly like a held
-// sync.Mutex: sealing or sending while holding one is the same bug shape as
-// the PR 2 seal-under-Leader.mu regression.
+// lockorder analyzer treats a held stripe as one lock class, exactly like a
+// held sync.Mutex: sealing or sending while holding one is the same bug
+// shape as the PR 2 seal-under-Leader.mu regression.
 type stripe struct {
 	mu      sync.Mutex
 	members map[string]*memberConn

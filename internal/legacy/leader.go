@@ -187,7 +187,7 @@ func (g *Leader) rekeyLocked() error {
 func (g *Leader) sendNewKeyLocked(s *legacySession) {
 	env := wire.Envelope{Type: wire.TypeNewKey, Sender: g.name, Receiver: s.user}
 	p := wire.LegacyNewKeyPayload{GroupKey: g.groupKey, GroupEpoch: g.epoch}
-	//enclavelint:ignore sealunderlock frozen Section-2 baseline: new_key for every member must seal the same K'g/epoch snapshot atomically; restructuring would change the legacy protocol's ordering, which the attack suite depends on
+	//enclavelint:ignore lockorder frozen Section-2 baseline: new_key for every member must seal the same K'g/epoch snapshot atomically; restructuring would change the legacy protocol's ordering, which the attack suite depends on
 	box, err := crypto.Seal(s.sessionKey, p.Marshal(), env.Header())
 	if err != nil {
 		g.logf("legacy: seal new_key: %v", err)
@@ -226,7 +226,7 @@ func (g *Leader) announceMembershipLocked(t wire.Type, name string) {
 	for _, s := range g.sessions {
 		env := wire.Envelope{Type: t, Sender: g.name, Receiver: s.user}
 		p := wire.LegacyMemberPayload{Name: name}
-		//enclavelint:ignore sealunderlock frozen Section-2 baseline: mem_* must be sealed under the same Kg snapshot as the membership change itself, or a concurrent rekey could split the view; this coupling IS the documented legacy weakness
+		//enclavelint:ignore lockorder frozen Section-2 baseline: mem_* must be sealed under the same Kg snapshot as the membership change itself, or a concurrent rekey could split the view; this coupling IS the documented legacy weakness
 		box, err := crypto.Seal(g.groupKey, p.Marshal(), env.Header())
 		if err != nil {
 			continue
@@ -291,7 +291,7 @@ func (g *Leader) serveConn(conn transport.Conn) {
 	for existing := range g.sessions {
 		env := wire.Envelope{Type: wire.TypeMemAdded, Sender: g.name, Receiver: user}
 		p := wire.LegacyMemberPayload{Name: existing}
-		//enclavelint:ignore sealunderlock frozen Section-2 baseline: the join-time member list must be a consistent snapshot sealed under the same Kg that admitted the newcomer
+		//enclavelint:ignore lockorder frozen Section-2 baseline: the join-time member list must be a consistent snapshot sealed under the same Kg that admitted the newcomer
 		if box, err := crypto.Seal(g.groupKey, p.Marshal(), env.Header()); err == nil {
 			env.Payload = box
 			g.push(s, env)

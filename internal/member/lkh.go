@@ -136,6 +136,13 @@ func (m *Member) installGroupKeyLocked(key crypto.Key, epoch uint64) {
 	}
 	m.groupKey = key
 	m.epoch = epoch
+	if key.Valid() {
+		select {
+		case <-m.ready:
+		default:
+			close(m.ready) // the first key: wake WaitReady
+		}
+	}
 	// A bad key from a confused leader leaves the cipher nil and SendData
 	// reports ErrNoGroupKey.
 	m.groupCipher, _ = crypto.NewCipher(key)

@@ -167,6 +167,9 @@ type Member struct {
 
 	events *queue.Queue[Event]
 	done   chan struct{}
+	// ready is closed, under mu, when the first valid group key is
+	// installed (WaitReady).
+	ready chan struct{}
 
 	// outQ decouples producers (SendData, acks) from the transport: a writer
 	// goroutine drains it in batches and transmits behind a single flush.
@@ -242,6 +245,7 @@ func attach(conn transport.Conn, engine *core.MemberSession, opening wire.Envelo
 		view:       map[string]bool{engine.User(): true},
 		events:     queue.New[Event](),
 		done:       make(chan struct{}),
+		ready:      make(chan struct{}),
 		outQ:       queue.New[wire.Envelope](),
 		writerDone: make(chan struct{}),
 	}
@@ -341,23 +345,20 @@ func (m *Member) GroupKey() (crypto.Key, uint64) {
 // from the handshake), so there is a short window where a freshly joined
 // member cannot encrypt yet.
 func (m *Member) WaitReady(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		m.mu.Lock()
-		ready, left := m.groupKey.Valid(), m.left
-		m.mu.Unlock()
-		if ready {
-			return nil
-		}
-		if left {
-			return ErrLeft
-		}
-		select {
-		case <-m.done:
-			return ErrNoGroupKey // the connection died first; no key will come
-		default:
-			time.Sleep(time.Millisecond)
-		}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-m.ready:
+	case <-m.done: // the connection died or was left first; no key will come
+	case <-t.C:
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case m.groupKey.Valid():
+		return nil
+	case m.left:
+		return ErrLeft
 	}
 	return ErrNoGroupKey
 }

@@ -481,3 +481,29 @@ func TestWaitReadyAfterLeave(t *testing.T) {
 	}
 	t.Fatal("WaitReady never reported ErrLeft after leave")
 }
+
+// TestWaitReadyBlockedThroughLeave pins the wake-up path: a WaitReady
+// already blocked when Leave runs returns ErrLeft at once, not at its
+// timeout.
+func TestWaitReadyBlockedThroughLeave(t *testing.T) {
+	_, m := joinThrough(t)
+	done := make(chan error, 1)
+	go func() { done <- m.WaitReady(time.Minute) }()
+	time.Sleep(20 * time.Millisecond) // let WaitReady block
+	select {
+	case err := <-done:
+		t.Fatalf("WaitReady returned before any key or leave: %v", err)
+	default:
+	}
+	if err := m.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrLeft) {
+			t.Errorf("WaitReady across Leave: %v, want ErrLeft", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitReady still blocked after Leave")
+	}
+}

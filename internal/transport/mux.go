@@ -80,7 +80,7 @@ type Mux struct {
 	// wtimeout is writeTimeout; a field only so a test can shorten it.
 	wtimeout time.Duration
 
-	//enclavelint:guardedby Mux.mu
+	// mu guards streams, dead and closed.
 	mu      sync.Mutex
 	streams map[uint32]*muxStream
 	// dead tombstones stream IDs this side killed unilaterally (flow

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"reflect"
@@ -201,11 +202,25 @@ func TestAckPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// fixedKey is the key whose last eight bytes are n, big-endian. The subtest
+// names below print each key's fingerprint, so random keys would rename the
+// subtests on every run.
+func fixedKey(t *testing.T, n uint64) crypto.Key {
+	t.Helper()
+	var b [crypto.KeySize]byte
+	binary.BigEndian.PutUint64(b[crypto.KeySize-8:], n)
+	k, err := crypto.KeyFromBytes(b[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 func TestAdminMsgPayloadRoundTrip(t *testing.T) {
 	bodies := []AdminBody{
-		NewGroupKey{Epoch: 42, Key: mustKey(t)},
-		NewGroupKey{Epoch: 43, Key: mustKey(t), Left: []string{"dave"}},
-		NewGroupKey{Epoch: 44, Key: mustKey(t), Joined: []string{"erin", "carol"}, Left: []string{"bob"}},
+		NewGroupKey{Epoch: 42, Key: fixedKey(t, 1259087954)},
+		NewGroupKey{Epoch: 43, Key: fixedKey(t, 838272962), Left: []string{"dave"}},
+		NewGroupKey{Epoch: 44, Key: fixedKey(t, 3706276106), Joined: []string{"erin", "carol"}, Left: []string{"bob"}},
 		MemberJoined{Name: "carol"},
 		MemberLeft{Name: "dave"},
 		MemberList{Names: []string{"alice", "bob", "carol"}},
