@@ -3,72 +3,19 @@
 // GOMAXPROCS and records throughput to BENCH_checker.json, so CI archives
 // the states/sec trajectory of the Section 5 verification the same way it
 // tracks the runtime benches. The per-config speedup column compares
-// against the workers=1 run of the same invocation.
+// against the workers=1 run of the same invocation. Run it with -cpu 1,2
+// to record both rows; the (3,2) configuration needs more than 8 GiB.
 package enclaves
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"enclaves/internal/checker"
 	"enclaves/internal/model"
 )
-
-// checkerReport mirrors the writeScaleEntry pattern for BENCH_checker.json:
-// load once, upsert by (sessions, admin, lkh, intruder_sessions, workers),
-// rewrite the whole file on every update so partial -bench runs refine the
-// artifact instead of truncating it.
-var checkerReport struct {
-	sync.Mutex
-	loaded  bool
-	Explore []map[string]any
-}
-
-func writeCheckerEntry(b *testing.B, entry map[string]any) {
-	checkerReport.Lock()
-	defer checkerReport.Unlock()
-	if !checkerReport.loaded {
-		checkerReport.loaded = true
-		var prev struct {
-			Explore []map[string]any `json:"explore_sweep"`
-		}
-		if data, err := os.ReadFile("BENCH_checker.json"); err == nil && json.Unmarshal(data, &prev) == nil {
-			checkerReport.Explore = prev.Explore
-		}
-	}
-	replaced := false
-	for i, e := range checkerReport.Explore {
-		same := true
-		for _, k := range []string{"sessions", "admin", "lkh", "intruder_sessions", "workers"} {
-			if fmt.Sprint(e[k]) != fmt.Sprint(entry[k]) {
-				same = false
-				break
-			}
-		}
-		if same {
-			checkerReport.Explore[i] = entry
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		checkerReport.Explore = append(checkerReport.Explore, entry)
-	}
-	data, err := json.MarshalIndent(map[string]any{
-		"explore_sweep": checkerReport.Explore,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_checker.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // benchWorkerCounts returns the worker sweep for this machine: 1, 2, 4, …
 // up to GOMAXPROCS (always including GOMAXPROCS itself). On a single-core
@@ -124,20 +71,19 @@ func BenchmarkExplore(b *testing.B) {
 				b.ReportMetric(float64(len(ex.Nodes)), "states")
 				b.ReportMetric(statesPerSec, "states/sec")
 				b.ReportMetric(speedup, "speedup")
-				writeCheckerEntry(b, map[string]any{
+				recordBench(b, "BENCH_checker.json", "explore_sweep", map[string]any{
 					"sessions":          c.cfg.MaxSessions,
 					"admin":             c.cfg.MaxAdmin,
 					"lkh":               c.cfg.LKH,
 					"intruder_sessions": c.cfg.IntruderSessions,
 					"workers":           workers,
-					"gomaxprocs":        runtime.GOMAXPROCS(0),
 					"states":            len(ex.Nodes),
 					"transitions":       ex.Transitions,
 					"depth":             ex.Depth,
 					"states_per_sec":    statesPerSec,
 					"speedup_vs_seq":    speedup,
 					"ns_per_op":         elapsed.Nanoseconds() / int64(b.N),
-				})
+				}, "sessions", "admin", "lkh", "intruder_sessions", "workers")
 			})
 		}
 	}

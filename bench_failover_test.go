@@ -1,9 +1,7 @@
 package enclaves
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"testing"
@@ -277,7 +275,7 @@ func benchFailover(b *testing.B, n int) {
 	b.ReportMetric(float64(promotion.Microseconds())/1000, "promote-ms")
 	b.ReportMetric(float64(p99.Microseconds())/1000, "resume-p99-ms")
 	b.ReportMetric(float64(resumes), "resumed")
-	writeFailoverEntry(b, map[string]any{
+	recordBench(b, "BENCH_failover.json", "failover_sweep", map[string]any{
 		"members":       n,
 		"silence_ms":    float64(silence.Microseconds()) / 1000,
 		"detect_ms":     float64(detection.Microseconds()) / 1000,
@@ -286,7 +284,7 @@ func benchFailover(b *testing.B, n int) {
 		"resume_p99_ms": float64(p99.Microseconds()) / 1000,
 		"resumed":       resumes,
 		"fallbacks":     fallbacks,
-	})
+	}, "members")
 }
 
 // waitBench blocks until cond holds, failing the benchmark after a generous
@@ -300,54 +298,5 @@ func waitBench(b *testing.B, what string, cond func() bool) {
 			b.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// failoverReport mirrors the scaleReport pattern: entries are upserted by
-// member count and the file rewritten on every update, so partial sweeps
-// refine BENCH_failover.json instead of truncating it.
-var failoverReport struct {
-	sync.Mutex
-	loaded  bool
-	Entries []map[string]any
-}
-
-func writeFailoverEntry(b *testing.B, entry map[string]any) {
-	failoverReport.Lock()
-	defer failoverReport.Unlock()
-	if !failoverReport.loaded {
-		failoverReport.loaded = true
-		var prev struct {
-			Entries []map[string]any `json:"failover_sweep"`
-		}
-		if data, err := os.ReadFile("BENCH_failover.json"); err == nil && json.Unmarshal(data, &prev) == nil {
-			failoverReport.Entries = prev.Entries
-		}
-	}
-	replaced := false
-	for i, e := range failoverReport.Entries {
-		if fmt.Sprint(e["members"]) == fmt.Sprint(entry["members"]) {
-			failoverReport.Entries[i] = entry
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		failoverReport.Entries = append(failoverReport.Entries, entry)
-	}
-	num := func(v any) float64 {
-		var f float64
-		fmt.Sscan(fmt.Sprint(v), &f)
-		return f
-	}
-	sort.Slice(failoverReport.Entries, func(i, j int) bool {
-		return num(failoverReport.Entries[i]["members"]) < num(failoverReport.Entries[j]["members"])
-	})
-	data, err := json.MarshalIndent(map[string]any{"failover_sweep": failoverReport.Entries}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_failover.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }

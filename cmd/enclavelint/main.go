@@ -1,10 +1,12 @@
 // Command enclavelint runs the protocol-invariant analyzers over the
 // module: the code-level analogues of the paper's machine-checked secrecy
-// invariants. Three check one package at a time (crypto/rand only, cached
-// AEADs on hot paths, exhaustive wire-type handling); three follow values
-// and effects across call edges (keytaint: no key bytes in logs, errors or
-// events; noncereuse: fresh nonces; lockorder: declared lock order, and no
-// seal or send under a lock).
+// invariants. All six come from one registry and run over the whole module,
+// each gating the packages it is scoped to. Three are syntactic checks
+// (crypto/rand only, cached AEADs on hot paths, exhaustive wire-type
+// handling); three are flow analyses on one engine — a statement walker and
+// a summary fixpoint — that follow values and effects across call edges
+// (keytaint: no key bytes in logs, errors or events; noncereuse: fresh
+// nonces; lockorder: declared lock order, and no seal or send under a lock).
 //
 // Usage:
 //
@@ -14,9 +16,8 @@
 // tool. The file flags write machine-readable artifacts alongside whatever
 // stdout format is selected, so one gating CI run produces annotations and
 // archives: -sarif a SARIF 2.1.0 log, -findings the same JSON array -json
-// prints, -bench a wall-time profile (per package per analyzer, module
-// analyzers module-wide). Exit status: 0 clean, 1 findings, 2 load/usage
-// error.
+// prints, -bench a wall-time profile (per analyzer, module-wide). Exit
+// status: 0 clean, 1 findings, 2 load/usage error.
 package main
 
 import (
@@ -195,10 +196,7 @@ type sarifRegion struct {
 // error-level result per finding.
 func writeSARIF(path string, diags []analyzers.Diagnostic, cwd string) error {
 	var rules []sarifRule
-	for _, a := range analyzers.All() {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDesc: sarifText{Text: firstLine(a.Doc)}})
-	}
-	for _, a := range analyzers.AllModule() {
+	for _, a := range analyzers.Registry() {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDesc: sarifText{Text: firstLine(a.Doc)}})
 	}
 	results := make([]sarifResult, 0, len(diags))

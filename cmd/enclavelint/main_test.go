@@ -63,7 +63,7 @@ func TestRunCleanTree(t *testing.T) {
 	if log.Version != "2.1.0" || len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "enclavelint" {
 		t.Errorf("malformed sarif header: %s", raw)
 	}
-	wantRules := len(analyzers.All()) + len(analyzers.AllModule())
+	wantRules := len(analyzers.Registry())
 	if got := len(log.Runs[0].Tool.Driver.Rules); got != wantRules {
 		t.Errorf("sarif carries %d rules, want %d", got, wantRules)
 	}
@@ -84,8 +84,7 @@ func TestRunCleanTree(t *testing.T) {
 		t.Errorf("clean tree findings artifact: %s", raw)
 	}
 
-	// The bench profile must time every module analyzer and at least one
-	// unit-analyzer package.
+	// The bench profile must time every registered analyzer.
 	raw, err = os.ReadFile(benchPath)
 	if err != nil {
 		t.Fatalf("bench artifact not written: %v", err)
@@ -95,7 +94,6 @@ func TestRunCleanTree(t *testing.T) {
 		TotalMS   float64 `json:"total_ms"`
 		Analyzers []struct {
 			Analyzer string  `json:"analyzer"`
-			Package  string  `json:"package"`
 			Millis   float64 `json:"ms"`
 		} `json:"analyzers"`
 	}
@@ -105,22 +103,14 @@ func TestRunCleanTree(t *testing.T) {
 	if bench.Go == "" || bench.TotalMS <= 0 {
 		t.Errorf("bench missing go version or total time: %s", raw)
 	}
-	moduleWide := map[string]bool{}
-	perPackage := 0
+	timed := map[string]bool{}
 	for _, e := range bench.Analyzers {
-		if e.Package == "module" {
-			moduleWide[e.Analyzer] = true
-		} else {
-			perPackage++
-		}
+		timed[e.Analyzer] = true
 	}
-	for _, a := range analyzers.AllModule() {
-		if !moduleWide[a.Name] {
-			t.Errorf("bench profile is missing module analyzer %s", a.Name)
+	for _, a := range analyzers.Registry() {
+		if !timed[a.Name] {
+			t.Errorf("bench profile is missing analyzer %s", a.Name)
 		}
-	}
-	if perPackage == 0 {
-		t.Error("bench profile has no per-package unit-analyzer entries")
 	}
 }
 

@@ -4,9 +4,17 @@
 // order, always use the cached AEAD on hot paths (PR 3), never draw crypto
 // material from math/rand, handle every wire message type exhaustively,
 // never reuse a nonce, and never let key bytes reach logs, errors or audit
-// events. Single-file checks (cryptorand, cachedcipher, wireexhaustive) are
-// unit Analyzers; the rest (keytaint, noncereuse, lockorder) are
-// ModuleAnalyzers that follow values and effects across call edges.
+// events.
+//
+// There is one analyzer kind: every Analyzer runs over the whole Module and
+// every finding is scoped by its file's package. Three are syntactic checks
+// that range over the module's units (cryptorand, cachedcipher,
+// wireexhaustive). The other three (keytaint, noncereuse, lockorder) are
+// flow analyses on one engine: a statement walker (flow.go) threads a
+// lattice state through each function body, and solve (callgraph.go) carries
+// per-function summaries across call edges to a fixpoint. Each flow analyzer
+// is its lattice — clone, join, loop passes, transfer hooks — plus its sink
+// and report rules.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf, testdata corpora with // want comments) but is
@@ -24,18 +32,18 @@ import (
 	"time"
 )
 
-// An Analyzer is one named invariant check. Run inspects a single
-// type-checked Unit and reports findings through the Pass.
+// An Analyzer is one named invariant check. Run inspects the Module and
+// reports findings through the Pass.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
 }
 
-// A Pass carries one (Analyzer, Unit) pairing through an analysis run.
+// A Pass carries one (Analyzer, Module) pairing through an analysis run.
 type Pass struct {
 	Analyzer *Analyzer
-	Unit     *Unit
+	Module   *Module
 
 	diags *[]Diagnostic
 }
@@ -44,7 +52,7 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      p.Unit.Fset.Position(pos),
+		Pos:      p.Module.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -173,14 +181,12 @@ func suppressedBy(d Diagnostic, dirs []ignoreDirective) int {
 	return -1
 }
 
-// RunAnalyzer applies one analyzer to one unit, filters findings through the
-// unit's ignore directives, and returns them in deterministic order.
-func RunAnalyzer(a *Analyzer, u *Unit) []Diagnostic {
-	var raw []Diagnostic
-	a.Run(&Pass{Analyzer: a, Unit: u, diags: &raw})
+// RunAnalyzer applies one analyzer to a module, filters findings through
+// the module's ignore directives, and returns them in deterministic order.
+func RunAnalyzer(a *Analyzer, m *Module) []Diagnostic {
 	var out []Diagnostic
-	for _, d := range raw {
-		if !suppressed(d, u.ignores) {
+	for _, d := range run(a, m) {
+		if !suppressed(d, m.ignores) {
 			out = append(out, d)
 		}
 	}
@@ -188,80 +194,42 @@ func RunAnalyzer(a *Analyzer, u *Unit) []Diagnostic {
 	return out
 }
 
-// A Timing records wall time one analyzer spent on one scope: a single
-// package for unit analyzers, the whole module for the interprocedural
-// analyzers (whose fixpoint cannot be attributed to any one package).
+func run(a *Analyzer, m *Module) []Diagnostic {
+	var raw []Diagnostic
+	a.Run(&Pass{Analyzer: a, Module: m, diags: &raw})
+	return raw
+}
+
+// A Timing records the wall time one analyzer spent on the whole module.
 type Timing struct {
 	Analyzer string  `json:"analyzer"`
-	Package  string  `json:"package"` // import path, or "module" for module-wide passes
 	Millis   float64 `json:"ms"`
 }
 
-// Check runs every registered analyzer — per-unit and module-wide — over
-// the units each is scoped to and returns the combined findings, including
-// malformed-directive reports and stale-suppression reports (a directive
-// that suppressed nothing across the whole run has lost its reason to
-// exist: its finding was fixed, or its analyzer was renamed).
+// Check runs every registered analyzer over the module and returns the
+// findings in the packages each is scoped to, including malformed-directive
+// reports and stale-suppression reports (a directive that suppressed
+// nothing across the whole run has lost its reason to exist: its finding
+// was fixed, or its analyzer was renamed).
 func Check(units []*Unit) []Diagnostic {
 	diags, _ := CheckTimed(units)
 	return diags
 }
 
-// CheckTimed is Check plus a per-(analyzer, package) wall-time profile, for
-// the CI-archived lint benchmark artifact.
+// CheckTimed is Check plus a per-analyzer wall-time profile, for the
+// CI-archived lint benchmark artifact.
 func CheckTimed(units []*Unit) ([]Diagnostic, []Timing) {
 	mod := BuildModule(units)
 	used := make([]bool, len(mod.ignores))
-	// dirBase[i] is the offset of units[i]'s directives inside mod.ignores,
-	// so unit-analyzer suppressions mark liveness in the shared table.
-	dirBase := make([]int, len(units))
-	off := 0
-	for i, u := range units {
-		dirBase[i] = off
-		off += len(u.ignores)
-	}
-
 	var out []Diagnostic
-	var timings []Timing
-	for i, u := range units {
+	for _, u := range units {
 		out = append(out, u.badIgnores...)
-		for _, sa := range Registry() {
-			if !sa.Applies(u.Path) {
-				continue
-			}
-			// External test packages share the import path of the package
-			// under test; suffix their timing label so the profile stays
-			// one row per (analyzer, compilation unit).
-			pkgLabel := u.Path
-			if strings.HasSuffix(u.Name, "_test") {
-				pkgLabel += " [" + u.Name + "]"
-			}
-			var raw []Diagnostic
-			start := time.Now()
-			sa.Analyzer.Run(&Pass{Analyzer: sa.Analyzer, Unit: u, diags: &raw})
-			timings = append(timings, Timing{
-				Analyzer: sa.Name,
-				Package:  pkgLabel,
-				Millis:   float64(time.Since(start).Microseconds()) / 1e3,
-			})
-			for _, d := range raw {
-				if j := suppressedBy(d, u.ignores); j >= 0 {
-					used[dirBase[i]+j] = true
-				} else {
-					out = append(out, d)
-				}
-			}
-		}
 	}
-	for _, sa := range ModuleRegistry() {
-		var raw []Diagnostic
+	var timings []Timing
+	for _, sa := range Registry() {
 		start := time.Now()
-		sa.Run(&ModulePass{Analyzer: sa.ModuleAnalyzer, Module: mod, diags: &raw})
-		timings = append(timings, Timing{
-			Analyzer: sa.Name,
-			Package:  "module",
-			Millis:   float64(time.Since(start).Microseconds()) / 1e3,
-		})
+		raw := run(sa.Analyzer, mod)
+		timings = append(timings, Timing{Analyzer: sa.Name, Millis: float64(time.Since(start).Microseconds()) / 1e3})
 		for _, d := range raw {
 			if !sa.Applies(mod.PathOfFile(d.Pos.Filename)) {
 				continue
@@ -284,9 +252,6 @@ func CheckTimed(units []*Unit) ([]Diagnostic, []Timing) {
 func staleDirectives(mod *Module, used []bool) []Diagnostic {
 	known := map[string]bool{}
 	for _, sa := range Registry() {
-		known[sa.Name] = true
-	}
-	for _, sa := range ModuleRegistry() {
 		known[sa.Name] = true
 	}
 	var out []Diagnostic

@@ -11,15 +11,15 @@ import (
 func TestCryptoRandCorpus(t *testing.T)     { runCorpus(t, CryptoRand, "cryptorand") }
 func TestCachedCipherCorpus(t *testing.T)   { runCorpus(t, CachedCipher, "cachedcipher") }
 func TestWireExhaustiveCorpus(t *testing.T) { runCorpus(t, WireExhaustive, "wireexhaustive") }
-func TestKeyTaintCorpus(t *testing.T)       { runModuleCorpus(t, KeyTaint, "keytaint") }
-func TestNonceReuseCorpus(t *testing.T)     { runModuleCorpus(t, NonceReuse, "noncereuse") }
-func TestLockOrderCorpus(t *testing.T)      { runModuleCorpus(t, LockOrder, "lockorder") }
+func TestKeyTaintCorpus(t *testing.T)       { runCorpus(t, KeyTaint, "keytaint") }
+func TestNonceReuseCorpus(t *testing.T)     { runCorpus(t, NonceReuse, "noncereuse") }
+func TestLockOrderCorpus(t *testing.T)      { runCorpus(t, LockOrder, "lockorder") }
 
 // The keyhygiene and sealunderlock corpora seed keytaint's direct sinks and
 // local checks and lockorder's seal rule, under the names of the analyzers
 // that once owned those rules.
-func TestKeyHygieneCorpus(t *testing.T)    { runModuleCorpus(t, KeyTaint, "keyhygiene") }
-func TestSealUnderLockCorpus(t *testing.T) { runModuleCorpus(t, LockOrder, "sealunderlock") }
+func TestKeyHygieneCorpus(t *testing.T)    { runCorpus(t, KeyTaint, "keyhygiene") }
+func TestSealUnderLockCorpus(t *testing.T) { runCorpus(t, LockOrder, "sealunderlock") }
 
 // TestIgnoreDirectiveParsing pins the exemption grammar: analyzers list and
 // a mandatory free-text justification.

@@ -7,12 +7,12 @@ package analyzers
 var CachedCipher = &Analyzer{
 	Name: "cachedcipher",
 	Doc:  "require cached crypto.Cipher instead of one-shot crypto.Seal/Open on hot paths",
-	Run:  runCachedCipher,
+	Run:  eachUnit(runCachedCipher),
 }
 
-func runCachedCipher(p *Pass) {
-	forEachNonTestCall(p.Unit, func(site callSite) {
-		f := funcOf(p.Unit.Info, site.call)
+func runCachedCipher(p *Pass, u *Unit) {
+	forEachNonTestCall(u, func(site callSite) {
+		f := funcOf(u.Info, site.call)
 		if f == nil || (f.Name() != "Seal" && f.Name() != "Open") {
 			return
 		}

@@ -5,17 +5,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"sort"
 )
 
 // This file is the interprocedural half of the framework: a module-wide
-// function index and call graph over every loaded unit. A unit analyzer
-// inspects one package at a time, so a key that flows through a single
-// helper call, a nonce consumed by a sealing helper, or a lock taken two
-// frames down are all invisible to it. Module analyzers (keytaint,
-// noncereuse, lockorder) run over a Module instead of a Unit and follow
-// values and effects across call edges using per-function summaries
-// computed to a fixpoint.
+// function index and call graph over every loaded unit, and the one summary
+// fixpoint. A check that inspects one package at a time cannot see a key
+// that flows through a single helper call, a nonce consumed by a sealing
+// helper, or a lock taken two frames down. The flow analyzers (keytaint,
+// noncereuse, lockorder) follow values and effects across call edges using
+// per-function summaries that solve computes to a fixpoint.
 
 // A FuncID names a declared function or method uniquely across the module:
 // "pkg/path.Name" for package functions, "pkg/path.(Recv).Name" for methods
@@ -41,16 +41,12 @@ func funcID(f *types.Func) FuncID {
 	return FuncID(f.Pkg().Path() + "." + f.Name())
 }
 
-// A FuncNode is one declared function body in the call graph.
+// A FuncNode is one declared function body.
 type FuncNode struct {
 	ID   FuncID
 	Decl *ast.FuncDecl
 	Unit *Unit
 	Obj  *types.Func
-	// Callees lists the module-internal functions this body may call
-	// (including calls made inside function literals it declares), each at
-	// most once, in first-appearance order.
-	Callees []FuncID
 }
 
 // Sig returns the function's signature.
@@ -117,17 +113,16 @@ func callArgsOf(call *ast.CallExpr, f *types.Func) []callerArg {
 	return out
 }
 
-// A Module is the interprocedural view over every loaded unit: all non-test
-// function bodies indexed by FuncID, with resolved call edges, plus the
-// aggregated ignore directives of every file so module-analyzer diagnostics
-// are suppressible exactly like unit-analyzer ones.
+// A Module is what every analyzer runs over: the loaded units, all non-test
+// function bodies indexed by FuncID, and the aggregated ignore directives of
+// every file.
 type Module struct {
 	Units []*Unit
 	Fset  *token.FileSet
 	Funcs map[FuncID]*FuncNode
 
-	// fileUnit maps a filename to its owning unit, for scoping module
-	// diagnostics to the packages an analyzer gates.
+	// fileUnit maps a filename to its owning unit, for scoping diagnostics
+	// to the packages an analyzer gates.
 	fileUnit map[string]*Unit
 	// ignores aggregates every unit's well-formed directives; directive
 	// liveness (stale-suppression detection) is tracked by index into it.
@@ -137,9 +132,8 @@ type Module struct {
 	order []FuncID
 }
 
-// BuildModule indexes every non-test function body of units and resolves
-// call edges between them. Test files are excluded for the same reason the
-// unit analyzers skip them: the invariants gate production code.
+// BuildModule indexes every non-test function body of units. Test files are
+// excluded: the invariants gate production code.
 func BuildModule(units []*Unit) *Module {
 	m := &Module{
 		Units:    units,
@@ -175,24 +169,6 @@ func BuildModule(units []*Unit) *Module {
 			}
 		}
 	}
-	// Second pass: resolve call edges now that the index is complete.
-	for _, fn := range m.Funcs {
-		seen := map[FuncID]bool{}
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			id := funcID(funcOf(fn.Unit.Info, call))
-			if id != "" && !seen[id] {
-				if _, internal := m.Funcs[id]; internal {
-					seen[id] = true
-					fn.Callees = append(fn.Callees, id)
-				}
-			}
-			return true
-		})
-	}
 	for id := range m.Funcs {
 		m.order = append(m.order, id)
 	}
@@ -215,49 +191,42 @@ func (m *Module) PathOfFile(filename string) string {
 	return ""
 }
 
-// Resolve returns the node a call statically dispatches to, when the callee
-// is a module-internal declared function; nil for external, interface, or
-// dynamic calls.
-func (m *Module) Resolve(info *types.Info, call *ast.CallExpr) *FuncNode {
-	return m.Funcs[funcID(funcOf(info, call))]
+// A solver carries one flow analyzer's per-function summaries to a
+// fixpoint, then reports. Its embedded Pass is the analyzer's.
+type solver[T any] struct {
+	*Pass
+	sums      map[FuncID]T
+	reporting bool
+	reported  map[token.Pos]bool
 }
 
-// A ModuleAnalyzer is one named interprocedural invariant check: Run sees
-// the whole module (call graph, every unit) instead of one unit at a time.
-type ModuleAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(*ModulePass)
-}
-
-// A ModulePass carries one (ModuleAnalyzer, Module) pairing through a run.
-type ModulePass struct {
-	Analyzer *ModuleAnalyzer
-	Module   *Module
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Module.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// RunModuleAnalyzer applies one module analyzer, filters findings through
-// the module's aggregated ignore directives, and returns them sorted.
-func RunModuleAnalyzer(a *ModuleAnalyzer, m *Module) []Diagnostic {
-	var raw []Diagnostic
-	a.Run(&ModulePass{Analyzer: a, Module: m, diags: &raw})
-	var out []Diagnostic
-	for _, d := range raw {
-		if suppressedBy(d, m.ignores) < 0 {
-			out = append(out, d)
+// solve iterates analyze over every function until no summary changes, at
+// most 12 passes, then walks each function once more with reporting on.
+func (s *solver[T]) solve(analyze func(*FuncNode) T) {
+	s.sums, s.reported = map[FuncID]T{}, map[token.Pos]bool{}
+	for range 12 {
+		changed := false
+		s.Module.EachFunc(func(fn *FuncNode) {
+			sum := analyze(fn)
+			if prev, ok := s.sums[fn.ID]; !ok || !reflect.DeepEqual(prev, sum) {
+				s.sums[fn.ID] = sum
+				changed = true
+			}
+		})
+		if !changed {
+			break
 		}
 	}
-	sortDiagnostics(out)
-	return out
+	s.reporting = true
+	s.Module.EachFunc(func(fn *FuncNode) { analyze(fn) })
+}
+
+// reportf records a finding once the summaries are stable, at most once per
+// position: a loop body walked twice must not report twice.
+func (s *solver[T]) reportf(pos token.Pos, format string, args ...any) {
+	if !s.reporting || s.reported[pos] {
+		return
+	}
+	s.reported[pos] = true
+	s.Reportf(pos, format, args...)
 }

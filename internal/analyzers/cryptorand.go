@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -13,11 +14,10 @@ import (
 var CryptoRand = &Analyzer{
 	Name: "cryptorand",
 	Doc:  "forbid math/rand and clock-seeded randomness in protocol packages",
-	Run:  runCryptoRand,
+	Run:  eachUnit(runCryptoRand),
 }
 
-func runCryptoRand(p *Pass) {
-	u := p.Unit
+func runCryptoRand(p *Pass, u *Unit) {
 	for _, f := range u.Files {
 		if u.IsTest(f) {
 			continue
@@ -37,7 +37,7 @@ func runCryptoRand(p *Pass) {
 			if name != "Seed" && name != "NewSource" {
 				return true
 			}
-			if subtreeCallsTimeNow(p, call) {
+			if subtreeCallsTimeNow(u.Info, call) {
 				p.Reportf(call.Pos(), "%s seeded from the clock: wall time is guessable, so the stream is predictable; use crypto/rand", name)
 			}
 			return true
@@ -58,7 +58,7 @@ func calleeName(call *ast.CallExpr) string {
 }
 
 // subtreeCallsTimeNow reports whether any argument of call invokes time.Now.
-func subtreeCallsTimeNow(p *Pass, call *ast.CallExpr) bool {
+func subtreeCallsTimeNow(info *types.Info, call *ast.CallExpr) bool {
 	found := false
 	for _, arg := range call.Args {
 		ast.Inspect(arg, func(n ast.Node) bool {
@@ -66,7 +66,7 @@ func subtreeCallsTimeNow(p *Pass, call *ast.CallExpr) bool {
 			if !ok {
 				return true
 			}
-			if f := funcOf(p.Unit.Info, inner); isPkgFunc(f, "time", "Now") {
+			if f := funcOf(info, inner); isPkgFunc(f, "time", "Now") {
 				found = true
 				return false
 			}

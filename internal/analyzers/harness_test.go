@@ -27,8 +27,9 @@ type want struct {
 	used bool
 }
 
-// runCorpus loads testdata/src/<corpus> and checks a (including
-// malformed-ignore-directive reports) against its want comments.
+// runCorpus loads testdata/src/<corpus> as a module and checks a's
+// findings (plus malformed-ignore-directive reports) against its want
+// comments.
 func runCorpus(t *testing.T, a *Analyzer, corpus string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", corpus)
@@ -39,37 +40,7 @@ func runCorpus(t *testing.T, a *Analyzer, corpus string) {
 	if len(units) == 0 {
 		t.Fatalf("corpus %s has no Go packages", corpus)
 	}
-	for _, u := range units {
-		diags := append([]Diagnostic{}, u.badIgnores...)
-		diags = append(diags, RunAnalyzer(a, u)...)
-		wants := collectWants(t, u)
-		for _, d := range diags {
-			if !claimWant(wants, d) {
-				t.Errorf("%s: unexpected diagnostic: %s", corpus, d)
-			}
-		}
-		for _, w := range wants {
-			if !w.used {
-				t.Errorf("%s: %s:%d: no diagnostic matched want %q", corpus, w.file, w.line, w.re)
-			}
-		}
-	}
-}
-
-// runModuleCorpus loads testdata/src/<corpus> as a one-package module and
-// checks a module analyzer's findings against its want comments.
-func runModuleCorpus(t *testing.T, a *ModuleAnalyzer, corpus string) {
-	t.Helper()
-	dir := filepath.Join("testdata", "src", corpus)
-	units, err := LoadDir(dir, "enclavelint/corpus/"+corpus)
-	if err != nil {
-		t.Fatalf("loading corpus %s: %v", corpus, err)
-	}
-	if len(units) == 0 {
-		t.Fatalf("corpus %s has no Go packages", corpus)
-	}
-	mod := BuildModule(units)
-	diags := RunModuleAnalyzer(a, mod)
+	diags := RunAnalyzer(a, BuildModule(units))
 	var wants []*want
 	for _, u := range units {
 		diags = append(diags, u.badIgnores...)

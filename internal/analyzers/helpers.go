@@ -139,6 +139,15 @@ func lowerContains(s, sub string) bool {
 	return strings.Contains(strings.ToLower(s), sub)
 }
 
+// eachUnit adapts a one-package check to the module: it runs once per unit.
+func eachUnit(check func(*Pass, *Unit)) func(*Pass) {
+	return func(p *Pass) {
+		for _, u := range p.Module.Units {
+			check(p, u)
+		}
+	}
+}
+
 // A callSite is one call expression with the file it appears in.
 type callSite struct {
 	call *ast.CallExpr

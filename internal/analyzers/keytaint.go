@@ -29,12 +29,13 @@ package analyzers
 // %x/%X/%#v (which bypass its String method and reflect over the unexported
 // key bytes), and key material converted to string. See taint.go for the
 // engine.
-var KeyTaint = &ModuleAnalyzer{
+var KeyTaint = &Analyzer{
 	Name: "keytaint",
 	Doc:  "forbid raw or key-derived bytes in logs, errors, metrics, audit events, string conversions, or unsealed wire frames, across function boundaries",
 	Run:  runKeyTaint,
 }
 
-func runKeyTaint(p *ModulePass) {
-	newTaintEngine(p.Module).run(p)
+func runKeyTaint(p *Pass) {
+	e := &taintEngine{solver[*taintSummary]{Pass: p}}
+	e.solve(e.analyze)
 }

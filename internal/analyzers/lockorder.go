@@ -4,13 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
 
-// LockOrder machine-checks the two lock invariants on one walk of each
-// function body, tracking held locks (defer Unlock keeps a lock held;
-// goroutine and function-literal bodies start lock-free).
+// LockOrder machine-checks the two lock invariants on the shared flow
+// walker, tracking held locks (defer Unlock keeps a lock held; goroutine
+// and function-literal bodies start lock-free).
 //
 // Order. internal/group's concurrency comment declares the acquisition order
 //
@@ -49,7 +50,7 @@ import (
 // by-design patterns like engine dispatch under a per-member writer lock.
 // Flagged calls: (*crypto.Cipher).Seal/Open, cipher.AEAD Seal/Open, one-shot
 // crypto.Seal/Open, and Send/SendBatch methods on transport types.
-var LockOrder = &ModuleAnalyzer{
+var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the annotated lock acquisition order across call chains, and forbid AEAD Seal/Open and blocking transport sends while a mutex is held",
 	Run:  runLockOrder,
@@ -63,70 +64,36 @@ const LockOrderAnnotation = "//enclavelint:lockorder"
 // hold the named class(es) when the function runs.
 const GuardedByAnnotation = "//enclavelint:guardedby"
 
-func runLockOrder(p *ModulePass) {
+func runLockOrder(p *Pass) {
 	e := &lockOrderEngine{
-		mod:     p.Module,
+		solver:  solver[lockSet]{Pass: p},
 		before:  map[string]map[string]bool{},
 		display: map[string]string{},
 		guards:  map[FuncID][]string{},
-		sums:    map[FuncID]*lockOrderSummary{},
-		pass:    p,
 	}
 	e.collectAnnotations()
 	e.closeOrder()
-	// Local pass: per-function acquires and non-goroutine callees.
-	e.mod.EachFunc(func(fn *FuncNode) {
-		e.sums[fn.ID] = e.localSummary(fn)
-	})
-	// Transitive closure of acquires over the goroutine-free call edges.
-	for changed := true; changed; {
-		changed = false
-		e.mod.EachFunc(func(fn *FuncNode) {
-			sum := e.sums[fn.ID]
-			for _, callee := range sum.callees {
-				cs := e.sums[callee]
-				if cs == nil {
-					continue
-				}
-				for c := range cs.acquires {
-					if !sum.acquires[c] {
-						sum.acquires[c] = true
-						changed = true
-					}
-				}
-			}
-		})
-	}
-	e.reporting = true
-	e.mod.EachFunc(func(fn *FuncNode) { e.localSummary(fn) })
+	e.solve(e.analyze)
 }
 
+// A lockOrderEngine's summaries are the lock classes each function's body
+// and, transitively, its callees may acquire, excluding goroutine and
+// function-literal bodies, which run on their own stacks.
 type lockOrderEngine struct {
-	mod *Module
+	solver[lockSet]
 	// before[a][b] means class a must be acquired before class b on any
 	// path holding both (transitively closed).
 	before  map[string]map[string]bool
 	display map[string]string
 	guards  map[FuncID][]string
-	sums    map[FuncID]*lockOrderSummary
-
-	pass      *ModulePass
-	reporting bool
-	reported  map[token.Pos]bool
 }
 
-// A lockOrderSummary is one function's effect: the lock classes its body
-// (and, after closure, its callees) may acquire, excluding goroutine and
-// function-literal bodies, which run on their own stacks.
-type lockOrderSummary struct {
-	acquires map[string]bool
-	callees  []FuncID
-}
+type lockSet map[string]bool
 
 // collectAnnotations parses every lockorder and guardedby directive,
 // reporting unresolvable class names and contradictory orders.
 func (e *lockOrderEngine) collectAnnotations() {
-	for _, u := range e.mod.Units {
+	for _, u := range e.Module.Units {
 		for _, f := range u.Files {
 			if u.IsTest(f) {
 				continue
@@ -156,7 +123,7 @@ func (e *lockOrderEngine) collectAnnotations() {
 					for _, name := range strings.FieldsFunc(rest, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
 						cls := e.resolveClass(u, name)
 						if cls == "" {
-							e.pass.Reportf(c.Pos(), "guardedby directive names unknown lock class %q: want Type.mutexField or a lock-wrapper type declared in this package", name)
+							e.Reportf(c.Pos(), "guardedby directive names unknown lock class %q: want Type.mutexField or a lock-wrapper type declared in this package", name)
 							continue
 						}
 						e.guards[id] = append(e.guards[id], cls)
@@ -177,14 +144,14 @@ func (e *lockOrderEngine) parseOrder(u *Unit, c *ast.Comment, rest string) {
 		}
 		cls := e.resolveClass(u, name)
 		if cls == "" {
-			e.pass.Reportf(c.Pos(), "lockorder directive names unknown lock class %q: want Type.mutexField or a lock-wrapper type declared in this package", name)
+			e.Reportf(c.Pos(), "lockorder directive names unknown lock class %q: want Type.mutexField or a lock-wrapper type declared in this package", name)
 			continue
 		}
 		chain = append(chain, cls)
 	}
 	if len(chain) < 2 {
 		if len(parts) < 2 {
-			e.pass.Reportf(c.Pos(), "lockorder directive declares no order (want //enclavelint:lockorder A < B < ...)")
+			e.Reportf(c.Pos(), "lockorder directive declares no order (want //enclavelint:lockorder A < B < ...)")
 		}
 		return
 	}
@@ -192,7 +159,7 @@ func (e *lockOrderEngine) parseOrder(u *Unit, c *ast.Comment, rest string) {
 		for j := i + 1; j < len(chain); j++ {
 			a, b := chain[i], chain[j]
 			if e.before[b] != nil && e.before[b][a] {
-				e.pass.Reportf(c.Pos(), "lockorder directive contradicts an earlier declaration: %s < %s here, %s < %s elsewhere",
+				e.Reportf(c.Pos(), "lockorder directive contradicts an earlier declaration: %s < %s here, %s < %s elsewhere",
 					e.display[a], e.display[b], e.display[b], e.display[a])
 				continue
 			}
@@ -397,198 +364,64 @@ type heldLock struct {
 // (guardedby) or by callerLock (the *Locked convention).
 type lockOrderHeld map[string]heldLock
 
-func (h lockOrderHeld) clone() lockOrderHeld {
-	c := make(lockOrderHeld, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-// localSummary walks one function body, recording acquires and callees
-// (outside goroutine/literal bodies) and — in the reporting phase —
-// flagging order violations and seals under a lock.
-func (e *lockOrderEngine) localSummary(fn *FuncNode) *lockOrderSummary {
-	w := &lockOrderWalker{
-		eng:  e,
-		fn:   fn,
-		sum:  &lockOrderSummary{acquires: map[string]bool{}},
-		info: fn.Unit.Info,
-	}
+// analyze walks one function body, recording the classes it acquires and
+// — once reporting — flagging order violations and seals under a lock.
+// Branch bodies get a copy of the held set and the join keeps the entry
+// state: a lock acquired inside a branch does not leak past it.
+func (e *lockOrderEngine) analyze(fn *FuncNode) lockSet {
+	w := &lockOrderWalker{eng: e, fn: fn, info: fn.Unit.Info, acquires: lockSet{}}
 	held := lockOrderHeld{}
 	for _, cls := range e.guards[fn.ID] {
 		held[cls] = heldLock{pos: fn.Decl.Pos(), expr: callerLock, cls: cls}
-		w.sum.acquires[cls] = true
+		w.acquires[cls] = true
 	}
 	if strings.HasSuffix(fn.Decl.Name.Name, "Locked") {
 		held[callerLock] = heldLock{pos: fn.Decl.Pos(), expr: callerLock}
 	}
-	w.block(fn.Decl.Body.List, held)
-	return w.sum
+	// A goroutine or literal body starts lock-free, and without the *Locked
+	// convention: closures built inside *Locked functions are typically
+	// enqueued to run after release (the PR 2 writer-goroutine pattern).
+	w.f = &flow[lockOrderHeld]{
+		clone: maps.Clone[lockOrderHeld], loops: 1,
+		entry:    func(lockOrderHeld) lockOrderHeld { return lockOrderHeld{} },
+		call:     w.call,
+		deferred: w.deferred,
+	}
+	w.f.block(held, fn.Decl.Body.List)
+	return w.acquires
 }
 
 type lockOrderWalker struct {
-	eng  *lockOrderEngine
-	fn   *FuncNode
-	info *types.Info
-	// sum is nil inside goroutine and function-literal bodies: they run on
-	// their own stacks, so their acquires are not the enclosing function's.
-	sum *lockOrderSummary
+	f        *flow[lockOrderHeld]
+	eng      *lockOrderEngine
+	fn       *FuncNode
+	info     *types.Info
+	acquires lockSet
 }
 
-// sub returns a walker for a detached body (goroutine or literal): same
-// reporting, no summary recording.
-func (w *lockOrderWalker) sub() *lockOrderWalker {
-	return &lockOrderWalker{eng: w.eng, fn: w.fn, info: w.info}
-}
-
-func (w *lockOrderWalker) block(stmts []ast.Stmt, held lockOrderHeld) {
-	for _, s := range stmts {
-		w.stmt(s, held)
+// deferred keeps a lock held past defer X.Unlock(), which releases at
+// return; any other deferred call is checked where it stands.
+func (w *lockOrderWalker) deferred(held lockOrderHeld, d *ast.DeferStmt) {
+	if lk, op := w.eng.lockOp(w.info, d.Call); op != opUnlock || lk.expr == "" {
+		w.f.expr(held, d.Call)
 	}
 }
 
-// stmt threads the held set through one statement. Branch bodies get a
-// cloned set: a lock acquired inside a branch does not leak past it.
-func (w *lockOrderWalker) stmt(s ast.Stmt, held lockOrderHeld) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.expr(s.X, held)
-	case *ast.DeferStmt:
-		// defer X.Unlock() releases at return: the lock stays held here.
-		if lk, op := w.eng.lockOp(w.info, s.Call); op == opUnlock && lk.expr != "" {
-			return
-		}
-		w.expr(s.Call, held)
-	case *ast.GoStmt:
-		// The goroutine body runs without the spawner's locks; its
-		// arguments are evaluated here, under them.
-		for _, arg := range s.Call.Args {
-			w.expr(arg, held)
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.sub().block(lit.Body.List, lockOrderHeld{})
-		}
-	case *ast.AssignStmt:
-		for _, x := range s.Rhs {
-			w.expr(x, held)
-		}
-		for _, x := range s.Lhs {
-			w.expr(x, held)
-		}
-	case *ast.ReturnStmt:
-		for _, x := range s.Results {
-			w.expr(x, held)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.expr(s.Cond, held)
-		w.block(s.Body.List, held.clone())
-		if s.Else != nil {
-			w.stmt(s.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, held)
-		}
-		inner := held.clone()
-		w.block(s.Body.List, inner)
-		if s.Post != nil {
-			w.stmt(s.Post, inner)
-		}
-	case *ast.RangeStmt:
-		w.expr(s.X, held)
-		w.block(s.Body.List, held.clone())
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			state := held.clone()
-			for _, x := range cc.List {
-				w.expr(x, state)
-			}
-			w.block(cc.Body, state)
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.stmt(s.Assign, held)
-		for _, c := range s.Body.List {
-			w.block(c.(*ast.CaseClause).Body, held.clone())
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			state := held.clone()
-			if cc.Comm != nil {
-				w.stmt(cc.Comm, state)
-			}
-			w.block(cc.Body, state)
-		}
-	case *ast.BlockStmt:
-		w.block(s.List, held)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, held)
-	case *ast.IncDecStmt:
-		w.expr(s.X, held)
-	case *ast.SendStmt:
-		w.expr(s.Chan, held)
-		w.expr(s.Value, held)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.expr(v, held)
-					}
-				}
-			}
-		}
+// call updates held as Lock/Unlock calls appear and checks every other call
+// against it.
+func (w *lockOrderWalker) call(held lockOrderHeld, n *ast.CallExpr) {
+	lk, op := w.eng.lockOp(w.info, n)
+	switch {
+	case op == opNone:
+		w.checkCall(n, held)
+	case lk.expr == "":
+		// A Lock-named method on something that is not a lock.
+	case op == opLock:
+		w.acquire(n, lk, held)
+	default:
+		delete(held, lk.expr)
+		delete(held, lk.cls) // releasing a lock held on entry
 	}
-}
-
-// expr scans one expression tree in syntactic order, updating held as
-// Lock/Unlock calls appear and checking every other call against it.
-func (w *lockOrderWalker) expr(e ast.Expr, held lockOrderHeld) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// A literal runs in its own context: no held locks, and no
-			// *Locked convention — closures built inside *Locked functions
-			// are typically enqueued to run after release (the PR 2
-			// writer-goroutine pattern), not under the lock.
-			w.sub().block(n.Body.List, lockOrderHeld{})
-			return false
-		case *ast.CallExpr:
-			lk, op := w.eng.lockOp(w.info, n)
-			switch {
-			case op == opNone:
-				w.checkCall(n, held)
-			case lk.expr == "":
-				// A Lock-named method on something that is not a lock.
-			case op == opLock:
-				w.acquire(n, lk, held)
-			default:
-				delete(held, lk.expr)
-				delete(held, lk.cls) // releasing a lock held on entry
-			}
-		}
-		return true
-	})
 }
 
 // acquire records taking lk with held already held, reporting inversions
@@ -597,17 +430,17 @@ func (w *lockOrderWalker) acquire(call *ast.CallExpr, lk heldLock, held lockOrde
 	e := w.eng
 	if lk.cls != "" {
 		if prev, dup := held[lk.expr]; dup {
-			w.reportf(call.Pos(), "acquiring %s twice on the same path (first at line %d): sync mutexes self-deadlock",
-				e.display[lk.cls], e.mod.Fset.Position(prev.pos).Line)
+			e.reportf(call.Pos(), "acquiring %s twice on the same path (first at line %d): sync mutexes self-deadlock",
+				e.display[lk.cls], e.Module.Fset.Position(prev.pos).Line)
 		}
 		for _, h := range held {
 			if h.cls != lk.cls && e.before[lk.cls][h.cls] {
-				w.reportf(call.Pos(), "acquiring %s while holding %s (line %d) inverts the declared lock order %s < %s: deadlock with any thread locking in order",
-					e.display[lk.cls], e.display[h.cls], e.mod.Fset.Position(h.pos).Line, e.display[lk.cls], e.display[h.cls])
+				e.reportf(call.Pos(), "acquiring %s while holding %s (line %d) inverts the declared lock order %s < %s: deadlock with any thread locking in order",
+					e.display[lk.cls], e.display[h.cls], e.Module.Fset.Position(h.pos).Line, e.display[lk.cls], e.display[h.cls])
 			}
 		}
-		if w.sum != nil {
-			w.sum.acquires[lk.cls] = true
+		if !w.f.detached {
+			w.acquires[lk.cls] = true
 		}
 	}
 	lk.pos = call.Pos()
@@ -625,20 +458,19 @@ func (w *lockOrderWalker) checkCall(call *ast.CallExpr, held lockOrderHeld) {
 	if id == "" {
 		return
 	}
-	if w.sum != nil {
-		if _, internal := e.mod.Funcs[id]; internal {
-			w.sum.callees = append(w.sum.callees, id)
+	if !w.f.detached {
+		for cls := range e.sums[id] {
+			w.acquires[cls] = true
 		}
 	}
-	sum := e.sums[id]
-	if sum == nil || len(held) == 0 {
+	if len(held) == 0 {
 		return
 	}
-	for cls := range sum.acquires {
+	for cls := range e.sums[id] {
 		for _, h := range held {
 			if h.cls != cls && e.before[cls][h.cls] {
-				w.reportf(call.Pos(), "%s acquires %s, called while holding %s (line %d): inverts the declared lock order %s < %s through the call chain",
-					f.Name(), e.display[cls], e.display[h.cls], e.mod.Fset.Position(h.pos).Line, e.display[cls], e.display[h.cls])
+				e.reportf(call.Pos(), "%s acquires %s, called while holding %s (line %d): inverts the declared lock order %s < %s through the call chain",
+					f.Name(), e.display[cls], e.display[h.cls], e.Module.Fset.Position(h.pos).Line, e.display[cls], e.display[h.cls])
 			}
 		}
 	}
@@ -659,10 +491,10 @@ func (w *lockOrderWalker) checkSeal(call *ast.CallExpr, held lockOrderHeld) {
 	}
 	if len(names) > 0 {
 		sort.Strings(names)
-		w.reportf(call.Pos(), "%s while holding %s: move AEAD work and sends off the lock (PR 2 invariant)",
+		w.eng.reportf(call.Pos(), "%s while holding %s: move AEAD work and sends off the lock (PR 2 invariant)",
 			kind, strings.Join(names, ", "))
 	} else if _, ok := held[callerLock]; ok {
-		w.reportf(call.Pos(), "%s inside %s: *Locked functions run under the caller's lock; enqueue instead and seal/send after release",
+		w.eng.reportf(call.Pos(), "%s inside %s: *Locked functions run under the caller's lock; enqueue instead and seal/send after release",
 			kind, w.fn.Decl.Name.Name)
 	}
 }
@@ -700,19 +532,4 @@ func flaggedCall(info *types.Info, call *ast.CallExpr) string {
 		}
 	}
 	return ""
-}
-
-func (w *lockOrderWalker) reportf(pos token.Pos, format string, args ...any) {
-	e := w.eng
-	if !e.reporting {
-		return
-	}
-	if e.reported == nil {
-		e.reported = map[token.Pos]bool{}
-	}
-	if e.reported[pos] {
-		return
-	}
-	e.reported[pos] = true
-	e.pass.Reportf(pos, format, args...)
 }

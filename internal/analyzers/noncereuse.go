@@ -2,8 +2,8 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -32,34 +32,16 @@ import (
 // prove freshness at the call site and the argument is spent there — the
 // cross-function reuse PR 4's single-function analyzers cannot see. Echo
 // fields (NPrev/Echo) deliberately carry old nonces and are not checked.
-var NonceReuse = &ModuleAnalyzer{
+var NonceReuse = &Analyzer{
 	Name: "noncereuse",
 	Doc:  "require every sealed freshness field to carry a one-use nonce proved fresh on all paths",
 	Run:  runNonceReuse,
 }
 
-func runNonceReuse(p *ModulePass) {
-	e := &nonceEngine{
-		mod:       p.Module,
-		sums:      map[FuncID]*nonceSummary{},
-		annotated: map[string]bool{},
-	}
+func runNonceReuse(p *Pass) {
+	e := &nonceEngine{solver: solver[*nonceSummary]{Pass: p}, annotated: map[string]bool{}}
 	e.scanFreshAnnotations()
-	for iter := 0; iter < 12; iter++ {
-		changed := false
-		e.mod.EachFunc(func(fn *FuncNode) {
-			sum := e.analyze(fn)
-			if prev, ok := e.sums[fn.ID]; !ok || !prev.equal(sum) {
-				e.sums[fn.ID] = sum
-				changed = true
-			}
-		})
-		if !changed {
-			break
-		}
-	}
-	e.pass = p
-	e.mod.EachFunc(func(fn *FuncNode) { e.analyze(fn) })
+	e.solve(e.analyze)
 }
 
 // FreshAnnotation marks a struct field as a freshness field beyond the
@@ -78,30 +60,24 @@ const (
 
 type nonceEnv map[types.Object]nonceState
 
-func (e nonceEnv) clone() nonceEnv {
-	c := make(nonceEnv, len(e))
-	for k, v := range e {
-		c[k] = v
-	}
-	return c
-}
-
-// mergeWorst joins two path states: a value is fresh only if fresh on both.
-func mergeWorst(a, b nonceEnv) nonceEnv {
-	out := make(nonceEnv, len(a))
-	get := func(e nonceEnv, o types.Object) nonceState {
-		if s, ok := e[o]; ok {
-			return s
+// joinWorst folds path states into dst: a value is fresh only if fresh on
+// every arm, and unknown on an arm that never bound it.
+func joinWorst(dst nonceEnv, arms []nonceEnv) {
+	out := nonceEnv{}
+	for _, a := range arms {
+		for o := range a {
+			worst := nonceFresh
+			for _, b := range arms {
+				st, ok := b[o]
+				if !ok {
+					st = nonceUnknown
+				}
+				worst = max(worst, st)
+			}
+			out[o] = worst
 		}
-		return nonceUnknown
 	}
-	for o := range a {
-		out[o] = max(get(a, o), get(b, o))
-	}
-	for o := range b {
-		out[o] = max(get(a, o), get(b, o))
-	}
-	return out
+	maps.Copy(dst, out)
 }
 
 // nonceSummary is one function's interprocedural nonce behavior.
@@ -114,38 +90,18 @@ type nonceSummary struct {
 	fresh []bool
 }
 
-func (s *nonceSummary) equal(o *nonceSummary) bool {
-	if len(s.consumes) != len(o.consumes) || len(s.fresh) != len(o.fresh) {
-		return false
-	}
-	for k := range s.consumes {
-		if !o.consumes[k] {
-			return false
-		}
-	}
-	for i := range s.fresh {
-		if s.fresh[i] != o.fresh[i] {
-			return false
-		}
-	}
-	return true
-}
-
 type nonceEngine struct {
-	mod  *Module
-	sums map[FuncID]*nonceSummary
+	solver[*nonceSummary]
 	// annotated holds "pkgPath.Type.Field" keys carrying the fresh
 	// annotation on their declaration.
 	annotated map[string]bool
-	pass      *ModulePass
-	reported  map[token.Pos]bool
 }
 
 // scanFreshAnnotations indexes //enclavelint:fresh field annotations across
 // every unit (string-keyed, so the index survives the source importer's
 // duplicated type objects).
 func (e *nonceEngine) scanFreshAnnotations() {
-	for _, u := range e.mod.Units {
+	for _, u := range e.Module.Units {
 		for _, f := range u.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
@@ -199,27 +155,30 @@ func (e *nonceEngine) freshField(owner *types.Named, name string, t types.Type) 
 	return e.annotated[owner.Obj().Pkg().Path()+"."+owner.Obj().Name()+"."+name]
 }
 
+// analyze threads freshness state through fn's body: branches join
+// worst-state, and loop bodies are walked twice so a nonce drawn before the
+// loop but consumed inside it is seen consumed on the second pass.
 func (e *nonceEngine) analyze(fn *FuncNode) *nonceSummary {
 	sig := fn.Sig()
 	w := &nonceWalker{
-		eng:      e,
-		fn:       fn,
-		info:     fn.Unit.Info,
-		paramIdx: map[types.Object]int{},
-		sum: &nonceSummary{
-			consumes: map[int]bool{},
-			fresh:    make([]bool, sig.Results().Len()),
-		},
+		eng:       e,
+		fn:        fn,
+		info:      fn.Unit.Info,
+		paramIdx:  map[types.Object]int{},
+		sum:       &nonceSummary{consumes: map[int]bool{}, fresh: make([]bool, sig.Results().Len())},
+		sawReturn: make([]bool, sig.Results().Len()),
 	}
 	for i := range w.sum.fresh {
 		w.sum.fresh[i] = true // until a return path says otherwise
 	}
-	w.sawReturn = make([]bool, sig.Results().Len())
 	for i, v := range fn.Params() {
 		w.paramIdx[v] = i
 	}
-	env := nonceEnv{}
-	w.block(fn.Decl.Body.List, env)
+	f := &flow[nonceEnv]{
+		clone: maps.Clone[nonceEnv], join: joinWorst, loops: 2, entry: maps.Clone[nonceEnv],
+		call: w.call, lit: w.compositeLit, assign: w.assign, decl: w.decl, ret: w.returnStmt,
+	}
+	f.block(nonceEnv{}, fn.Decl.Body.List)
 	for i := range w.sum.fresh {
 		if !w.sawReturn[i] {
 			w.sum.fresh[i] = false
@@ -237,149 +196,17 @@ type nonceWalker struct {
 	sawReturn []bool
 }
 
-func (w *nonceWalker) block(stmts []ast.Stmt, env nonceEnv) {
-	for _, s := range stmts {
-		w.stmt(s, env)
+// decl binds initialized nonce variables.
+func (w *nonceWalker) decl(env nonceEnv, vs *ast.ValueSpec) {
+	for i, name := range vs.Names {
+		if obj := w.info.Defs[name]; obj != nil && i < len(vs.Values) {
+			env[obj] = w.valueState(vs.Values[i], env)
+		}
 	}
 }
 
-// stmt threads freshness state through one statement. Branches are walked
-// on clones and merged worst-state; loop bodies are walked twice so a nonce
-// drawn before the loop but consumed inside it is seen consumed on the
-// second pass.
-func (w *nonceWalker) stmt(s ast.Stmt, env nonceEnv) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.expr(s.X, env)
-	case *ast.AssignStmt:
-		w.assign(s, env)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for i, name := range vs.Names {
-						if i < len(vs.Values) {
-							w.expr(vs.Values[i], env)
-							if obj := w.info.Defs[name]; obj != nil {
-								env[obj] = w.valueState(vs.Values[i], env)
-							}
-						}
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		w.returnStmt(s, env)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, env)
-		}
-		w.expr(s.Cond, env)
-		thenEnv := env.clone()
-		w.block(s.Body.List, thenEnv)
-		elseEnv := env.clone()
-		if s.Else != nil {
-			w.stmt(s.Else, elseEnv)
-		}
-		for o, st := range mergeWorst(thenEnv, elseEnv) {
-			env[o] = st
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, env)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, env)
-		}
-		for i := 0; i < 2; i++ {
-			w.block(s.Body.List, env)
-			if s.Post != nil {
-				w.stmt(s.Post, env)
-			}
-		}
-	case *ast.RangeStmt:
-		w.expr(s.X, env)
-		for i := 0; i < 2; i++ {
-			w.block(s.Body.List, env)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, env)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, env)
-		}
-		w.caseClauses(s.Body.List, env)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, env)
-		}
-		w.stmt(s.Assign, env)
-		w.caseClauses(s.Body.List, env)
-	case *ast.SelectStmt:
-		var arms []nonceEnv
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			arm := env.clone()
-			if cc.Comm != nil {
-				w.stmt(cc.Comm, arm)
-			}
-			w.block(cc.Body, arm)
-			arms = append(arms, arm)
-		}
-		w.mergeArms(env, arms)
-	case *ast.BlockStmt:
-		w.block(s.List, env)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, env)
-	case *ast.DeferStmt:
-		w.expr(s.Call, env)
-	case *ast.GoStmt:
-		w.expr(s.Call, env.clone())
-	case *ast.SendStmt:
-		w.expr(s.Chan, env)
-		w.expr(s.Value, env)
-	case *ast.IncDecStmt:
-		w.expr(s.X, env)
-	}
-}
-
-func (w *nonceWalker) caseClauses(clauses []ast.Stmt, env nonceEnv) {
-	var arms []nonceEnv
-	for _, c := range clauses {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		arm := env.clone()
-		for _, e := range cc.List {
-			w.expr(e, arm)
-		}
-		w.block(cc.Body, arm)
-		arms = append(arms, arm)
-	}
-	w.mergeArms(env, arms)
-}
-
-func (w *nonceWalker) mergeArms(env nonceEnv, arms []nonceEnv) {
-	if len(arms) == 0 {
-		return
-	}
-	merged := arms[0]
-	for _, a := range arms[1:] {
-		merged = mergeWorst(merged, a)
-	}
-	for o, st := range merged {
-		env[o] = st
-	}
-}
-
-// assign updates freshness for nonce-typed targets and scans the rhs for
-// consuming expressions.
-func (w *nonceWalker) assign(a *ast.AssignStmt, env nonceEnv) {
-	for _, rhs := range a.Rhs {
-		w.expr(rhs, env)
-	}
+// assign updates freshness for nonce-typed targets.
+func (w *nonceWalker) assign(env nonceEnv, a *ast.AssignStmt) {
 	// Freshness-field stores through assignment: p.Next = x.
 	for i, lhs := range a.Lhs {
 		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && i < len(a.Rhs) {
@@ -502,28 +329,9 @@ func hashDerived(info *types.Info, e ast.Expr) bool {
 	return found
 }
 
-// expr scans an expression for consuming calls and rand-draw producers.
-func (w *nonceWalker) expr(e ast.Expr, env nonceEnv) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			w.block(n.Body.List, env.clone())
-			return false
-		case *ast.CallExpr:
-			w.call(n, env)
-		case *ast.CompositeLit:
-			w.compositeLit(n, env)
-		}
-		return true
-	})
-}
-
 // call handles producers with side effects (rand.Read into a nonce) and
 // consuming callees (freshness params by summary).
-func (w *nonceWalker) call(call *ast.CallExpr, env nonceEnv) {
+func (w *nonceWalker) call(env nonceEnv, call *ast.CallExpr) {
 	f := funcOf(w.info, call)
 	if f == nil {
 		return
@@ -547,7 +355,7 @@ func (w *nonceWalker) call(call *ast.CallExpr, env nonceEnv) {
 }
 
 // compositeLit checks freshness-field values in struct literals.
-func (w *nonceWalker) compositeLit(lit *ast.CompositeLit, env nonceEnv) {
+func (w *nonceWalker) compositeLit(env nonceEnv, lit *ast.CompositeLit) {
 	tv, ok := w.info.Types[lit]
 	if !ok {
 		return
@@ -613,10 +421,10 @@ func (w *nonceWalker) consumeVia(e ast.Expr, env nonceEnv, callee string) {
 		w.spend(x, obj, st, env, via)
 	case *ast.CallExpr:
 		if w.valueState(x, env) != nonceFresh {
-			w.reportf(x.Pos(), "nonce from this call is not proved fresh%s: draw crypto.NewNonce or advance the hash chain per message", via)
+			w.eng.reportf(x.Pos(), "nonce from this call is not proved fresh%s: draw crypto.NewNonce or advance the hash chain per message", via)
 		}
 	default:
-		w.reportf(e.Pos(), "freshness field receives a value not proved fresh%s: draw crypto.NewNonce (or a chained-hash step) on every path first", via)
+		w.eng.reportf(e.Pos(), "freshness field receives a value not proved fresh%s: draw crypto.NewNonce (or a chained-hash step) on every path first", via)
 	}
 }
 
@@ -626,13 +434,13 @@ func (w *nonceWalker) spend(id *ast.Ident, obj types.Object, st nonceState, env 
 	case nonceFresh:
 		env[obj] = nonceConsumed
 	case nonceConsumed:
-		w.reportf(id.Pos(), "nonce %s was already used as a freshness value%s: one draw seals one message — reuse reopens the replay window", id.Name, via)
+		w.eng.reportf(id.Pos(), "nonce %s was already used as a freshness value%s: one draw seals one message — reuse reopens the replay window", id.Name, via)
 	default:
-		w.reportf(id.Pos(), "nonce %s is not proved fresh on all paths to this freshness-field store%s: draw crypto.NewNonce (or a chained-hash step) first", id.Name, via)
+		w.eng.reportf(id.Pos(), "nonce %s is not proved fresh on all paths to this freshness-field store%s: draw crypto.NewNonce (or a chained-hash step) first", id.Name, via)
 	}
 }
 
-func (w *nonceWalker) returnStmt(r *ast.ReturnStmt, env nonceEnv) {
+func (w *nonceWalker) returnStmt(env nonceEnv, r *ast.ReturnStmt) {
 	sig := w.fn.Sig()
 	if len(r.Results) == 0 {
 		for i := 0; i < sig.Results().Len(); i++ {
@@ -649,7 +457,6 @@ func (w *nonceWalker) returnStmt(r *ast.ReturnStmt, env nonceEnv) {
 		return
 	}
 	for i, res := range r.Results {
-		w.expr(res, env)
 		if i < len(w.sawReturn) {
 			fresh := typeIs(sig.Results().At(i).Type(), cryptoPath, "Nonce") && w.valueState(res, env) == nonceFresh
 			w.recordResult(i, fresh)
@@ -662,21 +469,6 @@ func (w *nonceWalker) recordResult(i int, fresh bool) {
 	if !fresh {
 		w.sum.fresh[i] = false
 	}
-}
-
-func (w *nonceWalker) reportf(pos token.Pos, format string, args ...any) {
-	e := w.eng
-	if e.pass == nil {
-		return
-	}
-	if e.reported == nil {
-		e.reported = map[token.Pos]bool{}
-	}
-	if e.reported[pos] {
-		return
-	}
-	e.reported[pos] = true
-	e.pass.Reportf(pos, format, args...)
 }
 
 // nonceSliceBase returns the object of a crypto.Nonce variable sliced as

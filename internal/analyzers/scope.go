@@ -2,9 +2,12 @@ package analyzers
 
 import "slices"
 
-// A ScopedAnalyzer pairs an analyzer with the exact import paths it gates.
-// Scoping lives here — at the driver layer, not inside the analyzers — so
-// the same analyzers run unconditionally over testdata corpora in tests.
+// A ScopedAnalyzer pairs an analyzer with the exact import paths whose
+// findings it gates. The analyzer still sees the whole module (the flow
+// analyzers' summaries cross package lines); only diagnostics landing in a
+// scoped package are reported. Scoping lives here — in the registry, not
+// inside the analyzers — so the same analyzers run unconditionally over
+// testdata corpora in tests.
 type ScopedAnalyzer struct {
 	*Analyzer
 	// Packages are the import paths the analyzer applies to. Everything
@@ -13,7 +16,7 @@ type ScopedAnalyzer struct {
 	Packages []string
 }
 
-// Applies reports whether the analyzer gates the package at path.
+// Applies reports whether findings in the package at path are gated.
 func (s ScopedAnalyzer) Applies(path string) bool {
 	return slices.Contains(s.Packages, path)
 }
@@ -39,31 +42,6 @@ const (
 //     one-shot helpers by design (the legacy protocol is the frozen
 //     vulnerable baseline, not a hot path).
 //   - wireexhaustive: every package that dispatches on wire enums.
-func Registry() []ScopedAnalyzer {
-	return []ScopedAnalyzer{
-		{CryptoRand, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgReplica, pkgLkh}},
-		{CachedCipher, []string{pkgCore, pkgMember, pkgGroup, pkgReplica}},
-		{WireExhaustive, []string{pkgCore, pkgMember, pkgGroup, pkgLegacy, pkgWire, pkgReplica}},
-	}
-}
-
-// A ScopedModuleAnalyzer pairs an interprocedural analyzer with the import
-// paths its *findings* gate: the analyzer still sees the whole module (its
-// summaries cross package lines), but only diagnostics landing in a scoped
-// package are reported.
-type ScopedModuleAnalyzer struct {
-	*ModuleAnalyzer
-	Packages []string
-}
-
-// Applies reports whether findings in the package at path are gated.
-func (s ScopedModuleAnalyzer) Applies(path string) bool {
-	return slices.Contains(s.Packages, path)
-}
-
-// ModuleRegistry returns every interprocedural analyzer with the packages
-// its findings gate.
-//
 //   - keytaint: everywhere key material lives or flows — the key hierarchy
 //     (crypto, lkh), the protocol engines, replication (K_r), and the wire
 //     layer whose Marshal methods carry key bytes by summary.
@@ -75,21 +53,13 @@ func (s ScopedModuleAnalyzer) Applies(path string) bool {
 //     their callers, plus every package that also seals or sends under a
 //     lock, including legacy, whose frozen baseline documents its
 //     exemptions.
-func ModuleRegistry() []ScopedModuleAnalyzer {
-	return []ScopedModuleAnalyzer{
+func Registry() []ScopedAnalyzer {
+	return []ScopedAnalyzer{
+		{CryptoRand, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgReplica, pkgLkh}},
+		{CachedCipher, []string{pkgCore, pkgMember, pkgGroup, pkgReplica}},
+		{WireExhaustive, []string{pkgCore, pkgMember, pkgGroup, pkgLegacy, pkgWire, pkgReplica}},
 		{KeyTaint, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgLegacy, pkgReplica, pkgLkh}},
 		{NonceReuse, []string{pkgCore, pkgMember, pkgGroup, pkgReplica}},
 		{LockOrder, []string{pkgCore, pkgMember, pkgGroup, pkgTransport, pkgLegacy, pkgReplica, pkgLkh}},
 	}
-}
-
-// All returns the unit analyzers without scope, for tests and tools that
-// want to run one analyzer over arbitrary code.
-func All() []*Analyzer {
-	return []*Analyzer{CryptoRand, CachedCipher, WireExhaustive}
-}
-
-// AllModule returns the module analyzers without scope.
-func AllModule() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{KeyTaint, NonceReuse, LockOrder}
 }

@@ -2,22 +2,17 @@ package analyzers
 
 import "testing"
 
-// TestRegistryScope pins which packages each analyzer gates — the scope
-// table is part of the contract (faultnet's seeded randomness and legacy's
-// one-shot ciphers are deliberate, not oversights).
+// TestRegistryScope pins the one registry's six analyzers and which
+// packages each gates — the scope table is part of the contract (faultnet's
+// seeded randomness and legacy's one-shot ciphers are deliberate, not
+// oversights).
 func TestRegistryScope(t *testing.T) {
 	applies := map[string]func(string) bool{}
 	for _, sa := range Registry() {
 		applies[sa.Name] = sa.Applies
 	}
-	if len(applies) != 3 {
-		t.Fatalf("registry has %d unit analyzers, want 3", len(applies))
-	}
-	for _, sa := range ModuleRegistry() {
-		applies[sa.Name] = sa.Applies
-	}
-	if len(applies) != 6 {
-		t.Fatalf("registries have %d analyzers in all, want 6", len(applies))
+	if len(applies) != 6 || len(Registry()) != 6 {
+		t.Fatalf("registry has %d analyzers (%d distinct), want 6", len(Registry()), len(applies))
 	}
 	cases := []struct {
 		analyzer string
@@ -40,6 +35,8 @@ func TestRegistryScope(t *testing.T) {
 		{"keytaint", "enclaves/internal/crypto", true},
 		{"keytaint", "enclaves/internal/legacy", true},
 		{"keytaint", "enclaves/internal/faultnet", false},
+		{"noncereuse", "enclaves/internal/replica", true},
+		{"noncereuse", "enclaves/internal/legacy", false}, // its fixed nonce is the documented bug
 	}
 	for _, c := range cases {
 		f, ok := applies[c.analyzer]
@@ -49,8 +46,5 @@ func TestRegistryScope(t *testing.T) {
 		if got := f(c.path); got != c.want {
 			t.Errorf("%s.Applies(%s) = %v, want %v", c.analyzer, c.path, got, c.want)
 		}
-	}
-	if len(All()) != 3 || len(AllModule()) != 3 {
-		t.Errorf("All() and AllModule() returned %d and %d analyzers, want 3 and 3", len(All()), len(AllModule()))
 	}
 }

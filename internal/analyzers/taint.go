@@ -3,8 +3,9 @@ package analyzers
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -65,63 +66,15 @@ type taintSummary struct {
 	sinks map[int]string
 }
 
-func (s *taintSummary) equal(o *taintSummary) bool {
-	if len(s.results) != len(o.results) || len(s.sinks) != len(o.sinks) {
-		return false
-	}
-	for i := range s.results {
-		if s.results[i] != o.results[i] {
-			return false
-		}
-	}
-	for k, v := range s.sinks {
-		if o.sinks[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// taintEngine computes summaries to fixpoint, then reports.
+// taintEngine carries keytaint's summaries to a fixpoint, then reports.
 type taintEngine struct {
-	mod  *Module
-	sums map[FuncID]*taintSummary
-	// pass is non-nil only during the final reporting walk.
-	pass *ModulePass
+	solver[*taintSummary]
 }
 
-func newTaintEngine(mod *Module) *taintEngine {
-	return &taintEngine{mod: mod, sums: map[FuncID]*taintSummary{}}
-}
-
-// run iterates summary computation over every function until stable, then
-// does one reporting pass.
-func (e *taintEngine) run(pass *ModulePass) {
-	for iter := 0; iter < 12; iter++ {
-		changed := false
-		e.mod.EachFunc(func(fn *FuncNode) {
-			sum := e.analyze(fn)
-			if prev, ok := e.sums[fn.ID]; !ok || !prev.equal(sum) {
-				e.sums[fn.ID] = sum
-				changed = true
-			}
-		})
-		if !changed {
-			break
-		}
-	}
-	e.pass = pass
-	e.mod.EachFunc(func(fn *FuncNode) { e.analyze(fn) })
-	e.pass = nil
-}
-
-// summaryFor returns the current summary of a module-internal callee, or
-// nil.
-func (e *taintEngine) summaryFor(f *types.Func) *taintSummary {
-	return e.sums[funcID(f)]
-}
-
-// taintScope is the per-function analysis state.
+// taintScope is the per-function analysis state. It is also the flow
+// state: taint is flow-insensitive within a function, so a branch arm
+// shares the one scope (clone is the identity) and a join has nothing to
+// do.
 type taintScope struct {
 	eng   *taintEngine
 	fn    *FuncNode
@@ -131,11 +84,12 @@ type taintScope struct {
 	// diagnostics ("raw Key.Bytes()", "key material sessionKey").
 	origin map[types.Object]string
 	sum    *taintSummary
+	// sinks is set on the final walk, which records sink encounters into
+	// the summary and, once the engine reports, reports them.
+	sinks bool
 }
 
-// analyze runs the local dataflow for fn and returns its summary. When the
-// engine is in its reporting pass, intrinsic taint meeting a sink is
-// reported through the pass.
+// analyze runs the local dataflow for fn and returns its summary.
 func (e *taintEngine) analyze(fn *FuncNode) *taintSummary {
 	sig := fn.Sig()
 	sc := &taintScope{
@@ -157,26 +111,24 @@ func (e *taintEngine) analyze(fn *FuncNode) *taintSummary {
 		}
 		sc.state[v] = bits
 	}
-	// Local fixpoint: bits only grow, so a few walks converge. Walk once
-	// more than strictly needed so sinks observed on the final walk see the
-	// full state.
-	for iter := 0; iter < 8; iter++ {
-		before := sc.snapshot()
-		sc.walk(fn.Decl.Body, false)
-		if sc.snapshot() == before {
+	same := func(sc *taintScope) *taintScope { return sc }
+	f := &flow[*taintScope]{
+		clone: same, entry: same, loops: 1,
+		call: (*taintScope).checkCallSinks, lit: (*taintScope).checkLitSinks,
+		assign: (*taintScope).assign, decl: (*taintScope).valueSpec, ret: (*taintScope).returnStmt,
+	}
+	// Local fixpoint, this lattice's loop policy: bits only grow, so a few
+	// walks converge. The final walk sees the full state at every sink.
+	for range 8 {
+		before := maps.Clone(sc.state)
+		f.block(sc, fn.Decl.Body.List)
+		if maps.Equal(sc.state, before) {
 			break
 		}
 	}
-	sc.walk(fn.Decl.Body, true)
+	sc.sinks = true
+	f.block(sc, fn.Decl.Body.List)
 	return sc.sum
-}
-
-func (sc *taintScope) snapshot() uint64 {
-	var h uint64 = 14695981039346656037
-	for o, b := range sc.state {
-		h ^= uint64(uintptr(o.Pos())) * uint64(b|1)
-	}
-	return h
 }
 
 // nameTaintSource reports whether a byte-sequence value's name marks it as
@@ -250,60 +202,19 @@ func isByteSeq(t types.Type) bool {
 	return false
 }
 
-// walk visits every statement, updating state; when sinkCheck is set (the
-// final walk, and the engine's reporting pass decides whether findings are
-// emitted) sink encounters are recorded into the summary / reported.
-func (sc *taintScope) walk(body *ast.BlockStmt, sinkCheck bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			sc.assign(n)
-		case *ast.DeclStmt:
-			if gd, ok := n.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						sc.valueSpec(vs)
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			sc.rangeStmt(n)
-		case *ast.ReturnStmt:
-			sc.returnStmt(n)
-		case *ast.CallExpr:
-			if sinkCheck {
-				sc.checkCallSinks(n)
-			}
-		case *ast.CompositeLit:
-			if sinkCheck {
-				sc.checkEventSink(n)
-				sc.checkEnvelopeLit(n)
-			}
-		}
-		return true
-	})
-	if sinkCheck {
-		ast.Inspect(body, func(n ast.Node) bool {
-			if a, ok := n.(*ast.AssignStmt); ok {
-				sc.checkPayloadStore(a)
-			}
-			return true
-		})
-	}
-}
-
 // sinkHit routes one tainted-value-meets-sink encounter: intrinsic taint is
 // reported (during the engine's reporting pass); parameter-dependent taint
 // becomes a summary obligation the callers discharge.
-func (sc *taintScope) sinkHit(pos token.Pos, bits taintBits, org, sink string) {
+func (sc *taintScope) sinkHit(e ast.Expr, sink string) {
+	bits, org := sc.exprTaint(e)
 	if bits == 0 {
 		return
 	}
-	if bits&taintIntrinsic != 0 && sc.eng.pass != nil {
+	if bits&taintIntrinsic != 0 && sc.eng.reporting {
 		if org == "" {
 			org = "key-derived bytes"
 		}
-		sc.eng.pass.Reportf(pos, "%s reaches %s: log fingerprints (Key.Fingerprint), never key-derived bytes", org, sink)
+		sc.eng.Reportf(e.Pos(), "%s reaches %s: log fingerprints (Key.Fingerprint), never key-derived bytes", org, sink)
 	}
 	for p := 0; p < maxTrackedParams; p++ {
 		if bits&paramBit(p) != 0 {
@@ -320,6 +231,9 @@ func (sc *taintScope) sinkHit(pos token.Pos, bits taintBits, org, sink string) {
 // inside it. It also runs the two local checks: string conversions of key
 // material and redaction-bypassing format verbs on crypto.Key.
 func (sc *taintScope) checkCallSinks(call *ast.CallExpr) {
+	if !sc.sinks {
+		return
+	}
 	if tv, ok := sc.info.Types[call.Fun]; ok && tv.IsType() {
 		sc.checkStringConversion(call, tv.Type)
 		return
@@ -330,27 +244,27 @@ func (sc *taintScope) checkCallSinks(call *ast.CallExpr) {
 		// resolve to a *types.Func.
 		if name, ok := printfFuncVal(sc.info, call); ok {
 			for _, a := range call.Args {
-				sc.sinkHit(a.Pos(), sc.exprBits(a), sc.exprOrigin(a), "a diagnostic log line ("+name+")")
+				sc.sinkHit(a, "a diagnostic log line ("+name+")")
 			}
 		}
 		return
 	}
 	if isPkgFunc(f, "errors", "New") {
 		for _, a := range call.Args {
-			sc.sinkHit(a.Pos(), sc.exprBits(a), sc.exprOrigin(a), "an error value (errors.New)")
+			sc.sinkHit(a, "an error value (errors.New)")
 		}
 		return
 	}
 	if sink, format := formatSink(f, call); sink {
 		sc.checkKeyVerbs(call, format)
 		for _, a := range call.Args {
-			sc.sinkHit(a.Pos(), sc.exprBits(a), sc.exprOrigin(a), sinkLabel(f))
+			sc.sinkHit(a, sinkLabel(f))
 		}
 		return
 	}
 	// Interprocedural step: the callee's summary says which parameters
 	// reach a sink somewhere below it.
-	sum := sc.eng.summaryFor(f)
+	sum := sc.eng.sums[funcID(f)]
 	if sum == nil || len(sum.sinks) == 0 {
 		return
 	}
@@ -359,28 +273,28 @@ func (sc *taintScope) checkCallSinks(call *ast.CallExpr) {
 		if !ok || a.expr == nil {
 			continue
 		}
-		sc.sinkHit(a.expr.Pos(), sc.exprBits(a.expr), sc.exprOrigin(a.expr), what+" (via "+f.Name()+")")
+		sc.sinkHit(a.expr, what+" (via "+f.Name()+")")
 	}
 }
 
 // checkStringConversion flags string(…) of syntactic key material: strings
 // cannot be zeroed and end up in logs and dumps.
 func (sc *taintScope) checkStringConversion(call *ast.CallExpr, to types.Type) {
-	if sc.eng.pass == nil || len(call.Args) != 1 {
+	if !sc.eng.reporting || len(call.Args) != 1 {
 		return
 	}
 	if b, ok := to.Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
 		return
 	}
 	if desc, ok := keyMaterial(sc.info, call.Args[0]); ok {
-		sc.eng.pass.Reportf(call.Pos(), "%s converted to string: strings are unzeroable and leak into logs and dumps; keep key bytes in []byte and compare with subtle", desc)
+		sc.eng.Reportf(call.Pos(), "%s converted to string: strings are unzeroable and leak into logs and dumps; keep key bytes in []byte and compare with subtle", desc)
 	}
 }
 
 // checkKeyVerbs flags a crypto.Key rendered by %x, %X or %#v, which bypass
 // its redacting String method and reflect over the unexported key bytes.
 func (sc *taintScope) checkKeyVerbs(call *ast.CallExpr, format int) {
-	if sc.eng.pass == nil {
+	if !sc.eng.reporting {
 		return
 	}
 	for i, v := range formatVerbs(sc.info, call, format) {
@@ -395,7 +309,7 @@ func (sc *taintScope) checkKeyVerbs(call *ast.CallExpr, format int) {
 		if v == '#' {
 			spelled = "#v"
 		}
-		sc.eng.pass.Reportf(arg.Pos(), "crypto.Key formatted with %%%s bypasses its redacting String method and dumps the raw key; use %%s or Key.Fingerprint", spelled)
+		sc.eng.Reportf(arg.Pos(), "crypto.Key formatted with %%%s bypasses its redacting String method and dumps the raw key; use %%s or Key.Fingerprint", spelled)
 	}
 }
 
@@ -524,159 +438,70 @@ func printfFuncVal(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return name, true
 }
 
-// checkEventSink flags tainted values copied into audit/metrics event
-// structs, which are exported and retained.
-func (sc *taintScope) checkEventSink(lit *ast.CompositeLit) {
+// checkLitSinks flags tainted values copied into audit/metrics event
+// structs, which are exported and retained, and tainted bytes placed into a
+// wire.Envelope Payload at construction: an envelope payload that is not a
+// Seal output is an unsealed frame, and key-derived bytes in it cross the
+// enclave boundary in the clear.
+func (sc *taintScope) checkLitSinks(lit *ast.CompositeLit) {
 	tv, ok := sc.info.Types[lit]
-	if !ok {
+	if !ok || !sc.sinks {
 		return
 	}
-	named := namedOf(tv.Type)
-	if named == nil || !strings.HasSuffix(named.Obj().Name(), "Event") {
-		return
+	if named := namedOf(tv.Type); named != nil && strings.HasSuffix(named.Obj().Name(), "Event") {
+		if _, ok := named.Underlying().(*types.Struct); ok {
+			for _, elt := range lit.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					elt = kv.Value
+				}
+				sc.sinkHit(elt, "a retained "+typeLabel(named)+" event")
+			}
+		}
 	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
+	if !typeIs(tv.Type, wirePath, "Envelope") {
 		return
 	}
 	for _, elt := range lit.Elts {
-		e := elt
 		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			e = kv.Value
-		}
-		sc.sinkHit(e.Pos(), sc.exprBits(e), sc.exprOrigin(e), "a retained "+typeLabel(named)+" event")
-	}
-}
-
-// checkEnvelopeLit flags tainted bytes placed into a wire.Envelope Payload
-// at construction: an envelope payload that is not a Seal output is an
-// unsealed frame, and key-derived bytes in it cross the enclave boundary in
-// the clear.
-func (sc *taintScope) checkEnvelopeLit(lit *ast.CompositeLit) {
-	tv, ok := sc.info.Types[lit]
-	if !ok || !typeIs(tv.Type, wirePath, "Envelope") {
-		return
-	}
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := kv.Key.(*ast.Ident); !ok || id.Name != "Payload" {
-			continue
-		}
-		sc.sinkHit(kv.Value.Pos(), sc.exprBits(kv.Value), sc.exprOrigin(kv.Value), "an unsealed wire frame payload")
-	}
-}
-
-// checkPayloadStore flags tainted bytes assigned into an existing
-// envelope's Payload field.
-func (sc *taintScope) checkPayloadStore(a *ast.AssignStmt) {
-	for i, lhs := range a.Lhs {
-		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Payload" {
-			continue
-		}
-		tv, ok := sc.info.Types[sel.X]
-		if !ok || !typeIs(tv.Type, wirePath, "Envelope") {
-			continue
-		}
-		if i < len(a.Rhs) {
-			sc.sinkHit(a.Rhs[i].Pos(), sc.exprBits(a.Rhs[i]), sc.exprOrigin(a.Rhs[i]), "an unsealed wire frame payload")
-		}
-	}
-}
-
-// exprOrigin names the intrinsic source behind an expression, best-effort,
-// for diagnostics.
-func (sc *taintScope) exprOrigin(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := sc.objOf(e)
-		if obj == nil {
-			return ""
-		}
-		if desc, ok := nameTaintSource(obj.Name(), obj.Type()); ok {
-			return desc
-		}
-		return sc.origin[obj]
-	case *ast.SelectorExpr:
-		if sel, ok := sc.info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			if desc, ok := nameTaintSource(e.Sel.Name, sel.Type()); ok {
-				return desc
-			}
-		}
-		if obj := sc.baseObj(e.X); obj != nil {
-			return sc.origin[obj]
-		}
-	case *ast.CallExpr:
-		if f := funcOf(sc.info, e); f != nil {
-			if isMethod(f, cryptoPath, "Key", "Bytes") {
-				return "raw Key.Bytes()"
-			}
-			if sum := sc.eng.summaryFor(f); sum != nil && len(sum.results) > 0 && sum.results[0]&taintIntrinsic != 0 {
-				return "key material returned by " + f.Name()
-			}
-		}
-		for _, a := range e.Args {
-			if org := sc.exprOrigin(a); org != "" {
-				return org
-			}
-		}
-	case *ast.SliceExpr:
-		return sc.exprOrigin(e.X)
-	case *ast.UnaryExpr:
-		return sc.exprOrigin(e.X)
-	case *ast.CompositeLit:
-		for _, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			if org := sc.exprOrigin(elt); org != "" {
-				return org
+			if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Payload" {
+				sc.sinkHit(kv.Value, "an unsealed wire frame payload")
 			}
 		}
 	}
-	return ""
 }
 
 // assign merges rhs taint into lhs targets. Field and index stores taint
-// the whole base object (coarse, and the safe direction).
+// the whole base object (coarse, and the safe direction). On the final walk
+// it also flags tainted bytes stored into an existing envelope's Payload.
 func (sc *taintScope) assign(a *ast.AssignStmt) {
 	if len(a.Lhs) > 1 && len(a.Rhs) == 1 {
 		// x, y := f()  /  v, ok := m[k]
-		bits := sc.multiBits(a.Rhs[0], len(a.Lhs))
+		bits, org := sc.multiTaint(a.Rhs[0], len(a.Lhs))
 		for i, lhs := range a.Lhs {
-			sc.store(lhs, bits[i], sc.exprOrigin(a.Rhs[0]))
+			sc.store(lhs, bits[i], org)
 		}
 		return
 	}
 	for i, lhs := range a.Lhs {
-		if i < len(a.Rhs) {
-			sc.store(lhs, sc.exprBits(a.Rhs[i]), sc.exprOrigin(a.Rhs[i]))
+		if i >= len(a.Rhs) {
+			continue
+		}
+		bits, org := sc.exprTaint(a.Rhs[i])
+		sc.store(lhs, bits, org)
+		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && sc.sinks && sel.Sel.Name == "Payload" {
+			if tv, ok := sc.info.Types[sel.X]; ok && typeIs(tv.Type, wirePath, "Envelope") {
+				sc.sinkHit(a.Rhs[i], "an unsealed wire frame payload")
+			}
 		}
 	}
 }
 
 func (sc *taintScope) valueSpec(vs *ast.ValueSpec) {
 	for i, name := range vs.Names {
-		var bits taintBits
-		var org string
-		if i < len(vs.Values) {
-			bits = sc.exprBits(vs.Values[i])
-			org = sc.exprOrigin(vs.Values[i])
-		}
-		obj := sc.info.Defs[name]
-		if obj != nil {
+		if obj := sc.info.Defs[name]; obj != nil && i < len(vs.Values) {
+			bits, org := sc.exprTaint(vs.Values[i])
 			sc.merge(obj, bits, org)
 		}
-	}
-}
-
-func (sc *taintScope) rangeStmt(r *ast.RangeStmt) {
-	bits := sc.exprBits(r.X)
-	org := sc.exprOrigin(r.X)
-	if r.Value != nil {
-		sc.store(r.Value, bits, org)
 	}
 }
 
@@ -693,7 +518,7 @@ func (sc *taintScope) returnStmt(r *ast.ReturnStmt) {
 	}
 	if len(r.Results) == 1 && sig.Results().Len() > 1 {
 		// return f(): spread a multi-value call.
-		bits := sc.multiBits(r.Results[0], sig.Results().Len())
+		bits, _ := sc.multiTaint(r.Results[0], sig.Results().Len())
 		for i := range bits {
 			sc.sum.results[i] |= bits[i]
 		}
@@ -701,7 +526,8 @@ func (sc *taintScope) returnStmt(r *ast.ReturnStmt) {
 	}
 	for i, res := range r.Results {
 		if i < len(sc.sum.results) {
-			sc.sum.results[i] |= sc.exprBits(res)
+			bits, _ := sc.exprTaint(res)
+			sc.sum.results[i] |= bits
 		}
 	}
 }
@@ -773,29 +599,31 @@ func (sc *taintScope) baseObj(e ast.Expr) types.Object {
 	}
 }
 
-// exprBits computes the taint of an expression.
-func (sc *taintScope) exprBits(e ast.Expr) taintBits {
+// exprTaint computes the taint of an expression and names, best-effort,
+// the intrinsic source behind it for diagnostics: the first one found among
+// its operands, in order.
+func (sc *taintScope) exprTaint(e ast.Expr) (taintBits, string) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := sc.objOf(e)
 		if obj == nil {
-			return 0
+			return 0, ""
 		}
-		bits := sc.state[obj]
-		if _, ok := nameTaintSource(obj.Name(), obj.Type()); ok {
-			bits |= taintIntrinsic
+		if desc, ok := nameTaintSource(obj.Name(), obj.Type()); ok {
+			return sc.state[obj] | taintIntrinsic, desc
 		}
-		return bits
+		return sc.state[obj], sc.origin[obj]
 	case *ast.SelectorExpr:
 		// Field read: taint of the base, plus name-based field sources
 		// (s.sessionKey and friends).
 		var bits taintBits
+		var org string
 		if obj := sc.baseObj(e.X); obj != nil {
-			bits = sc.state[obj]
+			bits, org = sc.state[obj], sc.origin[obj]
 		}
 		if sel, ok := sc.info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			if _, ok := nameTaintSource(e.Sel.Name, sel.Type()); ok {
-				bits |= taintIntrinsic
+			if desc, ok := nameTaintSource(e.Sel.Name, sel.Type()); ok {
+				bits, org = bits|taintIntrinsic, desc
 			}
 		} else if obj := sc.info.Uses[e.Sel]; obj != nil {
 			// Package-qualified var.
@@ -803,104 +631,114 @@ func (sc *taintScope) exprBits(e ast.Expr) taintBits {
 				bits |= taintIntrinsic
 			}
 		}
-		return bits
+		return bits, org
 	case *ast.CallExpr:
-		return sc.multiBits(e, 1)[0]
+		bits, org := sc.callTaint(e, 1)
+		return bits[0], org
 	case *ast.SliceExpr:
-		return sc.exprBits(e.X)
+		return sc.exprTaint(e.X)
 	case *ast.IndexExpr:
-		return sc.exprBits(e.X)
+		return sc.exprTaint(e.X)
 	case *ast.StarExpr:
-		return sc.exprBits(e.X)
+		return sc.exprTaint(e.X)
 	case *ast.UnaryExpr:
-		return sc.exprBits(e.X)
-	case *ast.BinaryExpr:
-		return sc.exprBits(e.X) | sc.exprBits(e.Y)
-	case *ast.CompositeLit:
-		var bits taintBits
-		for _, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			bits |= sc.exprBits(elt)
-		}
-		return bits
+		return sc.exprTaint(e.X)
 	case *ast.TypeAssertExpr:
-		return sc.exprBits(e.X)
+		return sc.exprTaint(e.X)
+	case *ast.KeyValueExpr:
+		return sc.exprTaint(e.Value)
+	case *ast.BinaryExpr:
+		bits, org, _ := sc.operandTaint(e.X, e.Y)
+		return bits, org
+	case *ast.CompositeLit:
+		bits, org, _ := sc.operandTaint(e.Elts...)
+		return bits, org
 	}
-	return 0
+	return 0, ""
 }
 
-// multiBits computes per-result taint for a (possibly multi-value) rhs.
-func (sc *taintScope) multiBits(e ast.Expr, n int) []taintBits {
-	out := make([]taintBits, n)
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		if n > 0 {
-			out[0] = sc.exprBits(e)
+// operandTaint joins the taint of several operands: the union of their
+// bits, the first origin, and each operand's bits.
+func (sc *taintScope) operandTaint(es ...ast.Expr) (taintBits, string, []taintBits) {
+	var all taintBits
+	var org string
+	each := make([]taintBits, len(es))
+	for i, e := range es {
+		bits, o := sc.exprTaint(e)
+		all |= bits
+		each[i] = bits
+		if org == "" {
+			org = o
 		}
-		return out
 	}
+	return all, org, each
+}
+
+// multiTaint computes per-result taint for a (possibly multi-value) rhs.
+func (sc *taintScope) multiTaint(e ast.Expr, n int) ([]taintBits, string) {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+		return sc.callTaint(call, n)
+	}
+	out := make([]taintBits, n)
+	var org string
+	out[0], org = sc.exprTaint(e)
+	return out, org
+}
+
+// callTaint computes per-result taint for a call. Its origin is raw key
+// bytes, key material a callee's summary says it returns, or else the first
+// origin among the arguments.
+func (sc *taintScope) callTaint(call *ast.CallExpr, n int) ([]taintBits, string) {
+	out := make([]taintBits, n)
+	all, org, args := sc.operandTaint(call.Args...)
 	// Conversion: string(b), []byte(s), T(v) — transparent.
 	if tv, ok := sc.info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 && n > 0 {
-			out[0] = sc.exprBits(call.Args[0])
+		if len(call.Args) == 1 {
+			out[0] = all
 		}
-		return out
+		return out, org
 	}
 	f := funcOf(sc.info, call)
 	if f == nil {
 		// Builtins: append propagates everything it sees.
 		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
-			var bits taintBits
-			for _, a := range call.Args {
-				bits |= sc.exprBits(a)
-			}
-			if n > 0 {
-				out[0] = bits
-			}
+			out[0] = all
 		}
-		return out
+		return out, org
 	}
 	// Intrinsic source: raw key bytes out of the redacting container.
 	if isMethod(f, cryptoPath, "Key", "Bytes") {
-		if n > 0 {
-			out[0] = taintIntrinsic
-		}
-		return out
+		out[0] = taintIntrinsic
+		return out, "raw Key.Bytes()"
 	}
 	// Module-internal callee: substitute the caller's argument taint into
 	// the callee's summary.
-	if sum := sc.eng.summaryFor(f); sum != nil {
-		argBits := sc.argTaints(call, f)
-		for i := 0; i < n && i < len(sum.results); i++ {
-			out[i] = substitute(sum.results[i], argBits)
+	if sum := sc.eng.sums[funcID(f)]; sum != nil {
+		params := make([]taintBits, len(recvFirstParams(f)))
+		for _, a := range callArgsOf(call, f) {
+			var bits taintBits
+			if i := slices.Index(call.Args, a.expr); i >= 0 {
+				bits = args[i]
+			} else {
+				bits, _ = sc.exprTaint(a.expr) // the receiver, parameter 0
+			}
+			if a.param < len(params) {
+				params[a.param] |= bits
+			}
 		}
-		return out
+		for i := 0; i < n && i < len(sum.results); i++ {
+			out[i] = substitute(sum.results[i], params)
+		}
+		if len(sum.results) > 0 && sum.results[0]&taintIntrinsic != 0 {
+			org = "key material returned by " + f.Name()
+		}
+		return out, org
 	}
 	// External transparent transforms.
 	if taintTransparent(f) {
-		var bits taintBits
-		for _, a := range call.Args {
-			bits |= sc.exprBits(a)
-		}
-		if n > 0 {
-			out[0] = bits
-		}
+		out[0] = all
 	}
-	return out
-}
-
-// argTaints folds the caller's arguments into per-callee-parameter taint.
-func (sc *taintScope) argTaints(call *ast.CallExpr, f *types.Func) []taintBits {
-	n := len(recvFirstParams(f))
-	out := make([]taintBits, n)
-	for _, a := range callArgsOf(call, f) {
-		if a.param < n {
-			out[a.param] |= sc.exprBits(a.expr)
-		}
-	}
-	return out
+	return out, org
 }
 
 // substitute folds per-parameter caller taint into a summary mask.

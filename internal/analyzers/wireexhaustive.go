@@ -28,32 +28,31 @@ import (
 var WireExhaustive = &Analyzer{
 	Name: "wireexhaustive",
 	Doc:  "switches over protocol enums must be exhaustive or carry a default; fuzz corpora must seed every enum value",
-	Run:  runWireExhaustive,
+	Run:  eachUnit(runWireExhaustive),
 }
 
-func runWireExhaustive(p *Pass) {
-	for _, f := range p.Unit.Files {
-		if !p.Unit.IsTest(f) {
+func runWireExhaustive(p *Pass, u *Unit) {
+	for _, f := range u.Files {
+		if !u.IsTest(f) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch s := n.(type) {
 				case *ast.SwitchStmt:
-					checkValueSwitch(p, s)
+					checkValueSwitch(p, u.Info, s)
 				case *ast.TypeSwitchStmt:
-					checkTypeSwitch(p, s)
+					checkTypeSwitch(p, u.Info, s)
 				}
 				return true
 			})
 		}
-		checkFuzzCorpus(p, f)
+		checkFuzzCorpus(p, u, f)
 	}
 }
 
 // checkValueSwitch implements rule 1.
-func checkValueSwitch(p *Pass, s *ast.SwitchStmt) {
+func checkValueSwitch(p *Pass, info *types.Info, s *ast.SwitchStmt) {
 	if s.Tag == nil {
 		return
 	}
-	info := p.Unit.Info
 	tv, ok := info.Types[s.Tag]
 	if !ok {
 		return
@@ -97,8 +96,7 @@ func checkValueSwitch(p *Pass, s *ast.SwitchStmt) {
 }
 
 // checkTypeSwitch implements rule 2.
-func checkTypeSwitch(p *Pass, s *ast.TypeSwitchStmt) {
-	info := p.Unit.Info
+func checkTypeSwitch(p *Pass, info *types.Info, s *ast.TypeSwitchStmt) {
 	var tagExpr ast.Expr
 	switch a := s.Assign.(type) {
 	case *ast.AssignStmt:
@@ -156,7 +154,7 @@ func checkTypeSwitch(p *Pass, s *ast.TypeSwitchStmt) {
 }
 
 // checkFuzzCorpus implements rule 3 for one file.
-func checkFuzzCorpus(p *Pass, f *ast.File) {
+func checkFuzzCorpus(p *Pass, u *Unit, f *ast.File) {
 	var firstFuzz *ast.FuncDecl
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Fuzz") {
@@ -167,7 +165,7 @@ func checkFuzzCorpus(p *Pass, f *ast.File) {
 	if firstFuzz == nil {
 		return
 	}
-	info := p.Unit.Info
+	info := u.Info
 	// engaged: enum types (declared in this package) whose constants appear
 	// inside a composite literal — i.e. the corpus deliberately enumerates
 	// them. referenced: every constant of such types used anywhere in the
@@ -176,11 +174,11 @@ func checkFuzzCorpus(p *Pass, f *ast.File) {
 	referenced := map[*types.TypeName]map[string]bool{}
 	record := func(id *ast.Ident, inComposite bool) {
 		c, ok := info.Uses[id].(*types.Const)
-		if !ok || c.Pkg() != p.Unit.Pkg {
+		if !ok || c.Pkg() != u.Pkg {
 			return
 		}
 		named := namedOf(c.Type())
-		if named == nil || named.Obj().Pkg() != p.Unit.Pkg {
+		if named == nil || named.Obj().Pkg() != u.Pkg {
 			return
 		}
 		basic, ok := named.Underlying().(*types.Basic)

@@ -246,14 +246,14 @@ func BenchmarkRekeySweep(b *testing.B) {
 				seals += flatRekey(b, ciphers, names, uint64(i+2))
 			}
 			b.StopTimer()
-			writeScaleEntry(b, "rekey_sweep", map[string]any{
+			recordBench(b, "BENCH_scale.json", "rekey_sweep", map[string]any{
 				"benchmark":       "RekeySweep",
 				"variant":         "flat",
 				"members":         n,
 				"ops":             b.N,
 				"ns_per_op":       b.Elapsed().Nanoseconds() / int64(b.N),
 				"seals_per_rekey": float64(seals) / float64(b.N),
-			})
+			}, "members", "variant")
 		})
 		b.Run(fmt.Sprintf("members=%d/variant=lkh", n), func(b *testing.B) {
 			tree := buildTree(b, n, lkh.DefaultArity)
@@ -264,7 +264,7 @@ func BenchmarkRekeySweep(b *testing.B) {
 				seals += lkhRekey(b, tree, fmt.Sprintf("user%05d", i%n), uint64(i+2))
 			}
 			b.StopTimer()
-			writeScaleEntry(b, "rekey_sweep", map[string]any{
+			recordBench(b, "BENCH_scale.json", "rekey_sweep", map[string]any{
 				"benchmark":       "RekeySweep",
 				"variant":         "lkh",
 				"members":         n,
@@ -272,7 +272,7 @@ func BenchmarkRekeySweep(b *testing.B) {
 				"ops":             b.N,
 				"ns_per_op":       b.Elapsed().Nanoseconds() / int64(b.N),
 				"seals_per_rekey": float64(seals) / float64(b.N),
-			})
+			}, "members", "variant")
 		})
 	}
 }
