@@ -290,18 +290,19 @@ func chaosSoak(t *testing.T, l transport.Listener, dial func(addr string) (trans
 	if !strings.Contains(ev.Detail, "ack deadline") {
 		t.Fatalf("eviction detail = %q, want ack-deadline cause", ev.Detail)
 	}
-	// The eviction is a leave: the on-leave rekey fires inside the eviction
-	// (before the audit record), so the EventEvicted epoch IS the post-rekey
-	// epoch and a matching EventRekeyed must precede it.
+	// The eviction is a leave: the on-leave rekey fires inside the eviction,
+	// cause before effect, so the EventEvicted record carries the epoch it
+	// happened in and the next EventRekeyed is its rotation to the next one.
 	waitUntil(t, "on-leave rekey accompanying the eviction", 10*time.Second, func() bool {
 		audit.mu.Lock()
 		defer audit.mu.Unlock()
+		evicted := false
 		for _, e := range audit.events {
-			if e.Kind == group.EventRekeyed && e.Epoch == ev.Epoch {
-				return true
-			}
-			if e.Kind == group.EventEvicted && e.User == victim {
-				return false // reached the eviction without its rekey
+			switch {
+			case e.Kind == group.EventEvicted && e.User == victim:
+				evicted = true
+			case evicted && e.Kind == group.EventRekeyed:
+				return e.Epoch == ev.Epoch+1 && e.Detail == "leave "+victim
 			}
 		}
 		return false

@@ -15,7 +15,7 @@ import (
 //
 // Order. internal/group's concurrency comment declares the acquisition order
 //
-//	//enclavelint:lockorder Leader.mu < stripe < memberConn.mu
+//	//enclavelint:lockorder Leader.mu < changeLog.mu < stripe < memberConn.mu
 //
 // and every deadlock the model checker ever found in this codebase was an
 // inversion of exactly that kind of edge: thread 1 takes Leader.mu then a

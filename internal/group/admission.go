@@ -12,7 +12,6 @@ package group
 import (
 	"enclaves/internal/core"
 	"enclaves/internal/queue"
-	"enclaves/internal/replica"
 	"enclaves/internal/transport"
 	"enclaves/internal/wire"
 )
@@ -106,7 +105,7 @@ func (g *Leader) resumeHandshake(conn transport.Conn, first wire.Envelope) *memb
 		g.logf("group: resume of %q rejected: %s", user, detail)
 		mResumeRejected.Inc()
 		mRejected.Inc()
-		g.audit.emit(Event{Kind: EventRejected, User: user, Epoch: g.Epoch(), Detail: "resume: " + detail})
+		g.log.record(change{kind: changeRejected, user: user, epoch: g.Epoch(), detail: "resume: " + detail})
 		return nil
 	}
 
@@ -172,23 +171,21 @@ func (g *Leader) admitLocked(s *memberConn, resumed bool) {
 		mMembers.Add(1)
 		g.tm.memberDelta(1)
 	}
-	kind, counter, verb := EventJoined, mJoins, "joined"
+	kind, counter, verb := changeJoined, mJoins, "joined"
 	if resumed {
-		kind, counter, verb = EventResumed, mResumes, "resumed"
+		kind, counter, verb = changeResumed, mResumes, "resumed"
 	}
 	counter.Inc()
 	g.tm.joined()
 	g.logf("group: %s %s (members: %d)", s.user, verb, g.reg.size())
-	g.audit.emit(Event{Kind: kind, User: s.user, Epoch: g.epoch})
 	g.joinTreeLocked(s.user, resumed)
+	// The engine state is read under s.mu but recorded after releasing it:
+	// the log's mutex orders before memberConn.mu.
 	s.mu.Lock()
-	if es, ok := s.engine.ExportState(); ok {
-		g.replPublish(replica.Delta{
-			Kind: wire.ReplMemberUp, User: s.user,
-			Session: es.SessionKey, Nonce: es.Nonce, Seq: es.Seq,
-		})
-	}
+	es, _ := s.engine.ExportState()
 	s.mu.Unlock()
+	g.log.record(change{kind: kind, user: s.user, epoch: g.epoch,
+		repl: wire.ReplDeltaPayload{Session: es.SessionKey, Nonce: es.Nonce, Seq: es.Seq}})
 
 	// Inform the rest of the group first, then bring the new member up to
 	// date. Admin messages to each member are totally ordered by the
@@ -208,10 +205,12 @@ func (g *Leader) admitLocked(s *memberConn, resumed bool) {
 
 // serveReplica authenticates a standby's subscription hello and attaches it
 // to the replication sender with a snapshot of the current state. The
-// snapshot is built and the subscriber attached inside one critical
-// section, so every g.mu-serialized delta emitted afterwards linearizes
-// after the snapshot; only the enqueue happens under the lock — the
-// sender's writer goroutine seals and transmits.
+// snapshot is cut at a log position: it is built and the subscriber
+// attached while holding both Leader.mu and the log's mutex, so every
+// record up to the log's Seq is in the snapshot and every later one — a
+// session sync recorded off Leader.mu included — queues behind it. Only the
+// enqueue happens under the locks; the sender's writer goroutine seals and
+// transmits.
 func (g *Leader) serveReplica(conn transport.Conn, first wire.Envelope) {
 	if g.repl == nil {
 		g.logf("group: replication subscription without replication enabled, dropping")
@@ -227,8 +226,10 @@ func (g *Leader) serveReplica(conn transport.Conn, first wire.Envelope) {
 		g.mu.Unlock()
 		return
 	}
+	g.log.mu.Lock()
 	snap := g.snapshotLocked()
 	g.repl.Attach(conn, standby, n0, snap)
+	g.log.mu.Unlock()
 	g.mu.Unlock()
 	g.logf("group: standby %q subscribed (%d members)", standby, len(snap.Members))
 
@@ -242,24 +243,21 @@ func (g *Leader) serveReplica(conn transport.Conn, first wire.Envelope) {
 	}
 }
 
-// snapshotLocked captures the replicable group state. Caller holds g.mu;
-// per-member engine state is read under each member's own lock (the
-// permitted Leader.mu -> memberConn.mu order).
-func (g *Leader) snapshotLocked() replica.State {
-	st := replica.State{
-		Primary:      g.name,
+// snapshotLocked captures the replicable group state in its wire form.
+// Caller holds g.mu and g.log.mu; per-member engine state is read under
+// each member's own lock (the permitted Leader.mu < changeLog.mu <
+// memberConn.mu order).
+func (g *Leader) snapshotLocked() wire.ReplStatePayload {
+	st := wire.ReplStatePayload{
 		Epoch:        g.epoch,
 		GroupKey:     g.groupKey,
-		AuditSeq:     g.audit.current(),
-		Members:      make(map[string]replica.Session),
+		AuditSeq:     g.log.seq,
 		RekeyPending: g.rekeyPending > 0,
 	}
 	if g.tree != nil {
-		st.LKHArity = g.tree.Arity()
-		recs := g.tree.Records()
-		st.Tree = make(map[uint64]wire.ReplLKHNode, len(recs))
-		for _, r := range recs {
-			st.Tree[uint64(r.ID)] = toReplNode(r)
+		st.LKHArity = uint8(g.tree.Arity())
+		for _, r := range g.tree.Records() {
+			st.Tree = append(st.Tree, toReplNode(r))
 		}
 	}
 	for _, s := range g.reg.appendAll(nil, "") {
@@ -267,9 +265,9 @@ func (g *Leader) snapshotLocked() replica.State {
 		es, ok := s.engine.ExportState()
 		s.mu.Unlock()
 		if ok {
-			st.Members[s.user] = replica.Session{
-				SessionKey: es.SessionKey, Nonce: es.Nonce, Seq: es.Seq,
-			}
+			st.Members = append(st.Members, wire.ReplMember{
+				User: s.user, SessionKey: es.SessionKey, Nonce: es.Nonce, Seq: es.Seq,
+			})
 		}
 	}
 	return st

@@ -13,16 +13,26 @@ import (
 )
 
 // replTap subscribes to a leader's replication stream the way a standby
-// does and counts the ReplMemberUp deltas it carries, per user.
+// does and keeps every delta it carries, in stream order.
 type replTap struct {
-	mu  sync.Mutex
-	ups map[string]int
+	mu     sync.Mutex
+	deltas []wire.ReplDeltaPayload
+}
+
+func (r *replTap) snapshot() []wire.ReplDeltaPayload {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]wire.ReplDeltaPayload(nil), r.deltas...)
 }
 
 func (r *replTap) memberUps(user string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ups[user]
+	n := 0
+	for _, d := range r.snapshot() {
+		if d.Kind == wire.ReplMemberUp && d.User == user {
+			n++
+		}
+	}
+	return n
 }
 
 // tapReplication attaches a tap to the leader listening at addr and returns
@@ -54,7 +64,7 @@ func tapReplication(t *testing.T, net *transport.MemNetwork, addr string, kr cry
 	if env, err := conn.Recv(); err != nil || env.Type != wire.TypeReplState {
 		t.Fatalf("tap snapshot: %v (%s)", err, env.Type)
 	}
-	tap := &replTap{ups: make(map[string]int)}
+	tap := &replTap{}
 	go func() {
 		for {
 			env, err := conn.Recv()
@@ -65,9 +75,9 @@ func tapReplication(t *testing.T, net *transport.MemNetwork, addr string, kr cry
 			if err != nil {
 				continue
 			}
-			if d, err := wire.UnmarshalReplDelta(plain); err == nil && d.Kind == wire.ReplMemberUp {
+			if d, err := wire.UnmarshalReplDelta(plain); err == nil {
 				tap.mu.Lock()
-				tap.ups[d.User]++
+				tap.deltas = append(tap.deltas, d)
 				tap.mu.Unlock()
 			}
 		}

@@ -239,13 +239,17 @@ func TestExpelImmediateUnderCoalescing(t *testing.T) {
 	if e := g.Epoch(); e != epochBefore+1 {
 		t.Fatalf("expel did not rotate synchronously: epoch %d, want %d", e, epochBefore+1)
 	}
-	waitFor(t, "expel audited", func() bool {
-		_, ok := logr.last(EventExpelled)
-		return ok
+	waitFor(t, "expel and its rotation audited", func() bool {
+		r, ok := logr.last(EventRekeyed)
+		return ok && r.Detail == "expel target"
 	})
+	// The expulsion is stamped with the epoch in force when it happened and
+	// precedes the rotation it triggered, which carries the new epoch.
 	expelled, _ := logr.last(EventExpelled)
-	if expelled.Epoch != epochBefore+1 {
-		t.Fatalf("EventExpelled stamped epoch %d, want the expulsion's own rotation %d", expelled.Epoch, epochBefore+1)
+	rotation, _ := logr.last(EventRekeyed)
+	if expelled.Epoch != epochBefore || rotation.Epoch != epochBefore+1 || expelled.Seq > rotation.Seq {
+		t.Fatalf("expel #%d at epoch %d, rotation #%d to epoch %d; want the expulsion at %d before its rotation to %d",
+			expelled.Seq, expelled.Epoch, rotation.Seq, rotation.Epoch, epochBefore, epochBefore+1)
 	}
 	if mRekeysCoalesced.Value() == coalescedBefore {
 		t.Fatal("immediate rotation did not absorb the pending debounced rekey")

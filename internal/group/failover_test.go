@@ -182,7 +182,7 @@ func TestFailoverResume(t *testing.T) {
 		Name: leaderName, Users: keys, Rekey: DefaultRekeyPolicy(),
 		ReplKey: kr, ReplPing: 20 * time.Millisecond,
 		Liveness: Liveness{HeartbeatInterval: 50 * time.Millisecond, AckTimeout: 5 * time.Second},
-		OnEvent:  func(Event) {}, // arm the auditor: the trace must survive promotion
+		OnEvent:  func(Event) {}, // arm the audit stream: the trace must survive promotion
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -605,7 +605,7 @@ func TestPromoteDropsUnknownUserWithAudit(t *testing.T) {
 	}
 	st := replica.State{
 		Primary: leaderName, Epoch: 3, GroupKey: tree.RootKey(), AuditSeq: 7,
-		Members: map[string]replica.Session{
+		Members: map[string]wire.ReplMember{
 			"alice":   {SessionKey: newReplKey(t)},
 			"mallory": {SessionKey: newReplKey(t)},
 		},
@@ -638,7 +638,7 @@ func TestPromoteDropsUnknownUserWithAudit(t *testing.T) {
 	if n := promoted.ResumableSessions(); n != 1 {
 		t.Errorf("resumable sessions = %d, want 1 (mallory dropped)", n)
 	}
-	// The auditor delivers on its own goroutine; poll for the drop event.
+	// Audit events are delivered on their own goroutine; poll for the drop.
 	droppedEvent := func() (Event, bool) {
 		audit.mu.Lock()
 		defer audit.mu.Unlock()

@@ -129,7 +129,7 @@ type Leader struct {
 	rekey     RekeyPolicy
 	coalesce  time.Duration
 	logf      func(string, ...any)
-	audit     *auditor
+	log       *changeLog // every decision, once; see changelog.go
 	liveness  Liveness
 	outboxCap int
 	// tm labels this leader's activity in the per-tenant metric families;
@@ -143,9 +143,9 @@ type Leader struct {
 	// fan parallelizes broadcast fan-out; nil means sequential.
 	fan *fanout
 
-	// repl streams state deltas to the subscribed standby; nil when
-	// replication is disabled. Delta publication only enqueues — sealing
-	// and sending happen on the sender's own writer goroutine.
+	// repl streams the log's replication projection to the subscribed
+	// standby; nil when replication is disabled. Publishing only enqueues —
+	// sealing and sending happen on the sender's own writer goroutine.
 	repl *replica.Sender
 
 	// kuQ feeds the key-update publisher goroutine (see lkh.go); nil when
@@ -304,10 +304,6 @@ func NewLeader(cfg Config) (*Leader, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	var audit *auditor
-	if cfg.OnEvent != nil {
-		audit = newAuditor(cfg.OnEvent)
-	}
 	outboxCap := cfg.OutboxLimit
 	if outboxCap == 0 {
 		outboxCap = defaultOutboxLimit
@@ -331,7 +327,6 @@ func NewLeader(cfg Config) (*Leader, error) {
 		rekey:     cfg.Rekey,
 		coalesce:  coalesce,
 		logf:      logf,
-		audit:     audit,
 		liveness:  cfg.Liveness,
 		outboxCap: outboxCap,
 		tm:        newTenantMetrics(cfg.Tenant),
@@ -355,15 +350,16 @@ func NewLeader(cfg Config) (*Leader, error) {
 		go g.keyUpdatePublisher()
 	}
 	if cfg.ReplKey.Valid() {
-		repl, err := replica.NewSender(cfg.Name, cfg.ReplKey)
+		repl, err := replica.NewSender(cfg.Name, cfg.ReplKey, logf)
 		if err != nil {
 			return nil, err
 		}
 		g.repl = repl
-		if cfg.ReplPing > 0 {
-			g.wg.Add(1)
-			go g.replPingLoop(cfg.ReplPing)
-		}
+	}
+	g.log = newChangeLog(cfg.OnEvent, g.repl)
+	if g.repl != nil && cfg.ReplPing > 0 {
+		g.wg.Add(1)
+		go g.replPingLoop(cfg.ReplPing)
 	}
 	if g.liveness.enabled() {
 		g.wg.Add(1)
@@ -384,20 +380,9 @@ func (g *Leader) replPingLoop(every time.Duration) {
 		case <-g.stop:
 			return
 		case <-t.C:
-			g.replPublish(replica.Delta{Kind: wire.ReplPing})
+			g.log.ping()
 		}
 	}
-}
-
-// replPublish stamps the audit high-water mark onto a delta and hands it to
-// the replication sender; a no-op without replication. It only enqueues, so
-// it is safe under any of the leader's locks.
-func (g *Leader) replPublish(d replica.Delta) {
-	if g.repl == nil {
-		return
-	}
-	d.AuditSeq = g.audit.current()
-	g.repl.Publish(d)
 }
 
 // Name returns the leader's identity.
@@ -527,7 +512,7 @@ func (g *Leader) Close() {
 	// the flush timer's closed check) has stopped by now, so the fan-out
 	// pool can drain without racing a late submit.
 	g.fan.close()
-	g.audit.stop()
+	g.log.stop()
 }
 
 // Rekey generates and distributes a new group key immediately — it never
@@ -542,11 +527,12 @@ func (g *Leader) Rekey() error {
 	return g.rekeyLocked("manual", wire.NewGroupKey{}, "")
 }
 
-// rekeyLocked rotates the group key now; cause becomes the audit event's
-// Detail. delta names the membership change the rotation answers and skip
+// rekeyLocked rotates the group key now; cause becomes the Rekeyed record's
+// detail. delta names the membership change the rotation answers and skip
 // the joiner it must not reach: the flat path adds epoch and key and
-// broadcasts that one body. Under LKH keys travel as KeyUpdate frames, the
-// caller has announced the change itself, and delta is empty.
+// broadcasts that one body. Under LKH the rotation covers the dirty paths
+// (the root always included), keys travel as KeyUpdate frames, the caller
+// has announced the change itself, and delta is empty.
 func (g *Leader) rekeyLocked(cause string, delta wire.NewGroupKey, skip string) error {
 	// An immediate rotation satisfies any pending debounced one: absorb it
 	// so the window cannot fire a redundant second broadcast.
@@ -558,10 +544,17 @@ func (g *Leader) rekeyLocked(cause string, delta wire.NewGroupKey, skip string) 
 		}
 		mRekeysCoalesced.Inc()
 	}
+	var (
+		kg  crypto.Key
+		ups []lkh.Update
+		err error
+	)
 	if g.tree != nil {
-		return g.rekeyTreeLocked(cause)
+		ups, err = g.tree.RotateDirty()
+		kg = g.tree.RootKey()
+	} else {
+		kg, err = crypto.NewKey()
 	}
-	kg, err := crypto.NewKey()
 	if err != nil {
 		return err
 	}
@@ -570,8 +563,14 @@ func (g *Leader) rekeyLocked(cause string, delta wire.NewGroupKey, skip string) 
 	g.logf("group: rekey to epoch %d (%s)", g.epoch, cause)
 	mRekeys.Inc()
 	g.tm.rekey(g.epoch)
-	g.audit.emit(Event{Kind: EventRekeyed, Epoch: g.epoch, Detail: cause})
-	g.replPublish(replica.Delta{Kind: wire.ReplRekey, Epoch: g.epoch, GroupKey: kg})
+	if g.tree != nil {
+		g.replTreeLocked() // the rotated records replicate ahead of their epoch
+	}
+	g.log.record(change{kind: changeRekeyed, epoch: g.epoch, detail: cause, repl: wire.ReplDeltaPayload{GroupKey: kg}})
+	if g.tree != nil {
+		g.enqueueKeyUpdatesLocked(ups)
+		return nil
+	}
 	delta.Epoch, delta.Key = g.epoch, kg
 	g.broadcastAdminLocked(delta, skip)
 	return nil
@@ -594,14 +593,8 @@ func (g *Leader) Expel(user string) error {
 		return fmt.Errorf("group: %q is not a member", user)
 	}
 	mExpels.Inc()
-	mMembers.Add(-1)
-	g.tm.left()
-	g.departedLocked(user, true)
-	// The audit event is stamped while mu is still held: g.epoch here is
-	// exactly the epoch the expulsion rotated to, whereas re-reading it
-	// after release could pick up a concurrent join's later rotation.
 	g.logf("group: expelled %s", user)
-	g.audit.emit(Event{Kind: EventExpelled, User: user, Epoch: g.epoch})
+	g.departedLocked(user, changeExpelled, "")
 	g.mu.Unlock()
 
 	s.out.Close()
@@ -661,10 +654,7 @@ func (g *Leader) runMember(s *memberConn) {
 	g.mu.Lock()
 	if g.reg.remove(s) {
 		mLeaves.Inc()
-		mMembers.Add(-1)
-		g.tm.left()
-		g.departedLocked(s.user, false)
-		g.audit.emit(Event{Kind: EventLeft, User: s.user, Epoch: g.epoch, Detail: "connection lost"})
+		g.departedLocked(s.user, changeLeft, "connection lost")
 	}
 	g.mu.Unlock()
 	s.out.Close()
@@ -717,19 +707,15 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 		// session stays healthy. This is the intrusion tolerance in action.
 		g.logf("group: rejected %s from %s: %v", env.Type, s.user, err)
 		mRejected.Inc()
-		g.audit.emit(Event{Kind: EventRejected, User: s.user, Epoch: g.Epoch(), Detail: err.Error()})
+		g.log.record(change{kind: changeRejected, user: s.user, epoch: g.Epoch(), detail: err.Error()})
 		return false
 	}
+	var es core.SessionState
+	synced := false
 	if ev.Acked {
 		s.ackLocked(ev.AckedSeq, now)
-		// Mirror the advanced chained nonce to the standby: the session is
-		// only resumable from a nonce both sides agree on.
 		if g.repl != nil {
-			if es, ok := s.engine.ExportState(); ok {
-				g.replPublish(replica.Delta{
-					Kind: wire.ReplSessionSync, User: s.user, Nonce: es.Nonce, Seq: es.Seq,
-				})
-			}
+			es, synced = s.engine.ExportState()
 		}
 	}
 	if ev.Closed {
@@ -753,6 +739,12 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 		}
 	}
 	s.mu.Unlock()
+	if synced {
+		// Mirror the advanced chained nonce: the session is only resumable
+		// from a nonce both sides agree on. Recorded off s.mu, which orders
+		// after the log's mutex; this read loop alone records the member's acks.
+		g.log.record(change{kind: changeSessionSync, user: s.user, repl: wire.ReplDeltaPayload{Nonce: es.Nonce, Seq: es.Seq}})
+	}
 
 	// The steady-state frame is an acknowledgment with no group-level
 	// consequence; it finishes right here without touching Leader.mu, so
@@ -778,11 +770,8 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 		// trigger a rotation for a user who may be a live member again.
 		if g.reg.remove(s) {
 			mLeaves.Inc()
-			mMembers.Add(-1)
-			g.tm.left()
-			g.departedLocked(s.user, false)
 			g.logf("group: %s left", s.user)
-			g.audit.emit(Event{Kind: EventLeft, User: s.user, Epoch: g.epoch})
+			g.departedLocked(s.user, changeLeft, "")
 		}
 		return true
 	}
@@ -823,18 +812,21 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (wire.Envelope, bool) {
 	return *env, true
 }
 
-// departedLocked announces a departure and rotates the key per policy. The
-// caller must have removed the member from the registry already. immediate
-// forces the rotation to happen now (expulsions); otherwise leaves and
-// evictions may fold into the coalescing window — safe for forward secrecy
-// because the departed member is already out of the registry, so the
-// eventual NewGroupKey broadcast cannot reach it.
-func (g *Leader) departedLocked(user string, immediate bool) {
+// departedLocked records a departure (left, expelled or evicted, with its
+// detail), announces it and rotates the key per policy. The caller must have
+// removed the member from the registry already. An expulsion rotates now;
+// leaves and evictions may fold into the coalescing window — safe for
+// forward secrecy because the departed member is already out of the
+// registry, so the eventual NewGroupKey broadcast cannot reach it.
+func (g *Leader) departedLocked(user string, kind changeKind, detail string) {
+	mMembers.Add(-1)
+	g.tm.left()
 	// Prune the departed member's leaf first: the pruning and the surviving
 	// path's dirtiness replicate ahead of any rotation, and the eventual
 	// RotateDirty retires every key the member held.
 	g.leaveTreeLocked(user)
-	g.replPublish(replica.Delta{Kind: wire.ReplMemberDown, User: user})
+	g.log.record(change{kind: kind, user: user, epoch: g.epoch, detail: detail})
+	immediate := kind == changeExpelled
 	rotate := g.rekey.OnLeave && g.reg.size() > 0
 	cause := "leave " + user
 	if immediate {

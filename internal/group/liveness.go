@@ -157,11 +157,8 @@ func (g *Leader) evictLocked(s *memberConn, detail string) {
 		return // already gone (raced with leave/expel/another eviction)
 	}
 	mEvictions.Inc()
-	mMembers.Add(-1)
-	g.tm.left()
 	s.out.Close()
 	s.conn.Close()
 	g.logf("group: evicted %s: %s", s.user, detail)
-	g.departedLocked(s.user, false)
-	g.audit.emit(Event{Kind: EventEvicted, User: s.user, Epoch: g.epoch, Detail: detail})
+	g.departedLocked(s.user, changeEvicted, detail)
 }

@@ -29,7 +29,6 @@ import (
 	"enclaves/internal/crypto"
 	"enclaves/internal/lkh"
 	"enclaves/internal/queue"
-	"enclaves/internal/replica"
 	"enclaves/internal/transport"
 	"enclaves/internal/wire"
 )
@@ -60,27 +59,6 @@ func fromReplNode(n wire.ReplLKHNode) lkh.Record {
 		ID: lkh.NodeID(n.ID), Parent: lkh.NodeID(n.Parent), Ver: n.Ver,
 		User: n.User, Key: n.Key, Dirty: n.Dirty,
 	}
-}
-
-// rekeyTreeLocked is rekeyLocked's LKH body: rotate the dirty paths (the
-// root always included, so every rotation still bumps the epoch and yields
-// a fresh group key), replicate the changed tree records, and hand the
-// updates to the publisher. Caller holds g.mu.
-func (g *Leader) rekeyTreeLocked(cause string) error {
-	ups, err := g.tree.RotateDirty()
-	if err != nil {
-		return err
-	}
-	g.groupKey = g.tree.RootKey()
-	g.epoch++
-	g.logf("group: rekey to epoch %d (%s, %d subtree updates)", g.epoch, cause, len(ups))
-	mRekeys.Inc()
-	g.tm.rekey(g.epoch)
-	g.audit.emit(Event{Kind: EventRekeyed, Epoch: g.epoch, Detail: cause})
-	g.replTreeLocked()
-	g.replPublish(replica.Delta{Kind: wire.ReplRekey, Epoch: g.epoch, GroupKey: g.groupKey})
-	g.enqueueKeyUpdatesLocked(ups)
-	return nil
 }
 
 // enqueueKeyUpdatesLocked snapshots each update's target connections and
@@ -226,21 +204,22 @@ func (g *Leader) leaveTreeLocked(user string) {
 	}
 }
 
-// replTreeLocked drains the tree's change log into one ReplLKH delta. The
-// drain happens regardless of replication so the log never grows unbounded.
+// replTreeLocked drains the tree's own change list into one tree-changed
+// record. The drain happens regardless of replication so the list never
+// grows unbounded.
 func (g *Leader) replTreeLocked() {
 	ups, removed := g.tree.DrainChanges()
 	if g.repl == nil || (len(ups) == 0 && len(removed) == 0) {
 		return
 	}
-	d := replica.Delta{Kind: wire.ReplLKH}
+	var d wire.ReplDeltaPayload
 	for _, r := range ups {
 		d.Nodes = append(d.Nodes, toReplNode(r))
 	}
 	for _, id := range removed {
 		d.Removed = append(d.Removed, uint64(id))
 	}
-	g.replPublish(d)
+	g.log.record(change{kind: changeTree, repl: d})
 }
 
 // handleKeySync answers a member's KeySyncReq with its complete current

@@ -56,7 +56,7 @@ func Promote(cfg Config, st replica.State) (*Leader, error) {
 	g.mu.Lock()
 	g.groupKey = st.GroupKey
 	g.epoch = st.Epoch
-	g.audit.seed(st.AuditSeq)
+	g.log.seed(st.AuditSeq)
 	if g.tree != nil {
 		recs := make([]lkh.Record, 0, len(st.Tree))
 		for _, n := range st.Tree {
@@ -84,7 +84,7 @@ func Promote(cfg Config, st replica.State) (*Leader, error) {
 			// membership; its path keys (if any) rotate with the forced
 			// rotation below.
 			g.logf("group: replicated session for unknown user %q dropped", user)
-			g.audit.emit(Event{Kind: EventLeft, User: user, Epoch: g.epoch, Detail: "not resumable on standby"})
+			g.log.record(change{kind: changeLeft, user: user, epoch: g.epoch, detail: "not resumable on standby"})
 			if g.tree != nil {
 				g.tree.Remove(user)
 			}
@@ -100,9 +100,9 @@ func Promote(cfg Config, st replica.State) (*Leader, error) {
 		// coalesced) reconciles through the failover.
 		mRekeysCoalesced.Inc()
 	}
-	// The forced post-promotion rotation (exactly one: rekeyLocked emits the
-	// single EventRekeyed and ReplRekey delta). The registry is still empty,
-	// so the broadcast has no receivers; resuming members get the new key in
+	// The forced post-promotion rotation (exactly one: rekeyLocked records
+	// the single Rekeyed change). The registry is still empty, so the
+	// broadcast has no receivers; resuming members get the new key in
 	// their ResumeAck, and late rejoiners through the join route. Under LKH
 	// the rotation covers the root plus every path the replica recorded
 	// dirty — departures the crash caught mid-window stay forward-secret —

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"enclaves/internal/replica"
 	"enclaves/internal/wire"
 )
 
@@ -34,7 +33,7 @@ func (g *Leader) requestRekeyLocked() {
 	// Replicate the armed window: if the primary crashes before the flush,
 	// the promoted standby owes the group this rotation (and the ledger its
 	// coalesced credit) — see Promote.
-	g.replPublish(replica.Delta{Kind: wire.ReplRekeyPending, Pending: true})
+	g.log.record(change{kind: changeRekeyPending, repl: wire.ReplDeltaPayload{Pending: true}})
 	g.rekeyTimer = time.AfterFunc(g.coalesce, g.flushRekey)
 }
 

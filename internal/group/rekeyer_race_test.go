@@ -167,7 +167,7 @@ func TestPromotedLeaderFlushRacesClose(t *testing.T) {
 	}
 	base := replica.State{
 		Primary: leaderName, Epoch: 9, GroupKey: tree.RootKey(), AuditSeq: 3,
-		Members: map[string]replica.Session{
+		Members: map[string]wire.ReplMember{
 			"alice": {SessionKey: newReplKey(t)},
 			"bob":   {SessionKey: newReplKey(t)},
 			"carol": {SessionKey: newReplKey(t)},

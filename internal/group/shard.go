@@ -23,10 +23,12 @@ import (
 //     the liveness tick's probe sweep, Members()) take only stripe locks, so
 //     the hot paths stop serializing behind joins, rekeys, and each other.
 //
-// Lock order: Leader.mu → stripe.mu → memberConn.mu; never the reverse.
-// The lockorder analyzer enforces the machine-readable form:
+// Lock order: Leader.mu → changeLog.mu → stripe.mu → memberConn.mu; never
+// the reverse. The change log's mutex sits above the registry because a
+// standby's snapshot is cut under it (see serveReplica). The lockorder
+// analyzer enforces the machine-readable form:
 //
-//enclavelint:lockorder Leader.mu < stripe < memberConn.mu
+//enclavelint:lockorder Leader.mu < changeLog.mu < stripe < memberConn.mu
 type registry struct {
 	stripes []stripe
 	mask    uint32

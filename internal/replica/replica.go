@@ -7,15 +7,16 @@
 // standby to re-subscribe for a fresh snapshot.
 //
 // The package is deliberately below internal/group in the dependency
-// order: group attaches a Sender to its serve loop and feeds it deltas;
-// the standby process runs a Standby until the primary is declared dead,
-// then hands the replicated State to group's promotion path.
+// order. The leader's change log (internal/group) is the source: every
+// replicated record reaches the Sender as one wire.ReplDeltaPayload whose
+// AuditSeq is the record's position in that log, and the Sender adds only
+// the chain fields. The standby process runs a Standby until the primary is
+// declared dead, then hands the replicated State to group's promotion path.
 package replica
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"enclaves/internal/core"
@@ -41,22 +42,15 @@ var (
 // authentication or names the wrong primary.
 var ErrBadHello = errors.New("replica: bad subscription hello")
 
-// Session is one member's replicated session state — everything the
-// promoted standby needs to resume the session without a password
-// re-handshake (see core.SessionState).
-type Session struct {
-	SessionKey crypto.Key
-	Nonce      crypto.Nonce // the member's latest chained nonce
-	Seq        uint64       // AdminMsg pipeline sequence
-}
-
-// State is the standby's replica of the primary's group state.
+// State is the standby's replica of the primary's group state. Members maps
+// each user to its replicated session: everything the promoted standby
+// needs to resume it without a password re-handshake (see SessionState).
 type State struct {
 	Primary  string
 	Epoch    uint64
 	GroupKey crypto.Key
-	AuditSeq uint64 // primary's audit-trace high-water mark
-	Members  map[string]Session
+	AuditSeq uint64 // Seq of the last change-log record applied
+	Members  map[string]wire.ReplMember
 
 	// LKH key-tree replica, present when the primary rekeys through a
 	// logical key hierarchy. Tree maps node ID to its replicated record; a
@@ -75,7 +69,7 @@ type State struct {
 // Clone deep-copies the state.
 func (st State) Clone() State {
 	out := st
-	out.Members = make(map[string]Session, len(st.Members))
+	out.Members = make(map[string]wire.ReplMember, len(st.Members))
 	for u, s := range st.Members {
 		out.Members[u] = s
 	}
@@ -88,35 +82,13 @@ func (st State) Clone() State {
 	return out
 }
 
-// Delta is one replicated state change, the in-process form of
-// wire.ReplDeltaPayload (the chain nonces are added at sealing time).
-type Delta struct {
-	Kind     wire.ReplDeltaKind
-	AuditSeq uint64
-
-	User     string
-	Session  crypto.Key
-	Nonce    crypto.Nonce
-	Seq      uint64
-	Epoch    uint64
-	GroupKey crypto.Key
-
-	// ReplLKH fields: tree records changed by a mutation, and node IDs
-	// pruned by a departure.
-	Nodes   []wire.ReplLKHNode
-	Removed []uint64
-	// ReplRekeyPending field: whether the coalescing window is armed.
-	Pending bool
-}
-
-// Apply folds the delta into the state.
-func (st *State) Apply(d Delta) {
-	if d.AuditSeq > st.AuditSeq {
-		st.AuditSeq = d.AuditSeq
-	}
+// Apply folds one delta into the state; its chain fields are ignored.
+// Deltas arrive in change-log order, so AuditSeq never moves back.
+func (st *State) Apply(d wire.ReplDeltaPayload) {
+	st.AuditSeq = d.AuditSeq
 	switch d.Kind {
 	case wire.ReplMemberUp:
-		st.Members[d.User] = Session{SessionKey: d.Session, Nonce: d.Nonce, Seq: d.Seq}
+		st.Members[d.User] = wire.ReplMember{User: d.User, SessionKey: d.Session, Nonce: d.Nonce, Seq: d.Seq}
 	case wire.ReplMemberDown:
 		delete(st.Members, d.User)
 	case wire.ReplRekey:
@@ -168,8 +140,8 @@ func (st State) SessionState(user string) (core.SessionState, bool) {
 // item is one unit of the sender's outbound queue: a snapshot (queued at
 // attach time, so it precedes every later delta) or a delta.
 type item struct {
-	snap  *State
-	delta Delta
+	snap  *wire.ReplStatePayload
+	delta wire.ReplDeltaPayload
 }
 
 // subscriber is the attached standby.
@@ -177,7 +149,6 @@ type subscriber struct {
 	standby string
 	conn    transport.Conn
 	q       *queue.Queue[item]
-	done    chan struct{}
 }
 
 // Sender is the primary-side replication endpoint: it authenticates the
@@ -190,7 +161,7 @@ type subscriber struct {
 type Sender struct {
 	primary string
 	cipher  *crypto.Cipher // cached AEAD under K_r
-	limit   int
+	logf    func(format string, args ...any)
 
 	mu  sync.Mutex
 	sub *subscriber
@@ -200,8 +171,9 @@ type Sender struct {
 const DefaultQueueLimit = 4096
 
 // NewSender returns a replication sender for the named primary, sealing
-// under the pre-shared replication key.
-func NewSender(primary string, key crypto.Key) (*Sender, error) {
+// under the pre-shared replication key. logf, if non-nil, hears why a
+// standby was dropped.
+func NewSender(primary string, key crypto.Key, logf func(format string, args ...any)) (*Sender, error) {
 	if primary == "" {
 		return nil, fmt.Errorf("replica: primary name must be non-empty")
 	}
@@ -209,7 +181,10 @@ func NewSender(primary string, key crypto.Key) (*Sender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replica: %w", err)
 	}
-	return &Sender{primary: primary, cipher: c, limit: DefaultQueueLimit}, nil
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	return &Sender{primary: primary, cipher: c, logf: logf}, nil
 }
 
 // HandleHello authenticates a standby's subscription request (the first
@@ -237,19 +212,18 @@ func (s *Sender) HandleHello(env wire.Envelope) (string, crypto.Nonce, error) {
 	return p.Standby, p.Next, nil
 }
 
-// Attach installs the subscriber and queues its snapshot. The caller builds
-// the snapshot and calls Attach inside the same critical section that
-// serializes its delta emissions, so the snapshot linearizes correctly
-// against subsequent Publish calls; Attach itself only enqueues — sealing
-// and sending happen on the subscriber's writer goroutine.
-func (s *Sender) Attach(conn transport.Conn, standby string, n0 crypto.Nonce, snap State) {
+// Attach installs the subscriber and queues its snapshot; the writer fills
+// in the names and chain nonces. The caller builds the snapshot and calls
+// Attach inside the same critical section that serializes its Publish
+// calls, so the snapshot linearizes correctly against them; Attach itself
+// only enqueues — sealing and sending happen on the subscriber's writer
+// goroutine.
+func (s *Sender) Attach(conn transport.Conn, standby string, n0 crypto.Nonce, snap wire.ReplStatePayload) {
 	sub := &subscriber{
 		standby: standby,
 		conn:    conn,
-		q:       queue.NewBounded[item](s.limit),
-		done:    make(chan struct{}),
+		q:       queue.NewBounded[item](DefaultQueueLimit),
 	}
-	snap.Primary = s.primary
 	_ = sub.q.Push(item{snap: &snap})
 	s.mu.Lock()
 	old := s.sub
@@ -261,9 +235,10 @@ func (s *Sender) Attach(conn transport.Conn, standby string, n0 crypto.Nonce, sn
 	go s.writer(sub, n0)
 }
 
-// Publish enqueues one delta for the subscriber, if any. On overflow the
-// subscriber is dropped (it will re-subscribe for a fresh snapshot).
-func (s *Sender) Publish(d Delta) {
+// Publish enqueues one delta for the subscriber, if any; the writer fills
+// in Primary, Standby and the chain nonces. On overflow the subscriber is
+// dropped (it will re-subscribe for a fresh snapshot).
+func (s *Sender) Publish(d wire.ReplDeltaPayload) {
 	s.mu.Lock()
 	sub := s.sub
 	s.mu.Unlock()
@@ -272,7 +247,6 @@ func (s *Sender) Publish(d Delta) {
 	}
 	if err := sub.q.Push(item{delta: d}); errors.Is(err, queue.ErrFull) {
 		mSubDrops.Inc()
-		s.detach(sub)
 		s.drop(sub, "queue overflow")
 	}
 }
@@ -281,24 +255,21 @@ func (s *Sender) Publish(d Delta) {
 func (s *Sender) Detach() {
 	s.mu.Lock()
 	sub := s.sub
-	s.sub = nil
 	s.mu.Unlock()
 	if sub != nil {
 		s.drop(sub, "sender detached")
 	}
 }
 
-// detach clears sub if it is still the current subscriber.
-func (s *Sender) detach(sub *subscriber) {
+// drop ends sub, unsubscribing it if it is still the current subscriber,
+// and says why.
+func (s *Sender) drop(sub *subscriber, reason string) {
 	s.mu.Lock()
 	if s.sub == sub {
 		s.sub = nil
 	}
 	s.mu.Unlock()
-}
-
-func (s *Sender) drop(sub *subscriber, reason string) {
-	_ = reason
+	s.logf("replica: standby %q dropped: %s", sub.standby, reason)
 	sub.q.Close()
 	_ = sub.conn.Close()
 }
@@ -315,67 +286,30 @@ func (s *Sender) writer(sub *subscriber, n0 crypto.Nonce) {
 		}
 		next, err := crypto.NewNonce()
 		if err != nil {
-			s.detach(sub)
 			s.drop(sub, "nonce generation failed")
 			return
 		}
 		var env wire.Envelope
 		var plain []byte
 		if it.snap != nil {
+			p := *it.snap
+			p.Standby, p.Primary, p.Echo, p.Next = sub.standby, s.primary, last, next
 			env = wire.Envelope{Type: wire.TypeReplState, Sender: s.primary, Receiver: sub.standby}
-			p := wire.ReplStatePayload{
-				Standby:      sub.standby,
-				Primary:      s.primary,
-				Echo:         last,
-				Next:         next,
-				Epoch:        it.snap.Epoch,
-				GroupKey:     it.snap.GroupKey,
-				AuditSeq:     it.snap.AuditSeq,
-				LKHArity:     uint8(it.snap.LKHArity),
-				RekeyPending: it.snap.RekeyPending,
-			}
-			for u, m := range it.snap.Members {
-				p.Members = append(p.Members, wire.ReplMember{
-					User: u, SessionKey: m.SessionKey, Nonce: m.Nonce, Seq: m.Seq,
-				})
-			}
-			for _, n := range it.snap.Tree {
-				p.Tree = append(p.Tree, n)
-			}
-			sort.Slice(p.Tree, func(i, j int) bool { return p.Tree[i].ID < p.Tree[j].ID })
 			plain = p.Marshal()
 			mSnapshots.Inc()
 		} else {
 			d := it.delta
+			d.Primary, d.Standby, d.Echo, d.Next = s.primary, sub.standby, last, next
 			env = wire.Envelope{Type: wire.TypeReplDelta, Sender: s.primary, Receiver: sub.standby}
-			p := wire.ReplDeltaPayload{
-				Primary:  s.primary,
-				Standby:  sub.standby,
-				Echo:     last,
-				Next:     next,
-				Kind:     d.Kind,
-				AuditSeq: d.AuditSeq,
-				User:     d.User,
-				Session:  d.Session,
-				Nonce:    d.Nonce,
-				Seq:      d.Seq,
-				Epoch:    d.Epoch,
-				GroupKey: d.GroupKey,
-				Nodes:    d.Nodes,
-				Removed:  d.Removed,
-				Pending:  d.Pending,
-			}
-			plain = p.Marshal()
+			plain = d.Marshal()
 		}
 		box, err := s.cipher.Seal(plain, env.Header())
 		if err != nil {
-			s.detach(sub)
 			s.drop(sub, "seal failed")
 			return
 		}
 		env.Payload = box
 		if err := sub.conn.Send(env); err != nil {
-			s.detach(sub)
 			s.drop(sub, "send failed")
 			return
 		}

@@ -19,10 +19,10 @@ func newTestKey(t *testing.T) crypto.Key {
 }
 
 func TestApplyLKHDeltas(t *testing.T) {
-	st := State{Primary: "p", Members: make(map[string]Session)}
+	st := State{Primary: "p", Members: make(map[string]wire.ReplMember)}
 	k1, k2 := newTestKey(t), newTestKey(t)
 
-	st.Apply(Delta{Kind: wire.ReplLKH, Nodes: []wire.ReplLKHNode{
+	st.Apply(wire.ReplDeltaPayload{Kind: wire.ReplLKH, Nodes: []wire.ReplLKHNode{
 		{ID: 1, Ver: 1, Key: k1},
 		{ID: 2, Parent: 1, Ver: 1, User: "alice", Key: k2},
 	}})
@@ -31,17 +31,17 @@ func TestApplyLKHDeltas(t *testing.T) {
 	}
 
 	// Last-writer-wins upsert plus pruning in one delta.
-	st.Apply(Delta{Kind: wire.ReplLKH, Nodes: []wire.ReplLKHNode{{ID: 1, Ver: 2, Key: k2}}, Removed: []uint64{2}})
+	st.Apply(wire.ReplDeltaPayload{Kind: wire.ReplLKH, Nodes: []wire.ReplLKHNode{{ID: 1, Ver: 2, Key: k2}}, Removed: []uint64{2}})
 	if len(st.Tree) != 1 || st.Tree[1].Ver != 2 || !st.Tree[1].Key.Equal(k2) {
 		t.Fatalf("tree after update+remove: %+v", st.Tree)
 	}
 
-	st.Apply(Delta{Kind: wire.ReplRekeyPending, Pending: true})
+	st.Apply(wire.ReplDeltaPayload{Kind: wire.ReplRekeyPending, Pending: true})
 	if !st.RekeyPending {
 		t.Fatal("pending flag not set")
 	}
 	// A completed rotation settles the window.
-	st.Apply(Delta{Kind: wire.ReplRekey, Epoch: 5, GroupKey: k1})
+	st.Apply(wire.ReplDeltaPayload{Kind: wire.ReplRekey, Epoch: 5, GroupKey: k1})
 	if st.RekeyPending {
 		t.Fatal("rekey did not clear the pending flag")
 	}
@@ -52,7 +52,7 @@ func TestApplyLKHDeltas(t *testing.T) {
 
 func TestCloneDeepCopiesTree(t *testing.T) {
 	st := State{
-		Members: make(map[string]Session),
+		Members: make(map[string]wire.ReplMember),
 		Tree: map[uint64]wire.ReplLKHNode{
 			1: {ID: 1, Ver: 1, Key: newTestKey(t)},
 		},
@@ -74,19 +74,19 @@ func TestCloneDeepCopiesTree(t *testing.T) {
 // survive both the snapshot path and the delta path.
 func TestReplicationStreamCarriesTree(t *testing.T) {
 	kr := newTestKey(t)
-	sender, err := NewSender("leader", kr)
+	sender, err := NewSender("leader", kr, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	snap := State{
+	snap := wire.ReplStatePayload{
 		Epoch:    3,
 		GroupKey: newTestKey(t),
-		Members:  map[string]Session{"alice": {SessionKey: newTestKey(t), Seq: 1}},
+		Members:  []wire.ReplMember{{User: "alice", SessionKey: newTestKey(t), Seq: 1}},
 		LKHArity: 4,
-		Tree: map[uint64]wire.ReplLKHNode{
-			1: {ID: 1, Ver: 2, Key: newTestKey(t)},
-			2: {ID: 2, Parent: 1, Ver: 1, User: "alice", Key: newTestKey(t)},
+		Tree: []wire.ReplLKHNode{
+			{ID: 1, Ver: 2, Key: newTestKey(t)},
+			{ID: 2, Parent: 1, Ver: 1, User: "alice", Key: newTestKey(t)},
 		},
 		RekeyPending: true,
 	}
@@ -104,7 +104,7 @@ func TestReplicationStreamCarriesTree(t *testing.T) {
 				_ = a.Close()
 				return
 			}
-			sender.Attach(a, standby, n0, snap.Clone())
+			sender.Attach(a, standby, n0, snap)
 		}()
 		return b, nil
 	}
@@ -140,17 +140,17 @@ func TestReplicationStreamCarriesTree(t *testing.T) {
 	if st.LKHArity != 4 || !st.RekeyPending {
 		t.Fatalf("snapshot lost arity/pending: %+v", st)
 	}
-	if st.Tree[2].User != "alice" || !st.Tree[1].Key.Equal(snap.Tree[1].Key) {
+	if st.Tree[2].User != "alice" || !st.Tree[1].Key.Equal(snap.Tree[0].Key) {
 		t.Fatalf("snapshot tree mismatch: %+v", st.Tree)
 	}
 
 	// A rotation: new node versions plus the epoch bump that settles the
 	// armed window.
 	newRoot := newTestKey(t)
-	sender.Publish(Delta{Kind: wire.ReplLKH, AuditSeq: 1, Nodes: []wire.ReplLKHNode{
+	sender.Publish(wire.ReplDeltaPayload{Kind: wire.ReplLKH, AuditSeq: 1, Nodes: []wire.ReplLKHNode{
 		{ID: 1, Ver: 3, Key: newRoot},
 	}, Removed: []uint64{2}})
-	sender.Publish(Delta{Kind: wire.ReplRekey, AuditSeq: 2, Epoch: 4, GroupKey: newRoot})
+	sender.Publish(wire.ReplDeltaPayload{Kind: wire.ReplRekey, AuditSeq: 2, Epoch: 4, GroupKey: newRoot})
 
 	st = waitFor("rotation deltas", func(st State) bool { return st.Epoch == 4 })
 	if len(st.Tree) != 1 || st.Tree[1].Ver != 3 || !st.Tree[1].Key.Equal(newRoot) {
@@ -161,7 +161,7 @@ func TestReplicationStreamCarriesTree(t *testing.T) {
 	}
 
 	// Re-arming travels too.
-	sender.Publish(Delta{Kind: wire.ReplRekeyPending, AuditSeq: 3, Pending: true})
+	sender.Publish(wire.ReplDeltaPayload{Kind: wire.ReplRekeyPending, AuditSeq: 3, Pending: true})
 	waitFor("pending delta", func(st State) bool { return st.RekeyPending })
 	sender.Detach()
 }

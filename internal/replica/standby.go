@@ -76,7 +76,7 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	}
 	s := &Standby{
 		cfg:     cfg,
-		state:   State{Primary: cfg.Primary, Members: make(map[string]Session)},
+		state:   State{Primary: cfg.Primary, Members: make(map[string]wire.ReplMember)},
 		lastOK:  time.Now(),
 		stopped: make(chan struct{}),
 		dead:    make(chan struct{}),
@@ -258,12 +258,12 @@ func (s *Standby) subscribeOnce(cipher *crypto.Cipher) error {
 		Epoch:        snap.Epoch,
 		GroupKey:     snap.GroupKey,
 		AuditSeq:     snap.AuditSeq,
-		Members:      make(map[string]Session, len(snap.Members)),
+		Members:      make(map[string]wire.ReplMember, len(snap.Members)),
 		LKHArity:     int(snap.LKHArity),
 		RekeyPending: snap.RekeyPending,
 	}
 	for _, m := range snap.Members {
-		st.Members[m.User] = Session{SessionKey: m.SessionKey, Nonce: m.Nonce, Seq: m.Seq}
+		st.Members[m.User] = m
 	}
 	if len(snap.Tree) > 0 {
 		st.Tree = make(map[uint64]wire.ReplLKHNode, len(snap.Tree))
@@ -306,19 +306,7 @@ func (s *Standby) subscribeOnce(cipher *crypto.Cipher) error {
 		}
 		last = d.Next
 		s.mu.Lock()
-		s.state.Apply(Delta{
-			Kind:     d.Kind,
-			AuditSeq: d.AuditSeq,
-			User:     d.User,
-			Session:  d.Session,
-			Nonce:    d.Nonce,
-			Seq:      d.Seq,
-			Epoch:    d.Epoch,
-			GroupKey: d.GroupKey,
-			Nodes:    d.Nodes,
-			Removed:  d.Removed,
-			Pending:  d.Pending,
-		})
+		s.state.Apply(d)
 		s.lastOK = time.Now()
 		s.mu.Unlock()
 		mDeltasRecv.Inc()
