@@ -400,7 +400,7 @@ func chaosSoak(t *testing.T, l transport.Listener, dial func(addr string) (trans
 		counterValue(t, "faultnet_dropped_total"))
 }
 
-// TestChaosSoakLarge drives the sharded paths at soak scale: ~512 members
+// TestChaosSoakLarge drives the registry and fan-out at soak scale: ~512 members
 // (500 bulk members joining in 64-way-concurrent waves under a coalescing
 // rekey window, 8 session-backed members riding the same fault plan as
 // TestChaosSoak) plus one silently dead victim for the liveness layer.

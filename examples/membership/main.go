@@ -17,8 +17,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"time"
 
 	"enclaves/internal/crypto"
@@ -129,14 +131,17 @@ func run() error {
 	return nil
 }
 
-// waitQuiescent waits until every active member's view and epoch match the
-// leader's, returning the leader's membership.
+// waitQuiescent waits until the leader's membership is exactly the active
+// set and every active member's view and epoch match the leader's, returning
+// the leader's membership. Leave returns before the leader has processed it,
+// so a leader view that still lists the leaver is not yet quiescent.
 func waitQuiescent(leader *group.Leader, active map[string]*member.Member) ([]string, bool) {
+	want := slices.Sorted(maps.Keys(active))
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		truth := leader.Members()
 		epoch := leader.Epoch()
-		ok := true
+		ok := slices.Equal(truth, want)
 		for _, m := range active {
 			if m.Epoch() != epoch || !reflect.DeepEqual(m.Members(), truth) {
 				ok = false

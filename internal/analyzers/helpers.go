@@ -82,8 +82,8 @@ func isPkgFunc(f *types.Func, pkgPath, name string) bool {
 // isLockWrapper reports whether t (through pointers/aliases) is a named
 // struct carrying a sync.Mutex or sync.RWMutex field — value or pointer,
 // named or embedded. This is the shape of a lock-stripe wrapper whose
-// Lock/Unlock methods forward to the inner mutex (internal/group's registry
-// stripe); holding one is holding a mutex as far as the seal-off-lock
+// Lock/Unlock methods forward to the inner mutex (the corpora's stripe and
+// bucket types); holding one is holding a mutex as far as the seal-off-lock
 // invariant is concerned.
 func isLockWrapper(t types.Type) bool {
 	n := namedOf(t)

@@ -15,12 +15,12 @@ import (
 //
 // Order. internal/group's concurrency comment declares the acquisition order
 //
-//	//enclavelint:lockorder Leader.mu < changeLog.mu < stripe < memberConn.mu
+//	//enclavelint:lockorder Leader.mu < changeLog.mu < memberConn.mu
 //
 // and every deadlock the model checker ever found in this codebase was an
 // inversion of exactly that kind of edge: thread 1 takes Leader.mu then a
-// registry stripe, thread 2 takes the stripe then blocks on Leader.mu. The
-// analyzer derives the hierarchy from the annotations and reports:
+// member's lock, thread 2 takes the member's lock then blocks on Leader.mu.
+// The analyzer derives the hierarchy from the annotations and reports:
 //
 //   - a direct inversion: acquiring a class the declared order says must
 //     come before one already held;
@@ -31,8 +31,9 @@ import (
 //
 // Lock classes are named Type.mutexField for mutex fields ("Leader.mu") and
 // bare Type for lock-wrapper types that declare their own Lock/Unlock
-// ("stripe"); a wrapper's inner mutex canonicalizes to the wrapper class.
-// Names resolve in the package of the file carrying the annotation.
+// ("bucket" in the corpus); a wrapper's inner mutex canonicalizes to the
+// wrapper class. Names resolve in the package of the file carrying the
+// annotation.
 // Functions documented with //enclavelint:guardedby Leader.mu are analyzed
 // with that class held on entry, so the callee side of a "callers must hold
 // Leader.mu" contract is checked too. Classes never mentioned by any
@@ -273,8 +274,8 @@ const (
 
 // lockOp recognizes X.Lock / X.RLock / X.TryLock / X.Unlock / X.RUnlock
 // calls on a lock: a sync.Mutex / sync.RWMutex, or a lock wrapper — a named
-// type with its own Lock/Unlock methods, or a struct carrying a mutex (the
-// registry stripe in internal/group). Holding a wrapper is holding its inner
+// type with its own Lock/Unlock methods, or a struct carrying a mutex (a
+// lock-striped table's bucket). Holding a wrapper is holding its inner
 // mutex. The returned heldLock carries the receiver's expression text and
 // its class, "" for a mutex no class names (a local, say); wrapper inner
 // mutexes canonicalize to the wrapper class. A Lock-family call on anything

@@ -124,7 +124,7 @@ const frontierChunk = 32
 // The search is level-synchronous: each BFS level is split into fixed-size
 // chunks that workers claim with an atomic counter (work stealing — a
 // worker stuck on a successor-heavy chunk simply claims fewer chunks).
-// Workers expand states and claim successor keys in the sharded visitedSet,
+// Workers expand states and claim successor keys in the shared visitedSet,
 // where the first claim installs a placeholder node with State == nil; the
 // merge at the level barrier then walks the chunks IN ORDER and finalizes
 // each placeholder from the first edge that reached it. Node identity,
@@ -138,7 +138,7 @@ func ExploreOpts(cfg model.Config, opts Options) *Exploration {
 	sys := model.NewSystem(cfg)
 	pa := sys.LongTermKey()
 	root := &Node{State: sys.Initial()}
-	visited := newVisitedSet(workers)
+	visited := new(visitedSet)
 	rootNode, _ := visited.claim(root.State.Key())
 	rootNode.State = root.State
 	root = rootNode

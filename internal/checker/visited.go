@@ -2,94 +2,22 @@ package checker
 
 import "sync"
 
-// visitedSet is the lock-striped seen-set of the parallel BFS: a power-of-two
-// array of shards, each a mutex-guarded map keyed by the 64-bit FNV-1a hash
-// of the canonical state key. The full key is kept in the entry only to
-// confirm (or chain past) hash collisions, so the hot path compares one
-// uint64 instead of a few-hundred-byte string. This is the PR 5 stripe
-// pattern (internal/group/shard.go) applied to verification speed.
-type visitedSet struct {
-	shards []visitedShard
-	mask   uint64
-}
-
-type visitedShard struct {
-	mu sync.Mutex
-	m  map[uint64]*ventry
-}
-
-// ventry holds one claimed state. Entries with equal hashes but different
-// canonical keys chain through next.
-type ventry struct {
-	key  string
-	node *Node
-	next *ventry
-}
-
-// newVisitedSet sizes the stripe count to the worker count: the next power
-// of two of 8× workers keeps the expected shard contention below one
-// waiter even under fully random key access.
-func newVisitedSet(workers int) *visitedSet {
-	n := 1
-	for n < 8*workers {
-		n <<= 1
-	}
-	v := &visitedSet{shards: make([]visitedShard, n), mask: uint64(n - 1)}
-	for i := range v.shards {
-		v.shards[i].m = make(map[uint64]*ventry)
-	}
-	return v
-}
-
-// FNV-1a 64-bit constants.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnv64a(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
+// visitedSet is the seen-set of the parallel BFS: canonical state key ->
+// claimed *Node on a sync.Map, whose hash-trie answers the common case — a
+// state already seen — without taking a lock.
+type visitedSet struct{ m sync.Map }
 
 // claim registers key and returns its node. The first caller for a key gets
 // created=true and a FRESH node with State nil — the node is a placeholder
 // until the deterministic level-barrier merge finalizes its provenance
 // (State/Parent/Via/Depth), so which worker wins the claim race never
 // influences which concrete state becomes the representative. Later callers
-// get the same node with created=false.
+// get the same node with created=false; the Load first keeps that hit free
+// of allocation.
 func (v *visitedSet) claim(key string) (node *Node, created bool) {
-	h := fnv64a(key)
-	sh := &v.shards[h&v.mask]
-	sh.mu.Lock()
-	for e := sh.m[h]; e != nil; e = e.next {
-		if e.key == key {
-			sh.mu.Unlock()
-			return e.node, false
-		}
+	if n, ok := v.m.Load(key); ok {
+		return n.(*Node), false
 	}
-	n := &Node{}
-	sh.m[h] = &ventry{key: key, node: n, next: sh.m[h]}
-	sh.mu.Unlock()
-	return n, true
-}
-
-// len returns the number of distinct keys claimed so far.
-func (v *visitedSet) len() int {
-	total := 0
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.m {
-			for ; e != nil; e = e.next {
-				total++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return total
+	n, loaded := v.m.LoadOrStore(key, &Node{})
+	return n.(*Node), !loaded
 }

@@ -6,12 +6,21 @@ import (
 	"testing"
 )
 
+// visitedLen counts the distinct keys claimed so far.
+func visitedLen(v *visitedSet) int {
+	n := 0
+	v.m.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
+	return n
+}
+
 // TestVisitedSetClaimSemantics pins the single-threaded contract: the first
 // claim of a key creates a placeholder (State nil), later claims return the
-// same node, and distinct keys get distinct nodes even when their 64-bit
-// hashes collide within a shard.
+// same node without allocating, and distinct keys get distinct nodes.
 func TestVisitedSetClaimSemantics(t *testing.T) {
-	v := newVisitedSet(1)
+	v := new(visitedSet)
 
 	n1, created := v.claim("alpha")
 	if !created || n1 == nil || n1.State != nil {
@@ -25,45 +34,15 @@ func TestVisitedSetClaimSemantics(t *testing.T) {
 	if !created || n3 == n1 {
 		t.Fatal("distinct key did not create a distinct node")
 	}
-	if got := v.len(); got != 2 {
+	if got := visitedLen(v); got != 2 {
 		t.Fatalf("len=%d want 2", got)
 	}
-}
-
-// TestVisitedSetHashCollision forces two different keys onto the same hash
-// chain by stubbing the shard map directly: entries with equal hashes but
-// different keys must chain, not merge.
-func TestVisitedSetHashCollision(t *testing.T) {
-	v := newVisitedSet(1)
-	// Pre-seed an entry whose recorded hash is the hash of "other" but whose
-	// key differs, simulating a 64-bit collision.
-	h := fnv64a("other")
-	sh := &v.shards[h&v.mask]
-	pre := &Node{}
-	sh.m[h] = &ventry{key: "collider", node: pre}
-
-	n, created := v.claim("other")
-	if !created {
-		t.Fatal("colliding key was merged with a different key")
-	}
-	if n == pre {
-		t.Fatal("claim returned the colliding entry's node")
-	}
-	again, created := v.claim("other")
-	if created || again != n {
-		t.Fatal("collision chain lost the new entry")
-	}
-	// Both entries must still be on the SAME hash chain, keyed apart.
-	found := map[string]*Node{}
-	for e := sh.m[h]; e != nil; e = e.next {
-		found[e.key] = e.node
-	}
-	if found["collider"] != pre || found["other"] != n {
-		t.Fatalf("collision chain corrupted: %v", found)
+	if a := testing.AllocsPerRun(100, func() { v.claim("alpha") }); a != 0 {
+		t.Fatalf("a claim of a seen key allocated %v times, want 0", a)
 	}
 }
 
-// TestVisitedSetConcurrentClaims is the -race stress test of the sharded
+// TestVisitedSetConcurrentClaims is the -race stress test of the shared
 // seen-set: many goroutines hammer a mix of shared and private keys;
 // exactly one claim per key may report created=true, and every claimant of
 // a key must observe the same node pointer.
@@ -73,7 +52,7 @@ func TestVisitedSetConcurrentClaims(t *testing.T) {
 		sharedKeys = 64
 		rounds     = 200
 	)
-	v := newVisitedSet(goroutines)
+	v := new(visitedSet)
 
 	var wg sync.WaitGroup
 	createdBy := make([][]int, goroutines) // per-goroutine created counts per shared key
@@ -97,7 +76,7 @@ func TestVisitedSetConcurrentClaims(t *testing.T) {
 						panic("claim returned different nodes for one key")
 					}
 				}
-				// Private keys add churn on every shard.
+				// Private keys add churn beside the shared ones.
 				if _, created := v.claim(fmt.Sprintf("private-%d-%d", g, r)); !created {
 					panic("private key already claimed")
 				}
@@ -121,7 +100,7 @@ func TestVisitedSetConcurrentClaims(t *testing.T) {
 			t.Fatalf("key %d created %d times, want exactly 1", k, total)
 		}
 	}
-	if want := sharedKeys + goroutines*rounds; v.len() != want {
-		t.Fatalf("len=%d want %d", v.len(), want)
+	if got, want := visitedLen(v), sharedKeys+goroutines*rounds; got != want {
+		t.Fatalf("len=%d want %d", got, want)
 	}
 }

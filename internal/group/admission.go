@@ -63,7 +63,6 @@ func (g *Leader) newMemberConn(conn transport.Conn, engine *core.LeaderSession) 
 		conn:   conn,
 		engine: engine,
 		out:    queue.NewBounded[outFrame](g.outboxCap),
-		slot:   g.reg.slotFor(engine.User()),
 	}
 }
 

@@ -91,6 +91,9 @@ func TestAuditLifecycleEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "expel event", func() bool { return log.count(EventExpelled) == 1 })
+	// The expulsion's rotation is recorded after the expulsion itself, so the
+	// dispatcher may not have delivered it yet.
+	waitFor(t, "six rotations", func() bool { return log.count(EventRekeyed) == 6 })
 	_ = bob
 
 	// Events carry the right users, and every rotation names its cause: with

@@ -1,10 +1,9 @@
 // Directory is the multi-tenant layer: one daemon process hosts thousands
 // of independent groups, each with its own Leader — own users, own group
 // key and epoch trajectory, own rekeyer, own audit stream — behind one
-// shared listener. The registry applies the PR 5 stripe pattern one level
-// up: a lock-striped group table in front of each group's lock-striped
-// member table, so group lookup (every routed connection) and group
-// creation (rare) never serialize process-wide.
+// shared listener. The group table is a sync.Map in front of each group's
+// member table (also a sync.Map), so group lookup (every routed connection)
+// takes no lock and group creation (rare) never serializes process-wide.
 //
 // Isolation between groups is by construction, not by routing discipline:
 // every group's Leader derives member long-term keys with the group ID as
@@ -71,41 +70,33 @@ type dirEntry struct {
 }
 
 // dirCreation is a group being built. Lookups that find it wait on done for
-// the creator's outcome instead of building a second Leader.
+// the creator's outcome instead of building a second Leader. leader is the
+// Leader the creator built, closed again if err is set.
 type dirCreation struct {
 	done   chan struct{}
 	leader *Leader
 	err    error
 }
 
-// dirStripe is one bucket of the group table; the same explicit Lock/Unlock
-// wrapper shape as the member registry's stripe, for the lockorder
-// analyzer. creating holds the in-flight creations apart from groups, so the
-// lookup hit path probes only finished entries.
-type dirStripe struct {
-	mu       sync.Mutex
-	groups   map[string]*dirEntry
-	creating map[string]*dirCreation
-	_        [16]byte // pad to discourage false sharing between adjacent stripes
+// outcome waits for the creation and returns its result.
+func (c *dirCreation) outcome() (*Leader, error) {
+	<-c.done
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.leader, nil
 }
-
-// Lock acquires the stripe.
-func (s *dirStripe) Lock() { s.mu.Lock() }
-
-// Unlock releases the stripe.
-func (s *dirStripe) Unlock() { s.mu.Unlock() }
 
 // Directory is a running multi-tenant group registry. Safe for concurrent
 // use.
-//
-// Lock order: a dirStripe is leaf-like — nothing else is acquired while one
-// is held (leaders are created and closed outside the stripe critical
-// section).
 type Directory struct {
-	cfg     DirectoryConfig
-	logf    func(string, ...any)
-	stripes []dirStripe
-	mask    uint32
+	cfg  DirectoryConfig
+	logf func(string, ...any)
+	// groups maps a group ID to its *dirEntry; creating holds the in-flight
+	// *dirCreation per group ID apart from it, so the lookup hit path probes
+	// only finished groups.
+	groups   sync.Map
+	creating sync.Map
 
 	// dynamic counts live dynamically created groups against MaxDynamic;
 	// reservation happens by CAS before the (slow) leader construction, so
@@ -130,19 +121,8 @@ func NewDirectory(cfg DirectoryConfig) (*Directory, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	n := stripeCount(0)
-	d := &Directory{
-		cfg:     cfg,
-		logf:    logf,
-		stripes: make([]dirStripe, n),
-		mask:    uint32(n - 1),
-		stop:    make(chan struct{}),
-	}
+	d := &Directory{cfg: cfg, logf: logf, stop: make(chan struct{})}
 	d.srv = transport.NewMuxServer(transport.MuxConfig{Accept: d.route, Logf: cfg.Logf})
-	for i := range d.stripes {
-		d.stripes[i].groups = make(map[string]*dirEntry)
-		d.stripes[i].creating = make(map[string]*dirCreation)
-	}
 	if cfg.Default != "" && !slices.Contains(cfg.Precreate, cfg.Default) {
 		d.Close()
 		return nil, fmt.Errorf("group: default group %q not in Precreate", cfg.Default)
@@ -164,31 +144,33 @@ func NewDirectory(cfg DirectoryConfig) (*Directory, error) {
 	return d, nil
 }
 
-func (d *Directory) stripeFor(group string) *dirStripe {
-	return &d.stripes[fnv1a(group)&d.mask]
-}
-
 // Lookup resolves a group ID to its Leader, creating the group on demand
-// when dynamic creation permits. The steady-state path is one stripe lock
-// and a map probe; construction happens outside any lock, and racing first
-// lookups wait for the one creator.
+// when dynamic creation permits. The steady-state path is one lock-free map
+// probe; construction happens outside any lock, and racing first lookups
+// wait for the one creator.
 func (d *Directory) Lookup(group string) (*Leader, error) {
 	if d.closed.Load() {
 		return nil, errDirectoryClosed
 	}
-	st := d.stripeFor(group)
-	st.Lock()
-	e := st.groups[group]
-	st.Unlock()
-	if e != nil {
-		e.lastActive.Store(time.Now().UnixNano())
-		return e.leader, nil
+	if ld := d.hit(group); ld != nil {
+		return ld, nil
 	}
 	return d.create(group, true)
 }
 
+// hit returns a live group's Leader and marks the group active, or nil.
+func (d *Directory) hit(group string) *Leader {
+	v, ok := d.groups.Load(group)
+	if !ok {
+		return nil
+	}
+	e := v.(*dirEntry)
+	e.lastActive.Store(time.Now().UnixNano())
+	return e.leader
+}
+
 // reserveDynamic takes one slot against MaxDynamic, by CAS so a create storm
-// across stripes cannot overshoot the cap.
+// cannot overshoot the cap.
 func (d *Directory) reserveDynamic() bool {
 	limit := int64(d.cfg.MaxDynamic)
 	for {
@@ -206,54 +188,58 @@ func (d *Directory) reserveDynamic() bool {
 // the creator wait for its outcome and share it. dynamic groups reserve a
 // slot against MaxDynamic first and are eligible for TTL collection.
 func (d *Directory) create(group string, dynamic bool) (*Leader, error) {
-	st := d.stripeFor(group)
-	st.Lock()
-	if e := st.groups[group]; e != nil {
-		st.Unlock()
-		e.lastActive.Store(time.Now().UnixNano())
-		return e.leader, nil
+	c := &dirCreation{done: make(chan struct{})}
+	if v, loaded := d.creating.LoadOrStore(group, c); loaded {
+		return v.(*dirCreation).outcome()
 	}
-	if c := st.creating[group]; c != nil {
-		st.Unlock()
-		<-c.done
-		return c.leader, c.err
+	c.leader, c.err = d.install(group, dynamic)
+	close(c.done)
+	d.creating.Delete(group)
+	return c.outcome()
+}
+
+// install builds and publishes a group for the creator that claimed it.
+func (d *Directory) install(group string, dynamic bool) (*Leader, error) {
+	// A creator that finished between the caller's miss and this claim has
+	// published its group already.
+	if ld := d.hit(group); ld != nil {
+		return ld, nil
 	}
 	if dynamic && !d.reserveDynamic() {
-		st.Unlock()
 		return nil, fmt.Errorf("%w: %q (dynamic group limit %d reached)", errUnknownGroup, group, d.cfg.MaxDynamic)
 	}
-	c := &dirCreation{done: make(chan struct{})}
-	st.creating[group] = c
-	st.Unlock()
-
-	// Waiters read c.leader and c.err only after done is closed.
-	defer close(c.done)
 	ld, err := d.build(group)
-	st.Lock()
-	delete(st.creating, group)
-	if err == nil && d.closed.Load() {
-		err = errDirectoryClosed
-	}
-	if err == nil {
-		e := &dirEntry{leader: ld, dynamic: dynamic}
-		e.lastActive.Store(time.Now().UnixNano())
-		st.groups[group] = e
-	}
-	st.Unlock()
 	if err != nil {
-		if ld != nil {
-			ld.Close()
-		}
 		if dynamic {
 			d.dynamic.Add(-1)
 		}
-		c.err = err
 		return nil, err
 	}
-	c.leader = ld
+	e := &dirEntry{leader: ld, dynamic: dynamic}
+	e.lastActive.Store(time.Now().UnixNano())
 	mGroups.Add(1)
+	d.groups.Store(group, e)
+	// Close may have walked the table before the Store. No lock orders the
+	// two, so both remove the entry by CompareAndDelete, and whichever wins
+	// retires it.
+	if d.closed.Load() {
+		if d.groups.CompareAndDelete(group, e) {
+			d.retire(e)
+		}
+		return ld, errDirectoryClosed
+	}
 	d.logf("group: directory created %q (dynamic=%v)", group, dynamic)
 	return ld, nil
+}
+
+// retire closes a group just removed from the table and gives back what it
+// held.
+func (d *Directory) retire(e *dirEntry) {
+	e.leader.Close()
+	if e.dynamic {
+		d.dynamic.Add(-1)
+	}
+	mGroups.Add(-1)
 }
 
 // build constructs the Leader for a group from its NewConfig.
@@ -291,61 +277,39 @@ func (d *Directory) gcLoop() {
 }
 
 // sweep collects every dynamic group whose last activity predates the TTL
-// and whose leader is idle. The idle check runs outside the stripe lock;
-// removal re-checks under the lock so a lookup that raced in keeps its
-// group.
+// and whose leader is idle. A lookup that races in keeps its group: the
+// sweep re-reads lastActive after the idle check and removes only the entry
+// it checked.
 func (d *Directory) sweep(now time.Time) {
 	cutoff := now.Add(-d.cfg.TTL).UnixNano()
-	for i := range d.stripes {
-		st := &d.stripes[i]
-		var candidates []*dirEntry
-		var names []string
-		st.Lock()
-		for name, e := range st.groups {
-			if e.dynamic && e.lastActive.Load() < cutoff {
-				candidates = append(candidates, e)
-				names = append(names, name)
-			}
+	d.groups.Range(func(name, v any) bool {
+		e := v.(*dirEntry)
+		if !e.dynamic || e.lastActive.Load() >= cutoff || !e.leader.Idle() {
+			return true
 		}
-		st.Unlock()
-		for j, e := range candidates {
-			if !e.leader.Idle() {
-				continue
-			}
-			name := names[j]
-			st.Lock()
-			// Re-check under the lock: a connection may have touched the
-			// group between the idle check and now.
-			if st.groups[name] != e || e.lastActive.Load() >= cutoff {
-				st.Unlock()
-				continue
-			}
-			delete(st.groups, name)
-			st.Unlock()
-			// A routed connection can still hold this *Leader; Close makes
-			// its in-flight handshakes fail cleanly (ServeConn checks
-			// closed), and a later Lookup creates a fresh group.
-			e.leader.Close()
-			dropTenant(name)
-			d.dynamic.Add(-1)
-			mGroups.Add(-1)
-			mGroupsCollected.Inc()
-			d.logf("group: directory collected idle group %q", name)
+		// Re-read: a connection may have touched the group during the idle
+		// check.
+		if e.lastActive.Load() >= cutoff || !d.groups.CompareAndDelete(name, e) {
+			return true
 		}
-	}
+		// A routed connection can still hold this *Leader; Close makes its
+		// in-flight handshakes fail cleanly (ServeConn checks closed), and a
+		// later Lookup creates a fresh group.
+		d.retire(e)
+		dropTenant(name.(string))
+		mGroupsCollected.Inc()
+		d.logf("group: directory collected idle group %q", name)
+		return true
+	})
 }
 
 // Groups returns the live group IDs, sorted.
 func (d *Directory) Groups() []string {
 	var out []string
-	for i := range d.stripes {
-		st := &d.stripes[i]
-		st.Lock()
-		for name := range st.groups {
-			out = append(out, name)
-		}
-		st.Unlock()
-	}
+	d.groups.Range(func(name, _ any) bool {
+		out = append(out, name.(string))
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
@@ -398,18 +362,12 @@ func (d *Directory) Close() {
 	// finish.
 	d.srv.Close()
 	d.wg.Wait()
-	for i := range d.stripes {
-		st := &d.stripes[i]
-		st.Lock()
-		entries := make([]*dirEntry, 0, len(st.groups))
-		for _, e := range st.groups {
-			entries = append(entries, e)
+	// A creation that publishes after this walk removes its own entry (see
+	// install).
+	d.groups.Range(func(name, e any) bool {
+		if d.groups.CompareAndDelete(name, e) {
+			d.retire(e.(*dirEntry))
 		}
-		st.groups = make(map[string]*dirEntry)
-		st.Unlock()
-		for _, e := range entries {
-			e.leader.Close()
-			mGroups.Add(-1)
-		}
-	}
+		return true
+	})
 }

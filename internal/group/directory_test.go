@@ -484,8 +484,8 @@ func TestDirectoryCreateOnce(t *testing.T) {
 
 // TestDirectoryCreateFailureReleasesWaiters: when a creation fails, every
 // waiter gets its error (a caller too late to wait fails the same way on
-// its own attempt), the slot is given back, nothing stays behind in the
-// stripe, and a later Lookup starts a fresh creation.
+// its own attempt), the slot is given back, nothing stays behind in either
+// table, and a later Lookup starts a fresh creation.
 func TestDirectoryCreateFailureReleasesWaiters(t *testing.T) {
 	const callers = 32
 	boom := errors.New("config backend down")
@@ -529,12 +529,10 @@ func TestDirectoryCreateFailureReleasesWaiters(t *testing.T) {
 			t.Errorf("caller %d: err = %v, want %v", i, err, boom)
 		}
 	}
-	st := d.stripeFor("flaky")
-	st.Lock()
-	pending, installed := len(st.creating), len(st.groups)
-	st.Unlock()
-	if pending != 0 || installed != 0 {
-		t.Errorf("after failure: %d in-flight, %d installed, want 0 and 0", pending, installed)
+	_, pending := d.creating.Load("flaky")
+	_, installed := d.groups.Load("flaky")
+	if pending || installed {
+		t.Errorf("after failure: in-flight %t, installed %t, want neither", pending, installed)
 	}
 	if n := d.dynamic.Load(); n != 0 {
 		t.Errorf("dynamic slots taken = %d, want 0", n)
@@ -542,6 +540,55 @@ func TestDirectoryCreateFailureReleasesWaiters(t *testing.T) {
 	healthy.Store(true)
 	if _, err := d.Lookup("flaky"); err != nil {
 		t.Errorf("lookup after the failure: %v", err)
+	}
+}
+
+// TestDirectoryCloseDuringCreate: a creation still inside NewConfig when
+// Close runs must not leak its Leader. No lock orders the two, so the
+// creator finds the directory closed after publishing, takes its entry back
+// out, and closes the Leader it built.
+func TestDirectoryCloseDuringCreate(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	cfg := dirConfig(t)
+	inner := cfg.NewConfig
+	cfg.NewConfig = func(group string) (Config, error) {
+		close(entered)
+		<-release
+		return inner(group)
+	}
+	cfg.MaxDynamic = -1
+	d, err := NewDirectory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := d.Lookup("slow")
+		errc <- err
+	}()
+	<-entered
+	v, ok := d.creating.Load("slow")
+	if !ok {
+		t.Fatal("creation in flight but not in the creating table")
+	}
+	c := v.(*dirCreation)
+	d.Close()
+	close(release)
+	if err := <-errc; !errors.Is(err, errDirectoryClosed) {
+		t.Fatalf("lookup across Close: err = %v, want errDirectoryClosed", err)
+	}
+	if c.leader == nil {
+		t.Fatal("the creation built no Leader")
+	}
+	c.leader.mu.Lock()
+	closed := c.leader.closed
+	c.leader.mu.Unlock()
+	if !closed {
+		t.Error("the Leader built across Close was left open")
+	}
+	if got := d.Groups(); len(got) != 0 {
+		t.Errorf("groups after Close = %v, want none", got)
 	}
 }
 

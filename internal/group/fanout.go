@@ -13,14 +13,14 @@ import (
 // dominates the broadcast, and it runs on a single goroutine while the other
 // cores idle. The pool splits the target snapshot into chunks and pushes
 // them concurrently; outbox queues carry their own locks, so workers never
-// share a lock except when two targets land in the same gauge stripe.
+// share a lock.
 //
 // Workers only ever *enqueue* (queue.Push + gauge add + a memberConn.mu
 // touch for heartbeat pacing). They never seal, never send, never take
-// Leader.mu or a registry stripe — so dispatching from under Leader.mu
-// (broadcastAdminLocked) cannot deadlock, and the PR 2 seal-off-the-lock
-// invariant holds by construction. Overflowed members are collected into
-// the result for the caller to evict through the normal locked path.
+// Leader.mu — so dispatching from under Leader.mu (broadcastAdminLocked)
+// cannot deadlock, and the seal-off-the-lock invariant holds by
+// construction. Overflowed members are collected into the result for the
+// caller to evict through the normal locked path.
 type fanout struct {
 	workers int
 	tasks   chan fanTask

@@ -80,10 +80,6 @@ type Config struct {
 	// fan-out. Small groups take the sequential path regardless, so the
 	// pool only changes behavior at scale.
 	FanoutWorkers int
-	// Shards overrides the member-registry stripe count (rounded up to a
-	// power of two). Zero selects a default sized from GOMAXPROCS. Exposed
-	// mainly for tests; the default is right for production.
-	Shards int
 	// Logf, if non-nil, receives diagnostic log lines.
 	Logf func(format string, args ...any)
 	// OnEvent, if non-nil, receives audit events (joins, leaves,
@@ -136,10 +132,10 @@ type Leader struct {
 	// nil (no tenant label) makes every recording a no-op.
 	tm *tenantMetrics
 
-	// reg is the sharded member registry. Mutations happen under mu (plus
-	// the owning stripe); reads — relay snapshots, liveness sweeps,
-	// Members() — take only stripe locks. See shard.go for the full rule.
-	reg *registry
+	// reg is the member registry. Mutations happen under mu; reads — relay
+	// snapshots, liveness sweeps, Members() — take no leader lock. See
+	// registry.go for the full rule.
+	reg registry
 	// fan parallelizes broadcast fan-out; nil means sequential.
 	fan *fanout
 
@@ -188,15 +184,11 @@ type memberConn struct {
 	user string
 	conn transport.Conn
 	out  *queue.Queue[outFrame]
-	// slot is the member's fixed stripe in the outbox-depth gauge (its
-	// registry stripe index), so push/drain pairs land on the same slot and
-	// concurrent fan-out workers rarely collide on one atomic.
-	slot int
 
 	// mu guards the protocol engine and the retransmit bookkeeping below,
 	// so AEAD sealing and ack handling contend per member instead of on
-	// Leader.mu. Lock order: Leader.mu and a registry stripe may be held
-	// when taking mu; never acquire either while holding mu.
+	// Leader.mu. Lock order: Leader.mu may be held when taking mu; never
+	// acquire it while holding mu.
 	mu     sync.Mutex
 	engine *core.LeaderSession
 	// unacked is the FIFO of emitted-but-unacknowledged AdminMsgs, keyed by
@@ -230,13 +222,11 @@ type outFrame struct {
 // pushOut enqueues one outbox frame, stepping the aggregate depth gauge
 // only when the enqueue succeeds; the writer goroutine (and the teardown
 // drain) retire frames with drained, so the gauge reports the total number
-// of queued frames across all members at any instant. Push and drain use
-// the member's fixed gauge stripe, keeping the aggregate exact without
-// funneling every fan-out worker through one atomic.
+// of queued frames across all members at any instant.
 func (s *memberConn) pushOut(f outFrame) error {
 	err := s.out.Push(f)
 	if err == nil {
-		mOutboxDepth.Add(s.slot, 1)
+		mOutboxDepth.Add(1)
 	}
 	return err
 }
@@ -244,7 +234,7 @@ func (s *memberConn) pushOut(f outFrame) error {
 // drained retires n popped frames from the aggregate depth gauge.
 func (s *memberConn) drained(n int) {
 	if n > 0 {
-		mOutboxDepth.Add(s.slot, -int64(n))
+		mOutboxDepth.Add(-int64(n))
 	}
 }
 
@@ -330,7 +320,6 @@ func NewLeader(cfg Config) (*Leader, error) {
 		liveness:  cfg.Liveness,
 		outboxCap: outboxCap,
 		tm:        newTenantMetrics(cfg.Tenant),
-		reg:       newRegistry(cfg.Shards),
 		fan:       fan,
 		users:     users,
 		conns:     make(map[transport.Conn]bool),
@@ -389,8 +378,8 @@ func (g *Leader) replPingLoop(every time.Duration) {
 func (g *Leader) Name() string { return g.name }
 
 // Members returns the current membership in sorted order. It reads only
-// the registry stripes, never Leader.mu, so monitoring cannot stall the
-// control plane.
+// the registry, never Leader.mu, so monitoring cannot stall the control
+// plane.
 func (g *Leader) Members() []string {
 	return g.reg.names()
 }
@@ -888,7 +877,7 @@ func (g *Leader) sendAdminLocked(s *memberConn, body wire.AdminBody) {
 // Heartbeat pacing advances only when an admin-body enqueue succeeds, and a
 // closed outbox (member tearing down) is not an error worth surfacing. This
 // is the unit of work fan-out workers execute; it touches only the outbox
-// and the member's own lock, never Leader.mu or a registry stripe.
+// and the member's own lock, never Leader.mu.
 func (g *Leader) pushFrameTo(s *memberConn, f outFrame) bool {
 	switch err := s.pushOut(f); {
 	case err == nil:
@@ -915,8 +904,8 @@ var targetsPool = sync.Pool{New: func() any { return new([]*memberConn) }}
 // The leader does not need to decrypt: confidentiality is end-to-end under
 // the group key (the leader holds K_g anyway, but relaying verbatim keeps
 // the AEAD header binding intact for receivers). The fan-out runs entirely
-// off Leader.mu — the membership check and snapshot read only registry
-// stripes, and outboxes carry their own locks — so relays from different
+// off Leader.mu — the membership check and snapshot read only the lock-free
+// registry, and outboxes carry their own locks — so relays from different
 // members proceed concurrently with each other and with the control plane.
 func (g *Leader) relay(from *memberConn, env wire.Envelope) {
 	if g.reg.get(from.user) != from {

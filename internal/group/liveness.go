@@ -104,7 +104,7 @@ func (g *Leader) livenessTick(now time.Time) {
 		return
 	}
 	g.mu.Unlock()
-	// The probe sweep reads only registry stripes: a tick never blocks
+	// The probe sweep reads only the registry: a tick never blocks
 	// joins, rekeys, or broadcasts, it just walks a snapshot.
 	sessions := g.reg.appendAll(nil, "")
 

@@ -43,11 +43,8 @@ var (
 	// mOutboxDepth is the aggregate number of frames queued across every
 	// member outbox — incremented on push, decremented as the writer drains
 	// (and on teardown), so it reads as total backlog, not a point sample.
-	// It is lock-striped: each member updates a fixed slot (its registry
-	// stripe), so parallel fan-out workers do not serialize on one atomic
-	// while the snapshot sum stays exact.
 	mMembers     = metrics.NewGauge("group_members")
-	mOutboxDepth = metrics.NewStripedGauge("group_outbox_depth", 32)
+	mOutboxDepth = metrics.NewGauge("group_outbox_depth")
 
 	// Directory instruments: live groups hosted by this process and dynamic
 	// groups retired by the idle-TTL collector.

@@ -64,30 +64,22 @@ func TestOutboxDepthGaugeAggregates(t *testing.T) {
 }
 
 // TestOutboxDepthGaugeConcurrent: with fan-out workers pushing to many
-// outboxes in parallel, the striped gauge must stay exact — each member has
-// a fixed slot (its registry stripe), so balanced push/drain traffic from
-// many goroutines lands the aggregate back on the baseline with no lost
-// updates. Run under -race this also proves the memory safety of the
-// striped path the parallel fan-out relies on.
+// outboxes in parallel, the gauge must stay exact — balanced push/drain
+// traffic from many goroutines lands the aggregate back on the baseline
+// with no lost updates. Run under -race this also proves the memory safety
+// of the path the parallel fan-out relies on.
 func TestOutboxDepthGaugeConcurrent(t *testing.T) {
 	withMetrics(t)
 	base := mOutboxDepth.Value()
 
-	r := newRegistry(16)
 	const members = 64
 	conns := make([]*memberConn, members)
 	for i := range conns {
-		user := fmt.Sprintf("m%02d", i)
-		conns[i] = &memberConn{
-			user: user,
-			out:  queue.NewBounded[outFrame](8),
-			slot: r.slotFor(user),
-		}
+		conns[i] = &memberConn{user: fmt.Sprintf("m%02d", i), out: queue.NewBounded[outFrame](8)}
 	}
 
 	// Each worker owns a disjoint set of outboxes (a worker pool shard) and
-	// runs push-then-drain rounds; colliding gauge slots across workers are
-	// guaranteed because 64 members mask into far fewer stripes.
+	// runs push-then-drain rounds, all on the one gauge.
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

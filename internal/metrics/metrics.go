@@ -90,62 +90,6 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (g *Gauge) snapshotValue() any { return g.v.Load() }
 
-// StripedGauge is a Gauge whose updates are spread across cache-line-padded
-// slots so concurrent writers (fan-out workers, per-shard bookkeeping) never
-// contend on one atomic. The aggregate stays exact — every Add lands wholly
-// in one slot and Value sums all slots — it is only the *contention* that is
-// sharded, not the arithmetic. Callers pick a slot (any int; it is masked to
-// the stripe count); pairing each increment with a decrement on the same
-// slot is not required for exactness, only for per-slot interpretability.
-type StripedGauge struct {
-	name  string
-	slots []gaugeSlot
-	mask  int
-}
-
-// gaugeSlot pads each atomic to its own cache line (64B on the platforms we
-// care about) so striped writers do not false-share.
-type gaugeSlot struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// NewStripedGauge registers a striped gauge with Default. The stripe count
-// is rounded up to a power of two so slot selection is a mask, not a mod.
-func NewStripedGauge(name string, stripes int) *StripedGauge {
-	n := 1
-	for n < stripes {
-		n <<= 1
-	}
-	g := &StripedGauge{name: name, slots: make([]gaugeSlot, n), mask: n - 1}
-	Default.register(name, g)
-	return g
-}
-
-// Add adds delta to the slot's stripe (negative to decrement). Slot may be
-// any non-negative int; it is masked to the stripe count.
-func (g *StripedGauge) Add(slot int, delta int64) {
-	if on.Load() {
-		g.slots[slot&g.mask].v.Add(delta)
-	}
-}
-
-// Value returns the sum across all stripes. Each slot is read atomically;
-// under concurrent updates the sum is a linearizable-enough snapshot for
-// monitoring (the same guarantee expvar offers).
-func (g *StripedGauge) Value() int64 {
-	var sum int64
-	for i := range g.slots {
-		sum += g.slots[i].v.Load()
-	}
-	return sum
-}
-
-// Stripes returns the number of slots (a power of two).
-func (g *StripedGauge) Stripes() int { return len(g.slots) }
-
-func (g *StripedGauge) snapshotValue() any { return g.Value() }
-
 // Histogram is a lock-free log-linear latency histogram: power-of-two
 // buckets split by two sub-bits (a bucket spans at most 25% of its lower
 // bound), indexed straight from the bit length of the nanosecond value, so

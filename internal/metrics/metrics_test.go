@@ -42,75 +42,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestStripedGauge(t *testing.T) {
-	g := NewStripedGauge("test_striped_gauge", 5) // rounds up to 8
-	if n := g.Stripes(); n != 8 {
-		t.Fatalf("stripes = %d, want 8 (5 rounded up to a power of two)", n)
-	}
-	withEnabled(t, func() {
-		g.Add(0, 3)
-		g.Add(1, 2)
-		g.Add(9, 1) // masks to slot 1
-		g.Add(1000, 5)
-		g.Add(0, -3)
-	})
-	if v := g.Value(); v != 8 {
-		t.Fatalf("striped sum = %d, want 8", v)
-	}
-	// The snapshot reports the sum, same shape as a plain gauge.
-	if sv := g.snapshotValue().(int64); sv != 8 {
-		t.Fatalf("snapshot = %d, want 8", sv)
-	}
-}
-
-// TestStripedGaugeConcurrent hammers distinct and colliding slots from many
-// goroutines with balanced add/sub pairs while readers sum concurrently; the
-// final aggregate must be exactly zero (no lost updates), which is the
-// exactness guarantee the outbox-depth gauge relies on under parallel
-// fan-out workers.
-func TestStripedGaugeConcurrent(t *testing.T) {
-	g := NewStripedGauge("test_striped_gauge_conc", 8)
-	withEnabled(t, func() {
-		const (
-			workers = 16
-			rounds  = 2000
-		)
-		var wg sync.WaitGroup
-		stopRead := make(chan struct{})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stopRead:
-					return
-				default:
-					g.Value() // concurrent reads must be safe
-				}
-			}
-		}()
-		var writers sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			writers.Add(1)
-			go func(w int) {
-				defer writers.Done()
-				for i := 0; i < rounds; i++ {
-					g.Add(w, 2)
-					g.Add(w+i, 1) // colliding slot traffic
-					g.Add(w+i, -1)
-					g.Add(w, -2)
-				}
-			}(w)
-		}
-		writers.Wait()
-		close(stopRead)
-		wg.Wait()
-	})
-	if v := g.Value(); v != 0 {
-		t.Fatalf("after balanced concurrent updates: sum = %d, want 0", v)
-	}
-}
-
 func TestDisabledPathIsNoop(t *testing.T) {
 	c := NewCounter("test_disabled_total")
 	h := NewHistogram("test_disabled_hist")
