@@ -2,18 +2,23 @@
 //
 // The paper's conclusion names its own main limitation: "the main limit of
 // the current Enclaves architecture is its reliance on a central group
-// leader", with future work on "a distributed set of group managers". This
-// example implements the simplest practical step in that direction —
-// a standby leader that requires NO state transfer: because membership is
-// authenticated from the long-term keys P_a alone and every session key and
-// group key is freshly generated, a member can re-run the three-message
-// join against any leader holding the user registry. When the primary
-// crashes, members observe the connection loss, rejoin the standby, and the
-// group reconverges with completely fresh key material (old keys are
-// worthless by design — the protocol is proven correct even when old
-// session keys leak).
+// leader", with future work on "a distributed set of group managers".
 //
-// This is crash failover only; tolerating a MALICIOUS leader genuinely
+// Act 1 shows a cold standby: an independent leader that holds the user
+// registry and none of the primary's state. Because membership is
+// authenticated from the long-term keys P_a alone and every session key and
+// group key is freshly generated, members that see the primary crash re-join
+// the standby with the full three-message password handshake, and the group
+// reconverges with completely fresh key material (old keys are worthless by
+// design — the protocol is proven correct even when old session keys leak).
+//
+// The hot standby is the other path: internal/replica streams the
+// primary's state to a standby (enclaved -standby), group.Promote makes it
+// the leader, and members resume their sessions without a password
+// handshake. TestFailoverResume, TestChaosFailoverUnderChurn and the
+// README's "Leader replication & failover" section cover it.
+//
+// Both are crash failover only; tolerating a MALICIOUS leader genuinely
 // requires the Byzantine machinery the paper cites (Rampart, SecureRing)
 // and is out of scope, exactly as it was for the paper.
 //

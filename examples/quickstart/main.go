@@ -1,9 +1,10 @@
-// Quickstart: one leader and two members over the in-memory network.
+// Quickstart: one leader and two members over TCP loopback.
 //
 // It shows the full lifecycle of an Enclaves group application built on the
 // improved intrusion-tolerant protocol: deriving long-term keys from
-// passwords, starting a leader, joining, multicasting encrypted data,
-// rotating the group key, and leaving.
+// passwords, starting a leader on a socket, joining, multicasting encrypted
+// data, rotating the group key, and leaving. Each step must finish within
+// five seconds, so a broken step exits non-zero.
 //
 // Run with:
 //
@@ -21,6 +22,9 @@ import (
 	"enclaves/internal/transport"
 )
 
+// timeout bounds every step the example waits on.
+const timeout = 5 * time.Second
+
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -37,8 +41,8 @@ func run() error {
 		"bob":   crypto.DeriveKey("bob", leaderName, "bob's secret"),
 	}
 
-	// 2. Start the leader. The rekey policy rotates the group key on every
-	//    join and leave.
+	// 2. Start the leader on an ephemeral loopback port. The rekey policy
+	//    rotates the group key on every join and leave.
 	leader, err := group.NewLeader(group.Config{
 		Name:  leaderName,
 		Users: users,
@@ -47,21 +51,22 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	net := transport.NewMemNetwork()
-	defer net.Close()
-	listener, err := net.Listen(leaderName)
+	listener, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
+	defer listener.Close()
 	go leader.Serve(listener)
 	defer leader.Close()
+	fmt.Println("leader listening on", listener.Addr())
 
-	// 3. Members join through the three-message authenticated handshake.
-	alice, err := joinMember(net, "alice", leaderName, "alice's secret")
+	// 3. Members join through the three-message authenticated handshake,
+	//    each on its own TCP connection.
+	alice, err := joinMember(listener.Addr(), "alice", leaderName, "alice's secret")
 	if err != nil {
 		return err
 	}
-	bob, err := joinMember(net, "bob", leaderName, "bob's secret")
+	bob, err := joinMember(listener.Addr(), "bob", leaderName, "bob's secret")
 	if err != nil {
 		return err
 	}
@@ -109,11 +114,14 @@ func run() error {
 	return bob.Leave()
 }
 
-func joinMember(net *transport.MemNetwork, user, leader, password string) (*member.Member, error) {
-	conn, err := net.Dial(leader)
+func joinMember(addr, user, leader, password string) (*member.Member, error) {
+	conn, err := transport.DialTCP(addr)
 	if err != nil {
 		return nil, err
 	}
+	// Closing the connection ends a handshake that never completes.
+	bound := time.AfterFunc(timeout, func() { conn.Close() })
+	defer bound.Stop()
 	m, err := member.Join(conn, user, leader, crypto.DeriveKey(user, leader, password))
 	if err != nil {
 		return nil, fmt.Errorf("join %s: %w", user, err)
@@ -124,7 +132,7 @@ func joinMember(net *transport.MemNetwork, user, leader, password string) (*memb
 
 // waitKind drains events until one of the wanted kind arrives.
 func waitKind(m *member.Member, kind member.EventKind) (member.Event, error) {
-	deadline := time.After(5 * time.Second)
+	deadline := time.After(timeout)
 	for {
 		select {
 		case <-deadline:
@@ -143,7 +151,7 @@ func waitKind(m *member.Member, kind member.EventKind) (member.Event, error) {
 }
 
 func waitEpochConvergence(leader *group.Leader, members ...*member.Member) error {
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		converged := true
 		for _, m := range members {

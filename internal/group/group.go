@@ -399,17 +399,6 @@ func (g *Leader) GroupKey() (crypto.Key, uint64) {
 	return g.groupKey, g.epoch
 }
 
-// AddUser registers (or updates) an authorized user at runtime.
-func (g *Leader) AddUser(name string, longTerm crypto.Key) error {
-	if !longTerm.Valid() {
-		return fmt.Errorf("group: invalid long-term key for user %q", name)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.users[name] = longTerm
-	return nil
-}
-
 // Serve accepts and serves member connections until the listener fails or
 // Close is called. It blocks; run it in a goroutine.
 func (g *Leader) Serve(l transport.Listener) error {

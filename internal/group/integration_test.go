@@ -78,103 +78,6 @@ func TestGroupOverTCP(t *testing.T) {
 	})
 }
 
-// TestGroupWithPublicKeyIdentities exercises the footnote-1 extension end
-// to end: long-term keys derived from static X25519 identities instead of
-// passwords, with the unchanged protocol engines.
-func TestGroupWithPublicKeyIdentities(t *testing.T) {
-	leaderID, err := crypto.NewIdentity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	aliceID, err := crypto.NewIdentity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bobID, err := crypto.NewIdentity()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The leader derives P_user from its own private identity and each
-	// registered user's public identity.
-	users := make(map[string]crypto.Key)
-	for name, pub := range map[string]crypto.PublicIdentity{
-		"alice": aliceID.Public(),
-		"bob":   bobID.Public(),
-	} {
-		k, err := crypto.LongTermFromIdentities(leaderID, pub, name, leaderName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		users[name] = k
-	}
-	g, err := NewLeader(Config{Name: leaderName, Users: users, Rekey: DefaultRekeyPolicy()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := NewMemNetworkForTest(t)
-	l, err := net.Listen(leaderName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go g.Serve(l)
-	t.Cleanup(func() {
-		g.Close()
-		l.Close()
-	})
-
-	// Each member derives the SAME P_user from its private identity and
-	// the leader's public identity.
-	joinPK := func(name string, id crypto.Identity) *member.Member {
-		k, err := crypto.LongTermFromIdentities(id, leaderID.Public(), name, leaderName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, err := net.Dial(leaderName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := member.Join(conn, name, leaderName, k)
-		if err != nil {
-			t.Fatalf("public-key join %s: %v", name, err)
-		}
-		return m
-	}
-	alice := joinPK("alice", aliceID)
-	defer alice.Leave()
-	bob := joinPK("bob", bobID)
-	defer bob.Leave()
-
-	waitFor(t, "both joined", func() bool { return len(g.Members()) == 2 })
-	waitFor(t, "epochs converge", func() bool {
-		return alice.Epoch() == g.Epoch() && bob.Epoch() == g.Epoch()
-	})
-	if err := alice.SendData([]byte("pk works")); err != nil {
-		t.Fatal(err)
-	}
-	ev := waitEvent(t, bob, "data", func(e member.Event) bool { return e.Kind == member.EventData })
-	if string(ev.Data) != "pk works" {
-		t.Errorf("event = %v", ev)
-	}
-
-	// A member with the WRONG identity key must not get in.
-	evilID, err := crypto.NewIdentity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := crypto.LongTermFromIdentities(evilID, leaderID.Public(), "alice", leaderName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial(leaderName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := member.Join(conn, "alice", leaderName, k); err == nil {
-		t.Error("impostor with wrong identity key joined")
-	}
-}
-
 // TestConcurrentJoins floods the leader with parallel joins and verifies
 // all of them are accepted and converge.
 func TestConcurrentJoins(t *testing.T) {

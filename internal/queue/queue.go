@@ -114,13 +114,13 @@ func (q *Queue[T]) Pop() (T, error) {
 	return item, nil
 }
 
-// PopBatch blocks until at least one item is available (or the queue closes
-// empty), then drains up to max queued items — everything queued when max
-// is <= 0 — into buf, reusing its capacity. One PopBatch wakeup replaces N
-// Pop wakeups, which is what lets a writer goroutine seal and transmit an
-// entire backlog behind a single flush. After close, remaining items are
-// still drained before ErrClosed is returned.
-func (q *Queue[T]) PopBatch(buf []T, max int) ([]T, error) {
+// PopAll blocks until at least one item is available (or the queue closes
+// empty), then drains everything queued into buf, reusing its capacity. One
+// PopAll wakeup replaces N Pop wakeups, which is what lets a writer
+// goroutine seal and transmit an entire backlog behind a single flush.
+// After close, remaining items are still drained before ErrClosed is
+// returned.
+func (q *Queue[T]) PopAll(buf []T) ([]T, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
@@ -128,43 +128,29 @@ func (q *Queue[T]) PopBatch(buf []T, max int) ([]T, error) {
 		q.nonEmp.Wait()
 		q.waiting--
 	}
-	if len(q.items) == 0 {
+	n := len(q.items)
+	if n == 0 {
 		return buf[:0], ErrClosed
 	}
-	n := len(q.items)
-	if max > 0 && n > max {
-		n = max
-	}
-	out := append(buf[:0], q.items[:n]...)
-	var zero T
-	for i := 0; i < n; i++ {
-		q.items[i] = zero // release for GC
-	}
-	if n == len(q.items) {
-		// Fully drained and the items were copied out: rewind to the front
-		// of the backing array so future pushes reuse its capacity — unless
-		// the array is a relic of a far larger backlog (a join-storm
-		// broadcast fanning out to thousands of outboxes, say). Rewinding
-		// would pin that peak-sized pointer array forever, and with one such
-		// queue per member the process retains O(members × peak) slots that
-		// every GC cycle re-scans. Dropping an oversized array costs one
-		// re-grow on the next burst and gives the memory back. The plain
-		// Pop path needs no such policy: its slice advance abandons the
-		// array once append exhausts the tail capacity.
-		if c := cap(q.items); c > shrinkMinCap && n < c/shrinkFactor {
-			q.items = nil
-		} else {
-			q.items = q.items[:0]
-		}
+	out := append(buf[:0], q.items...)
+	clear(q.items) // release for GC
+	// The items were copied out: rewind to the front of the backing array
+	// so future pushes reuse its capacity — unless the array is a relic of
+	// a far larger backlog (a join-storm broadcast fanning out to thousands
+	// of outboxes, say). Rewinding would pin that peak-sized pointer array
+	// forever, and with one such queue per member the process retains
+	// O(members × peak) slots that every GC cycle re-scans. Dropping an
+	// oversized array costs one re-grow on the next burst and gives the
+	// memory back. The plain Pop path needs no such policy: its slice
+	// advance abandons the array once append exhausts the tail capacity.
+	if c := cap(q.items); c > shrinkMinCap && n < c/shrinkFactor {
+		q.items = nil
 	} else {
-		q.items = q.items[n:]
+		q.items = q.items[:0]
 	}
 	mPops.Add(uint64(n))
 	return out, nil
 }
-
-// PopAll is PopBatch without a bound: it drains the whole queue.
-func (q *Queue[T]) PopAll(buf []T) ([]T, error) { return q.PopBatch(buf, 0) }
 
 // TryPop returns the head item without blocking; ok is false if the queue
 // is empty.

@@ -102,9 +102,9 @@ func TestBoundedRaceStress(t *testing.T) {
 
 // TestPopBatchRaceStress is the concurrency proof for the batching drain
 // path that backs every writer goroutine: concurrent producers push while a
-// single drainer loops PopBatch with a reused buffer, and Close races the
+// single drainer loops PopAll with a reused buffer, and Close races the
 // tail. With one drainer the accounting is exact — every successfully
-// pushed item must be drained exactly once (PopBatch keeps draining the
+// pushed item must be drained exactly once (PopAll keeps draining the
 // backlog after Close before reporting ErrClosed), in FIFO order per
 // producer, with no duplicates and no losses. Run under -race in CI.
 func TestPopBatchRaceStress(t *testing.T) {
@@ -135,14 +135,7 @@ func TestPopBatchRaceStress(t *testing.T) {
 		var buf, got []int
 		for {
 			var err error
-			// Alternate bounded and unbounded drains to exercise both the
-			// partial-drain and full-drain paths of PopBatch.
-			if len(got)%2 == 0 {
-				buf, err = q.PopBatch(buf, 7)
-			} else {
-				buf, err = q.PopAll(buf)
-			}
-			if err != nil {
+			if buf, err = q.PopAll(buf); err != nil {
 				drained <- got
 				return
 			}
