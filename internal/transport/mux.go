@@ -16,6 +16,10 @@
 // The same goes for a peer that stops reading the socket itself: closing a
 // stream never waits for the socket, and a write that stalls for
 // writeTimeout hangs the connection up.
+//
+// Writes are group-committed: the frames every stream appends while a flush
+// is pending go out in that one flush, so a fan-out to n members on one
+// socket costs one write(2), not n.
 package transport
 
 import (
@@ -23,12 +27,30 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"enclaves/internal/metrics"
 	"enclaves/internal/queue"
 	"enclaves/internal/wire"
+)
+
+// Mux instruments. Frames per flush is transport_frames_sent_total over
+// transport_mux_flushes_total; stream kills and connection hangups this side
+// decided are counted by cause.
+var (
+	mFlushes = metrics.NewCounter("transport_mux_flushes_total")
+	mKills   = metrics.NewCounterVec("transport_mux_stream_kills_total")
+	mHangups = metrics.NewCounterVec("transport_mux_hangups_total")
+
+	mKillOverflow     = mKills.With("overflow")
+	mKillRelabel      = mKills.With("relabel")
+	mHangupWrite      = mHangups.With("write") // write error or deadline
+	mHangupStreamCap  = mHangups.With("stream_cap")
+	mHangupTombstones = mHangups.With("tombstone_cap")
+	mHangupFraming    = mHangups.With("framing")
 )
 
 // DefaultRecvWindow bounds each mux stream's receive queue, in frames.
@@ -67,16 +89,24 @@ func (cfg MuxConfig) logf(format string, args ...any) {
 // Mux multiplexes independent streams over one net.Conn. The client side
 // opens streams with Open; the server side receives them through
 // MuxConfig.Accept. Safe for concurrent use.
+//
+// Lock order: wmu → mu, because Close flushes before it hangs up and a
+// failed write hangs the socket up under wmu; nothing takes wmu under mu.
+// The lockorder analyzer enforces it:
+//
+//enclavelint:lockorder Mux.wmu < Mux.mu
 type Mux struct {
 	cfg MuxConfig
 	nc  net.Conn
 	r   *bufio.Reader
 
 	// wmu serializes the shared buffered writer; werr is its sticky error
-	// (after a write fails the socket is dead and every stream sees it).
-	wmu  sync.Mutex
-	w    *bufio.Writer
-	werr error
+	// (after a write fails the socket is dead and every stream sees it);
+	// flushing marks a group commit whose flush is pending (writeFrame).
+	wmu      sync.Mutex
+	w        *bufio.Writer
+	werr     error
+	flushing bool
 	// wtimeout is writeTimeout; a field only so a test can shorten it.
 	wtimeout time.Duration
 
@@ -99,11 +129,11 @@ type Mux struct {
 // maxStreams caps the live streams of one connection, so one socket — which
 // costs its opener one fd — cannot make the server hold unbounded sessions,
 // each a serving goroutine and a receive window. Far above any in-tree
-// client (the load generator spreads thousands of sessions over hundreds of
-// sockets); a peer that opens more is cut off.
+// client (the benchmark's generator spreads a few hundred sessions over one
+// socket per core); a peer that opens more is cut off.
 const maxStreams = 1 << 14
 
-// writeTimeout bounds one write-and-flush on the shared socket. A peer that
+// writeTimeout bounds one flush on the shared socket. A peer that
 // stops reading fills the socket buffer and would otherwise park every
 // writer on the connection for ever; past the bound the connection is torn
 // down, which frees them, the read loop and the fd.
@@ -197,13 +227,16 @@ func (m *Mux) run() error {
 		var body []byte
 		body, err = wire.ReadRawFrame(m.r)
 		if err != nil {
+			if errors.Is(err, wire.ErrTooLarge) {
+				mHangupFraming.Inc()
+			}
 			break
 		}
 		if err = m.dispatch(body); err != nil {
 			break
 		}
 	}
-	m.Close()
+	m.hangup()
 	return err
 }
 
@@ -213,6 +246,7 @@ func (m *Mux) run() error {
 func (m *Mux) dispatch(body []byte) error {
 	f, err := wire.DecodeMux(body)
 	if err != nil {
+		mHangupFraming.Inc()
 		return err
 	}
 
@@ -238,6 +272,7 @@ func (m *Mux) dispatch(body []byte) error {
 		// Server side: first frame of a new stream materializes it.
 		if len(m.streams) >= maxStreams {
 			m.mu.Unlock()
+			mHangupStreamCap.Inc()
 			return fmt.Errorf("transport: mux peer opened more than %d streams", maxStreams)
 		}
 		s = &muxStream{
@@ -266,7 +301,7 @@ func (m *Mux) dispatch(body []byte) error {
 		// either a bug or an attempt to smuggle traffic across tenants.
 		// Kill the stream, keep the connection.
 		m.cfg.logf("mux: stream %d group %q relabeled %q; killing stream", s.id, s.group, f.Group)
-		return m.killStream(s)
+		return m.killStream(s, mKillRelabel)
 	}
 	// Payload aliases the frame body, which is freshly allocated per frame
 	// by ReadRawFrame, so queueing it is safe.
@@ -277,7 +312,7 @@ func (m *Mux) dispatch(body []byte) error {
 			// is what stops one slow group from head-of-line-blocking
 			// every other stream on the connection.
 			m.cfg.logf("mux: stream %d (group %q) overflowed recv window; killing stream", s.id, s.group)
-			return m.killStream(s)
+			return m.killStream(s, mKillOverflow)
 		}
 		return nil
 	}
@@ -288,12 +323,14 @@ func (m *Mux) dispatch(body []byte) error {
 // killStream unilaterally tears a live stream down: tombstone (so in-flight
 // peer frames don't resurrect the ID), notify the peer, close the queue.
 // The only error is tombstone-cap exhaustion, which is connection-fatal.
-func (m *Mux) killStream(s *muxStream) error {
+func (m *Mux) killStream(s *muxStream, cause *metrics.Counter) error {
+	cause.Inc()
 	m.closeStream(s, true, true)
 	m.mu.Lock()
 	overflow := len(m.dead) > maxDeadStreams
 	m.mu.Unlock()
 	if overflow {
+		mHangupTombstones.Inc()
 		return fmt.Errorf("transport: mux peer ignored %d stream kills", maxDeadStreams)
 	}
 	return nil
@@ -326,10 +363,21 @@ func (m *Mux) closeStream(s *muxStream, notifyPeer, tombstone bool) {
 	}
 }
 
-// Close tears down the connection and every stream on it. The read loop
-// calls it on exit, so a socket whose peer hung up is released at once rather
-// than held until its owner remembers to close it.
+// Close flushes what the streams have appended, so a send that returned nil
+// is not lost to a local hangup, then tears down the connection and every
+// stream on it. A flush parked on a peer that stopped reading holds Close up
+// to writeTimeout.
 func (m *Mux) Close() error {
+	m.wmu.Lock()
+	m.flushLocked()
+	m.wmu.Unlock()
+	return m.hangup()
+}
+
+// hangup tears down the connection and every stream on it without flushing.
+// The read loop calls it on exit, so a socket whose peer hung up is released
+// at once rather than held until its owner remembers to close it.
+func (m *Mux) hangup() error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -346,35 +394,80 @@ func (m *Mux) Close() error {
 	return err
 }
 
-// writeFrame runs one write-and-flush under the shared writer lock, bounded
-// by writeTimeout, normalizing errors and keeping the first failure sticky:
-// a socket that failed a write is dead, so it is hung up (ending the read
-// loop and every stream) and every later send fails fast instead of
-// buffering into a void. s is the stream whose data this is, nil for a
-// MuxClose: a closed stream sends nothing, checked under the lock so that no
-// data frame can follow the stream's MuxClose and re-materialise the ID on a
-// peer that has already retired it.
+// writeFrame appends one stream's frames to the shared writer and sees them
+// flushed in a group commit. A writer that finds no flush pending sets the
+// write deadline, appends, marks a flush pending and yields once, so the
+// writers the same fan-out woke — which on one P become runnable only one
+// after another — append behind it; then it retakes the lock and flushes
+// everything appended so far in one write. A writer that finds a flush
+// pending appends and returns: its frames ride that flush.
+//
+// Errors are normalized and the first failure is sticky: a socket that
+// failed a write is dead, so it is hung up (ending the read loop and every
+// stream) and every later send fails fast instead of buffering into a void.
+// s is the stream whose data this is, nil for a MuxClose: a closed stream
+// sends nothing, checked under the lock at append time so that no data frame
+// can follow the stream's MuxClose in the FIFO buffer and re-materialise
+// the ID on a peer that has already retired it.
 func (m *Mux) writeFrame(s *muxStream, write func(w *bufio.Writer) error) error {
 	m.wmu.Lock()
+	pending := m.flushing
+	if err := m.appendLocked(s, write); err != nil || pending {
+		m.wmu.Unlock()
+		return err
+	}
+	m.flushing = true
+	m.wmu.Unlock()
+	runtime.Gosched()
+	m.wmu.Lock()
 	defer m.wmu.Unlock()
+	m.flushing = false
+	return m.flushLocked()
+}
+
+// appendLocked buffers one stream's frames; the first writer of a group
+// commit also arms the write deadline that bounds its flush.
+//
+//enclavelint:guardedby Mux.wmu
+func (m *Mux) appendLocked(s *muxStream, write func(w *bufio.Writer) error) error {
 	if m.werr != nil {
 		return m.werr
 	}
 	if s != nil && s.recvQ.Closed() {
 		return ErrClosed
 	}
-	m.nc.SetWriteDeadline(time.Now().Add(m.wtimeout))
-	err := write(m.w)
+	if !m.flushing {
+		m.nc.SetWriteDeadline(time.Now().Add(m.wtimeout))
+	}
+	return m.failLocked(write(m.w))
+}
+
+// flushLocked writes out what the streams have appended, under the deadline
+// the first of them armed; a Close may have written it already.
+//
+//enclavelint:guardedby Mux.wmu
+func (m *Mux) flushLocked() error {
+	if m.werr != nil || m.w.Buffered() == 0 {
+		return m.werr
+	}
+	mFlushes.Inc()
+	return m.failLocked(m.w.Flush())
+}
+
+// failLocked makes a write error sticky and hangs the socket up.
+//
+//enclavelint:guardedby Mux.wmu
+func (m *Mux) failLocked(err error) error {
 	if err == nil {
-		err = m.w.Flush()
+		return nil
 	}
-	if err != nil {
-		if errors.Is(err, net.ErrClosed) {
-			err = ErrClosed
-		}
-		m.werr = err
-		m.Close()
+	if errors.Is(err, net.ErrClosed) {
+		err = ErrClosed
+	} else {
+		mHangupWrite.Inc()
 	}
+	m.werr = err
+	m.hangup()
 	return err
 }
 
@@ -418,6 +511,8 @@ func (s *muxStream) SendBatch(batch []Outgoing) error {
 // spliceLocked writes one data frame for this stream reusing a shared
 // pre-encoded envelope (Encoded.Frame: length prefix + envelope bytes).
 // Caller holds the writer lock via writeFrame.
+//
+//enclavelint:guardedby Mux.wmu
 func (s *muxStream) spliceLocked(w *bufio.Writer, envFrame []byte) error {
 	envBytes := envFrame[4:] // strip the shared encoding's length prefix
 	var prefix [64]byte

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"enclaves/internal/metrics"
 	"enclaves/internal/wire"
 )
 
@@ -102,6 +105,8 @@ func TestMuxRoundTrip(t *testing.T) {
 // a sibling stream on the same socket keeps flowing, i.e. no head-of-line
 // blocking.
 func TestMuxSlowStreamKilled(t *testing.T) {
+	metrics.Enable()
+	kills := mKillOverflow.Value()
 	const window = 8
 	addr, accepted := startMuxServer(t, MuxConfig{RecvWindow: window})
 	m, err := DialMux(addr, MuxConfig{})
@@ -167,6 +172,9 @@ func TestMuxSlowStreamKilled(t *testing.T) {
 			t.Fatal("overflowed stream was never killed")
 		}
 	}
+	if mKillOverflow.Value() == kills {
+		t.Error("the overflow kill was not counted")
+	}
 	// And the client half learns about it via the peer's MuxClose.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
@@ -176,6 +184,120 @@ func TestMuxSlowStreamKilled(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("client half of killed stream never closed")
+		}
+	}
+}
+
+// writeCounter counts the writes a Mux makes to its socket.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestMuxGroupCommit pins the group commit on one P, where the writers one
+// fan-out wakes run one after another: sixteen streams that each send one
+// frame at the same signal share one socket write (two if the scheduler's
+// fairness tick runs the first writer's flush early), not one write each.
+func TestMuxGroupCommit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	addr, accepted := startMuxServer(t, MuxConfig{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := &writeCounter{Conn: nc}
+	m := NewMuxClient(wc, MuxConfig{})
+	defer m.Close()
+
+	const streams = 16
+	conns := make([]Conn, streams)
+	for i := range conns {
+		if conns[i], err = m.Open(fmt.Sprintf("g%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := make(chan struct{})
+	errs := make(chan error, streams)
+	var wg sync.WaitGroup
+	for i, c := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs <- c.Send(env(wire.TypeAppData, "alice", fmt.Sprintf("g%d", i)))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	// Every Send has returned, and the first writer of each commit returns
+	// only after its flush, so every frame is on the socket by now.
+	writes := wc.writes.Load()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range streams {
+		select {
+		case s := <-accepted:
+			e, err := s.conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(e.Payload) != s.group {
+				t.Fatalf("stream %s got %q", s.group, e.Payload)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("stream not accepted")
+		}
+	}
+	if writes > 2 {
+		t.Fatalf("%d streams sending at once made %d socket writes, want at most 2", streams, writes)
+	}
+}
+
+// TestMuxCloseFlushes pins that a send which returned nil survives a local
+// hangup: Close writes out a group commit whose flush is still pending, so a
+// member that sends and then leaves loses nothing.
+func TestMuxCloseFlushes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	addr, accepted := startMuxServer(t, MuxConfig{})
+	m, err := DialMux(addr, MuxConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := m.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Open("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan error, 1)
+	go func() { first <- a.Send(env(wire.TypeAppData, "alice", "a")) }()
+	runtime.Gosched() // a's Send appends and yields before its flush
+	if err := b.Send(env(wire.TypeAppData, "bob", "b")); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		select {
+		case s := <-accepted:
+			if e, err := s.conn.Recv(); err != nil || string(e.Payload) != s.group {
+				t.Fatalf("stream %s: got %q, %v", s.group, e.Payload, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a frame sent before Close never arrived")
 		}
 	}
 }

@@ -10,12 +10,13 @@ import (
 )
 
 // DefaultWriteBuf sizes the buffered writer wrapped around network
-// connections. The batched-flush path (Conn.SendBatch, PR 3) collapses a
-// drained outbox into one flush; a buffer large enough to hold a whole
-// drained backlog turns that flush into a single write syscall instead of
-// several. 32 KiB holds ~hundreds of admin frames or a handful of full-MTU
-// application frames without approaching the per-connection memory budget of
-// a many-thousand-connection daemon.
+// connections. The mux group-commits every stream's appends (Conn.SendBatch
+// drains a whole outbox into one) behind one flush per socket; a buffer
+// large enough to hold what one fan-out appends to a socket turns that flush
+// into a single write syscall instead of several. 32 KiB holds hundreds of
+// admin frames or a handful of full-MTU application frames without
+// approaching the per-connection memory budget of a many-thousand-connection
+// daemon.
 const DefaultWriteBuf = 32 << 10
 
 // setNoDelay disables Nagle's algorithm on TCP connections. Go's net package

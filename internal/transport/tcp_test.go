@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"enclaves/internal/metrics"
 	"enclaves/internal/wire"
 )
 
@@ -218,6 +219,8 @@ func TestMuxHangupClosesSocket(t *testing.T) {
 // lock), and the parked write fails at the write timeout, which hangs up the
 // socket instead of holding it and every writer for ever.
 func TestMuxStalledPeer(t *testing.T) {
+	metrics.Enable()
+	hangups := mHangupWrite.Value()
 	near, far := net.Pipe() // unbuffered: a write parks until far reads, and nothing does
 	defer far.Close()
 	spy := &closeSpy{Conn: near, closed: make(chan struct{})}
@@ -257,6 +260,9 @@ func TestMuxStalledPeer(t *testing.T) {
 	spy.wait(t, "after a write timeout")
 	if _, err := m.Open("g0"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Open after a write timeout: err = %v, want ErrClosed", err)
+	}
+	if mHangupWrite.Value() == hangups {
+		t.Error("the write-timeout hangup was not counted")
 	}
 }
 

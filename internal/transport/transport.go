@@ -80,10 +80,14 @@ func (o Outgoing) Envelope() wire.Envelope {
 // Conn is a bidirectional, message-oriented point-to-point link.
 // Implementations are safe for concurrent use.
 type Conn interface {
-	// Send transmits one envelope.
+	// Send transmits one envelope. On a byte stream a nil return means the
+	// frame is in the socket's group commit, not yet written: a failure of
+	// that flush hangs the socket up, which every stream on it sees.
 	Send(wire.Envelope) error
-	// SendBatch transmits the batch in order with at most one flush, so a
-	// drained outbox costs one syscall instead of one per frame.
+	// SendBatch transmits the batch in order, as Send does, behind one
+	// flush shared with the socket's other streams, so a drained outbox —
+	// and a fan-out's other members on the same socket — cost one syscall
+	// instead of one per frame.
 	SendBatch([]Outgoing) error
 	// Recv blocks until an envelope arrives or the connection closes.
 	Recv() (wire.Envelope, error)
