@@ -12,8 +12,8 @@ func TestAttackDemoRun(t *testing.T) {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	s := out.String()
-	if got := strings.Count(s, "ATTACK SUCCEEDED"); got != 4 {
-		t.Errorf("legacy successes = %d, want 4\n%s", got, s)
+	if got := strings.Count(s, "ATTACK FOUND"); got != 4 {
+		t.Errorf("legacy model traces = %d, want 4\n%s", got, s)
 	}
 	if got := strings.Count(s, "ATTACK FAILED"); got != 5 {
 		t.Errorf("improved failures = %d, want 5\n%s", got, s)

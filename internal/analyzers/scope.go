@@ -28,7 +28,6 @@ const (
 	pkgGroup     = "enclaves/internal/group"
 	pkgWire      = "enclaves/internal/wire"
 	pkgTransport = "enclaves/internal/transport"
-	pkgLegacy    = "enclaves/internal/legacy"
 	pkgReplica   = "enclaves/internal/replica"
 	pkgLkh       = "enclaves/internal/lkh"
 )
@@ -38,28 +37,24 @@ const (
 //   - cryptorand: the protocol packages named by the invariant; faultnet is
 //     exempt (seeded determinism is its purpose), as are examples/ and the
 //     attack driver.
-//   - cachedcipher: hot-path packages only; legacy and attack use the
-//     one-shot helpers by design (the legacy protocol is the frozen
-//     vulnerable baseline, not a hot path).
+//   - cachedcipher: hot-path packages only; the attack driver uses the
+//     one-shot helpers by design.
 //   - wireexhaustive: every package that dispatches on wire enums.
 //   - keytaint: everywhere key material lives or flows — the key hierarchy
 //     (crypto, lkh), the protocol engines, replication (K_r), and the wire
 //     layer whose Marshal methods carry key bytes by summary.
 //   - noncereuse: the packages that seal freshness chains — the protocol
-//     engines, the replica delta stream, and the legacy baseline is exempt
-//     (its fixed-nonce bug is the documented vulnerability, caught by its
-//     own corpus).
+//     engines and the replica delta stream.
 //   - lockorder: every package that locks — the annotated hierarchies and
 //     their callers, plus every package that also seals or sends under a
-//     lock, including legacy, whose frozen baseline documents its
-//     exemptions.
+//     lock.
 func Registry() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{CryptoRand, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgReplica, pkgLkh}},
 		{CachedCipher, []string{pkgCore, pkgMember, pkgGroup, pkgReplica}},
-		{WireExhaustive, []string{pkgCore, pkgMember, pkgGroup, pkgLegacy, pkgWire, pkgReplica}},
-		{KeyTaint, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgLegacy, pkgReplica, pkgLkh}},
+		{WireExhaustive, []string{pkgCore, pkgMember, pkgGroup, pkgWire, pkgReplica}},
+		{KeyTaint, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgReplica, pkgLkh}},
 		{NonceReuse, []string{pkgCore, pkgMember, pkgGroup, pkgReplica}},
-		{LockOrder, []string{pkgCore, pkgMember, pkgGroup, pkgTransport, pkgLegacy, pkgReplica, pkgLkh}},
+		{LockOrder, []string{pkgCore, pkgMember, pkgGroup, pkgTransport, pkgReplica, pkgLkh}},
 	}
 }

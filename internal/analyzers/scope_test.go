@@ -4,8 +4,8 @@ import "testing"
 
 // TestRegistryScope pins the one registry's six analyzers and which
 // packages each gates — the scope table is part of the contract (faultnet's
-// seeded randomness and legacy's one-shot ciphers are deliberate, not
-// oversights).
+// seeded randomness and the attack driver's one-shot ciphers are
+// deliberate, not oversights).
 func TestRegistryScope(t *testing.T) {
 	applies := map[string]func(string) bool{}
 	for _, sa := range Registry() {
@@ -24,19 +24,14 @@ func TestRegistryScope(t *testing.T) {
 		{"cryptorand", "enclaves/internal/faultnet", false}, // seeded by design
 		{"cryptorand", "enclaves/examples/membership", false},
 		{"cachedcipher", "enclaves/internal/core", true},
-		{"cachedcipher", "enclaves/internal/legacy", false}, // one-shot by design
 		{"cachedcipher", "enclaves/internal/attack", false},
 		{"wireexhaustive", "enclaves/internal/wire", true},
-		{"wireexhaustive", "enclaves/internal/legacy", true},
 		{"wireexhaustive", "enclaves/internal/transport", false},
 		{"lockorder", "enclaves/internal/group", true},
-		{"lockorder", "enclaves/internal/legacy", true},
 		{"lockorder", "enclaves/internal/crypto", false}, // no locks there
 		{"keytaint", "enclaves/internal/crypto", true},
-		{"keytaint", "enclaves/internal/legacy", true},
 		{"keytaint", "enclaves/internal/faultnet", false},
 		{"noncereuse", "enclaves/internal/replica", true},
-		{"noncereuse", "enclaves/internal/legacy", false}, // its fixed nonce is the documented bug
 	}
 	for _, c := range cases {
 		f, ok := applies[c.analyzer]

@@ -1,6 +1,6 @@
 // Package attack contains executable attack scenarios for the weaknesses
-// catalogued in Section 2.3 of the paper, run against BOTH protocol
-// implementations:
+// catalogued in Section 2.3 of the paper, run against the improved
+// implementation (packages core/group/member):
 //
 //	A1  forged connection_denied    — denial of service on join
 //	A2  forged mem_removed          — membership-view corruption by an insider
@@ -8,10 +8,11 @@
 //	A4  forged close                — forced disconnect of a live member
 //	A5  old-session-key compromise  — leaked old keys vs a fresh session
 //
-// Against the legacy implementation (package legacy) every attack succeeds;
-// against the improved implementation (packages core/group/member) every
-// attack fails. cmd/attackdemo prints the resulting table, reproducing the
-// paper's qualitative claim (experiment ids A1-A4 in DESIGN.md).
+// Every attack fails. The legacy protocol of Section 2.2 exists only as a
+// model (internal/model), where the checker finds A1-A4 as counterexample
+// traces; cmd/attackdemo prints each trace beside the live rejection,
+// reproducing the paper's qualitative claim (experiment ids A1-A5 in
+// DESIGN.md).
 //
 // Each scenario puts a faultnet.Link — the Dolev-Yao network of Section 3.1 —
 // in front of the connection the victim dials: the attacker observes all
@@ -45,64 +46,47 @@ func TCP() (transport.Listener, func(addr string) (transport.Conn, error), error
 	return l, transport.DialTCP, err
 }
 
-// Outcome is the result of one attack scenario against one protocol.
+// Outcome is the result of one attack scenario against the improved
+// protocol.
 type Outcome struct {
-	// ID is the attack identifier (A1..A4).
+	// ID is the attack identifier (A1..A5).
 	ID string
 	// Name describes the attack.
 	Name string
-	// Protocol is "legacy" or "improved".
-	Protocol string
-	// Succeeded reports whether the ATTACK achieved its goal.
+	// Succeeded reports whether the ATTACK achieved its goal; the paper
+	// predicts it never does.
 	Succeeded bool
-	// Expected is the paper's prediction: true for legacy (vulnerable),
-	// false for improved (tolerant).
-	Expected bool
 	// Detail is a one-line account of what happened.
 	Detail string
 }
 
-// AsExpected reports whether the outcome matches the paper's claim.
-func (o Outcome) AsExpected() bool { return o.Succeeded == o.Expected }
-
 func (o Outcome) String() string {
-	verdict := "ATTACK FAILED"
+	verdict, marker := "ATTACK FAILED", "as the paper predicts"
 	if o.Succeeded {
-		verdict = "ATTACK SUCCEEDED"
+		verdict, marker = "ATTACK SUCCEEDED", "DISAGREES WITH PAPER"
 	}
-	marker := "as the paper predicts"
-	if !o.AsExpected() {
-		marker = "DISAGREES WITH PAPER"
-	}
-	return fmt.Sprintf("[%s/%s] %-38s %-16s (%s) — %s",
-		o.ID, o.Protocol, o.Name, verdict, marker, o.Detail)
+	return fmt.Sprintf("[%s] %-38s %-16s (%s) — %s", o.ID, o.Name, verdict, marker, o.Detail)
 }
 
 // Scenario is a runnable attack.
 type Scenario struct {
-	ID       string
-	Name     string
-	Protocol string
-	Expected bool
-	Run      func(Medium) (Outcome, error)
+	ID   string
+	Name string
+	Run  func(Medium) (Outcome, error)
 }
 
 // All returns every scenario in report order.
 func All() []Scenario {
 	return []Scenario{
-		{"A1", "forged connection_denied (DoS)", "legacy", true, ForgedDenialLegacy},
-		{"A1", "forged connection_denied (DoS)", "improved", false, ForgedDenialImproved},
-		{"A2", "insider forges mem_removed", "legacy", true, MembershipForgeryLegacy},
-		{"A2", "insider forges mem_removed", "improved", false, MembershipForgeryImproved},
-		{"A3", "new_key replay (key rollback)", "legacy", true, KeyRollbackLegacy},
-		{"A3", "new_key replay (key rollback)", "improved", false, KeyRollbackImproved},
-		{"A4", "forged close (forced disconnect)", "legacy", true, ForcedDisconnectLegacy},
-		{"A4", "forged close (forced disconnect)", "improved", false, ForcedDisconnectImproved},
+		{"A1", "forged connection_denied (DoS)", ForgedDenialImproved},
+		{"A2", "insider forges mem_removed", MembershipForgeryImproved},
+		{"A3", "new_key replay (key rollback)", KeyRollbackImproved},
+		{"A4", "forged close (forced disconnect)", ForcedDisconnectImproved},
 		// A5 has no legacy counterpart: the legacy protocol's old-key
 		// weakness is already attack A3 (group-key rollback). A5 checks
 		// the paper's explicit Section 3.1 requirement on the improved
 		// protocol: old SESSION keys are worthless to the attacker.
-		{"A5", "old-session-key compromise", "improved", false, OldSessionKeyCompromise},
+		{"A5", "old-session-key compromise", OldSessionKeyCompromise},
 	}
 }
 
@@ -112,7 +96,7 @@ func RunAll(net Medium) ([]Outcome, error) {
 	for _, s := range All() {
 		o, err := s.Run(net)
 		if err != nil {
-			return out, fmt.Errorf("attack %s/%s: %w", s.ID, s.Protocol, err)
+			return out, fmt.Errorf("attack %s: %w", s.ID, err)
 		}
 		out = append(out, o)
 	}

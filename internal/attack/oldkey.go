@@ -22,12 +22,7 @@ import (
 // Oops event, which publishes every closed session key to the intruder. No
 // frame crosses a network, so the Medium goes unused.
 func OldSessionKeyCompromise(Medium) (Outcome, error) {
-	out := Outcome{
-		ID:       "A5",
-		Name:     "old-session-key compromise",
-		Protocol: "improved",
-		Expected: false,
-	}
+	out := Outcome{ID: "A5", Name: "old-session-key compromise"}
 	longTerm := crypto.DeriveKey(victimName, leaderName, "pw")
 
 	// --- Session 1: complete join, one admin round, leave. The attacker

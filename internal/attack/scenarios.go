@@ -8,7 +8,6 @@ import (
 	"enclaves/internal/crypto"
 	"enclaves/internal/faultnet"
 	"enclaves/internal/group"
-	"enclaves/internal/legacy"
 	"enclaves/internal/member"
 	"enclaves/internal/transport"
 	"enclaves/internal/wire"
@@ -18,6 +17,14 @@ const (
 	leaderName = "leader"
 	victimName = "alice"
 	evilName   = "eve"
+)
+
+// The retired wire types that carried the legacy protocol's plaintext
+// connection_denied and req_close. The improved engines parse neither, so
+// the scenarios inject them as unauthenticated junk.
+const (
+	retiredConnDenied wire.Type = 11
+	retiredReqClose   wire.Type = 17
 )
 
 func userKeys(users ...string) map[string]crypto.Key {
@@ -32,35 +39,18 @@ func keyOf(user string) crypto.Key {
 	return crypto.DeriveKey(user, leaderName, user+"-pw")
 }
 
-// bench is one scenario's stage: a leader of either protocol serving a
-// medium's listener, the dialer that reaches it, and the victim's connection
-// with the adversary in front — link is what the victim uses, and every
-// frame it exchanges crosses it.
-type bench[L leader] struct {
-	leader L
+// bench is one scenario's stage: a leader serving a medium's listener, the
+// dialer that reaches it, and the victim's connection with the adversary in
+// front — link is what the victim uses, and every frame it exchanges
+// crosses it.
+type bench struct {
+	leader *group.Leader
 	list   transport.Listener
 	dial   func() (transport.Conn, error)
 	link   *faultnet.Link
 }
 
-type leader interface {
-	Serve(transport.Listener) error
-	Close()
-}
-
-func legacyBench(net Medium, users ...string) (*bench[*legacy.Leader], error) {
-	g, err := legacy.NewLeader(legacy.LeaderConfig{
-		Name:         leaderName,
-		Users:        userKeys(users...),
-		RekeyOnLeave: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return serve(net, g)
-}
-
-func improvedBench(net Medium, users ...string) (*bench[*group.Leader], error) {
+func improvedBench(net Medium, users ...string) (*bench, error) {
 	g, err := group.NewLeader(group.Config{
 		Name:  leaderName,
 		Users: userKeys(users...),
@@ -69,17 +59,13 @@ func improvedBench(net Medium, users ...string) (*bench[*group.Leader], error) {
 	if err != nil {
 		return nil, err
 	}
-	return serve(net, g)
-}
-
-func serve[L leader](net Medium, g L) (*bench[L], error) {
 	l, dial, err := net()
 	if err != nil {
 		g.Close()
 		return nil, err
 	}
 	go func() { _ = g.Serve(l) }()
-	b := &bench[L]{leader: g, list: l, dial: func() (transport.Conn, error) { return dial(l.Addr()) }}
+	b := &bench{leader: g, list: l, dial: func() (transport.Conn, error) { return dial(l.Addr()) }}
 	c, err := b.dial()
 	if err != nil {
 		b.close()
@@ -91,16 +77,15 @@ func serve[L leader](net Medium, g L) (*bench[L], error) {
 
 // joinInsider dials the leader on a connection of its own, which the
 // adversary leaves alone, and joins as eve with her legitimate password.
-func joinInsider[M any](dial func() (transport.Conn, error), join func(transport.Conn, string, string, crypto.Key) (M, error)) (M, error) {
-	c, err := dial()
+func (b *bench) joinInsider() (*member.Member, error) {
+	c, err := b.dial()
 	if err != nil {
-		var none M
-		return none, err
+		return nil, err
 	}
-	return join(c, evilName, leaderName, keyOf(evilName))
+	return member.Join(c, evilName, leaderName, keyOf(evilName))
 }
 
-func (b *bench[L]) close() {
+func (b *bench) close() {
 	if b.link != nil {
 		b.link.Close()
 	}
@@ -110,42 +95,11 @@ func (b *bench[L]) close() {
 
 // --- A1: forged connection_denied -------------------------------------------
 
-// ForgedDenialLegacy forges the plaintext connection_denied of the legacy
-// pre-authentication exchange; the victim gives up although the leader
-// would have accepted it (Section 2.3, first attack).
-func ForgedDenialLegacy(net Medium) (Outcome, error) {
-	out := Outcome{ID: "A1", Name: "forged connection_denied (DoS)", Protocol: "legacy", Expected: true}
-	b, err := legacyBench(net, victimName)
-	if err != nil {
-		return out, err
-	}
-	defer b.close()
-
-	// Suppress the genuine ack_open and pre-inject the forged denial.
-	b.link.SetFilter(func(d faultnet.Direction, e wire.Envelope) bool {
-		return !(d == faultnet.Inbound && e.Type == wire.TypeAckOpen)
-	})
-	denial := wire.Envelope{Type: wire.TypeConnDenied, Sender: leaderName, Receiver: victimName,
-		Payload: wire.LegacyOpenPayload{From: leaderName}.Marshal()}
-	if err := b.link.Inject(faultnet.Inbound, denial); err != nil {
-		return out, err
-	}
-
-	_, joinErr := legacy.Join(b.link, victimName, leaderName, keyOf(victimName))
-	out.Succeeded = errors.Is(joinErr, legacy.ErrDenied)
-	if out.Succeeded {
-		out.Detail = "victim believed the forged denial and gave up"
-	} else {
-		out.Detail = fmt.Sprintf("victim not denied (err=%v)", joinErr)
-	}
-	return out, nil
-}
-
 // ForgedDenialImproved repeats the attack against the improved protocol:
 // the pre-authentication exchange no longer exists, so there is nothing
 // unauthenticated to forge; injected junk is ignored and the join completes.
 func ForgedDenialImproved(net Medium) (Outcome, error) {
-	out := Outcome{ID: "A1", Name: "forged connection_denied (DoS)", Protocol: "improved", Expected: false}
+	out := Outcome{ID: "A1", Name: "forged connection_denied (DoS)"}
 	b, err := improvedBench(net, victimName)
 	if err != nil {
 		return out, err
@@ -154,8 +108,8 @@ func ForgedDenialImproved(net Medium) (Outcome, error) {
 
 	// The attacker injects both a legacy-style denial and a garbage
 	// AuthKeyDist before the genuine reply can arrive.
-	denial := wire.Envelope{Type: wire.TypeConnDenied, Sender: leaderName, Receiver: victimName,
-		Payload: wire.LegacyOpenPayload{From: leaderName}.Marshal()}
+	denial := wire.Envelope{Type: retiredConnDenied, Sender: leaderName, Receiver: victimName,
+		Payload: []byte(leaderName)}
 	garbage := wire.Envelope{Type: wire.TypeAuthKeyDist, Sender: leaderName, Receiver: victimName,
 		Payload: []byte("not a ciphertext")}
 	if err := b.link.Inject(faultnet.Inbound, denial); err != nil {
@@ -179,59 +133,12 @@ func ForgedDenialImproved(net Medium) (Outcome, error) {
 
 // --- A2: insider forges mem_removed ------------------------------------------
 
-// MembershipForgeryLegacy has the insider eve forge mem_removed({eve})
-// under the shared group key, convincing the victim that eve has left while
-// the leader still counts her as a member (Section 2.3, second attack).
-func MembershipForgeryLegacy(net Medium) (Outcome, error) {
-	out := Outcome{ID: "A2", Name: "insider forges mem_removed", Protocol: "legacy", Expected: true}
-	b, err := legacyBench(net, victimName, evilName)
-	if err != nil {
-		return out, err
-	}
-	defer b.close()
-
-	victim, err := legacy.Join(b.link, victimName, leaderName, keyOf(victimName))
-	if err != nil {
-		return out, err
-	}
-	evil, err := joinInsider(b.dial, legacy.Join)
-	if err != nil {
-		return out, err
-	}
-	if !waitUntil(settle, func() bool { return slices.Contains(victim.Members(), evilName) }) {
-		return out, errors.New("victim never saw the insider join")
-	}
-
-	// Eve seals the forgery with the group key she legitimately holds.
-	kg, _ := evil.GroupKey()
-	forged := wire.Envelope{Type: wire.TypeMemRemoved, Sender: leaderName, Receiver: victimName}
-	p := wire.LegacyMemberPayload{Name: evilName}
-	box, err := crypto.Seal(kg, p.Marshal(), forged.Header())
-	if err != nil {
-		return out, err
-	}
-	forged.Payload = box
-	if err := b.link.Inject(faultnet.Inbound, forged); err != nil {
-		return out, err
-	}
-
-	dropped := waitUntil(settle, func() bool { return !slices.Contains(victim.Members(), evilName) })
-	stillMember := slices.Contains(b.leader.Members(), evilName)
-	out.Succeeded = dropped && stillMember
-	if out.Succeeded {
-		out.Detail = "victim's view dropped the insider; leader still lists her"
-	} else {
-		out.Detail = fmt.Sprintf("dropped=%v leaderStillHasEve=%v", dropped, stillMember)
-	}
-	return out, nil
-}
-
 // MembershipForgeryImproved repeats the forgery against the improved
 // protocol: membership changes travel as AdminMsg under the victim's
 // per-member session key, which the insider does not hold. Knowing the
 // group key no longer helps.
 func MembershipForgeryImproved(net Medium) (Outcome, error) {
-	out := Outcome{ID: "A2", Name: "insider forges mem_removed", Protocol: "improved", Expected: false}
+	out := Outcome{ID: "A2", Name: "insider forges mem_removed"}
 	b, err := improvedBench(net, victimName, evilName)
 	if err != nil {
 		return out, err
@@ -243,7 +150,7 @@ func MembershipForgeryImproved(net Medium) (Outcome, error) {
 		return out, err
 	}
 	defer victim.Leave()
-	evil, err := joinInsider(b.dial, member.Join)
+	evil, err := b.joinInsider()
 	if err != nil {
 		return out, err
 	}
@@ -286,78 +193,11 @@ func MembershipForgeryImproved(net Medium) (Outcome, error) {
 
 // --- A3: new_key replay / group-key rollback ---------------------------------
 
-// KeyRollbackLegacy replays an old new_key message after the insider was
-// expelled, rolling the victim back to a group key the expelled member
-// still holds (Section 2.3, third attack).
-func KeyRollbackLegacy(net Medium) (Outcome, error) {
-	out := Outcome{ID: "A3", Name: "new_key replay (key rollback)", Protocol: "legacy", Expected: true}
-	b, err := legacyBench(net, victimName, evilName)
-	if err != nil {
-		return out, err
-	}
-	defer b.close()
-
-	victim, err := legacy.Join(b.link, victimName, leaderName, keyOf(victimName))
-	if err != nil {
-		return out, err
-	}
-	evil, err := joinInsider(b.dial, legacy.Join)
-	if err != nil {
-		return out, err
-	}
-	if !waitUntil(settle, func() bool { return len(b.leader.Members()) == 2 }) {
-		return out, errors.New("members never registered")
-	}
-
-	// Rekey while eve is a member: she legitimately receives epoch 2.
-	if err := b.leader.Rekey(); err != nil {
-		return out, err
-	}
-	if !waitUntil(settle, func() bool { return victim.Epoch() == 2 && evil.Epoch() == 2 }) {
-		return out, errors.New("epoch 2 never propagated")
-	}
-	leakedKey, _ := evil.GroupKey() // eve keeps this key after expulsion
-
-	// Expel eve; the on-leave policy rekeys to epoch 3.
-	if err := b.leader.Expel(evilName); err != nil {
-		return out, err
-	}
-	if !waitUntil(settle, func() bool { return victim.Epoch() == 3 }) {
-		return out, errors.New("epoch 3 never propagated")
-	}
-
-	// Replay the captured epoch-2 new_key (the first NewKey toward alice).
-	replayed := false
-	for i, c := range b.link.Captured() {
-		if c.Dir == faultnet.Inbound && c.Env.Type == wire.TypeNewKey {
-			if err := b.link.Replay(i); err != nil {
-				return out, err
-			}
-			replayed = true
-			break
-		}
-	}
-	if !replayed {
-		return out, errors.New("no new_key frame captured")
-	}
-
-	rolled := waitUntil(settle, func() bool { return victim.Epoch() == 2 && victim.MaxEpoch() == 3 })
-	vk, _ := victim.GroupKey()
-	out.Succeeded = rolled && vk.Equal(leakedKey)
-	if out.Succeeded {
-		out.Detail = "victim rolled back to the expelled member's key"
-	} else {
-		out.Detail = fmt.Sprintf("rolled=%v keyMatchesLeak=%v (epoch=%d/max=%d)",
-			rolled, vk.Equal(leakedKey), victim.Epoch(), victim.MaxEpoch())
-	}
-	return out, nil
-}
-
 // KeyRollbackImproved repeats the replay against the improved protocol: key
 // distribution rides the AdminMsg exchange whose freshness is proven by the
 // victim's own latest nonce, so every replayed frame is rejected.
 func KeyRollbackImproved(net Medium) (Outcome, error) {
-	out := Outcome{ID: "A3", Name: "new_key replay (key rollback)", Protocol: "improved", Expected: false}
+	out := Outcome{ID: "A3", Name: "new_key replay (key rollback)"}
 	b, err := improvedBench(net, victimName, evilName)
 	if err != nil {
 		return out, err
@@ -369,7 +209,7 @@ func KeyRollbackImproved(net Medium) (Outcome, error) {
 		return out, err
 	}
 	defer victim.Leave()
-	if _, err := joinInsider(b.dial, member.Join); err != nil {
+	if _, err := b.joinInsider(); err != nil {
 		return out, err
 	}
 	if !waitUntil(settle, func() bool { return len(b.leader.Members()) == 2 }) {
@@ -418,44 +258,11 @@ func KeyRollbackImproved(net Medium) (Outcome, error) {
 
 // --- A4: forged close / forced disconnect ------------------------------------
 
-// ForcedDisconnectLegacy forges the PLAINTEXT req_close of the legacy
-// protocol; the leader closes the victim's session although the victim
-// never asked to leave.
-func ForcedDisconnectLegacy(net Medium) (Outcome, error) {
-	out := Outcome{ID: "A4", Name: "forged close (forced disconnect)", Protocol: "legacy", Expected: true}
-	b, err := legacyBench(net, victimName)
-	if err != nil {
-		return out, err
-	}
-	defer b.close()
-
-	if _, err := legacy.Join(b.link, victimName, leaderName, keyOf(victimName)); err != nil {
-		return out, err
-	}
-	if !waitUntil(settle, func() bool { return slices.Contains(b.leader.Members(), victimName) }) {
-		return out, errors.New("victim never registered")
-	}
-
-	forged := wire.Envelope{Type: wire.TypeLegacyReqClose, Sender: victimName, Receiver: leaderName,
-		Payload: wire.LegacyOpenPayload{From: victimName}.Marshal()}
-	if err := b.link.Inject(faultnet.Outbound, forged); err != nil {
-		return out, err
-	}
-
-	out.Succeeded = waitUntil(settle, func() bool { return !slices.Contains(b.leader.Members(), victimName) })
-	if out.Succeeded {
-		out.Detail = "leader closed the session on a forged plaintext req_close"
-	} else {
-		out.Detail = "leader kept the session"
-	}
-	return out, nil
-}
-
 // ForcedDisconnectImproved repeats the forgery against the improved
 // protocol: ReqClose is {A, L}_Ka, and the attacker does not hold the
 // session key, so the leader rejects the forgery and the session survives.
 func ForcedDisconnectImproved(net Medium) (Outcome, error) {
-	out := Outcome{ID: "A4", Name: "forged close (forced disconnect)", Protocol: "improved", Expected: false}
+	out := Outcome{ID: "A4", Name: "forged close (forced disconnect)"}
 	b, err := improvedBench(net, victimName)
 	if err != nil {
 		return out, err
@@ -486,8 +293,8 @@ func ForcedDisconnectImproved(net Medium) (Outcome, error) {
 	if err := b.link.Inject(faultnet.Outbound, forged); err != nil {
 		return out, err
 	}
-	plaintext := wire.Envelope{Type: wire.TypeLegacyReqClose, Sender: victimName, Receiver: leaderName,
-		Payload: wire.LegacyOpenPayload{From: victimName}.Marshal()}
+	plaintext := wire.Envelope{Type: retiredReqClose, Sender: victimName, Receiver: leaderName,
+		Payload: []byte(victimName)}
 	if err := b.link.Inject(faultnet.Outbound, plaintext); err != nil {
 		return out, err
 	}

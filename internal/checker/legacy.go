@@ -87,7 +87,7 @@ func ExploreLegacy(cfg model.LegacyConfig) *LegacyExploration {
 	return ex
 }
 
-// legacyAttackGoals names the three Section 2.3 attacks in report order.
+// legacyAttackGoals names the four Section 2.3 attacks in report order.
 var legacyAttackGoals = []struct {
 	id   string
 	v    model.LegacyViolation
@@ -96,6 +96,7 @@ var legacyAttackGoals = []struct {
 	{"A1", model.ViolationForgedDenial, "forged connection_denied denies service to A"},
 	{"A2", model.ViolationMembership, "insider forges mem_removed: A's view drops live member B"},
 	{"A3", model.ViolationKeyRollback, "replayed new_key rolls A back to a compromised group key"},
+	{"A4", model.ViolationForcedClose, "forged plaintext req_close ends A's session"},
 }
 
 // LegacyObligations reports, for each Section 2.3 attack, whether the

@@ -57,6 +57,53 @@ func TestReplayNewKey(t *testing.T) {
 	}
 }
 
+// TestKeyRollbackNeedsPastMember pins A3 to the paper's attack: E is
+// expelled before A accepts the replayed key, and at the end the group's
+// real key is secret from E. A rollback among keys a current member holds
+// anyway is no attack.
+func TestKeyRollbackNeedsPastMember(t *testing.T) {
+	n, ok := getLegacyExploration(t).Attacks[model.ViolationKeyRollback]
+	if !ok {
+		t.Fatal("key-rollback attack not found in legacy model")
+	}
+	trace := n.Trace()
+	expel, lastAccept := -1, -1
+	for i, step := range trace {
+		if strings.Contains(step, "expel E") && expel < 0 {
+			expel = i
+		}
+		if strings.Contains(step, "accept new_key") {
+			lastAccept = i
+		}
+	}
+	if expel < 0 || lastAccept < 0 || expel > lastAccept {
+		t.Errorf("witness does not expel E before the replayed key is accepted:\n%s", strings.Join(trace, "\n"))
+	}
+	s := n.State
+	if s.EMember {
+		t.Error("rollback end state: E is still a member")
+	}
+	if s.IK.Contains(s.LeadKg) {
+		t.Error("rollback end state: the intruder knows the group's current key")
+	}
+}
+
+// TestForcedDisconnect is attack A4: the intruder forges A's plaintext
+// req_close and the leader ends a session A never asked to close.
+func TestForcedDisconnect(t *testing.T) {
+	n, ok := getLegacyExploration(t).Attacks[model.ViolationForcedClose]
+	if !ok {
+		t.Fatal("forced-close attack not found in legacy model")
+	}
+	trace := strings.Join(n.Trace(), "\n")
+	if !strings.Contains(trace, "inject forged req_close") {
+		t.Errorf("attack trace does not involve the forged req_close:\n%s", trace)
+	}
+	if n.State.LeadPhase != model.LegLeadClosed {
+		t.Errorf("end state leader phase = %s, want Closed", n.State.LeadPhase)
+	}
+}
+
 func TestLegacyAttackTracesAreMinimalDepthFirstFound(t *testing.T) {
 	ex := getLegacyExploration(t)
 	// BFS guarantees the recorded witness has minimal depth; forged denial
@@ -68,8 +115,8 @@ func TestLegacyAttackTracesAreMinimalDepthFirstFound(t *testing.T) {
 
 func TestLegacyObligationsAllFound(t *testing.T) {
 	obs := LegacyObligations(getLegacyExploration(t))
-	if len(obs) != 3 {
-		t.Fatalf("got %d legacy obligations, want 3", len(obs))
+	if len(obs) != 4 {
+		t.Fatalf("got %d legacy obligations, want 4", len(obs))
 	}
 	for _, o := range obs {
 		if !o.Holds {

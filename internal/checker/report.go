@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -239,17 +240,24 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  bounds: %d rekeys; insider E initially a member\n", r.LegacyConfig.MaxRekeys)
 	fmt.Fprintf(&b, "  reachable states: %d   max depth: %d\n\n", r.LegacyStates, r.LegacyDepth)
 	for _, o := range r.Legacy {
-		verdict := "ATTACK FOUND (paper confirmed)"
-		if !o.Holds {
-			verdict = "NOT FOUND (disagrees with paper)"
-		}
-		fmt.Fprintf(&b, "[%s] %-60s %s\n", o.ID, o.Name, verdict)
-		if len(o.Witness) > 0 {
-			fmt.Fprintf(&b, "    shortest attack (%s):\n", o.Detail)
-			for _, step := range o.Witness {
-				fmt.Fprintf(&b, "      %s\n", step)
-			}
-		}
+		WriteLegacyAttack(&b, o)
 	}
 	return b.String()
+}
+
+// WriteLegacyAttack prints one legacy attack obligation: its verdict line
+// and, when found, the shortest attack trace. cmd/verify and cmd/attackdemo
+// share it.
+func WriteLegacyAttack(w io.Writer, o Obligation) {
+	verdict := "ATTACK FOUND (paper confirmed)"
+	if !o.Holds {
+		verdict = "NOT FOUND (disagrees with paper)"
+	}
+	fmt.Fprintf(w, "[%s] %-60s %s\n", o.ID, o.Name, verdict)
+	if len(o.Witness) > 0 {
+		fmt.Fprintf(w, "    shortest attack (%s):\n", o.Detail)
+		for _, step := range o.Witness {
+			fmt.Fprintf(w, "      %s\n", step)
+		}
+	}
 }

@@ -162,7 +162,7 @@ func TestLinkFilterDrops(t *testing.T) {
 func TestLinkInject(t *testing.T) {
 	onBothMedia(t, func(t *testing.T, a *Link, b transport.Conn) {
 		defer a.Close()
-		forged := env(wire.TypeConnDenied, "leader", "denied")
+		forged := env(wire.TypeReqClose, "alice", "forged close")
 		if err := a.Inject(Outbound, forged); err != nil {
 			t.Fatal(err)
 		}
@@ -170,13 +170,13 @@ func TestLinkInject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Type != wire.TypeConnDenied {
+		if got.Type != wire.TypeReqClose {
 			t.Errorf("injected frame type = %v", got.Type)
 		}
 		if err := a.Inject(Inbound, forged); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := a.Recv(); err != nil || got.Type != wire.TypeConnDenied {
+		if got, err := a.Recv(); err != nil || got.Type != wire.TypeReqClose {
 			t.Errorf("inbound injection: %v, %v", got.Type, err)
 		}
 		// Injected frames are not captures of endpoint traffic.
@@ -189,7 +189,7 @@ func TestLinkInject(t *testing.T) {
 func TestLinkReplay(t *testing.T) {
 	onBothMedia(t, func(t *testing.T, a *Link, b transport.Conn) {
 		defer a.Close()
-		a.Send(env(wire.TypeNewKey, "l", "old-key"))
+		a.Send(env(wire.TypeAdminMsg, "l", "old-key"))
 		if _, err := b.Recv(); err != nil {
 			t.Fatal(err)
 		}
@@ -217,16 +217,16 @@ func TestLinkReplay(t *testing.T) {
 func TestLinkReplayMatching(t *testing.T) {
 	onBothMedia(t, func(t *testing.T, a *Link, b transport.Conn) {
 		defer a.Close()
-		a.Send(env(wire.TypeNewKey, "l", "k1"))
+		a.Send(env(wire.TypeAdminMsg, "l", "k1"))
 		a.Send(env(wire.TypeAppData, "l", "d1"))
-		a.Send(env(wire.TypeNewKey, "l", "k2"))
+		a.Send(env(wire.TypeAdminMsg, "l", "k2"))
 		for i := 0; i < 3; i++ {
 			if _, err := b.Recv(); err != nil {
 				t.Fatal(err)
 			}
 		}
 
-		n, err := a.ReplayMatching(func(c Captured) bool { return c.Env.Type == wire.TypeNewKey })
+		n, err := a.ReplayMatching(func(c Captured) bool { return c.Env.Type == wire.TypeAdminMsg })
 		if err != nil {
 			t.Fatal(err)
 		}

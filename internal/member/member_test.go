@@ -137,7 +137,7 @@ func TestJoinToleratesJunkDuringHandshake(t *testing.T) {
 		}
 		// Junk before the genuine reply: must be rejected, not fatal.
 		f.conn.Send(wire.Envelope{Type: wire.TypeAuthKeyDist, Sender: leaderName, Receiver: userName, Payload: []byte("garbage")})
-		f.conn.Send(wire.Envelope{Type: wire.TypeConnDenied, Sender: leaderName, Receiver: userName})
+		f.conn.Send(wire.Envelope{Type: retiredType, Sender: leaderName, Receiver: userName})
 		ev, err := f.engine.Handle(env)
 		if err != nil {
 			t.Errorf("handle: %v", err)
@@ -373,11 +373,15 @@ func TestForgedAdminCounted(t *testing.T) {
 func TestUnexpectedFrameCounted(t *testing.T) {
 	f, m := joinThrough(t)
 	before := m.Rejected()
-	if err := f.conn.Send(wire.Envelope{Type: wire.TypeConnDenied, Sender: "x"}); err != nil {
+	if err := f.conn.Send(wire.Envelope{Type: retiredType, Sender: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	waitRejected(t, m, before)
 }
+
+// retiredType is a wire type number no engine parses any more: 11 carried
+// the original protocol's plaintext connection_denied.
+const retiredType wire.Type = 11
 
 func waitRejected(t *testing.T, m *Member, before uint64) {
 	t.Helper()

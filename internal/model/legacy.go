@@ -18,6 +18,8 @@ import (
 //	    {B}_Kg, so A's view drops B while B is still a member.
 //	V3 (group-key rollback): a past member replays an old new_key message,
 //	    rolling A back to a group key the attacker knows.
+//	V4 (forced close): the intruder forges A's plaintext req_close, so the
+//	    leader closes a session A never asked to end.
 //
 // The scenario follows Section 2.3: the group initially contains an honest
 // member B and the compromised member E (who therefore legitimately holds
@@ -63,6 +65,7 @@ const (
 	LegLeadWaitAuth1
 	LegLeadWaitAuthAck
 	LegLeadConnected
+	LegLeadClosed
 )
 
 func (p LegacyLeaderPhase) String() string {
@@ -75,6 +78,8 @@ func (p LegacyLeaderPhase) String() string {
 		return "WaitAuthAck"
 	case LegLeadConnected:
 		return "Connected"
+	case LegLeadClosed:
+		return "Closed"
 	default:
 		return "invalid"
 	}
@@ -426,14 +431,23 @@ func (sys *LegacySystem) leaderSteps(s *LegacyState) []LegacyStep {
 			steps = append(steps, LegacyStep{Actor: AgentLeader, Action: "expel E, send mem_removed(E)",
 				Emitted: &m, Next: n})
 		}
+		// close: A, req_close arrives in plaintext, so L cannot tell who
+		// sent it and ends A's session.
+		req := symbolic.Pair(sys.a, legTokReqClose)
+		if s.hasContent(req) {
+			n := s.Clone()
+			n.LeadPhase = LegLeadClosed
+			steps = append(steps, LegacyStep{Actor: AgentLeader, Action: "accept req_close, close A's session",
+				Consumed: req, Next: n})
+		}
 	}
 	return steps
 }
 
 func (sys *LegacySystem) intruderSteps(s *LegacyState) []LegacyStep {
 	var steps []LegacyStep
-	add := func(label Label, content *symbolic.Field, what string) {
-		m := Msg{Label: label, Sender: AgentIntruder, Receiver: AgentUser, Content: content}
+	add := func(label Label, to string, content *symbolic.Field, what string) {
+		m := Msg{Label: label, Sender: AgentIntruder, Receiver: to, Content: content}
 		if _, dup := s.Net[m.Key()]; dup {
 			return
 		}
@@ -447,11 +461,11 @@ func (sys *LegacySystem) intruderSteps(s *LegacyState) []LegacyStep {
 
 	// Forged connection_denied: plaintext, always synthesizable (attack A1).
 	if s.UsrPhase == LegUserWaitOpen {
-		add(LabelConnDenied, symbolic.Pair(sys.l, legTokDenied), "forged connection_denied")
+		add(LabelConnDenied, AgentUser, symbolic.Pair(sys.l, legTokDenied), "forged connection_denied")
 	}
 	// Forged mem_removed(B) under any group key E knows (attack A2).
 	if s.UsrPhase == LegUserConnected && s.ViewHasB {
-		add(LabelMemRemoved, symbolic.Enc(sys.b, s.UsrKg), "forged mem_removed(B)")
+		add(LabelMemRemoved, AgentUser, symbolic.Enc(sys.b, s.UsrKg), "forged mem_removed(B)")
 	}
 	// Forged new_key under A's session key, should E ever learn it.
 	if s.UsrPhase == LegUserConnected {
@@ -459,8 +473,13 @@ func (sys *LegacySystem) intruderSteps(s *LegacyState) []LegacyStep {
 			if k.KeyClass() != symbolic.KeySession {
 				continue
 			}
-			add(LabelNewKey, symbolic.Enc(symbolic.Pair(k, legTokIV), s.UsrKa), "forged new_key")
+			add(LabelNewKey, AgentUser, symbolic.Enc(symbolic.Pair(k, legTokIV), s.UsrKa), "forged new_key")
 		}
+	}
+	// Forged req_close in A's name: plaintext, always synthesizable
+	// (attack A4).
+	if s.LeadPhase == LegLeadConnected {
+		add(LabelLegacyReqClose, AgentLeader, symbolic.Pair(sys.a, legTokReqClose), "forged req_close")
 	}
 	return steps
 }
@@ -506,11 +525,12 @@ func legNetEncs(s *LegacyState, key *symbolic.Field, arity int) []*symbolic.Fiel
 // LegacyViolation identifies one of the Section 2.3 attack goals.
 type LegacyViolation string
 
-// The three attack goals of Section 2.3.
+// The four attack goals of Section 2.3.
 const (
 	ViolationForgedDenial LegacyViolation = "forged-denial"      // A1
 	ViolationMembership   LegacyViolation = "membership-forgery" // A2
 	ViolationKeyRollback  LegacyViolation = "group-key-rollback" // A3
+	ViolationForcedClose  LegacyViolation = "forced-close"       // A4
 )
 
 // Violations reports which attack goals hold in state s.
@@ -523,9 +543,18 @@ func Violations(s *LegacyState) []LegacyViolation {
 		// B never leaves in this scenario, so a dropped B is always forged.
 		out = append(out, ViolationMembership)
 	}
+	// A rolled back to an older key the intruder knows, while E is a past
+	// member and the group's real key is secret from it: while E is still
+	// a member it legitimately holds every key, so there is nothing to roll
+	// back from.
 	if s.UsrPhase == LegUserConnected && s.UsrKg != nil &&
-		s.UsrKg.ID() < s.UsrMaxKg && s.IK.Contains(s.UsrKg) {
+		s.UsrKg.ID() < s.UsrMaxKg && s.IK.Contains(s.UsrKg) &&
+		!s.EMember && !s.IK.Contains(s.LeadKg) {
 		out = append(out, ViolationKeyRollback)
+	}
+	if s.LeadPhase == LegLeadClosed {
+		// A never sends req_close in this scenario, so every close is forced.
+		out = append(out, ViolationForcedClose)
 	}
 	return out
 }

@@ -146,6 +146,23 @@ func TestLegacyKeyRollbackAttack(t *testing.T) {
 	}
 }
 
+func TestLegacyForcedCloseAttack(t *testing.T) {
+	sys := NewLegacySystem(DefaultLegacyConfig())
+	s := legacyConnect(t, sys, sys.Initial())
+
+	// A never sends req_close; the intruder forges it in A's name.
+	s = findLegacyStep(t, sys, s, AgentIntruder, "inject forged req_close").Next
+	s = findLegacyStep(t, sys, s, AgentLeader, "accept req_close").Next
+
+	got := Violations(s)
+	if len(got) != 1 || got[0] != ViolationForcedClose {
+		t.Fatalf("Violations = %v, want [%s]", got, ViolationForcedClose)
+	}
+	if s.UsrPhase != LegUserConnected {
+		t.Errorf("A's phase = %s, want Connected: A never asked to leave", s.UsrPhase)
+	}
+}
+
 func TestLegacyNoViolationsWithoutIntruderInterference(t *testing.T) {
 	// An honest run with rekeys and the expulsion, but no replays or
 	// forgeries, reaches no violation state.
@@ -188,7 +205,8 @@ func TestLegacyStateCloneIndependence(t *testing.T) {
 }
 
 func TestLegacyPhaseStrings(t *testing.T) {
-	if LegUserWaitKey.String() != "WaitKey" || LegLeadWaitAuthAck.String() != "WaitAuthAck" {
+	if LegUserWaitKey.String() != "WaitKey" || LegLeadWaitAuthAck.String() != "WaitAuthAck" ||
+		LegLeadClosed.String() != "Closed" {
 		t.Error("legacy phase names wrong")
 	}
 }

@@ -7,7 +7,10 @@ import (
 
 // fuzzSeeds is a seed corpus covering every message type: one valid frame
 // per Type, with representative sender/receiver/payload shapes (empty names,
-// empty payloads, binary payloads, max-length names).
+// empty payloads, binary payloads, max-length names). It keeps a frame for
+// each retired type byte 9-20 too: no engine sends them, but the framing
+// carries any type byte opaquely, and the improved A1/A4 scenarios inject
+// exactly such frames.
 func fuzzSeeds(f *F) []Envelope {
 	f.Helper()
 	long := string(bytes.Repeat([]byte{'n'}, MaxNameLen))
@@ -20,18 +23,18 @@ func fuzzSeeds(f *F) []Envelope {
 		{Type: TypeReqClose, Sender: "carol", Receiver: "leader", Payload: []byte{1, 2, 3}},
 		{Type: TypeCloseAck, Sender: "leader", Receiver: "carol"},
 		{Type: TypeAppData, Sender: "alice", Receiver: "leader", Payload: bytes.Repeat([]byte{0x00}, 256)},
-		{Type: TypeReqOpen, Sender: "", Receiver: ""},
-		{Type: TypeAckOpen, Sender: long, Receiver: long},
-		{Type: TypeConnDenied, Sender: "leader", Receiver: "mallory"},
-		{Type: TypeLegacyAuth1, Sender: "alice", Receiver: "leader", Payload: []byte{0xDE, 0xAD}},
-		{Type: TypeLegacyAuth2, Sender: "leader", Receiver: "alice", Payload: []byte{0xBE, 0xEF}},
-		{Type: TypeLegacyAuth3, Sender: "alice", Receiver: "leader"},
-		{Type: TypeNewKey, Sender: "leader", Receiver: "alice", Payload: bytes.Repeat([]byte{0x11}, 32)},
-		{Type: TypeNewKeyAck, Sender: "alice", Receiver: "leader"},
-		{Type: TypeLegacyReqClose, Sender: "bob", Receiver: "leader"},
-		{Type: TypeCloseConn, Sender: "leader", Receiver: "bob"},
-		{Type: TypeMemRemoved, Sender: "leader", Receiver: "alice", Payload: []byte("bob")},
-		{Type: TypeMemAdded, Sender: "leader", Receiver: "alice", Payload: []byte("carol")},
+		{Type: 9, Sender: "", Receiver: ""},
+		{Type: 10, Sender: long, Receiver: long},
+		{Type: 11, Sender: "leader", Receiver: "mallory"},
+		{Type: 12, Sender: "alice", Receiver: "leader", Payload: []byte{0xDE, 0xAD}},
+		{Type: 13, Sender: "leader", Receiver: "alice", Payload: []byte{0xBE, 0xEF}},
+		{Type: 14, Sender: "alice", Receiver: "leader"},
+		{Type: 15, Sender: "leader", Receiver: "alice", Payload: bytes.Repeat([]byte{0x11}, 32)},
+		{Type: 16, Sender: "alice", Receiver: "leader"},
+		{Type: 17, Sender: "bob", Receiver: "leader"},
+		{Type: 18, Sender: "leader", Receiver: "bob"},
+		{Type: 19, Sender: "leader", Receiver: "alice", Payload: []byte("bob")},
+		{Type: 20, Sender: "leader", Receiver: "alice", Payload: []byte("carol")},
 		{Type: TypeReplState, Sender: "standby", Receiver: "leader", Payload: bytes.Repeat([]byte{0x77}, 48)},
 		{Type: TypeReplDelta, Sender: "leader", Receiver: "standby", Payload: []byte{0x03, 0x00}},
 		{Type: TypeResume, Sender: "alice", Receiver: "leader", Payload: bytes.Repeat([]byte{0x5A}, 32)},

@@ -87,11 +87,6 @@ func TestPayloadDecodersNeverPanicOnGarbage(t *testing.T) {
 		func(b []byte) { _, _ = UnmarshalClose(b) },
 		func(b []byte) { _, _ = UnmarshalAppData(b) },
 		func(b []byte) { _, _ = UnmarshalAdminBody(b) },
-		func(b []byte) { _, _ = UnmarshalLegacyOpen(b) },
-		func(b []byte) { _, _ = UnmarshalLegacyAuth2(b) },
-		func(b []byte) { _, _ = UnmarshalLegacyAuth3(b) },
-		func(b []byte) { _, _ = UnmarshalLegacyNewKey(b) },
-		func(b []byte) { _, _ = UnmarshalLegacyMember(b) },
 	}
 	for i := 0; i < 2000; i++ {
 		data := make([]byte, r.Intn(300))

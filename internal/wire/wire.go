@@ -3,7 +3,7 @@
 // payload) mirroring the paper's message structure "label, apparent sender,
 // intended recipient, content" (Section 4), plus deterministic binary
 // encodings for every protocol payload of the improved protocol
-// (Section 3.2) and the legacy protocol (Section 2.2).
+// (Section 3.2).
 //
 // Envelope headers travel in clear — the adversary can read and rewrite
 // them — but the runtime binds the header bytes into the AEAD additional
@@ -21,8 +21,7 @@ import (
 // Type identifies a message on the wire.
 type Type uint8
 
-// Improved-protocol message types (Section 3.2), application data, and
-// legacy-protocol message types (Section 2.2).
+// Improved-protocol message types (Section 3.2) and application data.
 const (
 	// Improved protocol.
 	TypeAuthInitReq Type = iota + 1
@@ -35,26 +34,18 @@ const (
 
 	// Application data relayed by the leader, encrypted under the group key.
 	TypeAppData
+)
 
-	// Legacy protocol.
-	TypeReqOpen
-	TypeAckOpen
-	TypeConnDenied
-	TypeLegacyAuth1
-	TypeLegacyAuth2
-	TypeLegacyAuth3
-	TypeNewKey
-	TypeNewKeyAck
-	TypeLegacyReqClose
-	TypeCloseConn
-	TypeMemRemoved
-	TypeMemAdded
+// Types 9-20 carried the original protocol of Section 2.2, which now lives
+// only in the model (internal/model). They are retired: no engine sends or
+// parses them, and they are never to be reused.
 
+const (
 	// Leader replication and hot failover. ReplState/ReplDelta travel on the
 	// primary->standby replication channel sealed under the replication key;
 	// Resume/ResumeAck form the session-resumption sub-protocol members use
 	// to re-attach to a promoted standby under their existing session key.
-	TypeReplState
+	TypeReplState Type = iota + 21
 	TypeReplDelta
 	TypeResume
 	TypeResumeAck
@@ -70,32 +61,20 @@ const (
 )
 
 var typeNames = map[Type]string{
-	TypeAuthInitReq:    "AuthInitReq",
-	TypeAuthKeyDist:    "AuthKeyDist",
-	TypeAuthAckKey:     "AuthAckKey",
-	TypeAdminMsg:       "AdminMsg",
-	TypeAck:            "Ack",
-	TypeReqClose:       "ReqClose",
-	TypeCloseAck:       "CloseAck",
-	TypeAppData:        "AppData",
-	TypeReqOpen:        "ReqOpen",
-	TypeAckOpen:        "AckOpen",
-	TypeConnDenied:     "ConnDenied",
-	TypeLegacyAuth1:    "LegacyAuth1",
-	TypeLegacyAuth2:    "LegacyAuth2",
-	TypeLegacyAuth3:    "LegacyAuth3",
-	TypeNewKey:         "NewKey",
-	TypeNewKeyAck:      "NewKeyAck",
-	TypeLegacyReqClose: "LegacyReqClose",
-	TypeCloseConn:      "CloseConn",
-	TypeMemRemoved:     "MemRemoved",
-	TypeMemAdded:       "MemAdded",
-	TypeReplState:      "ReplState",
-	TypeReplDelta:      "ReplDelta",
-	TypeResume:         "Resume",
-	TypeResumeAck:      "ResumeAck",
-	TypeKeyUpdate:      "KeyUpdate",
-	TypeKeySyncReq:     "KeySyncReq",
+	TypeAuthInitReq: "AuthInitReq",
+	TypeAuthKeyDist: "AuthKeyDist",
+	TypeAuthAckKey:  "AuthAckKey",
+	TypeAdminMsg:    "AdminMsg",
+	TypeAck:         "Ack",
+	TypeReqClose:    "ReqClose",
+	TypeCloseAck:    "CloseAck",
+	TypeAppData:     "AppData",
+	TypeReplState:   "ReplState",
+	TypeReplDelta:   "ReplDelta",
+	TypeResume:      "Resume",
+	TypeResumeAck:   "ResumeAck",
+	TypeKeyUpdate:   "KeyUpdate",
+	TypeKeySyncReq:  "KeySyncReq",
 }
 
 func (t Type) String() string {
@@ -110,7 +89,7 @@ type Envelope struct {
 	Type     Type
 	Sender   string // apparent sender — forgeable metadata
 	Receiver string // intended recipient — forgeable metadata
-	Payload  []byte // ciphertext, or plaintext encoding for legacy cleartext messages
+	Payload  []byte // ciphertext
 }
 
 func (e Envelope) String() string {

@@ -142,11 +142,50 @@ func TestReadFrameRejectsHugeLength(t *testing.T) {
 }
 
 func TestTypeString(t *testing.T) {
-	if TypeAuthInitReq.String() != "AuthInitReq" || TypeMemRemoved.String() != "MemRemoved" {
+	if TypeAuthInitReq.String() != "AuthInitReq" || TypeKeySyncReq.String() != "KeySyncReq" {
 		t.Error("type names wrong")
 	}
 	if !strings.Contains(Type(200).String(), "200") {
 		t.Error("unknown type must render its number")
+	}
+}
+
+// TestTypeNumbersArePinned pins every type's byte on the wire and its name.
+// Bytes 9-20 carried the retired legacy protocol and are never reused, so
+// neither deleting a type nor adding one may renumber the rest.
+func TestTypeNumbersArePinned(t *testing.T) {
+	want := []struct {
+		typ  Type
+		b    uint8
+		name string
+	}{
+		{TypeAuthInitReq, 1, "AuthInitReq"},
+		{TypeAuthKeyDist, 2, "AuthKeyDist"},
+		{TypeAuthAckKey, 3, "AuthAckKey"},
+		{TypeAdminMsg, 4, "AdminMsg"},
+		{TypeAck, 5, "Ack"},
+		{TypeReqClose, 6, "ReqClose"},
+		{TypeCloseAck, 7, "CloseAck"},
+		{TypeAppData, 8, "AppData"},
+		{TypeReplState, 21, "ReplState"},
+		{TypeReplDelta, 22, "ReplDelta"},
+		{TypeResume, 23, "Resume"},
+		{TypeResumeAck, 24, "ResumeAck"},
+		{TypeKeyUpdate, 25, "KeyUpdate"},
+		{TypeKeySyncReq, 26, "KeySyncReq"},
+	}
+	if len(typeNames) != len(want) {
+		t.Errorf("typeNames has %d entries, the table pins %d", len(typeNames), len(want))
+	}
+	for _, w := range want {
+		if uint8(w.typ) != w.b || w.typ.String() != w.name {
+			t.Errorf("%s = %d, want %s = %d", w.typ, uint8(w.typ), w.name, w.b)
+		}
+	}
+	for b := 9; b <= 20; b++ {
+		if _, ok := typeNames[Type(b)]; ok {
+			t.Errorf("retired type byte %d is reused by %s", b, Type(b))
+		}
 	}
 }
 
