@@ -5,7 +5,12 @@
 //
 // Usage:
 //
-//	verify [-sessions N] [-admin N] [-rekeys N] [-workers N] [-fsm]
+//	verify [-sessions N] [-admin N] [-rekeys N] [-fsm] [-json | -dot]
+//	       [-intruder-sessions] [-lkh]
+//
+// Each exploration is a sequential breadth-first search; the main
+// configuration, the extension ablations and the legacy model are explored
+// concurrently.
 //
 // Exit status is nonzero if any obligation fails — i.e. if the
 // implementation's model disagrees with the paper.
@@ -17,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"enclaves/internal/checker"
 	"enclaves/internal/model"
@@ -41,8 +45,6 @@ func run(args []string, out io.Writer) error {
 		eMember  = fs.Bool("intruder-sessions", false, "let the leader also serve the compromised member E (larger space)")
 		lkh      = fs.Bool("lkh", false, "enable the LKH key-tree extension (adds the 5.6 forward-secrecy obligation; skips the Figure 4 diagram)")
 		dot      = fs.Bool("dot", false, "emit only the Figure 4 diagram in Graphviz DOT format")
-		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "BFS expansion workers per exploration")
-		speedup  = fs.Bool("speedup", false, "also re-run the improved exploration sequentially and report the parallel speedup")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -53,11 +55,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	cfg := model.Config{MaxSessions: *sessions, MaxAdmin: *admin, IntruderSessions: *eMember, LKH: *lkh}
-	rep := checker.RunOpts(
-		cfg,
-		model.LegacyConfig{MaxRekeys: *rekeys},
-		checker.Options{Workers: *workers},
-	)
+	rep := checker.Run(cfg, model.LegacyConfig{MaxRekeys: *rekeys})
 	if *dot {
 		if rep.Diagram == nil {
 			return fmt.Errorf("no diagram: the Figure 4 abstraction only covers the base configuration (drop -lkh)")
@@ -69,23 +67,12 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	ratio := 0.0
-	if *speedup {
-		seq := checker.RunOpts(cfg, model.LegacyConfig{MaxRekeys: *rekeys}, checker.Options{Workers: 1})
-		if rep.Elapsed > 0 {
-			ratio = seq.Elapsed.Seconds() / rep.Elapsed.Seconds()
-		}
-	}
-
 	if *asJSON {
-		if err := writeJSON(out, rep, ratio); err != nil {
+		if err := writeJSON(out, rep); err != nil {
 			return err
 		}
 	} else {
 		fmt.Fprint(out, rep)
-		if ratio > 0 {
-			fmt.Fprintf(out, "\nParallel speedup: %.2f× (workers=%d vs sequential)\n", ratio, rep.Workers)
-		}
 	}
 	if !rep.AllHold() {
 		return fmt.Errorf("verification FAILED")
@@ -116,18 +103,16 @@ type jsonExtension struct {
 }
 
 // jsonReport is the machine-readable verification report. The run
-// configuration (lkh, intruderSessions, workers) and timing fields make
-// each row of BENCH_checker.json self-describing.
+// configuration (lkh, intruderSessions) and timing fields make it
+// self-describing.
 type jsonReport struct {
 	Sessions         int              `json:"sessions"`
 	Admin            int              `json:"adminPerSession"`
 	LKH              bool             `json:"lkh"`
 	IntruderSessions bool             `json:"intruderSessions"`
-	Workers          int              `json:"workers"`
 	WallMs           float64          `json:"wallMs"`
 	StatesPerSec     float64          `json:"statesPerSec"`
 	TotalStates      int              `json:"totalStates"`
-	Speedup          float64          `json:"speedup,omitempty"`
 	States           int              `json:"states"`
 	Transitions      int              `json:"transitions"`
 	Depth            int              `json:"depth"`
@@ -141,17 +126,15 @@ type jsonReport struct {
 }
 
 // writeJSON renders the report as indented JSON.
-func writeJSON(out io.Writer, rep *checker.Report, speedup float64) error {
+func writeJSON(out io.Writer, rep *checker.Report) error {
 	jr := jsonReport{
 		Sessions:         rep.Config.MaxSessions,
 		Admin:            rep.Config.MaxAdmin,
 		LKH:              rep.Config.LKH,
 		IntruderSessions: rep.Config.IntruderSessions,
-		Workers:          rep.Workers,
 		WallMs:           float64(rep.Elapsed.Microseconds()) / 1000,
 		StatesPerSec:     rep.StatesPerSec(),
 		TotalStates:      rep.TotalStates(),
-		Speedup:          speedup,
 		States:           rep.States,
 		Transitions:      rep.Edges,
 		Depth:            rep.Depth,

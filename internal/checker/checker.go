@@ -19,10 +19,7 @@ package checker
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"enclaves/internal/model"
 	"enclaves/internal/symbolic"
@@ -35,6 +32,37 @@ type Node struct {
 	Parent *Node
 	Via    model.Step // the step that produced this node (zero for the root)
 	Depth  int
+	// exposed is the set of protected keys in Parts(trace) of State.
+	exposed exposure
+}
+
+// exposure is a set of the protected keys P_a, K_r and K_s: the keys that
+// 5.1, 5.5 and 5.6 require to stay out of Parts(trace).
+type exposure uint8
+
+const (
+	exposesPa exposure = 1 << iota
+	exposesKr
+	exposesKs
+)
+
+// exposureOf returns the protected keys in Parts({m}). The trace only grows
+// along an edge, so a node's exposure is its parent's plus that of the
+// message its step emits. (The one step that records a second message,
+// a departure's Oops(TK), adds an atomic session key, which exposes none.)
+func exposureOf(sys *model.System, m *symbolic.Field) exposure {
+	parts := symbolic.Parts(symbolic.NewSet(m))
+	var e exposure
+	if parts.Contains(sys.LongTermKey()) {
+		e |= exposesPa
+	}
+	if parts.Contains(sys.ReplKey()) {
+		e |= exposesKr
+	}
+	if parts.Contains(sys.SubtreeKey()) {
+		e |= exposesKs
+	}
+	return e
 }
 
 // Trace reconstructs the action sequence from the initial state to n.
@@ -68,154 +96,65 @@ type Exploration struct {
 	// list is retained; with Options.Edges it equals len(Edges).
 	Transitions int
 	// HonestSends and RegViolation are the streaming Section 5.1 regularity
-	// statistics, computed by the expansion workers so the obligation does
-	// not need the (optionally discarded) edge list: the number of honest
-	// emissions checked, and the deterministically-first edge whose honest
-	// emission contains P_a (nil when regularity holds).
+	// statistics, computed as transitions are generated so the obligation
+	// does not need the (optionally discarded) edge list: the number of
+	// honest emissions checked, and the first edge whose honest emission
+	// contains P_a (nil when regularity holds).
 	HonestSends  int
 	RegViolation *Edge
 }
 
-// Options tunes an exploration. The zero value means sequential search with
-// the edge list retained.
+// Options tunes an exploration.
 type Options struct {
-	// Workers bounds the expansion worker pool; 0 or 1 explores on the
-	// calling goroutine. Results are bit-identical for every worker count.
-	Workers int
 	// Edges retains the full transition list on Exploration.Edges. Only the
 	// Figure 4 diagram check needs it; memory-bound runs (LKH, deep bounds)
 	// should leave it off.
 	Edges bool
 }
 
-// DefaultOptions is what Explore uses: all cores, edges retained.
-func DefaultOptions() Options {
-	return Options{Workers: runtime.GOMAXPROCS(0), Edges: true}
-}
-
 // Explore performs an exhaustive breadth-first search of the improved model
-// bounded by cfg, retaining every node and edge, using every core.
+// bounded by cfg, retaining every node and edge.
 func Explore(cfg model.Config) *Exploration {
-	return ExploreOpts(cfg, DefaultOptions())
+	return ExploreOpts(cfg, Options{Edges: true})
 }
-
-// succ is one generated transition, recorded by a worker in generation
-// order for the deterministic level-barrier merge.
-type succ struct {
-	from *Node
-	step model.Step
-	node *Node // claimed target; State==nil iff first claimed this level
-}
-
-// chunkResult is the output of expanding one frontier chunk.
-type chunkResult struct {
-	succs       []succ
-	honestSends int
-	reg         *Edge // first regularity violation within the chunk, if any
-}
-
-// frontierChunk is the work-stealing granularity: big enough to amortize
-// the atomic claim, small enough to balance skewed successor counts.
-const frontierChunk = 32
 
 // ExploreOpts performs the same exhaustive breadth-first search as Explore
-// with explicit Options.
-//
-// The search is level-synchronous: each BFS level is split into fixed-size
-// chunks that workers claim with an atomic counter (work stealing — a
-// worker stuck on a successor-heavy chunk simply claims fewer chunks).
-// Workers expand states and claim successor keys in the shared visitedSet,
-// where the first claim installs a placeholder node with State == nil; the
-// merge at the level barrier then walks the chunks IN ORDER and finalizes
-// each placeholder from the first edge that reached it. Node identity,
-// node/edge order, depths and counterexample traces are therefore exactly
-// those of the sequential left-to-right search, for every worker count.
+// with explicit Options. Nodes are discovered level by level, each level in
+// the order of its parents and each parent's successors, so node order,
+// depths and counterexample traces are deterministic.
 func ExploreOpts(cfg model.Config, opts Options) *Exploration {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	sys := model.NewSystem(cfg)
-	pa := sys.LongTermKey()
 	root := &Node{State: sys.Initial()}
-	visited := new(visitedSet)
-	rootNode, _ := visited.claim(root.State.Key())
-	rootNode.State = root.State
-	root = rootNode
+	seen := map[string]*Node{root.State.Key(): root}
 	ex := &Exploration{System: sys, Nodes: []*Node{root}}
 
 	frontier := []*Node{root}
 	for len(frontier) > 0 {
-		nChunks := (len(frontier) + frontierChunk - 1) / frontierChunk
-		results := make([]chunkResult, nChunks)
-
-		expand := func(ci int) {
-			lo := ci * frontierChunk
-			hi := min(lo+frontierChunk, len(frontier))
-			res := &results[ci]
-			for _, n := range frontier[lo:hi] {
-				for _, step := range sys.Successors(n.State) {
-					to, _ := visited.claim(step.Next.Key())
-					res.succs = append(res.succs, succ{from: n, step: step, node: to})
-					if step.Actor != model.AgentIntruder && step.Emitted != nil {
-						res.honestSends++
-						if res.reg == nil &&
-							symbolic.Parts(symbolic.NewSet(step.Emitted.Content)).Contains(pa) {
-							res.reg = &Edge{From: n, Step: step, To: to}
-						}
-					}
-				}
-			}
-		}
-
-		if workers == 1 || nChunks == 1 {
-			for ci := 0; ci < nChunks; ci++ {
-				expand(ci)
-			}
-		} else {
-			var nextChunk atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < min(workers, nChunks); w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						ci := int(nextChunk.Add(1)) - 1
-						if ci >= nChunks {
-							return
-						}
-						expand(ci)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-
-		// Deterministic merge: chunk order is frontier order, so the node
-		// that finalizes each placeholder — and the retained edge order —
-		// match the sequential search exactly.
 		var next []*Node
-		for ci := range results {
-			res := &results[ci]
-			ex.HonestSends += res.honestSends
-			if res.reg != nil && ex.RegViolation == nil {
-				ex.RegViolation = res.reg
-			}
-			ex.Transitions += len(res.succs)
-			for _, t := range res.succs {
-				if t.node.State == nil {
-					t.node.State = t.step.Next
-					t.node.Parent = t.from
-					t.node.Via = t.step
-					t.node.Depth = t.from.Depth + 1
-					ex.Nodes = append(ex.Nodes, t.node)
-					next = append(next, t.node)
-					if t.node.Depth > ex.Depth {
-						ex.Depth = t.node.Depth
+		for _, n := range frontier {
+			for _, step := range sys.Successors(n.State) {
+				ex.Transitions++
+				var emitted exposure
+				if step.Emitted != nil {
+					emitted = exposureOf(sys, step.Emitted.Content)
+				}
+				key := step.Next.Key()
+				to, ok := seen[key]
+				if !ok {
+					to = &Node{State: step.Next, Parent: n, Via: step, Depth: n.Depth + 1, exposed: n.exposed | emitted}
+					seen[key] = to
+					ex.Nodes = append(ex.Nodes, to)
+					next = append(next, to)
+					ex.Depth = max(ex.Depth, to.Depth)
+				}
+				if step.Actor != model.AgentIntruder && step.Emitted != nil {
+					ex.HonestSends++
+					if ex.RegViolation == nil && emitted&exposesPa != 0 {
+						ex.RegViolation = &Edge{From: n, Step: step, To: to}
 					}
 				}
 				if opts.Edges {
-					ex.Edges = append(ex.Edges, Edge{From: t.from, Step: t.step, To: t.node})
+					ex.Edges = append(ex.Edges, Edge{From: n, Step: step, To: to})
 				}
 			}
 		}

@@ -18,7 +18,7 @@ import (
 func CheckSecrecyLongTerm(ex *Exploration) Obligation {
 	pa := ex.System.LongTermKey()
 	for _, n := range ex.Nodes {
-		if n.State.TraceParts().Contains(pa) {
+		if n.exposed&exposesPa != 0 {
 			return fail("5.1", "secrecy of long-term key P_a",
 				fmt.Sprintf("P_a occurs in Parts(trace) at %s", n.State), n)
 		}
@@ -33,7 +33,7 @@ func CheckSecrecyLongTerm(ex *Exploration) Obligation {
 
 // CheckRegularity verifies the regularity lemma's premise (Section 5.1): no
 // transition by A or L ever emits a message containing P_a as a part. The
-// check is computed by the exploration workers as transitions are generated
+// check is computed by the exploration as transitions are generated
 // (Exploration.HonestSends / RegViolation), so it holds over every explored
 // transition even when the edge list itself is not retained.
 func CheckRegularity(ex *Exploration) Obligation {
@@ -90,7 +90,7 @@ func CheckSecrecySession(ex *Exploration) Obligation {
 func CheckSecrecyRepl(ex *Exploration) Obligation {
 	kr := ex.System.ReplKey()
 	for _, n := range ex.Nodes {
-		if n.State.TraceParts().Contains(kr) {
+		if n.exposed&exposesKr != 0 {
 			return fail("5.5", "secrecy of replication key K_r",
 				fmt.Sprintf("K_r occurs in Parts(trace) at %s", n.State), n)
 		}
@@ -117,7 +117,7 @@ func CheckSecrecyTreeKey(ex *Exploration) Obligation {
 	live := 0
 	for _, n := range ex.Nodes {
 		s := n.State
-		if s.TraceParts().Contains(ks) {
+		if n.exposed&exposesKs != 0 {
 			return fail("5.6", "forward secrecy of the LKH tree key TK",
 				fmt.Sprintf("K_s occurs in Parts(trace) at %s", s), n)
 		}

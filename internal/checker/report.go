@@ -37,9 +37,7 @@ type Report struct {
 	LegacyDepth  int
 	Legacy       []Obligation
 
-	// Workers is the per-exploration worker bound; Elapsed is the wall time
-	// of the whole run (all explorations overlap).
-	Workers int
+	// Elapsed is the wall time of the whole run (all explorations overlap).
 	Elapsed time.Duration
 }
 
@@ -54,25 +52,14 @@ type ExtensionReport struct {
 	Obligations []Obligation
 }
 
-// Run performs the complete verification with default options: explore the
-// improved model, check every invariant and the verification diagram,
-// explore the extension ablations and the legacy model concurrently, and
-// collect the attacks.
+// Run performs the complete verification: explore the improved model, check
+// every invariant and the verification diagram, explore the extension
+// ablations and the legacy model concurrently, and collect the attacks.
+// Each exploration is sequential; running them side by side is what uses
+// more than one core.
 func Run(cfg model.Config, legacyCfg model.LegacyConfig) *Report {
-	return RunOpts(cfg, legacyCfg, DefaultOptions())
-}
-
-// RunOpts is Run with explicit exploration options. The improved-model
-// search, the legacy attack search, and the extension ablations all run
-// concurrently; each exploration additionally parallelizes its own BFS
-// levels across opts.Workers workers.
-func RunOpts(cfg model.Config, legacyCfg model.LegacyConfig, opts Options) *Report {
 	start := time.Now()
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	rep := &Report{Config: cfg, LegacyConfig: legacyCfg, Workers: workers}
+	rep := &Report{Config: cfg, LegacyConfig: legacyCfg}
 
 	// The Figure 4 diagram abstracts the crash-free, flat-keyed protocol;
 	// the failover and LKH extensions add states that intentionally live
@@ -88,7 +75,7 @@ func RunOpts(cfg model.Config, legacyCfg model.LegacyConfig, opts Options) *Repo
 
 	go func() {
 		defer wg.Done()
-		ex := ExploreOpts(cfg, Options{Workers: workers, Edges: needDiagram})
+		ex := ExploreOpts(cfg, Options{Edges: needDiagram})
 		rep.States = len(ex.Nodes)
 		rep.Edges = ex.Transitions
 		rep.Depth = ex.Depth
@@ -102,7 +89,7 @@ func RunOpts(cfg model.Config, legacyCfg model.LegacyConfig, opts Options) *Repo
 	for i, e := range exts {
 		go func(i int, name string, ecfg model.Config) {
 			defer wg.Done()
-			ex := ExploreOpts(ecfg, Options{Workers: workers})
+			ex := ExploreOpts(ecfg, Options{})
 			rep.Extensions[i] = ExtensionReport{
 				Name:        name,
 				Config:      ecfg,
@@ -202,8 +189,8 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  bounds: %d user sessions, %d admin messages/session\n", r.Config.MaxSessions, r.Config.MaxAdmin)
 	fmt.Fprintf(&b, "  reachable states: %d   transitions: %d   max depth: %d\n", r.States, r.Edges, r.Depth)
 	if r.Elapsed > 0 {
-		fmt.Fprintf(&b, "  workers: %d   wall time: %s   throughput: %.0f states/sec (%d states incl. ablations)\n",
-			r.Workers, r.Elapsed.Round(time.Millisecond), r.StatesPerSec(), r.TotalStates())
+		fmt.Fprintf(&b, "  wall time: %s   throughput: %.0f states/sec (%d states incl. ablations)\n",
+			r.Elapsed.Round(time.Millisecond), r.StatesPerSec(), r.TotalStates())
 	}
 	b.WriteByte('\n')
 	for _, o := range r.Improved {

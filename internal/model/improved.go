@@ -2,6 +2,8 @@ package model
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"enclaves/internal/symbolic"
 )
@@ -717,13 +719,16 @@ func netEncs(s *State, key *symbolic.Field, arity int) []*symbolic.Field {
 }
 
 // atomsOfKind returns the atomic fields of the given kind in the set, in
-// canonical order.
+// canonical order. It filters before sorting: the kind is a small share of
+// the intruder's knowledge.
 func atomsOfKind(s symbolic.Set, k symbolic.Kind) []*symbolic.Field {
 	var out []*symbolic.Field
-	for _, f := range s.Fields() {
+	s.Each(func(f *symbolic.Field) bool {
 		if f.Kind() == k {
 			out = append(out, f)
 		}
-	}
+		return true
+	})
+	slices.SortFunc(out, func(a, b *symbolic.Field) int { return strings.Compare(a.Canon(), b.Canon()) })
 	return out
 }

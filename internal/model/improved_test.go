@@ -323,3 +323,32 @@ func TestLabelStrings(t *testing.T) {
 		t.Error("unknown label must still render")
 	}
 }
+
+// TestAtomsOfKindCanonicalOrder pins the order the intruder's injections
+// are enumerated in: the atoms of one kind, sorted by canonical encoding,
+// exactly as filtering the whole sorted knowledge set would give them.
+func TestAtomsOfKindCanonicalOrder(t *testing.T) {
+	ik := NewInitialState().IK
+	for _, f := range []*symbolic.Field{
+		symbolic.Nonce(12), symbolic.SessionKey(3), symbolic.Data("s0m1"), symbolic.Nonce(2),
+		symbolic.Pair(symbolic.Nonce(40), symbolic.SessionKey(0)), symbolic.SessionKey(11),
+		symbolic.Enc(symbolic.Nonce(7), symbolic.SessionKey(5)), symbolic.Data("f1m1"), symbolic.Nonce(1 << 20),
+	} {
+		symbolic.AnalzAdd(ik, f)
+	}
+	for _, k := range []symbolic.Kind{symbolic.KindNonce, symbolic.KindKey, symbolic.KindData} {
+		var want []string
+		for _, f := range ik.Fields() {
+			if f.Kind() == k {
+				want = append(want, f.Canon())
+			}
+		}
+		var got []string
+		for _, f := range atomsOfKind(ik, k) {
+			got = append(got, f.Canon())
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("atomsOfKind(%s) = %v, want %v", k, got, want)
+		}
+	}
+}

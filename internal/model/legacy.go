@@ -193,8 +193,7 @@ func (s *LegacyState) Clone() *LegacyState {
 
 func (s *LegacyState) record(m Msg) {
 	s.Net[m.Key()] = m
-	s.IK.Add(m.Content)
-	s.IK = symbolic.Analz(s.IK)
+	symbolic.AnalzAdd(s.IK, m.Content)
 }
 
 func (s *LegacyState) freshNonce() *symbolic.Field {
@@ -413,8 +412,7 @@ func (sys *LegacySystem) leaderSteps(s *LegacyState) []LegacyStep {
 			n.LeadKg = kg
 			n.RekeyCount++
 			if s.EMember {
-				n.IK.Add(kg)
-				n.IK = symbolic.Analz(n.IK)
+				symbolic.AnalzAdd(n.IK, kg)
 			}
 			steps = append(steps, LegacyStep{Actor: AgentLeader,
 				Action: fmt.Sprintf("rekey to %s", kg), Emitted: &m, Next: n})

@@ -370,8 +370,7 @@ func (s *State) Clone() *State {
 // intruder's knowledge (every agent observes every event, Section 4.2).
 func (s *State) record(m Msg) {
 	s.Net[m.Key()] = m
-	s.IK.Add(m.Content)
-	s.IK = symbolic.Analz(s.IK)
+	symbolic.AnalzAdd(s.IK, m.Content)
 }
 
 // freshNonce allocates the next honest nonce. Honest fresh values are drawn
@@ -416,11 +415,6 @@ func (s *State) TraceContents() symbolic.Set {
 		out.Add(m.Content)
 	}
 	return out
-}
-
-// TraceParts returns Parts(trace(q)), used by the diagram predicates.
-func (s *State) TraceParts() symbolic.Set {
-	return symbolic.Parts(s.TraceContents())
 }
 
 // Messages returns the trace in deterministic (key-sorted) order.

@@ -125,27 +125,3 @@ func TestPairIdealMembershipProperty(t *testing.T) {
 		}
 	}
 }
-
-// UsedKeys is monotone and sound: every key in UsedKeys(S) encrypts some
-// part of S.
-func TestUsedKeysSoundProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(28))
-	for i := 0; i < 200; i++ {
-		s := randomSet(r, 6, 3)
-		used := UsedKeys(s)
-		used.Each(func(k *Field) bool {
-			found := false
-			Parts(s).Each(func(f *Field) bool {
-				if f.Kind() == KindEnc && f.EncKey().Equal(k) {
-					found = true
-					return false
-				}
-				return true
-			})
-			if !found {
-				t.Errorf("UsedKeys reported %v with no matching encryption", k)
-			}
-			return true
-		})
-	}
-}

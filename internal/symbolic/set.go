@@ -28,18 +28,6 @@ func (s Set) Add(f *Field) bool {
 	return true
 }
 
-// AddAll inserts every field of t into s.
-func (s Set) AddAll(t Set) {
-	for k, v := range t.m {
-		s.m[k] = v
-	}
-}
-
-// Remove deletes f from the set.
-func (s Set) Remove(f *Field) {
-	delete(s.m, f.canon)
-}
-
 // Contains reports membership.
 func (s Set) Contains(f *Field) bool {
 	_, ok := s.m[f.canon]
@@ -91,17 +79,6 @@ func (s Set) Subset(t Set) bool {
 // Equal reports whether s and t contain exactly the same fields.
 func (s Set) Equal(t Set) bool {
 	return len(s.m) == len(t.m) && s.Subset(t)
-}
-
-// Key returns a deterministic string uniquely identifying the set contents,
-// suitable for state hashing.
-func (s Set) Key() string {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
 }
 
 // String renders the set in canonical order.
