@@ -15,13 +15,11 @@ import (
 	"testing"
 	"time"
 
-	"enclaves/internal/checker"
 	"enclaves/internal/core"
 	"enclaves/internal/crypto"
 	"enclaves/internal/faultnet"
 	"enclaves/internal/group"
 	"enclaves/internal/member"
-	"enclaves/internal/model"
 	"enclaves/internal/symbolic"
 	"enclaves/internal/transport"
 	"enclaves/internal/wire"
@@ -421,59 +419,6 @@ func BenchmarkAdminPipeline(b *testing.B) {
 		}
 		if _, err := l.Handle(*mev.Reply); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// --- B4: model checker throughput ---------------------------------------------
-
-// BenchmarkChecker measures exhaustive verification at growing bounds,
-// reporting states explored per second.
-func BenchmarkChecker(b *testing.B) {
-	bounds := []model.Config{
-		{MaxSessions: 1, MaxAdmin: 1},
-		{MaxSessions: 2, MaxAdmin: 1},
-		{MaxSessions: 2, MaxAdmin: 2},
-		{MaxSessions: 3, MaxAdmin: 2},
-	}
-	for _, cfg := range bounds {
-		b.Run(fmt.Sprintf("sessions=%d,admin=%d", cfg.MaxSessions, cfg.MaxAdmin), func(b *testing.B) {
-			states := 0
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ex := checker.Explore(cfg)
-				for _, o := range checker.AllInvariants(ex) {
-					if !o.Holds {
-						b.Fatalf("invariant failed: %s", o)
-					}
-				}
-				states = len(ex.Nodes)
-			}
-			b.ReportMetric(float64(states), "states")
-		})
-	}
-}
-
-// BenchmarkCheckerIntruderSessions measures verification with the intruder
-// participating as a member (Config.IntruderSessions).
-func BenchmarkCheckerIntruderSessions(b *testing.B) {
-	cfg := model.Config{MaxSessions: 2, MaxAdmin: 1, IntruderSessions: true}
-	states := 0
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ex := checker.Explore(cfg)
-		states = len(ex.Nodes)
-	}
-	b.ReportMetric(float64(states), "states")
-}
-
-// BenchmarkLegacyChecker measures the legacy attack search.
-func BenchmarkLegacyChecker(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ex := checker.ExploreLegacy(model.DefaultLegacyConfig())
-		if len(ex.Attacks) != 3 {
-			b.Fatalf("found %d attacks, want 3", len(ex.Attacks))
 		}
 	}
 }

@@ -38,7 +38,7 @@ func run(out io.Writer) error {
 
 	legacy := make(map[string]checker.Obligation)
 	disagreements := 0
-	for _, o := range checker.LegacyObligations(checker.ExploreLegacy(model.DefaultLegacyConfig())) {
+	for _, o := range checker.LegacyObligations(checker.ExploreLegacy(model.DefaultLegacyConfig(), nil)) {
 		legacy[o.ID] = o
 		if !o.Holds {
 			disagreements++

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	enclaved -addr 127.0.0.1:7465 -name leader -users users.txt [-rekey join,leave]
-//	         [-rekey-coalesce 5ms] [-fanout-workers 8] [-heartbeat 2s] [-ack-timeout 10s]
+//	         [-rekey-coalesce 5ms] [-heartbeat 2s] [-ack-timeout 10s]
 //	         [-outbox 1024] [-metrics-addr 127.0.0.1:9465]
 //	         [-repl-secret repl.secret]
 //	enclaved -standby -replicate-from 127.0.0.1:7465 -repl-secret repl.secret
@@ -23,12 +23,10 @@
 // member's outbound queue; a consumer slow enough to overflow it is
 // likewise expelled. Zero disables the respective mechanism.
 //
-// -rekey-coalesce and -fanout-workers tune the leader for large groups:
-// the former folds a burst of join/leave-triggered key rotations into one
-// epoch bump per window (expulsions and explicit rekeys stay immediate;
-// departed members still never receive a post-departure key), and the
-// latter sizes the worker pool that pushes broadcast frames to member
-// outboxes in parallel.
+// -rekey-coalesce tunes the leader for large groups: it folds a burst of
+// join/leave-triggered key rotations into one epoch bump per window
+// (expulsions and explicit rekeys stay immediate; departed members still
+// never receive a post-departure key).
 //
 // -repl-secret names a file holding one shared secret line; it derives the
 // replication key K_r that seals the leader-replication channel. On a
@@ -112,7 +110,6 @@ func run(args []string) error {
 		coalesce    = fs.Duration("rekey-coalesce", 0, "fold join/leave rekey bursts into one rotation per window (0 = rotate immediately)")
 		lkhOn       = fs.Bool("lkh", false, "rekey through a logical key hierarchy: O(log n) re-seals per rotation instead of O(n)")
 		lkhArity    = fs.Int("lkh-arity", 0, "LKH key-tree branching factor (0 = default)")
-		fanWorkers  = fs.Int("fanout-workers", 0, "broadcast fan-out worker pool size (0 = GOMAXPROCS-derived, <0 = sequential)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (JSON snapshot) and /debug/pprof on this address (empty disables collection)")
 		verbose     = fs.Bool("v", false, "verbose logging")
 
@@ -179,7 +176,6 @@ func run(args []string) error {
 		},
 		OutboxLimit:   *outbox,
 		RekeyCoalesce: *coalesce,
-		FanoutWorkers: *fanWorkers,
 		LKH:           *lkhOn,
 		LKHArity:      *lkhArity,
 	}
@@ -233,8 +229,8 @@ func run(args []string) error {
 	case replKey.Valid():
 		role = fmt.Sprintf("leader (replicating, ping %v)", *replPing)
 	}
-	log.Printf("enclaved: %s %q serving %d users on %s (rekey on %s, coalesce %v, heartbeat %v, ack timeout %v, outbox %d, fan-out workers %d)",
-		role, *name, len(cfg.Users), l.Addr(), *rekeyOn, *coalesce, *heartbeat, *ackWait, *outbox, *fanWorkers)
+	log.Printf("enclaved: %s %q serving %d users on %s (rekey on %s, coalesce %v, heartbeat %v, ack timeout %v, outbox %d)",
+		role, *name, len(cfg.Users), l.Addr(), *rekeyOn, *coalesce, *heartbeat, *ackWait, *outbox)
 
 	// Graceful shutdown on SIGINT/SIGTERM: close every member connection,
 	// then the listener. The leader closes first: only then does Serve read

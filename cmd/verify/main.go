@@ -8,9 +8,10 @@
 //	verify [-sessions N] [-admin N] [-rekeys N] [-fsm] [-json | -dot]
 //	       [-intruder-sessions] [-lkh]
 //
-// Each exploration is a sequential breadth-first search; the main
-// configuration, the extension ablations and the legacy model are explored
-// concurrently.
+// Each exploration is one sequential breadth-first search that checks every
+// obligation as its state or transition is found and keeps the states of
+// only two BFS levels; the main configuration, the extension ablations and
+// the legacy model are explored concurrently.
 //
 // Exit status is nonzero if any obligation fails — i.e. if the
 // implementation's model disagrees with the paper.
@@ -136,7 +137,7 @@ func writeJSON(out io.Writer, rep *checker.Report) error {
 		StatesPerSec:     rep.StatesPerSec(),
 		TotalStates:      rep.TotalStates(),
 		States:           rep.States,
-		Transitions:      rep.Edges,
+		Transitions:      rep.Transitions,
 		Depth:            rep.Depth,
 		LegacyStates:     rep.LegacyStates,
 		AllHold:          rep.AllHold(),

@@ -181,19 +181,6 @@ func suppressedBy(d Diagnostic, dirs []ignoreDirective) int {
 	return -1
 }
 
-// RunAnalyzer applies one analyzer to a module, filters findings through
-// the module's ignore directives, and returns them in deterministic order.
-func RunAnalyzer(a *Analyzer, m *Module) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range run(a, m) {
-		if !suppressed(d, m.ignores) {
-			out = append(out, d)
-		}
-	}
-	sortDiagnostics(out)
-	return out
-}
-
 func run(a *Analyzer, m *Module) []Diagnostic {
 	var raw []Diagnostic
 	a.Run(&Pass{Analyzer: a, Module: m, diags: &raw})

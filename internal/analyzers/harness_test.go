@@ -27,6 +27,19 @@ type want struct {
 	used bool
 }
 
+// runAnalyzer applies one analyzer to a module, filters findings through
+// the module's ignore directives, and returns them in deterministic order.
+func runAnalyzer(a *Analyzer, m *Module) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range run(a, m) {
+		if !suppressed(d, m.ignores) {
+			out = append(out, d)
+		}
+	}
+	sortDiagnostics(out)
+	return out
+}
+
 // runCorpus loads testdata/src/<corpus> as a module and checks a's
 // findings (plus malformed-ignore-directive reports) against its want
 // comments.
@@ -40,7 +53,7 @@ func runCorpus(t *testing.T, a *Analyzer, corpus string) {
 	if len(units) == 0 {
 		t.Fatalf("corpus %s has no Go packages", corpus)
 	}
-	diags := RunAnalyzer(a, BuildModule(units))
+	diags := runAnalyzer(a, BuildModule(units))
 	var wants []*want
 	for _, u := range units {
 		diags = append(diags, u.badIgnores...)

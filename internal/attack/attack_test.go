@@ -36,7 +36,7 @@ func runScenario(t *testing.T, run func(Medium) (Outcome, error)) {
 // legacyModel is the checker's exploration of the Section 2.2 protocol, which
 // exists only as internal/model; the paired tests below share it.
 var legacyModel = sync.OnceValue(func() *checker.LegacyExploration {
-	return checker.ExploreLegacy(model.DefaultLegacyConfig())
+	return checker.ExploreLegacy(model.DefaultLegacyConfig(), nil)
 })
 
 // runPair is one Section 2.3 attack from both sides: the checker finds it

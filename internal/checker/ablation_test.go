@@ -12,30 +12,23 @@ import (
 // because synthesized injections can only fire after a key compromise that
 // never happens while a key is in use.
 func TestReplayOnlyIntruderAblation(t *testing.T) {
-	full := Explore(model.DefaultConfig())
+	full := Explore(model.DefaultConfig(), nil, nil)
 	replayOnly := Explore(model.Config{
 		MaxSessions:        model.DefaultConfig().MaxSessions,
 		MaxAdmin:           model.DefaultConfig().MaxAdmin,
 		ReplayOnlyIntruder: true,
-	})
+	}, nil, nil)
 
-	if len(full.Nodes) != len(replayOnly.Nodes) {
-		t.Errorf("state counts differ: full=%d replay-only=%d",
-			len(full.Nodes), len(replayOnly.Nodes))
+	if full.States != replayOnly.States {
+		t.Errorf("state counts differ: full=%d replay-only=%d", full.States, replayOnly.States)
 	}
-	if len(full.Edges) != len(replayOnly.Edges) {
-		t.Errorf("edge counts differ: full=%d replay-only=%d",
-			len(full.Edges), len(replayOnly.Edges))
+	if full.Transitions != replayOnly.Transitions {
+		t.Errorf("transition counts differ: full=%d replay-only=%d", full.Transitions, replayOnly.Transitions)
 	}
 
 	// Every obligation must hold under both intruders.
-	for _, ex := range []*Exploration{full, replayOnly} {
-		for _, o := range AllInvariants(ex) {
-			if !o.Holds {
-				t.Errorf("obligation failed: %s", o)
-			}
-		}
-	}
+	holds(t, "by the full intruder", full.Obligations)
+	holds(t, "by the replay-only intruder", replayOnly.Obligations)
 }
 
 // TestNoIntruderInjectionEverFires asserts the secrecy consequence
@@ -44,10 +37,9 @@ func TestReplayOnlyIntruderAblation(t *testing.T) {
 // secrecy theorems keep out of the intruder's hands while any guard would
 // accept it.
 func TestNoIntruderInjectionEverFires(t *testing.T) {
-	ex := Explore(model.DefaultConfig())
-	for _, e := range ex.Edges {
-		if e.Step.Actor == model.AgentIntruder {
-			t.Fatalf("intruder injection fired: %s", e.Step)
+	Explore(model.DefaultConfig(), nil, func(_ *Node, _ *model.State, st model.Step, _ *Node) {
+		if st.Actor == model.AgentIntruder {
+			t.Fatalf("intruder injection fired: %s", st)
 		}
-	}
+	})
 }

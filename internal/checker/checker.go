@@ -25,15 +25,18 @@ import (
 	"enclaves/internal/symbolic"
 )
 
-// Node is a state in the breadth-first exploration, with enough provenance
-// to reconstruct a counterexample trace.
+// Node is one explored state's provenance: enough to print the trace that
+// reaches it. It holds no model state: every obligation is checked when its
+// state or transition is found, so a search keeps the states of only two
+// BFS levels alive, and a Node keeps what a counterexample needs.
 type Node struct {
-	State  *model.State
 	Parent *Node
-	Via    model.Step // the step that produced this node (zero for the root)
+	Via    string // the step that produced this node ("" for the root)
 	Depth  int
-	// exposed is the set of protected keys in Parts(trace) of State.
+	// exposed is the set of protected keys in Parts(trace) of the state.
 	exposed exposure
+	// box is the state's Figure 4 box ("" when the diagram does not apply).
+	box string
 }
 
 // exposure is a set of the protected keys P_a, K_r and K_s: the keys that
@@ -69,7 +72,7 @@ func exposureOf(sys *model.System, m *symbolic.Field) exposure {
 func (n *Node) Trace() []string {
 	var rev []string
 	for cur := n; cur.Parent != nil; cur = cur.Parent {
-		rev = append(rev, cur.Via.String())
+		rev = append(rev, cur.Via)
 	}
 	out := make([]string, len(rev))
 	for i := range rev {
@@ -78,88 +81,97 @@ func (n *Node) Trace() []string {
 	return out
 }
 
-// Edge is one explored transition, retained for diagram checking.
-type Edge struct {
-	From *Node
-	Step model.Step
-	To   *Node
+// state is what the explorer needs of a model state: its canonical key.
+type state interface{ Key() string }
+
+// system is what the explorer needs of a model: the improved protocol's
+// model.System and the legacy model.LegacySystem both qualify.
+type system[S state] interface {
+	Initial() S
+	Successors(S) []model.Transition[S]
 }
 
-// Exploration is the result of an exhaustive bounded search of the improved
-// protocol model.
-type Exploration struct {
-	System *model.System
-	Nodes  []*Node
-	Edges  []Edge // nil when explored with Options.Edges == false
-	Depth  int    // maximum BFS depth reached
-	// Transitions counts every explored transition, whether or not the edge
-	// list is retained; with Options.Edges it equals len(Edges).
-	Transitions int
-	// HonestSends and RegViolation are the streaming Section 5.1 regularity
-	// statistics, computed as transitions are generated so the obligation
-	// does not need the (optionally discarded) edge list: the number of
-	// honest emissions checked, and the first edge whose honest emission
-	// contains P_a (nil when regularity holds).
-	HonestSends  int
-	RegViolation *Edge
-}
-
-// Options tunes an exploration.
-type Options struct {
-	// Edges retains the full transition list on Exploration.Edges. Only the
-	// Figure 4 diagram check needs it; memory-bound runs (LKH, deep bounds)
-	// should leave it off.
-	Edges bool
-}
-
-// Explore performs an exhaustive breadth-first search of the improved model
-// bounded by cfg, retaining every node and edge.
-func Explore(cfg model.Config) *Exploration {
-	return ExploreOpts(cfg, Options{Edges: true})
-}
-
-// ExploreOpts performs the same exhaustive breadth-first search as Explore
-// with explicit Options. Nodes are discovered level by level, each level in
-// the order of its parents and each parent's successors, so node order,
-// depths and counterexample traces are deterministic.
-func ExploreOpts(cfg model.Config, opts Options) *Exploration {
-	sys := model.NewSystem(cfg)
-	root := &Node{State: sys.Initial()}
-	seen := map[string]*Node{root.State.Key(): root}
-	ex := &Exploration{System: sys, Nodes: []*Node{root}}
-
-	frontier := []*Node{root}
-	for len(frontier) > 0 {
-		var next []*Node
-		for _, n := range frontier {
-			for _, step := range sys.Successors(n.State) {
-				ex.Transitions++
-				var emitted exposure
-				if step.Emitted != nil {
-					emitted = exposureOf(sys, step.Emitted.Content)
-				}
-				key := step.Next.Key()
+// search explores sys breadth-first, level by level: each level in the
+// order of its parents and each parent's successors, so node order, depths
+// and counterexample traces are deterministic. The seen-set is keyed by the
+// full canonical Key of each state, so the search is exact. visit sees every
+// distinct state once, with the transition that first reached it (the
+// initial state comes with a transition that sets only Next); edge, when
+// non-nil, then sees every transition, that one included. Only the states of
+// the level being expanded and of the next one are alive.
+func search[S state](sys system[S], visit func(*Node, model.Transition[S]),
+	edge func(from *Node, s S, st model.Transition[S], to *Node)) (states, transitions, depth int) {
+	type item struct {
+		n *Node
+		s S
+	}
+	s0 := sys.Initial()
+	root := &Node{}
+	seen := map[string]*Node{s0.Key(): root}
+	visit(root, model.Transition[S]{Next: s0})
+	for frontier := []item{{root, s0}}; len(frontier) > 0; {
+		var next []item
+		for i, it := range frontier {
+			frontier[i] = item{} // the expanded state is garbage from here on
+			for _, st := range sys.Successors(it.s) {
+				transitions++
+				key := st.Next.Key()
 				to, ok := seen[key]
 				if !ok {
-					to = &Node{State: step.Next, Parent: n, Via: step, Depth: n.Depth + 1, exposed: n.exposed | emitted}
+					to = &Node{Parent: it.n, Via: st.String(), Depth: it.n.Depth + 1}
 					seen[key] = to
-					ex.Nodes = append(ex.Nodes, to)
-					next = append(next, to)
-					ex.Depth = max(ex.Depth, to.Depth)
+					next = append(next, item{to, st.Next})
+					depth = max(depth, to.Depth)
+					visit(to, st)
 				}
-				if step.Actor != model.AgentIntruder && step.Emitted != nil {
-					ex.HonestSends++
-					if ex.RegViolation == nil && emitted&exposesPa != 0 {
-						ex.RegViolation = &Edge{From: n, Step: step, To: to}
-					}
-				}
-				if opts.Edges {
-					ex.Edges = append(ex.Edges, Edge{From: n, Step: step, To: to})
+				if edge != nil {
+					edge(it.n, it.s, st, to)
 				}
 			}
 		}
 		frontier = next
 	}
+	return len(seen), transitions, depth
+}
+
+// Exploration is the outcome of an exhaustive bounded search of the
+// improved protocol model: its size and every obligation's verdict.
+type Exploration struct {
+	States      int
+	Transitions int
+	Depth       int // maximum BFS depth reached
+	// Obligations are the verdicts of Sections 5.1, 5.2 and 5.4 and of the
+	// 5.5 and 5.6 extensions, in report order.
+	Obligations []Obligation
+	// Diagram is the Figure 4 check, nil when the failover or LKH extension
+	// is on: their states intentionally live outside the diagram's boxes.
+	Diagram *DiagramResult
+}
+
+// Explore exhaustively searches the improved model bounded by cfg and
+// discharges every obligation during the search: the per-state invariants
+// and the Figure 4 classification when a state is found, regularity and the
+// diagram's edge obligations when a transition is generated. onState and
+// onEdge, when non-nil, then see the same state or transition; s is the
+// state the transition leaves and st.Next the one it reaches.
+func Explore(cfg model.Config, onState func(n *Node, s *model.State),
+	onEdge func(from *Node, s *model.State, st model.Step, to *Node)) *Exploration {
+	c := newChecks(model.NewSystem(cfg))
+	ex := &Exploration{}
+	ex.States, ex.Transitions, ex.Depth = search(c.sys,
+		func(n *Node, via model.Step) {
+			c.visit(n, via)
+			if onState != nil {
+				onState(n, via.Next)
+			}
+		},
+		func(from *Node, s *model.State, st model.Step, to *Node) {
+			c.edge(from, st, to)
+			if onEdge != nil {
+				onEdge(from, s, st, to)
+			}
+		})
+	ex.Obligations, ex.Diagram = c.verdicts()
 	return ex
 }
 

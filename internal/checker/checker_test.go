@@ -2,124 +2,138 @@ package checker
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"enclaves/internal/model"
 	"enclaves/internal/symbolic"
 )
 
-// exploreDefault caches the default-bound exploration across tests.
-var defaultExploration *Exploration
+// defaultExploration is the default-bound exploration, shared by the tests
+// that read only its verdicts.
+var defaultExploration = sync.OnceValue(func() *Exploration {
+	return Explore(model.DefaultConfig(), nil, nil)
+})
 
-func getExploration(t *testing.T) *Exploration {
+// find returns the verdict with the given ID.
+func find(t *testing.T, obs []Obligation, id string) Obligation {
 	t.Helper()
-	if defaultExploration == nil {
-		defaultExploration = Explore(model.DefaultConfig())
+	for _, o := range obs {
+		if o.ID == id {
+			return o
+		}
 	}
-	return defaultExploration
+	t.Fatalf("no obligation %s", id)
+	return Obligation{}
+}
+
+// holds fails t for every obligation in obs that does not hold.
+func holds(t *testing.T, what string, obs []Obligation) {
+	t.Helper()
+	for _, o := range obs {
+		if !o.Holds {
+			t.Errorf("obligation violated %s: %s", what, o)
+		}
+	}
 }
 
 func TestExploreReachesTerminalStates(t *testing.T) {
-	ex := getExploration(t)
-	if len(ex.Nodes) < 100 {
-		t.Fatalf("suspiciously small state space: %d", len(ex.Nodes))
+	maxSessions := 0
+	ex := Explore(model.DefaultConfig(), func(_ *Node, s *model.State) {
+		maxSessions = max(maxSessions, s.Sessions)
+	}, nil)
+	if ex.States < 100 {
+		t.Fatalf("suspiciously small state space: %d", ex.States)
 	}
-	if len(ex.Edges) < len(ex.Nodes)-1 {
-		t.Fatalf("edges (%d) cannot be fewer than states-1 (%d)", len(ex.Edges), len(ex.Nodes)-1)
+	if ex.Transitions < ex.States-1 {
+		t.Fatalf("transitions (%d) cannot be fewer than states-1 (%d)", ex.Transitions, ex.States-1)
 	}
 	if ex.Depth == 0 {
 		t.Fatal("no depth recorded")
 	}
 	// Both user sessions must be exercised somewhere.
-	maxSessions := 0
-	for _, n := range ex.Nodes {
-		if n.State.Sessions > maxSessions {
-			maxSessions = n.State.Sessions
-		}
-	}
 	if maxSessions != model.DefaultConfig().MaxSessions {
 		t.Errorf("max sessions explored = %d, want %d", maxSessions, model.DefaultConfig().MaxSessions)
 	}
 }
 
 func TestNodeTrace(t *testing.T) {
-	ex := getExploration(t)
 	// Find a deep node and check its trace length equals its depth.
 	var deep *Node
-	for _, n := range ex.Nodes {
+	Explore(model.DefaultConfig(), func(n *Node, _ *model.State) {
 		if deep == nil || n.Depth > deep.Depth {
 			deep = n
 		}
-	}
+	}, nil)
 	if got := len(deep.Trace()); got != deep.Depth {
 		t.Errorf("trace length %d != depth %d", got, deep.Depth)
 	}
 }
 
 func TestSecrecyLongTerm(t *testing.T) {
-	if o := CheckSecrecyLongTerm(getExploration(t)); !o.Holds {
+	if o := find(t, defaultExploration().Obligations, "5.1"); !o.Holds {
 		t.Fatalf("5.1 violated: %s", o)
 	}
 }
 
 func TestRegularity(t *testing.T) {
-	if o := CheckRegularity(getExploration(t)); !o.Holds {
+	o := find(t, defaultExploration().Obligations, "5.1r")
+	if !o.Holds {
 		t.Fatalf("regularity violated: %s", o)
+	}
+	if o.Detail == "0 honest sends" {
+		t.Fatalf("regularity is vacuous: %s", o)
 	}
 }
 
 func TestSecrecySession(t *testing.T) {
-	if o := CheckSecrecySession(getExploration(t)); !o.Holds {
+	if o := find(t, defaultExploration().Obligations, "5.2"); !o.Holds {
 		t.Fatalf("5.2 violated: %s", o)
 	}
 }
 
 func TestOopsedKeysArePublic(t *testing.T) {
-	o := CheckOopsedKeysArePublic(getExploration(t))
+	o := find(t, defaultExploration().Obligations, "5.2o")
 	if !o.Holds {
 		t.Fatalf("oops sanity violated: %s", o)
 	}
 	// The check must not be vacuous: some states carry oops'd keys.
-	if strings.Contains(o.Detail, " 0 oops") {
+	if strings.HasPrefix(o.Detail, "0 oops") {
 		t.Fatalf("no oops events observed: %s", o)
 	}
 }
 
 func TestPrefix(t *testing.T) {
-	o := CheckPrefixDelivery(getExploration(t))
+	o := find(t, defaultExploration().Obligations, "5.4a")
 	if !o.Holds {
 		t.Fatalf("5.4a violated: %s", o)
 	}
-	if strings.Contains(o.Detail, "0 states with non-empty") {
+	if strings.HasPrefix(o.Detail, "0 states with non-empty") {
 		t.Fatal("prefix check is vacuous: rcv_A never non-empty")
 	}
 }
 
 func TestAuthentication(t *testing.T) {
-	if o := CheckAuthentication(getExploration(t)); !o.Holds {
+	if o := find(t, defaultExploration().Obligations, "5.4b"); !o.Holds {
 		t.Fatalf("5.4b violated: %s", o)
 	}
 }
 
 func TestAgreement(t *testing.T) {
-	if o := CheckAgreement(getExploration(t)); !o.Holds {
+	if o := find(t, defaultExploration().Obligations, "5.4c"); !o.Holds {
 		t.Fatalf("5.4c violated: %s", o)
 	}
 }
 
 func TestKeyPossession(t *testing.T) {
-	if o := CheckKeyPossession(getExploration(t)); !o.Holds {
+	if o := find(t, defaultExploration().Obligations, "5.4d"); !o.Holds {
 		t.Fatalf("5.4d violated: %s", o)
 	}
 }
 
 func TestDiagram(t *testing.T) {
-	res := CheckDiagram(getExploration(t))
-	for _, o := range res.Obligations {
-		if !o.Holds {
-			t.Errorf("diagram obligation failed: %s", o)
-		}
-	}
+	res := defaultExploration().Diagram
+	holds(t, "by the diagram", res.Obligations)
 	// All 12 boxes must be inhabited at the default bound.
 	if len(res.BoxCounts) != 12 {
 		t.Errorf("inhabited boxes = %d, want 12 (%v)", len(res.BoxCounts), res.BoxCounts)
@@ -130,43 +144,46 @@ func TestDiagram(t *testing.T) {
 			t.Errorf("expected diagram edge %q not observed", edge)
 		}
 	}
+	// The failover and LKH extensions live outside the diagram.
+	if ex := Explore(model.Config{MaxSessions: 1, MaxAdmin: 1, Failover: true}, nil, nil); ex.Diagram != nil {
+		t.Error("diagram checked on the failover extension")
+	}
 }
 
 func TestDiagramClassifyDisjointUnderLargerBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("larger bound in -short mode")
 	}
-	ex := Explore(model.Config{MaxSessions: 3, MaxAdmin: 2})
-	d := NewDiagram()
-	for _, n := range ex.Nodes {
-		if got := d.Classify(n.State); len(got) != 1 {
-			t.Fatalf("state classified by %v: %s", got, n.State)
-		}
+	ex := Explore(model.Config{MaxSessions: 3, MaxAdmin: 2}, nil, nil)
+	if o := find(t, ex.Diagram.Obligations, "F4/total"); !o.Holds {
+		t.Fatalf("boxes do not partition the (3,2) space: %s", o)
 	}
 }
 
 // --- non-vacuity: the invariant checkers must detect violations ---
 
-// syntheticExploration wraps hand-crafted states in an Exploration so the
-// checkers can be exercised on states that violate the properties.
-func syntheticExploration(states ...*model.State) *Exploration {
-	sys := model.NewSystem(model.DefaultConfig())
-	ex := &Exploration{System: sys}
-	for _, s := range states {
-		ex.Nodes = append(ex.Nodes, &Node{State: s})
-	}
-	return ex
+// verdictsOn runs every per-state predicate the explorer runs on the state
+// via.Next, found at the root by the step via.
+func verdictsOn(via model.Step) []Obligation {
+	c := newChecks(model.NewSystem(model.DefaultConfig()))
+	c.visit(&Node{}, via)
+	obs, _ := c.verdicts()
+	return obs
 }
 
 func TestCheckersDetectViolations(t *testing.T) {
 	pa := symbolic.LongTermKey(model.AgentUser)
+	detects := func(t *testing.T, s *model.State, id string) {
+		t.Helper()
+		if o := find(t, verdictsOn(model.Step{Next: s}), id); o.Holds {
+			t.Errorf("%s holds on a violating state", id)
+		}
+	}
 
 	t.Run("long-term key leak", func(t *testing.T) {
 		s := model.NewInitialState()
 		s.IK.Add(pa)
-		if o := CheckSecrecyLongTerm(syntheticExploration(s)); o.Holds {
-			t.Error("leak of P_a not detected")
-		}
+		detects(t, s, "5.1")
 	})
 
 	t.Run("session key leak", func(t *testing.T) {
@@ -174,9 +191,7 @@ func TestCheckersDetectViolations(t *testing.T) {
 		s := model.NewInitialState()
 		s.Lead = model.LeaderState{Phase: model.LeadConnected, N: symbolic.Nonce(1), Ka: ka}
 		s.IK.Add(ka)
-		if o := CheckSecrecySession(syntheticExploration(s)); o.Holds {
-			t.Error("leak of in-use K_a not detected")
-		}
+		detects(t, s, "5.2")
 	})
 
 	t.Run("prefix violation by duplicate", func(t *testing.T) {
@@ -184,9 +199,7 @@ func TestCheckersDetectViolations(t *testing.T) {
 		s := model.NewInitialState()
 		s.SndA = []*symbolic.Field{x}
 		s.RcvA = []*symbolic.Field{x, x}
-		if o := CheckPrefixDelivery(syntheticExploration(s)); o.Holds {
-			t.Error("duplicate acceptance not detected")
-		}
+		detects(t, s, "5.4a")
 	})
 
 	t.Run("prefix violation by reordering", func(t *testing.T) {
@@ -194,35 +207,27 @@ func TestCheckersDetectViolations(t *testing.T) {
 		s := model.NewInitialState()
 		s.SndA = []*symbolic.Field{x, y}
 		s.RcvA = []*symbolic.Field{y}
-		if o := CheckPrefixDelivery(syntheticExploration(s)); o.Holds {
-			t.Error("out-of-order acceptance not detected")
-		}
+		detects(t, s, "5.4a")
 	})
 
 	t.Run("authentication violation", func(t *testing.T) {
 		s := model.NewInitialState()
 		s.AccL = 1
 		s.ReqA = 0
-		if o := CheckAuthentication(syntheticExploration(s)); o.Holds {
-			t.Error("acceptance without request not detected")
-		}
+		detects(t, s, "5.4b")
 	})
 
 	t.Run("agreement violation", func(t *testing.T) {
 		s := model.NewInitialState()
 		s.Usr = model.UserState{Phase: model.UserConnected, Na: symbolic.Nonce(1), Ka: symbolic.SessionKey(1)}
 		s.Lead = model.LeaderState{Phase: model.LeadConnected, N: symbolic.Nonce(2), Ka: symbolic.SessionKey(1)}
-		if o := CheckAgreement(syntheticExploration(s)); o.Holds {
-			t.Error("nonce disagreement not detected")
-		}
+		detects(t, s, "5.4c")
 	})
 
 	t.Run("possession violation", func(t *testing.T) {
 		s := model.NewInitialState()
 		s.Usr = model.UserState{Phase: model.UserConnected, Na: symbolic.Nonce(1), Ka: symbolic.SessionKey(1)}
-		if o := CheckKeyPossession(syntheticExploration(s)); o.Holds {
-			t.Error("user key unknown to leader not detected")
-		}
+		detects(t, s, "5.4d")
 	})
 }
 
@@ -240,8 +245,7 @@ func TestObligationString(t *testing.T) {
 }
 
 func TestDiagramDOT(t *testing.T) {
-	res := CheckDiagram(getExploration(t))
-	dot := res.DOT()
+	dot := defaultExploration().Diagram.DOT()
 	if !strings.Contains(dot, "digraph figure4") {
 		t.Error("missing digraph header")
 	}
@@ -262,22 +266,21 @@ func TestDiagramDOT(t *testing.T) {
 // user FSM and Figure 3 leader FSM is exercised somewhere in the default
 // exploration — the executable counterpart of "reproducing the figures".
 func TestFigure23TransitionCoverage(t *testing.T) {
-	ex := getExploration(t)
 	type phasePair struct {
 		from, to string
 	}
 	userEdges := make(map[phasePair]bool)
 	leadEdges := make(map[phasePair]bool)
-	for _, e := range ex.Edges {
-		fu, tu := e.From.State.Usr.Phase.String(), e.To.State.Usr.Phase.String()
+	Explore(model.DefaultConfig(), nil, func(_ *Node, s *model.State, st model.Step, _ *Node) {
+		fu, tu := s.Usr.Phase.String(), st.Next.Usr.Phase.String()
 		if fu != tu {
 			userEdges[phasePair{fu, tu}] = true
 		}
-		fl, tl := e.From.State.Lead.Phase.String(), e.To.State.Lead.Phase.String()
+		fl, tl := s.Lead.Phase.String(), st.Next.Lead.Phase.String()
 		if fl != tl {
 			leadEdges[phasePair{fl, tl}] = true
 		}
-	}
+	})
 	// Figure 2 (user A).
 	for _, want := range []phasePair{
 		{"NotConnected", "WaitingForKey"}, // join

@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -331,14 +332,18 @@ func (d *Diagram) Classify(s *model.State) []string {
 	return out
 }
 
-// box returns the box with the given ID.
-func (d *Diagram) box(id string) *Box {
-	for i := range d.Boxes {
-		if d.Boxes[i].ID == id {
-			return &d.Boxes[i]
+// succeeds reports whether Figure 4 declares the transition from box from
+// to box to: a self-loop or an edge to one of from's successors.
+func (d *Diagram) succeeds(from, to string) bool {
+	if from == to {
+		return true
+	}
+	for _, b := range d.Boxes {
+		if b.ID == from {
+			return slices.Contains(b.Succ, to)
 		}
 	}
-	return nil
+	return false
 }
 
 // DiagramResult carries the outcome of checking the diagram against an
@@ -351,108 +356,97 @@ type DiagramResult struct {
 	EdgeCounts map[string]int
 }
 
-// CheckDiagram verifies that the diagram is a valid abstraction of the
-// explored system: initial state in Q1, totality and disjointness of the
-// boxes over reachable states, and coverage of every observed transition by
-// a declared edge (or self-loop).
-func CheckDiagram(ex *Exploration) *DiagramResult {
-	d := NewDiagram()
-	res := &DiagramResult{
-		BoxCounts:  make(map[string]int),
-		EdgeCounts: make(map[string]int),
-	}
+// diagramCheck verifies during the search that the diagram is a valid
+// abstraction of the explored system: the initial state is in Q1, every
+// state is in exactly one box when it is found, and every transition is a
+// self-loop or a declared edge when it is generated. The first state
+// outside the partition decides F4/total and voids the edge checks, which
+// need every state classified; the first undeclared edge decides F4/edge.
+type diagramCheck struct {
+	d          *Diagram
+	init       *Obligation
+	partition  *Obligation // first state in no box or in several
+	undeclared *Obligation // first transition along no declared edge
+	boxCounts  map[string]int
+	edgeCounts map[string]int
+	// outOf counts the transitions leaving each box.
+	outOf map[string]int
+}
 
-	// Initial state obligation.
-	initBoxes := d.Classify(ex.Nodes[0].State)
-	if len(initBoxes) == 1 && initBoxes[0] == "Q1" {
-		res.Obligations = append(res.Obligations, pass("F4/init", "initial state satisfies Q1", ""))
-	} else {
+// The names of the diagram's global obligations.
+const (
+	initName  = "initial state satisfies Q1"
+	totalName = "every reachable state satisfies exactly one box"
+	edgeName  = "every transition follows a declared diagram edge"
+)
+
+func newDiagramCheck() *diagramCheck {
+	return &diagramCheck{
+		d:          NewDiagram(),
+		boxCounts:  make(map[string]int),
+		edgeCounts: make(map[string]int),
+		outOf:      make(map[string]int),
+	}
+}
+
+// visit classifies s, just found at n, and records its box on n. The first
+// state visited is the initial one.
+func (c *diagramCheck) visit(n *Node, s *model.State) {
+	if c.partition != nil {
+		return
+	}
+	boxes := c.d.Classify(s)
+	if c.init == nil {
+		c.init = pass("F4/init", initName, "")
+		if len(boxes) != 1 || boxes[0] != "Q1" {
+			c.init = fail("F4/init", initName, fmt.Sprintf("classified as %v", boxes), n)
+		}
+	}
+	switch len(boxes) {
+	case 1:
+		n.box = boxes[0]
+		c.boxCounts[n.box]++
+	case 0:
+		c.partition = fail("F4/total", totalName, fmt.Sprintf("no box covers %s", s), n)
+	default:
+		c.partition = fail("F4/total", totalName, fmt.Sprintf("boxes %v overlap on %s", boxes, s), n)
+	}
+}
+
+// edge checks the transition st from `from` to `to`, both classified.
+func (c *diagramCheck) edge(from *Node, st model.Step, to *Node) {
+	if c.partition != nil || c.undeclared != nil {
+		return
+	}
+	c.edgeCounts[from.box+" -> "+to.box]++
+	c.outOf[from.box]++
+	if !c.d.succeeds(from.box, to.box) {
+		c.undeclared = fail("F4/edge", edgeName, fmt.Sprintf("undeclared edge %s -> %s via %s", from.box, to.box, st), to)
+	}
+}
+
+// result reports the diagram obligations over states and transitions. Each
+// per-box obligation of the paper's style, Q_i ∧ transition ⇒ Q_i ∨
+// successors, is F4/edge restricted to the transitions out of Q_i, so the
+// per-box obligations are reported, with their transition counts, when
+// F4/edge holds.
+func (c *diagramCheck) result(states, transitions int) *DiagramResult {
+	res := &DiagramResult{Obligations: []Obligation{*c.init}, BoxCounts: c.boxCounts, EdgeCounts: c.edgeCounts}
+	if c.partition != nil {
+		res.EdgeCounts = map[string]int{}
+		res.Obligations = append(res.Obligations, *c.partition)
+		return res
+	}
+	res.Obligations = append(res.Obligations, *pass("F4/total", totalName, fmt.Sprintf("%d states over %d boxes", states, len(c.boxCounts))))
+	if c.undeclared != nil {
+		res.Obligations = append(res.Obligations, *c.undeclared)
+		return res
+	}
+	res.Obligations = append(res.Obligations, *pass("F4/edge", edgeName, fmt.Sprintf("%d transitions over %d distinct edges", transitions, len(c.edgeCounts))))
+	for _, b := range c.d.Boxes {
 		res.Obligations = append(res.Obligations,
-			fail("F4/init", "initial state satisfies Q1",
-				fmt.Sprintf("classified as %v", initBoxes), ex.Nodes[0]))
-	}
-
-	// Totality and disjointness.
-	classOf := make(map[*Node]string, len(ex.Nodes))
-	partOK := true
-	for _, n := range ex.Nodes {
-		boxes := d.Classify(n.State)
-		switch len(boxes) {
-		case 1:
-			classOf[n] = boxes[0]
-			res.BoxCounts[boxes[0]]++
-		case 0:
-			partOK = false
-			res.Obligations = append(res.Obligations,
-				fail("F4/total", "every reachable state satisfies exactly one box",
-					fmt.Sprintf("no box covers %s", n.State), n))
-		default:
-			partOK = false
-			res.Obligations = append(res.Obligations,
-				fail("F4/total", "every reachable state satisfies exactly one box",
-					fmt.Sprintf("boxes %v overlap on %s", boxes, n.State), n))
-		}
-		if !partOK {
-			return res
-		}
-	}
-	res.Obligations = append(res.Obligations,
-		pass("F4/total", "every reachable state satisfies exactly one box",
-			fmt.Sprintf("%d states over %d boxes", len(ex.Nodes), len(res.BoxCounts))))
-
-	// Edge coverage: each observed transition must be a self-loop or a
-	// declared edge.
-	for _, e := range ex.Edges {
-		from, to := classOf[e.From], classOf[e.To]
-		if from == to {
-			res.EdgeCounts[from+" -> "+from]++
-			continue
-		}
-		res.EdgeCounts[from+" -> "+to]++
-		declared := false
-		for _, succ := range d.box(from).Succ {
-			if succ == to {
-				declared = true
-				break
-			}
-		}
-		if !declared {
-			res.Obligations = append(res.Obligations,
-				fail("F4/edge", "every transition follows a declared diagram edge",
-					fmt.Sprintf("undeclared edge %s -> %s via %s", from, to, e.Step), e.To))
-			return res
-		}
-	}
-	res.Obligations = append(res.Obligations,
-		pass("F4/edge", "every transition follows a declared diagram edge",
-			fmt.Sprintf("%d transitions over %d distinct edges", len(ex.Edges), len(res.EdgeCounts))))
-
-	// Per-box proof obligations in the paper's style: Q_i ∧ step ⇒ Q_i ∨ successors.
-	for _, b := range d.Boxes {
-		allowed := map[string]bool{b.ID: true}
-		for _, sid := range b.Succ {
-			allowed[sid] = true
-		}
-		violated := false
-		count := 0
-		for _, e := range ex.Edges {
-			if classOf[e.From] != b.ID {
-				continue
-			}
-			count++
-			if !allowed[classOf[e.To]] {
-				violated = true
-				res.Obligations = append(res.Obligations,
-					fail("F4/"+b.ID, fmt.Sprintf("%s ∧ transition ⇒ %s ∨ {%s}", b.ID, b.ID, strings.Join(b.Succ, ", ")),
-						fmt.Sprintf("reached %s via %s", classOf[e.To], e.Step), e.To))
-				break
-			}
-		}
-		if !violated {
-			res.Obligations = append(res.Obligations,
-				pass("F4/"+b.ID, fmt.Sprintf("%s ∧ transition ⇒ %s ∨ {%s}", b.ID, b.ID, strings.Join(b.Succ, ", ")),
-					fmt.Sprintf("%d transitions", count)))
-		}
+			*pass("F4/"+b.ID, fmt.Sprintf("%s ∧ transition ⇒ %s ∨ {%s}", b.ID, b.ID, strings.Join(b.Succ, ", ")),
+				fmt.Sprintf("%d transitions", c.outOf[b.ID])))
 	}
 	return res
 }

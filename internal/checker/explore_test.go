@@ -31,66 +31,36 @@ func TestExploreDeterministic(t *testing.T) {
 		name := fmt.Sprintf("s%d_a%d_lkh%t_is%t", cfg.MaxSessions, cfg.MaxAdmin, cfg.LKH, cfg.IntruderSessions)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			ex := ExploreOpts(cfg, Options{})
 			h := sha256.New()
-			for _, n := range ex.Nodes {
-				h.Write([]byte(n.State.Key()))
+			ex := Explore(cfg, func(_ *Node, s *model.State) {
+				h.Write([]byte(s.Key()))
 				h.Write([]byte{'\n'})
-			}
+			}, nil)
 			digest := fmt.Sprintf("%x", h.Sum(nil)[:8])
-			if len(ex.Nodes) != tc.states || ex.Transitions != tc.transitions || ex.Depth != tc.depth || digest != tc.digest {
+			if ex.States != tc.states || ex.Transitions != tc.transitions || ex.Depth != tc.depth || digest != tc.digest {
 				t.Fatalf("got %d states, %d transitions, depth %d, digest %s; want %d, %d, %d, %s",
-					len(ex.Nodes), ex.Transitions, ex.Depth, digest, tc.states, tc.transitions, tc.depth, tc.digest)
+					ex.States, ex.Transitions, ex.Depth, digest, tc.states, tc.transitions, tc.depth, tc.digest)
 			}
 		})
 	}
 }
 
-// TestExploreEdgeGating pins the memory satellite: with Options.Edges off
-// the edge list is not retained, but the transition count, regularity
-// statistics, and every node stay identical.
-func TestExploreEdgeGating(t *testing.T) {
-	cfg := model.Config{MaxSessions: 2, MaxAdmin: 2, LKH: true}
-	with := ExploreOpts(cfg, Options{Edges: true})
-	without := ExploreOpts(cfg, Options{})
-
-	if without.Edges != nil {
-		t.Fatalf("Edges retained despite Options.Edges=false: %d", len(without.Edges))
-	}
-	if with.Transitions != len(with.Edges) {
-		t.Fatalf("Transitions=%d but len(Edges)=%d", with.Transitions, len(with.Edges))
-	}
-	if without.Transitions != with.Transitions {
-		t.Fatalf("transition counts differ: %d vs %d", without.Transitions, with.Transitions)
-	}
-	if without.HonestSends != with.HonestSends {
-		t.Fatalf("honest-send counts differ: %d vs %d", without.HonestSends, with.HonestSends)
-	}
-	if len(without.Nodes) != len(with.Nodes) {
-		t.Fatalf("state counts differ: %d vs %d", len(without.Nodes), len(with.Nodes))
-	}
-	reg := CheckRegularity(without)
-	if !reg.Holds || reg.Detail == "0 honest sends" {
-		t.Fatalf("streaming regularity broken without edges: %+v", reg)
-	}
-}
-
 // TestExposureFollowsParts pins the Parts clause of 5.1, 5.5 and 5.6: a
 // protected key used only to seal a message is not exposed, one carried
-// inside a pair inside an encrypted body is, and a node exposing it fails
-// its obligation with the Parts detail.
+// inside a pair inside an encrypted body is, and a state reached by a step
+// emitting it fails its obligation with the Parts detail.
 func TestExposureFollowsParts(t *testing.T) {
 	sys := model.NewSystem(model.DefaultConfig())
 	a, k := symbolic.Agent(model.AgentUser), symbolic.SessionKey(9)
 	for _, tc := range []struct {
-		key   *symbolic.Field
-		flag  exposure
-		check func(*Exploration) Obligation
-		name  string
+		key  *symbolic.Field
+		flag exposure
+		id   string
+		name string
 	}{
-		{sys.LongTermKey(), exposesPa, CheckSecrecyLongTerm, "P_a"},
-		{sys.ReplKey(), exposesKr, CheckSecrecyRepl, "K_r"},
-		{sys.SubtreeKey(), exposesKs, CheckSecrecyTreeKey, "K_s"},
+		{sys.LongTermKey(), exposesPa, "5.1", "P_a"},
+		{sys.ReplKey(), exposesKr, "5.5", "K_r"},
+		{sys.SubtreeKey(), exposesKs, "5.6", "K_s"},
 	} {
 		if e := exposureOf(sys, symbolic.Enc(a, tc.key)); e != 0 {
 			t.Errorf("{A}_%s exposes %b, want nothing", tc.name, e)
@@ -100,12 +70,11 @@ func TestExposureFollowsParts(t *testing.T) {
 			t.Errorf("%s exposes %b, want %b", leak, e, tc.flag)
 		}
 
-		ex := syntheticExploration(model.NewInitialState())
-		if o := tc.check(ex); !o.Holds {
+		if o := find(t, verdictsOn(model.Step{Next: model.NewInitialState()}), tc.id); !o.Holds {
 			t.Fatalf("%s fails on an unexposed state: %s", o.ID, o.Detail)
 		}
-		ex.Nodes[0].exposed = exposureOf(sys, leak)
-		o := tc.check(ex)
+		via := model.Step{Emitted: &model.Msg{Content: leak}, Next: model.NewInitialState()}
+		o := find(t, verdictsOn(via), tc.id)
 		if o.Holds || !strings.Contains(o.Detail, tc.name+" occurs in Parts(trace)") {
 			t.Errorf("%s holds or blames the wrong clause with %s exposed: %s", o.ID, tc.name, o.Detail)
 		}

@@ -15,22 +15,10 @@ import (
 // diagram is NOT checked here — it abstracts the crash-free protocol and
 // the failover states intentionally live outside it.
 
-var failoverExploration *Exploration
-
-func exploreFailover() *Exploration {
-	if failoverExploration == nil {
-		failoverExploration = Explore(model.Config{MaxSessions: 2, MaxAdmin: 2, Failover: true})
-	}
-	return failoverExploration
-}
+var failoverConfig = model.Config{MaxSessions: 2, MaxAdmin: 2, Failover: true}
 
 func TestFailoverInvariants(t *testing.T) {
-	ex := exploreFailover()
-	for _, o := range AllInvariants(ex) {
-		if !o.Holds {
-			t.Errorf("obligation violated under failover: %s", o)
-		}
-	}
+	holds(t, "under failover", Explore(failoverConfig, nil, nil).Obligations)
 }
 
 // TestFailoverReachesResumption: the extension is not vacuous — crashes,
@@ -38,10 +26,8 @@ func TestFailoverInvariants(t *testing.T) {
 // pipeline continues across a failover (payloads accepted after the
 // resumption extend rcv_A past its pre-crash length).
 func TestFailoverReachesResumption(t *testing.T) {
-	ex := exploreFailover()
 	var promoted, resuming, resumed, continued int
-	for _, n := range ex.Nodes {
-		s := n.State
+	Explore(failoverConfig, func(_ *Node, s *model.State) {
 		if s.Lead.Phase == model.LeadPromoted {
 			promoted++
 		}
@@ -55,7 +41,7 @@ func TestFailoverReachesResumption(t *testing.T) {
 		if s.Failovers > 0 && len(s.RcvA) > 1 {
 			continued++
 		}
-	}
+	}, nil)
 	if promoted == 0 || resuming == 0 || resumed == 0 {
 		t.Fatalf("failover path not exercised: promoted=%d resuming=%d resumed=%d",
 			promoted, resuming, resumed)
@@ -70,25 +56,23 @@ func TestFailoverReachesResumption(t *testing.T) {
 // WaitingForAck), resume start (Connected -> Resuming) and resume
 // completion (Resuming -> Connected).
 func TestFailoverTransitionCoverage(t *testing.T) {
-	ex := exploreFailover()
 	type phasePair struct{ from, to string }
 	userEdges := make(map[phasePair]bool)
 	leadEdges := make(map[phasePair]bool)
 	replDeltas := 0
-	for _, e := range ex.Edges {
-		fu, tu := e.From.State.Usr.Phase.String(), e.To.State.Usr.Phase.String()
+	Explore(failoverConfig, nil, func(_ *Node, s *model.State, st model.Step, _ *Node) {
+		fu, tu := s.Usr.Phase.String(), st.Next.Usr.Phase.String()
 		if fu != tu {
 			userEdges[phasePair{fu, tu}] = true
 		}
-		fl, tl := e.From.State.Lead.Phase.String(), e.To.State.Lead.Phase.String()
+		fl, tl := s.Lead.Phase.String(), st.Next.Lead.Phase.String()
 		if fl != tl {
 			leadEdges[phasePair{fl, tl}] = true
 		}
-		if e.Step.Emitted != nil && e.Step.Emitted.Label == model.LabelReplDelta &&
-			e.Step.Actor == model.AgentLeader {
+		if st.Emitted != nil && st.Emitted.Label == model.LabelReplDelta && st.Actor == model.AgentLeader {
 			replDeltas++
 		}
-	}
+	})
 	for _, want := range []phasePair{{"Connected", "Resuming"}, {"Resuming", "Connected"}} {
 		if !userEdges[want] {
 			t.Errorf("user FSM edge %s -> %s never exercised", want.from, want.to)
@@ -112,20 +96,14 @@ func TestFailoverTransitionCoverage(t *testing.T) {
 // trace really contains ReplDelta messages sealed under K_r while K_r stays
 // out of the intruder's knowledge.
 func TestFailoverReplKeySecrecy(t *testing.T) {
-	ex := exploreFailover()
-	if o := CheckSecrecyRepl(ex); !o.Holds {
-		t.Fatalf("5.5 violated: %s", o)
-	}
 	seen := false
-	for _, n := range ex.Nodes {
-		for _, m := range n.State.Messages() {
-			if m.Label == model.LabelReplDelta {
-				seen = true
-			}
+	ex := Explore(failoverConfig, func(_ *Node, s *model.State) {
+		for _, m := range s.Net {
+			seen = seen || m.Label == model.LabelReplDelta
 		}
-		if seen {
-			break
-		}
+	}, nil)
+	if o := find(t, ex.Obligations, "5.5"); !o.Holds {
+		t.Fatalf("5.5 violated: %s", o)
 	}
 	if !seen {
 		t.Fatal("K_r secrecy check is vacuous: no ReplDelta in any trace")
@@ -136,19 +114,18 @@ func TestFailoverReplKeySecrecy(t *testing.T) {
 // acceptances for one crash — the replicated nonce is consumed by the first
 // accepted Resume, so a replayed Resume can never be accepted again.
 func TestFailoverResumeIsOneShot(t *testing.T) {
-	ex := exploreFailover()
-	for _, n := range ex.Nodes {
+	Explore(failoverConfig, func(n *Node, s *model.State) {
 		accepts := 0
 		for _, step := range n.Trace() {
 			if strings.Contains(step, "accept Resume,") {
 				accepts++
 			}
 		}
-		if accepts > n.State.Failovers {
+		if accepts > s.Failovers {
 			t.Fatalf("%d resume acceptances for %d crashes:\n%s",
-				accepts, n.State.Failovers, strings.Join(n.Trace(), "\n"))
+				accepts, s.Failovers, strings.Join(n.Trace(), "\n"))
 		}
-	}
+	}, nil)
 }
 
 // TestCheckerDetectsWeakResumeFreshness is the sensitivity (mutation) test
@@ -157,8 +134,8 @@ func TestFailoverResumeIsOneShot(t *testing.T) {
 // checker must catch the resulting duplicate acceptance as a 5.4a prefix
 // violation.
 func TestCheckerDetectsWeakResumeFreshness(t *testing.T) {
-	ex := Explore(model.Config{MaxSessions: 1, MaxAdmin: 1, Failover: true, WeakResumeFreshness: true})
-	o := CheckPrefixDelivery(ex)
+	ex := Explore(model.Config{MaxSessions: 1, MaxAdmin: 1, Failover: true, WeakResumeFreshness: true}, nil, nil)
+	o := find(t, ex.Obligations, "5.4a")
 	if o.Holds {
 		t.Fatal("checker failed to detect the weakened resume freshness guard")
 	}
@@ -172,10 +149,8 @@ func TestCheckerDetectsWeakResumeFreshness(t *testing.T) {
 
 	// The mutation breaks ORDERING only: secrecy of P_a, K_a and K_r must
 	// all survive, confirming the checker separates the failure classes.
-	for _, check := range []func(*Exploration) Obligation{
-		CheckSecrecyLongTerm, CheckSecrecySession, CheckSecrecyRepl, CheckAuthentication,
-	} {
-		if o := check(ex); !o.Holds {
+	for _, id := range []string{"5.1", "5.2", "5.5", "5.4b"} {
+		if o := find(t, ex.Obligations, id); !o.Holds {
 			t.Errorf("unexpected break in weak-resume variant: %s", o)
 		}
 	}

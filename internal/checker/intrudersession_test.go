@@ -14,51 +14,41 @@ import (
 // must remain a valid abstraction of A's session.
 func TestInvariantsWithIntruderMemberSessions(t *testing.T) {
 	cfg := model.Config{MaxSessions: 2, MaxAdmin: 1, IntruderSessions: true}
-	ex := Explore(cfg)
+	ex := Explore(cfg, nil, nil)
 
-	plain := Explore(model.Config{MaxSessions: 2, MaxAdmin: 1})
-	if len(ex.Nodes) <= len(plain.Nodes) {
+	plain := Explore(model.Config{MaxSessions: 2, MaxAdmin: 1}, nil, nil)
+	if ex.States <= plain.States {
 		t.Fatalf("intruder sessions did not enlarge the space: %d vs %d — feature inert?",
-			len(ex.Nodes), len(plain.Nodes))
+			ex.States, plain.States)
 	}
-	t.Logf("states: %d with intruder sessions vs %d without", len(ex.Nodes), len(plain.Nodes))
+	t.Logf("states: %d with intruder sessions vs %d without", ex.States, plain.States)
 
-	for _, o := range AllInvariants(ex) {
-		if !o.Holds {
-			t.Errorf("obligation failed with intruder sessions: %s", o)
-		}
-	}
-	res := CheckDiagram(ex)
-	for _, o := range res.Obligations {
-		if !o.Holds {
-			t.Errorf("diagram obligation failed with intruder sessions: %s", o)
-		}
-	}
+	holds(t, "with intruder sessions", ex.Obligations)
+	holds(t, "by the diagram with intruder sessions", ex.Diagram.Obligations)
 }
 
 // TestIntruderSessionsActuallyRun asserts the feature is exercised: E joins,
 // is accepted by the leader, receives admin messages, and closes (with its
 // session key oops'd), all within the explored space.
 func TestIntruderSessionsActuallyRun(t *testing.T) {
-	ex := Explore(model.Config{MaxSessions: 1, MaxAdmin: 1, IntruderSessions: true})
 	var (
 		eAccepted bool
 		eAdmin    bool
 		eClosed   bool
 	)
-	for _, e := range ex.Edges {
-		switch e.Step.Action {
+	Explore(model.Config{MaxSessions: 1, MaxAdmin: 1, IntruderSessions: true}, nil, func(_ *Node, _ *model.State, st model.Step, _ *Node) {
+		switch st.Action {
 		case "accept AuthAckKey from E (E is a member)":
 			eAccepted = true
 		case "accept ReqClose from E, close, Oops(Ke)":
 			eClosed = true
 		}
-		if e.Step.Actor == model.AgentLeader && e.Step.Emitted != nil &&
-			e.Step.Emitted.Receiver == model.AgentIntruder &&
-			e.Step.Emitted.Label == model.LabelAdminMsg {
+		if st.Actor == model.AgentLeader && st.Emitted != nil &&
+			st.Emitted.Receiver == model.AgentIntruder &&
+			st.Emitted.Label == model.LabelAdminMsg {
 			eAdmin = true
 		}
-	}
+	})
 	if !eAccepted || !eAdmin || !eClosed {
 		t.Errorf("E session lifecycle incomplete: accepted=%v admin=%v closed=%v",
 			eAccepted, eAdmin, eClosed)

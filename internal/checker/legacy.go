@@ -11,79 +11,32 @@ import (
 // opposite of Section 5: every attack goal is REACHABLE, and the checker
 // returns the shortest counterexample trace for each.
 
-// LegacyNode is a node of the legacy exploration.
-type LegacyNode struct {
-	State  *model.LegacyState
-	Parent *LegacyNode
-	Via    model.LegacyStep
-	Depth  int
-}
-
-// Trace reconstructs the action sequence from the initial state to n.
-func (n *LegacyNode) Trace() []string {
-	var rev []string
-	for cur := n; cur.Parent != nil; cur = cur.Parent {
-		rev = append(rev, cur.Via.String())
-	}
-	out := make([]string, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// LegacyExploration is the result of exhaustively exploring the legacy
+// LegacyExploration is the outcome of exhaustively exploring the legacy
 // model.
 type LegacyExploration struct {
-	System *model.LegacySystem
-	Nodes  []*LegacyNode
-	Depth  int
+	States      int
+	Transitions int
+	Depth       int
 	// Attacks maps each Section 2.3 attack goal to the shallowest
 	// reachable state exhibiting it (BFS order ⇒ minimal depth).
-	Attacks map[model.LegacyViolation]*LegacyNode
+	Attacks map[model.LegacyViolation]*Node
 }
 
-// ExploreLegacy exhaustively explores the legacy model bounded by cfg.
-func ExploreLegacy(cfg model.LegacyConfig) *LegacyExploration {
-	sys := model.NewLegacySystem(cfg)
-	root := &LegacyNode{State: sys.Initial()}
-	visited := map[string]bool{root.State.Key(): true}
-	ex := &LegacyExploration{
-		System:  sys,
-		Nodes:   []*LegacyNode{root},
-		Attacks: make(map[model.LegacyViolation]*LegacyNode),
-	}
-
-	note := func(n *LegacyNode) {
-		for _, v := range model.Violations(n.State) {
+// ExploreLegacy exhaustively explores the legacy model bounded by cfg and
+// tests every attack goal on each state when the search finds it. onState,
+// when non-nil, then sees the same state.
+func ExploreLegacy(cfg model.LegacyConfig, onState func(n *Node, s *model.LegacyState)) *LegacyExploration {
+	ex := &LegacyExploration{Attacks: make(map[model.LegacyViolation]*Node)}
+	ex.States, ex.Transitions, ex.Depth = search(model.NewLegacySystem(cfg), func(n *Node, via model.LegacyStep) {
+		for _, v := range model.Violations(via.Next) {
 			if _, seen := ex.Attacks[v]; !seen {
 				ex.Attacks[v] = n
 			}
 		}
-	}
-	note(root)
-
-	frontier := []*LegacyNode{root}
-	for len(frontier) > 0 {
-		var next []*LegacyNode
-		for _, n := range frontier {
-			for _, step := range sys.Successors(n.State) {
-				key := step.Next.Key()
-				if visited[key] {
-					continue
-				}
-				visited[key] = true
-				to := &LegacyNode{State: step.Next, Parent: n, Via: step, Depth: n.Depth + 1}
-				ex.Nodes = append(ex.Nodes, to)
-				next = append(next, to)
-				if to.Depth > ex.Depth {
-					ex.Depth = to.Depth
-				}
-				note(to)
-			}
+		if onState != nil {
+			onState(n, via.Next)
 		}
-		frontier = next
-	}
+	}, nil)
 	return ex
 }
 

@@ -2,27 +2,37 @@ package checker
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"enclaves/internal/model"
 )
 
-var legacyExploration *LegacyExploration
+// legacyRun is the default-bound legacy exploration, with the state of
+// every node that reaches an attack goal.
+var legacyRun = sync.OnceValues(func() (*LegacyExploration, map[*Node]*model.LegacyState) {
+	attacked := make(map[*Node]*model.LegacyState)
+	ex := ExploreLegacy(model.DefaultLegacyConfig(), func(n *Node, s *model.LegacyState) {
+		if len(model.Violations(s)) > 0 {
+			attacked[n] = s
+		}
+	})
+	return ex, attacked
+})
 
-func getLegacyExploration(t *testing.T) *LegacyExploration {
+// legacyAttack returns the node and state of the witness for goal v.
+func legacyAttack(t *testing.T, v model.LegacyViolation) (*Node, *model.LegacyState) {
 	t.Helper()
-	if legacyExploration == nil {
-		legacyExploration = ExploreLegacy(model.DefaultLegacyConfig())
+	ex, attacked := legacyRun()
+	n, ok := ex.Attacks[v]
+	if !ok {
+		t.Fatalf("%s attack not found in legacy model", v)
 	}
-	return legacyExploration
+	return n, attacked[n]
 }
 
 func TestForgedDenied(t *testing.T) {
-	ex := getLegacyExploration(t)
-	n, ok := ex.Attacks[model.ViolationForgedDenial]
-	if !ok {
-		t.Fatal("forged-denial attack not found in legacy model")
-	}
+	n, _ := legacyAttack(t, model.ViolationForgedDenial)
 	trace := strings.Join(n.Trace(), "\n")
 	if !strings.Contains(trace, "forged connection_denied") {
 		t.Errorf("attack trace does not involve the forged denial:\n%s", trace)
@@ -30,11 +40,7 @@ func TestForgedDenied(t *testing.T) {
 }
 
 func TestForgedMemRemoved(t *testing.T) {
-	ex := getLegacyExploration(t)
-	n, ok := ex.Attacks[model.ViolationMembership]
-	if !ok {
-		t.Fatal("membership-forgery attack not found in legacy model")
-	}
+	n, _ := legacyAttack(t, model.ViolationMembership)
 	trace := strings.Join(n.Trace(), "\n")
 	if !strings.Contains(trace, "forged mem_removed") {
 		t.Errorf("attack trace does not involve the forged mem_removed:\n%s", trace)
@@ -42,13 +48,8 @@ func TestForgedMemRemoved(t *testing.T) {
 }
 
 func TestReplayNewKey(t *testing.T) {
-	ex := getLegacyExploration(t)
-	n, ok := ex.Attacks[model.ViolationKeyRollback]
-	if !ok {
-		t.Fatal("key-rollback attack not found in legacy model")
-	}
+	_, s := legacyAttack(t, model.ViolationKeyRollback)
 	// The end state has A on a key the intruder knows, older than A's max.
-	s := n.State
 	if !s.IK.Contains(s.UsrKg) {
 		t.Error("rollback end state: intruder does not know A's group key")
 	}
@@ -62,10 +63,7 @@ func TestReplayNewKey(t *testing.T) {
 // real key is secret from E. A rollback among keys a current member holds
 // anyway is no attack.
 func TestKeyRollbackNeedsPastMember(t *testing.T) {
-	n, ok := getLegacyExploration(t).Attacks[model.ViolationKeyRollback]
-	if !ok {
-		t.Fatal("key-rollback attack not found in legacy model")
-	}
+	n, s := legacyAttack(t, model.ViolationKeyRollback)
 	trace := n.Trace()
 	expel, lastAccept := -1, -1
 	for i, step := range trace {
@@ -79,7 +77,6 @@ func TestKeyRollbackNeedsPastMember(t *testing.T) {
 	if expel < 0 || lastAccept < 0 || expel > lastAccept {
 		t.Errorf("witness does not expel E before the replayed key is accepted:\n%s", strings.Join(trace, "\n"))
 	}
-	s := n.State
 	if s.EMember {
 		t.Error("rollback end state: E is still a member")
 	}
@@ -91,30 +88,27 @@ func TestKeyRollbackNeedsPastMember(t *testing.T) {
 // TestForcedDisconnect is attack A4: the intruder forges A's plaintext
 // req_close and the leader ends a session A never asked to close.
 func TestForcedDisconnect(t *testing.T) {
-	n, ok := getLegacyExploration(t).Attacks[model.ViolationForcedClose]
-	if !ok {
-		t.Fatal("forced-close attack not found in legacy model")
-	}
+	n, s := legacyAttack(t, model.ViolationForcedClose)
 	trace := strings.Join(n.Trace(), "\n")
 	if !strings.Contains(trace, "inject forged req_close") {
 		t.Errorf("attack trace does not involve the forged req_close:\n%s", trace)
 	}
-	if n.State.LeadPhase != model.LegLeadClosed {
-		t.Errorf("end state leader phase = %s, want Closed", n.State.LeadPhase)
+	if s.LeadPhase != model.LegLeadClosed {
+		t.Errorf("end state leader phase = %s, want Closed", s.LeadPhase)
 	}
 }
 
 func TestLegacyAttackTracesAreMinimalDepthFirstFound(t *testing.T) {
-	ex := getLegacyExploration(t)
 	// BFS guarantees the recorded witness has minimal depth; forged denial
 	// needs exactly 3 steps (req_open, inject, accept).
-	if n := ex.Attacks[model.ViolationForgedDenial]; n.Depth != 3 {
+	if n, _ := legacyAttack(t, model.ViolationForgedDenial); n.Depth != 3 {
 		t.Errorf("forged-denial depth = %d, want 3", n.Depth)
 	}
 }
 
 func TestLegacyObligationsAllFound(t *testing.T) {
-	obs := LegacyObligations(getLegacyExploration(t))
+	ex, _ := legacyRun()
+	obs := LegacyObligations(ex)
 	if len(obs) != 4 {
 		t.Fatalf("got %d legacy obligations, want 4", len(obs))
 	}
@@ -151,8 +145,7 @@ func TestRunReportDefaultBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full verification in -short mode")
 	}
-	rep := Run(model.DefaultConfig(), model.DefaultLegacyConfig())
-	if !rep.AllHold() {
+	if rep := defaultReport(); !rep.AllHold() {
 		t.Fatalf("default-bound verification failed:\n%s", rep)
 	}
 }

@@ -1,16 +1,17 @@
 package checker
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"enclaves/internal/model"
-	"enclaves/internal/symbolic"
 )
 
-// TestRandomWalkDeepInvariants validates the Section 5 invariants far
-// beyond the exhaustively-checked bound: thousands of random walks through
-// a much larger configuration, checking every invariant at every step.
+// TestRandomWalkDeepInvariants validates the Section 5 obligations far
+// beyond the exhaustively-checked bound: hundreds of random walks through a
+// much larger configuration, running the explorer's own per-state and
+// per-transition checks — every invariant and Figure 4 — at every step.
 // Random simulation is not exhaustive, but it probes depths (dozens of
 // sessions, long admin streams) the BFS cannot reach.
 func TestRandomWalkDeepInvariants(t *testing.T) {
@@ -19,25 +20,29 @@ func TestRandomWalkDeepInvariants(t *testing.T) {
 		maxSteps = 120
 	)
 	sys := model.NewSystem(model.Config{MaxSessions: 8, MaxAdmin: 6})
-	pa := sys.LongTermKey()
 	r := rand.New(rand.NewSource(2026))
 
 	deepest := 0
 	for w := 0; w < walks; w++ {
-		s := sys.Initial()
+		c := newChecks(sys)
+		n, s := &Node{}, sys.Initial()
+		c.visit(n, model.Step{Next: s})
 		for step := 0; step < maxSteps; step++ {
 			succ := sys.Successors(s)
 			if len(succ) == 0 {
 				break
 			}
-			s = succ[r.Intn(len(succ))].Next
-			if step > deepest {
-				deepest = step
-			}
-			checkStateInvariants(t, pa, s)
-			if t.Failed() {
-				t.Fatalf("invariant violated at walk %d step %d: %s", w, step, s)
-			}
+			st := succ[r.Intn(len(succ))]
+			to := &Node{Parent: n, Via: st.String(), Depth: n.Depth + 1}
+			c.visit(to, st)
+			c.edge(n, st, to)
+			n, s = to, st.Next
+			deepest = max(deepest, step)
+		}
+		obs, diagram := c.verdicts()
+		holds(t, fmt.Sprintf("on walk %d", w), append(obs, diagram.Obligations...))
+		if t.Failed() {
+			t.FailNow()
 		}
 	}
 	// Random choices often strand the walk in a terminal branch (e.g. the
@@ -46,42 +51,6 @@ func TestRandomWalkDeepInvariants(t *testing.T) {
 	// only require meaningfully deeper coverage than the exhaustive bound.
 	if deepest < 25 {
 		t.Errorf("walks too shallow: deepest step %d", deepest)
-	}
-}
-
-// checkStateInvariants asserts the 5.1/5.2/5.4 invariants on one state.
-func checkStateInvariants(t *testing.T, pa *symbolic.Field, s *model.State) {
-	t.Helper()
-	if s.IK.Contains(pa) {
-		t.Error("intruder knows P_a")
-	}
-	if s.Lead.Phase != model.LeadNotConnected {
-		if s.IK.Contains(s.Lead.Ka) {
-			t.Errorf("intruder knows in-use key %s", s.Lead.Ka)
-		}
-		if !symbolic.SetInCoideal(s.TraceContents(), symbolic.NewSet(s.Lead.Ka, pa)) {
-			t.Error("trace escaped the coideal")
-		}
-	}
-	if len(s.RcvA) > len(s.SndA) {
-		t.Errorf("rcv_A (%d) longer than snd_A (%d)", len(s.RcvA), len(s.SndA))
-	}
-	for i := range s.RcvA {
-		if !s.RcvA[i].Equal(s.SndA[i]) {
-			t.Error("rcv_A is not a prefix of snd_A")
-		}
-	}
-	if s.AccL > s.ReqA {
-		t.Errorf("AccL=%d > ReqA=%d", s.AccL, s.ReqA)
-	}
-	if s.Usr.Phase == model.UserConnected {
-		if !s.Lead.InUse(s.Usr.Ka) {
-			t.Error("A holds a key L does not have in use")
-		}
-		if s.Lead.Phase == model.LeadConnected &&
-			(!s.Usr.Ka.Equal(s.Lead.Ka) || !s.Usr.Na.Equal(s.Lead.N)) {
-			t.Error("agreement violated")
-		}
 	}
 }
 

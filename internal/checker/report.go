@@ -16,14 +16,14 @@ import (
 // Section 2.3 attack findings over the legacy baseline. cmd/verify renders
 // it; EXPERIMENTS.md records it.
 type Report struct {
-	Config model.Config
-	States int
-	// Edges counts explored transitions. The edge list itself is only
-	// retained when the Figure 4 diagram applies (base configuration).
-	Edges    int
-	Depth    int
-	Improved []Obligation
-	Diagram  *DiagramResult
+	Config      model.Config
+	States      int
+	Transitions int
+	Depth       int
+	Improved    []Obligation
+	// Diagram is the Figure 4 check, nil when Config enables failover or
+	// LKH.
+	Diagram *DiagramResult
 
 	// Extensions are the ablation configurations explored concurrently with
 	// the main run: the failover+LKH configuration (making the 5.5 and 5.6
@@ -42,7 +42,8 @@ type Report struct {
 }
 
 // ExtensionReport is one ablation configuration verified alongside the main
-// run, without edge retention.
+// run. It reports the ablation's invariants; Figure 4 is reported for the
+// main run only.
 type ExtensionReport struct {
 	Name        string
 	Config      model.Config
@@ -61,12 +62,6 @@ func Run(cfg model.Config, legacyCfg model.LegacyConfig) *Report {
 	start := time.Now()
 	rep := &Report{Config: cfg, LegacyConfig: legacyCfg}
 
-	// The Figure 4 diagram abstracts the crash-free, flat-keyed protocol;
-	// the failover and LKH extensions add states that intentionally live
-	// outside its boxes, so the diagram obligations only apply to the base
-	// configuration — and only that configuration needs the edge list.
-	needDiagram := !cfg.Failover && !cfg.LKH
-
 	exts := extensionConfigs(cfg)
 	rep.Extensions = make([]ExtensionReport, len(exts))
 
@@ -75,36 +70,33 @@ func Run(cfg model.Config, legacyCfg model.LegacyConfig) *Report {
 
 	go func() {
 		defer wg.Done()
-		ex := ExploreOpts(cfg, Options{Edges: needDiagram})
-		rep.States = len(ex.Nodes)
-		rep.Edges = ex.Transitions
-		rep.Depth = ex.Depth
-		rep.Improved = AllInvariants(ex)
-		if needDiagram {
-			rep.Diagram = CheckDiagram(ex)
-			rep.Improved = append(rep.Improved, rep.Diagram.Obligations...)
+		ex := Explore(cfg, nil, nil)
+		rep.States, rep.Transitions, rep.Depth = ex.States, ex.Transitions, ex.Depth
+		rep.Improved, rep.Diagram = ex.Obligations, ex.Diagram
+		if ex.Diagram != nil {
+			rep.Improved = append(rep.Improved, ex.Diagram.Obligations...)
 		}
 	}()
 
 	for i, e := range exts {
 		go func(i int, name string, ecfg model.Config) {
 			defer wg.Done()
-			ex := ExploreOpts(ecfg, Options{})
+			ex := Explore(ecfg, nil, nil)
 			rep.Extensions[i] = ExtensionReport{
 				Name:        name,
 				Config:      ecfg,
-				States:      len(ex.Nodes),
+				States:      ex.States,
 				Transitions: ex.Transitions,
 				Depth:       ex.Depth,
-				Obligations: AllInvariants(ex),
+				Obligations: ex.Obligations,
 			}
 		}(i, e.name, e.cfg)
 	}
 
 	go func() {
 		defer wg.Done()
-		lex := ExploreLegacy(legacyCfg)
-		rep.LegacyStates = len(lex.Nodes)
+		lex := ExploreLegacy(legacyCfg, nil)
+		rep.LegacyStates = lex.States
 		rep.LegacyDepth = lex.Depth
 		rep.Legacy = LegacyObligations(lex)
 	}()
@@ -187,7 +179,7 @@ func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Improved Enclaves protocol (Section 3.2) — bounded verification\n")
 	fmt.Fprintf(&b, "  bounds: %d user sessions, %d admin messages/session\n", r.Config.MaxSessions, r.Config.MaxAdmin)
-	fmt.Fprintf(&b, "  reachable states: %d   transitions: %d   max depth: %d\n", r.States, r.Edges, r.Depth)
+	fmt.Fprintf(&b, "  reachable states: %d   transitions: %d   max depth: %d\n", r.States, r.Transitions, r.Depth)
 	if r.Elapsed > 0 {
 		fmt.Fprintf(&b, "  wall time: %s   throughput: %.0f states/sec (%d states incl. ablations)\n",
 			r.Elapsed.Round(time.Millisecond), r.StatesPerSec(), r.TotalStates())

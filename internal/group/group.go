@@ -74,12 +74,6 @@ type Config struct {
 	// LKHArity is the key tree's branching factor k (lkh.DefaultArity when
 	// < 2). Only meaningful with LKH set.
 	LKHArity int
-	// FanoutWorkers sizes the pool that parallelizes broadcast fan-out
-	// across member outboxes. Zero selects the default (GOMAXPROCS capped
-	// at 16); 1 or negative disables the pool and keeps the sequential
-	// fan-out. Small groups take the sequential path regardless, so the
-	// pool only changes behavior at scale.
-	FanoutWorkers int
 	// Logf, if non-nil, receives diagnostic log lines.
 	Logf func(format string, args ...any)
 	// OnEvent, if non-nil, receives audit events (joins, leaves,
@@ -304,12 +298,8 @@ func NewLeader(cfg Config) (*Leader, error) {
 	if coalesce < 0 {
 		coalesce = 0
 	}
-	workers := cfg.FanoutWorkers
-	if workers == 0 {
-		workers = defaultFanoutWorkers()
-	}
 	var fan *fanout
-	if workers > 1 {
+	if workers := defaultFanoutWorkers(); workers > 1 {
 		fan = newFanout(workers)
 	}
 	g := &Leader{

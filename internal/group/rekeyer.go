@@ -1,7 +1,6 @@
 package group
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -52,49 +51,4 @@ func (g *Leader) flushRekey() {
 	if err := g.rekeyLocked(cause, wire.NewGroupKey{}, ""); err != nil {
 		g.logf("group: coalesced rekey: %v", err)
 	}
-}
-
-// AutoRekeyer rotates a leader's group key on a fixed period — the
-// "periodic basis" rekey policy of Section 2.2. It owns one background
-// goroutine; always call Stop when done.
-type AutoRekeyer struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// ErrBadPeriod is returned for non-positive rekey periods.
-var ErrBadPeriod = errors.New("group: rekey period must be positive")
-
-// StartAutoRekey begins rotating g's group key every period.
-func StartAutoRekey(g *Leader, period time.Duration) (*AutoRekeyer, error) {
-	if period <= 0 {
-		return nil, ErrBadPeriod
-	}
-	r := &AutoRekeyer{
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(r.done)
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				if err := g.Rekey(); err != nil {
-					g.logf("group: periodic rekey: %v", err)
-				}
-			case <-r.stop:
-				return
-			}
-		}
-	}()
-	return r, nil
-}
-
-// Stop halts the rekeyer and waits for its goroutine to exit. It is safe to
-// call once.
-func (r *AutoRekeyer) Stop() {
-	close(r.stop)
-	<-r.done
 }

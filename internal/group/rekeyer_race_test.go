@@ -62,8 +62,9 @@ func TestFlushRekeyRacesClose(t *testing.T) {
 	}
 }
 
-// TestAutoRekeyerRacesCoalescingWindow runs the periodic rekeyer flat out
-// against a stream of coalescing triggers: immediate rotations keep
+// TestAutoRekeyerRacesCoalescingWindow runs a periodic rekey — a ticker
+// goroutine calling Leader.Rekey, as an application's own timer would —
+// flat out against a stream of coalescing triggers: immediate rotations keep
 // absorbing the armed window (rekeyLocked's prologue) while flushRekey
 // keeps firing for the windows that survive. Afterwards the leader must be
 // quiescent — no pending flag left dangling — and every rotation must have
@@ -81,12 +82,24 @@ func TestAutoRekeyerRacesCoalescingWindow(t *testing.T) {
 	}
 	defer g.Close()
 
-	r, err := StartAutoRekey(g, 100*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(100 * time.Microsecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				if err := g.Rekey(); err != nil {
+					t.Errorf("periodic rekey: %v", err)
+				}
+			}
+		}
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -127,7 +140,6 @@ func TestAutoRekeyerRacesCoalescingWindow(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	r.Stop()
 	if e := <-epochs; e == 0 {
 		t.Fatal("no rotation ever happened")
 	}

@@ -8,19 +8,22 @@ import (
 	"enclaves/internal/symbolic"
 )
 
-// Step is one transition of the global model: an agent (A, L, or the
-// intruder E) fires, possibly consuming a message from the trace and
+// Transition is one step of a model whose states are S: an agent (A, L, or
+// the intruder E) fires, possibly consuming a message from the trace and
 // possibly adding one (constraint (1) of Section 4.2). Pure receive
 // transitions (e.g. L accepting an Ack) add nothing.
-type Step struct {
+type Transition[S any] struct {
 	Actor    string          // AgentUser, AgentLeader, or AgentIntruder
 	Action   string          // human-readable description for counterexamples
 	Consumed *symbolic.Field // content consumed by a receive guard, or nil
 	Emitted  *Msg            // message added to the trace, or nil
-	Next     *State
+	Next     S
 }
 
-func (st Step) String() string {
+// Step is one transition of the improved-protocol model.
+type Step = Transition[*State]
+
+func (st Transition[S]) String() string {
 	s := st.Actor + ": " + st.Action
 	if st.Consumed != nil {
 		s += fmt.Sprintf(" [consumes %s]", st.Consumed)

@@ -231,24 +231,7 @@ func (s *LegacyState) String() string {
 }
 
 // LegacyStep is one transition of the legacy model.
-type LegacyStep struct {
-	Actor    string
-	Action   string
-	Consumed *symbolic.Field
-	Emitted  *Msg
-	Next     *LegacyState
-}
-
-func (st LegacyStep) String() string {
-	s := st.Actor + ": " + st.Action
-	if st.Consumed != nil {
-		s += fmt.Sprintf(" [consumes %s]", st.Consumed)
-	}
-	if st.Emitted != nil {
-		s += fmt.Sprintf(" [emits %s]", st.Emitted)
-	}
-	return s
-}
+type LegacyStep = Transition[*LegacyState]
 
 // Successors enumerates every enabled legacy transition.
 func (sys *LegacySystem) Successors(s *LegacyState) []LegacyStep {

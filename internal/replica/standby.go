@@ -27,8 +27,6 @@ type StandbyConfig struct {
 	// primary is declared dead. The sender's ping deltas keep a healthy
 	// stream well under it.
 	Silence time.Duration
-	// Redial paces re-subscription attempts after a broken stream.
-	Redial time.Duration
 	// Logf, if non-nil, receives diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -67,12 +65,6 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	}
 	if cfg.Silence <= 0 {
 		cfg.Silence = 2 * time.Second
-	}
-	if cfg.Redial <= 0 {
-		cfg.Redial = cfg.Silence / 20
-		if cfg.Redial <= 0 {
-			cfg.Redial = 10 * time.Millisecond
-		}
 	}
 	s := &Standby{
 		cfg:     cfg,
@@ -163,8 +155,10 @@ func (s *Standby) run() {
 			return
 		}
 		mResubscribes.Inc()
+		// Re-subscription is paced at a twentieth of the silence budget,
+		// never faster than every 10 ms.
 		select {
-		case <-time.After(s.cfg.Redial):
+		case <-time.After(max(s.cfg.Silence/20, 10*time.Millisecond)):
 		case <-s.stopped:
 			return
 		}

@@ -92,16 +92,6 @@ func (p KeySyncPayload) Marshal() []byte {
 	return b.bytes
 }
 
-// UnmarshalKeySync decodes a KeySyncPayload.
-func UnmarshalKeySync(data []byte) (KeySyncPayload, error) {
-	p := parser{data: data}
-	out := KeySyncPayload{Epoch: p.uint64()}
-	if err := p.finish(); err != nil {
-		return KeySyncPayload{}, fmt.Errorf("%w: key sync: %v", ErrBadPayload, err)
-	}
-	return out, nil
-}
-
 // MaxReplNodes bounds the replicated key tree: a tree over MaxReplMembers
 // leaves has at most 2·n internal-plus-leaf nodes (plus the root).
 const MaxReplNodes = 2*MaxReplMembers + 1

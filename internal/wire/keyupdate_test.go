@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"enclaves/internal/crypto"
@@ -70,16 +71,13 @@ func TestKeyUpdateSealOpenBindsRouting(t *testing.T) {
 	}
 }
 
+// TestKeySyncPayloadRoundTrip pins KeySyncReq's payload: the member's
+// epoch as 8 big-endian bytes. The leader never decodes it (the payload is
+// diagnostic), so the test reads it back itself.
 func TestKeySyncPayloadRoundTrip(t *testing.T) {
-	out, err := UnmarshalKeySync(KeySyncPayload{Epoch: 99}.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Epoch != 99 {
-		t.Fatalf("epoch = %d", out.Epoch)
-	}
-	if _, err := UnmarshalKeySync([]byte{1, 2}); err == nil {
-		t.Fatal("short key sync accepted")
+	data := KeySyncPayload{Epoch: 99}.Marshal()
+	if len(data) != 8 || binary.BigEndian.Uint64(data) != 99 {
+		t.Fatalf("key sync payload = %x, want the epoch 99 as 8 big-endian bytes", data)
 	}
 }
 
