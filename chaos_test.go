@@ -415,8 +415,8 @@ func chaosSoak(t *testing.T, l transport.Listener, dial func(addr string) (trans
 //
 // and the join storm must have folded (strictly fewer rotations than
 // triggers, a non-zero coalesced delta), while every surviving bulk member
-// still converges to the final epoch — the parallel fan-out really
-// delivered the coalesced NewGroupKey broadcasts.
+// still converges to the final epoch — the fan-out really delivered the
+// coalesced NewGroupKey broadcasts.
 func TestChaosSoakLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -606,7 +606,7 @@ func TestChaosSoakLarge(t *testing.T) {
 	})
 
 	// Multicast churn across the chaos window: every send now fans out to
-	// ~510 outboxes through the worker pool.
+	// ~510 outboxes.
 	for round := 0; round < 30; round++ {
 		sessions[round%nsess].SendData([]byte("churn")) // ErrDown while rejoining is fine
 		time.Sleep(20 * time.Millisecond)
@@ -672,8 +672,7 @@ func TestChaosSoakLarge(t *testing.T) {
 	}
 
 	// Every surviving bulk member converges on the final coalesced epoch:
-	// the parallel fan-out delivered the last NewGroupKey to all ~476
-	// outboxes.
+	// the fan-out delivered the last NewGroupKey to all ~476 outboxes.
 	waitUntil(t, "survivors converge to the final epoch", 60*time.Second, func() bool {
 		want := g.Epoch()
 		for _, m := range survivors {

@@ -188,11 +188,11 @@ func (g *Leader) admitLocked(s *memberConn, resumed bool) {
 
 	// Inform the rest of the group first, then bring the new member up to
 	// date. Admin messages to each member are totally ordered by the
-	// verified pipeline, so every member sees a consistent history. A flat
-	// rotation's broadcast skips the joiner, whose view comes from MemberList;
-	// LKH's KeyUpdate frames are sealed under subtree keys it does not hold
-	// yet; inside a coalescing window it reads group traffic on the current
-	// key at once. In every case it gets the current keys just below.
+	// verified pipeline, so every member sees a consistent history. A
+	// rotation skips the joiner, flat or LKH: its view comes from MemberList,
+	// and its keys, its whole path under LKH, from the current keys sent
+	// just below; inside a coalescing window it reads group traffic on the
+	// current key at once.
 	rotate := !resumed && g.rekey.OnJoin
 	g.announceLocked(wire.MemberJoined{Name: s.user}, wire.NewGroupKey{Joined: []string{s.user}}, "join "+s.user, s.user,
 		rotate, rotate && g.coalesce <= 0)

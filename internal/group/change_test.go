@@ -179,13 +179,27 @@ func TestAdminMsgsPerChange(t *testing.T) {
 // the fast survivor's frame reached peers still on the old key and was
 // dropped by design. With the change and the key in one message, and no
 // body sealed before the change has fanned out (sealFrame), the key is in
-// every survivor's outbox before anyone can have sealed under it.
+// every survivor's outbox before anyone can have sealed under it. Under LKH
+// the KeyUpdates are queued with the rotation and sealed behind the same
+// wait, so the same holds for the new root key.
 func TestRekeyWindowClosed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"flat", Config{Rekey: DefaultRekeyPolicy()}},
+		{"lkh", Config{Rekey: DefaultRekeyPolicy(), LKH: true, LKHArity: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testRekeyWindowClosed(t, tc.cfg) })
+	}
+}
+
+func testRekeyWindowClosed(t *testing.T, cfg Config) {
 	const (
 		survivors = 4
 		rounds    = 200
 	)
-	g, ms := pipeGroup(t, Config{Rekey: DefaultRekeyPolicy()}, survivors+1)
+	g, ms := pipeGroup(t, cfg, survivors+1)
 
 	var (
 		claimed atomic.Uint64 // highest epoch some survivor has multicast under

@@ -257,7 +257,7 @@ func TestExpelImmediateUnderCoalescing(t *testing.T) {
 }
 
 // TestRekeyAfterCloseSafe: Rekey and Expel on a closed leader fail cleanly
-// instead of broadcasting into a drained fan-out pool.
+// instead of broadcasting into closed outboxes.
 func TestRekeyAfterCloseSafe(t *testing.T) {
 	g, err := NewLeader(Config{Name: leaderName, Users: map[string]crypto.Key{}})
 	if err != nil {

@@ -338,6 +338,19 @@ func TestFailoverResume(t *testing.T) {
 	if e := promoted.Epoch(); e != epochAtKill+1 {
 		t.Errorf("promoted epoch drifted to %d, want %d", e, epochAtKill+1)
 	}
+	// OnEvent runs on the audit dispatcher goroutine, so the last Resumed
+	// events may still be in flight when the sessions converge.
+	waitFor(t, "every Resumed event in the promoted audit log", func() bool {
+		promotedAudit.mu.Lock()
+		defer promotedAudit.mu.Unlock()
+		resumed := 0
+		for _, e := range promotedAudit.events {
+			if e.Kind == EventResumed {
+				resumed++
+			}
+		}
+		return resumed >= n
+	})
 	promotedAudit.mu.Lock()
 	rekeys, resumedEvents, joinedEvents := 0, 0, 0
 	minSeq := uint64(0)

@@ -130,17 +130,11 @@ type Leader struct {
 	// snapshots, liveness sweeps, Members() — take no leader lock. See
 	// registry.go for the full rule.
 	reg registry
-	// fan parallelizes broadcast fan-out; nil means sequential.
-	fan *fanout
 
 	// repl streams the log's replication projection to the subscribed
 	// standby; nil when replication is disabled. Publishing only enqueues —
 	// sealing and sending happen on the sender's own writer goroutine.
 	repl *replica.Sender
-
-	// kuQ feeds the key-update publisher goroutine (see lkh.go); nil when
-	// LKH is disabled. Like repl, producers only enqueue.
-	kuQ *queue.Queue[kuJob]
 
 	mu       sync.RWMutex // read side: sealFrame's wait for a change in progress
 	users    map[string]crypto.Key
@@ -201,14 +195,16 @@ type memberConn struct {
 // outFrame is one element of a member's outbox: a shared pre-encoded
 // fan-out frame (enc, used by the AppData relay so the envelope is encoded
 // once for all N recipients), a pre-sealed frame forwarded verbatim
-// (retransmissions, engine-drained replies), or an admin body
-// (sealed == false) that the member's writer goroutine seals into an
-// AdminMsg outside the global lock — broadcasts under Leader.mu only
-// enqueue, which is why the lock-hold time per broadcast is O(members)
-// queue pushes rather than O(members) AEAD seals.
+// (retransmissions, engine-drained replies), an LKH key update shared by
+// its subtree (ku, sealed once by the first writer to pop it), or an admin
+// body that the member's writer goroutine seals into an AdminMsg outside
+// the global lock — broadcasts under Leader.mu only enqueue, which is why
+// the lock-hold time per broadcast is O(members) queue pushes rather than
+// O(members) AEAD seals.
 type outFrame struct {
 	env    wire.Envelope
 	enc    *transport.Encoded
+	ku     *keyUpdate
 	body   wire.AdminBody
 	sealed bool
 }
@@ -298,10 +294,6 @@ func NewLeader(cfg Config) (*Leader, error) {
 	if coalesce < 0 {
 		coalesce = 0
 	}
-	var fan *fanout
-	if workers := defaultFanoutWorkers(); workers > 1 {
-		fan = newFanout(workers)
-	}
 	g := &Leader{
 		name:      cfg.Name,
 		rekey:     cfg.Rekey,
@@ -310,7 +302,6 @@ func NewLeader(cfg Config) (*Leader, error) {
 		liveness:  cfg.Liveness,
 		outboxCap: outboxCap,
 		tm:        newTenantMetrics(cfg.Tenant),
-		fan:       fan,
 		users:     users,
 		conns:     make(map[transport.Conn]bool),
 		groupKey:  kg,
@@ -324,9 +315,6 @@ func NewLeader(cfg Config) (*Leader, error) {
 		}
 		g.tree = tree
 		g.groupKey = tree.RootKey() // the root key IS the group key
-		g.kuQ = queue.NewBounded[kuJob](lkhQueueLimit)
-		g.wg.Add(1)
-		go g.keyUpdatePublisher()
 	}
 	if cfg.ReplKey.Valid() {
 		repl, err := replica.NewSender(cfg.Name, cfg.ReplKey, logf)
@@ -472,14 +460,7 @@ func (g *Leader) Close() {
 	if g.repl != nil {
 		g.repl.Detach()
 	}
-	if g.kuQ != nil {
-		g.kuQ.Close() // ends the key-update publisher
-	}
 	g.wg.Wait()
-	// Every broadcast dispatcher (serveConn handlers, the liveness loop,
-	// the flush timer's closed check) has stopped by now, so the fan-out
-	// pool can drain without racing a late submit.
-	g.fan.close()
 	g.log.stop()
 }
 
@@ -497,10 +478,11 @@ func (g *Leader) Rekey() error {
 
 // rekeyLocked rotates the group key now; cause becomes the Rekeyed record's
 // detail. delta names the membership change the rotation answers and skip
-// the joiner it must not reach: the flat path adds epoch and key and
+// the joiner it must not reach, which gets the current keys from
+// sendCurrentKeysLocked instead: the flat path adds epoch and key and
 // broadcasts that one body. Under LKH the rotation covers the dirty paths
-// (the root always included), keys travel as KeyUpdate frames, the caller
-// has announced the change itself, and delta is empty.
+// (the root always included), keys travel as KeyUpdate frames queued here,
+// the caller has announced the change itself, and delta is empty.
 func (g *Leader) rekeyLocked(cause string, delta wire.NewGroupKey, skip string) error {
 	// An immediate rotation satisfies any pending debounced one: absorb it
 	// so the window cannot fire a redundant second broadcast.
@@ -536,7 +518,7 @@ func (g *Leader) rekeyLocked(cause string, delta wire.NewGroupKey, skip string) 
 	}
 	g.log.record(change{kind: changeRekeyed, epoch: g.epoch, detail: cause, repl: wire.ReplDeltaPayload{GroupKey: kg}})
 	if g.tree != nil {
-		g.enqueueKeyUpdatesLocked(ups)
+		g.queueKeyUpdatesLocked(ups, skip)
 		return nil
 	}
 	delta.Epoch, delta.Key = g.epoch, kg
@@ -596,15 +578,9 @@ func (g *Leader) runMember(s *memberConn) {
 			s.drained(len(frames))
 			batch = batch[:0]
 			for _, f := range frames {
-				if f.enc != nil {
-					batch = append(batch, transport.Outgoing{Enc: f.enc})
-					continue
+				if out, ok := g.sealFrame(s, f); ok {
+					batch = append(batch, out)
 				}
-				env, ok := g.sealFrame(s, f)
-				if !ok {
-					continue
-				}
-				batch = append(batch, transport.Outgoing{Env: env})
 			}
 			if len(batch) == 0 {
 				continue
@@ -746,13 +722,17 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 	return false
 }
 
-// sealFrame resolves one outbox element into a wire frame. Pre-sealed
-// frames pass through; admin bodies go through the member's engine, which
+// sealFrame resolves one outbox element into a wire frame. Encoded and
+// pre-sealed frames pass through; a key update is sealed by its first
+// writer and shared; admin bodies go through the member's engine, which
 // seals an AdminMsg when the ack-gated pipeline is free and queues the
 // body internally otherwise (nothing to transmit yet).
-func (g *Leader) sealFrame(s *memberConn, f outFrame) (wire.Envelope, bool) {
-	if f.sealed {
-		return f.env, true
+func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool) {
+	switch {
+	case f.enc != nil:
+		return transport.Outgoing{Enc: f.enc}, true
+	case f.sealed:
+		return transport.Outgoing{Env: f.env}, true
 	}
 	// A membership change holds mu for its whole fan-out and this read side
 	// waits one out, so nobody holds a rotation's key, and multicasts under
@@ -762,7 +742,11 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (wire.Envelope, bool) {
 	closed := g.closed
 	g.mu.RUnlock()
 	if closed {
-		return wire.Envelope{}, false
+		return transport.Outgoing{}, false
+	}
+	if f.ku != nil {
+		enc := f.ku.encode(g)
+		return transport.Outgoing{Enc: enc}, enc != nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -770,14 +754,14 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (wire.Envelope, bool) {
 	env, err := s.engine.Send(f.body)
 	if err != nil {
 		g.logf("group: admin to %s: %v", s.user, err)
-		return wire.Envelope{}, false
+		return transport.Outgoing{}, false
 	}
 	if env == nil {
-		return wire.Envelope{}, false // queued behind the outstanding AdminMsg
+		return transport.Outgoing{}, false // queued behind the outstanding AdminMsg
 	}
 	mSealLatency.Observe(time.Since(start))
 	s.trackLocked(*env, start)
-	return *env, true
+	return transport.Outgoing{Env: *env}, true
 }
 
 // departedLocked records a departure (left, expelled or evicted, with its
@@ -829,8 +813,7 @@ func (g *Leader) announceLocked(notice wire.AdminBody, delta wire.NewGroupKey, c
 // broadcastAdminLocked queues an admin body for every member except skip.
 // Only the enqueues happen under Leader.mu — each member's writer seals its
 // own AdminMsg outside the lock — so the hold time measured here is the
-// fan-out cost, not members × AEAD; at scale the fan-out itself is split
-// across the worker pool.
+// fan-out cost, not members × AEAD.
 func (g *Leader) broadcastAdminLocked(body wire.AdminBody, skip string) {
 	start := time.Now()
 	g.bcastBuf = g.reg.appendAll(g.bcastBuf[:0], skip)
@@ -851,16 +834,29 @@ func (g *Leader) sendAdminLocked(s *memberConn, body wire.AdminBody) {
 	}
 }
 
+// fanoutPush pushes frame onto every target's outbox and returns the
+// members whose outbox overflowed. A caller holding Leader.mu keeps
+// broadcasts totally ordered: broadcast N's frames are on every outbox
+// before the lock releases and broadcast N+1 can start.
+func (g *Leader) fanoutPush(targets []*memberConn, frame outFrame) []*memberConn {
+	var overflowed []*memberConn
+	for _, s := range targets {
+		if g.pushFrameTo(s, frame) {
+			overflowed = append(overflowed, s)
+		}
+	}
+	return overflowed
+}
+
 // pushFrameTo enqueues one frame on a member's outbox and reports overflow
 // (true) so the caller can route the eviction through the group lock.
 // Heartbeat pacing advances only when an admin-body enqueue succeeds, and a
-// closed outbox (member tearing down) is not an error worth surfacing. This
-// is the unit of work fan-out workers execute; it touches only the outbox
-// and the member's own lock, never Leader.mu.
+// closed outbox (member tearing down) is not an error worth surfacing. It
+// touches only the outbox and the member's own lock, never Leader.mu.
 func (g *Leader) pushFrameTo(s *memberConn, f outFrame) bool {
 	switch err := s.pushOut(f); {
 	case err == nil:
-		if f.enc == nil && !f.sealed {
+		if f.body != nil {
 			s.mu.Lock()
 			s.lastAdmin = time.Now()
 			s.mu.Unlock()

@@ -8,14 +8,15 @@ package group
 // subtree — instead of the flat path's n per-member re-seals.
 //
 // Division of labor under the locking discipline: mutations and rotations
-// are computed under Leader.mu (pure bookkeeping, no crypto), producing
-// lkh.Updates plus a snapshot of each update's target connections; the
-// seals, encodes and outbox pushes happen on a dedicated publisher
-// goroutine, so AEAD work never holds the control-plane lock (the same
-// enqueue-only architecture as admin broadcasts and the AppData relay).
-// One publisher goroutine keeps rotations FIFO per outbox; receivers are
-// version-gated (last writer wins), so reordering against the ack-gated
-// PathKeys pipeline is harmless.
+// are computed under Leader.mu (pure bookkeeping, no crypto), and
+// rekeyLocked queues each lkh.Update on its subtree's outboxes before the
+// lock is released, as one shared keyUpdate frame. The first member writer
+// to pop that frame seals and encodes it, once, after the same sealFrame
+// wait that admin bodies take, so AEAD work never holds the control-plane
+// lock and no survivor can hold the new root key while a peer's copy is
+// not yet queued. The joiner of a rotation is skipped: sendCurrentKeysLocked
+// gives it the whole path. Receivers are version-gated (last writer wins),
+// so reordering against the ack-gated PathKeys pipeline is harmless.
 //
 // Delivery is fire-and-forget. A member that cannot open an update — it
 // missed frames across a reconnect, or an eviction raced — sends
@@ -24,28 +25,13 @@ package group
 // rate-limited to one resync per member per epoch.
 
 import (
-	"errors"
+	"sync"
 
 	"enclaves/internal/crypto"
 	"enclaves/internal/lkh"
-	"enclaves/internal/queue"
 	"enclaves/internal/transport"
 	"enclaves/internal/wire"
 )
-
-// lkhQueueLimit bounds the publisher's job queue. One job per rotation;
-// a backlog this deep means the publisher is thoroughly wedged, and
-// dropping a job only costs resyncs, never correctness.
-const lkhQueueLimit = 1024
-
-// kuJob is one rotation's worth of key updates with the target connections
-// captured under Leader.mu at rotation time, so the publisher never touches
-// the registry.
-type kuJob struct {
-	epoch   uint64
-	ups     []lkh.Update
-	targets [][]*memberConn
-}
 
 func toReplNode(r lkh.Record) wire.ReplLKHNode {
 	return wire.ReplLKHNode{
@@ -61,87 +47,69 @@ func fromReplNode(n wire.ReplLKHNode) lkh.Record {
 	}
 }
 
-// enqueueKeyUpdatesLocked snapshots each update's target connections and
-// hands the job to the publisher goroutine. Caller holds g.mu, so the
-// capture linearizes with membership changes; a member that departs before
-// the publisher runs just gets pushes onto a closed outbox (no-ops).
-func (g *Leader) enqueueKeyUpdatesLocked(ups []lkh.Update) {
-	if len(ups) == 0 || g.kuQ == nil {
-		return
-	}
-	job := kuJob{epoch: g.epoch, ups: ups, targets: make([][]*memberConn, len(ups))}
-	for i, up := range ups {
-		ts := make([]*memberConn, 0, len(up.Members))
+// keyUpdate is one rotated node key on its way to a child subtree: the
+// KeyUpdate payload without its box, and the two keys that make the box.
+// The same *keyUpdate sits on every outbox of the subtree; encode seals it
+// for all of them.
+type keyUpdate struct {
+	p               wire.KeyUpdatePayload
+	newKey, sealKey crypto.Key
+	once            sync.Once
+	enc             *transport.Encoded
+}
+
+// queueKeyUpdatesLocked puts each update of one rotation on the outboxes
+// of its subtree, all but skip's. Caller holds g.mu, so when the rotation
+// returns every target's copy is queued, ahead of anything a member can
+// seal under the new keys. An update whose only target is skip is never
+// sealed.
+func (g *Leader) queueKeyUpdatesLocked(ups []lkh.Update, skip string) {
+	var targets, overflowed []*memberConn
+	for _, up := range ups {
+		targets = targets[:0]
 		for _, user := range up.Members {
-			if s := g.reg.get(user); s != nil {
-				ts = append(ts, s)
+			if s := g.reg.get(user); s != nil && user != skip {
+				targets = append(targets, s)
 			}
 		}
-		job.targets[i] = ts
-	}
-	if err := g.kuQ.Push(job); errors.Is(err, queue.ErrFull) {
-		g.logf("group: key-update publisher backlogged; dropping rotation fan-out (members will resync)")
-	}
-}
-
-// keyUpdatePublisher drains rotation jobs for the leader's lifetime. A
-// single goroutine serializes jobs, so rotations reach each member's outbox
-// in the order they happened.
-func (g *Leader) keyUpdatePublisher() {
-	defer g.wg.Done()
-	for {
-		job, err := g.kuQ.Pop()
-		if err != nil {
-			return
-		}
-		g.publishKeyUpdates(job)
-	}
-}
-
-// publishKeyUpdates seals and fans out one rotation: per update, one AEAD
-// seal of the new node key under the child subtree's current key, one
-// envelope encode, and one shared pre-encoded frame pushed to every member
-// of the subtree. This is the O(log n): seal count per rotation is
-// ~arity · depth regardless of group size.
-func (g *Leader) publishKeyUpdates(job kuJob) {
-	var overflowed []*memberConn
-	for i, up := range job.ups {
-		if len(job.targets[i]) == 0 {
+		if len(targets) == 0 {
 			continue
 		}
-		c, err := crypto.NewCipher(up.SealKey)
+		ku := &keyUpdate{
+			p: wire.KeyUpdatePayload{
+				Node: uint64(up.Node), Ver: up.Ver, Under: uint64(up.Under),
+				Epoch: g.epoch, Root: up.Root,
+			},
+			newKey: up.NewKey, sealKey: up.SealKey,
+		}
+		overflowed = append(overflowed, g.fanoutPush(targets, outFrame{ku: ku})...)
+	}
+	for _, s := range overflowed {
+		g.evictLocked(s, "outbox overflow (slow consumer)")
+	}
+}
+
+// encode seals the new node key under the child subtree's key and encodes
+// the frame, on the first call only — one AEAD seal per update whatever the
+// subtree's size, which is the O(log n) — and returns the shared bytes, or
+// nil if sealing failed. Callers hold no lock.
+func (u *keyUpdate) encode(g *Leader) *transport.Encoded {
+	u.once.Do(func() {
+		c, err := crypto.NewCipher(u.sealKey)
 		if err != nil {
 			g.logf("group: key-update cipher: %v", err)
-			continue
+			return
 		}
-		p := wire.KeyUpdatePayload{
-			Node:  uint64(up.Node),
-			Ver:   up.Ver,
-			Under: uint64(up.Under),
-			Epoch: job.epoch,
-			Root:  up.Root,
-		}
-		box, err := c.Seal(up.NewKey.Bytes(), p.AD())
+		box, err := c.Seal(u.newKey.Bytes(), u.p.AD())
 		if err != nil {
 			g.logf("group: key-update seal: %v", err)
-			continue
+			return
 		}
-		p.Box = box
+		u.p.Box = box
 		mLKHSeals.Inc()
-		env := wire.Envelope{Type: wire.TypeKeyUpdate, Sender: g.name, Payload: p.Marshal()}
-		enc := transport.NewEncoded(env)
-		overflowed = append(overflowed, g.fanoutPush(job.targets[i], outFrame{enc: enc})...)
-	}
-	if len(overflowed) == 0 {
-		return
-	}
-	g.mu.Lock()
-	if !g.closed {
-		for _, s := range overflowed {
-			g.evictLocked(s, "outbox overflow (slow consumer)")
-		}
-	}
-	g.mu.Unlock()
+		u.enc = transport.NewEncoded(wire.Envelope{Type: wire.TypeKeyUpdate, Sender: g.name, Payload: u.p.Marshal()})
+	})
+	return u.enc
 }
 
 // pathKeysLocked builds the PathKeys admin body for one member: its

@@ -407,3 +407,49 @@ func TestLKHFailoverResume(t *testing.T) {
 		return got == n-1
 	})
 }
+
+// TestLKHJoinerSkippedUpdatesSealedOnce: a rotation's KeyUpdates skip its
+// joiner, which gets its whole path as PathKeys instead, so no joiner is
+// handed a KeyUpdate it has no key bag for and rejects it. And an update is
+// sealed once for its whole subtree: a manual Rekey of an 8-member binary
+// tree rotates only the root, so it costs one seal per child of the root,
+// not one per member, while every member applies one update.
+func TestLKHJoinerSkippedUpdatesSealedOnce(t *testing.T) {
+	withMetrics(t)
+	const n = 8
+	g, ms := pipeGroup(t, Config{Rekey: DefaultRekeyPolicy(), LKH: true, LKHArity: 2}, n)
+
+	// A leave and a rejoin: the rejoiner is a joiner over a surviving tree.
+	last := ms[n-1]
+	if err := last.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the leave to reach the leader", func() bool { return len(g.Members()) == n-1 })
+	ms[n-1] = pipeJoin(t, g, last.Name())
+	quiesce(t, g, ms)
+	for _, m := range ms {
+		if r := m.Rejected(); r != 0 {
+			t.Errorf("%s rejected %d frames, want 0", m.Name(), r)
+		}
+	}
+
+	g.mu.Lock()
+	children := 0
+	for _, r := range g.tree.Records() {
+		if r.Parent == g.tree.RootID() && r.ID != g.tree.RootID() {
+			children++
+		}
+	}
+	g.mu.Unlock()
+	seals, applied := mLKHSeals.Value(), counterVal(t, "member_key_updates_total")
+	if err := g.Rekey(); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, g, ms)
+	if got := mLKHSeals.Value() - seals; got != uint64(children) {
+		t.Errorf("a manual rekey sealed %d KeyUpdates, want %d (the root's children)", got, children)
+	}
+	if got := counterVal(t, "member_key_updates_total") - applied; got != n {
+		t.Errorf("members applied %d KeyUpdates, want %d (one each)", got, n)
+	}
+}

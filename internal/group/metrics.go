@@ -26,9 +26,10 @@ var (
 	mResumes        = metrics.NewCounter("group_resumes_total")
 	mResumeRejected = metrics.NewCounter("group_resume_rejected_total")
 
-	// mLKHSeals counts AEAD seals performed by the key-update publisher —
-	// the quantity LKH makes logarithmic: per rotation it is ~arity·depth
-	// regardless of group size, versus the flat broadcast's n. mKeySyncs
+	// mLKHSeals counts KeyUpdate seals, one per update whatever its subtree
+	// size (the first member writer to pop it seals it for all) — the
+	// quantity LKH makes logarithmic: per rotation it is ~arity·depth,
+	// versus the flat broadcast's n. mKeySyncs
 	// counts PathKeys resyncs served in answer to KeySyncReq.
 	mLKHSeals = metrics.NewCounter("group_lkh_seals_total")
 	mKeySyncs = metrics.NewCounter("group_key_syncs_total")

@@ -63,11 +63,11 @@ func TestOutboxDepthGaugeAggregates(t *testing.T) {
 	}
 }
 
-// TestOutboxDepthGaugeConcurrent: with fan-out workers pushing to many
+// TestOutboxDepthGaugeConcurrent: with concurrent relays pushing to many
 // outboxes in parallel, the gauge must stay exact — balanced push/drain
 // traffic from many goroutines lands the aggregate back on the baseline
 // with no lost updates. Run under -race this also proves the memory safety
-// of the path the parallel fan-out relies on.
+// of the path concurrent fan-outs rely on.
 func TestOutboxDepthGaugeConcurrent(t *testing.T) {
 	withMetrics(t)
 	base := mOutboxDepth.Value()
@@ -78,8 +78,8 @@ func TestOutboxDepthGaugeConcurrent(t *testing.T) {
 		conns[i] = &memberConn{user: fmt.Sprintf("m%02d", i), out: queue.NewBounded[outFrame](8)}
 	}
 
-	// Each worker owns a disjoint set of outboxes (a worker pool shard) and
-	// runs push-then-drain rounds, all on the one gauge.
+	// Each worker owns a disjoint set of outboxes and runs push-then-drain
+	// rounds, all on the one gauge.
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -27,8 +27,8 @@ func armWindow(g *Leader) {
 // TestFlushRekeyRacesClose arms a near-zero coalescing window and tears the
 // leader down at the same moment the timer fires, many times over, flat and
 // LKH both — flushRekey must lose cleanly to Close (timer cancelled or
-// no-op on the closed flag), and under LKH the key-update publisher must
-// drain and exit without touching freed state.
+// no-op on the closed flag); under LKH the rotation queues its KeyUpdates
+// under the same lock, so it must lose to Close the same way.
 func TestFlushRekeyRacesClose(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		cfg := Config{

@@ -39,9 +39,10 @@ func buildTree(tb testing.TB, n, arity int) *lkh.Tree {
 	return tree
 }
 
-// sealUpdates performs the publisher's per-update work for one rotation:
+// sealUpdates performs the leader's per-update work for one rotation:
 // one AEAD seal of the rotated key under the child subtree's current key
-// and one payload encode per update (internal/group.publishKeyUpdates).
+// and one payload encode per update (internal/group's keyUpdate.encode,
+// run once per update by the first member writer to pop it).
 // It returns the seal count.
 func sealUpdates(tb testing.TB, epoch uint64, ups []lkh.Update) int {
 	tb.Helper()
