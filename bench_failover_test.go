@@ -27,9 +27,11 @@ import (
 //
 // The sweep stops at 1024 where the data-plane sweep (BENCH_scale.json)
 // goes to 4096: each op here must first bring up n ready-gated supervised
-// sessions, and that bring-up is O(n²) membership-announcement traffic
-// (every join is broadcast to every member), which at 4096 takes tens of
-// minutes on the 1-vCPU reference host and dwarfs the failover under test.
+// sessions, and every join is still announced to every member. Notices
+// that queue behind a member's unacknowledged AdminMsg fold into one, so
+// the messages are fewer than n² under a storm, but each coalesced rotation
+// is still an O(n) fan-out; at 4096 the bring-up took tens of minutes on the
+// 1-vCPU reference host and dwarfed the failover under test.
 func BenchmarkFailover(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {

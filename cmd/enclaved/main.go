@@ -42,8 +42,9 @@
 // -groups, -max-groups, and -group-ttl switch the daemon into multi-tenant
 // mode: one process hosts many independent groups — each with its own
 // users, keys, epochs, rekeyer, and audit stream — behind the one listener.
-// -groups N precreates groups g0..g(N-1) alongside the default group
-// (-name, where unlabeled streams land); -max-groups caps groups
+// -groups N precreates groups g0..g(N-1); the default group (-name, where
+// unlabeled streams land) is created when the first stream reaches it and
+// is never collected or counted against -max-groups; -max-groups caps groups
 // created on demand by the first connection naming them (0 forbids dynamic
 // creation, negative is unlimited); -group-ttl garbage-collects dynamic
 // groups idle past the window. Every group derives its member keys with the
@@ -113,7 +114,7 @@ func run(args []string) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (JSON snapshot) and /debug/pprof on this address (empty disables collection)")
 		verbose     = fs.Bool("v", false, "verbose logging")
 
-		nGroups   = fs.Int("groups", 0, "multi-tenant: precreate this many groups g0..g(N-1) beside the default group")
+		nGroups   = fs.Int("groups", 0, "multi-tenant: precreate this many groups g0..g(N-1); the default group (-name) is created on first use")
 		maxGroups = fs.Int("max-groups", 0, "multi-tenant: cap on dynamically created groups (0 = none, <0 = unlimited)")
 		groupTTL  = fs.Duration("group-ttl", 0, "multi-tenant: collect dynamic groups idle this long (0 = never)")
 
@@ -261,19 +262,16 @@ type directoryParams struct {
 // runDirectory serves a multi-tenant daemon: a group directory behind one
 // shared listener, each stream routed by its group label.
 func runDirectory(p directoryParams) error {
-	precreate := make([]string, 0, p.groups+1)
-	precreate = append(precreate, p.template.Name)
-	for i := 0; i < p.groups; i++ {
-		g := fmt.Sprintf("g%d", i)
-		if g != p.template.Name {
-			precreate = append(precreate, g)
-		}
+	precreate := make([]string, p.groups)
+	for i := range precreate {
+		precreate[i] = fmt.Sprintf("g%d", i)
 	}
 	// Per-group key derivation: the group ID is the leader identity in the
 	// derivation, so one password file yields unrelated keys per group — the
 	// isolation-by-construction boundary. The precreated groups derive as one
-	// batch so start-up uses every core whatever the groups × users shape; a
-	// dynamic group derives when its first connection names it.
+	// batch so start-up uses every core whatever the groups × users shape;
+	// the default group and a dynamic group derive when their first
+	// connection arrives.
 	precreated := deriveKeys(p.passwords, precreate...)
 	dir, err := group.NewDirectory(group.DirectoryConfig{
 		NewConfig: func(g string) (group.Config, error) {
@@ -300,7 +298,7 @@ func runDirectory(p directoryParams) error {
 		dir.Close()
 		return err
 	}
-	log.Printf("enclaved: multi-tenant daemon on %s: %d groups precreated (default %q), dynamic cap %d, idle TTL %v",
+	log.Printf("enclaved: multi-tenant daemon on %s: %d groups precreated (default %q on first use), dynamic cap %d, idle TTL %v",
 		nl.Addr(), len(precreate), p.template.Name, p.maxGroups, p.ttl)
 
 	sigCh := make(chan os.Signal, 1)

@@ -141,8 +141,8 @@ func TestLoadPasswordsErrors(t *testing.T) {
 
 // TestStartupDerivesEachKeyOnce counts derivations through the deriveKeys
 // seam: a single-tenant start-up derives one key per user, a multi-tenant
-// one a key per user per precreated group (the default group included) and
-// none for the -name identity it does not serve on its own. The unparsable
+// one a key per user per precreated group g0..g(N-1) and none for the
+// default group (-name), which derives on its first connection. The unparsable
 // listen address ends each run right after the keys exist.
 func TestStartupDerivesEachKeyOnce(t *testing.T) {
 	users := filepath.Join(t.TempDir(), "users.txt")
@@ -162,10 +162,10 @@ func TestStartupDerivesEachKeyOnce(t *testing.T) {
 		want int
 	}{
 		{"single-tenant", nil, nUsers},
-		{"groups 5", []string{"-groups", "5"}, (5 + 1) * nUsers},
-		{"groups 2 with lkh", []string{"-groups", "2", "-lkh"}, (2 + 1) * nUsers},
+		{"groups 5", []string{"-groups", "5"}, 5 * nUsers},
+		{"groups 2 with lkh", []string{"-groups", "2", "-lkh"}, 2 * nUsers},
 		{"default group named like a precreated one", []string{"-groups", "2", "-name", "g1"}, 2 * nUsers},
-		{"dynamic only", []string{"-max-groups", "-1"}, nUsers},
+		{"dynamic only", []string{"-max-groups", "-1"}, 0},
 	} {
 		derived = 0
 		err := run(append([]string{"-users", users, "-addr", "bad:addr:extra"}, tc.args...))

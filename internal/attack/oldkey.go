@@ -27,40 +27,20 @@ func OldSessionKeyCompromise(Medium) (Outcome, error) {
 
 	// --- Session 1: complete join, one admin round, leave. The attacker
 	// records every frame and steals the session key.
-	m1, err := core.NewMemberSession(victimName, leaderName, longTerm)
-	if err != nil {
-		return out, err
-	}
-	l1, err := core.NewLeaderSession(leaderName, victimName, longTerm)
-	if err != nil {
-		return out, err
-	}
 	var captured []wire.Envelope
 	record := func(env wire.Envelope) wire.Envelope {
 		captured = append(captured, env)
 		return env
 	}
-
-	initReq, err := m1.Start()
+	m1, l1, err := joinedPair(longTerm, record)
 	if err != nil {
 		return out, err
 	}
-	lev, err := l1.Handle(record(initReq))
+	adminEnv, err := l1.Send(wire.Joined(evilName))
 	if err != nil {
 		return out, err
 	}
-	mev, err := m1.Handle(record(*lev.Reply))
-	if err != nil {
-		return out, err
-	}
-	if _, err := l1.Handle(record(*mev.Reply)); err != nil {
-		return out, err
-	}
-	adminEnv, err := l1.Send(wire.MemberJoined{Name: evilName})
-	if err != nil {
-		return out, err
-	}
-	mev, err = m1.Handle(record(*adminEnv))
+	mev, err := m1.Handle(record(*adminEnv))
 	if err != nil {
 		return out, err
 	}
@@ -80,27 +60,8 @@ func OldSessionKeyCompromise(Medium) (Outcome, error) {
 	}
 
 	// --- Session 2: a fresh join by the same user.
-	m2, err := core.NewMemberSession(victimName, leaderName, longTerm)
+	m2, l2, err := joinedPair(longTerm, func(env wire.Envelope) wire.Envelope { return env })
 	if err != nil {
-		return out, err
-	}
-	l2, err := core.NewLeaderSession(leaderName, victimName, longTerm)
-	if err != nil {
-		return out, err
-	}
-	initReq2, err := m2.Start()
-	if err != nil {
-		return out, err
-	}
-	lev2, err := l2.Handle(initReq2)
-	if err != nil {
-		return out, err
-	}
-	mev2, err := m2.Handle(*lev2.Reply)
-	if err != nil {
-		return out, err
-	}
-	if _, err := l2.Handle(*mev2.Reply); err != nil {
 		return out, err
 	}
 
@@ -117,7 +78,7 @@ func OldSessionKeyCompromise(Medium) (Outcome, error) {
 	}
 	forgeries := []wire.Envelope{}
 	adminForged := wire.Envelope{Type: wire.TypeAdminMsg, Sender: leaderName, Receiver: victimName}
-	p := wire.AdminMsgPayload{Leader: leaderName, User: victimName, Seq: 1, Body: wire.MemberLeft{Name: evilName}}
+	p := wire.AdminMsgPayload{Leader: leaderName, User: victimName, Seq: 1, Body: wire.Left(evilName)}
 	if box, err := crypto.Seal(leakedKey, p.Marshal(), adminForged.Header()); err == nil {
 		adminForged.Payload = box
 		forgeries = append(forgeries, adminForged)
@@ -138,7 +99,7 @@ func OldSessionKeyCompromise(Medium) (Outcome, error) {
 
 	// --- Verdict: nothing accepted AND session 2 still fully functional.
 	sessionLive := true
-	env, err := l2.Send(wire.MemberJoined{Name: "bob"})
+	env, err := l2.Send(wire.Joined("bob"))
 	if err != nil || env == nil {
 		sessionLive = false
 	} else {
@@ -158,4 +119,31 @@ func OldSessionKeyCompromise(Medium) (Outcome, error) {
 			len(captured)*2, len(forgeries)*2)
 	}
 	return out, nil
+}
+
+// joinedPair runs the three-message join between fresh victim and leader
+// engines, passing every frame through record on its way.
+func joinedPair(longTerm crypto.Key, record func(wire.Envelope) wire.Envelope) (*core.MemberSession, *core.LeaderSession, error) {
+	m, err := core.NewMemberSession(victimName, leaderName, longTerm)
+	if err != nil {
+		return nil, nil, err
+	}
+	l, err := core.NewLeaderSession(leaderName, victimName, longTerm)
+	if err != nil {
+		return nil, nil, err
+	}
+	initReq, err := m.Start()
+	if err != nil {
+		return nil, nil, err
+	}
+	lev, err := l.Handle(record(initReq))
+	if err != nil {
+		return nil, nil, err
+	}
+	mev, err := m.Handle(record(*lev.Reply))
+	if err != nil {
+		return nil, nil, err
+	}
+	_, err = l.Handle(record(*mev.Reply))
+	return m, l, err
 }

@@ -164,7 +164,7 @@ func MembershipForgeryImproved(net Medium) (Outcome, error) {
 	// Attempt 1: AdminMsg-shaped forgery under the (leaked) group key.
 	kg, _ := evil.GroupKey()
 	forged := wire.Envelope{Type: wire.TypeAdminMsg, Sender: leaderName, Receiver: victimName}
-	p := wire.AdminMsgPayload{Leader: leaderName, User: victimName, Seq: 99, Body: wire.MemberLeft{Name: evilName}}
+	p := wire.AdminMsgPayload{Leader: leaderName, User: victimName, Seq: 99, Body: wire.Left(evilName)}
 	box, err := crypto.Seal(kg, p.Marshal(), forged.Header())
 	if err != nil {
 		return out, err

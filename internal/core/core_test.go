@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"enclaves/internal/crypto"
@@ -117,7 +119,7 @@ func TestAdminDelivery(t *testing.T) {
 	m, l := newPair(t)
 	handshake(t, m, l)
 
-	envp, err := l.Send(wire.MemberJoined{Name: "bob"})
+	envp, err := l.Send(wire.Joined("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +127,7 @@ func TestAdminDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, ok := mev.Admin.(wire.MemberJoined)
-	if !ok || joined.Name != "bob" {
+	if got := mev.Admin.String(); got != wire.Joined("bob").String() {
 		t.Fatalf("admin body = %v", mev.Admin)
 	}
 	if mev.Seq != 1 {
@@ -144,17 +145,21 @@ func TestAdminDelivery(t *testing.T) {
 	}
 }
 
+// TestAdminPipelineOrder: one AdminMsg is outstanding at a time and bodies
+// drain in order, one per ack. Notices queued behind the outstanding one
+// fold into a single body, so four bodies (a notice out, two notices and a
+// heartbeat queued) leave two pending: the folded notices, then the
+// heartbeat.
 func TestAdminPipelineOrder(t *testing.T) {
 	m, l := newPair(t)
 	handshake(t, m, l)
 
-	// Queue three bodies; only the first is emitted immediately.
-	first, err := l.Send(wire.MemberJoined{Name: "m1"})
+	first, err := l.Send(wire.Joined("m1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"m2", "m3"} {
-		envp, err := l.Send(wire.MemberJoined{Name: name})
+	for _, body := range []wire.AdminBody{wire.Joined("m2"), wire.Left("m3"), wire.Heartbeat{}} {
+		envp, err := l.Send(body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +173,13 @@ func TestAdminPipelineOrder(t *testing.T) {
 
 	// Drain: each ack releases the next message, in order.
 	env := first
-	for i, want := range []string{"m1", "m2", "m3"} {
+	for i, want := range []string{"MemberChanges[+m1]", "MemberChanges[+m2 -m3]", "Heartbeat()"} {
 		mev, err := m.Handle(*env)
 		if err != nil {
 			t.Fatalf("admin %d: %v", i, err)
 		}
-		if got := mev.Admin.(wire.MemberJoined).Name; got != want {
-			t.Fatalf("admin %d: got %q want %q", i, got, want)
+		if got := mev.Admin.String(); got != want {
+			t.Fatalf("admin %d: got %s want %s", i, got, want)
 		}
 		lev, err := l.Handle(*mev.Reply)
 		if err != nil {
@@ -190,13 +195,86 @@ func TestAdminPipelineOrder(t *testing.T) {
 	}
 }
 
+// TestNoticesFoldBehindAck: 200 notices behind one outstanding AdminMsg
+// leave ceil(200/64) pending bodies whose flattened changes are the 200 in
+// send order; a key body queued between notices ends the fold, so the
+// notices after it start a new body. Folding never writes into the array
+// of a body the caller still holds (a broadcast shares one per member).
+func TestNoticesFoldBehindAck(t *testing.T) {
+	m, l := newPair(t)
+	handshake(t, m, l)
+	env, err := l.Send(wire.Heartbeat{})
+	if err != nil || env == nil {
+		t.Fatalf("first Send: %v, %v", env, err)
+	}
+
+	const n = 200
+	var want []wire.MemberChange
+	var sent [][]wire.MemberChange
+	for i := 0; i < n; i++ {
+		c := wire.MemberChange{Name: fmt.Sprintf("m%d", i), Left: i%3 == 0}
+		want = append(want, c)
+		changes := append(make([]wire.MemberChange, 0, 8), c) // spare capacity a fold must not use
+		sent = append(sent, changes)
+		if _, err := l.Send(wire.MemberChanges{Changes: changes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, changes := range sent {
+		if changes[:2][1] != (wire.MemberChange{}) {
+			t.Fatal("a fold appended into the caller's array")
+		}
+	}
+	if got, wantN := l.PendingAdmin(), (n+wire.MaxDeltaNames-1)/wire.MaxDeltaNames; got != wantN {
+		t.Fatalf("pending = %d after %d notices, want %d", got, n, wantN)
+	}
+	key, err := crypto.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []wire.AdminBody{wire.NewGroupKey{Epoch: 2, Key: key}, wire.Joined("after"), wire.Heartbeat{}} {
+		if _, err := l.Send(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want = append(want, wire.MemberChange{Name: "after"})
+	if got := l.PendingAdmin(); got != 7 {
+		t.Fatalf("pending = %d after a key, one more notice and a heartbeat, want 7", got)
+	}
+
+	var got []wire.MemberChange
+	var bodies []string
+	for env != nil {
+		mev, err := m.Handle(*env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, mev.Admin.AdminKind().String())
+		if mc, ok := mev.Admin.(wire.MemberChanges); ok {
+			got = append(got, mc.Changes...)
+		}
+		lev, err := l.Handle(*mev.Reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env = lev.Reply
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flattened changes differ from the order sent:\n got %v\nwant %v", got, want)
+	}
+	wantBodies := []string{"Heartbeat", "MemberChanges", "MemberChanges", "MemberChanges", "MemberChanges", "NewGroupKey", "MemberChanges", "Heartbeat"}
+	if !slices.Equal(bodies, wantBodies) {
+		t.Errorf("bodies = %v, want %v", bodies, wantBodies)
+	}
+}
+
 func TestSendBeforeAcceptanceQueues(t *testing.T) {
 	m, l := newPair(t)
 	initReq, _ := m.Start()
 	lev, _ := l.Handle(initReq)
 
 	// Queue while waiting for the key ack.
-	envp, err := l.Send(wire.MemberJoined{Name: "early"})
+	envp, err := l.Send(wire.Joined("early"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +294,7 @@ func TestSendBeforeAcceptanceQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mev2.Admin.(wire.MemberJoined).Name != "early" {
+	if mev2.Admin.String() != wire.Joined("early").String() {
 		t.Errorf("admin = %v", mev2.Admin)
 	}
 }
@@ -224,7 +302,7 @@ func TestSendBeforeAcceptanceQueues(t *testing.T) {
 func TestAdminReplayRejected(t *testing.T) {
 	m, l := newPair(t)
 	handshake(t, m, l)
-	adminEnv := adminRound(t, m, l, wire.MemberJoined{Name: "bob"})
+	adminEnv := adminRound(t, m, l, wire.Joined("bob"))
 
 	// Replaying the captured AdminMsg must fail the freshness check.
 	if _, err := m.Handle(adminEnv); !errors.Is(err, ErrFreshness) {
@@ -239,14 +317,14 @@ func TestAckReplayRejected(t *testing.T) {
 	m, l := newPair(t)
 	handshake(t, m, l)
 
-	envp, _ := l.Send(wire.MemberJoined{Name: "bob"})
+	envp, _ := l.Send(wire.Joined("bob"))
 	mev, _ := m.Handle(*envp)
 	if _, err := l.Handle(*mev.Reply); err != nil {
 		t.Fatal(err)
 	}
 	// Send another admin so the leader is waiting again, then replay the
 	// old ack: its NPrev no longer matches the leader's nonce.
-	if _, err := l.Send(wire.MemberJoined{Name: "carol"}); err != nil {
+	if _, err := l.Send(wire.Joined("carol")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Handle(*mev.Reply); !errors.Is(err, ErrFreshness) {
@@ -280,7 +358,7 @@ func TestForgedAdminRejected(t *testing.T) {
 	// Forge an AdminMsg under a key the attacker controls.
 	evilKey, _ := crypto.NewKey()
 	env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: testLeader, Receiver: testUser}
-	p := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 9, Body: wire.MemberLeft{Name: "bob"}}
+	p := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 9, Body: wire.Left("bob")}
 	box, _ := crypto.Seal(evilKey, p.Marshal(), env.Header())
 	env.Payload = box
 	if _, err := m.Handle(env); !errors.Is(err, ErrAuth) {
@@ -380,7 +458,7 @@ func TestSendAfterCloseFails(t *testing.T) {
 	if _, err := l.Handle(closeEnv); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Send(wire.MemberJoined{Name: "x"}); !errors.Is(err, ErrClosed) {
+	if _, err := l.Send(wire.Joined("x")); !errors.Is(err, ErrClosed) {
 		t.Errorf("Send after close: err = %v", err)
 	}
 }

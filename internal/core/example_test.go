@@ -30,7 +30,7 @@ func Example() {
 	fmt.Println("member accepted:", lev.Accepted)
 
 	// One group-management round: AdminMsg -> Ack.
-	adminEnv, _ := l.Send(wire.MemberJoined{Name: "bob"})
+	adminEnv, _ := l.Send(wire.Joined("bob"))
 	mev, _ = m.Handle(*adminEnv)
 	fmt.Println("admin delivered:", mev.Admin)
 	lev, _ = l.Handle(*mev.Reply)
@@ -48,7 +48,7 @@ func Example() {
 
 	// Output:
 	// member accepted: true
-	// admin delivered: MemberJoined(bob)
+	// admin delivered: MemberChanges[+bob]
 	// admin acknowledged: true
 	// replay rejected
 	// session closed: true

@@ -124,7 +124,7 @@ func TestMutatedAdminFramesRejected(t *testing.T) {
 	handshake(t, m, l)
 
 	for round := 0; round < 30; round++ {
-		envp, err := l.Send(wire.MemberJoined{Name: "x"})
+		envp, err := l.Send(wire.Joined("x"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestForgeryUnderDerivedKeysRejected(t *testing.T) {
 	randomKey, _ := crypto.NewKey()
 	for _, k := range []crypto.Key{otherLongTerm, randomKey} {
 		env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: testLeader, Receiver: testUser}
-		p := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 1, Body: wire.MemberLeft{Name: "bob"}}
+		p := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 1, Body: wire.Left("bob")}
 		box, err := crypto.Seal(k, p.Marshal(), env.Header())
 		if err != nil {
 			t.Fatal(err)

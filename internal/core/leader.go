@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"enclaves/internal/crypto"
 	"enclaves/internal/wire"
@@ -268,7 +269,9 @@ func (l *LeaderSession) handleClose(env wire.Envelope) (LeaderEvent, error) {
 // free (Connected with no outstanding AdminMsg) the AdminMsg envelope is
 // returned immediately; otherwise it is queued and will be emitted by the
 // LeaderEvent of a future acknowledgment. Send before the member is
-// accepted queues the body for delivery right after acceptance.
+// accepted queues the body for delivery right after acceptance. Queued
+// notices fold (see enqueue), so a burst of k behind one outstanding
+// AdminMsg costs one message per round trip, not k.
 func (l *LeaderSession) Send(body wire.AdminBody) (*wire.Envelope, error) {
 	switch l.phase {
 	case LeaderClosed:
@@ -276,9 +279,30 @@ func (l *LeaderSession) Send(body wire.AdminBody) (*wire.Envelope, error) {
 	case LeaderConnected:
 		return l.emitAdmin(body)
 	default:
-		l.pending = append(l.pending, body)
+		l.enqueue(body)
 		return nil, nil
 	}
+}
+
+// enqueue appends body to the pending queue. A wire.MemberChanges folds
+// into a MemberChanges at the tail while both fit in wire.MaxDeltaNames, so
+// nothing folds across another body and the flattened changes keep their
+// order. Queued lists are clipped: the first fold copies the caller's
+// (possibly shared) array, and later folds append to that private copy.
+func (l *LeaderSession) enqueue(body wire.AdminBody) {
+	mc, ok := body.(wire.MemberChanges)
+	if n := len(l.pending); ok && n > 0 {
+		if last, ok := l.pending[n-1].(wire.MemberChanges); ok && len(last.Changes)+len(mc.Changes) <= wire.MaxDeltaNames {
+			last.Changes = append(last.Changes, mc.Changes...)
+			l.pending[n-1] = last
+			return
+		}
+	}
+	if ok {
+		mc.Changes = slices.Clip(mc.Changes)
+		body = mc
+	}
+	l.pending = append(l.pending, body)
 }
 
 // maybeSendNext drains the head of the pending queue into ev.Reply when the
@@ -288,6 +312,7 @@ func (l *LeaderSession) maybeSendNext(ev *LeaderEvent) error {
 		return nil
 	}
 	body := l.pending[0]
+	l.pending[0] = nil // the backing array outlives the pop
 	l.pending = l.pending[1:]
 	env, err := l.emitAdmin(body)
 	if err != nil {

@@ -93,7 +93,7 @@ func TestResumeRoundTrip(t *testing.T) {
 	}
 
 	// The pipeline continues as if the failover never happened.
-	adminRound(t, m, l, wire.MemberJoined{Name: "bob"})
+	adminRound(t, m, l, wire.Joined("bob"))
 }
 
 // TestResumeReplayRejected: a captured Resume replayed after the genuine one

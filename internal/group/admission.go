@@ -194,7 +194,7 @@ func (g *Leader) admitLocked(s *memberConn, resumed bool) {
 	// just below; inside a coalescing window it reads group traffic on the
 	// current key at once.
 	rotate := !resumed && g.rekey.OnJoin
-	g.announceLocked(wire.MemberJoined{Name: s.user}, wire.NewGroupKey{Joined: []string{s.user}}, "join "+s.user, s.user,
+	g.announceLocked(wire.Joined(s.user), wire.NewGroupKey{Joined: []string{s.user}}, "join "+s.user, s.user,
 		rotate, rotate && g.coalesce <= 0)
 	// On a resumption this is the first body in the fresh outbox: the engine
 	// seals it as the ResumeAck, and the rest queues behind the member's ack.

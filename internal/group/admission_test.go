@@ -129,7 +129,18 @@ func newPromotedRig(t *testing.T) *promotedRig {
 
 	r.alice = join(t, r.net, "alice")
 	oldBob := join(t, r.net, "bob")
+	// The primary's pipelines must be idle too: a join ends with the key and
+	// then the MemberList, and a replica that matches the member between the
+	// two is one ack behind once the MemberList lands.
 	waitFor(t, "replica quiescent with both sessions current", func() bool {
+		for _, s := range primary.reg.appendAll(nil, "") {
+			s.mu.Lock()
+			busy := len(s.unacked) > 0 || s.out.Len() > 0 || s.engine.PendingAdmin() > 0
+			s.mu.Unlock()
+			if busy {
+				return false
+			}
+		}
 		st := sb.State()
 		as, aok := r.alice.ResumeState()
 		bs, bok := oldBob.ResumeState()

@@ -18,6 +18,7 @@ import (
 	"enclaves/internal/crypto"
 	"enclaves/internal/member"
 	"enclaves/internal/transport"
+	"enclaves/internal/wire"
 )
 
 // pipeJoin attaches user to g over an in-memory pipe, with no listener.
@@ -108,8 +109,10 @@ func adminEvents(m *member.Member) []member.Event {
 // Where no key message follows at once the standalone notices are what they
 // always were: n-1 under LKH (keys travel as KeyUpdate frames) and with the
 // policy off, and with a coalescing window the notice now and the key after
-// it. Every message is acknowledged exactly once, and after each change every
-// member's view and epoch are the leader's.
+// it. Serial changes never fold (each notice finds the pipeline idle), so the
+// counts are the same with notice folding. Every message is acknowledged
+// exactly once, and after each change every member's view and epoch are the
+// leader's.
 func TestAdminMsgsPerChange(t *testing.T) {
 	withMetrics(t)
 	const n = 16
@@ -170,6 +173,135 @@ func TestAdminMsgsPerChange(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// ackGate holds acknowledgments from the moment hold is set until release
+// is closed: a member behind it is slow to answer, so everything the leader
+// sends it meanwhile queues behind one outstanding AdminMsg.
+type ackGate struct {
+	hold    atomic.Bool
+	release chan struct{}
+}
+
+// holdAcksConn is a member-side Conn whose acknowledgments pass its gate.
+type holdAcksConn struct {
+	transport.Conn
+	gate *ackGate
+}
+
+func (c holdAcksConn) Send(e wire.Envelope) error {
+	if e.Type == wire.TypeAck && c.gate.hold.Load() {
+		<-c.gate.release
+	}
+	return c.Conn.Send(e)
+}
+
+// TestJoinStormFoldsNotices: under LKH a join reaches the members already
+// in the group as a notice (the keys travel as KeyUpdate frames), and
+// notices queued behind an unacknowledged AdminMsg fold into one. 64
+// joiners, 16 at a time, reach survivors that hold their acks until the
+// storm is over: each survivor gets the first join alone and the other 63
+// in one folded message, two AdminMsgs where one per join cost 64, and
+// still sees one Joined event per joiner, in the leader's order.
+func TestJoinStormFoldsNotices(t *testing.T) {
+	withMetrics(t)
+	const survivors, joiners, wave = 4, 64, 16
+	var mu sync.Mutex
+	var order []string // joins in the leader's order
+	cfg := Config{Name: leaderName, Rekey: DefaultRekeyPolicy(), LKH: true, Users: map[string]crypto.Key{},
+		OnEvent: func(e Event) {
+			if e.Kind == EventJoined {
+				mu.Lock()
+				order = append(order, e.User)
+				mu.Unlock()
+			}
+		}}
+	for i := 0; i < survivors+joiners; i++ {
+		u := fmt.Sprintf("u%d", i)
+		cfg.Users[u] = crypto.DeriveKey(u, leaderName, u+"-pw")
+	}
+	g, err := NewLeader(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	gate := &ackGate{release: make(chan struct{})}
+	join := func(u string, hold bool) (*member.Member, error) {
+		a, b := transport.Pipe()
+		if err := g.ServeConn(b); err != nil {
+			return nil, err
+		}
+		if hold {
+			a = holdAcksConn{Conn: a, gate: gate}
+		}
+		return member.Join(a, u, leaderName, cfg.Users[u])
+	}
+	ms := make([]*member.Member, survivors)
+	for i := range ms {
+		if ms[i], err = join(fmt.Sprintf("u%d", i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiesce(t, g, ms)
+	gate.hold.Store(true)
+	for _, m := range ms {
+		adminEvents(m)
+	}
+	notices, folded := mNotices.Value(), mNoticesFolded.Value()
+
+	all := ms
+	for w := 0; w < joiners; w += wave {
+		joined := make([]*member.Member, wave)
+		var wg sync.WaitGroup
+		for i := range joined {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				m, err := join(fmt.Sprintf("u%d", survivors+w+i), false)
+				if err != nil {
+					t.Error(err)
+				}
+				joined[i] = m
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		all = append(all, joined...)
+	}
+	// Every notice is in an engine before the survivors answer: join k is
+	// announced to the survivors and the k joiners before it.
+	waitFor(t, "the storm's notices to reach the engines", func() bool {
+		return mNotices.Value()-notices == survivors*joiners+joiners*(joiners-1)/2
+	})
+	close(gate.release)
+	quiesce(t, g, all)
+
+	waitFor(t, "every join's audit event", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order) == survivors+joiners
+	})
+	for _, m := range ms {
+		seqs := map[uint64]bool{}
+		var names []string
+		for _, ev := range adminEvents(m) {
+			if ev.Kind == member.EventJoined {
+				seqs[ev.Seq] = true
+				names = append(names, ev.Name)
+			}
+		}
+		if len(seqs) != 2 {
+			t.Errorf("%s got %d joins in %d AdminMsgs, want 2", m.Name(), len(names), len(seqs))
+		}
+		if want := order[survivors:]; !reflect.DeepEqual(names, want) {
+			t.Errorf("%s saw joins %v, want the leader's order %v", m.Name(), names, want)
+		}
+	}
+	if n, f := mNotices.Value()-notices, mNoticesFolded.Value()-folded; f < survivors*(joiners-2) || f >= n {
+		t.Errorf("%d of %d notices folded, want at least %d", f, n, survivors*(joiners-2))
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,7 +38,9 @@ type DirectoryConfig struct {
 	Precreate []string
 	// Default, when non-empty, is the group a stream with no group label
 	// routes to — where single-session clients (transport.DialTCP) land. It
-	// must be listed in Precreate.
+	// is created on its first lookup, by label or by an unlabeled stream,
+	// and is permanent like a precreated group: never collected, never
+	// counted against MaxDynamic.
 	Default string
 	// MaxDynamic caps groups created on demand by the first connection that
 	// names them. Zero forbids dynamic creation entirely (only precreated
@@ -123,10 +124,6 @@ func NewDirectory(cfg DirectoryConfig) (*Directory, error) {
 	}
 	d := &Directory{cfg: cfg, logf: logf, stop: make(chan struct{})}
 	d.srv = transport.NewMuxServer(transport.MuxConfig{Accept: d.route, Logf: cfg.Logf})
-	if cfg.Default != "" && !slices.Contains(cfg.Precreate, cfg.Default) {
-		d.Close()
-		return nil, fmt.Errorf("group: default group %q not in Precreate", cfg.Default)
-	}
 	for _, g := range cfg.Precreate {
 		if g == "" {
 			d.Close()
@@ -145,9 +142,10 @@ func NewDirectory(cfg DirectoryConfig) (*Directory, error) {
 }
 
 // Lookup resolves a group ID to its Leader, creating the group on demand
-// when dynamic creation permits. The steady-state path is one lock-free map
-// probe; construction happens outside any lock, and racing first lookups
-// wait for the one creator.
+// when dynamic creation permits; the default group is always created, as a
+// permanent group. The steady-state path is one lock-free map probe;
+// construction happens outside any lock, and racing first lookups wait for
+// the one creator.
 func (d *Directory) Lookup(group string) (*Leader, error) {
 	if d.closed.Load() {
 		return nil, errDirectoryClosed
@@ -155,7 +153,7 @@ func (d *Directory) Lookup(group string) (*Leader, error) {
 	if ld := d.hit(group); ld != nil {
 		return ld, nil
 	}
-	return d.create(group, true)
+	return d.create(group, d.cfg.Default == "" || group != d.cfg.Default)
 }
 
 // hit returns a live group's Leader and marks the group active, or nil.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -384,7 +385,9 @@ func TestEveryClientReachesEveryDaemon(t *testing.T) {
 }
 
 // TestDirectoryLimits pins creation policy: MaxDynamic caps on-demand
-// groups, zero forbids them, and precreated groups are exempt.
+// groups, zero forbids them, and precreated groups are exempt. So is the
+// default group, which need not be precreated: it is built on its first
+// lookup, even with dynamic creation forbidden, and is never collected.
 func TestDirectoryLimits(t *testing.T) {
 	cfg := dirConfig(t)
 	cfg.Precreate = []string{"pre0", "pre1"}
@@ -419,11 +422,27 @@ func TestDirectoryLimits(t *testing.T) {
 		t.Fatalf("dynamic creation with MaxDynamic=0: err = %v", err)
 	}
 
-	// Default must be precreated.
+	// The default group: absent until its first lookup, then permanent.
 	cfg3 := dirConfig(t)
-	cfg3.Default = "ghost"
-	if _, err := NewDirectory(cfg3); err == nil {
-		t.Fatal("Default outside Precreate accepted")
+	cfg3.Default = "home"
+	cfg3.TTL = time.Millisecond
+	d3, err := NewDirectory(cfg3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	if got := d3.Groups(); len(got) != 0 {
+		t.Fatalf("groups before any lookup = %v, want none", got)
+	}
+	if _, err := d3.Lookup("home"); err != nil {
+		t.Fatalf("default group with MaxDynamic=0: %v", err)
+	}
+	if _, err := d3.Lookup("other"); !errors.Is(err, errUnknownGroup) {
+		t.Fatalf("dynamic creation with MaxDynamic=0: err = %v", err)
+	}
+	d3.sweep(time.Now().Add(time.Hour))
+	if got := d3.Groups(); !reflect.DeepEqual(got, []string{"home"}) || d3.dynamic.Load() != 0 {
+		t.Fatalf("after a sweep: groups %v, %d dynamic; want [home], 0", got, d3.dynamic.Load())
 	}
 }
 

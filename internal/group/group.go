@@ -726,7 +726,8 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 // pre-sealed frames pass through; a key update is sealed by its first
 // writer and shared; admin bodies go through the member's engine, which
 // seals an AdminMsg when the ack-gated pipeline is free and queues the
-// body internally otherwise (nothing to transmit yet).
+// body internally otherwise (nothing to transmit yet), folding a notice
+// into a notice already queued.
 func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool) {
 	switch {
 	case f.enc != nil:
@@ -751,10 +752,17 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := time.Now()
+	queued := s.engine.PendingAdmin()
 	env, err := s.engine.Send(f.body)
 	if err != nil {
 		g.logf("group: admin to %s: %v", s.user, err)
 		return transport.Outgoing{}, false
+	}
+	if _, ok := f.body.(wire.MemberChanges); ok {
+		mNotices.Inc()
+		if env == nil && s.engine.PendingAdmin() == queued {
+			mNoticesFolded.Inc()
+		}
 	}
 	if env == nil {
 		return transport.Outgoing{}, false // queued behind the outstanding AdminMsg
@@ -784,7 +792,7 @@ func (g *Leader) departedLocked(user string, kind changeKind, detail string) {
 	if immediate {
 		cause = "expel " + user
 	}
-	g.announceLocked(wire.MemberLeft{Name: user}, wire.NewGroupKey{Left: []string{user}}, cause, "",
+	g.announceLocked(wire.Left(user), wire.NewGroupKey{Left: []string{user}}, cause, "",
 		rotate, rotate && (immediate || g.coalesce <= 0))
 }
 

@@ -34,6 +34,11 @@ var (
 	mLKHSeals = metrics.NewCounter("group_lkh_seals_total")
 	mKeySyncs = metrics.NewCounter("group_key_syncs_total")
 
+	// mNotices counts notices (wire.MemberChanges) handed to member engines;
+	// mNoticesFolded those folded into a notice already queued there.
+	mNotices       = metrics.NewCounter("group_notices_total")
+	mNoticesFolded = metrics.NewCounter("group_notices_folded_total")
+
 	mAdminSent   = metrics.NewCounter("group_admin_sent_total")
 	mAdminAcked  = metrics.NewCounter("group_admin_acked_total")
 	mRetransmits = metrics.NewCounter("group_retransmits_total")

@@ -581,12 +581,18 @@ func (m *Member) applyAdminLocked(ev core.MemberEvent, payload []byte) []Event {
 		out = append(out, Event{Kind: EventRekey, Epoch: body.Epoch})
 	case wire.PathKeys:
 		out = append(out, m.applyPathKeysLocked(body))
-	case wire.MemberJoined:
-		m.view[body.Name] = true
-		out = append(out, Event{Kind: EventJoined, Name: body.Name})
-	case wire.MemberLeft:
-		delete(m.view, body.Name)
-		out = append(out, Event{Kind: EventLeft, Name: body.Name})
+	case wire.MemberChanges:
+		// Possibly several notices folded by the leader: applied in order,
+		// one event each, exactly as if they had come one message apiece.
+		for _, c := range body.Changes {
+			if c.Left {
+				delete(m.view, c.Name)
+				out = append(out, Event{Kind: EventLeft, Name: c.Name})
+			} else {
+				m.view[c.Name] = true
+				out = append(out, Event{Kind: EventJoined, Name: c.Name})
+			}
+		}
 	case wire.MemberList:
 		m.view = make(map[string]bool, len(body.Names))
 		for _, n := range body.Names {

@@ -168,7 +168,7 @@ func TestAdminEventsUpdateView(t *testing.T) {
 		t.Errorf("epoch = %d", m.Epoch())
 	}
 
-	f.sendAdmin(wire.MemberJoined{Name: "bob"})
+	f.sendAdmin(wire.Joined("bob"))
 	f.pump(1)
 	ev = nextEvent(t, m)
 	if ev.Kind != EventJoined || ev.Name != "bob" {
@@ -185,7 +185,7 @@ func TestAdminEventsUpdateView(t *testing.T) {
 		t.Errorf("view after list = %v", got)
 	}
 
-	f.sendAdmin(wire.MemberLeft{Name: "bob"})
+	f.sendAdmin(wire.Left("bob"))
 	f.pump(1)
 	ev = nextEvent(t, m)
 	if ev.Kind != EventLeft || ev.Name != "bob" {
@@ -239,6 +239,56 @@ func TestKeyCarriesMembershipChange(t *testing.T) {
 	}
 	if err := m.SendData([]byte("on the new key")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFoldedNoticesMatchUnfolded: the leader folds queued notices into one
+// MemberChanges. A member applying the folded body, a join and then a leave
+// of the same name among its changes, emits the event sequence and ends with
+// the view of a member given each change as its own message; the folded
+// events share the one message's sequence number.
+func TestFoldedNoticesMatchUnfolded(t *testing.T) {
+	changes := []wire.MemberChange{
+		{Name: "bob"}, {Name: "carol"}, {Name: "bob", Left: true}, {Name: "dave", Left: true}, {Name: "erin"},
+	}
+	run := func(folded bool) ([]Event, []string) {
+		f, m := joinThrough(t)
+		f.sendAdmin(wire.MemberList{Names: []string{"alice", "dave"}})
+		f.pump(1)
+		nextEvent(t, m)
+		bodies := []wire.MemberChanges{{Changes: changes}}
+		if !folded {
+			bodies = bodies[:0]
+			for _, c := range changes {
+				bodies = append(bodies, wire.MemberChanges{Changes: []wire.MemberChange{c}})
+			}
+		}
+		for _, b := range bodies {
+			f.sendAdmin(b)
+			f.pump(1)
+		}
+		var evs []Event
+		for range changes {
+			evs = append(evs, nextEvent(t, m))
+		}
+		if ev, ok := m.TryNext(); ok {
+			t.Errorf("extra event %v", ev)
+		}
+		return evs, m.Members()
+	}
+	folded, foldedView := run(true)
+	unfolded, unfoldedView := run(false)
+	for i := range changes {
+		f, u := folded[i], unfolded[i]
+		if f.Kind != u.Kind || f.Name != u.Name {
+			t.Errorf("event %d: folded %v, unfolded %v", i, f, u)
+		}
+		if f.Seq != folded[0].Seq {
+			t.Errorf("folded event %d has seq %d, want the message's %d", i, f.Seq, folded[0].Seq)
+		}
+	}
+	if want := []string{"alice", "carol", "erin"}; !reflect.DeepEqual(foldedView, want) || !reflect.DeepEqual(unfoldedView, want) {
+		t.Errorf("views: folded %v, unfolded %v, want %v", foldedView, unfoldedView, want)
 	}
 }
 
@@ -356,7 +406,7 @@ func TestForgedAdminCounted(t *testing.T) {
 	f, m := joinThrough(t)
 	evil, _ := crypto.NewKey()
 	env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: leaderName, Receiver: userName}
-	p := wire.AdminMsgPayload{Leader: leaderName, User: userName, Seq: 1, Body: wire.MemberLeft{Name: "bob"}}
+	p := wire.AdminMsgPayload{Leader: leaderName, User: userName, Seq: 1, Body: wire.Left("bob")}
 	box, _ := crypto.Seal(evil, p.Marshal(), env.Header())
 	env.Payload = box
 	before := m.Rejected()

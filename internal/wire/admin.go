@@ -10,7 +10,7 @@ import (
 
 // AdminBody is a group-management message body — the field X of the
 // AdminMsg exchange (Section 3.2). Concrete bodies: NewGroupKey,
-// MemberJoined, MemberLeft, MemberList, Heartbeat.
+// MemberChanges, MemberList, Heartbeat, PathKeys.
 type AdminBody interface {
 	// AdminKind returns the body's wire tag.
 	AdminKind() AdminKind
@@ -21,37 +21,35 @@ type AdminBody interface {
 // AdminKind tags the concrete AdminBody on the wire.
 type AdminKind uint8
 
-// Admin body kinds.
+// Admin body kinds. Bytes 2 and 3 carried the one-name MemberJoined and
+// MemberLeft bodies that MemberChanges replaced; they are retired, rejected
+// by the decoder and never reused.
 const (
-	AdminNewGroupKey AdminKind = iota + 1
-	AdminMemberJoined
-	AdminMemberLeft
-	AdminMemberList
-	AdminHeartbeat
-	AdminPathKeys
+	AdminNewGroupKey   AdminKind = 1
+	AdminMemberList    AdminKind = 4
+	AdminHeartbeat     AdminKind = 5
+	AdminPathKeys      AdminKind = 6
+	AdminMemberChanges AdminKind = 7
 )
 
-func (k AdminKind) String() string {
-	switch k {
-	case AdminNewGroupKey:
-		return "NewGroupKey"
-	case AdminMemberJoined:
-		return "MemberJoined"
-	case AdminMemberLeft:
-		return "MemberLeft"
-	case AdminMemberList:
-		return "MemberList"
-	case AdminHeartbeat:
-		return "Heartbeat"
-	case AdminPathKeys:
-		return "PathKeys"
-	default:
-		return fmt.Sprintf("AdminKind(%d)", uint8(k))
-	}
+var adminKindNames = map[AdminKind]string{
+	AdminNewGroupKey:   "NewGroupKey",
+	AdminMemberList:    "MemberList",
+	AdminHeartbeat:     "Heartbeat",
+	AdminPathKeys:      "PathKeys",
+	AdminMemberChanges: "MemberChanges",
 }
 
-// MaxDeltaNames bounds each of a NewGroupKey's membership lists: a rotation
-// answers the change that triggered it, never a roster (that is MemberList).
+func (k AdminKind) String() string {
+	if s, ok := adminKindNames[k]; ok {
+		return s
+	}
+	return fmt.Sprintf("AdminKind(%d)", uint8(k))
+}
+
+// MaxDeltaNames bounds each of a NewGroupKey's membership lists and a
+// MemberChanges list: a delta names changes, never a roster (that is
+// MemberList).
 const MaxDeltaNames = 64
 
 // NewGroupKey distributes a new group key K'_g with its epoch. Epochs
@@ -74,26 +72,40 @@ func (b NewGroupKey) String() string {
 	return fmt.Sprintf("NewGroupKey(epoch=%d, %s, joined=%v, left=%v)", b.Epoch, b.Key, b.Joined, b.Left)
 }
 
-// MemberJoined announces that a user has joined the group.
-type MemberJoined struct {
+// MemberChange is one membership change: Name joined, or left (or was
+// expelled) when Left is set. On the wire, as in logs, it is its String:
+// the name behind a sign, +name or -name.
+type MemberChange struct {
 	Name string
+	Left bool
 }
 
-// AdminKind implements AdminBody.
-func (MemberJoined) AdminKind() AdminKind { return AdminMemberJoined }
-
-func (b MemberJoined) String() string { return "MemberJoined(" + b.Name + ")" }
-
-// MemberLeft announces that a user has left (or was expelled from) the
-// group.
-type MemberLeft struct {
-	Name string
+func (c MemberChange) String() string {
+	if c.Left {
+		return "-" + c.Name
+	}
+	return "+" + c.Name
 }
 
-// AdminKind implements AdminBody.
-func (MemberLeft) AdminKind() AdminKind { return AdminMemberLeft }
+// MemberChanges announces membership changes where no key message carries
+// them: under LKH, inside a coalescing window, with the rekey policy off, and
+// for resumptions. Receivers apply them in order. A notice is sent as one
+// change; core.LeaderSession.Send folds notices queued behind one
+// unacknowledged AdminMsg into one body of up to MaxDeltaNames.
+type MemberChanges struct {
+	Changes []MemberChange
+}
 
-func (b MemberLeft) String() string { return "MemberLeft(" + b.Name + ")" }
+// Joined is the notice that name joined the group.
+func Joined(name string) MemberChanges { return MemberChanges{[]MemberChange{{Name: name}}} }
+
+// Left is the notice that name left (or was expelled from) the group.
+func Left(name string) MemberChanges { return MemberChanges{[]MemberChange{{Name: name, Left: true}}} }
+
+// AdminKind implements AdminBody.
+func (MemberChanges) AdminKind() AdminKind { return AdminMemberChanges }
+
+func (b MemberChanges) String() string { return "MemberChanges" + fmt.Sprint(b.Changes) }
 
 // MemberList transfers the complete current membership, sent to a member
 // right after it joins ("sends to A the identity of all the other group
@@ -180,10 +192,11 @@ func MarshalAdminBody(body AdminBody) []byte {
 				b.putString(n)
 			}
 		}
-	case MemberJoined:
-		b.putString(v.Name)
-	case MemberLeft:
-		b.putString(v.Name)
+	case MemberChanges:
+		b.putUint8(uint8(len(v.Changes)))
+		for _, c := range v.Changes {
+			b.putString(c.String())
+		}
 	case MemberList:
 		b.putUint64(uint64(len(v.Names)))
 		names := append([]string(nil), v.Names...)
@@ -233,18 +246,24 @@ func UnmarshalAdminBody(data []byte) (AdminBody, error) {
 		}
 		out.Key = k
 		return out, nil
-	case AdminMemberJoined:
-		name := p.string()
-		if err := p.finish(); err != nil {
-			return nil, fmt.Errorf("%w: member joined: %v", ErrBadPayload, err)
+	case AdminMemberChanges:
+		n := p.uint8()
+		if n > MaxDeltaNames {
+			return nil, fmt.Errorf("%w: member changes: %d entries", ErrBadPayload, n)
 		}
-		return MemberJoined{Name: name}, nil
-	case AdminMemberLeft:
-		name := p.string()
-		if err := p.finish(); err != nil {
-			return nil, fmt.Errorf("%w: member left: %v", ErrBadPayload, err)
+		out := MemberChanges{Changes: make([]MemberChange, 0, n)}
+		for ; n > 0 && p.err == nil; n-- {
+			if c := p.string(); p.err == nil {
+				if c == "" || c[0] != '+' && c[0] != '-' {
+					return nil, fmt.Errorf("%w: member change %q", ErrBadPayload, c)
+				}
+				out.Changes = append(out.Changes, MemberChange{Name: c[1:], Left: c[0] == '-'})
+			}
 		}
-		return MemberLeft{Name: name}, nil
+		if err := p.finish(); err != nil {
+			return nil, fmt.Errorf("%w: member changes: %v", ErrBadPayload, err)
+		}
+		return out, nil
 	case AdminMemberList:
 		n := p.uint64()
 		if n > 100000 {

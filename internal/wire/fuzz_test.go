@@ -188,10 +188,12 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzKeyUpdate drives the key-carrying payload codecs with arbitrary bytes:
-// neither UnmarshalKeyUpdate nor the PathKeys and NewGroupKey admin-body
-// decoders may panic or over-allocate, and whatever they accept must
-// re-marshal canonically (including the AD prefix KeyUpdate seals bind to).
+// FuzzKeyUpdate drives the key-carrying payload codecs and the admin-body
+// decoder with arbitrary bytes: neither UnmarshalKeyUpdate nor
+// UnmarshalAdminBody may panic or over-allocate, whatever they accept as a
+// KeyUpdate, PathKeys, NewGroupKey or MemberChanges must re-marshal
+// canonically (including the AD prefix KeyUpdate seals bind to), and no
+// accepted delta list is longer than MaxDeltaNames.
 func FuzzKeyUpdate(f *testing.F) {
 	ku := KeyUpdatePayload{Node: 9, Ver: 3, Under: 4, Epoch: 12, Root: true, Box: bytes.Repeat([]byte{0xAB}, 60)}
 	f.Add(ku.Marshal())
@@ -203,6 +205,9 @@ func FuzzKeyUpdate(f *testing.F) {
 	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 10, Joined: []string{"erin", ""}, Left: []string{"bob", "dave"}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 41))
+	f.Add(MarshalAdminBody(Joined("carol")))
+	f.Add(MarshalAdminBody(MemberChanges{Changes: []MemberChange{{Name: "erin"}, {Name: ""}, {Name: "erin", Left: true}}}))
+	f.Add(MarshalAdminBody(MemberChanges{Changes: make([]MemberChange, MaxDeltaNames+1)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if p, err := UnmarshalKeyUpdate(data); err == nil {
@@ -215,10 +220,13 @@ func FuzzKeyUpdate(f *testing.F) {
 		}
 		if body, err := UnmarshalAdminBody(data); err == nil {
 			switch body.(type) {
-			case PathKeys, NewGroupKey:
+			case PathKeys, NewGroupKey, MemberChanges:
 				if !bytes.Equal(MarshalAdminBody(body), data) {
 					t.Fatalf("accepted %s is not canonical: %x", body.AdminKind(), data)
 				}
+			}
+			if b, ok := body.(MemberChanges); ok && len(b.Changes) > MaxDeltaNames {
+				t.Fatalf("accepted %d member changes", len(b.Changes))
 			}
 		}
 	})

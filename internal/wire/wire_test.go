@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -189,6 +191,76 @@ func TestTypeNumbersArePinned(t *testing.T) {
 	}
 }
 
+// TestAdminKindsArePinned pins every admin body's kind byte and name. Bytes
+// 2 and 3 carried the one-name MemberJoined and MemberLeft notices that
+// MemberChanges replaced: the decoder rejects them and no kind reuses them.
+func TestAdminKindsArePinned(t *testing.T) {
+	want := []struct {
+		body AdminBody
+		b    uint8
+		name string
+	}{
+		{NewGroupKey{}, 1, "NewGroupKey"},
+		{MemberList{}, 4, "MemberList"},
+		{Heartbeat{}, 5, "Heartbeat"},
+		{PathKeys{}, 6, "PathKeys"},
+		{MemberChanges{}, 7, "MemberChanges"},
+	}
+	if len(adminKindNames) != len(want) {
+		t.Errorf("adminKindNames has %d entries, the table pins %d", len(adminKindNames), len(want))
+	}
+	for _, w := range want {
+		k := w.body.AdminKind()
+		if uint8(k) != w.b || k.String() != w.name {
+			t.Errorf("%s = %d, want %s = %d", k, uint8(k), w.name, w.b)
+		}
+		if got := MarshalAdminBody(w.body)[0]; got != w.b {
+			t.Errorf("%s encodes kind byte %d, want %d", w.name, got, w.b)
+		}
+	}
+	for _, b := range []uint8{2, 3} {
+		if name := AdminKind(b).String(); name != fmt.Sprintf("AdminKind(%d)", b) {
+			t.Errorf("retired kind byte %d is reused by %s", b, name)
+		}
+		// The retired one-name encoding: kind byte, then the name.
+		var old builder
+		old.putUint8(b)
+		old.putString("bob")
+		if body, err := UnmarshalAdminBody(old.bytes); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("retired kind byte %d decoded as %v (err %v)", b, body, err)
+		}
+	}
+}
+
+// TestMemberChangesBound: a list of MaxDeltaNames changes round-trips, one
+// more is rejected, and so is a change whose name is not behind a + or -.
+func TestMemberChangesBound(t *testing.T) {
+	var full MemberChanges
+	for i := 0; i < MaxDeltaNames; i++ {
+		full.Changes = append(full.Changes, MemberChange{Name: fmt.Sprintf("m%d", i), Left: i%2 == 1})
+	}
+	body, err := UnmarshalAdminBody(MarshalAdminBody(full))
+	if err != nil || body.String() != full.String() {
+		t.Fatalf("%d changes: got %v, %v", MaxDeltaNames, body, err)
+	}
+
+	over := full
+	over.Changes = append(slices.Clip(full.Changes), MemberChange{Name: "extra"})
+	if body, err := UnmarshalAdminBody(MarshalAdminBody(over)); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("%d changes accepted as %v", len(over.Changes), body)
+	}
+
+	for _, change := range []string{"", "bob", "*bob"} {
+		var bad builder
+		bad.putUint8(uint8(AdminMemberChanges))
+		bad.putUint8(1)
+		bad.putString(change)
+		if body, err := UnmarshalAdminBody(bad.bytes); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("change %q accepted as %v", change, body)
+		}
+	}
+}
+
 func mustNonce(t *testing.T) crypto.Nonce {
 	t.Helper()
 	n, err := crypto.NewNonce()
@@ -260,8 +332,9 @@ func TestAdminMsgPayloadRoundTrip(t *testing.T) {
 		NewGroupKey{Epoch: 42, Key: fixedKey(t, 1259087954)},
 		NewGroupKey{Epoch: 43, Key: fixedKey(t, 838272962), Left: []string{"dave"}},
 		NewGroupKey{Epoch: 44, Key: fixedKey(t, 3706276106), Joined: []string{"erin", "carol"}, Left: []string{"bob"}},
-		MemberJoined{Name: "carol"},
-		MemberLeft{Name: "dave"},
+		Joined("carol"),
+		Left("dave"),
+		MemberChanges{Changes: []MemberChange{{Name: "erin"}, {Name: "bob", Left: true}, {Name: "erin", Left: true}}},
 		MemberList{Names: []string{"alice", "bob", "carol"}},
 		MemberList{},
 	}
