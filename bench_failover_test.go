@@ -27,11 +27,11 @@ import (
 //
 // The sweep stops at 1024 where the data-plane sweep (BENCH_scale.json)
 // goes to 4096: each op here must first bring up n ready-gated supervised
-// sessions, and every join is still announced to every member. Notices
-// that queue behind a member's unacknowledged AdminMsg fold into one, so
-// the messages are fewer than n² under a storm, but each coalesced rotation
-// is still an O(n) fan-out; at 4096 the bring-up took tens of minutes on the
-// 1-vCPU reference host and dwarfed the failover under test.
+// sessions, and every join is still announced to every member. Keys that
+// queue behind a member's unacknowledged AdminMsg fold into the newest, so
+// the messages are fewer than n² under a storm, but each rotation is still
+// an O(n) fan-out; at 4096 the bring-up took tens of minutes on the 1-vCPU
+// reference host and dwarfed the failover under test.
 func BenchmarkFailover(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
@@ -54,24 +54,13 @@ func benchFailover(b *testing.B, n int) {
 
 	// The member-side silence budget must absorb the join storm: the
 	// watchdog also bounds the handshake, and while the leader interleaves
-	// thousands of handshakes with coalesced rekey fan-outs a 600ms bound
+	// thousands of handshakes with rekey fan-outs a 600ms bound
 	// trips on backlog alone. The budget is the dominant term of the
 	// measured resume latency (every member waits it out before declaring
 	// the primary dead), so it is recorded in the JSON entry.
 	silence := 600 * time.Millisecond
 	if n >= 1024 {
 		silence = 2 * time.Second
-	}
-
-	// Bring-up rotation window, primary side only. At a fixed 25ms a join
-	// storm lasting seconds schedules a rotation per window, and every
-	// rotation is an O(n) ack-gated fan-out — quadratic admin traffic that
-	// stalls handshakes and has nothing to do with the failover under
-	// measurement. The promoted leader keeps the tight window: its single
-	// forced post-promotion rotation is part of the measured recovery.
-	bringupWindow := 25 * time.Millisecond
-	if n >= 1024 {
-		bringupWindow = time.Duration(n) * time.Millisecond / 4
 	}
 
 	var detection, promotion, p50, p99 time.Duration
@@ -91,8 +80,7 @@ func benchFailover(b *testing.B, n int) {
 		liveness := group.Liveness{HeartbeatInterval: silence / 4, AckTimeout: time.Minute}
 		primary, err := group.NewLeader(group.Config{
 			Name: benchLeader, Users: keys, Rekey: group.DefaultRekeyPolicy(),
-			RekeyCoalesce: bringupWindow,
-			ReplKey:       kr, ReplPing: 25 * time.Millisecond,
+			ReplKey: kr, ReplPing: 25 * time.Millisecond,
 			Liveness: liveness,
 		})
 		if err != nil {
@@ -216,8 +204,7 @@ func benchFailover(b *testing.B, n int) {
 		sb.Stop()
 		promoted, err := group.Promote(group.Config{
 			Users: keys, Rekey: group.DefaultRekeyPolicy(),
-			RekeyCoalesce: 25 * time.Millisecond,
-			Liveness:      liveness,
+			Liveness: liveness,
 		}, st)
 		if err != nil {
 			b.Fatal(err)

@@ -401,22 +401,21 @@ func chaosSoak(t *testing.T, l transport.Listener, dial func(addr string) (trans
 }
 
 // TestChaosSoakLarge drives the registry and fan-out at soak scale: ~512 members
-// (500 bulk members joining in 64-way-concurrent waves under a coalescing
-// rekey window, 8 session-backed members riding the same fault plan as
+// (500 bulk members joining in 64-way-concurrent waves under the flat rekey
+// policy, 8 session-backed members riding the same fault plan as
 // TestChaosSoak) plus one silently dead victim for the liveness layer.
 //
 // Beyond surviving, the run must reconcile: with DefaultRekeyPolicy every
-// join, leave, and eviction is exactly one rotation trigger, and under
-// coalescing each trigger either produces an EventRekeyed or increments
-// group_rekeys_coalesced_total — never both, never neither. At quiescence:
+// join, leave, and eviction into a non-empty group is exactly one rotation.
+// At quiescence:
 //
-//	joins + leaves + evictions == rekeys + coalesced-counter delta
+//	joins + leaves + evictions == rekeys
 //	final epoch == 1 + rekeys
 //
-// and the join storm must have folded (strictly fewer rotations than
-// triggers, a non-zero coalesced delta), while every surviving bulk member
-// still converges to the final epoch — the fan-out really delivered the
-// coalesced NewGroupKey broadcasts.
+// and the join storm must have folded keys (a member behind an
+// unacknowledged AdminMsg gets the newest of the keys queued there), while
+// every surviving bulk member still converges to the final epoch — the
+// fan-out really delivered the last NewGroupKey.
 func TestChaosSoakLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -426,7 +425,6 @@ func TestChaosSoakLarge(t *testing.T) {
 		nsess      = 8
 		leavers    = 32
 		victim     = "victim"
-		window     = 25 * time.Millisecond
 	)
 	bulk := 500
 	if raceEnabled {
@@ -452,7 +450,7 @@ func TestChaosSoakLarge(t *testing.T) {
 		}
 	}()
 	evictionsBefore := counterValue(t, "group_evictions_total")
-	coalescedBefore := counterValue(t, "group_rekeys_coalesced_total")
+	foldedBefore := counterValue(t, "group_keys_folded_total")
 
 	var audit struct {
 		mu     sync.Mutex
@@ -481,11 +479,10 @@ func TestChaosSoakLarge(t *testing.T) {
 	}
 
 	g, err := group.NewLeader(group.Config{
-		Name:          leaderName,
-		Users:         keys,
-		Rekey:         group.DefaultRekeyPolicy(),
-		RekeyCoalesce: window,
-		OnEvent:       func(e group.Event) { audit.mu.Lock(); audit.events = append(audit.events, e); audit.mu.Unlock() },
+		Name:    leaderName,
+		Users:   keys,
+		Rekey:   group.DefaultRekeyPolicy(),
+		OnEvent: func(e group.Event) { audit.mu.Lock(); audit.events = append(audit.events, e); audit.mu.Unlock() },
 		Liveness: group.Liveness{
 			HeartbeatInterval: 100 * time.Millisecond,
 			AckTimeout:        2 * time.Second,
@@ -620,13 +617,13 @@ func TestChaosSoakLarge(t *testing.T) {
 	if !strings.Contains(ev.Detail, "ack deadline") {
 		t.Fatalf("eviction detail = %q, want ack-deadline cause", ev.Detail)
 	}
-	// Under coalescing the eviction's rotation may be debounced, but it must
-	// land: the group moves past the epoch the victim last saw.
+	// The eviction's rotation lands: the group moves past the epoch the
+	// victim last saw.
 	waitUntil(t, "post-eviction rekey", 10*time.Second, func() bool {
 		return g.Epoch() > ev.Epoch
 	})
 
-	// A coalesced leave burst on top: some bulk members sign off together.
+	// A leave burst on top: some bulk members sign off together.
 	var wgLeave sync.WaitGroup
 	for _, m := range members[:leavers] {
 		wgLeave.Add(1)
@@ -638,41 +635,38 @@ func TestChaosSoakLarge(t *testing.T) {
 	wgLeave.Wait()
 	survivors := members[leavers:]
 
-	// Quiescence: no pending window, all sessions healed and up, stable
-	// membership. The reconciliation identity becoming true (and staying
-	// true) is itself the quiescence signal.
-	identity := func() (triggers, rekeys, coalesced uint64, ok bool) {
+	// Quiescence: all sessions healed and up, stable membership. The
+	// reconciliation identity becoming true (and staying true) is itself
+	// the quiescence signal.
+	identity := func() (triggers, rekeys uint64, ok bool) {
 		triggers = countKind(group.EventJoined) + countKind(group.EventLeft) + countKind(group.EventEvicted)
 		rekeys = countKind(group.EventRekeyed)
-		coalesced = counterValue(t, "group_rekeys_coalesced_total") - coalescedBefore
-		return triggers, rekeys, coalesced, triggers == rekeys+coalesced
+		return triggers, rekeys, triggers == rekeys
 	}
 	waitUntil(t, "audit reconciliation identity", 60*time.Second, func() bool {
 		if len(g.Members()) != bulk-leavers+nsess {
 			return false
 		}
-		_, _, _, ok := identity()
+		_, _, ok := identity()
 		return ok
 	})
-	// Let any straggler window fire, then the identity must still hold and
+	// A straggler change would show here: the identity must still hold and
 	// the epoch must be exactly 1 + rotations.
-	time.Sleep(4 * window)
-	triggers, rekeys, coalesced, ok := identity()
+	time.Sleep(100 * time.Millisecond)
+	triggers, rekeys, ok := identity()
 	if !ok {
-		t.Fatalf("reconciliation broke after quiescence: %d triggers != %d rekeys + %d coalesced", triggers, rekeys, coalesced)
+		t.Fatalf("reconciliation broke after quiescence: %d triggers != %d rekeys", triggers, rekeys)
 	}
 	if e := g.Epoch(); e != 1+rekeys {
 		t.Fatalf("epoch %d != 1 + %d audit rekeys", e, rekeys)
 	}
-	if coalesced == 0 {
-		t.Fatal("a 500-member join storm coalesced nothing; the window never folded a burst")
-	}
-	if rekeys >= triggers {
-		t.Fatalf("coalescing saved nothing: %d rotations for %d triggers", rekeys, triggers)
+	folded := counterValue(t, "group_keys_folded_total") - foldedBefore
+	if folded == 0 {
+		t.Fatal("a 500-member join storm folded no key; the ack clock never batched a burst")
 	}
 
-	// Every surviving bulk member converges on the final coalesced epoch:
-	// the fan-out delivered the last NewGroupKey to all ~476 outboxes.
+	// Every surviving bulk member converges on the final epoch: the fan-out
+	// delivered the last NewGroupKey to all ~476 outboxes.
 	waitUntil(t, "survivors converge to the final epoch", 60*time.Second, func() bool {
 		want := g.Epoch()
 		for _, m := range survivors {
@@ -708,8 +702,8 @@ func TestChaosSoakLarge(t *testing.T) {
 	waitUntil(t, "eviction counter to reconcile with audit log", 10*time.Second, func() bool {
 		return counterValue(t, "group_evictions_total")-evictionsBefore == countKind(group.EventEvicted)
 	})
-	t.Logf("large soak: members=%d triggers=%d rekeys=%d coalesced=%d final_epoch=%d",
-		len(g.Members()), triggers, rekeys, coalesced, g.Epoch())
+	t.Logf("large soak: members=%d triggers=%d rekeys=%d keys_folded=%d final_epoch=%d",
+		len(g.Members()), triggers, rekeys, folded, g.Epoch())
 
 	for _, m := range survivors {
 		m.Leave()

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	enclaved -addr 127.0.0.1:7465 -name leader -users users.txt [-rekey join,leave]
-//	         [-rekey-coalesce 5ms] [-heartbeat 2s] [-ack-timeout 10s]
-//	         [-outbox 1024] [-metrics-addr 127.0.0.1:9465]
+//	         [-heartbeat 2s] [-ack-timeout 10s] [-outbox 1024]
+//	         [-metrics-addr 127.0.0.1:9465]
 //	         [-repl-secret repl.secret]
 //	enclaved -standby -replicate-from 127.0.0.1:7465 -repl-secret repl.secret
 //	         -addr 127.0.0.1:7466 -name leader -users users.txt [...]
@@ -23,10 +23,11 @@
 // member's outbound queue; a consumer slow enough to overflow it is
 // likewise expelled. Zero disables the respective mechanism.
 //
-// -rekey-coalesce tunes the leader for large groups: it folds a burst of
-// join/leave-triggered key rotations into one epoch bump per window
-// (expulsions and explicit rekeys stay immediate; departed members still
-// never receive a post-departure key).
+// Every join and leave the -rekey policy names rotates the group key at
+// once. A burst costs a member one message per acknowledgment round trip,
+// not one per change: keys queued behind an unacknowledged message fold into
+// the newest, which carries every change (departed members never receive a
+// post-departure key).
 //
 // -repl-secret names a file holding one shared secret line; it derives the
 // replication key K_r that seals the leader-replication channel. On a
@@ -108,7 +109,6 @@ func run(args []string) error {
 		heartbeat   = fs.Duration("heartbeat", 2*time.Second, "idle-member heartbeat interval (0 disables liveness probing)")
 		ackWait     = fs.Duration("ack-timeout", 10*time.Second, "expel a member whose admin ack is overdue by this much (0 disables)")
 		outbox      = fs.Int("outbox", 1024, "per-member outbound queue bound; overflow expels the member (<0 = unbounded)")
-		coalesce    = fs.Duration("rekey-coalesce", 0, "fold join/leave rekey bursts into one rotation per window (0 = rotate immediately)")
 		lkhOn       = fs.Bool("lkh", false, "rekey through a logical key hierarchy: O(log n) re-seals per rotation instead of O(n)")
 		lkhArity    = fs.Int("lkh-arity", 0, "LKH key-tree branching factor (0 = default)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (JSON snapshot) and /debug/pprof on this address (empty disables collection)")
@@ -175,10 +175,9 @@ func run(args []string) error {
 			HeartbeatInterval: *heartbeat,
 			AckTimeout:        *ackWait,
 		},
-		OutboxLimit:   *outbox,
-		RekeyCoalesce: *coalesce,
-		LKH:           *lkhOn,
-		LKHArity:      *lkhArity,
+		OutboxLimit: *outbox,
+		LKH:         *lkhOn,
+		LKHArity:    *lkhArity,
 	}
 	if *verbose {
 		cfg.Logf = log.Printf
@@ -230,8 +229,8 @@ func run(args []string) error {
 	case replKey.Valid():
 		role = fmt.Sprintf("leader (replicating, ping %v)", *replPing)
 	}
-	log.Printf("enclaved: %s %q serving %d users on %s (rekey on %s, coalesce %v, heartbeat %v, ack timeout %v, outbox %d)",
-		role, *name, len(cfg.Users), l.Addr(), *rekeyOn, *coalesce, *heartbeat, *ackWait, *outbox)
+	log.Printf("enclaved: %s %q serving %d users on %s (rekey on %s, heartbeat %v, ack timeout %v, outbox %d)",
+		role, *name, len(cfg.Users), l.Addr(), *rekeyOn, *heartbeat, *ackWait, *outbox)
 
 	// Graceful shutdown on SIGINT/SIGTERM: close every member connection,
 	// then the listener. The leader closes first: only then does Serve read

@@ -334,7 +334,7 @@ func TestMultiTenantFlagValidation(t *testing.T) {
 		{"groups with lkh", []string{"-groups", "2", "-lkh", "-users", users, "-addr", badAddr}, ""},
 		{"groups with lkh and arity", []string{"-groups", "2", "-lkh", "-lkh-arity", "4", "-users", users, "-addr", badAddr}, ""},
 		{"max-groups unlimited", []string{"-max-groups", "-1", "-users", users, "-addr", badAddr}, ""},
-		{"groups with ttl and coalesce", []string{"-groups", "3", "-group-ttl", "1s", "-rekey-coalesce", "5ms", "-users", users, "-addr", badAddr}, ""},
+		{"groups with ttl", []string{"-groups", "3", "-group-ttl", "1s", "-users", users, "-addr", badAddr}, ""},
 		{"single-tenant lkh untouched", []string{"-lkh", "-users", users, "-addr", badAddr}, ""},
 	} {
 		err := run(tc.args)

@@ -268,6 +268,90 @@ func TestNoticesFoldBehindAck(t *testing.T) {
 	}
 }
 
+// TestKeysFoldBehindAck: k keys behind one outstanding AdminMsg leave one
+// pending NewGroupKey with the newest epoch and key and the k keys' changes
+// in send order, without writing into any caller's array. A MemberList or a
+// notice queued between keys ends the fold, so the member gets the keys on
+// either side of it, and no folded key names more than wire.MaxDeltaNames
+// changes.
+func TestKeysFoldBehindAck(t *testing.T) {
+	m, l := newPair(t)
+	handshake(t, m, l)
+	env, err := l.Send(wire.Heartbeat{})
+	if err != nil || env == nil {
+		t.Fatalf("first Send: %v, %v", env, err)
+	}
+	keys := make([]crypto.Key, 8)
+	for i := range keys {
+		if keys[i], err = crypto.NewKey(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ngk := func(epoch uint64, c wire.MemberChange) wire.NewGroupKey {
+		changes := append(make([]wire.MemberChange, 0, 4), c) // spare capacity a fold must not use
+		return wire.NewGroupKey{Epoch: epoch, Key: keys[epoch], Changes: changes}
+	}
+	var sent []wire.NewGroupKey
+	for e := uint64(1); e <= 4; e++ {
+		sent = append(sent, ngk(e, wire.MemberChange{Name: fmt.Sprintf("m%d", e), Left: e%2 == 0}))
+	}
+	bodies := []wire.AdminBody{sent[0], sent[1], sent[2], sent[3],
+		wire.MemberList{Names: []string{"a"}}, ngk(5, wire.MemberChange{Name: "x"}),
+		wire.Joined("y"), ngk(6, wire.MemberChange{Name: "z"}), ngk(7, wire.MemberChange{Name: "x", Left: true})}
+	for _, b := range bodies {
+		if _, err := l.Send(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range sent {
+		if b.Changes[:2][1] != (wire.MemberChange{}) {
+			t.Fatal("a fold appended into the caller's array")
+		}
+	}
+	want := []string{
+		"Heartbeat()",
+		wire.NewGroupKey{Epoch: 4, Key: keys[4], Changes: []wire.MemberChange{
+			{Name: "m1"}, {Name: "m2", Left: true}, {Name: "m3"}, {Name: "m4", Left: true}}}.String(),
+		"MemberList(a)",
+		wire.NewGroupKey{Epoch: 5, Key: keys[5], Changes: []wire.MemberChange{{Name: "x"}}}.String(),
+		"MemberChanges[+y]",
+		wire.NewGroupKey{Epoch: 7, Key: keys[7], Changes: []wire.MemberChange{{Name: "z"}, {Name: "x", Left: true}}}.String(),
+	}
+	if got := l.PendingAdmin(); got != len(want)-1 {
+		t.Fatalf("pending = %d, want %d", got, len(want)-1)
+	}
+	var got []string
+	for env != nil {
+		mev, err := m.Handle(*env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, mev.Admin.String())
+		lev, err := l.Handle(*mev.Reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env = lev.Reply
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("member received\n %v\nwant\n %v", got, want)
+	}
+
+	// The fold stops at wire.MaxDeltaNames changes.
+	if env, err := l.Send(wire.Heartbeat{}); err != nil || env == nil {
+		t.Fatalf("Send on an idle pipeline: %v, %v", env, err)
+	}
+	const n = 2*wire.MaxDeltaNames + 2
+	for e := uint64(1); e <= n; e++ {
+		if _, err := l.Send(ngk(e%8, wire.MemberChange{Name: "m"})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.PendingAdmin(); got != 3 {
+		t.Errorf("pending = %d after %d one-change keys, want 3", got, n)
+	}
+}
+
 func TestSendBeforeAcceptanceQueues(t *testing.T) {
 	m, l := newPair(t)
 	initReq, _ := m.Start()

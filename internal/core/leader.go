@@ -270,8 +270,8 @@ func (l *LeaderSession) handleClose(env wire.Envelope) (LeaderEvent, error) {
 // returned immediately; otherwise it is queued and will be emitted by the
 // LeaderEvent of a future acknowledgment. Send before the member is
 // accepted queues the body for delivery right after acceptance. Queued
-// notices fold (see enqueue), so a burst of k behind one outstanding
-// AdminMsg costs one message per round trip, not k.
+// notices and keys fold (see enqueue), so a burst of k behind one
+// outstanding AdminMsg costs one message per round trip, not k.
 func (l *LeaderSession) Send(body wire.AdminBody) (*wire.Envelope, error) {
 	switch l.phase {
 	case LeaderClosed:
@@ -284,23 +284,39 @@ func (l *LeaderSession) Send(body wire.AdminBody) (*wire.Envelope, error) {
 	}
 }
 
-// enqueue appends body to the pending queue. A wire.MemberChanges folds
-// into a MemberChanges at the tail while both fit in wire.MaxDeltaNames, so
-// nothing folds across another body and the flattened changes keep their
-// order. Queued lists are clipped: the first fold copies the caller's
-// (possibly shared) array, and later folds append to that private copy.
+// enqueue appends body to the pending queue, folding it into the body at
+// the tail when both are of one kind and their changes fit in
+// wire.MaxDeltaNames: a wire.MemberChanges appends its changes, and a
+// wire.NewGroupKey replaces the older key with its epoch and key and both
+// bodies' changes, in order. A member skips the superseded key, never a
+// change. Only the tail folds, so nothing folds across another body. Queued
+// lists are clipped: the first fold copies the caller's (possibly shared)
+// array, and later folds append to that private copy.
 func (l *LeaderSession) enqueue(body wire.AdminBody) {
-	mc, ok := body.(wire.MemberChanges)
-	if n := len(l.pending); ok && n > 0 {
-		if last, ok := l.pending[n-1].(wire.MemberChanges); ok && len(last.Changes)+len(mc.Changes) <= wire.MaxDeltaNames {
-			last.Changes = append(last.Changes, mc.Changes...)
+	var tail wire.AdminBody
+	n := len(l.pending)
+	if n > 0 {
+		tail = l.pending[n-1]
+	}
+	switch b := body.(type) {
+	case wire.MemberChanges:
+		if last, ok := tail.(wire.MemberChanges); ok && len(last.Changes)+len(b.Changes) <= wire.MaxDeltaNames {
+			last.Changes = append(last.Changes, b.Changes...)
 			l.pending[n-1] = last
 			return
 		}
-	}
-	if ok {
-		mc.Changes = slices.Clip(mc.Changes)
-		body = mc
+		b.Changes = slices.Clip(b.Changes)
+		body = b
+	case wire.NewGroupKey:
+		if last, ok := tail.(wire.NewGroupKey); ok && len(last.Changes)+len(b.Changes) <= wire.MaxDeltaNames {
+			b.Changes = append(last.Changes, b.Changes...)
+			l.pending[n-1] = b
+			return
+		}
+		b.Changes = slices.Clip(b.Changes)
+		body = b
+	default:
+		// MemberList, PathKeys and Heartbeat never fold.
 	}
 	l.pending = append(l.pending, body)
 }

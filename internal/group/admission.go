@@ -191,11 +191,8 @@ func (g *Leader) admitLocked(s *memberConn, resumed bool) {
 	// verified pipeline, so every member sees a consistent history. A
 	// rotation skips the joiner, flat or LKH: its view comes from MemberList,
 	// and its keys, its whole path under LKH, from the current keys sent
-	// just below; inside a coalescing window it reads group traffic on the
-	// current key at once.
-	rotate := !resumed && g.rekey.OnJoin
-	g.announceLocked(wire.Joined(s.user), wire.NewGroupKey{Joined: []string{s.user}}, "join "+s.user, s.user,
-		rotate, rotate && g.coalesce <= 0)
+	// just below.
+	g.announceLocked(wire.Joined(s.user), "join "+s.user, s.user, !resumed && g.rekey.OnJoin)
 	// On a resumption this is the first body in the fresh outbox: the engine
 	// seals it as the ResumeAck, and the rest queues behind the member's ack.
 	g.sendCurrentKeysLocked(s)
@@ -248,10 +245,9 @@ func (g *Leader) serveReplica(conn transport.Conn, first wire.Envelope) {
 // memberConn.mu order).
 func (g *Leader) snapshotLocked() wire.ReplStatePayload {
 	st := wire.ReplStatePayload{
-		Epoch:        g.epoch,
-		GroupKey:     g.groupKey,
-		AuditSeq:     g.log.seq,
-		RekeyPending: g.rekeyPending > 0,
+		Epoch:    g.epoch,
+		GroupKey: g.groupKey,
+		AuditSeq: g.log.seq,
 	}
 	if g.tree != nil {
 		st.LKHArity = uint8(g.tree.Arity())

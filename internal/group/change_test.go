@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"enclaves/internal/crypto"
 	"enclaves/internal/member"
@@ -59,17 +58,12 @@ func pipeGroup(t *testing.T, cfg Config, n int) (*Leader, []*member.Member) {
 }
 
 // quiesce waits until every member agrees with the leader and the admin
-// pipeline is idle: no rotation pending, each member's view and epoch are
-// the leader's, and no AdminMsg is queued or awaiting its acknowledgment.
+// pipeline is idle: each member's view and epoch are the leader's, and no
+// AdminMsg is queued or awaiting its acknowledgment.
 func quiesce(t *testing.T, g *Leader, ms []*member.Member) {
 	t.Helper()
 	waitFor(t, "group to quiesce", func() bool {
-		g.mu.Lock()
-		pending, epoch := g.rekeyPending, g.epoch
-		g.mu.Unlock()
-		if pending > 0 {
-			return false
-		}
+		epoch := g.Epoch()
 		view := g.Members()
 		for _, m := range ms {
 			if m.Epoch() != epoch || !reflect.DeepEqual(m.Members(), view) {
@@ -106,11 +100,10 @@ func adminEvents(m *member.Member) []member.Event {
 // TestAdminMsgsPerChange counts the AdminMsgs one leave and one join cost a
 // 16-member group. Flat and rotating at once, the key carries the change:
 // n-1 for a leave, n+1 for a join (the joiner's key and its MemberList).
-// Where no key message follows at once the standalone notices are what they
-// always were: n-1 under LKH (keys travel as KeyUpdate frames) and with the
-// policy off, and with a coalescing window the notice now and the key after
-// it. Serial changes never fold (each notice finds the pipeline idle), so the
-// counts are the same with notice folding. Every message is acknowledged
+// Where no key message carries the change the standalone notices are what
+// they always were: n-1 under LKH (keys travel as KeyUpdate frames) and with
+// the policy off. Serial changes never fold (each body finds the pipeline
+// idle), so the counts are the same with notice and key folding. Every message is acknowledged
 // exactly once, and after each change every member's view and epoch are the
 // leader's.
 func TestAdminMsgsPerChange(t *testing.T) {
@@ -123,7 +116,6 @@ func TestAdminMsgsPerChange(t *testing.T) {
 	}{
 		{"flat", Config{Rekey: DefaultRekeyPolicy()}, n - 1, n + 1},
 		{"lkh", Config{Rekey: DefaultRekeyPolicy(), LKH: true}, n - 1, n + 1},
-		{"coalesce", Config{Rekey: DefaultRekeyPolicy(), RekeyCoalesce: 10 * time.Millisecond}, 2 * (n - 1), 2*n + 1},
 		{"no rekey", Config{}, n - 1, n + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -171,15 +171,13 @@ func TestSubscribeDuringAcks(t *testing.T) {
 }
 
 // TestReplicaFoldsToSnapshot: a standby subscribed from the start, folding
-// every delta of scripted LKH churn under a coalescing window — joins,
-// leaves, an expulsion, an eviction, a timer-flushed window, a manual rekey
-// — holds exactly what a fresh snapshot would give it: members and their
-// sessions, epoch, group key, the key tree and the pending-window flag.
+// every delta of scripted LKH churn — joins, leaves, an expulsion, an
+// eviction, a manual rekey — holds exactly what a fresh snapshot would give
+// it: members and their sessions, epoch, group key and the key tree.
 func TestReplicaFoldsToSnapshot(t *testing.T) {
 	kr := newReplKey(t)
 	g, net, keys := logGroup(t, Config{
-		Rekey: DefaultRekeyPolicy(), LKH: true, LKHArity: 2,
-		RekeyCoalesce: time.Second, ReplKey: kr,
+		Rekey: DefaultRekeyPolicy(), LKH: true, LKHArity: 2, ReplKey: kr,
 		Liveness: Liveness{AckTimeout: 300 * time.Millisecond},
 	}, "alice", "bob", "carol", "dave", "erin", "dead")
 	sb, err := replica.NewStandby(replica.StandbyConfig{
@@ -196,7 +194,7 @@ func TestReplicaFoldsToSnapshot(t *testing.T) {
 	// The fields a promotion reads, from the replica and, as a standby
 	// builds them, from a fresh snapshot.
 	replicated := func(st replica.State) replica.State {
-		return replica.State{Members: st.Members, Epoch: st.Epoch, GroupKey: st.GroupKey, Tree: st.Tree, RekeyPending: st.RekeyPending}
+		return replica.State{Members: st.Members, Epoch: st.Epoch, GroupKey: st.GroupKey, Tree: st.Tree}
 	}
 	snapshot := func() replica.State {
 		g.mu.Lock()
@@ -205,7 +203,7 @@ func TestReplicaFoldsToSnapshot(t *testing.T) {
 		g.log.mu.Unlock()
 		g.mu.Unlock()
 		st := replica.State{
-			Epoch: p.Epoch, GroupKey: p.GroupKey, RekeyPending: p.RekeyPending,
+			Epoch: p.Epoch, GroupKey: p.GroupKey,
 			Members: make(map[string]wire.ReplMember), Tree: make(map[uint64]wire.ReplLKHNode),
 		}
 		for _, m := range p.Members {
@@ -216,17 +214,7 @@ func TestReplicaFoldsToSnapshot(t *testing.T) {
 		}
 		return st
 	}
-	folded := func(pending bool) func() bool {
-		return func() bool {
-			got, want := replicated(sb.State()), snapshot()
-			return want.RekeyPending == pending && reflect.DeepEqual(got, want)
-		}
-	}
-	pendingFlushed := func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return g.rekeyPending == 0
-	}
+	folded := func() bool { return reflect.DeepEqual(replicated(sb.State()), snapshot()) }
 
 	ms := make(map[string]*member.Member)
 	for _, u := range []string{"alice", "bob", "carol", "dave"} {
@@ -235,13 +223,12 @@ func TestReplicaFoldsToSnapshot(t *testing.T) {
 	silentMember(t, net, leaderName, "dead", keys["dead"])
 	waitFor(t, "the silent member joined", func() bool { return len(g.Members()) == 5 })
 	waitFor(t, "the silent member evicted", func() bool { return len(g.Members()) == 4 })
-	waitFor(t, "the coalesced window flushed", pendingFlushed)
 
 	if err := ms["alice"].Leave(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "replica folds to the snapshot inside an armed window", folded(true))
-	if err := g.Expel("bob"); err != nil { // absorbs the armed window
+	waitFor(t, "replica folds to the snapshot after a leave", folded)
+	if err := g.Expel("bob"); err != nil {
 		t.Fatal(err)
 	}
 	ms["erin"] = join(t, net, "erin")
@@ -253,5 +240,5 @@ func TestReplicaFoldsToSnapshot(t *testing.T) {
 	}
 	defer ms["dave"].Leave()
 	defer ms["erin"].Leave()
-	waitFor(t, "replica folds to the snapshot after the churn", folded(false))
+	waitFor(t, "replica folds to the snapshot after the churn", folded)
 }

@@ -593,17 +593,8 @@ func TestResumeIsOneShot(t *testing.T) {
 // standby is not configured to serve is refused at promotion — and the
 // refusal must be VISIBLE: an EventLeft with a diagnostic detail lands in
 // the audit stream (so resumes + fresh joins reconcile against the
-// pre-crash membership), the user's leaf leaves the promoted key tree, and
-// the replicated armed coalescing window is credited as coalesced.
+// pre-crash membership), and the user's leaf leaves the promoted key tree.
 func TestPromoteDropsUnknownUserWithAudit(t *testing.T) {
-	prev := metrics.Enabled()
-	metrics.Enable()
-	defer func() {
-		if !prev {
-			metrics.Disable()
-		}
-	}()
-
 	tree, err := lkh.New(2)
 	if err != nil {
 		t.Fatal(err)
@@ -622,15 +613,13 @@ func TestPromoteDropsUnknownUserWithAudit(t *testing.T) {
 			"alice":   {SessionKey: newReplKey(t)},
 			"mallory": {SessionKey: newReplKey(t)},
 		},
-		LKHArity:     2,
-		Tree:         make(map[uint64]wire.ReplLKHNode),
-		RekeyPending: true,
+		LKHArity: 2,
+		Tree:     make(map[uint64]wire.ReplLKHNode),
 	}
 	for _, r := range tree.Records() {
 		st.Tree[uint64(r.ID)] = toReplNode(r)
 	}
 
-	coalescedBefore := counterVal(t, "group_rekeys_coalesced_total")
 	var audit struct {
 		mu     sync.Mutex
 		events []Event
@@ -678,9 +667,5 @@ func TestPromoteDropsUnknownUserWithAudit(t *testing.T) {
 	}
 	if e := promoted.Epoch(); e != st.Epoch+1 {
 		t.Errorf("promoted epoch = %d, want %d (one forced rotation)", e, st.Epoch+1)
-	}
-	// The crash-absorbed coalescing trigger was credited.
-	if d := counterVal(t, "group_rekeys_coalesced_total") - coalescedBefore; d != 1 {
-		t.Errorf("coalesced credit = %d, want 1 for the replicated armed window", d)
 	}
 }

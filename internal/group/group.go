@@ -52,16 +52,6 @@ type Config struct {
 	Users map[string]crypto.Key
 	// Rekey selects the group-key rotation policy.
 	Rekey RekeyPolicy
-	// RekeyCoalesce debounces policy-triggered rotations: a burst of
-	// join/leave rekeys landing inside the window folds into one epoch bump
-	// and one NewGroupKey broadcast, turning a k-member churn storm's
-	// k × O(n) rekey broadcasts into a single one (the dominant cost of
-	// dynamic group key management; see EXPERIMENTS.md). Zero (the default)
-	// keeps every rotation immediate. Expel and explicit Rekey calls are
-	// always immediate regardless of the window — an expulsion's forward
-	// secrecy must not wait. See README "Scalability" for the security
-	// argument bounding what the window trades away.
-	RekeyCoalesce time.Duration
 	// LKH switches group-key distribution from the flat per-member
 	// NewGroupKey broadcast (n re-seals per rotation) to a logical key
 	// hierarchy (internal/lkh): members hold their leaf-to-root path keys,
@@ -117,7 +107,6 @@ var errLeaderClosed = errors.New("group: leader closed")
 type Leader struct {
 	name      string
 	rekey     RekeyPolicy
-	coalesce  time.Duration
 	logf      func(string, ...any)
 	log       *changeLog // every decision, once; see changelog.go
 	liveness  Liveness
@@ -150,12 +139,6 @@ type Leader struct {
 	// first successful Resume; a member that never resumes simply rejoins
 	// with the full password handshake.
 	resumable map[string]core.SessionState
-	// rekeyPending/rekeyTimer implement the coalescing window: the first
-	// debounced trigger arms the timer, later triggers inside the window
-	// fold into it, and any immediate rotation absorbs the pending one.
-	// rekeyPending counts the triggers waiting on the window.
-	rekeyPending int
-	rekeyTimer   *time.Timer
 	// bcastBuf is the reusable fan-out snapshot for admin broadcasts; it is
 	// only touched under mu, so one buffer serves every broadcast.
 	bcastBuf []*memberConn
@@ -290,14 +273,9 @@ func NewLeader(cfg Config) (*Leader, error) {
 	} else if outboxCap < 0 {
 		outboxCap = 0 // unbounded
 	}
-	coalesce := cfg.RekeyCoalesce
-	if coalesce < 0 {
-		coalesce = 0
-	}
 	g := &Leader{
 		name:      cfg.Name,
 		rekey:     cfg.Rekey,
-		coalesce:  coalesce,
 		logf:      logf,
 		liveness:  cfg.Liveness,
 		outboxCap: outboxCap,
@@ -430,8 +408,7 @@ func (g *Leader) Idle() bool {
 }
 
 // Close disconnects every connection (accepted or mid-handshake) and stops
-// serving. A pending coalesced rekey is cancelled: there is no one left to
-// rotate for.
+// serving.
 func (g *Leader) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -440,11 +417,6 @@ func (g *Leader) Close() {
 	}
 	g.closed = true
 	close(g.stop)
-	if g.rekeyTimer != nil {
-		g.rekeyTimer.Stop()
-		g.rekeyTimer = nil
-	}
-	g.rekeyPending = 0
 	conns := make([]transport.Conn, 0, len(g.conns))
 	for c := range g.conns {
 		conns = append(conns, c)
@@ -464,36 +436,25 @@ func (g *Leader) Close() {
 	g.log.stop()
 }
 
-// Rekey generates and distributes a new group key immediately — it never
-// waits on the coalescing window. Use it for periodic or event-driven
-// policies beyond join/leave.
+// Rekey generates and distributes a new group key now. Use it for periodic
+// or event-driven policies beyond join/leave.
 func (g *Leader) Rekey() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
 		return errLeaderClosed
 	}
-	return g.rekeyLocked("manual", wire.NewGroupKey{}, "")
+	return g.rekeyLocked("manual", nil, "")
 }
 
 // rekeyLocked rotates the group key now; cause becomes the Rekeyed record's
-// detail. delta names the membership change the rotation answers and skip
+// detail. changes names the membership change the rotation answers and skip
 // the joiner it must not reach, which gets the current keys from
-// sendCurrentKeysLocked instead: the flat path adds epoch and key and
-// broadcasts that one body. Under LKH the rotation covers the dirty paths
-// (the root always included), keys travel as KeyUpdate frames queued here,
-// the caller has announced the change itself, and delta is empty.
-func (g *Leader) rekeyLocked(cause string, delta wire.NewGroupKey, skip string) error {
-	// An immediate rotation satisfies any pending debounced one: absorb it
-	// so the window cannot fire a redundant second broadcast.
-	if g.rekeyPending > 0 {
-		g.rekeyPending = 0
-		if g.rekeyTimer != nil {
-			g.rekeyTimer.Stop()
-			g.rekeyTimer = nil
-		}
-		mRekeysCoalesced.Inc()
-	}
+// sendCurrentKeysLocked instead: the flat path broadcasts one NewGroupKey
+// carrying the changes. Under LKH the rotation covers the dirty paths (the
+// root always included), keys travel as KeyUpdate frames queued here, the
+// caller has announced the change itself, and changes is empty.
+func (g *Leader) rekeyLocked(cause string, changes []wire.MemberChange, skip string) error {
 	var (
 		kg  crypto.Key
 		ups []lkh.Update
@@ -521,16 +482,14 @@ func (g *Leader) rekeyLocked(cause string, delta wire.NewGroupKey, skip string) 
 		g.queueKeyUpdatesLocked(ups, skip)
 		return nil
 	}
-	delta.Epoch, delta.Key = g.epoch, kg
-	g.broadcastAdminLocked(delta, skip)
+	g.broadcastAdminLocked(wire.NewGroupKey{Epoch: g.epoch, Key: kg, Changes: changes}, skip)
 	return nil
 }
 
 // Expel removes a member against its will (the "variation of this protocol
 // [that] can be used to expel some members", Section 2.2): its connection
-// is dropped, the group is informed, and the key is rotated per policy —
-// immediately, never coalesced, so the expelled member's last key dies with
-// its membership.
+// is dropped, the group is informed, and the key is rotated per policy, so
+// the expelled member's last key dies with its membership.
 func (g *Leader) Expel(user string) error {
 	g.mu.Lock()
 	if g.closed {
@@ -758,11 +717,20 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool)
 		g.logf("group: admin to %s: %v", s.user, err)
 		return transport.Outgoing{}, false
 	}
-	if _, ok := f.body.(wire.MemberChanges); ok {
+	folded := env == nil && s.engine.PendingAdmin() == queued
+	switch f.body.(type) {
+	case wire.MemberChanges:
 		mNotices.Inc()
-		if env == nil && s.engine.PendingAdmin() == queued {
+		if folded {
 			mNoticesFolded.Inc()
 		}
+	case wire.NewGroupKey:
+		mKeys.Inc()
+		if folded {
+			mKeysFolded.Inc()
+		}
+	default:
+		// The other bodies never fold.
 	}
 	if env == nil {
 		return transport.Outgoing{}, false // queued behind the outstanding AdminMsg
@@ -774,10 +742,8 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool)
 
 // departedLocked records a departure (left, expelled or evicted, with its
 // detail), announces it and rotates the key per policy. The caller must have
-// removed the member from the registry already. An expulsion rotates now;
-// leaves and evictions may fold into the coalescing window — safe for
-// forward secrecy because the departed member is already out of the
-// registry, so the eventual NewGroupKey broadcast cannot reach it.
+// removed the member from the registry already, so the rotation's
+// NewGroupKey cannot reach it.
 func (g *Leader) departedLocked(user string, kind changeKind, detail string) {
 	mMembers.Add(-1)
 	g.tm.left()
@@ -786,35 +752,28 @@ func (g *Leader) departedLocked(user string, kind changeKind, detail string) {
 	// RotateDirty retires every key the member held.
 	g.leaveTreeLocked(user)
 	g.log.record(change{kind: kind, user: user, epoch: g.epoch, detail: detail})
-	immediate := kind == changeExpelled
-	rotate := g.rekey.OnLeave && g.reg.size() > 0
 	cause := "leave " + user
-	if immediate {
+	if kind == changeExpelled {
 		cause = "expel " + user
 	}
-	g.announceLocked(wire.Left(user), wire.NewGroupKey{Left: []string{user}}, cause, "",
-		rotate, rotate && (immediate || g.coalesce <= 0))
+	g.announceLocked(wire.Left(user), cause, "", g.rekey.OnLeave && g.reg.size() > 0)
 }
 
 // announceLocked tells every member but skip about one membership change and
-// rotates per policy: rotate says the policy asks for a rotation, now that it
-// may not wait for the coalescing window. A flat rotation that happens now
-// carries the change itself (delta) — one AdminMsg per member, and after a
-// leave the departed member's key is dead one ack round trip later, not two.
-// notice travels on its own only where no key message follows at once: LKH,
-// the coalescing window, the policy off, a resumption.
-func (g *Leader) announceLocked(notice wire.AdminBody, delta wire.NewGroupKey, cause, skip string, rotate, now bool) {
-	if !now || g.tree != nil {
-		delta = wire.NewGroupKey{}
+// rotates if the policy asks for it. A flat rotation carries the change
+// itself — one AdminMsg per member, and after a leave the departed member's
+// key is dead one ack round trip later, not two. The notice travels on its
+// own only where no NewGroupKey carries it: LKH, the policy off, a
+// resumption.
+func (g *Leader) announceLocked(notice wire.MemberChanges, cause, skip string, rotate bool) {
+	if !rotate || g.tree != nil {
 		g.broadcastAdminLocked(notice, skip)
+		notice.Changes = nil
 	}
-	switch {
-	case now:
-		if err := g.rekeyLocked(cause, delta, skip); err != nil {
+	if rotate {
+		if err := g.rekeyLocked(cause, notice.Changes, skip); err != nil {
 			g.logf("group: rekey (%s): %v", cause, err)
 		}
-	case rotate:
-		g.requestRekeyLocked()
 	}
 }
 

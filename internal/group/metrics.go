@@ -13,11 +13,6 @@ var (
 	mEvictions = metrics.NewCounter("group_evictions_total")
 	mRekeys    = metrics.NewCounter("group_rekeys_total")
 	mRejected  = metrics.NewCounter("group_rejected_total")
-	// mRekeysCoalesced counts policy-triggered rotations folded into an
-	// already-pending coalescing window (or absorbed by an immediate
-	// rotation). At quiescence, triggers == rekeys_total Δ + this Δ — the
-	// reconciliation identity the chaos soak asserts.
-	mRekeysCoalesced = metrics.NewCounter("group_rekeys_coalesced_total")
 
 	// mResumes counts sessions re-attached through the failover resumption
 	// sub-protocol (no password re-handshake); mResumeRejected counts Resume
@@ -38,6 +33,10 @@ var (
 	// mNoticesFolded those folded into a notice already queued there.
 	mNotices       = metrics.NewCounter("group_notices_total")
 	mNoticesFolded = metrics.NewCounter("group_notices_folded_total")
+	// mKeys and mKeysFolded count the same for flat keys (wire.NewGroupKey):
+	// a folded key is one a member skips for the newer key queued after it.
+	mKeys       = metrics.NewCounter("group_keys_total")
+	mKeysFolded = metrics.NewCounter("group_keys_folded_total")
 
 	mAdminSent   = metrics.NewCounter("group_admin_sent_total")
 	mAdminAcked  = metrics.NewCounter("group_admin_acked_total")

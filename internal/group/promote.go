@@ -8,7 +8,6 @@ import (
 	"enclaves/internal/core"
 	"enclaves/internal/lkh"
 	"enclaves/internal/replica"
-	"enclaves/internal/wire"
 )
 
 // Promote builds a Leader from a standby's replicated state after the
@@ -93,21 +92,13 @@ func Promote(cfg Config, st replica.State) (*Leader, error) {
 		ss, _ := st.SessionState(user)
 		g.resumable[user] = ss
 	}
-	if st.RekeyPending {
-		// The primary crashed with its coalescing window armed: the trigger
-		// that armed it is absorbed by the forced rotation below. Credit it
-		// as coalesced so the trigger ledger (triggers == rekeys +
-		// coalesced) reconciles through the failover.
-		mRekeysCoalesced.Inc()
-	}
 	// The forced post-promotion rotation (exactly one: rekeyLocked records
 	// the single Rekeyed change). The registry is still empty, so the
 	// broadcast has no receivers; resuming members get the new key in
 	// their ResumeAck, and late rejoiners through the join route. Under LKH
 	// the rotation covers the root plus every path the replica recorded
-	// dirty — departures the crash caught mid-window stay forward-secret —
-	// rather than cutting a whole new flat key.
-	if err := g.rekeyLocked("promotion", wire.NewGroupKey{}, ""); err != nil {
+	// dirty rather than cutting a whole new flat key.
+	if err := g.rekeyLocked("promotion", nil, ""); err != nil {
 		g.mu.Unlock()
 		g.Close()
 		return nil, fmt.Errorf("group: post-promotion rekey: %w", err)

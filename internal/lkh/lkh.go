@@ -80,10 +80,10 @@ type Entry struct {
 // Record is the replication form of one node. Parent is zero for the root.
 // Leaves carry the owning member in User. Dirty records a rotation still
 // owed to this node — it must replicate so a promoted standby rotates
-// exactly the paths the crashed primary had pending (a departure inside the
-// coalescing window leaves its surviving ancestors dirty; losing that fact
-// to the crash would let the departed member keep opening rotations sealed
-// under ancestor keys it held).
+// exactly the paths the crashed primary had pending (a departure leaves its
+// surviving ancestors dirty until its rotation; losing that fact to the
+// crash would let the departed member keep opening rotations sealed under
+// ancestor keys it held).
 type Record struct {
 	ID     NodeID
 	Parent NodeID
@@ -168,8 +168,7 @@ func (t *Tree) newNode(parent *node, user string) (*node, error) {
 }
 
 // Join places a new leaf for user with a fresh leaf key and marks its path
-// dirty; the caller rotates (immediately or at the end of a coalescing
-// window) and hands the member its path. The leaf goes under the
+// dirty; the caller rotates and hands the member its path. The leaf goes under the
 // smallest-membership internal node reachable by smallest-child descent;
 // when that node is full of leaves, its smallest leaf is demoted under a
 // fresh internal node to make room, which keeps the tree within one level

@@ -567,32 +567,15 @@ func (m *Member) applyAdminLocked(ev core.MemberEvent, payload []byte) []Event {
 	case nil:
 		return nil
 	case wire.NewGroupKey:
-		// The membership change the rotation answers applies first, so the
-		// application sees who left or joined before the key that followed.
-		for _, n := range body.Left {
-			delete(m.view, n)
-			out = append(out, Event{Kind: EventLeft, Name: n})
-		}
-		for _, n := range body.Joined {
-			m.view[n] = true
-			out = append(out, Event{Kind: EventJoined, Name: n})
-		}
+		// The changes the rotation answers apply first, so the application
+		// sees who left or joined before the key that followed.
+		out = m.applyChangesLocked(out, body.Changes)
 		m.installGroupKeyLocked(body.Key, body.Epoch)
 		out = append(out, Event{Kind: EventRekey, Epoch: body.Epoch})
 	case wire.PathKeys:
 		out = append(out, m.applyPathKeysLocked(body))
 	case wire.MemberChanges:
-		// Possibly several notices folded by the leader: applied in order,
-		// one event each, exactly as if they had come one message apiece.
-		for _, c := range body.Changes {
-			if c.Left {
-				delete(m.view, c.Name)
-				out = append(out, Event{Kind: EventLeft, Name: c.Name})
-			} else {
-				m.view[c.Name] = true
-				out = append(out, Event{Kind: EventJoined, Name: c.Name})
-			}
-		}
+		out = m.applyChangesLocked(out, body.Changes)
 	case wire.MemberList:
 		m.view = make(map[string]bool, len(body.Names))
 		for _, n := range body.Names {
@@ -606,6 +589,22 @@ func (m *Member) applyAdminLocked(ev core.MemberEvent, payload []byte) []Event {
 	m.lastAdminPayload = append(m.lastAdminPayload[:0], payload...)
 	ack := *ev.Reply
 	m.lastAck = &ack
+	return out
+}
+
+// applyChangesLocked applies membership changes to the view in order, one
+// event each: changes the leader folded into one body read exactly as if
+// they had come one message apiece. Caller holds m.mu.
+func (m *Member) applyChangesLocked(out []Event, changes []wire.MemberChange) []Event {
+	for _, c := range changes {
+		if c.Left {
+			delete(m.view, c.Name)
+			out = append(out, Event{Kind: EventLeft, Name: c.Name})
+		} else {
+			m.view[c.Name] = true
+			out = append(out, Event{Kind: EventJoined, Name: c.Name})
+		}
+	}
 	return out
 }
 

@@ -196,9 +196,9 @@ func TestAdminEventsUpdateView(t *testing.T) {
 	}
 }
 
-// TestKeyCarriesMembershipChange: a NewGroupKey naming the change it answers
-// is one AdminMsg to the engine and three events to the application — who
-// left, who joined, then the key — all under that message's one sequence
+// TestKeyCarriesMembershipChange: a NewGroupKey naming the changes it answers
+// is one AdminMsg to the engine and three events to the application — the
+// changes in order, then the key — all under that message's one sequence
 // number, with view and epoch moved together by the time the first event is
 // out.
 func TestKeyCarriesMembershipChange(t *testing.T) {
@@ -208,7 +208,7 @@ func TestKeyCarriesMembershipChange(t *testing.T) {
 	nextEvent(t, m)
 
 	key, _ := crypto.NewKey()
-	f.sendAdmin(wire.NewGroupKey{Epoch: 5, Key: key, Joined: []string{"carol"}, Left: []string{"bob"}})
+	f.sendAdmin(wire.NewGroupKey{Epoch: 5, Key: key, Changes: []wire.MemberChange{{Name: "bob", Left: true}, {Name: "carol"}}})
 	f.pump(1) // one ack for the one message
 	want := []Event{
 		{Kind: EventLeft, Name: "bob"},
@@ -289,6 +289,46 @@ func TestFoldedNoticesMatchUnfolded(t *testing.T) {
 	}
 	if want := []string{"alice", "carol", "erin"}; !reflect.DeepEqual(foldedView, want) || !reflect.DeepEqual(unfoldedView, want) {
 		t.Errorf("views: folded %v, unfolded %v, want %v", foldedView, unfoldedView, want)
+	}
+}
+
+// TestFoldedKeyMatchesUnfolded: the leader folds a key queued behind an
+// unacknowledged AdminMsg into the newer key queued after it, with both
+// keys' changes in order. A member given one key for x's join and then one
+// for x's leave, or the folded key naming both, hears x join and then
+// leave, ends without x in its view, and holds the newer key.
+func TestFoldedKeyMatchesUnfolded(t *testing.T) {
+	k2, _ := crypto.NewKey()
+	k3, _ := crypto.NewKey()
+	join := wire.NewGroupKey{Epoch: 2, Key: k2, Changes: []wire.MemberChange{{Name: "x"}}}
+	leave := wire.NewGroupKey{Epoch: 3, Key: k3, Changes: []wire.MemberChange{{Name: "x", Left: true}}}
+	folded := wire.NewGroupKey{Epoch: 3, Key: k3, Changes: append(join.Changes, leave.Changes...)}
+	run := func(bodies ...wire.NewGroupKey) ([]Event, []string) {
+		f, m := joinThrough(t)
+		f.sendAdmin(wire.MemberList{Names: []string{"alice"}})
+		f.pump(1)
+		nextEvent(t, m)
+		var evs []Event
+		for _, b := range bodies {
+			f.sendAdmin(b)
+			f.pump(1)
+			for range len(b.Changes) + 1 {
+				if ev := nextEvent(t, m); ev.Kind != EventRekey {
+					evs = append(evs, Event{Kind: ev.Kind, Name: ev.Name})
+				}
+			}
+		}
+		if m.Epoch() != 3 {
+			t.Errorf("epoch %d, want 3", m.Epoch())
+		}
+		return evs, m.Members()
+	}
+	want := []Event{{Kind: EventJoined, Name: "x"}, {Kind: EventLeft, Name: "x"}}
+	for name, bodies := range map[string][]wire.NewGroupKey{"unfolded": {join, leave}, "folded": {folded}} {
+		evs, view := run(bodies...)
+		if !reflect.DeepEqual(evs, want) || !reflect.DeepEqual(view, []string{"alice"}) {
+			t.Errorf("%s: events %v and view %v, want %v and [alice]", name, evs, view, want)
+		}
 	}
 }
 

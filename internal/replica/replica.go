@@ -58,12 +58,6 @@ type State struct {
 	// paths instead of cutting a whole new flat key.
 	LKHArity int
 	Tree     map[uint64]wire.ReplLKHNode
-
-	// RekeyPending records that the primary had armed its rekey-coalescing
-	// window but not yet flushed it. A promotion with this flag set owes
-	// the group a rotation (and the trigger ledger a coalesced credit):
-	// the crash absorbed the pending triggers.
-	RekeyPending bool
 }
 
 // Clone deep-copies the state.
@@ -94,8 +88,6 @@ func (st *State) Apply(d wire.ReplDeltaPayload) {
 	case wire.ReplRekey:
 		st.Epoch = d.Epoch
 		st.GroupKey = d.GroupKey
-		// A completed rotation settles any armed coalescing window.
-		st.RekeyPending = false
 	case wire.ReplLKH:
 		if st.Tree == nil {
 			st.Tree = make(map[uint64]wire.ReplLKHNode, len(d.Nodes))
@@ -106,8 +98,6 @@ func (st *State) Apply(d wire.ReplDeltaPayload) {
 		for _, id := range d.Removed {
 			delete(st.Tree, id)
 		}
-	case wire.ReplRekeyPending:
-		st.RekeyPending = d.Pending
 	case wire.ReplSessionSync:
 		if s, ok := st.Members[d.User]; ok {
 			s.Nonce = d.Nonce

@@ -36,15 +36,7 @@ func TestApplyLKHDeltas(t *testing.T) {
 		t.Fatalf("tree after update+remove: %+v", st.Tree)
 	}
 
-	st.Apply(wire.ReplDeltaPayload{Kind: wire.ReplRekeyPending, Pending: true})
-	if !st.RekeyPending {
-		t.Fatal("pending flag not set")
-	}
-	// A completed rotation settles the window.
 	st.Apply(wire.ReplDeltaPayload{Kind: wire.ReplRekey, Epoch: 5, GroupKey: k1})
-	if st.RekeyPending {
-		t.Fatal("rekey did not clear the pending flag")
-	}
 	if st.Epoch != 5 {
 		t.Fatalf("epoch = %d", st.Epoch)
 	}
@@ -56,11 +48,10 @@ func TestCloneDeepCopiesTree(t *testing.T) {
 		Tree: map[uint64]wire.ReplLKHNode{
 			1: {ID: 1, Ver: 1, Key: newTestKey(t)},
 		},
-		LKHArity:     4,
-		RekeyPending: true,
+		LKHArity: 4,
 	}
 	cp := st.Clone()
-	if cp.LKHArity != 4 || !cp.RekeyPending || len(cp.Tree) != 1 {
+	if cp.LKHArity != 4 || len(cp.Tree) != 1 {
 		t.Fatalf("clone lost tree state: %+v", cp)
 	}
 	cp.Tree[2] = wire.ReplLKHNode{ID: 2}
@@ -70,8 +61,8 @@ func TestCloneDeepCopiesTree(t *testing.T) {
 }
 
 // TestReplicationStreamCarriesTree runs a real Sender against a real Standby
-// over a pipe and checks that the LKH tree, arity and armed-window flag
-// survive both the snapshot path and the delta path.
+// over a pipe and checks that the LKH tree and arity survive both the
+// snapshot path and the delta path.
 func TestReplicationStreamCarriesTree(t *testing.T) {
 	kr := newTestKey(t)
 	sender, err := NewSender("leader", kr, t.Logf)
@@ -88,7 +79,6 @@ func TestReplicationStreamCarriesTree(t *testing.T) {
 			{ID: 1, Ver: 2, Key: newTestKey(t)},
 			{ID: 2, Parent: 1, Ver: 1, User: "alice", Key: newTestKey(t)},
 		},
-		RekeyPending: true,
 	}
 
 	dial := func() (transport.Conn, error) {
@@ -137,15 +127,14 @@ func TestReplicationStreamCarriesTree(t *testing.T) {
 	}
 
 	st := waitFor("snapshot", func(st State) bool { return len(st.Tree) == 2 })
-	if st.LKHArity != 4 || !st.RekeyPending {
-		t.Fatalf("snapshot lost arity/pending: %+v", st)
+	if st.LKHArity != 4 {
+		t.Fatalf("snapshot lost arity: %+v", st)
 	}
 	if st.Tree[2].User != "alice" || !st.Tree[1].Key.Equal(snap.Tree[0].Key) {
 		t.Fatalf("snapshot tree mismatch: %+v", st.Tree)
 	}
 
-	// A rotation: new node versions plus the epoch bump that settles the
-	// armed window.
+	// A rotation: new node versions plus the epoch bump.
 	newRoot := newTestKey(t)
 	sender.Publish(wire.ReplDeltaPayload{Kind: wire.ReplLKH, AuditSeq: 1, Nodes: []wire.ReplLKHNode{
 		{ID: 1, Ver: 3, Key: newRoot},
@@ -156,12 +145,5 @@ func TestReplicationStreamCarriesTree(t *testing.T) {
 	if len(st.Tree) != 1 || st.Tree[1].Ver != 3 || !st.Tree[1].Key.Equal(newRoot) {
 		t.Fatalf("delta tree mismatch: %+v", st.Tree)
 	}
-	if st.RekeyPending {
-		t.Fatal("rekey delta did not settle the pending window")
-	}
-
-	// Re-arming travels too.
-	sender.Publish(wire.ReplDeltaPayload{Kind: wire.ReplRekeyPending, AuditSeq: 3, Pending: true})
-	waitFor("pending delta", func(st State) bool { return st.RekeyPending })
 	sender.Detach()
 }

@@ -248,13 +248,12 @@ func (s *Standby) subscribeOnce(cipher *crypto.Cipher) error {
 		return errors.New("snapshot does not echo our hello nonce")
 	}
 	st := State{
-		Primary:      s.cfg.Primary,
-		Epoch:        snap.Epoch,
-		GroupKey:     snap.GroupKey,
-		AuditSeq:     snap.AuditSeq,
-		Members:      make(map[string]wire.ReplMember, len(snap.Members)),
-		LKHArity:     int(snap.LKHArity),
-		RekeyPending: snap.RekeyPending,
+		Primary:  s.cfg.Primary,
+		Epoch:    snap.Epoch,
+		GroupKey: snap.GroupKey,
+		AuditSeq: snap.AuditSeq,
+		Members:  make(map[string]wire.ReplMember, len(snap.Members)),
+		LKHArity: int(snap.LKHArity),
 	}
 	for _, m := range snap.Members {
 		st.Members[m.User] = m

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,14 +23,15 @@ type AdminBody interface {
 type AdminKind uint8
 
 // Admin body kinds. Bytes 2 and 3 carried the one-name MemberJoined and
-// MemberLeft bodies that MemberChanges replaced; they are retired, rejected
-// by the decoder and never reused.
+// MemberLeft bodies that MemberChanges replaced, and byte 1 the NewGroupKey
+// with separate Joined and Left lists; they are retired, rejected by the
+// decoder and never reused.
 const (
-	AdminNewGroupKey   AdminKind = 1
 	AdminMemberList    AdminKind = 4
 	AdminHeartbeat     AdminKind = 5
 	AdminPathKeys      AdminKind = 6
 	AdminMemberChanges AdminKind = 7
+	AdminNewGroupKey   AdminKind = 8
 )
 
 var adminKindNames = map[AdminKind]string{
@@ -47,29 +49,29 @@ func (k AdminKind) String() string {
 	return fmt.Sprintf("AdminKind(%d)", uint8(k))
 }
 
-// MaxDeltaNames bounds each of a NewGroupKey's membership lists and a
-// MemberChanges list: a delta names changes, never a roster (that is
-// MemberList).
+// MaxDeltaNames bounds the change list of a NewGroupKey or MemberChanges:
+// a delta names changes, never a roster (that is MemberList).
 const MaxDeltaNames = 64
 
 // NewGroupKey distributes a new group key K'_g with its epoch. Epochs
-// increase strictly; members use them to label application data. Joined and
-// Left name the membership change the rotation answers, so that change costs
-// a member one AdminMsg, not a notice and then a key; both are empty for a
-// rotation no change caused and in a joiner's own copy. Receivers apply Left,
-// then Joined, then the key; senders keep each list within MaxDeltaNames.
+// increase strictly; members use them to label application data. Changes
+// names the membership changes the rotation answers, so a change costs a
+// member one AdminMsg, not a notice and then a key; it is empty for a
+// rotation no change caused and in a joiner's own copy. Receivers apply the
+// changes in order, as a MemberChanges, then the key.
+// core.LeaderSession.Send folds keys queued behind one unacknowledged
+// AdminMsg into the newest, with every change, up to MaxDeltaNames.
 type NewGroupKey struct {
-	Epoch  uint64
-	Key    crypto.Key
-	Joined []string
-	Left   []string
+	Epoch   uint64
+	Key     crypto.Key
+	Changes []MemberChange
 }
 
 // AdminKind implements AdminBody.
 func (NewGroupKey) AdminKind() AdminKind { return AdminNewGroupKey }
 
 func (b NewGroupKey) String() string {
-	return fmt.Sprintf("NewGroupKey(epoch=%d, %s, joined=%v, left=%v)", b.Epoch, b.Key, b.Joined, b.Left)
+	return fmt.Sprintf("NewGroupKey(epoch=%d, %s, %v)", b.Epoch, b.Key, b.Changes)
 }
 
 // MemberChange is one membership change: Name joined, or left (or was
@@ -88,8 +90,7 @@ func (c MemberChange) String() string {
 }
 
 // MemberChanges announces membership changes where no key message carries
-// them: under LKH, inside a coalescing window, with the rekey policy off, and
-// for resumptions. Receivers apply them in order. A notice is sent as one
+// them: under LKH, with the rekey policy off, and for resumptions. Receivers apply them in order. A notice is sent as one
 // change; core.LeaderSession.Send folds notices queued behind one
 // unacknowledged AdminMsg into one body of up to MaxDeltaNames.
 type MemberChanges struct {
@@ -186,17 +187,9 @@ func MarshalAdminBody(body AdminBody) []byte {
 	case NewGroupKey:
 		b.putUint64(v.Epoch)
 		b.bytes = append(b.bytes, v.Key.Bytes()...)
-		for _, names := range [][]string{v.Joined, v.Left} {
-			b.putUint8(uint8(len(names)))
-			for _, n := range names {
-				b.putString(n)
-			}
-		}
+		putChanges(&b, v.Changes)
 	case MemberChanges:
-		b.putUint8(uint8(len(v.Changes)))
-		for _, c := range v.Changes {
-			b.putString(c.String())
-		}
+		putChanges(&b, v.Changes)
 	case MemberList:
 		b.putUint64(uint64(len(v.Names)))
 		names := append([]string(nil), v.Names...)
@@ -220,6 +213,34 @@ func MarshalAdminBody(body AdminBody) []byte {
 	return b.bytes
 }
 
+// putChanges encodes a change list: a one-byte count, then each change as
+// its signed name.
+func putChanges(b *builder, changes []MemberChange) {
+	b.putUint8(uint8(len(changes)))
+	for _, c := range changes {
+		b.putString(c.String())
+	}
+}
+
+// parseChanges decodes a change list, refusing a count over MaxDeltaNames
+// before any name is read and a name that is not behind a + or -.
+func parseChanges(p *parser) ([]MemberChange, error) {
+	n := p.uint8()
+	if n > MaxDeltaNames {
+		return nil, fmt.Errorf("%d changes", n)
+	}
+	out := slices.Grow([]MemberChange(nil), int(n)) // nil when empty
+	for ; n > 0 && p.err == nil; n-- {
+		if c := p.string(); p.err == nil {
+			if c == "" || c[0] != '+' && c[0] != '-' {
+				return nil, fmt.Errorf("member change %q", c)
+			}
+			out = append(out, MemberChange{Name: c[1:], Left: c[0] == '-'})
+		}
+	}
+	return out, nil
+}
+
 // UnmarshalAdminBody decodes an admin body.
 func UnmarshalAdminBody(data []byte) (AdminBody, error) {
 	p := parser{data: data}
@@ -228,42 +249,27 @@ func UnmarshalAdminBody(data []byte) (AdminBody, error) {
 	case AdminNewGroupKey:
 		out := NewGroupKey{Epoch: p.uint64()}
 		raw := p.fixed(crypto.KeySize)
-		for _, names := range []*[]string{&out.Joined, &out.Left} {
-			n := p.uint8()
-			if n > MaxDeltaNames {
-				return nil, fmt.Errorf("%w: new group key: delta of %d names", ErrBadPayload, n)
-			}
-			for ; n > 0 && p.err == nil; n-- {
-				*names = append(*names, p.string())
-			}
+		changes, err := parseChanges(&p)
+		if err == nil {
+			err = p.finish()
 		}
-		if err := p.finish(); err != nil {
-			return nil, fmt.Errorf("%w: new group key: %v", ErrBadPayload, err)
-		}
-		k, err := crypto.KeyFromBytes(raw)
 		if err != nil {
 			return nil, fmt.Errorf("%w: new group key: %v", ErrBadPayload, err)
 		}
-		out.Key = k
+		if out.Key, err = crypto.KeyFromBytes(raw); err != nil {
+			return nil, fmt.Errorf("%w: new group key: %v", ErrBadPayload, err)
+		}
+		out.Changes = changes
 		return out, nil
 	case AdminMemberChanges:
-		n := p.uint8()
-		if n > MaxDeltaNames {
-			return nil, fmt.Errorf("%w: member changes: %d entries", ErrBadPayload, n)
+		changes, err := parseChanges(&p)
+		if err == nil {
+			err = p.finish()
 		}
-		out := MemberChanges{Changes: make([]MemberChange, 0, n)}
-		for ; n > 0 && p.err == nil; n-- {
-			if c := p.string(); p.err == nil {
-				if c == "" || c[0] != '+' && c[0] != '-' {
-					return nil, fmt.Errorf("%w: member change %q", ErrBadPayload, c)
-				}
-				out.Changes = append(out.Changes, MemberChange{Name: c[1:], Left: c[0] == '-'})
-			}
-		}
-		if err := p.finish(); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("%w: member changes: %v", ErrBadPayload, err)
 		}
-		return out, nil
+		return MemberChanges{Changes: changes}, nil
 	case AdminMemberList:
 		n := p.uint64()
 		if n > 100000 {

@@ -201,13 +201,14 @@ func FuzzKeyUpdate(f *testing.F) {
 	f.Add(KeySyncPayload{Epoch: 41}.Marshal())
 	f.Add(MarshalAdminBody(PathKeys{Epoch: 7, Root: 1, Leaf: 5}))
 	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 8}))
-	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 9, Joined: []string{"carol"}}))
-	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 10, Joined: []string{"erin", ""}, Left: []string{"bob", "dave"}}))
+	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 9, Changes: []MemberChange{{Name: "carol"}}}))
+	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 10, Changes: []MemberChange{{Name: "bob", Left: true}, {Name: "erin"}, {Name: ""}, {Name: "bob"}}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 41))
 	f.Add(MarshalAdminBody(Joined("carol")))
 	f.Add(MarshalAdminBody(MemberChanges{Changes: []MemberChange{{Name: "erin"}, {Name: ""}, {Name: "erin", Left: true}}}))
 	f.Add(MarshalAdminBody(MemberChanges{Changes: make([]MemberChange, MaxDeltaNames+1)}))
+	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 11, Changes: make([]MemberChange, MaxDeltaNames+1)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if p, err := UnmarshalKeyUpdate(data); err == nil {
@@ -225,8 +226,15 @@ func FuzzKeyUpdate(f *testing.F) {
 					t.Fatalf("accepted %s is not canonical: %x", body.AdminKind(), data)
 				}
 			}
-			if b, ok := body.(MemberChanges); ok && len(b.Changes) > MaxDeltaNames {
-				t.Fatalf("accepted %d member changes", len(b.Changes))
+			switch b := body.(type) {
+			case MemberChanges:
+				if len(b.Changes) > MaxDeltaNames {
+					t.Fatalf("accepted %d member changes", len(b.Changes))
+				}
+			case NewGroupKey:
+				if len(b.Changes) > MaxDeltaNames {
+					t.Fatalf("accepted a key with %d changes", len(b.Changes))
+				}
 			}
 		}
 	})

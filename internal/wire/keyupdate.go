@@ -100,7 +100,7 @@ const MaxReplNodes = 2*MaxReplMembers + 1
 // internal). Parent is zero for the root; User is empty for internal
 // nodes. Dirty marks a rotation the primary still owed this node — a
 // promoted standby rotates exactly the dirty paths, preserving forward
-// secrecy for departures the crash caught inside the coalescing window.
+// secrecy for departures whose rotation the crash kept from the standby.
 type ReplLKHNode struct {
 	ID     uint64
 	Parent uint64

@@ -161,20 +161,7 @@ func TestReplLKHDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplRekeyPendingDeltaRoundTrip(t *testing.T) {
-	for _, pending := range []bool{true, false} {
-		in := ReplDeltaPayload{Primary: "p", Standby: "s", Kind: ReplRekeyPending, Pending: pending}
-		out, err := UnmarshalReplDelta(in.Marshal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Pending != pending {
-			t.Fatalf("pending flag lost: want %v", pending)
-		}
-	}
-}
-
-func TestReplStateCarriesTreeAndPending(t *testing.T) {
+func TestReplStateCarriesTree(t *testing.T) {
 	in := ReplStatePayload{
 		Standby:  "s",
 		Primary:  "p",
@@ -187,13 +174,12 @@ func TestReplStateCarriesTreeAndPending(t *testing.T) {
 			{ID: 1, Ver: 2, Key: testKey(t)},
 			{ID: 2, Parent: 1, Ver: 1, User: "alice", Key: testKey(t)},
 		},
-		RekeyPending: true,
 	}
 	out, err := UnmarshalReplState(in.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.LKHArity != 4 || len(out.Tree) != 2 || !out.RekeyPending {
+	if out.LKHArity != 4 || len(out.Tree) != 2 {
 		t.Fatalf("tree state lost: %+v", out)
 	}
 	if !out.Tree[0].Key.Equal(in.Tree[0].Key) || out.Tree[1].User != "alice" {

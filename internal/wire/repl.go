@@ -58,11 +58,8 @@ const (
 	// mirror the key tree and a promoted leader can rotate a single path
 	// instead of rebuilding a flat key for everyone.
 	ReplLKH
-	// ReplRekeyPending: the primary armed (true) a rekey-coalescing window.
-	// A ReplRekey clears it. A standby that promotes with the flag still
-	// set absorbs the stranded trigger into its forced rotation, keeping
-	// the triggers == rekeys + coalesced ledger closed across the crash.
-	ReplRekeyPending
+	// Byte 7 carried the armed flag of the retired rekey-coalescing window:
+	// rejected by the decoder and never reused.
 )
 
 func (k ReplDeltaKind) String() string {
@@ -79,8 +76,6 @@ func (k ReplDeltaKind) String() string {
 		return "Ping"
 	case ReplLKH:
 		return "LKH"
-	case ReplRekeyPending:
-		return "RekeyPending"
 	default:
 		return fmt.Sprintf("ReplDeltaKind(%d)", uint8(k))
 	}
@@ -114,11 +109,9 @@ type ReplStatePayload struct {
 	Members  []ReplMember
 
 	// Logical key hierarchy state: the full node table when the primary
-	// runs with the key tree enabled (empty otherwise), and whether a
-	// rekey-coalescing window was armed at snapshot time.
-	LKHArity     uint8
-	Tree         []ReplLKHNode
-	RekeyPending bool
+	// runs with the key tree enabled (empty otherwise).
+	LKHArity uint8
+	Tree     []ReplLKHNode
 }
 
 // Marshal encodes the payload deterministically.
@@ -150,11 +143,6 @@ func (p ReplStatePayload) Marshal() []byte {
 	b.putUint64(uint64(len(p.Tree)))
 	for _, n := range p.Tree {
 		appendReplLKHNode(&b, n)
-	}
-	if p.RekeyPending {
-		b.putUint8(1)
-	} else {
-		b.putUint8(0)
 	}
 	return b.bytes
 }
@@ -219,11 +207,6 @@ func UnmarshalReplState(data []byte) (ReplStatePayload, error) {
 			out.Tree = append(out.Tree, node)
 		}
 	}
-	pending := p.uint8()
-	if p.err == nil && pending > 1 {
-		return ReplStatePayload{}, fmt.Errorf("%w: repl state pending flag %d", ErrBadPayload, pending)
-	}
-	out.RekeyPending = pending == 1
 	if err := p.finish(); err != nil {
 		return ReplStatePayload{}, fmt.Errorf("%w: repl state: %v", ErrBadPayload, err)
 	}
@@ -254,7 +237,6 @@ type ReplDeltaPayload struct {
 	GroupKey crypto.Key    // Rekey
 	Nodes    []ReplLKHNode // LKH: created or modified tree nodes
 	Removed  []uint64      // LKH: removed tree-node IDs
-	Pending  bool          // RekeyPending: window armed (a Rekey clears it)
 }
 
 // Marshal encodes the payload deterministically.
@@ -291,12 +273,6 @@ func (p ReplDeltaPayload) Marshal() []byte {
 		b.putUint64(uint64(len(p.Removed)))
 		for _, id := range p.Removed {
 			b.putUint64(id)
-		}
-	case ReplRekeyPending:
-		if p.Pending {
-			b.putUint8(1)
-		} else {
-			b.putUint8(0)
 		}
 	}
 	return b.bytes
@@ -369,12 +345,6 @@ func UnmarshalReplDelta(data []byte) (ReplDeltaPayload, error) {
 				out.Removed = append(out.Removed, p.uint64())
 			}
 		}
-	case ReplRekeyPending:
-		flag := p.uint8()
-		if p.err == nil && flag > 1 {
-			return ReplDeltaPayload{}, fmt.Errorf("%w: repl pending flag %d", ErrBadPayload, flag)
-		}
-		out.Pending = flag == 1
 	default:
 		return ReplDeltaPayload{}, fmt.Errorf("%w: unknown repl delta kind %d", ErrBadPayload, uint8(out.Kind))
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -170,8 +171,40 @@ func TestReplPayloadsRejectGarbageAndTrailing(t *testing.T) {
 	}
 }
 
+// retiredPendingDelta encodes a delta in the layout of the retired
+// pending-rekey delta: kind byte 7, then the armed flag.
+func retiredPendingDelta(flag uint8) []byte {
+	var b builder
+	b.putString("p")
+	b.putString("s")
+	b.bytes = append(b.bytes, make([]byte, 2*crypto.NonceSize)...)
+	b.putUint8(7)
+	b.putUint64(0)
+	b.putUint8(flag)
+	return b.bytes
+}
+
+// TestReplDeltaKindsArePinned pins the delta kind bytes 1 to 6. Byte 7
+// carried the retired rekey-coalescing window's armed flag: the
+// decoder rejects it and no kind reuses it.
+func TestReplDeltaKindsArePinned(t *testing.T) {
+	for b, k := range []ReplDeltaKind{ReplMemberUp, ReplMemberDown, ReplRekey, ReplSessionSync, ReplPing, ReplLKH} {
+		if uint8(k) != uint8(b+1) {
+			t.Errorf("%s = %d, want %d", k, uint8(k), b+1)
+		}
+	}
+	if name := ReplDeltaKind(7).String(); name != "ReplDeltaKind(7)" {
+		t.Errorf("retired delta kind 7 is reused by %s", name)
+	}
+	for _, flag := range []uint8{0, 1} {
+		if d, err := UnmarshalReplDelta(retiredPendingDelta(flag)); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("retired delta kind 7 (flag %d) decoded as %+v (err %v)", flag, d, err)
+		}
+	}
+}
+
 func TestReplDeltaKindString(t *testing.T) {
-	for _, k := range []ReplDeltaKind{ReplMemberUp, ReplMemberDown, ReplRekey, ReplSessionSync, ReplPing, ReplLKH, ReplRekeyPending} {
+	for _, k := range []ReplDeltaKind{ReplMemberUp, ReplMemberDown, ReplRekey, ReplSessionSync, ReplPing, ReplLKH} {
 		if strings.Contains(k.String(), "ReplDeltaKind(") {
 			t.Errorf("kind %d has no name", uint8(k))
 		}
@@ -192,11 +225,11 @@ func FuzzReplPayloads(f *testing.F) {
 	for _, p := range seedState {
 		f.Add(p.Marshal())
 	}
-	for _, k := range []ReplDeltaKind{ReplMemberUp, ReplMemberDown, ReplRekey, ReplSessionSync, ReplPing, ReplRekeyPending} {
-		p := ReplDeltaPayload{Primary: "p", Standby: "s", Kind: k, User: "alice", Seq: 4, Epoch: 2,
-			Pending: k == ReplRekeyPending}
+	for _, k := range []ReplDeltaKind{ReplMemberUp, ReplMemberDown, ReplRekey, ReplSessionSync, ReplPing} {
+		p := ReplDeltaPayload{Primary: "p", Standby: "s", Kind: k, User: "alice", Seq: 4, Epoch: 2}
 		f.Add(p.Marshal())
 	}
+	f.Add(retiredPendingDelta(1)) // rejected: the kind byte is retired
 	seedKey, err := crypto.KeyFromBytes(make([]byte, crypto.KeySize))
 	if err != nil {
 		f.Fatal(err)
