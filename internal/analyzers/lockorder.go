@@ -48,9 +48,10 @@ import (
 // run under a pseudo-held <caller> lock with no order constraint: the shape
 // of the original seal-under-Leader.mu bug (broadcastAdminLocked). This rule
 // is intraprocedural by design — a transitive closure would condemn
-// by-design patterns like engine dispatch under a per-member writer lock.
+// by-design patterns like engine dispatch under a per-member lock.
 // Flagged calls: (*crypto.Cipher).Seal/Open, cipher.AEAD Seal/Open, one-shot
-// crypto.Seal/Open, and Send/SendBatch methods on transport types.
+// crypto.Seal/Open, Send/SendBatch methods on transport types, and calls of
+// a transport.Pull (Conn.Wake, which only wakes the writer, is fine).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the annotated lock acquisition order across call chains, and forbid AEAD Seal/Open and blocking transport sends while a mutex is held",
@@ -501,8 +502,12 @@ func (w *lockOrderWalker) checkSeal(call *ast.CallExpr, held lockOrderHeld) {
 }
 
 // flaggedCall classifies a call as AEAD work or a blocking transport send,
-// returning a human-readable description or "".
+// returning a human-readable description or "". A transport.Pull seals what
+// it drains, so calling one counts too.
 func flaggedCall(info *types.Info, call *ast.CallExpr) string {
+	if typeIs(info.TypeOf(call.Fun), transportPath, "Pull") {
+		return "transport Pull hook"
+	}
 	f := funcOf(info, call)
 	if f == nil {
 		return ""

@@ -46,3 +46,17 @@ func (h *hub) broadcastAdminLocked(enc *transport.Encoded) {
 		_ = c.SendBatch([]transport.Outgoing{{Enc: enc}}) // want `transport SendBatch inside broadcastAdminLocked`
 	}
 }
+
+// drainLocked runs an outbox's pull hook straight from under the caller's
+// lock: the hook seals every body it drains, so this is the
+// seal-under-Leader.mu bug through the writer's own entry point.
+func (h *hub) drainLocked(pull transport.Pull) []transport.Outgoing {
+	return pull(nil) // want `transport Pull hook inside drainLocked`
+}
+
+// drainUnderLock holds the lock it took itself across the pull.
+func (h *hub) drainUnderLock(pull transport.Pull) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_ = pull(nil) // want `transport Pull hook while holding h\.mu`
+}

@@ -20,8 +20,8 @@ func (h *hub) sealOffLock(env wire.Envelope, plain []byte) error {
 	return conn.Send(env)
 }
 
-// enqueueLocked is the legitimate *Locked shape: it only stages work; the
-// writer goroutine seals and sends after the caller releases the lock.
+// enqueueLocked is the legitimate *Locked shape: it only stages work; a
+// writer seals and sends after the caller releases the lock.
 func (h *hub) enqueueLocked(pending *[]wire.Envelope, env wire.Envelope) {
 	*pending = append(*pending, env)
 }
@@ -37,4 +37,12 @@ func (h *hub) flushAsync(envs []wire.Envelope) {
 			_ = conn.Send(e)
 		}
 	}()
+}
+
+// pushLocked is the outbox shape: it only stages the frame and wakes the
+// connection's writer, which pulls and seals after the caller releases its
+// lock.
+func (h *hub) pushLocked(pending *[]wire.Envelope, env wire.Envelope) {
+	*pending = append(*pending, env)
+	h.conn.Wake()
 }

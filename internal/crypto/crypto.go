@@ -196,8 +196,9 @@ func (c *Cipher) Open(ciphertext, ad []byte) ([]byte, error) {
 }
 
 // Seal encrypts and authenticates plaintext under k, rebuilding the AEAD on
-// every call. One-shot paths (long-term-key handshake messages, the legacy
-// protocol) use it; anything per-message holds a Cipher instead.
+// every call. Only one-shot paths use it — the attack scenarios' forgeries
+// under a leaked or guessed key; anything per-message, the handshake
+// included, holds a Cipher instead.
 func Seal(k Key, plaintext, ad []byte) ([]byte, error) {
 	c, err := NewCipher(k)
 	if err != nil {

@@ -238,6 +238,20 @@ func (c *Link) SendBatch(batch []transport.Outgoing) error {
 	return transport.SendEach(c, batch)
 }
 
+// Attach has the wrapped connection's writer run pull and Send each frame;
+// the Link's pump never runs it: Close waits for the pump under a leader's
+// lock, the lock a Pull waits on.
+func (c *Link) Attach(pull transport.Pull) {
+	c.inner.Attach(func(buf []transport.Outgoing) []transport.Outgoing {
+		buf = pull(buf)
+		c.SendBatch(buf)
+		clear(buf)
+		return buf[:0]
+	})
+}
+
+func (c *Link) Wake() { c.inner.Wake() }
+
 // Recv returns the next surviving inbound envelope.
 func (c *Link) Recv() (wire.Envelope, error) {
 	e, err := c.inQ.Pop()

@@ -55,15 +55,17 @@ func (g *Leader) serveConn(conn transport.Conn) {
 	}
 }
 
-// newMemberConn wraps an authenticating connection; it is not a member until
-// admitLocked registers it.
+// newMemberConn wraps an authenticating connection and attaches its outbox;
+// it is not a member until admitLocked registers it.
 func (g *Leader) newMemberConn(conn transport.Conn, engine *core.LeaderSession) *memberConn {
-	return &memberConn{
+	s := &memberConn{
 		user:   engine.User(),
 		conn:   conn,
 		engine: engine,
 		out:    queue.NewBounded[outFrame](g.outboxCap),
 	}
+	conn.Attach(func(buf []transport.Outgoing) []transport.Outgoing { return g.drain(s, buf) })
+	return s
 }
 
 // joinHandshake answers the first message of the password join: the frame's

@@ -131,8 +131,11 @@ func newPromotedRig(t *testing.T) *promotedRig {
 	oldBob := join(t, r.net, "bob")
 	// The primary's pipelines must be idle too: a join ends with the key and
 	// then the MemberList, and a replica that matches the member between the
-	// two is one ack behind once the MemberList lands.
-	waitFor(t, "replica quiescent with both sessions current", func() bool {
+	// two is one ack behind once the MemberList lands. Idle must hold on two
+	// looks: a frame the connection's writer has taken from the outbox but
+	// not yet sealed (it waits out the join's Leader.mu) shows on neither
+	// the outbox nor the unacked FIFO, and by the second look it does.
+	idle := func() bool {
 		for _, s := range primary.reg.appendAll(nil, "") {
 			s.mu.Lock()
 			busy := len(s.unacked) > 0 || s.out.Len() > 0 || s.engine.PendingAdmin() > 0
@@ -140,6 +143,16 @@ func newPromotedRig(t *testing.T) *promotedRig {
 			if busy {
 				return false
 			}
+		}
+		return true
+	}
+	waitFor(t, "replica quiescent with both sessions current", func() bool {
+		if !idle() {
+			return false
+		}
+		time.Sleep(5 * time.Millisecond)
+		if !idle() {
+			return false
 		}
 		st := sb.State()
 		as, aok := r.alice.ResumeState()

@@ -147,14 +147,15 @@ type Leader struct {
 	wg   sync.WaitGroup
 }
 
-// memberConn couples a member's connection with its protocol engine and a
-// writer goroutine, so broadcasting never blocks on a slow member. The
-// outbox is bounded: a member too slow to drain it is evicted (see
-// Config.OutboxLimit) instead of growing leader memory without bound.
+// memberConn couples a member's connection, its protocol engine and an
+// outbox the connection's writer drains, so broadcasting never blocks on a
+// slow member; a member too slow to drain the bounded outbox is evicted
+// (Config.OutboxLimit) instead of growing leader memory without bound.
 type memberConn struct {
-	user string
-	conn transport.Conn
-	out  *queue.Queue[outFrame]
+	user   string
+	conn   transport.Conn
+	out    *queue.Queue[outFrame]
+	frames []outFrame // drain's scratch, the connection writer's alone
 
 	// mu guards the protocol engine and the retransmit bookkeeping below,
 	// so AEAD sealing and ack handling contend per member instead of on
@@ -179,10 +180,10 @@ type memberConn struct {
 // fan-out frame (enc, used by the AppData relay so the envelope is encoded
 // once for all N recipients), a pre-sealed frame forwarded verbatim
 // (retransmissions, engine-drained replies), an LKH key update shared by
-// its subtree (ku, sealed once by the first writer to pop it), or an admin
-// body that the member's writer goroutine seals into an AdminMsg outside
-// the global lock — broadcasts under Leader.mu only enqueue, which is why
-// the lock-hold time per broadcast is O(members) queue pushes rather than
+// its subtree (ku, sealed once by the first drain to reach it), or an admin
+// body that the connection's writer seals into an AdminMsg outside the
+// global lock — broadcasts under Leader.mu only enqueue, which is why the
+// lock-hold time per broadcast is O(members) queue pushes rather than
 // O(members) AEAD seals.
 type outFrame struct {
 	env    wire.Envelope
@@ -192,14 +193,15 @@ type outFrame struct {
 	sealed bool
 }
 
-// pushOut enqueues one outbox frame, stepping the aggregate depth gauge
-// only when the enqueue succeeds; the writer goroutine (and the teardown
-// drain) retire frames with drained, so the gauge reports the total number
-// of queued frames across all members at any instant.
+// pushOut enqueues one outbox frame and wakes the connection's writer,
+// stepping the aggregate depth gauge only when the enqueue succeeds; drain
+// (and the teardown) retire frames with drained, so the gauge reports the
+// total number of queued frames across all members at any instant.
 func (s *memberConn) pushOut(f outFrame) error {
 	err := s.out.Push(f)
 	if err == nil {
 		mOutboxDepth.Add(1)
+		s.conn.Wake()
 	}
 	return err
 }
@@ -511,45 +513,9 @@ func (g *Leader) Expel(user string) error {
 	return nil
 }
 
-// runMember drives an established member connection: a writer goroutine
-// drains the outbox while readLoop processes inbound frames; on either
-// ending, the member is torn down.
+// runMember reads an established member connection — the session's one
+// goroutine — and tears the member down when the connection ends.
 func (g *Leader) runMember(s *memberConn) {
-	conn := s.conn
-	// Writer goroutine: drains the outbox in batches so broadcasts never
-	// block, seals admin bodies here — outside Leader.mu — so a slow AEAD
-	// or a slow member never holds up the whole group, and transmits each
-	// drained backlog behind a single flush (one syscall per drain on
-	// byte-stream transports, not one per frame).
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		var (
-			frames []outFrame
-			batch  []transport.Outgoing
-		)
-		for {
-			var err error
-			frames, err = s.out.PopAll(frames)
-			if err != nil {
-				return
-			}
-			s.drained(len(frames))
-			batch = batch[:0]
-			for _, f := range frames {
-				if out, ok := g.sealFrame(s, f); ok {
-					batch = append(batch, out)
-				}
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			if err := s.conn.SendBatch(batch); err != nil {
-				return
-			}
-		}
-	}()
-
 	g.readLoop(s)
 
 	// Connection is gone (clean close or failure): if the member was still
@@ -561,17 +527,24 @@ func (g *Leader) runMember(s *memberConn) {
 	}
 	g.mu.Unlock()
 	s.out.Close()
-	conn.Close()
-	<-writerDone
-	// The writer exits on a send failure with frames possibly still queued;
-	// the outbox is closed by now, so retire the leftovers to keep the
-	// aggregate depth gauge exact.
-	for {
-		if _, ok := s.out.TryPop(); !ok {
-			break
+	s.conn.Close()
+	// Nothing drains a closed connection: retire the rest for the gauge.
+	left, _ := s.out.PopAll(nil)
+	s.drained(len(left))
+}
+
+// drain is the member's transport.Pull: every queued frame, sealed on the
+// connection's writer, outside Leader.mu.
+func (g *Leader) drain(s *memberConn, buf []transport.Outgoing) []transport.Outgoing {
+	s.frames, _ = s.out.PopAll(s.frames)
+	s.drained(len(s.frames))
+	for _, f := range s.frames {
+		if out, ok := g.sealFrame(s, f); ok {
+			buf = append(buf, out)
 		}
-		s.drained(1)
 	}
+	clear(s.frames)
+	return buf
 }
 
 // readLoop processes frames from one member until the connection drops or
@@ -683,7 +656,7 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 
 // sealFrame resolves one outbox element into a wire frame. Encoded and
 // pre-sealed frames pass through; a key update is sealed by its first
-// writer and shared; admin bodies go through the member's engine, which
+// drain and shared; admin bodies go through the member's engine, which
 // seals an AdminMsg when the ack-gated pipeline is free and queues the
 // body internally otherwise (nothing to transmit yet), folding a notice
 // into a notice already queued.
@@ -778,8 +751,8 @@ func (g *Leader) announceLocked(notice wire.MemberChanges, cause, skip string, r
 }
 
 // broadcastAdminLocked queues an admin body for every member except skip.
-// Only the enqueues happen under Leader.mu — each member's writer seals its
-// own AdminMsg outside the lock — so the hold time measured here is the
+// Only the enqueues happen under Leader.mu — each connection's writer seals
+// the AdminMsgs outside the lock — so the hold time measured here is the
 // fan-out cost, not members × AEAD.
 func (g *Leader) broadcastAdminLocked(body wire.AdminBody, skip string) {
 	start := time.Now()
@@ -793,7 +766,7 @@ func (g *Leader) broadcastAdminLocked(body wire.AdminBody, skip string) {
 }
 
 // sendAdminLocked queues an admin body on one member's outbox for the
-// writer goroutine to seal; a full outbox evicts per the slow-consumer
+// connection's writer to seal; a full outbox evicts per the slow-consumer
 // policy (bounded memory beats unbounded hope).
 func (g *Leader) sendAdminLocked(s *memberConn, body wire.AdminBody) {
 	if g.pushFrameTo(s, outFrame{body: body}) {

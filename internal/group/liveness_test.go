@@ -239,9 +239,11 @@ func TestHeartbeatKeepsIdleMemberAlive(t *testing.T) {
 	}
 }
 
-// stallConn wraps a Conn whose Send blocks after a budget of sends,
-// simulating a consumer whose transport has stopped draining (full TCP
-// window, wedged peer) without tearing the connection down.
+// stallConn wraps a leader-side Conn that carries a budget of frames and
+// then parks whoever sends the next one — Send's caller, or the writer that
+// pulls the member's outbox — simulating a consumer whose transport has
+// stopped draining (full TCP window, wedged peer) without tearing the
+// connection down.
 type stallConn struct {
 	transport.Conn
 	mu      sync.Mutex
@@ -266,6 +268,23 @@ func (c *stallConn) Send(e wire.Envelope) error {
 // The batch path must route through the budgeted Send, or the embedded
 // conn's implementation would bypass the stall entirely.
 func (c *stallConn) SendBatch(batch []transport.Outgoing) error { return transport.SendEach(c, batch) }
+
+// Attach spends the budget on what the writer pulls; past it the writer
+// parks, as it would in a write to a full socket, and pulls no more.
+func (c *stallConn) Attach(pull transport.Pull) {
+	c.Conn.Attach(func(buf []transport.Outgoing) []transport.Outgoing {
+		buf = pull(buf)
+		c.mu.Lock()
+		n := min(len(buf), max(c.budget, 0))
+		c.budget -= n
+		c.mu.Unlock()
+		if n < len(buf) {
+			<-c.stalled
+			return buf[:0]
+		}
+		return buf
+	})
+}
 
 type stallListener struct {
 	transport.Listener

@@ -10,8 +10,8 @@ package group
 // Division of labor under the locking discipline: mutations and rotations
 // are computed under Leader.mu (pure bookkeeping, no crypto), and
 // rekeyLocked queues each lkh.Update on its subtree's outboxes before the
-// lock is released, as one shared keyUpdate frame. The first member writer
-// to pop that frame seals and encodes it, once, after the same sealFrame
+// lock is released, as one shared keyUpdate frame. The first outbox drain
+// to reach that frame seals and encodes it, once, after the same sealFrame
 // wait that admin bodies take, so AEAD work never holds the control-plane
 // lock and no survivor can hold the new root key while a peer's copy is
 // not yet queued. The joiner of a rotation is skipped: sendCurrentKeysLocked

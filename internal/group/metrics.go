@@ -70,11 +70,12 @@ var (
 	// mAckLatency times AdminMsg seal -> authenticated ack, the round trip
 	// that gates the whole pipeline. mBroadcastHold times how long an admin
 	// broadcast holds the global leader lock — the contention a broadcast
-	// imposes on every other member's progress. Sealing now happens in the
-	// per-member writer, so this measures pure enqueue fan-out.
+	// imposes on every other member's progress. Sealing happens when the
+	// connection's writer drains the outbox, so this measures pure enqueue
+	// fan-out.
 	mAckLatency    = metrics.NewHistogram("group_ack_latency_us")
 	mBroadcastHold = metrics.NewHistogram("group_broadcast_hold_us")
-	// mSealLatency times one per-member AEAD seal in the writer goroutine.
+	// mSealLatency times one per-member AEAD seal in the connection's writer.
 	mSealLatency = metrics.NewHistogram("group_seal_latency_us")
 )
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"enclaves/internal/crypto"
 	"enclaves/internal/member"
@@ -22,8 +23,8 @@ func TestOutboxDepthGaugeAggregates(t *testing.T) {
 	withMetrics(t)
 
 	base := mOutboxDepth.Value()
-	a := &memberConn{user: "a", out: queue.NewBounded[outFrame](2)}
-	b := &memberConn{user: "b", out: queue.NewBounded[outFrame](2)}
+	a := newTestConn("a", 2)
+	b := newTestConn("b", 2)
 
 	for i := 0; i < 2; i++ {
 		if err := a.pushOut(outFrame{body: wire.Heartbeat{}}); err != nil {
@@ -75,7 +76,7 @@ func TestOutboxDepthGaugeConcurrent(t *testing.T) {
 	const members = 64
 	conns := make([]*memberConn, members)
 	for i := range conns {
-		conns[i] = &memberConn{user: fmt.Sprintf("m%02d", i), out: queue.NewBounded[outFrame](8)}
+		conns[i] = newTestConn(fmt.Sprintf("m%02d", i), 8)
 	}
 
 	// Each worker owns a disjoint set of outboxes and runs push-then-drain
@@ -141,6 +142,10 @@ func TestOutboxDepthGaugeReturnsToZero(t *testing.T) {
 		}
 		m, err := member.Join(conn, user, leaderName, keys[user])
 		if err != nil {
+			t.Fatal(err)
+		}
+		// The multicast below needs alice's key, which lands after Join.
+		if err := m.WaitReady(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 		go func() {

@@ -6,10 +6,15 @@ import (
 	"testing"
 
 	"enclaves/internal/queue"
+	"enclaves/internal/transport"
 )
 
-func newTestConn(user string) *memberConn {
-	return &memberConn{user: user, out: queue.NewBounded[outFrame](4)}
+// newTestConn is a member session outside any leader: its outbox holds
+// capacity frames and nothing drains it, because its connection is a pipe
+// end with no Pull attached.
+func newTestConn(user string, capacity int) *memberConn {
+	conn, _ := transport.Pipe()
+	return &memberConn{user: user, conn: conn, out: queue.NewBounded[outFrame](capacity)}
 }
 
 func TestRegistryBasics(t *testing.T) {
@@ -18,8 +23,8 @@ func TestRegistryBasics(t *testing.T) {
 		t.Fatal("fresh registry not empty")
 	}
 
-	a := newTestConn("alice")
-	b := newTestConn("bob")
+	a := newTestConn("alice", 4)
+	b := newTestConn("bob", 4)
 	if displaced := r.insert(a); displaced != nil {
 		t.Fatal("insert into empty registry displaced something")
 	}
@@ -38,7 +43,7 @@ func TestRegistryBasics(t *testing.T) {
 	}
 
 	// Re-join displaces the stale session without double-counting.
-	a2 := newTestConn("alice")
+	a2 := newTestConn("alice", 4)
 	if displaced := r.insert(a2); displaced != a {
 		t.Fatalf("insert(a2) displaced %p, want the stale %p", displaced, a)
 	}
@@ -73,7 +78,7 @@ func TestRegistryBasics(t *testing.T) {
 func TestRegistryLookupsDoNotAllocate(t *testing.T) {
 	r := new(registry)
 	for i := 0; i < 4; i++ {
-		r.insert(newTestConn(fmt.Sprintf("m%d", i)))
+		r.insert(newTestConn(fmt.Sprintf("m%d", i), 4))
 	}
 	if a := testing.AllocsPerRun(100, func() { r.get("m2") }); a != 0 {
 		t.Errorf("get allocated %v times, want 0", a)
@@ -101,7 +106,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				user := fmt.Sprintf("w%d-u%d", w, i%17)
-				s := newTestConn(user)
+				s := newTestConn(user, 4)
 				r.insert(s)
 				r.get(user)
 				r.appendAll(nil, "")

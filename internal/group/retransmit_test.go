@@ -8,7 +8,6 @@ import (
 	"enclaves/internal/crypto"
 	"enclaves/internal/member"
 	"enclaves/internal/metrics"
-	"enclaves/internal/queue"
 	"enclaves/internal/transport"
 	"enclaves/internal/wire"
 )
@@ -154,7 +153,7 @@ func TestFailedEnqueueLeavesLivenessStateUntouched(t *testing.T) {
 	// Not registered in the member registry, so the overflow eviction is a
 	// no-op and
 	// the state inspection below sees exactly what the send path did.
-	s := &memberConn{user: "ghost", out: queue.NewBounded[outFrame](1)}
+	s := newTestConn("ghost", 1)
 	if err := s.pushOut(outFrame{body: wire.Heartbeat{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestFailedEnqueueLeavesLivenessStateUntouched(t *testing.T) {
 	}
 
 	// The success path does advance the pacing stamp.
-	s2 := &memberConn{user: "ghost2", out: queue.NewBounded[outFrame](4)}
+	s2 := newTestConn("ghost2", 4)
 	g.mu.Lock()
 	g.sendAdminLocked(s2, wire.Heartbeat{})
 	g.mu.Unlock()
@@ -207,7 +206,7 @@ func TestRetransmitPacingOnlyAdvancesOnEnqueue(t *testing.T) {
 	now := time.Now()
 	sent := now.Add(-time.Second)
 	env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: leaderName, Receiver: "ghost"}
-	s := &memberConn{user: "ghost", out: queue.NewBounded[outFrame](1)}
+	s := newTestConn("ghost", 1)
 	s.unacked = []unackedAdmin{{env: env, seq: 1, sentAt: sent, resentAt: sent}}
 	if err := s.pushOut(outFrame{body: wire.Heartbeat{}}); err != nil { // fill
 		t.Fatal(err)

@@ -161,7 +161,7 @@ func (m *Member) requestKeySync(target uint64) {
 	epoch := m.epoch
 	m.mu.Unlock()
 	mKeySyncReqs.Inc()
-	m.send(wire.Envelope{
+	m.conn.Send(wire.Envelope{
 		Type:     wire.TypeKeySyncReq,
 		Sender:   m.name,
 		Receiver: m.leader,

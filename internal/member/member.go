@@ -171,11 +171,6 @@ type Member struct {
 	// installed (WaitReady).
 	ready chan struct{}
 
-	// outQ decouples producers (SendData, acks) from the transport: a writer
-	// goroutine drains it in batches and transmits behind a single flush.
-	outQ       *queue.Queue[wire.Envelope]
-	writerDone chan struct{}
-
 	rejected atomic.Uint64 // frames rejected by the engine or epoch checks
 }
 
@@ -237,17 +232,15 @@ func attach(conn transport.Conn, engine *core.MemberSession, opening wire.Envelo
 	}
 
 	m := &Member{
-		name:       engine.User(),
-		leader:     engine.Leader(),
-		conn:       conn,
-		engine:     engine,
-		silence:    opts.SilenceTimeout,
-		view:       map[string]bool{engine.User(): true},
-		events:     queue.New[Event](),
-		done:       make(chan struct{}),
-		ready:      make(chan struct{}),
-		outQ:       queue.New[wire.Envelope](),
-		writerDone: make(chan struct{}),
+		name:    engine.User(),
+		leader:  engine.Leader(),
+		conn:    conn,
+		engine:  engine,
+		silence: opts.SilenceTimeout,
+		view:    map[string]bool{engine.User(): true},
+		events:  queue.New[Event](),
+		done:    make(chan struct{}),
+		ready:   make(chan struct{}),
 	}
 	m.mu.Lock()
 	out := m.applyAdminLocked(ev, env.Payload)
@@ -257,22 +250,21 @@ func attach(conn transport.Conn, engine *core.MemberSession, opening wire.Envelo
 	if resumed && !keyed {
 		return nil, errors.New("member: resume ack carried no group key")
 	}
-	// The completing reply goes out only now that the loops are about to
-	// start: from the leader's point of view the pipeline (re)starts here,
-	// and what follows must find a running receive loop.
+	// The completing reply goes out only now: the leader (re)starts the
+	// pipeline on it, and what follows must find this frame's events queued
+	// ahead of its own and a running receive loop.
 	if err := conn.Send(*ev.Reply); err != nil {
 		return nil, fmt.Errorf("member: send %s: %w", ev.Reply.Type, err)
 	}
 	if resumed {
 		mResumed.Inc()
 	}
+	m.emit(out, ev.Seq)
 	m.lastRecv.Store(time.Now().UnixNano())
 	go m.recvLoop()
-	go m.writeLoop()
 	if m.silence > 0 {
 		go m.silenceWatchdog()
 	}
-	m.emit(out, ev.Seq)
 	return m, nil
 }
 
@@ -408,42 +400,7 @@ func (m *Member) SendData(data []byte) error {
 		return err
 	}
 	env.Payload = box
-	return m.send(env)
-}
-
-// send hands an envelope to the writer goroutine. A closed queue means the
-// session is tearing down; report it as the connection being closed so
-// callers see the same error a direct send on a dead conn would yield.
-func (m *Member) send(env wire.Envelope) error {
-	if err := m.outQ.Push(env); err != nil {
-		return transport.ErrClosed
-	}
-	return nil
-}
-
-// writeLoop drains the outbound queue in batches and transmits each drained
-// backlog behind a single flush. It exits when the queue closes (Leave or
-// the receive loop tearing down) or the transport fails.
-func (m *Member) writeLoop() {
-	defer close(m.writerDone)
-	var (
-		envs  []wire.Envelope
-		batch []transport.Outgoing
-	)
-	for {
-		var err error
-		envs, err = m.outQ.PopAll(envs)
-		if err != nil {
-			return
-		}
-		batch = batch[:0]
-		for _, e := range envs {
-			batch = append(batch, transport.Outgoing{Env: e})
-		}
-		if err := m.conn.SendBatch(batch); err != nil {
-			return
-		}
-	}
+	return m.conn.Send(env)
 }
 
 // Leave ends the session with the unreplayable ReqClose and closes the
@@ -459,12 +416,10 @@ func (m *Member) Leave() error {
 
 	closeEnv, err := m.engineLeave()
 	if err == nil {
-		err = m.send(closeEnv)
+		err = m.conn.Send(closeEnv)
 	}
-	// Close the queue and wait for the writer so the ReqClose actually
-	// flushes before the connection is torn down under it.
-	m.outQ.Close()
-	<-m.writerDone
+	// Closing the connection sends what was queued on it first, so the
+	// ReqClose is not lost to the teardown.
 	m.conn.Close()
 	<-m.done
 	return err
@@ -494,7 +449,6 @@ func (m *Member) recvLoop() {
 			}
 			m.events.Push(Event{Kind: EventClosed, Err: err})
 			m.events.Close()
-			m.outQ.Close() // no conn to write to; release the writer
 			return
 		}
 		m.lastRecv.Store(time.Now().UnixNano())
@@ -544,12 +498,6 @@ func (m *Member) handleAdmin(env wire.Envelope) {
 	out := m.applyAdminLocked(ev, env.Payload)
 	m.mu.Unlock()
 
-	// Acks bypass the batching queue: the pipeline is ack-gated with at most
-	// one AdminMsg outstanding per member, so there is never an ack backlog
-	// to coalesce — routing them through the writer would only add a
-	// goroutine handoff to the round trip that gates every broadcast. Conn
-	// implementations are safe for concurrent use, so the direct send may
-	// interleave with the writer's batches.
 	if err := m.conn.Send(*ev.Reply); err != nil {
 		return
 	}

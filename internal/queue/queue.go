@@ -114,23 +114,19 @@ func (q *Queue[T]) Pop() (T, error) {
 	return item, nil
 }
 
-// PopAll blocks until at least one item is available (or the queue closes
-// empty), then drains everything queued into buf, reusing its capacity. One
-// PopAll wakeup replaces N Pop wakeups, which is what lets a writer
-// goroutine seal and transmit an entire backlog behind a single flush.
-// After close, remaining items are still drained before ErrClosed is
-// returned.
+// PopAll drains everything queued into buf, reusing its capacity, without
+// waiting (an empty open queue yields an empty buf), so a connection's writer
+// seals and sends a whole outbox behind one flush. After close, remaining
+// items are still drained before ErrClosed is returned.
 func (q *Queue[T]) PopAll(buf []T) ([]T, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.waiting++
-		q.nonEmp.Wait()
-		q.waiting--
-	}
 	n := len(q.items)
 	if n == 0 {
-		return buf[:0], ErrClosed
+		if q.closed {
+			return buf[:0], ErrClosed
+		}
+		return buf[:0], nil
 	}
 	out := append(buf[:0], q.items...)
 	clear(q.items) // release for GC

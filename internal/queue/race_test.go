@@ -2,6 +2,7 @@ package queue
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,9 +102,9 @@ func TestBoundedRaceStress(t *testing.T) {
 }
 
 // TestPopBatchRaceStress is the concurrency proof for the batching drain
-// path that backs every writer goroutine: concurrent producers push while a
-// single drainer loops PopAll with a reused buffer, and Close races the
-// tail. With one drainer the accounting is exact — every successfully
+// path that backs every outbox Pull: concurrent producers push while a
+// single drainer loops PopAll (which never waits) with a reused buffer, and
+// Close races the tail. With one drainer the accounting is exact — every successfully
 // pushed item must be drained exactly once (PopAll keeps draining the
 // backlog after Close before reporting ErrClosed), in FIFO order per
 // producer, with no duplicates and no losses. Run under -race in CI.
@@ -138,6 +139,9 @@ func TestPopBatchRaceStress(t *testing.T) {
 			if buf, err = q.PopAll(buf); err != nil {
 				drained <- got
 				return
+			}
+			if len(buf) == 0 {
+				runtime.Gosched() // nothing yet: let the producers run
 			}
 			got = append(got, buf...)
 		}

@@ -13,13 +13,13 @@
 // slow group can therefore never head-of-line-block the connection — the
 // same "bounded memory beats unbounded hope" policy the group layer applies
 // to slow members, applied one layer down. A sole stream gets no exemption.
-// The same goes for a peer that stops reading the socket itself: closing a
-// stream never waits for the socket, and a write that stalls for
+// The same goes for a peer that stops reading the socket itself: no sender
+// and no stream Close ever waits for the socket, and a write that stalls for
 // writeTimeout hangs the connection up.
 //
-// Writes are group-committed: the frames every stream appends while a flush
-// is pending go out in that one flush, so a fan-out to n members on one
-// socket costs one write(2), not n.
+// One writer goroutine per socket drains every stream with something to send
+// and flushes once per pass: a fan-out to n members on one socket costs one
+// write(2), not n.
 package transport
 
 import (
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,27 +87,28 @@ func (cfg MuxConfig) logf(format string, args ...any) {
 
 // Mux multiplexes independent streams over one net.Conn. The client side
 // opens streams with Open; the server side receives them through
-// MuxConfig.Accept. Safe for concurrent use.
-//
-// Lock order: wmu → mu, because Close flushes before it hangs up and a
-// failed write hangs the socket up under wmu; nothing takes wmu under mu.
-// The lockorder analyzer enforces it:
-//
-//enclavelint:lockorder Mux.wmu < Mux.mu
+// MuxConfig.Accept. Safe for concurrent use. Neither of its two locks is
+// ever held while the other is taken, nor across a socket write or a Pull.
 type Mux struct {
 	cfg MuxConfig
 	nc  net.Conn
 	r   *bufio.Reader
-
-	// wmu serializes the shared buffered writer; werr is its sticky error
-	// (after a write fails the socket is dead and every stream sees it);
-	// flushing marks a group commit whose flush is pending (writeFrame).
-	wmu      sync.Mutex
-	w        *bufio.Writer
-	werr     error
-	flushing bool
+	// The writer's own: buffer, spliced-frame prefix, Pull buffer.
+	w      *bufio.Writer
+	prefix [64]byte
+	batch  []Outgoing
 	// wtimeout is writeTimeout; a field only so a test can shorten it.
 	wtimeout time.Duration
+
+	// qmu guards ready (the streams with something to write, each once),
+	// every stream's pull, pend, closed and byeDue, and werr: set by Close,
+	// a hangup or a failed write, every later send returns it, and the
+	// writer ends after the pass that sees it.
+	qmu   sync.Mutex
+	ready []*muxStream
+	werr  error
+	// kick holds the writer's wake-up token; wdone closes when it has ended.
+	kick, wdone chan struct{}
 
 	// mu guards streams, dead and closed.
 	mu      sync.Mutex
@@ -133,10 +133,10 @@ type Mux struct {
 // socket per core); a peer that opens more is cut off.
 const maxStreams = 1 << 14
 
-// writeTimeout bounds one flush on the shared socket. A peer that
-// stops reading fills the socket buffer and would otherwise park every
-// writer on the connection for ever; past the bound the connection is torn
-// down, which frees them, the read loop and the fd.
+// writeTimeout bounds one writer pass on the shared socket. A peer that
+// stops reading fills the socket buffer and would otherwise park the
+// connection's writer for ever; past the bound the connection is torn
+// down, which frees the writer, the read loop and the fd.
 const writeTimeout = 10 * time.Second
 
 // maxDeadStreams caps the tombstone set. Only a peer that keeps streaming
@@ -147,12 +147,17 @@ const maxDeadStreams = 1 << 16
 
 // muxStream is one session over a Mux, implementing Conn.
 type muxStream struct {
-	m     *Mux
-	id    uint32
-	group string
-	recvQ *queue.Queue[wire.Envelope]
+	m      *Mux
+	id     uint32
+	group  string
+	recvQ  *queue.Queue[wire.Envelope]
+	queued atomic.Bool // on the ready list, not yet taken by the writer
 
-	closeOnce sync.Once
+	// Under m.qmu: the attached outbox, sent frames the writer has not
+	// taken, refusal of further sends, a MuxClose owed (sent after pend).
+	pull           Pull
+	pend           []Outgoing
+	closed, byeDue bool
 }
 
 var _ Conn = (*muxStream)(nil)
@@ -177,15 +182,19 @@ func NewMuxClient(nc net.Conn, cfg MuxConfig) *Mux {
 
 func newMux(nc net.Conn, cfg MuxConfig) *Mux {
 	setNoDelay(nc)
-	return &Mux{
+	m := &Mux{
 		cfg:      cfg,
 		nc:       nc,
 		r:        bufio.NewReader(nc),
 		w:        bufio.NewWriterSize(nc, DefaultWriteBuf),
 		wtimeout: writeTimeout,
+		kick:     make(chan struct{}, 1),
+		wdone:    make(chan struct{}),
 		streams:  make(map[uint32]*muxStream),
 		dead:     make(map[uint32]struct{}),
 	}
+	go m.writeLoop()
+	return m
 }
 
 // ServeMuxConn serves one inbound connection: the demux loop runs until the
@@ -203,12 +212,7 @@ func (m *Mux) Open(group string) (Conn, error) {
 	if len(group) > wire.MaxNameLen {
 		return nil, fmt.Errorf("%w: group ID too long", wire.ErrTooLarge)
 	}
-	s := &muxStream{
-		m:     m,
-		id:    m.nextID.Add(1),
-		group: group,
-		recvQ: queue.NewBounded[wire.Envelope](m.cfg.recvWindow()),
-	}
+	s := m.newStream(m.nextID.Add(1), group)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -217,6 +221,10 @@ func (m *Mux) Open(group string) (Conn, error) {
 	m.streams[s.id] = s
 	m.mu.Unlock()
 	return s, nil
+}
+
+func (m *Mux) newStream(id uint32, group string) *muxStream {
+	return &muxStream{m: m, id: id, group: group, recvQ: queue.NewBounded[wire.Envelope](m.cfg.recvWindow())}
 }
 
 // run is the demux read loop: it routes every inbound frame to its stream
@@ -275,12 +283,7 @@ func (m *Mux) dispatch(body []byte) error {
 			mHangupStreamCap.Inc()
 			return fmt.Errorf("transport: mux peer opened more than %d streams", maxStreams)
 		}
-		s = &muxStream{
-			m:     m,
-			id:    f.Stream,
-			group: f.Group,
-			recvQ: queue.NewBounded[wire.Envelope](m.cfg.recvWindow()),
-		}
+		s = m.newStream(f.Stream, f.Group)
 		m.streams[f.Stream] = s
 		m.mu.Unlock()
 		m.cfg.Accept(f.Group, s)
@@ -293,7 +296,7 @@ func (m *Mux) dispatch(body []byte) error {
 		// peer that killed unilaterally can retire its tombstone. No
 		// tombstone on this side — in-order delivery guarantees no more
 		// frames for the ID after the peer's close.
-		m.closeStream(s, true, false)
+		m.closeStream(s, false)
 		return nil
 	}
 	if f.Group != s.group {
@@ -325,7 +328,7 @@ func (m *Mux) dispatch(body []byte) error {
 // The only error is tombstone-cap exhaustion, which is connection-fatal.
 func (m *Mux) killStream(s *muxStream, cause *metrics.Counter) error {
 	cause.Inc()
-	m.closeStream(s, true, true)
+	m.closeStream(s, true)
 	m.mu.Lock()
 	overflow := len(m.dead) > maxDeadStreams
 	m.mu.Unlock()
@@ -336,15 +339,13 @@ func (m *Mux) killStream(s *muxStream, cause *metrics.Counter) error {
 	return nil
 }
 
-// closeStream removes a stream and closes its receive queue. notifyPeer
-// sends a best-effort MuxClose; tombstone records the ID as dead until the
-// peer's own MuxClose arrives (only meaningful for unilateral kills on the
-// accepting side — a client-side ID can't be resurrected because Accept is
-// nil there). The notification goes out on its own goroutine: a leader
-// closes an evicted member's stream while holding its group lock, and the
-// writer lock may be held by a write parked on a peer that stopped reading —
-// closing a stream must never wait for the socket.
-func (m *Mux) closeStream(s *muxStream, notifyPeer, tombstone bool) {
+// closeStream removes a stream, closes its receive queue and owes the peer
+// a MuxClose, sent after what the stream had sent. tombstone records the ID
+// as dead until the peer's own MuxClose arrives (only meaningful for
+// unilateral kills on the accepting side — a client-side ID can't be
+// resurrected because Accept is nil there). It never waits for the socket:
+// a leader closes an evicted member's stream holding its group lock.
+func (m *Mux) closeStream(s *muxStream, tombstone bool) {
 	m.mu.Lock()
 	if m.streams[s.id] != s {
 		m.mu.Unlock()
@@ -356,21 +357,19 @@ func (m *Mux) closeStream(s *muxStream, notifyPeer, tombstone bool) {
 	}
 	m.mu.Unlock()
 	s.recvQ.Close()
-	if notifyPeer {
-		go m.writeFrame(nil, func(w *bufio.Writer) error {
-			return wire.WriteMuxFrame(w, s.group, s.id, wire.MuxClose, wire.Envelope{})
-		})
-	}
+	m.qmu.Lock()
+	s.closed, s.byeDue = true, true
+	m.qmu.Unlock()
+	s.Wake()
 }
 
-// Close flushes what the streams have appended, so a send that returned nil
-// is not lost to a local hangup, then tears down the connection and every
-// stream on it. A flush parked on a peer that stopped reading holds Close up
-// to writeTimeout.
+// Close has the writer take a last pass, so a send that returned nil is not
+// lost to a local hangup, then tears down the connection and every stream
+// on it. A writer parked on a stalled peer holds Close up to writeTimeout.
 func (m *Mux) Close() error {
-	m.wmu.Lock()
-	m.flushLocked()
-	m.wmu.Unlock()
+	m.shut(ErrClosed)
+	m.post()
+	<-m.wdone
 	return m.hangup()
 }
 
@@ -387,150 +386,173 @@ func (m *Mux) hangup() error {
 	m.streams = make(map[uint32]*muxStream)
 	m.closed = true
 	m.mu.Unlock()
+	m.shut(ErrClosed)
 	err := m.nc.Close()
+	m.post() // the writer's last pass finds the socket closed
 	for _, s := range streams {
 		s.recvQ.Close()
 	}
 	return err
 }
 
-// writeFrame appends one stream's frames to the shared writer and sees them
-// flushed in a group commit. A writer that finds no flush pending sets the
-// write deadline, appends, marks a flush pending and yields once, so the
-// writers the same fan-out woke — which on one P become runnable only one
-// after another — append behind it; then it retakes the lock and flushes
-// everything appended so far in one write. A writer that finds a flush
-// pending appends and returns: its frames ride that flush.
-//
-// Errors are normalized and the first failure is sticky: a socket that
-// failed a write is dead, so it is hung up (ending the read loop and every
-// stream) and every later send fails fast instead of buffering into a void.
-// s is the stream whose data this is, nil for a MuxClose: a closed stream
-// sends nothing, checked under the lock at append time so that no data frame
-// can follow the stream's MuxClose in the FIFO buffer and re-materialise
-// the ID on a peer that has already retired it.
-func (m *Mux) writeFrame(s *muxStream, write func(w *bufio.Writer) error) error {
-	m.wmu.Lock()
-	pending := m.flushing
-	if err := m.appendLocked(s, write); err != nil || pending {
-		m.wmu.Unlock()
-		return err
+// shut makes err what every later send returns, unless an error is set.
+func (m *Mux) shut(err error) {
+	m.qmu.Lock()
+	if m.werr == nil {
+		m.werr = err
 	}
-	m.flushing = true
-	m.wmu.Unlock()
-	runtime.Gosched()
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	m.flushing = false
-	return m.flushLocked()
+	m.qmu.Unlock()
 }
 
-// appendLocked buffers one stream's frames; the first writer of a group
-// commit also arms the write deadline that bounds its flush.
-//
-//enclavelint:guardedby Mux.wmu
-func (m *Mux) appendLocked(s *muxStream, write func(w *bufio.Writer) error) error {
-	if m.werr != nil {
-		return m.werr
+// post hands the writer its one wake-up token, unless one is pending.
+func (m *Mux) post() {
+	select {
+	case m.kick <- struct{}{}:
+	default:
 	}
-	if s != nil && s.recvQ.Closed() {
-		return ErrClosed
-	}
-	if !m.flushing {
+}
+
+// writeLoop is the socket's one writer: each pass writes the whole ready
+// list under one deadline and flushes once; a failed write hangs up.
+func (m *Mux) writeLoop() {
+	defer close(m.wdone)
+	var ready []*muxStream
+	for last := false; !last; {
+		<-m.kick
+		m.qmu.Lock()
+		ready, m.ready = m.ready, ready[:0]
+		last = m.werr != nil
+		m.qmu.Unlock()
 		m.nc.SetWriteDeadline(time.Now().Add(m.wtimeout))
+		var err error
+		for _, s := range ready {
+			if err = s.writeReady(); err != nil {
+				break
+			}
+		}
+		clear(ready)
+		if err == nil && m.w.Buffered() > 0 {
+			mFlushes.Inc()
+			err = m.w.Flush()
+		}
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				err = ErrClosed
+			} else {
+				mHangupWrite.Inc()
+			}
+			m.shut(err)
+			m.hangup()
+			return
+		}
 	}
-	return m.failLocked(write(m.w))
 }
 
-// flushLocked writes out what the streams have appended, under the deadline
-// the first of them armed; a Close may have written it already.
-//
-//enclavelint:guardedby Mux.wmu
-func (m *Mux) flushLocked() error {
-	if m.werr != nil || m.w.Buffered() == 0 {
-		return m.werr
-	}
-	mFlushes.Inc()
-	return m.failLocked(m.w.Flush())
-}
-
-// failLocked makes a write error sticky and hangs the socket up.
-//
-//enclavelint:guardedby Mux.wmu
-func (m *Mux) failLocked(err error) error {
-	if err == nil {
+// writeReady buffers one listed stream's sent frames, then what its Pull
+// returns. A closed stream is not pulled and its MuxClose comes last, so no
+// data frame can re-materialise the ID on a peer that has retired it.
+func (s *muxStream) writeReady() error {
+	m := s.m
+	s.queued.Store(false)
+	m.qmu.Lock()
+	pull, pend, closed, bye := s.pull, s.pend, s.closed, s.byeDue
+	s.pend, s.byeDue = nil, false
+	m.qmu.Unlock()
+	err := s.write(pend)
+	switch {
+	case err != nil:
+		return err
+	case bye:
+		return wire.WriteMuxFrame(m.w, s.group, s.id, wire.MuxClose, wire.Envelope{})
+	case closed || pull == nil:
 		return nil
 	}
-	if errors.Is(err, net.ErrClosed) {
-		err = ErrClosed
-	} else {
-		mHangupWrite.Inc()
-	}
-	m.werr = err
-	m.hangup()
+	m.batch = pull(m.batch[:0])
+	err = s.write(m.batch)
+	clear(m.batch)
 	return err
 }
 
-func (s *muxStream) Send(e wire.Envelope) error {
-	err := s.m.writeFrame(s, func(w *bufio.Writer) error {
-		return wire.WriteMuxFrame(w, s.group, s.id, wire.MuxData, e)
-	})
-	if err != nil {
-		return err
-	}
-	countSend(e)
-	return nil
-}
-
-func (s *muxStream) SendBatch(batch []Outgoing) error {
-	err := s.m.writeFrame(s, func(w *bufio.Writer) error {
-		for _, o := range batch {
-			if o.Enc != nil {
-				frame, err := o.Enc.Frame()
-				if err != nil {
-					return err
-				}
-				if err := s.spliceLocked(w, frame); err != nil {
-					return err
-				}
-			} else if err := wire.WriteMuxFrame(w, s.group, s.id, wire.MuxData, o.Env); err != nil {
+// write buffers frames for this stream; a shared pre-encoded envelope
+// (Encoded.Frame) is spliced behind the stream's mux prefix, not re-encoded.
+func (s *muxStream) write(frames []Outgoing) error {
+	w := s.m.w
+	for _, o := range frames {
+		if o.Enc == nil {
+			if err := wire.WriteMuxFrame(w, s.group, s.id, wire.MuxData, o.Env); err != nil {
+				return err
+			}
+		} else {
+			frame, err := o.Enc.Frame()
+			if err != nil {
+				return err
+			}
+			envBytes := frame[4:] // strip the shared encoding's length prefix
+			if _, err := w.Write(wire.AppendMuxPrefix(s.m.prefix[:0], s.group, s.id, len(envBytes))); err != nil {
+				return err
+			}
+			if _, err := w.Write(envBytes); err != nil {
 				return err
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, o := range batch {
 		countSend(o.Envelope())
 	}
 	return nil
 }
 
-// spliceLocked writes one data frame for this stream reusing a shared
-// pre-encoded envelope (Encoded.Frame: length prefix + envelope bytes).
-// Caller holds the writer lock via writeFrame.
-//
-//enclavelint:guardedby Mux.wmu
-func (s *muxStream) spliceLocked(w *bufio.Writer, envFrame []byte) error {
-	envBytes := envFrame[4:] // strip the shared encoding's length prefix
-	var prefix [64]byte
-	if _, err := w.Write(wire.AppendMuxPrefix(prefix[:0], s.group, s.id, len(envBytes))); err != nil {
-		return err
+func (s *muxStream) Send(e wire.Envelope) error {
+	return s.SendBatch([]Outgoing{{Env: e}})
+}
+
+func (s *muxStream) SendBatch(batch []Outgoing) error {
+	m := s.m
+	m.qmu.Lock()
+	err := m.werr
+	if err == nil && s.closed {
+		err = ErrClosed
 	}
-	_, err := w.Write(envBytes)
+	if err == nil {
+		s.pend = append(s.pend, batch...)
+	}
+	m.qmu.Unlock()
+	if err == nil {
+		s.Wake()
+	}
 	return err
+}
+
+// Attach may follow a Send the writer is already taking, so the hook is
+// handed over under qmu.
+func (s *muxStream) Attach(pull Pull) {
+	s.m.qmu.Lock()
+	s.pull = pull
+	s.m.qmu.Unlock()
+}
+
+// Wake lists the stream unless it is listed, and wakes the writer if the
+// list was empty; a stream already listed costs one atomic swap.
+func (s *muxStream) Wake() {
+	if s.queued.Swap(true) {
+		return
+	}
+	m := s.m
+	m.qmu.Lock()
+	m.ready = append(m.ready, s)
+	first := len(m.ready) == 1
+	m.qmu.Unlock()
+	if first {
+		m.post()
+	}
 }
 
 func (s *muxStream) Recv() (wire.Envelope, error) {
 	return translateErr(s.recvQ.Pop())
 }
 
-// Close tears down this stream only: the peer is told (best-effort
-// MuxClose), the receive queue closes, and the shared connection keeps
-// serving every other stream.
+// Close tears down this stream only: what it had sent still goes out, then
+// the peer is told (best-effort MuxClose), the receive queue closes, and the
+// shared connection keeps serving every other stream.
 func (s *muxStream) Close() error {
-	s.closeOnce.Do(func() { s.m.closeStream(s, true, true) })
+	s.m.closeStream(s, true) // idempotent: only a listed stream is closed
 	return nil
 }

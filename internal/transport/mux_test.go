@@ -199,10 +199,12 @@ func (c *writeCounter) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestMuxGroupCommit pins the group commit on one P, where the writers one
-// fan-out wakes run one after another: sixteen streams that each send one
-// frame at the same signal share one socket write (two if the scheduler's
-// fairness tick runs the first writer's flush early), not one write each.
+// TestMuxGroupCommit pins the writer's pass on one P: sixteen streams made
+// ready by one goroutine before the writer runs — a relay's fan-out shape —
+// go out in one pass and share one socket write (two if the scheduler's
+// fairness tick runs the writer early), not one write each. Send returns
+// before anything is written, so the writes are counted once every frame
+// has arrived.
 func TestMuxGroupCommit(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	addr, accepted := startMuxServer(t, MuxConfig{})
@@ -221,25 +223,8 @@ func TestMuxGroupCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	start := make(chan struct{})
-	errs := make(chan error, streams)
-	var wg sync.WaitGroup
 	for i, c := range conns {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			errs <- c.Send(env(wire.TypeAppData, "alice", fmt.Sprintf("g%d", i)))
-		}()
-	}
-	close(start)
-	wg.Wait()
-	// Every Send has returned, and the first writer of each commit returns
-	// only after its flush, so every frame is on the socket by now.
-	writes := wc.writes.Load()
-	close(errs)
-	for err := range errs {
-		if err != nil {
+		if err := c.Send(env(wire.TypeAppData, "alice", fmt.Sprintf("g%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,14 +242,15 @@ func TestMuxGroupCommit(t *testing.T) {
 			t.Fatal("stream not accepted")
 		}
 	}
-	if writes > 2 {
-		t.Fatalf("%d streams sending at once made %d socket writes, want at most 2", streams, writes)
+	if writes := wc.writes.Load(); writes > 2 {
+		t.Fatalf("%d streams made ready at once took %d socket writes, want at most 2", streams, writes)
 	}
 }
 
 // TestMuxCloseFlushes pins that a send which returned nil survives a local
-// hangup: Close writes out a group commit whose flush is still pending, so a
-// member that sends and then leaves loses nothing.
+// hangup: Close has the writer take a last pass over every stream with
+// frames queued before it hangs up, so a member that sends and then leaves
+// loses nothing.
 func TestMuxCloseFlushes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	addr, accepted := startMuxServer(t, MuxConfig{})
@@ -280,15 +266,17 @@ func TestMuxCloseFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := make(chan error, 1)
-	go func() { first <- a.Send(env(wire.TypeAppData, "alice", "a")) }()
-	runtime.Gosched() // a's Send appends and yields before its flush
+	// On one P the writer has not run yet when Close starts: both frames
+	// are still queued.
+	if err := a.Send(env(wire.TypeAppData, "alice", "a")); err != nil {
+		t.Fatal(err)
+	}
 	if err := b.Send(env(wire.TypeAppData, "bob", "b")); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
-	if err := <-first; err != nil {
-		t.Fatal(err)
+	if err := a.Send(env(wire.TypeAppData, "alice", "late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send after Close: err = %v, want ErrClosed", err)
 	}
 	for range 2 {
 		select {
@@ -530,4 +518,66 @@ func TestMuxConcurrentStreams(t *testing.T) {
 	}
 	close(accepted)
 	<-done
+}
+
+// TestPullRunsOnTheWriter pins the outbox contract on both media: Wake never
+// runs the Pull itself — a producer wakes holding the lock its Pull takes,
+// which would deadlock otherwise — and the writer sends what each Pull
+// returns, in order, on the stream it is attached to.
+func TestPullRunsOnTheWriter(t *testing.T) {
+	pipe := func(t *testing.T) (Conn, Conn) { return Pipe() }
+	mux := func(t *testing.T) (Conn, Conn) {
+		addr, accepted := startMuxServer(t, MuxConfig{})
+		m, err := DialMux(addr, MuxConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		c, err := m.Open("g0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(env(wire.TypeAuthInitReq, "alice", "hello")); err != nil {
+			t.Fatal(err)
+		}
+		s := <-accepted
+		if _, err := s.conn.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		return s.conn, c
+	}
+	for name, pair := range map[string]func(*testing.T) (Conn, Conn){"pipe": pipe, "mux": mux} {
+		t.Run(name, func(t *testing.T) {
+			a, b := pair(t)
+			var (
+				mu     sync.Mutex
+				queued []wire.Envelope
+			)
+			a.Attach(func(buf []Outgoing) []Outgoing {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, e := range queued {
+					buf = append(buf, Outgoing{Env: e})
+				}
+				queued = queued[:0]
+				return buf
+			})
+			const n = 200
+			for i := range n {
+				mu.Lock()
+				queued = append(queued, env(wire.TypeAppData, "leader", fmt.Sprint(i)))
+				a.Wake()
+				mu.Unlock()
+			}
+			for i := range n {
+				e, err := b.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(e.Payload) != fmt.Sprint(i) {
+					t.Fatalf("frame %d carried %q", i, e.Payload)
+				}
+			}
+		})
+	}
 }

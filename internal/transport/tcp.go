@@ -9,14 +9,11 @@ import (
 	"enclaves/internal/queue"
 )
 
-// DefaultWriteBuf sizes the buffered writer wrapped around network
-// connections. The mux group-commits every stream's appends (Conn.SendBatch
-// drains a whole outbox into one) behind one flush per socket; a buffer
-// large enough to hold what one fan-out appends to a socket turns that flush
-// into a single write syscall instead of several. 32 KiB holds hundreds of
-// admin frames or a handful of full-MTU application frames without
-// approaching the per-connection memory budget of a many-thousand-connection
-// daemon.
+// DefaultWriteBuf sizes a socket's buffered writer, whose one flush per
+// writer pass becomes a single write syscall when it holds what a fan-out
+// puts on the socket. 32 KiB holds hundreds of admin frames or a handful of
+// full-MTU application frames without approaching the per-connection memory
+// budget of a many-thousand-connection daemon.
 const DefaultWriteBuf = 32 << 10
 
 // setNoDelay disables Nagle's algorithm on TCP connections. Go's net package

@@ -213,11 +213,11 @@ func TestMuxHangupClosesSocket(t *testing.T) {
 	})
 }
 
-// TestMuxStalledPeer pins the two halves of slow-peer handling on a socket
-// whose peer has stopped reading, so a write is parked under the writer
-// lock: closing a stream returns at once (a leader does it holding its group
-// lock), and the parked write fails at the write timeout, which hangs up the
-// socket instead of holding it and every writer for ever.
+// TestMuxStalledPeer pins slow-peer handling on a socket whose peer has
+// stopped reading, so the socket's writer is parked in a write: sending and
+// closing a stream return at once (a leader closes holding its group lock),
+// and the parked write fails at the write timeout, which hangs up the socket
+// instead of holding it for ever; every later send reports the deadline.
 func TestMuxStalledPeer(t *testing.T) {
 	metrics.Enable()
 	hangups := mHangupWrite.Value()
@@ -231,33 +231,35 @@ func TestMuxStalledPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := make(chan error, 1)
+	other, err := m.Open("g1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	go func() { sent <- c.Send(env(wire.TypeAuthInitReq, "alice", "never read")) }()
-	time.Sleep(50 * time.Millisecond) // let the write park
+	if err := c.Send(env(wire.TypeAuthInitReq, "alice", "never read")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the writer park
 
-	closed := make(chan struct{})
-	go func() { c.Close(); close(closed) }()
+	returned := make(chan struct{})
+	go func() {
+		other.Send(env(wire.TypeAuthInitReq, "bob", "queued behind"))
+		c.Close()
+		close(returned)
+	}()
 	select {
-	case <-closed:
-	case <-sent:
-		t.Fatal("the send did not park; the test no longer exercises a held writer lock")
+	case <-returned:
 	case <-time.After(200 * time.Millisecond):
-		t.Fatal("stream Close waited for a write parked on a stalled peer")
+		t.Fatal("a send or a stream Close waited for a writer parked on a stalled peer")
 	}
 
-	select {
-	case err := <-sent:
-		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("parked send: err = %v, want a deadline error", err)
-		}
-		if d := time.Since(start); d < m.wtimeout {
-			t.Fatalf("parked send failed after %v, before the %v write timeout", d, m.wtimeout)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a write parked on a stalled peer never timed out")
-	}
 	spy.wait(t, "after a write timeout")
+	if d := time.Since(start); d < m.wtimeout {
+		t.Fatalf("socket hung up after %v, before the %v write timeout", d, m.wtimeout)
+	}
+	if err := other.Send(env(wire.TypeAppData, "bob", "after")); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("send after the write timeout: err = %v, want the deadline error", err)
+	}
 	if _, err := m.Open("g0"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Open after a write timeout: err = %v, want ErrClosed", err)
 	}

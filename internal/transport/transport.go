@@ -4,6 +4,10 @@
 // network of Section 3.1 — lossy, and controlled by a Dolev-Yao attacker who
 // reads, drops, injects and replays frames — is faultnet.Link, which sits in
 // front of any Conn this package produces.
+//
+// No sender waits for a peer: a TCP socket has one writer goroutine, and a
+// sender with an outbox (a leader's member session) attaches it as a Pull
+// that the writer drains and seals; a stalled socket leaves frames there.
 package transport
 
 import (
@@ -77,18 +81,25 @@ func (o Outgoing) Envelope() wire.Envelope {
 	return o.Env
 }
 
+// Pull is an outbox as its connection's writer sees it: called after a Wake,
+// on the writer's goroutine and never concurrently, it appends every frame
+// ready to go to buf. It may seal, so nothing calls it under a lock.
+type Pull func(buf []Outgoing) []Outgoing
+
 // Conn is a bidirectional, message-oriented point-to-point link.
 // Implementations are safe for concurrent use.
 type Conn interface {
-	// Send transmits one envelope. On a byte stream a nil return means the
-	// frame is in the socket's group commit, not yet written: a failure of
-	// that flush hangs the socket up, which every stream on it sees.
+	// Send queues one envelope without waiting for the peer. On a byte
+	// stream it goes out in the writer's next flush; a failed flush hangs
+	// the socket up, and every later send returns its error.
 	Send(wire.Envelope) error
-	// SendBatch transmits the batch in order, as Send does, behind one
-	// flush shared with the socket's other streams, so a drained outbox —
-	// and a fan-out's other members on the same socket — cost one syscall
-	// instead of one per frame.
+	// SendBatch queues the batch in order, as Send does.
 	SendBatch([]Outgoing) error
+	// Attach makes pull the connection's outbox, once, before any Wake.
+	Attach(pull Pull)
+	// Wake tells the writer the Pull has frames. It never blocks and never
+	// calls the Pull, so a pusher may hold any lock of its own.
+	Wake()
 	// Recv blocks until an envelope arrives or the connection closes.
 	Recv() (wire.Envelope, error)
 	// Close tears the connection down; pending and future Recv calls
@@ -127,10 +138,10 @@ func newQueue() *envQueue { return queue.New[wire.Envelope]() }
 
 // pipeConn is one endpoint of an in-memory duplex pipe.
 type pipeConn struct {
-	recv *envQueue
-	peer *envQueue
-
-	closeOnce sync.Once
+	recv, peer *envQueue
+	// done closes when either end closes; kick wakes the Pull's pump.
+	done, kick chan struct{}
+	closeOnce  *sync.Once
 }
 
 var _ Conn = (*pipeConn)(nil)
@@ -139,7 +150,9 @@ var _ Conn = (*pipeConn)(nil)
 // received on the other, in order, with no interference.
 func Pipe() (Conn, Conn) {
 	qa, qb := newQueue(), newQueue()
-	return &pipeConn{recv: qa, peer: qb}, &pipeConn{recv: qb, peer: qa}
+	done, once := make(chan struct{}), new(sync.Once)
+	return &pipeConn{recv: qa, peer: qb, done: done, closeOnce: once},
+		&pipeConn{recv: qb, peer: qa, done: done, closeOnce: once}
 }
 
 func (c *pipeConn) Send(e wire.Envelope) error {
@@ -151,6 +164,32 @@ func (c *pipeConn) Send(e wire.Envelope) error {
 }
 
 func (c *pipeConn) SendBatch(batch []Outgoing) error { return SendEach(c, batch) }
+
+// Attach serves pull from one goroutine for this endpoint.
+func (c *pipeConn) Attach(pull Pull) {
+	c.kick = make(chan struct{}, 1)
+	go func() {
+		var buf []Outgoing
+		for {
+			select {
+			case <-c.kick:
+			case <-c.done:
+				return
+			}
+			if buf = pull(buf[:0]); c.SendBatch(buf) != nil {
+				return
+			}
+			clear(buf)
+		}
+	}()
+}
+
+func (c *pipeConn) Wake() {
+	select {
+	case c.kick <- struct{}{}:
+	default: // a wake is already pending, or nothing is attached
+	}
+}
 
 func (c *pipeConn) Recv() (wire.Envelope, error) {
 	e, err := translateErr(c.recv.Pop())
@@ -164,6 +203,7 @@ func (c *pipeConn) Close() error {
 	c.closeOnce.Do(func() {
 		c.recv.Close()
 		c.peer.Close()
+		close(c.done)
 	})
 	return nil
 }
