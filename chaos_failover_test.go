@@ -344,6 +344,13 @@ func TestChaosFailoverUnderChurn(t *testing.T) {
 	resumes := counterValue(t, "group_resumes_total") - resumesBefore
 	if resumes != wave {
 		t.Errorf("resumes = %d, want %d (wave 1 exactly)", resumes, wave)
+		promotedAudit.mu.Lock()
+		for _, e := range promotedAudit.events {
+			if e.Kind == group.EventRejected {
+				t.Logf("promoted leader rejected %s at epoch %d: %s", e.User, e.Epoch, e.Detail)
+			}
+		}
+		promotedAudit.mu.Unlock()
 	}
 	// Audit events are emitted moments after the acceptance that makes a
 	// member visible as Up, so give the last one a beat to land before

@@ -3,15 +3,16 @@
 // never seal under a protocol lock (PR 2) and take locks in the declared
 // order, always use the cached AEAD on hot paths (PR 3), never draw crypto
 // material from math/rand, handle every wire message type exhaustively,
-// never reuse a nonce, and never let key bytes reach logs, errors or audit
-// events.
+// never reuse a nonce, and never let key-named bytes reach logs, errors or
+// audit events. That raw key bytes reach the network only sealed is not a
+// lint rule: crypto's types enforce it (crypto.Plaintext).
 //
 // There is one analyzer kind: every Analyzer runs over the whole Module and
-// every finding is scoped by its file's package. Three are syntactic checks
+// every finding is scoped by its file's package. Four are syntactic checks
 // that range over the module's units (cryptorand, cachedcipher,
-// wireexhaustive). The other three (keytaint, noncereuse, lockorder) are
-// flow analyses on one engine: a statement walker (flow.go) threads a
-// lattice state through each function body, and solve (callgraph.go) carries
+// wireexhaustive, keytaint). The other two (noncereuse, lockorder) are flow
+// analyses on one engine: a statement walker (flow.go) threads a lattice
+// state through each function body, and solve (callgraph.go) carries
 // per-function summaries across call edges to a fixpoint. Each flow analyzer
 // is its lattice — clone, join, loop passes, transfer hooks — plus its sink
 // and report rules.

@@ -1,7 +1,7 @@
 package analyzers
 
-// CachedCipher flags one-shot crypto.Seal / crypto.Open calls in non-test
-// code. The one-shot helpers rebuild the AES key schedule and GCM tables on
+// CachedCipher flags one-shot crypto.Seal / SealPlaintext / Open calls in
+// non-test code. The one-shot helpers rebuild the AES key schedule and GCM tables on
 // every call; PR 3 measured the cached crypto.Cipher at ~3x the one-shot
 // SealOpen throughput, so hot-path packages must hold a Cipher instead.
 var CachedCipher = &Analyzer{
@@ -13,10 +13,10 @@ var CachedCipher = &Analyzer{
 func runCachedCipher(p *Pass, u *Unit) {
 	forEachNonTestCall(u, func(site callSite) {
 		f := funcOf(u.Info, site.call)
-		if f == nil || (f.Name() != "Seal" && f.Name() != "Open") {
+		if f == nil || !isPkgFunc(f, cryptoPath, f.Name()) {
 			return
 		}
-		if !isPkgFunc(f, cryptoPath, f.Name()) {
+		if n := f.Name(); n != "Seal" && n != "SealPlaintext" && n != "Open" {
 			return
 		}
 		p.Reportf(site.call.Pos(),

@@ -11,11 +11,10 @@ import (
 
 // This file is the interprocedural half of the framework: a module-wide
 // function index and call graph over every loaded unit, and the one summary
-// fixpoint. A check that inspects one package at a time cannot see a key
-// that flows through a single helper call, a nonce consumed by a sealing
-// helper, or a lock taken two frames down. The flow analyzers (keytaint,
-// noncereuse, lockorder) follow values and effects across call edges using
-// per-function summaries that solve computes to a fixpoint.
+// fixpoint. A check that inspects one package at a time cannot see a nonce
+// consumed by a sealing helper or a lock taken two frames down. The flow
+// analyzers (noncereuse, lockorder) follow values and effects across call
+// edges using per-function summaries that solve computes to a fixpoint.
 
 // A FuncID names a declared function or method uniquely across the module:
 // "pkg/path.Name" for package functions, "pkg/path.(Recv).Name" for methods

@@ -2,8 +2,8 @@ package analyzers
 
 import "go/ast"
 
-// This file is the one statement walker the flow analyzers (keytaint,
-// noncereuse, lockorder) share. Each of them is a lattice plus transfer
+// This file is the one statement walker the flow analyzers (noncereuse,
+// lockorder) share. Each of them is a lattice plus transfer
 // hooks: the walker threads a state through a function body's structured
 // statements, copies it into branch arms, joins the arms back, repeats loop
 // bodies, and hands every call, composite literal, assignment, declaration

@@ -13,7 +13,6 @@ const (
 	cryptoPath    = "enclaves/internal/crypto"
 	transportPath = "enclaves/internal/transport"
 	metricsPath   = "enclaves/internal/metrics"
-	wirePath      = "enclaves/internal/wire"
 )
 
 // funcOf returns the *types.Func a call statically resolves to (package

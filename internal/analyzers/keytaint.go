@@ -1,41 +1,307 @@
 package analyzers
 
-// KeyTaint keeps raw key material out of observable channels. crypto.Key
-// redacts itself (String prints a fingerprint), but Key.Bytes() and
-// key-named byte slices are raw secrets: one fmt.Printf or audit-event copy
-// puts P_a/K_a — the values the paper's PVS proofs guard — into logs,
-// metrics, or crash dumps. keytaint follows key-derived bytes from the
-// source, directly or through any chain of module-internal calls — helper
-// wrappers, struct-building marshal methods, value plumbing through returns
-// and slices — and reports when they reach an observable channel:
+import (
+	"go/ast"
+	"go/constant"
+	"go/types"
+	"strings"
+)
+
+// KeyTaint keeps key material out of observable channels. The types carry
+// the paper's rule that a key reaches the network only inside {X}_K:
+// crypto.Key has no accessor for its bytes, a key enters a plaintext only
+// through crypto.Plaintext.AppendKey, and a Plaintext leaves crypto only
+// sealed. What the types leave open is local, and keytaint checks it one
+// expression at a time:
 //
-//   - logging sinks (fmt/log/slog, printf-shaped helpers) and metrics;
-//   - error values (fmt.Errorf via the fmt sink, errors.New explicitly) —
-//     errors escape into logs and API responses;
-//   - audit/metrics *Event struct literals (exported and retained);
-//   - unsealed wire frames: bytes stored into a wire.Envelope Payload that
-//     are key-derived and did not pass through an AEAD Seal.
+//   - crypto.Key formatted with %#v, which reflects over the unexported key
+//     bytes, or with %x/%X;
+//   - a byte sequence named like key material ("key", "secret",
+//     "password"), or a slice or conversion of one, passed to a logging
+//     sink (fmt/log/slog, printf-shaped helpers and func values), to
+//     metrics, to errors.New, or into an audit/metrics *Event literal,
+//     which is exported and retained;
+//   - such a byte sequence converted to string.
 //
-// Sources are crypto.Key.Bytes(), byte sequences named like key material
-// ("key", "secret", "password"), and anything a function summary proves is
-// derived from them — which is how the LKH node keys, the replication key
-// K_r material, and config secrets are all covered without per-package
-// special cases: their bytes only ever appear via Key.Bytes() or key-named
-// values, and the summaries carry the taint from there. Hashing and AEAD
-// sealing sanitize (external callees are clean by default); encodings,
-// formatting, append/copy, and string conversion propagate.
-//
-// Two local checks ride along in the same pass: crypto.Key formatted with
-// %x/%X/%#v (which bypass its String method and reflect over the unexported
-// key bytes), and key material converted to string. See taint.go for the
-// engine.
+// A name that also marks a derived, non-secret value (fingerprint, hash,
+// id, ...) is not key material. Values are not followed through locals or
+// calls.
 var KeyTaint = &Analyzer{
 	Name: "keytaint",
-	Doc:  "forbid raw or key-derived bytes in logs, errors, metrics, audit events, string conversions, or unsealed wire frames, across function boundaries",
-	Run:  runKeyTaint,
+	Doc:  "forbid key-named bytes in logs, errors, metrics, audit events and string conversions, and crypto.Key under %x/%X/%#v",
+	Run:  eachUnit(runKeyTaint),
 }
 
-func runKeyTaint(p *Pass) {
-	e := &taintEngine{solver[*taintSummary]{Pass: p}}
-	e.solve(e.analyze)
+func runKeyTaint(p *Pass, u *Unit) {
+	for _, f := range u.Files {
+		if u.IsTest(f) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				checkKeyCall(p, u.Info, n)
+			case *ast.CompositeLit:
+				checkKeyEvent(p, u.Info, n)
+			}
+			return true
+		})
+	}
+}
+
+// keyMaterial reports whether e is a byte sequence named like key material,
+// or a slice or conversion of one, with a description for the diagnostic.
+func keyMaterial(info *types.Info, e ast.Expr) (string, bool) {
+	e = ast.Unparen(e)
+	if sl, ok := e.(*ast.SliceExpr); ok {
+		e = ast.Unparen(sl.X)
+	}
+	var name string
+	switch e := e.(type) {
+	case *ast.CallExpr:
+		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+			if desc, ok := keyMaterial(info, e.Args[0]); ok {
+				return desc + " (as string)", true
+			}
+		}
+		return "", false
+	case *ast.Ident:
+		name = e.Name
+	case *ast.SelectorExpr:
+		name = e.Sel.Name
+	default:
+		return "", false
+	}
+	if tv, ok := info.Types[e]; !ok || !isByteSeq(tv.Type) {
+		return "", false
+	}
+	for _, safe := range []string{"fingerprint", "fp", "hash", "digest", "sum", "id", "name"} {
+		if lowerContains(name, safe) {
+			return "", false
+		}
+	}
+	for _, hot := range []string{"key", "secret", "password", "passwd"} {
+		if lowerContains(name, hot) {
+			return "key material " + name, true
+		}
+	}
+	return "", false
+}
+
+func isByteSeq(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		b, ok := u.Elem().Underlying().(*types.Basic)
+		return ok && b.Kind() == types.Byte
+	case *types.Array:
+		b, ok := u.Elem().Underlying().(*types.Basic)
+		return ok && b.Kind() == types.Byte
+	}
+	return false
+}
+
+// reportKeyArgs flags each argument that is key material reaching sink.
+func reportKeyArgs(p *Pass, info *types.Info, args []ast.Expr, sink string) {
+	for _, a := range args {
+		if desc, ok := keyMaterial(info, a); ok {
+			p.Reportf(a.Pos(), "%s reaches %s: log fingerprints (Key.Fingerprint), never key bytes", desc, sink)
+		}
+	}
+}
+
+// checkKeyCall flags key material converted to string or passed to a
+// logging, metrics or error sink, and a crypto.Key under a verb that
+// bypasses its redacting String method.
+func checkKeyCall(p *Pass, info *types.Info, call *ast.CallExpr) {
+	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
+		b, ok := tv.Type.Underlying().(*types.Basic)
+		if !ok || b.Info()&types.IsString == 0 || len(call.Args) != 1 {
+			return
+		}
+		if desc, ok := keyMaterial(info, call.Args[0]); ok {
+			p.Reportf(call.Pos(), "%s converted to string: strings are unzeroable and leak into logs and dumps; keep key bytes in []byte and compare with subtle", desc)
+		}
+		return
+	}
+	f := funcOf(info, call)
+	switch {
+	case f == nil:
+		// Printf-shaped func values (Config.Logf and friends) do not
+		// resolve to a *types.Func.
+		if name, ok := printfFuncVal(info, call); ok {
+			reportKeyArgs(p, info, call.Args, "a diagnostic log line ("+name+")")
+		}
+	case isPkgFunc(f, "errors", "New"):
+		reportKeyArgs(p, info, call.Args, "an error value (errors.New)")
+	default:
+		if sink, format := formatSink(f, call); sink {
+			checkKeyVerbs(p, info, call, format)
+			reportKeyArgs(p, info, call.Args, sinkLabel(f))
+		}
+	}
+}
+
+// checkKeyVerbs flags a crypto.Key rendered by %x, %X or %#v.
+func checkKeyVerbs(p *Pass, info *types.Info, call *ast.CallExpr, format int) {
+	for i, v := range formatVerbs(info, call, format) {
+		if v != 'x' && v != 'X' && v != '#' || i >= len(call.Args) {
+			continue
+		}
+		arg := call.Args[i]
+		if t, ok := info.Types[arg]; !ok || !typeIs(t.Type, cryptoPath, "Key") {
+			continue
+		}
+		spelled := string(v)
+		if v == '#' {
+			spelled = "#v"
+		}
+		p.Reportf(arg.Pos(), "crypto.Key formatted with %%%s bypasses its redacting String method and dumps the raw key; use %%s or Key.Fingerprint", spelled)
+	}
+}
+
+// checkKeyEvent flags key material copied into an audit/metrics event
+// struct, which is exported and retained.
+func checkKeyEvent(p *Pass, info *types.Info, lit *ast.CompositeLit) {
+	tv, ok := info.Types[lit]
+	if !ok {
+		return
+	}
+	named := namedOf(tv.Type)
+	if named == nil || !strings.HasSuffix(named.Obj().Name(), "Event") {
+		return
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return
+	}
+	for _, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			elt = kv.Value
+		}
+		reportKeyArgs(p, info, []ast.Expr{elt}, "a retained "+typeLabel(named)+" event")
+	}
+}
+
+// printfStem reports whether name ends in a printf-convention logging stem
+// (logf, debugf, auditf, ...).
+func printfStem(name string) bool {
+	lower := strings.ToLower(name)
+	for _, stem := range []string{"logf", "printf", "errorf", "debugf", "warnf", "infof", "tracef", "auditf"} {
+		if strings.HasSuffix(lower, stem) {
+			return true
+		}
+	}
+	return false
+}
+
+// formatSink decides whether a resolved callee is a logging/metrics sink.
+// It returns the index of the format-string parameter, or -1 when the call
+// has no (or an undecidable) format string.
+func formatSink(f *types.Func, call *ast.CallExpr) (sink bool, formatIndex int) {
+	if f.Pkg() != nil {
+		switch f.Pkg().Path() {
+		case "fmt", "log", "log/slog", metricsPath:
+			return true, formatParamIndex(f)
+		}
+	}
+	if rt := recvType(f); rt != nil {
+		if typeIs(rt, "log", "Logger") || typeIs(rt, "log/slog", "Logger") {
+			return true, formatParamIndex(f)
+		}
+		if n := namedOf(rt); n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == metricsPath {
+			return true, formatParamIndex(f)
+		}
+	}
+	if strings.HasSuffix(f.Name(), "f") && len(call.Args) >= 1 && printfStem(f.Name()) {
+		return true, formatParamIndex(f)
+	}
+	return false, -1
+}
+
+// formatParamIndex finds the string parameter directly before a variadic
+// tail — the printf convention — or -1.
+func formatParamIndex(f *types.Func) int {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || !sig.Variadic() || sig.Params().Len() < 2 {
+		return -1
+	}
+	i := sig.Params().Len() - 2
+	b, ok := sig.Params().At(i).Type().Underlying().(*types.Basic)
+	if !ok || b.Info()&types.IsString == 0 {
+		return -1
+	}
+	return i
+}
+
+// formatVerbs maps argument indexes of call to the format verb that will
+// render them ('#' standing for %#v), when the format string is a
+// compile-time constant and simple enough to pair verbs to arguments (no
+// '*' width/precision args).
+func formatVerbs(info *types.Info, call *ast.CallExpr, formatIndex int) map[int]byte {
+	if formatIndex < 0 || formatIndex >= len(call.Args) {
+		return nil
+	}
+	tv, ok := info.Types[call.Args[formatIndex]]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return nil
+	}
+	format := constant.StringVal(tv.Value)
+	verbs := map[int]byte{}
+	arg := formatIndex + 1
+	for i := 0; i < len(format); i++ {
+		if format[i] != '%' {
+			continue
+		}
+		i++
+		if i < len(format) && format[i] == '%' {
+			continue
+		}
+		sharp := false
+		for i < len(format) && strings.IndexByte("+-# 0123456789.", format[i]) >= 0 {
+			if format[i] == '#' {
+				sharp = true
+			}
+			i++
+		}
+		if i >= len(format) {
+			break
+		}
+		if format[i] == '*' || format[i] == '[' {
+			return nil // dynamic width or explicit indexes: give up
+		}
+		v := format[i]
+		if sharp && v == 'v' {
+			v = '#'
+		}
+		verbs[arg] = v
+		arg++
+	}
+	return verbs
+}
+
+// sinkLabel renders a resolved sink callee for a diagnostic message.
+func sinkLabel(f *types.Func) string {
+	if f.Pkg() != nil && recvType(f) == nil {
+		return f.Pkg().Name() + "." + f.Name()
+	}
+	return f.Name()
+}
+
+// printfFuncVal recognizes calls through printf-shaped func values — a
+// func-typed field or variable whose name carries a logging stem. These
+// calls have no *types.Func, so they are invisible to formatSink.
+func printfFuncVal(info *types.Info, call *ast.CallExpr) (string, bool) {
+	var name string
+	fun := ast.Unparen(call.Fun)
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		name = fun.Name
+	case *ast.SelectorExpr:
+		name = fun.Sel.Name
+	default:
+		return "", false
+	}
+	if tv, ok := info.Types[fun]; !ok || tv.IsType() || !printfStem(name) {
+		return "", false
+	}
+	return name, true
 }

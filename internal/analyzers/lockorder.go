@@ -49,8 +49,8 @@ import (
 // of the original seal-under-Leader.mu bug (broadcastAdminLocked). This rule
 // is intraprocedural by design — a transitive closure would condemn
 // by-design patterns like engine dispatch under a per-member lock.
-// Flagged calls: (*crypto.Cipher).Seal/Open, cipher.AEAD Seal/Open, one-shot
-// crypto.Seal/Open, Send/SendBatch methods on transport types, and calls of
+// Flagged calls: (*crypto.Cipher).Seal/SealPlaintext/Open, cipher.AEAD
+// Seal/Open, one-shot crypto.Seal/SealPlaintext/Open, Send/SendBatch methods on transport types, and calls of
 // a transport.Pull (Conn.Wake, which only wakes the writer, is fine).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
@@ -514,7 +514,7 @@ func flaggedCall(info *types.Info, call *ast.CallExpr) string {
 	}
 	name := f.Name()
 	switch name {
-	case "Seal", "Open":
+	case "Seal", "SealPlaintext", "Open":
 		rt := recvType(f)
 		if rt == nil {
 			if isPkgFunc(f, cryptoPath, name) {

@@ -42,7 +42,7 @@ const (
 //   - wireexhaustive: every package that dispatches on wire enums.
 //   - keytaint: everywhere key material lives or flows — the key hierarchy
 //     (crypto, lkh), the protocol engines, replication (K_r), and the wire
-//     layer whose Marshal methods carry key bytes by summary.
+//     layer.
 //   - noncereuse: the packages that seal freshness chains — the protocol
 //     engines and the replica delta stream.
 //   - lockorder: every package that locks — the annotated hierarchies and

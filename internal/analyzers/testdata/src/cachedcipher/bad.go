@@ -18,6 +18,10 @@ func sealPerMessage(k crypto.Key, msgs [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
+func sealKey(k crypto.Key, p crypto.Plaintext) ([]byte, error) {
+	return crypto.SealPlaintext(k, p, nil) // want `one-shot crypto\.SealPlaintext`
+}
+
 func openOnce(k crypto.Key, box []byte) ([]byte, error) {
 	return crypto.Open(k, box, nil) // want `one-shot crypto\.Open`
 }

@@ -2,7 +2,6 @@ package keyhygiene
 
 import (
 	"fmt"
-	"log"
 
 	"enclaves/internal/crypto"
 )
@@ -14,22 +13,19 @@ type Event struct {
 }
 
 func dump(k crypto.Key) {
-	fmt.Printf("group key: %x\n", k)     // want `bypasses its redacting String method`
-	fmt.Printf("group key: %#v\n", k)    // want `bypasses its redacting String method`
-	fmt.Println(k.Bytes())               // want `raw Key\.Bytes\(\)`
-	log.Printf("session: %v", k.Bytes()) // want `raw Key\.Bytes\(\)`
+	fmt.Printf("group key: %x\n", k)  // want `bypasses its redacting String method`
+	fmt.Printf("group key: %#v\n", k) // want `bypasses its redacting String method`
 }
 
-func leakNamed(k crypto.Key) string {
-	groupKey := k.Bytes()
+func leakNamed(groupKey []byte) string {
 	fmt.Printf("debug: %v\n", groupKey) // want `key material groupKey`
 	return string(groupKey)             // want `key material groupKey converted to string`
 }
 
-func leakEvent(k crypto.Key) Event {
+func leakEvent(sessionKey []byte) Event {
 	return Event{
 		Kind:   "rekey",
-		Detail: string(k.Bytes()), // want `reaches a retained keyhygiene\.Event event` `raw Key\.Bytes\(\) converted to string`
+		Detail: string(sessionKey), // want `reaches a retained keyhygiene\.Event event` `key material sessionKey converted to string`
 	}
 }
 

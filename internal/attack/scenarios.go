@@ -165,7 +165,7 @@ func MembershipForgeryImproved(net Medium) (Outcome, error) {
 	kg, _ := evil.GroupKey()
 	forged := wire.Envelope{Type: wire.TypeAdminMsg, Sender: leaderName, Receiver: victimName}
 	p := wire.AdminMsgPayload{Leader: leaderName, User: victimName, Seq: 99, Body: wire.Left(evilName)}
-	box, err := crypto.Seal(kg, p.Marshal(), forged.Header())
+	box, err := crypto.SealPlaintext(kg, p.Marshal(), forged.Header())
 	if err != nil {
 		return out, err
 	}

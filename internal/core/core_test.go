@@ -443,7 +443,7 @@ func TestForgedAdminRejected(t *testing.T) {
 	evilKey, _ := crypto.NewKey()
 	env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: testLeader, Receiver: testUser}
 	p := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 9, Body: wire.Left("bob")}
-	box, _ := crypto.Seal(evilKey, p.Marshal(), env.Header())
+	box, _ := crypto.SealPlaintext(evilKey, p.Marshal(), env.Header())
 	env.Payload = box
 	if _, err := m.Handle(env); !errors.Is(err, ErrAuth) {
 		t.Errorf("forged AdminMsg accepted: err = %v", err)

@@ -220,7 +220,7 @@ func TestForgeryUnderDerivedKeysRejected(t *testing.T) {
 	for _, k := range []crypto.Key{otherLongTerm, randomKey} {
 		env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: testLeader, Receiver: testUser}
 		p := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 1, Body: wire.Left("bob")}
-		box, err := crypto.Seal(k, p.Marshal(), env.Header())
+		box, err := crypto.SealPlaintext(k, p.Marshal(), env.Header())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,7 +167,7 @@ func (l *LeaderSession) handleInitReq(env wire.Envelope) (LeaderEvent, error) {
 	}
 	reply := wire.Envelope{Type: wire.TypeAuthKeyDist, Sender: l.leader, Receiver: l.user}
 	dist := wire.AuthKeyDistPayload{Leader: l.leader, User: l.user, N1: p.N1, N2: n2, SessionKey: ka}
-	box, err := l.longTerm.Seal(dist.Marshal(), reply.Header())
+	box, err := l.longTerm.SealPlaintext(dist.Marshal(), reply.Header())
 	if err != nil {
 		return LeaderEvent{}, err
 	}
@@ -360,7 +360,7 @@ func (l *LeaderSession) emitAdmin(body wire.AdminBody) (*wire.Envelope, error) {
 		Seq:    l.seq,
 		Body:   body,
 	}
-	box, err := l.session.Seal(p.Marshal(), env.Header())
+	box, err := l.session.SealPlaintext(p.Marshal(), env.Header())
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,9 @@
 // about the plaintext and cannot be created or modified without the key.
 // AEAD gives exactly that — confidentiality plus integrity — so a forged or
 // tampered message fails authentication instead of decrypting to garbage.
+// As in the paper's model, a key reaches the network only inside {X}_K:
+// Key has no accessor for its bytes, and the one plaintext a key can enter
+// (Plaintext) leaves this package only sealed.
 package crypto
 
 import (
@@ -64,13 +67,6 @@ func KeyFromBytes(b []byte) (Key, error) {
 	copy(k.bytes[:], b)
 	k.valid = true
 	return k, nil
-}
-
-// Bytes returns a copy of the raw key material.
-func (k Key) Bytes() []byte {
-	out := make([]byte, KeySize)
-	copy(out, k.bytes[:])
-	return out
 }
 
 // Valid reports whether the key holds usable key material.
@@ -194,6 +190,51 @@ func (c *Cipher) Open(ciphertext, ad []byte) ([]byte, error) {
 	}
 	return plain, nil
 }
+
+// Plaintext is a message under construction that may carry keys. Raw key
+// bytes leave this package only inside one: AppendKey is the one way a key
+// enters a plaintext, and a Plaintext has no way out but sealing
+// (Cipher.SealPlaintext, SealPlaintext). It prints as its length whatever
+// the verb. The zero value is empty and ready to use. The appenders write
+// the wire package's field encodings: fixed-width big-endian integers, and
+// byte strings behind a 4-byte length.
+type Plaintext struct{ b []byte }
+
+// AppendKey appends the key's 32 raw bytes; the zero Key appends zeros.
+func (p *Plaintext) AppendKey(k Key) { p.b = append(p.b, k.bytes[:]...) }
+
+// AppendNonce appends the nonce's raw bytes.
+func (p *Plaintext) AppendNonce(n Nonce) { p.b = append(p.b, n[:]...) }
+
+// AppendUint8 appends one byte.
+func (p *Plaintext) AppendUint8(v uint8) { p.b = append(p.b, v) }
+
+// AppendUint64 appends v big-endian.
+func (p *Plaintext) AppendUint64(v uint64) { p.b = binary.BigEndian.AppendUint64(p.b, v) }
+
+// AppendString appends s behind its 4-byte big-endian length.
+func (p *Plaintext) AppendString(s string) {
+	p.b = binary.BigEndian.AppendUint32(p.b, uint32(len(s)))
+	p.b = append(p.b, s...)
+}
+
+// AppendSized appends what fill appends behind its 4-byte big-endian
+// length: a nested encoding, such as an AdminMsg's body.
+func (p *Plaintext) AppendSized(fill func(*Plaintext)) {
+	at := len(p.b)
+	p.b = append(p.b, 0, 0, 0, 0)
+	fill(p)
+	binary.BigEndian.PutUint32(p.b[at:], uint32(len(p.b)-at-4))
+}
+
+// Format renders the plaintext's length only, for every verb.
+func (p Plaintext) Format(f fmt.State, _ rune) { fmt.Fprintf(f, "Plaintext(%d bytes)", len(p.b)) }
+
+// SealPlaintext seals p as Seal seals a byte plaintext.
+func (c *Cipher) SealPlaintext(p Plaintext, ad []byte) ([]byte, error) { return c.Seal(p.b, ad) }
+
+// SealPlaintext seals p under k as the one-shot Seal does.
+func SealPlaintext(k Key, p Plaintext, ad []byte) ([]byte, error) { return Seal(k, p.b, ad) }
 
 // Seal encrypts and authenticates plaintext under k, rebuilding the AEAD on
 // every call. Only one-shot paths use it — the attack scenarios' forgeries

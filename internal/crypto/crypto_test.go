@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -33,8 +34,8 @@ func TestKeyFromBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(k.Bytes(), raw) {
-		t.Error("Bytes round trip failed")
+	if !bytes.Equal(k.bytes[:], raw) {
+		t.Error("KeyFromBytes round trip failed")
 	}
 	if _, err := KeyFromBytes(raw[:KeySize-1]); err == nil {
 		t.Error("short key accepted")
@@ -44,12 +45,18 @@ func TestKeyFromBytes(t *testing.T) {
 	}
 }
 
-func TestKeyBytesIsACopy(t *testing.T) {
+func TestAppendKeyIsACopy(t *testing.T) {
 	k, _ := NewKey()
-	b := k.Bytes()
-	b[0] ^= 0xFF
-	if bytes.Equal(b, k.Bytes()) {
-		t.Error("Bytes exposes internal storage")
+	want := k.bytes
+	var p Plaintext
+	p.AppendKey(k)
+	p.b[0] ^= 0xFF
+	if k.bytes != want {
+		t.Error("AppendKey exposes the key's storage")
+	}
+	k.Zero()
+	if p.b[1] != want[1] {
+		t.Error("zeroing the key changed the plaintext")
 	}
 }
 
@@ -76,7 +83,7 @@ func TestKeyZero(t *testing.T) {
 	if k.Valid() {
 		t.Error("zeroed key still valid")
 	}
-	if !bytes.Equal(k.Bytes(), make([]byte, KeySize)) {
+	if k.bytes != [KeySize]byte{} {
 		t.Error("zeroed key retains material")
 	}
 }
@@ -312,7 +319,8 @@ func TestPBKDF2SecondVector(t *testing.T) {
 // count or PRF locks every user out, and must not pass silently.
 func TestDeriveKeyGolden(t *testing.T) {
 	const want = "a29604d6c1c008ba3684188849c7c71b0c8eb607d3f8d59e602267f1c03c050b"
-	if got := hex.EncodeToString(DeriveKey("alice", "leader", "hunter2").Bytes()); got != want {
+	k := DeriveKey("alice", "leader", "hunter2")
+	if got := hex.EncodeToString(k.bytes[:]); got != want {
 		t.Errorf("DeriveKey(alice, leader, hunter2) = %s, want %s", got, want)
 	}
 }
@@ -383,5 +391,49 @@ func BenchmarkDeriveKeys(b *testing.B) {
 				sinkKey = DeriveKeys(passwords, leaders...)["g0"]["m0"]
 			}
 		})
+	}
+}
+
+// TestKeyAPISurface pins the type-level rule that raw key bytes never leave
+// this package: no exported method of Key or Plaintext returns a byte
+// slice, byte array or string, apart from Fingerprint's truncated hash and
+// String's redacted form, and neither of those reveals the key. Neither
+// type has an exported field.
+func TestKeyAPISurface(t *testing.T) {
+	raw := bytes.Repeat([]byte{0xA5, 0x3C}, KeySize/2)
+	k, _ := KeyFromBytes(raw)
+	var p Plaintext
+	p.AppendKey(k)
+	allowed := map[string]bool{"Fingerprint": true, "String": true}
+	for _, v := range []any{k, &k, p, &p} {
+		rv := reflect.ValueOf(v)
+		if st := reflect.Indirect(rv).Type(); st.Kind() == reflect.Struct {
+			for i := range st.NumField() {
+				if st.Field(i).IsExported() {
+					t.Errorf("%s has exported field %s", st, st.Field(i).Name)
+				}
+			}
+		}
+		for i := range rv.NumMethod() {
+			m := rv.Type().Method(i)
+			for j := range m.Type.NumOut() {
+				out := m.Type.Out(j)
+				switch {
+				case out.Kind() != reflect.String && (out.Kind() != reflect.Slice && out.Kind() != reflect.Array || out.Elem().Kind() != reflect.Uint8):
+				case !allowed[m.Name]:
+					t.Errorf("%s.%s returns %s", rv.Type(), m.Name, out)
+				default:
+					got := fmt.Sprint(rv.Method(i).Call(nil)[j].Interface())
+					if strings.Contains(got, hex.EncodeToString(raw[:4])) || strings.Contains(got, string(raw[:4])) {
+						t.Errorf("%s.%s reveals the key: %s", rv.Type(), m.Name, got)
+					}
+				}
+			}
+		}
+	}
+	for _, verb := range []string{"%v", "%+v", "%#v", "%x", "%s", "%d"} {
+		if got := fmt.Sprintf(verb, p); got != "Plaintext(32 bytes)" {
+			t.Errorf("Plaintext printed with %s: %s", verb, got)
+		}
 	}
 }

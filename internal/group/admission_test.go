@@ -53,7 +53,7 @@ func tapReplication(t *testing.T, net *transport.MemNetwork, addr string, kr cry
 		t.Fatal(err)
 	}
 	hello := wire.Envelope{Type: wire.TypeReplState, Sender: "tap", Receiver: leaderName}
-	box, err := cipher.Seal(wire.ReplStatePayload{Hello: true, Standby: "tap", Primary: leaderName, Next: n0}.Marshal(), hello.Header())
+	box, err := cipher.SealPlaintext(wire.ReplStatePayload{Hello: true, Standby: "tap", Primary: leaderName, Next: n0}.Marshal(), hello.Header())
 	if err != nil {
 		t.Fatal(err)
 	}

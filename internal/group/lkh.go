@@ -100,7 +100,7 @@ func (u *keyUpdate) encode(g *Leader) *transport.Encoded {
 			g.logf("group: key-update cipher: %v", err)
 			return
 		}
-		box, err := c.Seal(u.newKey.Bytes(), u.p.AD())
+		box, err := c.SealPlaintext(wire.BoxPlaintext(u.newKey), u.p.AD())
 		if err != nil {
 			g.logf("group: key-update seal: %v", err)
 			return

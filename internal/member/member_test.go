@@ -447,7 +447,7 @@ func TestForgedAdminCounted(t *testing.T) {
 	evil, _ := crypto.NewKey()
 	env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: leaderName, Receiver: userName}
 	p := wire.AdminMsgPayload{Leader: leaderName, User: userName, Seq: 1, Body: wire.Left("bob")}
-	box, _ := crypto.Seal(evil, p.Marshal(), env.Header())
+	box, _ := crypto.SealPlaintext(evil, p.Marshal(), env.Header())
 	env.Payload = box
 	before := m.Rejected()
 	if err := f.conn.Send(env); err != nil {

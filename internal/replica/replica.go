@@ -280,7 +280,7 @@ func (s *Sender) writer(sub *subscriber, n0 crypto.Nonce) {
 			return
 		}
 		var env wire.Envelope
-		var plain []byte
+		var plain crypto.Plaintext
 		if it.snap != nil {
 			p := *it.snap
 			p.Standby, p.Primary, p.Echo, p.Next = sub.standby, s.primary, last, next
@@ -293,7 +293,7 @@ func (s *Sender) writer(sub *subscriber, n0 crypto.Nonce) {
 			env = wire.Envelope{Type: wire.TypeReplDelta, Sender: s.primary, Receiver: sub.standby}
 			plain = d.Marshal()
 		}
-		box, err := s.cipher.Seal(plain, env.Header())
+		box, err := s.cipher.SealPlaintext(plain, env.Header())
 		if err != nil {
 			s.drop(sub, "seal failed")
 			return

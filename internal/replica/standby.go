@@ -214,7 +214,7 @@ func (s *Standby) subscribeOnce(cipher *crypto.Cipher) error {
 	}
 	hello := wire.Envelope{Type: wire.TypeReplState, Sender: s.cfg.Standby, Receiver: s.cfg.Primary}
 	hp := wire.ReplStatePayload{Hello: true, Standby: s.cfg.Standby, Primary: s.cfg.Primary, Next: n0}
-	box, err := cipher.Seal(hp.Marshal(), hello.Header())
+	box, err := cipher.SealPlaintext(hp.Marshal(), hello.Header())
 	if err != nil {
 		return err
 	}

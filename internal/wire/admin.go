@@ -179,46 +179,44 @@ func (b PathKeys) GroupKey() (crypto.Key, bool) {
 	return crypto.Key{}, false
 }
 
-// MarshalAdminBody encodes an admin body with its kind tag.
-func MarshalAdminBody(body AdminBody) []byte {
-	var b builder
-	b.putUint8(uint8(body.AdminKind()))
+// appendAdminBody encodes an admin body with its kind tag.
+func appendAdminBody(b *crypto.Plaintext, body AdminBody) {
+	b.AppendUint8(uint8(body.AdminKind()))
 	switch v := body.(type) {
 	case NewGroupKey:
-		b.putUint64(v.Epoch)
-		b.bytes = append(b.bytes, v.Key.Bytes()...)
-		putChanges(&b, v.Changes)
+		b.AppendUint64(v.Epoch)
+		b.AppendKey(v.Key)
+		putChanges(b, v.Changes)
 	case MemberChanges:
-		putChanges(&b, v.Changes)
+		putChanges(b, v.Changes)
 	case MemberList:
-		b.putUint64(uint64(len(v.Names)))
+		b.AppendUint64(uint64(len(v.Names)))
 		names := append([]string(nil), v.Names...)
 		sort.Strings(names)
 		for _, n := range names {
-			b.putString(n)
+			b.AppendString(n)
 		}
 	case Heartbeat:
 		// No fields: the kind tag is the whole encoding.
 	case PathKeys:
-		b.putUint64(v.Epoch)
-		b.putUint64(v.Root)
-		b.putUint64(v.Leaf)
-		b.putUint64(uint64(len(v.Entries)))
+		b.AppendUint64(v.Epoch)
+		b.AppendUint64(v.Root)
+		b.AppendUint64(v.Leaf)
+		b.AppendUint64(uint64(len(v.Entries)))
 		for _, e := range v.Entries {
-			b.putUint64(e.Node)
-			b.putUint64(e.Ver)
-			b.bytes = append(b.bytes, e.Key.Bytes()...)
+			b.AppendUint64(e.Node)
+			b.AppendUint64(e.Ver)
+			b.AppendKey(e.Key)
 		}
 	}
-	return b.bytes
 }
 
 // putChanges encodes a change list: a one-byte count, then each change as
 // its signed name.
-func putChanges(b *builder, changes []MemberChange) {
-	b.putUint8(uint8(len(changes)))
+func putChanges(b *crypto.Plaintext, changes []MemberChange) {
+	b.AppendUint8(uint8(len(changes)))
 	for _, c := range changes {
-		b.putString(c.String())
+		b.AppendString(c.String())
 	}
 }
 

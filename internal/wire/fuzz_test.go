@@ -199,16 +199,16 @@ func FuzzKeyUpdate(f *testing.F) {
 	f.Add(ku.Marshal())
 	f.Add(KeyUpdatePayload{Node: 1, Ver: 1, Under: 2, Epoch: 1}.Marshal())
 	f.Add(KeySyncPayload{Epoch: 41}.Marshal())
-	f.Add(MarshalAdminBody(PathKeys{Epoch: 7, Root: 1, Leaf: 5}))
-	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 8}))
-	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 9, Changes: []MemberChange{{Name: "carol"}}}))
-	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 10, Changes: []MemberChange{{Name: "bob", Left: true}, {Name: "erin"}, {Name: ""}, {Name: "bob"}}}))
+	f.Add(adminBody(PathKeys{Epoch: 7, Root: 1, Leaf: 5}))
+	f.Add(adminBody(NewGroupKey{Epoch: 8}))
+	f.Add(adminBody(NewGroupKey{Epoch: 9, Changes: []MemberChange{{Name: "carol"}}}))
+	f.Add(adminBody(NewGroupKey{Epoch: 10, Changes: []MemberChange{{Name: "bob", Left: true}, {Name: "erin"}, {Name: ""}, {Name: "bob"}}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 41))
-	f.Add(MarshalAdminBody(Joined("carol")))
-	f.Add(MarshalAdminBody(MemberChanges{Changes: []MemberChange{{Name: "erin"}, {Name: ""}, {Name: "erin", Left: true}}}))
-	f.Add(MarshalAdminBody(MemberChanges{Changes: make([]MemberChange, MaxDeltaNames+1)}))
-	f.Add(MarshalAdminBody(NewGroupKey{Epoch: 11, Changes: make([]MemberChange, MaxDeltaNames+1)}))
+	f.Add(adminBody(Joined("carol")))
+	f.Add(adminBody(MemberChanges{Changes: []MemberChange{{Name: "erin"}, {Name: ""}, {Name: "erin", Left: true}}}))
+	f.Add(adminBody(MemberChanges{Changes: make([]MemberChange, MaxDeltaNames+1)}))
+	f.Add(adminBody(NewGroupKey{Epoch: 11, Changes: make([]MemberChange, MaxDeltaNames+1)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if p, err := UnmarshalKeyUpdate(data); err == nil {
@@ -222,7 +222,7 @@ func FuzzKeyUpdate(f *testing.F) {
 		if body, err := UnmarshalAdminBody(data); err == nil {
 			switch body.(type) {
 			case PathKeys, NewGroupKey, MemberChanges:
-				if !bytes.Equal(MarshalAdminBody(body), data) {
+				if !bytes.Equal(adminBody(body), data) {
 					t.Fatalf("accepted %s is not canonical: %x", body.AdminKind(), data)
 				}
 			}

@@ -41,11 +41,7 @@ func (p KeyUpdatePayload) AD() []byte {
 	b.putUint64(p.Ver)
 	b.putUint64(p.Under)
 	b.putUint64(p.Epoch)
-	if p.Root {
-		b.putUint8(1)
-	} else {
-		b.putUint8(0)
-	}
+	b.putUint8(boolByte(p.Root))
 	return b.bytes
 }
 
@@ -54,6 +50,13 @@ func (p KeyUpdatePayload) Marshal() []byte {
 	b := builder{bytes: p.AD()}
 	b.putBytes(p.Box)
 	return b.bytes
+}
+
+// BoxPlaintext is the content of a KeyUpdate's Box: the new node key, raw.
+func BoxPlaintext(k crypto.Key) crypto.Plaintext {
+	var b crypto.Plaintext
+	b.AppendKey(k)
+	return b
 }
 
 // UnmarshalKeyUpdate decodes a KeyUpdatePayload.
@@ -110,17 +113,13 @@ type ReplLKHNode struct {
 	Dirty  bool
 }
 
-func appendReplLKHNode(b *builder, n ReplLKHNode) {
-	b.putUint64(n.ID)
-	b.putUint64(n.Parent)
-	b.putUint64(n.Ver)
-	b.putString(n.User)
-	b.bytes = append(b.bytes, n.Key.Bytes()...)
-	if n.Dirty {
-		b.putUint8(1)
-	} else {
-		b.putUint8(0)
-	}
+func appendReplLKHNode(b *crypto.Plaintext, n ReplLKHNode) {
+	b.AppendUint64(n.ID)
+	b.AppendUint64(n.Parent)
+	b.AppendUint64(n.Ver)
+	b.AppendString(n.User)
+	b.AppendKey(n.Key)
+	b.AppendUint8(boolByte(n.Dirty))
 }
 
 func parseReplLKHNode(p *parser) (ReplLKHNode, error) {

@@ -47,7 +47,7 @@ func TestKeyUpdateSealOpenBindsRouting(t *testing.T) {
 	key := testKey(t)
 	newKey := testKey(t)
 	p := KeyUpdatePayload{Node: 3, Ver: 2, Under: 9, Epoch: 4}
-	box, err := crypto.Seal(key, newKey.Bytes(), p.AD())
+	box, err := crypto.SealPlaintext(key, BoxPlaintext(newKey), p.AD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPathKeysAdminBodyRoundTrip(t *testing.T) {
 			{Node: 1, Ver: 6, Key: testKey(t)},
 		},
 	}
-	body, err := UnmarshalAdminBody(MarshalAdminBody(in))
+	body, err := UnmarshalAdminBody(adminBody(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestReplLKHDeltaRoundTrip(t *testing.T) {
 		},
 		Removed: []uint64{3, 5},
 	}
-	out, err := UnmarshalReplDelta(in.Marshal())
+	out, err := UnmarshalReplDelta(plain(in.Marshal()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestReplStateCarriesTree(t *testing.T) {
 			{ID: 2, Parent: 1, Ver: 1, User: "alice", Key: testKey(t)},
 		},
 	}
-	out, err := UnmarshalReplState(in.Marshal())
+	out, err := UnmarshalReplState(plain(in.Marshal()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,15 +57,16 @@ type AuthKeyDistPayload struct {
 	SessionKey crypto.Key
 }
 
-// Marshal encodes the payload deterministically.
-func (p AuthKeyDistPayload) Marshal() []byte {
-	var b builder
-	b.putString(p.Leader)
-	b.putString(p.User)
-	b.bytes = append(b.bytes, p.N1[:]...)
-	b.bytes = append(b.bytes, p.N2[:]...)
-	b.bytes = append(b.bytes, p.SessionKey.Bytes()...)
-	return b.bytes
+// Marshal encodes the payload deterministically, into a plaintext that
+// only sealing consumes: it carries K_a.
+func (p AuthKeyDistPayload) Marshal() crypto.Plaintext {
+	var b crypto.Plaintext
+	b.AppendString(p.Leader)
+	b.AppendString(p.User)
+	b.AppendNonce(p.N1)
+	b.AppendNonce(p.N2)
+	b.AppendKey(p.SessionKey)
+	return b
 }
 
 // UnmarshalAuthKeyDist decodes an AuthKeyDistPayload.
@@ -139,16 +140,17 @@ type AdminMsgPayload struct {
 	Body   AdminBody
 }
 
-// Marshal encodes the payload deterministically.
-func (p AdminMsgPayload) Marshal() []byte {
-	var b builder
-	b.putString(p.Leader)
-	b.putString(p.User)
-	b.bytes = append(b.bytes, p.NPrev[:]...)
-	b.bytes = append(b.bytes, p.NNext[:]...)
-	b.putUint64(p.Seq)
-	b.putBytes(MarshalAdminBody(p.Body))
-	return b.bytes
+// Marshal encodes the payload deterministically, into a plaintext that
+// only sealing consumes: the body may carry keys.
+func (p AdminMsgPayload) Marshal() crypto.Plaintext {
+	var b crypto.Plaintext
+	b.AppendString(p.Leader)
+	b.AppendString(p.User)
+	b.AppendNonce(p.NPrev)
+	b.AppendNonce(p.NNext)
+	b.AppendUint64(p.Seq)
+	b.AppendSized(func(b *crypto.Plaintext) { appendAdminBody(b, p.Body) })
+	return b
 }
 
 // UnmarshalAdminMsg decodes an AdminMsgPayload.

@@ -114,37 +114,34 @@ type ReplStatePayload struct {
 	Tree     []ReplLKHNode
 }
 
-// Marshal encodes the payload deterministically.
-func (p ReplStatePayload) Marshal() []byte {
-	var b builder
+// Marshal encodes the payload deterministically, into a plaintext that
+// only sealing consumes: a snapshot carries every key.
+func (p ReplStatePayload) Marshal() crypto.Plaintext {
+	var b crypto.Plaintext
+	b.AppendUint8(boolByte(p.Hello))
+	b.AppendString(p.Standby)
+	b.AppendString(p.Primary)
+	b.AppendNonce(p.Echo)
+	b.AppendNonce(p.Next)
 	if p.Hello {
-		b.putUint8(1)
-	} else {
-		b.putUint8(0)
+		return b
 	}
-	b.putString(p.Standby)
-	b.putString(p.Primary)
-	b.bytes = append(b.bytes, p.Echo[:]...)
-	b.bytes = append(b.bytes, p.Next[:]...)
-	if p.Hello {
-		return b.bytes
-	}
-	b.putUint64(p.Epoch)
-	b.bytes = append(b.bytes, p.GroupKey.Bytes()...)
-	b.putUint64(p.AuditSeq)
-	b.putUint64(uint64(len(p.Members)))
+	b.AppendUint64(p.Epoch)
+	b.AppendKey(p.GroupKey)
+	b.AppendUint64(p.AuditSeq)
+	b.AppendUint64(uint64(len(p.Members)))
 	for _, m := range p.Members {
-		b.putString(m.User)
-		b.bytes = append(b.bytes, m.SessionKey.Bytes()...)
-		b.bytes = append(b.bytes, m.Nonce[:]...)
-		b.putUint64(m.Seq)
+		b.AppendString(m.User)
+		b.AppendKey(m.SessionKey)
+		b.AppendNonce(m.Nonce)
+		b.AppendUint64(m.Seq)
 	}
-	b.putUint8(p.LKHArity)
-	b.putUint64(uint64(len(p.Tree)))
+	b.AppendUint8(p.LKHArity)
+	b.AppendUint64(uint64(len(p.Tree)))
 	for _, n := range p.Tree {
 		appendReplLKHNode(&b, n)
 	}
-	return b.bytes
+	return b
 }
 
 // UnmarshalReplState decodes a ReplStatePayload.
@@ -239,43 +236,44 @@ type ReplDeltaPayload struct {
 	Removed  []uint64      // LKH: removed tree-node IDs
 }
 
-// Marshal encodes the payload deterministically.
-func (p ReplDeltaPayload) Marshal() []byte {
-	var b builder
-	b.putString(p.Primary)
-	b.putString(p.Standby)
-	b.bytes = append(b.bytes, p.Echo[:]...)
-	b.bytes = append(b.bytes, p.Next[:]...)
-	b.putUint8(uint8(p.Kind))
-	b.putUint64(p.AuditSeq)
+// Marshal encodes the payload deterministically, into a plaintext that
+// only sealing consumes: a delta may carry keys.
+func (p ReplDeltaPayload) Marshal() crypto.Plaintext {
+	var b crypto.Plaintext
+	b.AppendString(p.Primary)
+	b.AppendString(p.Standby)
+	b.AppendNonce(p.Echo)
+	b.AppendNonce(p.Next)
+	b.AppendUint8(uint8(p.Kind))
+	b.AppendUint64(p.AuditSeq)
 	switch p.Kind {
 	case ReplMemberUp:
-		b.putString(p.User)
-		b.bytes = append(b.bytes, p.Session.Bytes()...)
-		b.bytes = append(b.bytes, p.Nonce[:]...)
-		b.putUint64(p.Seq)
+		b.AppendString(p.User)
+		b.AppendKey(p.Session)
+		b.AppendNonce(p.Nonce)
+		b.AppendUint64(p.Seq)
 	case ReplMemberDown:
-		b.putString(p.User)
+		b.AppendString(p.User)
 	case ReplRekey:
-		b.putUint64(p.Epoch)
-		b.bytes = append(b.bytes, p.GroupKey.Bytes()...)
+		b.AppendUint64(p.Epoch)
+		b.AppendKey(p.GroupKey)
 	case ReplSessionSync:
-		b.putString(p.User)
-		b.bytes = append(b.bytes, p.Nonce[:]...)
-		b.putUint64(p.Seq)
+		b.AppendString(p.User)
+		b.AppendNonce(p.Nonce)
+		b.AppendUint64(p.Seq)
 	case ReplPing:
 		// The chain advance is the whole message.
 	case ReplLKH:
-		b.putUint64(uint64(len(p.Nodes)))
+		b.AppendUint64(uint64(len(p.Nodes)))
 		for _, n := range p.Nodes {
 			appendReplLKHNode(&b, n)
 		}
-		b.putUint64(uint64(len(p.Removed)))
+		b.AppendUint64(uint64(len(p.Removed)))
 		for _, id := range p.Removed {
-			b.putUint64(id)
+			b.AppendUint64(id)
 		}
 	}
-	return b.bytes
+	return b
 }
 
 // UnmarshalReplDelta decodes a ReplDeltaPayload.

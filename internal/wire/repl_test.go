@@ -10,7 +10,7 @@ import (
 
 func TestReplStateHelloRoundTrip(t *testing.T) {
 	in := ReplStatePayload{Hello: true, Standby: "standby", Primary: "leader", Next: mustNonce(t)}
-	out, err := UnmarshalReplState(in.Marshal())
+	out, err := UnmarshalReplState(plain(in.Marshal()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestReplStateSnapshotRoundTrip(t *testing.T) {
 			{User: "", SessionKey: mustKey(t)},
 		},
 	}
-	out, err := UnmarshalReplState(in.Marshal())
+	out, err := UnmarshalReplState(plain(in.Marshal()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestReplStateSnapshotRoundTrip(t *testing.T) {
 
 func TestReplStateEmptySnapshotRoundTrip(t *testing.T) {
 	in := ReplStatePayload{Standby: "s", Primary: "p", Next: mustNonce(t), GroupKey: mustKey(t)}
-	out, err := UnmarshalReplState(in.Marshal())
+	out, err := UnmarshalReplState(plain(in.Marshal()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestReplStateRejectsMemberBound(t *testing.T) {
 	b.putString("s")
 	b.putString("p")
 	b.bytes = append(b.bytes, make([]byte, 2*crypto.NonceSize)...)
-	b.putUint64(1) // epoch
-	b.bytes = append(b.bytes, mustKey(t).Bytes()...)
-	b.putUint64(0)                  // audit seq
-	b.putUint64(MaxReplMembers + 1) // member count over the bound
+	b.putUint64(1)                                             // epoch
+	b.bytes = append(b.bytes, make([]byte, crypto.KeySize)...) // group key
+	b.putUint64(0)                                             // audit seq
+	b.putUint64(MaxReplMembers + 1)                            // member count over the bound
 	if _, err := UnmarshalReplState(b.bytes); err == nil {
 		t.Fatal("snapshot over MaxReplMembers accepted")
 	} else if !strings.Contains(err.Error(), "members") {
@@ -115,7 +115,7 @@ func replDeltaCases(t *testing.T) []ReplDeltaPayload {
 
 func TestReplDeltaRoundTrip(t *testing.T) {
 	for _, in := range replDeltaCases(t) {
-		out, err := UnmarshalReplDelta(in.Marshal())
+		out, err := UnmarshalReplDelta(plain(in.Marshal()))
 		if err != nil {
 			t.Fatalf("%v: %v", in.Kind, err)
 		}
@@ -157,15 +157,15 @@ func TestReplPayloadsRejectGarbageAndTrailing(t *testing.T) {
 		}
 	}
 	hello := ReplStatePayload{Hello: true, Standby: "s", Primary: "p", Next: mustNonce(t)}
-	if _, err := UnmarshalReplState(append(hello.Marshal(), 0)); err == nil {
+	if _, err := UnmarshalReplState(append(plain(hello.Marshal()), 0)); err == nil {
 		t.Error("ReplState hello accepted trailing byte")
 	}
 	snap := ReplStatePayload{Standby: "s", Primary: "p", Next: mustNonce(t), GroupKey: mustKey(t)}
-	if _, err := UnmarshalReplState(append(snap.Marshal(), 0)); err == nil {
+	if _, err := UnmarshalReplState(append(plain(snap.Marshal()), 0)); err == nil {
 		t.Error("ReplState snapshot accepted trailing byte")
 	}
 	for _, d := range replDeltaCases(t) {
-		if _, err := UnmarshalReplDelta(append(d.Marshal(), 0)); err == nil {
+		if _, err := UnmarshalReplDelta(append(plain(d.Marshal()), 0)); err == nil {
 			t.Errorf("ReplDelta %v accepted trailing byte", d.Kind)
 		}
 	}
@@ -223,11 +223,11 @@ func FuzzReplPayloads(f *testing.F) {
 			Members: []ReplMember{{User: "alice", Seq: 1}}},
 	}
 	for _, p := range seedState {
-		f.Add(p.Marshal())
+		f.Add(plain(p.Marshal()))
 	}
 	for _, k := range []ReplDeltaKind{ReplMemberUp, ReplMemberDown, ReplRekey, ReplSessionSync, ReplPing} {
 		p := ReplDeltaPayload{Primary: "p", Standby: "s", Kind: k, User: "alice", Seq: 4, Epoch: 2}
-		f.Add(p.Marshal())
+		f.Add(plain(p.Marshal()))
 	}
 	f.Add(retiredPendingDelta(1)) // rejected: the kind byte is retired
 	seedKey, err := crypto.KeyFromBytes(make([]byte, crypto.KeySize))
@@ -237,15 +237,15 @@ func FuzzReplPayloads(f *testing.F) {
 	lkhDelta := ReplDeltaPayload{Primary: "p", Standby: "s", Kind: ReplLKH,
 		Nodes:   []ReplLKHNode{{ID: 3, Parent: 1, Ver: 2, User: "alice", Key: seedKey, Dirty: true}},
 		Removed: []uint64{7, 9}}
-	f.Add(lkhDelta.Marshal())
+	f.Add(plain(lkhDelta.Marshal()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if p, err := UnmarshalReplState(data); err == nil {
-			if got := p.Marshal(); string(got) != string(data) {
+			if got := plain(p.Marshal()); string(got) != string(data) {
 				t.Fatalf("ReplState accepted non-canonical payload:\n in %x\nout %x", data, got)
 			}
 		}
 		if p, err := UnmarshalReplDelta(data); err == nil {
-			if got := p.Marshal(); string(got) != string(data) {
+			if got := plain(p.Marshal()); string(got) != string(data) {
 				t.Fatalf("ReplDelta accepted non-canonical payload:\n in %x\nout %x", data, got)
 			}
 		}

@@ -200,13 +200,24 @@ func Decode(data []byte) (Envelope, error) {
 
 // --- deterministic binary building blocks ---
 
-// builder accumulates a deterministic binary encoding.
+// builder accumulates a deterministic binary encoding that carries no key.
+// An encoding that may carry one is built on crypto.Plaintext, whose
+// appenders write the same field encodings and whose bytes only sealing
+// reads.
 type builder struct {
 	bytes []byte
 }
 
 func (b *builder) putUint8(v uint8) {
 	b.bytes = append(b.bytes, v)
+}
+
+// boolByte encodes a flag: 1 for true, 0 for false.
+func boolByte(v bool) uint8 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 func (b *builder) putUint64(v uint64) {

@@ -215,7 +215,7 @@ func TestAdminKindsArePinned(t *testing.T) {
 		if uint8(k) != w.b || k.String() != w.name {
 			t.Errorf("%s = %d, want %s = %d", k, uint8(k), w.name, w.b)
 		}
-		if got := MarshalAdminBody(w.body)[0]; got != w.b {
+		if got := adminBody(w.body)[0]; got != w.b {
 			t.Errorf("%s encodes kind byte %d, want %d", w.name, got, w.b)
 		}
 	}
@@ -249,14 +249,14 @@ func TestMemberChangesBound(t *testing.T) {
 	for i := 0; i < MaxDeltaNames; i++ {
 		full.Changes = append(full.Changes, MemberChange{Name: fmt.Sprintf("m%d", i), Left: i%2 == 1})
 	}
-	body, err := UnmarshalAdminBody(MarshalAdminBody(full))
+	body, err := UnmarshalAdminBody(adminBody(full))
 	if err != nil || body.String() != full.String() {
 		t.Fatalf("%d changes: got %v, %v", MaxDeltaNames, body, err)
 	}
 
 	over := full
 	over.Changes = append(slices.Clip(full.Changes), MemberChange{Name: "extra"})
-	if body, err := UnmarshalAdminBody(MarshalAdminBody(over)); !errors.Is(err, ErrBadPayload) {
+	if body, err := UnmarshalAdminBody(adminBody(over)); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("%d changes accepted as %v", len(over.Changes), body)
 	}
 
@@ -302,7 +302,7 @@ func TestAuthInitPayloadRoundTrip(t *testing.T) {
 
 func TestAuthKeyDistPayloadRoundTrip(t *testing.T) {
 	in := AuthKeyDistPayload{Leader: "l", User: "u", N1: mustNonce(t), N2: mustNonce(t), SessionKey: mustKey(t)}
-	out, err := UnmarshalAuthKeyDist(in.Marshal())
+	out, err := UnmarshalAuthKeyDist(plain(in.Marshal()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestAdminMsgPayloadRoundTrip(t *testing.T) {
 				NPrev: mustNonce(t), NNext: mustNonce(t),
 				Seq: 7, Body: body,
 			}
-			out, err := UnmarshalAdminMsg(in.Marshal())
+			out, err := UnmarshalAdminMsg(plain(in.Marshal()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,7 +447,7 @@ func TestNewGroupKeyGolden(t *testing.T) {
 		{NewGroupKey{Epoch: 0x207, Key: key, Changes: []MemberChange{{Name: "eve"}, {Name: "bob", Left: true}, {Name: "al"}}},
 			head + "03" + "000000042b657665" + "000000042d626f62" + "000000032b616c"},
 	} {
-		enc := MarshalAdminBody(tc.body)
+		enc := adminBody(tc.body)
 		if got := hex.EncodeToString(enc); got != tc.want {
 			t.Errorf("%s encodes as\n %s, want\n %s", tc.body, got, tc.want)
 		}
@@ -469,21 +469,21 @@ func TestNewGroupKeyDeltaBounded(t *testing.T) {
 	for i := range changes {
 		changes[i] = MemberChange{Name: "m", Left: i%2 == 0}
 	}
-	atBound := MarshalAdminBody(NewGroupKey{Epoch: 1, Key: mustKey(t), Changes: changes})
+	atBound := adminBody(NewGroupKey{Epoch: 1, Key: mustKey(t), Changes: changes})
 	if _, err := UnmarshalAdminBody(atBound); err != nil {
 		t.Fatalf("delta of %d changes rejected: %v", MaxDeltaNames, err)
 	}
-	overBound := MarshalAdminBody(NewGroupKey{Epoch: 1, Key: mustKey(t), Changes: append(changes, MemberChange{Name: "m"})})
+	overBound := adminBody(NewGroupKey{Epoch: 1, Key: mustKey(t), Changes: append(changes, MemberChange{Name: "m"})})
 	if _, err := UnmarshalAdminBody(overBound); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("delta of %d changes: err = %v, want ErrBadPayload", MaxDeltaNames+1, err)
 	}
 	countAt := 1 + 8 + crypto.KeySize
-	over := MarshalAdminBody(NewGroupKey{Epoch: 1, Key: mustKey(t)})
+	over := adminBody(NewGroupKey{Epoch: 1, Key: mustKey(t)})
 	over[countAt] = MaxDeltaNames + 1
 	if _, err := UnmarshalAdminBody(over); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("delta of %d names: err = %v, want ErrBadPayload", MaxDeltaNames+1, err)
 	}
-	short := MarshalAdminBody(NewGroupKey{Epoch: 1, Key: mustKey(t)})
+	short := adminBody(NewGroupKey{Epoch: 1, Key: mustKey(t)})
 	short[countAt] = 3
 	if _, err := UnmarshalAdminBody(short); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("count beyond the body: err = %v, want ErrBadPayload", err)
@@ -497,8 +497,8 @@ func TestAdminBodyUnknownKind(t *testing.T) {
 }
 
 func TestMemberListCanonicalOrder(t *testing.T) {
-	a := MarshalAdminBody(MemberList{Names: []string{"b", "a", "c"}})
-	b := MarshalAdminBody(MemberList{Names: []string{"c", "b", "a"}})
+	a := adminBody(MemberList{Names: []string{"b", "a", "c"}})
+	b := adminBody(MemberList{Names: []string{"c", "b", "a"}})
 	if !bytes.Equal(a, b) {
 		t.Error("member list encoding not canonical")
 	}

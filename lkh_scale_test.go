@@ -58,7 +58,7 @@ func sealUpdates(tb testing.TB, epoch uint64, ups []lkh.Update) int {
 			Epoch: epoch,
 			Root:  up.Root,
 		}
-		box, err := c.Seal(up.NewKey.Bytes(), p.AD())
+		box, err := c.SealPlaintext(wire.BoxPlaintext(up.NewKey), p.AD())
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func flatRekey(tb testing.TB, ciphers []*crypto.Cipher, names []string, epoch ui
 			Seq:    epoch,
 			Body:   body,
 		}
-		box, err := c.Seal(p.Marshal(), env.Header())
+		box, err := c.SealPlaintext(p.Marshal(), env.Header())
 		if err != nil {
 			tb.Fatal(err)
 		}
