@@ -341,29 +341,34 @@ func TestChaosFailoverUnderChurn(t *testing.T) {
 	// leader. The resume counter is leader-side acceptances; the join delta
 	// counts every password handshake since the kill (the primary is dead,
 	// so they all landed on the promoted leader).
-	resumes := counterValue(t, "group_resumes_total") - resumesBefore
-	if resumes != wave {
-		t.Errorf("resumes = %d, want %d (wave 1 exactly)", resumes, wave)
+	logRejected := func() {
 		promotedAudit.mu.Lock()
+		defer promotedAudit.mu.Unlock()
 		for _, e := range promotedAudit.events {
 			if e.Kind == group.EventRejected {
 				t.Logf("promoted leader rejected %s at epoch %d: %s", e.User, e.Epoch, e.Detail)
 			}
 		}
-		promotedAudit.mu.Unlock()
+	}
+	resumes := counterValue(t, "group_resumes_total") - resumesBefore
+	if resumes != wave {
+		t.Errorf("resumes = %d, want %d (wave 1 exactly)", resumes, wave)
+		logRejected()
 	}
 	// Audit events are emitted moments after the acceptance that makes a
 	// member visible as Up, so give the last one a beat to land before
-	// holding the log to exact counts.
-	waitUntil(t, "promoted audit settles at exact wave counts", 10*time.Second, func() bool {
-		return countKinds(&promotedAudit, group.EventResumed) == wave &&
-			countKinds(&promotedAudit, group.EventJoined) == wave
-	})
-	if got := countKinds(&promotedAudit, group.EventResumed); got != wave {
-		t.Errorf("promoted audit shows %d Resumed, want %d", got, wave)
-	}
-	if got := countKinds(&promotedAudit, group.EventJoined); got != wave {
-		t.Errorf("promoted audit shows %d Joined, want %d (wave 2 exactly)", got, wave)
+	// holding the log to exact counts: wave 1 resumed, wave 2 joined.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resumed, joined := countKinds(&promotedAudit, group.EventResumed), countKinds(&promotedAudit, group.EventJoined)
+		if resumed == wave && joined == wave {
+			break
+		}
+		if time.Now().After(deadline) {
+			if resumes == wave {
+				logRejected()
+			}
+			t.Fatalf("promoted audit never settled at exact wave counts: %d Resumed, %d Joined, want %d each", resumed, joined, wave)
+		}
 	}
 
 	// No resumed member ever held a pre-promotion key: every ResumeAck

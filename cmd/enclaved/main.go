@@ -300,13 +300,15 @@ func runDirectory(p directoryParams) error {
 	log.Printf("enclaved: multi-tenant daemon on %s: %d groups precreated (default %q on first use), dynamic cap %d, idle TTL %v",
 		nl.Addr(), len(precreate), p.template.Name, p.maxGroups, p.ttl)
 
+	// As in single-tenant mode the groups close first, so Serve returns
+	// only once every session has ended.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		sig := <-sigCh
 		log.Printf("enclaved: %v, shutting down", sig)
-		nl.Close()
 		dir.Close()
+		nl.Close()
 	}()
 	return dir.Serve(nl)
 }

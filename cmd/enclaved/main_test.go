@@ -3,16 +3,20 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"enclaves/internal/crypto"
+	"enclaves/internal/member"
+	"enclaves/internal/transport"
 )
 
 // TestMetricsServer boots the -metrics-addr endpoint and asserts the
@@ -210,6 +214,69 @@ func TestSingleTenantSigtermExitsClean(t *testing.T) {
 		case <-deadline:
 			t.Fatal("daemon still serving 10 s after SIGTERM")
 		}
+	}
+}
+
+// TestMultiTenantSigtermWithSessions: SIGTERM ends a multi-tenant daemon
+// that is serving live sessions in several groups over one mux socket; run
+// returns nil within 10 s and leaves no goroutine of the group layer
+// behind.
+func TestMultiTenantSigtermWithSessions(t *testing.T) {
+	users := filepath.Join(t.TempDir(), "users.txt")
+	if err := os.WriteFile(users, []byte("m0:pw\nm1:pw\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	own := make(chan os.Signal, 1)
+	signal.Notify(own, syscall.SIGTERM)
+	defer signal.Stop(own)
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"-users", users, "-addr", addr, "-groups", "4"}) }()
+
+	var mx *transport.Mux
+	for deadline := time.Now().Add(10 * time.Second); mx == nil; {
+		if mx, err = transport.DialMux(addr, transport.MuxConfig{}); err != nil && time.Now().After(deadline) {
+			t.Fatalf("daemon never listened: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	defer mx.Close()
+	for _, g := range []string{"g0", "g1", "g2", "g3"} {
+		for _, u := range []string{"m0", "m1"} {
+			c, err := mx.Open(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := member.Join(c, u, g, crypto.DeriveKey(u, g, "pw"))
+			if err == nil {
+				err = m.WaitReady(10 * time.Second)
+			}
+			if err != nil {
+				t.Fatalf("join %s to %s: %v", u, g, err)
+			}
+		}
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after SIGTERM = %v, want nil (exit 0)", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon still serving 10 s after SIGTERM")
+	}
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	if n := strings.Count(string(buf), "enclaves/internal/group."); n > 0 {
+		t.Fatalf("%d stack lines in the group layer after run returned:\n%s", n, buf)
 	}
 }
 

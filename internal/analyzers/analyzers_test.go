@@ -15,9 +15,9 @@ func TestKeyTaintCorpus(t *testing.T)       { runCorpus(t, KeyTaint, "keytaint")
 func TestNonceReuseCorpus(t *testing.T)     { runCorpus(t, NonceReuse, "noncereuse") }
 func TestLockOrderCorpus(t *testing.T)      { runCorpus(t, LockOrder, "lockorder") }
 
-// The keyhygiene and sealunderlock corpora seed keytaint's logging sinks and
-// Key format verbs and lockorder's seal rule, under the names of the
-// analyzers that once owned those rules.
+// The keyhygiene and sealunderlock corpora seed keytaint's logging sinks
+// and lockorder's seal rule, under the names of the analyzers that once
+// owned those rules.
 func TestKeyHygieneCorpus(t *testing.T)    { runCorpus(t, KeyTaint, "keyhygiene") }
 func TestSealUnderLockCorpus(t *testing.T) { runCorpus(t, LockOrder, "sealunderlock") }
 

@@ -2,20 +2,18 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
 
 // KeyTaint keeps key material out of observable channels. The types carry
 // the paper's rule that a key reaches the network only inside {X}_K:
-// crypto.Key has no accessor for its bytes, a key enters a plaintext only
-// through crypto.Plaintext.AppendKey, and a Plaintext leaves crypto only
-// sealed. What the types leave open is local, and keytaint checks it one
-// expression at a time:
+// crypto.Key has no accessor for its bytes and prints its fingerprint under
+// every verb, a key enters a plaintext only through
+// crypto.Plaintext.AppendKey, and a Plaintext leaves crypto only sealed.
+// What the types leave open is local, and keytaint checks it one expression
+// at a time:
 //
-//   - crypto.Key formatted with %#v, which reflects over the unexported key
-//     bytes, or with %x/%X;
 //   - a byte sequence named like key material ("key", "secret",
 //     "password"), or a slice or conversion of one, passed to a logging
 //     sink (fmt/log/slog, printf-shaped helpers and func values), to
@@ -28,7 +26,7 @@ import (
 // calls.
 var KeyTaint = &Analyzer{
 	Name: "keytaint",
-	Doc:  "forbid key-named bytes in logs, errors, metrics, audit events and string conversions, and crypto.Key under %x/%X/%#v",
+	Doc:  "forbid key-named bytes in logs, errors, metrics, audit events and string conversions",
 	Run:  eachUnit(runKeyTaint),
 }
 
@@ -110,8 +108,7 @@ func reportKeyArgs(p *Pass, info *types.Info, args []ast.Expr, sink string) {
 }
 
 // checkKeyCall flags key material converted to string or passed to a
-// logging, metrics or error sink, and a crypto.Key under a verb that
-// bypasses its redacting String method.
+// logging, metrics or error sink.
 func checkKeyCall(p *Pass, info *types.Info, call *ast.CallExpr) {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		b, ok := tv.Type.Underlying().(*types.Basic)
@@ -134,28 +131,9 @@ func checkKeyCall(p *Pass, info *types.Info, call *ast.CallExpr) {
 	case isPkgFunc(f, "errors", "New"):
 		reportKeyArgs(p, info, call.Args, "an error value (errors.New)")
 	default:
-		if sink, format := formatSink(f, call); sink {
-			checkKeyVerbs(p, info, call, format)
+		if isSink(f, call) {
 			reportKeyArgs(p, info, call.Args, sinkLabel(f))
 		}
-	}
-}
-
-// checkKeyVerbs flags a crypto.Key rendered by %x, %X or %#v.
-func checkKeyVerbs(p *Pass, info *types.Info, call *ast.CallExpr, format int) {
-	for i, v := range formatVerbs(info, call, format) {
-		if v != 'x' && v != 'X' && v != '#' || i >= len(call.Args) {
-			continue
-		}
-		arg := call.Args[i]
-		if t, ok := info.Types[arg]; !ok || !typeIs(t.Type, cryptoPath, "Key") {
-			continue
-		}
-		spelled := string(v)
-		if v == '#' {
-			spelled = "#v"
-		}
-		p.Reportf(arg.Pos(), "crypto.Key formatted with %%%s bypasses its redacting String method and dumps the raw key; use %%s or Key.Fingerprint", spelled)
 	}
 }
 
@@ -193,89 +171,23 @@ func printfStem(name string) bool {
 	return false
 }
 
-// formatSink decides whether a resolved callee is a logging/metrics sink.
-// It returns the index of the format-string parameter, or -1 when the call
-// has no (or an undecidable) format string.
-func formatSink(f *types.Func, call *ast.CallExpr) (sink bool, formatIndex int) {
+// isSink decides whether a resolved callee is a logging/metrics sink.
+func isSink(f *types.Func, call *ast.CallExpr) bool {
 	if f.Pkg() != nil {
 		switch f.Pkg().Path() {
 		case "fmt", "log", "log/slog", metricsPath:
-			return true, formatParamIndex(f)
+			return true
 		}
 	}
 	if rt := recvType(f); rt != nil {
 		if typeIs(rt, "log", "Logger") || typeIs(rt, "log/slog", "Logger") {
-			return true, formatParamIndex(f)
+			return true
 		}
 		if n := namedOf(rt); n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == metricsPath {
-			return true, formatParamIndex(f)
+			return true
 		}
 	}
-	if strings.HasSuffix(f.Name(), "f") && len(call.Args) >= 1 && printfStem(f.Name()) {
-		return true, formatParamIndex(f)
-	}
-	return false, -1
-}
-
-// formatParamIndex finds the string parameter directly before a variadic
-// tail — the printf convention — or -1.
-func formatParamIndex(f *types.Func) int {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || !sig.Variadic() || sig.Params().Len() < 2 {
-		return -1
-	}
-	i := sig.Params().Len() - 2
-	b, ok := sig.Params().At(i).Type().Underlying().(*types.Basic)
-	if !ok || b.Info()&types.IsString == 0 {
-		return -1
-	}
-	return i
-}
-
-// formatVerbs maps argument indexes of call to the format verb that will
-// render them ('#' standing for %#v), when the format string is a
-// compile-time constant and simple enough to pair verbs to arguments (no
-// '*' width/precision args).
-func formatVerbs(info *types.Info, call *ast.CallExpr, formatIndex int) map[int]byte {
-	if formatIndex < 0 || formatIndex >= len(call.Args) {
-		return nil
-	}
-	tv, ok := info.Types[call.Args[formatIndex]]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return nil
-	}
-	format := constant.StringVal(tv.Value)
-	verbs := map[int]byte{}
-	arg := formatIndex + 1
-	for i := 0; i < len(format); i++ {
-		if format[i] != '%' {
-			continue
-		}
-		i++
-		if i < len(format) && format[i] == '%' {
-			continue
-		}
-		sharp := false
-		for i < len(format) && strings.IndexByte("+-# 0123456789.", format[i]) >= 0 {
-			if format[i] == '#' {
-				sharp = true
-			}
-			i++
-		}
-		if i >= len(format) {
-			break
-		}
-		if format[i] == '*' || format[i] == '[' {
-			return nil // dynamic width or explicit indexes: give up
-		}
-		v := format[i]
-		if sharp && v == 'v' {
-			v = '#'
-		}
-		verbs[arg] = v
-		arg++
-	}
-	return verbs
+	return strings.HasSuffix(f.Name(), "f") && len(call.Args) >= 1 && printfStem(f.Name())
 }
 
 // sinkLabel renders a resolved sink callee for a diagnostic message.

@@ -1,20 +1,11 @@
 package keyhygiene
 
-import (
-	"fmt"
-
-	"enclaves/internal/crypto"
-)
+import "fmt"
 
 // Event mirrors the audit-event shape: exported, retained, serialized.
 type Event struct {
 	Kind   string
 	Detail string
-}
-
-func dump(k crypto.Key) {
-	fmt.Printf("group key: %x\n", k)  // want `bypasses its redacting String method`
-	fmt.Printf("group key: %#v\n", k) // want `bypasses its redacting String method`
 }
 
 func leakNamed(groupKey []byte) string {

@@ -11,6 +11,7 @@ import (
 func report(k crypto.Key, keyID string) Event {
 	fmt.Printf("installed %s (id %s)\n", k, keyID)
 	fmt.Printf("fingerprint: %x\n", k.Fingerprint())
+	fmt.Printf("key: %x %#v\n", k, k) // Key prints its fingerprint under every verb
 	return Event{
 		Kind:   "rekey",
 		Detail: k.String(),

@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -99,6 +100,11 @@ func (k Key) String() string {
 	sum := sha256.Sum256(k.bytes[:])
 	return "Key(" + hex.EncodeToString(sum[:4]) + ")"
 }
+
+// Format prints String's fingerprint under every verb; without it %#v and
+// %d print the key bytes. A Key inside an unexported struct field is out
+// of its reach, since fmt cannot call methods there.
+func (k Key) Format(f fmt.State, _ rune) { io.WriteString(f, k.String()) }
 
 // Fingerprint returns an 8-byte identifier of the key (a truncated hash),
 // safe to log and compare.

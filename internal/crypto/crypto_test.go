@@ -100,6 +100,18 @@ func TestKeyStringHidesMaterial(t *testing.T) {
 	}
 }
 
+// TestKeyPrintsNoKeyUnderAnyVerb: every verb prints String's fingerprint,
+// among them %x, %X and %#v, which without Key's Format method print the
+// fingerprint's hex or the raw key bytes.
+func TestKeyPrintsNoKeyUnderAnyVerb(t *testing.T) {
+	k, _ := KeyFromBytes(bytes.Repeat([]byte{0xAB}, KeySize))
+	for _, verb := range []string{"%v", "%s", "%x", "%X", "%#v", "%+v", "%q"} {
+		if got := fmt.Sprintf(verb, k); got != k.String() {
+			t.Errorf("Key printed with %s: %s, want %s", verb, got, k.String())
+		}
+	}
+}
+
 func TestKeyFingerprint(t *testing.T) {
 	k1, _ := NewKey()
 	k2, _ := NewKey()

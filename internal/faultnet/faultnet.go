@@ -130,10 +130,11 @@ type Link struct {
 
 	outQ *queue.Queue[wire.Envelope] // Send -> out pump
 	inQ  *queue.Queue[wire.Envelope] // in pump -> Recv
-	raw  *queue.Queue[wire.Envelope] // inner.Recv feeder -> in pump
+	raw  *queue.Queue[wire.Envelope] // inner's Push -> in pump
 	// outDone closes when the outbound pump has exited and hung up, which is
 	// what Close waits for.
 	outDone chan struct{}
+	closed  atomic.Bool // Close was called
 
 	mu       sync.Mutex // guards captured and filter
 	captured []Captured
@@ -183,7 +184,14 @@ func Wrap(conn transport.Conn, plan Plan) *Link {
 		// connection died under a frame.
 		c.hangUp()
 	}()
-	go c.feedRaw()
+	// The wrapped connection's reader admits each arriving frame.
+	conn.Consume(func(e wire.Envelope, ok bool) {
+		if !ok {
+			c.raw.Close()
+		} else if c.admit(Inbound, e) {
+			c.raw.Push(e)
+		}
+	})
 	go func() {
 		c.pump(c.raw, plan.Inbound, rand.New(rand.NewSource(plan.Seed^0x5DEECE66D)), func(e wire.Envelope) bool {
 			return c.inQ.Push(e) == nil
@@ -252,6 +260,9 @@ func (c *Link) Attach(pull transport.Pull) {
 
 func (c *Link) Wake() { c.inner.Wake() }
 
+// Consume pushes each surviving inbound envelope from one goroutine.
+func (c *Link) Consume(push transport.Push) { transport.Feed(c.inQ, push, c.closed.Load) }
+
 // Recv returns the next surviving inbound envelope.
 func (c *Link) Recv() (wire.Envelope, error) {
 	e, err := c.inQ.Pop()
@@ -266,6 +277,7 @@ func (c *Link) Recv() (wire.Envelope, error) {
 // faults, but nobody waits out their delays, so the drain is bounded by one
 // DelayMax. A clean link therefore loses nothing sent before Close.
 func (c *Link) Close() error {
+	c.closed.Store(true)
 	c.outQ.Close()
 	<-c.outDone
 	return nil
@@ -369,21 +381,6 @@ func (c *Link) Stats() Stats {
 func (c *Link) countDrop() {
 	c.dropped.Add(1)
 	mDropped.Inc()
-}
-
-// feedRaw admits frames from the underlying connection into the inbound
-// pump's queue, decoupling the pump from the blocking Recv.
-func (c *Link) feedRaw() {
-	for {
-		e, err := c.inner.Recv()
-		if err != nil {
-			c.raw.Close()
-			return
-		}
-		if c.admit(Inbound, e) && c.raw.Push(e) != nil {
-			return
-		}
-	}
 }
 
 // healed reports whether the chaos window has closed.

@@ -16,43 +16,62 @@ import (
 	"enclaves/internal/wire"
 )
 
-// serveConn runs the protocol for one inbound connection.
-func (g *Leader) serveConn(conn transport.Conn) {
+// ServeConn serves one already-accepted connection (Directory routes here)
+// and returns: the connection's reader calls the leader with each frame
+// (Conn.Consume), so a session holds no goroutine. The first frame picks
+// the role; a member's later frames drive its session, a standby's are
+// ignored (its stream is one-way), and the end of the stream is a leave.
+func (g *Leader) ServeConn(conn transport.Conn) error {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
 		conn.Close()
-		return
+		return errLeaderClosed
 	}
 	g.conns[conn] = true
 	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		delete(g.conns, conn)
-		g.mu.Unlock()
-		conn.Close()
-	}()
-
-	first, err := conn.Recv()
-	if err != nil {
-		return
-	}
 	var s *memberConn
+	opened, over := false, false
+	conn.Consume(func(env wire.Envelope, ok bool) {
+		if !g.enter() {
+			return
+		}
+		defer g.running.RUnlock()
+		end := !ok
+		switch {
+		case over:
+			return
+		case end:
+		case s != nil:
+			end = g.handle(s, env)
+		case !opened:
+			opened = true
+			s, end = g.open(conn, env)
+		}
+		if end {
+			over = true
+			g.mu.Lock()
+			g.hangUpLocked(conn, s)
+			g.mu.Unlock()
+		}
+	})
+	return nil
+}
+
+// open starts the role the first frame names: a join's or a resumption's
+// member session, or a standby's subscription; end reports a failure.
+func (g *Leader) open(conn transport.Conn, first wire.Envelope) (s *memberConn, end bool) {
 	switch first.Type {
 	case wire.TypeAuthInitReq:
 		s = g.joinHandshake(conn, first)
 	case wire.TypeResume:
 		s = g.resumeHandshake(conn, first)
 	case wire.TypeReplState:
-		g.serveReplica(conn, first)
-		return
+		return nil, !g.serveReplica(conn, first)
 	default:
 		g.logf("group: connection opened with %s, dropping", first.Type)
-		return
 	}
-	if s != nil {
-		g.runMember(s)
-	}
+	return s, s == nil
 }
 
 // newMemberConn wraps an authenticating connection and attaches its outbox;
@@ -71,8 +90,8 @@ func (g *Leader) newMemberConn(conn transport.Conn, engine *core.LeaderSession) 
 // joinHandshake answers the first message of the password join: the frame's
 // (unauthenticated) sender name selects the long-term key, and the encrypted
 // identities inside then authenticate the claim. The member's AuthAckKey —
-// the handshake's third message — arrives on the read loop like any other
-// protocol frame, and handleProtocol admits on the engine's acceptance.
+// the handshake's third message — arrives like any other protocol frame,
+// and handleProtocol admits on the engine's acceptance.
 func (g *Leader) joinHandshake(conn transport.Conn, first wire.Envelope) *memberConn {
 	g.mu.Lock()
 	longTerm, known := g.users[first.Sender]
@@ -166,8 +185,7 @@ func (g *Leader) admitLocked(s *memberConn, resumed bool) {
 	if displaced := g.reg.insert(s); displaced != nil {
 		// Out of the registry, neither the liveness sweep nor eviction would
 		// ever reach the old session again; end it here.
-		displaced.out.Close()
-		displaced.conn.Close()
+		g.dropLocked(displaced.conn, displaced)
 	} else {
 		mMembers.Add(1)
 		g.tm.memberDelta(1)
@@ -202,27 +220,27 @@ func (g *Leader) admitLocked(s *memberConn, resumed bool) {
 }
 
 // serveReplica authenticates a standby's subscription hello and attaches it
-// to the replication sender with a snapshot of the current state. The
-// snapshot is cut at a log position: it is built and the subscriber
-// attached while holding both Leader.mu and the log's mutex, so every
-// record up to the log's Seq is in the snapshot and every later one — a
-// session sync recorded off Leader.mu included — queues behind it. Only the
-// enqueue happens under the locks; the sender's writer goroutine seals and
-// transmits.
-func (g *Leader) serveReplica(conn transport.Conn, first wire.Envelope) {
+// to the replication sender with a snapshot of the current state, reporting
+// whether it did. The snapshot is cut at a log position: it is built and
+// the subscriber attached while holding both Leader.mu and the log's mutex,
+// so every record up to the log's Seq is in the snapshot and every later
+// one — a session sync recorded off Leader.mu included — queues behind it.
+// Only the enqueue happens under the locks; the sender's writer goroutine
+// seals and transmits.
+func (g *Leader) serveReplica(conn transport.Conn, first wire.Envelope) bool {
 	if g.repl == nil {
 		g.logf("group: replication subscription without replication enabled, dropping")
-		return
+		return false
 	}
 	standby, n0, err := g.repl.HandleHello(first)
 	if err != nil {
 		g.logf("group: %v", err)
-		return
+		return false
 	}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		return
+		return false
 	}
 	g.log.mu.Lock()
 	snap := g.snapshotLocked()
@@ -230,15 +248,7 @@ func (g *Leader) serveReplica(conn transport.Conn, first wire.Envelope) {
 	g.log.mu.Unlock()
 	g.mu.Unlock()
 	g.logf("group: standby %q subscribed (%d members)", standby, len(snap.Members))
-
-	// The stream is one-way; park on the read side so serveConn's teardown
-	// does not close the connection under the sender. Anything the standby
-	// sends after the hello is ignored.
-	for {
-		if _, err := conn.Recv(); err != nil {
-			return
-		}
-	}
+	return true
 }
 
 // snapshotLocked captures the replicable group state in its wire form.

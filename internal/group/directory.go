@@ -314,8 +314,8 @@ func (d *Directory) Groups() []string {
 
 // route is the transport.MuxConfig Accept hook: resolve the connection's
 // group (empty label means the default group, the single-session path)
-// and hand the connection to its leader. Must not block — ServeConn only
-// registers a goroutine.
+// and hand the connection to its leader. It runs on the socket's read loop,
+// which waits for it: ServeConn only attaches the session and returns.
 func (d *Directory) route(group string, c transport.Conn) {
 	if group == "" {
 		if d.cfg.Default == "" {
@@ -356,8 +356,8 @@ func (d *Directory) Close() {
 	}
 	close(d.stop)
 	// Unblock every demux loop: closing the raw sockets ends their reads,
-	// which in turn closes every stream and lets leader-side handlers
-	// finish.
+	// and each loop ends its streams, running the leaders' handlers for
+	// the end of each session.
 	d.srv.Close()
 	d.wg.Wait()
 	// A creation that publishes after this walk removes its own entry (see

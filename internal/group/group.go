@@ -10,6 +10,8 @@ package group
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,8 +145,10 @@ type Leader struct {
 	// only touched under mu, so one buffer serves every broadcast.
 	bcastBuf []*memberConn
 
-	stop chan struct{} // closed by Close; ends the liveness loop
-	wg   sync.WaitGroup
+	// running is read-held by each frame handler and timer tick (enter);
+	// Close write-locks it to wait them out, and stopped turns the rest away.
+	running sync.RWMutex
+	stopped bool
 }
 
 // memberConn couples a member's connection, its protocol engine and an
@@ -286,7 +290,6 @@ func NewLeader(cfg Config) (*Leader, error) {
 		conns:     make(map[transport.Conn]bool),
 		groupKey:  kg,
 		epoch:     1,
-		stop:      make(chan struct{}),
 	}
 	if cfg.LKH {
 		tree, err := lkh.New(cfg.LKHArity)
@@ -305,31 +308,41 @@ func NewLeader(cfg Config) (*Leader, error) {
 	}
 	g.log = newChangeLog(cfg.OnEvent, g.repl)
 	if g.repl != nil && cfg.ReplPing > 0 {
-		g.wg.Add(1)
-		go g.replPingLoop(cfg.ReplPing)
+		// Pings keep the replication stream demonstrably alive while the
+		// group is quiescent, so the standby's silence detector never
+		// confuses an idle group with a dead primary.
+		g.every(cfg.ReplPing, g.log.ping)
 	}
 	if g.liveness.enabled() {
-		g.wg.Add(1)
-		go g.livenessLoop()
+		g.every(g.liveness.tickEvery(), func() { g.livenessTick(time.Now()) })
 	}
 	return g, nil
 }
 
-// replPingLoop keeps the replication stream demonstrably alive while the
-// group is quiescent, so the standby's silence detector never confuses an
-// idle group with a dead primary.
-func (g *Leader) replPingLoop(every time.Duration) {
-	defer g.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.stop:
+// every runs tick every period on a runtime timer, armed again after each
+// run, so no goroutine waits between ticks, until Close.
+func (g *Leader) every(period time.Duration, tick func()) {
+	var run func()
+	run = func() {
+		if !g.enter() {
 			return
-		case <-t.C:
-			g.log.ping()
 		}
+		defer g.running.RUnlock()
+		tick()
+		time.AfterFunc(period, run)
 	}
+	time.AfterFunc(period, run)
+}
+
+// enter admits one frame handler or timer tick, which then holds
+// running.RLock until it returns; it fails once Close has stopped the leader.
+func (g *Leader) enter() bool {
+	g.running.RLock()
+	if g.stopped {
+		g.running.RUnlock()
+		return false
+	}
+	return true
 }
 
 // Name returns the leader's identity.
@@ -371,34 +384,10 @@ func (g *Leader) Serve(l transport.Listener) error {
 			}
 			return fmt.Errorf("group: accept: %w", err)
 		}
-		// ServeConn registers the handler under g.mu, so a connection
-		// accepted while Close runs cannot add work behind its wg.Wait.
 		if g.ServeConn(conn) != nil {
 			return nil
 		}
 	}
-}
-
-// ServeConn serves one already-accepted connection — the entry point a
-// multi-tenant router (Directory) uses after resolving the connection's
-// group, where Serve's own accept loop never runs. It returns immediately;
-// the protocol runs on a leader-tracked goroutine. The goroutine is
-// registered under g.mu with a closed check, so ServeConn can never race a
-// concurrent Close into adding work after the final wg.Wait.
-func (g *Leader) ServeConn(conn transport.Conn) error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		conn.Close()
-		return errLeaderClosed
-	}
-	g.wg.Add(1)
-	g.mu.Unlock()
-	go func() {
-		defer g.wg.Done()
-		g.serveConn(conn)
-	}()
-	return nil
 }
 
 // Idle reports whether the leader currently has no live connections and no
@@ -409,8 +398,9 @@ func (g *Leader) Idle() bool {
 	return len(g.conns) == 0 && g.reg.size() == 0
 }
 
-// Close disconnects every connection (accepted or mid-handshake) and stops
-// serving.
+// Close disconnects every connection (accepted or mid-handshake) and returns
+// once no frame handler or tick runs or can start; every member still
+// registered leaves as if its connection were lost.
 func (g *Leader) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -418,23 +408,25 @@ func (g *Leader) Close() {
 		return
 	}
 	g.closed = true
-	close(g.stop)
-	conns := make([]transport.Conn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
-	}
-	sessions := g.reg.appendAll(nil, "")
-	g.mu.Unlock()
-	for _, s := range sessions {
+	conns := slices.Collect(maps.Keys(g.conns))
+	for _, s := range g.reg.appendAll(nil, "") {
 		s.out.Close()
 	}
+	g.mu.Unlock()
 	for _, c := range conns {
-		c.Close()
+		c.Close() // off g.mu: a faultnet Link's Close waits out its pump
 	}
 	if g.repl != nil {
 		g.repl.Detach()
 	}
-	g.wg.Wait()
+	g.running.Lock()
+	g.stopped = true
+	g.running.Unlock()
+	g.mu.Lock()
+	for _, s := range g.reg.appendAll(nil, "") {
+		g.hangUpLocked(s.conn, s)
+	}
+	g.mu.Unlock()
 	g.log.stop()
 }
 
@@ -506,31 +498,33 @@ func (g *Leader) Expel(user string) error {
 	mExpels.Inc()
 	g.logf("group: expelled %s", user)
 	g.departedLocked(user, changeExpelled, "")
+	g.dropLocked(s.conn, s)
 	g.mu.Unlock()
-
-	s.out.Close()
-	s.conn.Close()
 	return nil
 }
 
-// runMember reads an established member connection — the session's one
-// goroutine — and tears the member down when the connection ends.
-func (g *Leader) runMember(s *memberConn) {
-	g.readLoop(s)
-
-	// Connection is gone (clean close or failure): if the member was still
-	// accepted, treat it as a leave.
-	g.mu.Lock()
-	if g.reg.remove(s) {
+// hangUpLocked ends a connection whose stream or protocol has ended: a
+// member still registered leaves, as on a lost connection, and the
+// connection is dropped.
+func (g *Leader) hangUpLocked(conn transport.Conn, s *memberConn) {
+	if s != nil && g.reg.remove(s) {
 		mLeaves.Inc()
 		g.departedLocked(s.user, changeLeft, "connection lost")
 	}
-	g.mu.Unlock()
-	s.out.Close()
-	s.conn.Close()
-	// Nothing drains a closed connection: retire the rest for the gauge.
-	left, _ := s.out.PopAll(nil)
-	s.drained(len(left))
+	g.dropLocked(conn, s)
+}
+
+// dropLocked closes a served connection, deletes it from g.conns and closes
+// the outbox of its member session s, if any, retiring what is left there
+// from the gauge: nothing drains a closed connection.
+func (g *Leader) dropLocked(conn transport.Conn, s *memberConn) {
+	delete(g.conns, conn)
+	conn.Close()
+	if s != nil {
+		s.out.Close()
+		left, _ := s.out.PopAll(nil)
+		s.drained(len(left))
+	}
 }
 
 // drain is the member's transport.Pull: every queued frame, sealed on the
@@ -547,26 +541,18 @@ func (g *Leader) drain(s *memberConn, buf []transport.Outgoing) []transport.Outg
 	return buf
 }
 
-// readLoop processes frames from one member until the connection drops or
-// the session closes.
-func (g *Leader) readLoop(s *memberConn) {
-	for {
-		env, err := s.conn.Recv()
-		if err != nil {
-			return
-		}
-		switch env.Type {
-		case wire.TypeAppData:
-			g.relay(s, env)
-		case wire.TypeKeySyncReq:
-			g.handleKeySync(s)
-		default:
-			done := g.handleProtocol(s, env)
-			if done {
-				return
-			}
-		}
+// handle processes one frame from an established member and reports
+// whether its session has closed.
+func (g *Leader) handle(s *memberConn, env wire.Envelope) bool {
+	switch env.Type {
+	case wire.TypeAppData:
+		g.relay(s, env)
+	case wire.TypeKeySyncReq:
+		g.handleKeySync(s)
+	default:
+		return g.handleProtocol(s, env)
 	}
+	return false
 }
 
 // handleProtocol feeds a protocol frame to the member's engine under the
@@ -618,7 +604,8 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 	if synced {
 		// Mirror the advanced chained nonce: the session is only resumable
 		// from a nonce both sides agree on. Recorded off s.mu, which orders
-		// after the log's mutex; this read loop alone records the member's acks.
+		// after the log's mutex; the member's calls are never concurrent, so
+		// its acks are recorded in order.
 		g.log.record(change{kind: changeSessionSync, user: s.user, repl: wire.ReplDeltaPayload{Nonce: es.Nonce, Seq: es.Seq}})
 	}
 

@@ -77,21 +77,6 @@ func (lv Liveness) tickEvery() time.Duration {
 	return tick
 }
 
-// livenessLoop drives the failure detector until the leader closes.
-func (g *Leader) livenessLoop() {
-	defer g.wg.Done()
-	t := time.NewTicker(g.liveness.tickEvery())
-	defer t.Stop()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-t.C:
-			g.livenessTick(time.Now())
-		}
-	}
-}
-
 // livenessTick performs one detector pass: evict deadline violators,
 // retransmit the head of each unacked FIFO, probe idle members. Per-member
 // bookkeeping runs under each member's own lock against a snapshot of the
@@ -157,8 +142,7 @@ func (g *Leader) evictLocked(s *memberConn, detail string) {
 		return // already gone (raced with leave/expel/another eviction)
 	}
 	mEvictions.Inc()
-	s.out.Close()
-	s.conn.Close()
+	g.dropLocked(s.conn, s)
 	g.logf("group: evicted %s: %s", s.user, detail)
 	g.departedLocked(s.user, changeEvicted, detail)
 }

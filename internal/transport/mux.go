@@ -7,15 +7,15 @@
 // accepted connection. A single-session client (DialTCP) is the one-stream
 // case: a Mux with one unlabeled stream whose Close hangs up the socket.
 //
-// Flow control is per-stream and deliberately brutal: every stream has a
-// bounded receive queue, and a stream whose consumer falls behind is killed
-// (MuxClose both ways) rather than allowed to stall the shared socket. A
-// slow group can therefore never head-of-line-block the connection — the
-// same "bounded memory beats unbounded hope" policy the group layer applies
-// to slow members, applied one layer down. A sole stream gets no exemption.
-// The same goes for a peer that stops reading the socket itself: no sender
-// and no stream Close ever waits for the socket, and a write that stalls for
-// writeTimeout hangs the connection up.
+// The read loop calls a stream's Push (a leader's session) with each frame,
+// so a session costs no goroutine, and every stream of the socket waits for
+// it. A stream without one queues frames for Recv in a bounded window, and
+// one whose Recv falls behind is killed (MuxClose both ways) rather than
+// allowed to stall the shared socket — the same "bounded memory beats
+// unbounded hope" policy the group layer applies to slow members, applied
+// one layer down. The same goes for a peer that stops reading the socket
+// itself: no sender and no stream Close ever waits for the socket, and a
+// write that stalls for writeTimeout hangs the connection up.
 //
 // One writer goroutine per socket drains every stream with something to send
 // and flushes once per pass: a fan-out to n members on one socket costs one
@@ -26,7 +26,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,31 +54,20 @@ var (
 	mHangupFraming    = mHangups.With("framing")
 )
 
-// DefaultRecvWindow bounds each mux stream's receive queue, in frames.
-// Deep enough to absorb a rekey burst plus a fanout backlog, shallow enough
-// that a stalled stream caps out at a few hundred frames of memory.
+// DefaultRecvWindow bounds the receive queue of a stream with no Push, in
+// frames: deep enough to absorb a rekey burst plus a fanout backlog,
+// shallow enough that a stalled stream caps out at a few hundred frames.
 const DefaultRecvWindow = 256
 
 // MuxConfig configures one multiplexed connection.
 type MuxConfig struct {
-	// Accept, set on the server side, is invoked once per new inbound
-	// stream from the demux loop. It must not block: hand the Conn to a
-	// goroutine-spawning server (Leader.ServeConn) and return.
+	// Accept, set on the server side, is invoked on the read loop once per
+	// new inbound stream, before its first frame. It must not wait on the
+	// network: attach a Push (Leader.ServeConn) or queue the Conn.
 	Accept func(group string, c Conn)
-	// RecvWindow bounds each stream's receive queue in frames
-	// (<= 0 selects DefaultRecvWindow). A stream that overflows its window
-	// is killed, not waited for.
-	RecvWindow int
 	// Logf, if non-nil, receives diagnostics (killed streams, decode
 	// errors).
 	Logf func(format string, args ...any)
-}
-
-func (cfg MuxConfig) recvWindow() int {
-	if cfg.RecvWindow <= 0 {
-		return DefaultRecvWindow
-	}
-	return cfg.RecvWindow
 }
 
 func (cfg MuxConfig) logf(format string, args ...any) {
@@ -127,10 +118,10 @@ type Mux struct {
 }
 
 // maxStreams caps the live streams of one connection, so one socket — which
-// costs its opener one fd — cannot make the server hold unbounded sessions,
-// each a serving goroutine and a receive window. Far above any in-tree
-// client (the benchmark's generator spreads a few hundred sessions over one
-// socket per core); a peer that opens more is cut off.
+// costs its opener one fd — cannot make the server hold unbounded sessions.
+// Far above any in-tree client (the benchmark's generator spreads a few
+// hundred sessions over one socket per core); a peer that opens more is cut
+// off.
 const maxStreams = 1 << 14
 
 // writeTimeout bounds one writer pass on the shared socket. A peer that
@@ -150,8 +141,14 @@ type muxStream struct {
 	m      *Mux
 	id     uint32
 	group  string
-	recvQ  *queue.Queue[wire.Envelope]
-	queued atomic.Bool // on the ready list, not yet taken by the writer
+	recvQ  *queue.Queue[wire.Envelope] // frames for Recv, until a Push is attached
+	queued atomic.Bool                 // on the ready list, not yet taken by the writer
+
+	// rmu serializes the stream's deliveries: it guards push and ended,
+	// and is held across every call of push.
+	rmu   sync.Mutex
+	push  Push
+	ended bool // the peer or the socket ended the stream
 
 	// Under m.qmu: the attached outbox, sent frames the writer has not
 	// taken, refusal of further sends, a MuxClose owed (sent after pend).
@@ -224,11 +221,12 @@ func (m *Mux) Open(group string) (Conn, error) {
 }
 
 func (m *Mux) newStream(id uint32, group string) *muxStream {
-	return &muxStream{m: m, id: id, group: group, recvQ: queue.NewBounded[wire.Envelope](m.cfg.recvWindow())}
+	return &muxStream{m: m, id: id, group: group, recvQ: queue.NewBounded[wire.Envelope](DefaultRecvWindow)}
 }
 
 // run is the demux read loop: it routes every inbound frame to its stream
-// until the socket dies, then hangs up and tears every stream down.
+// until the socket dies, then hangs up, tears every stream down and ends
+// the streams the hangup cut off.
 func (m *Mux) run() error {
 	var err error
 	for {
@@ -244,7 +242,14 @@ func (m *Mux) run() error {
 			break
 		}
 	}
-	m.hangup()
+	m.hangup(true)
+	m.mu.Lock()
+	ended := slices.Collect(maps.Values(m.streams))
+	clear(m.streams)
+	m.mu.Unlock()
+	for _, s := range ended {
+		s.end()
+	}
 	return err
 }
 
@@ -296,7 +301,9 @@ func (m *Mux) dispatch(body []byte) error {
 		// peer that killed unilaterally can retire its tombstone. No
 		// tombstone on this side — in-order delivery guarantees no more
 		// frames for the ID after the peer's close.
-		m.closeStream(s, false)
+		if m.closeStream(s, false) {
+			s.end()
+		}
 		return nil
 	}
 	if f.Group != s.group {
@@ -307,10 +314,10 @@ func (m *Mux) dispatch(body []byte) error {
 		return m.killStream(s, mKillRelabel)
 	}
 	// Payload aliases the frame body, which is freshly allocated per frame
-	// by ReadRawFrame, so queueing it is safe.
-	if err := s.recvQ.Push(f.Env); err != nil {
+	// by ReadRawFrame, so handing it on is safe.
+	if err := s.deliver(f.Env); err != nil {
 		if errors.Is(err, queue.ErrFull) {
-			// Per-stream flow control: the stream's consumer is not keeping
+			// Per-stream flow control: the stream's Recv is not keeping
 			// up. Killing it here — instead of blocking the read loop —
 			// is what stops one slow group from head-of-line-blocking
 			// every other stream on the connection.
@@ -323,12 +330,54 @@ func (m *Mux) dispatch(body []byte) error {
 	return nil
 }
 
+// deliver hands one inbound frame to the stream's Push, or queues it for
+// Recv while none is attached.
+func (s *muxStream) deliver(e wire.Envelope) error {
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
+	if s.push == nil {
+		return s.recvQ.Push(e)
+	}
+	s.push(e, true)
+	return nil
+}
+
+// end records that the peer or the socket ended the stream and tells its
+// Push; a Push attached later hears it after the queued frames.
+func (s *muxStream) end() {
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
+	s.ended = true
+	if s.push != nil {
+		s.push(wire.Envelope{}, false)
+	}
+}
+
+// Consume delivers what Recv would have returned, then hands the stream's
+// later frames to push on the read loop, under rmu so that no frame
+// overtakes the queued ones.
+func (s *muxStream) Consume(push Push) {
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
+	queued, _ := s.recvQ.PopAll(nil)
+	for _, e := range queued {
+		push(e, true)
+	}
+	s.push = push
+	if s.ended {
+		push(wire.Envelope{}, false)
+	}
+}
+
 // killStream unilaterally tears a live stream down: tombstone (so in-flight
-// peer frames don't resurrect the ID), notify the peer, close the queue.
-// The only error is tombstone-cap exhaustion, which is connection-fatal.
+// peer frames don't resurrect the ID), notify the peer, close the queue and
+// end the stream for its consumer. The only error is tombstone-cap
+// exhaustion, which is connection-fatal.
 func (m *Mux) killStream(s *muxStream, cause *metrics.Counter) error {
 	cause.Inc()
-	m.closeStream(s, true)
+	if m.closeStream(s, true) {
+		s.end()
+	}
 	m.mu.Lock()
 	overflow := len(m.dead) > maxDeadStreams
 	m.mu.Unlock()
@@ -340,16 +389,17 @@ func (m *Mux) killStream(s *muxStream, cause *metrics.Counter) error {
 }
 
 // closeStream removes a stream, closes its receive queue and owes the peer
-// a MuxClose, sent after what the stream had sent. tombstone records the ID
-// as dead until the peer's own MuxClose arrives (only meaningful for
-// unilateral kills on the accepting side — a client-side ID can't be
-// resurrected because Accept is nil there). It never waits for the socket:
-// a leader closes an evicted member's stream holding its group lock.
-func (m *Mux) closeStream(s *muxStream, tombstone bool) {
+// a MuxClose, sent after what the stream had sent; it reports whether the
+// stream was still live. tombstone records the ID as dead until the peer's
+// own MuxClose arrives (only meaningful for unilateral kills on the
+// accepting side — a client-side ID can't be resurrected because Accept is
+// nil there). It never waits for the socket, nor calls the stream's Push: a
+// leader closes an evicted member's stream holding its group lock.
+func (m *Mux) closeStream(s *muxStream, tombstone bool) bool {
 	m.mu.Lock()
 	if m.streams[s.id] != s {
 		m.mu.Unlock()
-		return
+		return false
 	}
 	delete(m.streams, s.id)
 	if tombstone && m.cfg.Accept != nil {
@@ -361,37 +411,41 @@ func (m *Mux) closeStream(s *muxStream, tombstone bool) {
 	s.closed, s.byeDue = true, true
 	m.qmu.Unlock()
 	s.Wake()
+	return true
 }
 
 // Close has the writer take a last pass, so a send that returned nil is not
 // lost to a local hangup, then tears down the connection and every stream
-// on it. A writer parked on a stalled peer holds Close up to writeTimeout.
+// on it; no stream's Push hears of it. A writer parked on a stalled peer
+// holds Close up to writeTimeout.
 func (m *Mux) Close() error {
 	m.shut(ErrClosed)
 	m.post()
 	<-m.wdone
-	return m.hangup()
+	return m.hangup(false)
 }
 
 // hangup tears down the connection and every stream on it without flushing.
 // The read loop calls it on exit, so a socket whose peer hung up is released
-// at once rather than held until its owner remembers to close it.
-func (m *Mux) hangup() error {
+// at once rather than held until its owner remembers to close it. Unless
+// Close asked for it, the streams stay listed for the read loop to end.
+func (m *Mux) hangup(end bool) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil
 	}
-	streams := m.streams
-	m.streams = make(map[uint32]*muxStream)
 	m.closed = true
+	for _, s := range m.streams {
+		s.recvQ.Close()
+	}
+	if !end {
+		clear(m.streams)
+	}
 	m.mu.Unlock()
 	m.shut(ErrClosed)
 	err := m.nc.Close()
 	m.post() // the writer's last pass finds the socket closed
-	for _, s := range streams {
-		s.recvQ.Close()
-	}
 	return err
 }
 
@@ -442,7 +496,7 @@ func (m *Mux) writeLoop() {
 				mHangupWrite.Inc()
 			}
 			m.shut(err)
-			m.hangup()
+			m.hangup(true)
 			return
 		}
 	}

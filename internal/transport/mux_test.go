@@ -101,14 +101,14 @@ func TestMuxRoundTrip(t *testing.T) {
 }
 
 // TestMuxSlowStreamKilled pins the per-group flow control: a stream whose
-// consumer never drains overflows its bounded window and is killed — while
-// a sibling stream on the same socket keeps flowing, i.e. no head-of-line
-// blocking.
+// Recv never drains overflows its bounded window (DefaultRecvWindow) and is
+// killed — while a sibling stream on the same socket keeps flowing, i.e. no
+// head-of-line blocking.
 func TestMuxSlowStreamKilled(t *testing.T) {
 	metrics.Enable()
 	kills := mKillOverflow.Value()
-	const window = 8
-	addr, accepted := startMuxServer(t, MuxConfig{RecvWindow: window})
+	const window = DefaultRecvWindow
+	addr, accepted := startMuxServer(t, MuxConfig{})
 	m, err := DialMux(addr, MuxConfig{})
 	if err != nil {
 		t.Fatal(err)

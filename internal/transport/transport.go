@@ -8,11 +8,14 @@
 // No sender waits for a peer: a TCP socket has one writer goroutine, and a
 // sender with an outbox (a leader's member session) attaches it as a Pull
 // that the writer drains and seals; a stalled socket leaves frames there.
+// Nor does a receiver need a goroutine: the socket's one reader calls a
+// leader session's Push; without a Push, frames queue for Recv.
 package transport
 
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"enclaves/internal/metrics"
 	"enclaves/internal/queue"
@@ -86,6 +89,13 @@ func (o Outgoing) Envelope() wire.Envelope {
 // ready to go to buf. It may seal, so nothing calls it under a lock.
 type Pull func(buf []Outgoing) []Outgoing
 
+// Push is a connection's inbound side as its reader sees it: called per
+// arrived frame, in order and never concurrently, then once with ok false
+// when the peer or the socket ends the stream, but never for this side's
+// own Close, which may run under a lock the Push takes. It must not wait on
+// the network.
+type Push func(e wire.Envelope, ok bool)
+
 // Conn is a bidirectional, message-oriented point-to-point link.
 // Implementations are safe for concurrent use.
 type Conn interface {
@@ -100,6 +110,9 @@ type Conn interface {
 	// Wake tells the writer the Pull has frames. It never blocks and never
 	// calls the Pull, so a pusher may hold any lock of its own.
 	Wake()
+	// Consume makes push the connection's consumer, once: frames that
+	// arrived before it are pushed first, in order, and Recv is not used.
+	Consume(push Push)
 	// Recv blocks until an envelope arrives or the connection closes.
 	Recv() (wire.Envelope, error)
 	// Close tears the connection down; pending and future Recv calls
@@ -136,12 +149,30 @@ type envQueue = queue.Queue[wire.Envelope]
 
 func newQueue() *envQueue { return queue.New[wire.Envelope]() }
 
+// Feed is Consume for a connection whose inbound frames wait in q: one
+// goroutine pushes them, then the end once q closes, unless closedHere.
+func Feed(q *queue.Queue[wire.Envelope], push Push, closedHere func() bool) {
+	go func() {
+		for {
+			e, err := q.Pop()
+			if err != nil {
+				if !closedHere() {
+					push(wire.Envelope{}, false)
+				}
+				return
+			}
+			push(e, true)
+		}
+	}()
+}
+
 // pipeConn is one endpoint of an in-memory duplex pipe.
 type pipeConn struct {
 	recv, peer *envQueue
 	// done closes when either end closes; kick wakes the Pull's pump.
 	done, kick chan struct{}
 	closeOnce  *sync.Once
+	closed     atomic.Bool // this endpoint's Close was called
 }
 
 var _ Conn = (*pipeConn)(nil)
@@ -191,6 +222,16 @@ func (c *pipeConn) Wake() {
 	}
 }
 
+// Consume pushes from one goroutine for this endpoint.
+func (c *pipeConn) Consume(push Push) {
+	Feed(c.recv, func(e wire.Envelope, ok bool) {
+		if ok {
+			countRecv(e)
+		}
+		push(e, ok)
+	}, c.closed.Load)
+}
+
 func (c *pipeConn) Recv() (wire.Envelope, error) {
 	e, err := translateErr(c.recv.Pop())
 	if err == nil {
@@ -200,6 +241,7 @@ func (c *pipeConn) Recv() (wire.Envelope, error) {
 }
 
 func (c *pipeConn) Close() error {
+	c.closed.Store(true)
 	c.closeOnce.Do(func() {
 		c.recv.Close()
 		c.peer.Close()
