@@ -147,16 +147,32 @@ func TestChaosFailoverUnderChurn(t *testing.T) {
 	defer sb.Stop()
 
 	// Epoch monotonicity across the crash: the sampled source switches from
-	// the primary to the promoted leader at the moment of promotion.
-	var epochOf atomic.Value // func() uint64
-	epochOf.Store(primary.Epoch)
-	var epochViolations atomic.Int64
+	// the primary to the promoted leader at the moment of promotion. Each
+	// regression is kept with its source and time, for the failure message.
+	type epochSource struct {
+		name  string
+		epoch func() uint64
+	}
+	type epochRegression struct {
+		source   string
+		from, to uint64
+		at       time.Time
+	}
+	var epochOf atomic.Pointer[epochSource]
+	epochOf.Store(&epochSource{"primary", primary.Epoch})
+	var (
+		regressionsMu sync.Mutex
+		regressions   []epochRegression
+	)
 	samplerDone := make(chan struct{})
 	go func() {
 		var last uint64
 		for {
-			if e := epochOf.Load().(func() uint64)(); e < last {
-				epochViolations.Add(1)
+			src := epochOf.Load()
+			if e := src.epoch(); e < last {
+				regressionsMu.Lock()
+				regressions = append(regressions, epochRegression{src.name, last, e, time.Now()})
+				regressionsMu.Unlock()
 			} else {
 				last = e
 			}
@@ -308,7 +324,8 @@ func TestChaosFailoverUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer promoted.Close()
-	epochOf.Store(promoted.Epoch)
+	epochOf.Store(&epochSource{"promoted", promoted.Epoch})
+	promotedAt := time.Now()
 	sbL, err := inner.Listen("standby")
 	if err != nil {
 		t.Fatal(err)
@@ -429,8 +446,16 @@ func TestChaosFailoverUnderChurn(t *testing.T) {
 		t.Fatalf("promoted epoch %d != replicated %d + %d own rekeys", e, st.Epoch, own)
 	}
 	close(samplerDone)
-	if v := epochViolations.Load(); v != 0 {
-		t.Fatalf("epoch moved backwards %d times across the failover", v)
+	regressionsMu.Lock()
+	regs := regressions
+	regressionsMu.Unlock()
+	if len(regs) != 0 {
+		msg := fmt.Sprintf("epoch moved backwards %d times across the failover (primary's last epoch %d, replicated epoch %d):",
+			len(regs), primary.Epoch(), st.Epoch)
+		for _, r := range regs {
+			msg += fmt.Sprintf("\n  %s sampled %d after %d, %v from promotion", r.source, r.to, r.from, r.at.Sub(promotedAt))
+		}
+		t.Fatal(msg)
 	}
 
 	// Live proof: one multicast reaches every other member of the reunited

@@ -33,10 +33,10 @@ func (g *Leader) ServeConn(conn transport.Conn) error {
 	var s *memberConn
 	opened, over := false, false
 	conn.Consume(func(env wire.Envelope, ok bool) {
-		if !g.enter() {
+		if !g.running.enter() {
 			return
 		}
-		defer g.running.RUnlock()
+		defer g.running.leave()
 		end := !ok
 		switch {
 		case over:

@@ -109,8 +109,8 @@ type Directory struct {
 	srv *transport.MuxServer
 
 	closed atomic.Bool
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	// gc admits the TTL sweeps; Close shuts it.
+	gc gate
 }
 
 // NewDirectory builds the registry and creates every precreated group.
@@ -122,7 +122,7 @@ func NewDirectory(cfg DirectoryConfig) (*Directory, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	d := &Directory{cfg: cfg, logf: logf, stop: make(chan struct{})}
+	d := &Directory{cfg: cfg, logf: logf}
 	d.srv = transport.NewMuxServer(transport.MuxConfig{Accept: d.route, Logf: cfg.Logf})
 	for _, g := range cfg.Precreate {
 		if g == "" {
@@ -135,8 +135,7 @@ func NewDirectory(cfg DirectoryConfig) (*Directory, error) {
 		}
 	}
 	if cfg.TTL > 0 {
-		d.wg.Add(1)
-		go d.gcLoop()
+		d.gc.every(max(cfg.TTL/2, 10*time.Millisecond), func() { d.sweep(time.Now()) })
 	}
 	return d, nil
 }
@@ -255,25 +254,6 @@ func (d *Directory) build(group string) (*Leader, error) {
 	return NewLeader(cfg)
 }
 
-// gcLoop sweeps dynamic groups that have been idle past the TTL.
-func (d *Directory) gcLoop() {
-	defer d.wg.Done()
-	every := d.cfg.TTL / 2
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			d.sweep(time.Now())
-		}
-	}
-}
-
 // sweep collects every dynamic group whose last activity predates the TTL
 // and whose leader is idle. A lookup that races in keeps its group: the
 // sweep re-reads lastActive after the idle check and removes only the entry
@@ -347,19 +327,19 @@ func (d *Directory) Serve(nl net.Listener) error {
 	return nil
 }
 
-// Close stops the GC, waits for connection handlers, and closes every
-// group's leader. Listeners passed to Serve must be closed by the caller
-// (Close cannot reach them); Serve then returns nil.
+// Close stops the GC, returning once no sweep runs or can start, waits for
+// connection handlers, and closes every group's leader. Listeners passed to
+// Serve must be closed by the caller (Close cannot reach them); Serve then
+// returns nil.
 func (d *Directory) Close() {
 	if d.closed.Swap(true) {
 		return
 	}
-	close(d.stop)
+	d.gc.shut()
 	// Unblock every demux loop: closing the raw sockets ends their reads,
 	// and each loop ends its streams, running the leaders' handlers for
 	// the end of each session.
 	d.srv.Close()
-	d.wg.Wait()
 	// A creation that publishes after this walk removes its own entry (see
 	// install).
 	d.groups.Range(func(name, e any) bool {

@@ -145,10 +145,8 @@ type Leader struct {
 	// only touched under mu, so one buffer serves every broadcast.
 	bcastBuf []*memberConn
 
-	// running is read-held by each frame handler and timer tick (enter);
-	// Close write-locks it to wait them out, and stopped turns the rest away.
-	running sync.RWMutex
-	stopped bool
+	// running admits each frame handler and timer tick; Close shuts it.
+	running gate
 }
 
 // memberConn couples a member's connection, its protocol engine and an
@@ -311,38 +309,53 @@ func NewLeader(cfg Config) (*Leader, error) {
 		// Pings keep the replication stream demonstrably alive while the
 		// group is quiescent, so the standby's silence detector never
 		// confuses an idle group with a dead primary.
-		g.every(cfg.ReplPing, g.log.ping)
+		g.running.every(cfg.ReplPing, g.log.ping)
 	}
 	if g.liveness.enabled() {
-		g.every(g.liveness.tickEvery(), func() { g.livenessTick(time.Now()) })
+		g.running.every(g.liveness.tickEvery(), func() { g.livenessTick(time.Now()) })
 	}
 	return g, nil
 }
 
+// gate admits work — frame handlers, timer ticks — until shut, which
+// returns once no admitted work runs and none can start.
+type gate struct {
+	mu      sync.RWMutex // read-held by each admitted call
+	stopped bool
+}
+
+// enter admits one call until leave, or fails once the gate is shut.
+func (g *gate) enter() bool {
+	g.mu.RLock()
+	if g.stopped {
+		g.mu.RUnlock()
+		return false
+	}
+	return true
+}
+
+func (g *gate) leave() { g.mu.RUnlock() }
+
+// shut waits out the admitted calls and turns the rest away.
+func (g *gate) shut() {
+	g.mu.Lock()
+	g.stopped = true
+	g.mu.Unlock()
+}
+
 // every runs tick every period on a runtime timer, armed again after each
-// run, so no goroutine waits between ticks, until Close.
-func (g *Leader) every(period time.Duration, tick func()) {
+// run, so no goroutine waits between ticks, until the gate shuts.
+func (g *gate) every(period time.Duration, tick func()) {
 	var run func()
 	run = func() {
 		if !g.enter() {
 			return
 		}
-		defer g.running.RUnlock()
+		defer g.leave()
 		tick()
 		time.AfterFunc(period, run)
 	}
 	time.AfterFunc(period, run)
-}
-
-// enter admits one frame handler or timer tick, which then holds
-// running.RLock until it returns; it fails once Close has stopped the leader.
-func (g *Leader) enter() bool {
-	g.running.RLock()
-	if g.stopped {
-		g.running.RUnlock()
-		return false
-	}
-	return true
 }
 
 // Name returns the leader's identity.
@@ -419,9 +432,7 @@ func (g *Leader) Close() {
 	if g.repl != nil {
 		g.repl.Detach()
 	}
-	g.running.Lock()
-	g.stopped = true
-	g.running.Unlock()
+	g.running.shut()
 	g.mu.Lock()
 	for _, s := range g.reg.appendAll(nil, "") {
 		g.hangUpLocked(s.conn, s)

@@ -40,22 +40,19 @@ func (c *dropAdminConn) arm(n int) {
 	c.mu.Unlock()
 }
 
-func (c *dropAdminConn) Recv() (wire.Envelope, error) {
-	for {
-		e, err := c.Conn.Recv()
-		if err != nil {
-			return e, err
-		}
+// Consume hands the member every frame but the AdminMsgs armed to drop.
+func (c *dropAdminConn) Consume(push transport.Push) {
+	c.Conn.Consume(func(e wire.Envelope, ok bool) {
 		c.mu.Lock()
-		drop := e.Type == wire.TypeAdminMsg && c.drop > 0
+		drop := ok && e.Type == wire.TypeAdminMsg && c.drop > 0
 		if drop {
 			c.drop--
 		}
 		c.mu.Unlock()
 		if !drop {
-			return e, nil
+			push(e, ok)
 		}
-	}
+	})
 }
 
 // TestBackToBackBroadcastDroppedFirstDelivery: two admin broadcasts are

@@ -198,7 +198,8 @@ func TestLockedLeaderStallsNoOtherFrames(t *testing.T) {
 // TestGoroutinesPerSession pins the goroutine budget of a session: a leader
 // serving n members over one mux socket holds no goroutine per member — the
 // socket's reader runs each session's handler and its writer drains each
-// outbox — and a member session holds none of its own beyond its reader.
+// outbox — and neither does the client library: each member session is
+// driven by the client socket's reader.
 func TestGoroutinesPerSession(t *testing.T) {
 	const n = 16
 	names := make([]string, n)
@@ -226,8 +227,8 @@ func TestGoroutinesPerSession(t *testing.T) {
 	if leader > 2 {
 		t.Errorf("leader holds %d goroutines for %d members, want at most 2", leader, n)
 	}
-	if sessions != n {
-		t.Errorf("member sessions hold %d goroutines, want one reader each (%d)", sessions, n)
+	if sessions != 0 {
+		t.Errorf("member sessions hold %d goroutines, want none", sessions)
 	}
 	// Client read loop and writer, server writer.
 	if sockets > 3 {

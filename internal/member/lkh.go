@@ -37,7 +37,7 @@ func (m *Member) handleKeyUpdate(env wire.Envelope) {
 		return
 	}
 	m.mu.Lock()
-	if m.left || m.pathKeys == nil {
+	if m.ended.Load() || m.pathKeys == nil {
 		// Not an LKH member (no PathKeys ever arrived): junk to tolerate.
 		m.mu.Unlock()
 		m.reject()
@@ -76,24 +76,18 @@ func (m *Member) handleKeyUpdate(env wire.Envelope) {
 	}
 
 	m.mu.Lock()
-	if m.left {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	if m.ended.Load() {
 		return
 	}
 	if cur, ok := m.pathKeys[p.Node]; ok && cur.ver >= p.Ver {
-		m.mu.Unlock()
 		return // lost the race against a newer rotation or a resync
 	}
 	m.pathKeys[p.Node] = pathEntry{ver: p.Ver, key: key}
-	var out Event
+	mKeyUpdates.Inc()
 	if p.Root && (p.Epoch > m.epoch || !m.groupKey.Valid()) {
 		m.installGroupKeyLocked(key, p.Epoch)
-		out = Event{Kind: EventRekey, Epoch: p.Epoch}
-	}
-	m.mu.Unlock()
-	mKeyUpdates.Inc()
-	if out.Kind != 0 {
-		m.events.Push(out)
+		m.events.Push(Event{Kind: EventRekey, Epoch: p.Epoch})
 		mEvents.Inc()
 	}
 }
@@ -153,7 +147,7 @@ func (m *Member) installGroupKeyLocked(key crypto.Key, epoch uint64) {
 // rotation costs one round trip, not one per frame.
 func (m *Member) requestKeySync(target uint64) {
 	m.mu.Lock()
-	if m.left || m.syncEpoch >= target {
+	if m.ended.Load() || m.syncEpoch >= target {
 		m.mu.Unlock()
 		return
 	}

@@ -5,6 +5,11 @@
 // group-management messages, and sends and receives application multicast
 // encrypted under the group key.
 //
+// A Member is a transition system driven by the frames it receives, like
+// the paper's member (Fig. 2): after the handshake its connection's reader
+// calls it with each frame (transport.Push), and its silence watchdog is a
+// runtime timer, so a member holds no goroutine.
+//
 // Because the AdminMsg pipeline is proven to deliver group-management
 // messages in order, without duplication, and only from the leader
 // (Section 5.4), the view maintained here is exactly the leader's history:
@@ -115,6 +120,7 @@ type Options struct {
 	// than this timeout, or an idle but healthy leader looks dead. Zero
 	// disables the watchdog.
 	SilenceTimeout time.Duration
+	session        *Session // the Session served, if any: events go to its stream
 }
 
 // Member is a connected group member.
@@ -125,8 +131,9 @@ type Member struct {
 	engine *core.MemberSession
 
 	silence  time.Duration
+	session  *Session     // Options.session
 	lastRecv atomic.Int64 // UnixNano of the most recent received frame
-	silenced atomic.Bool  // the watchdog closed the connection
+	ended    atomic.Bool  // set under mu by finish; handlers then do nothing
 
 	mu       sync.Mutex
 	groupKey crypto.Key
@@ -146,7 +153,8 @@ type Member struct {
 	prevKey   crypto.Key
 	prevEpoch uint64
 	view      map[string]bool
-	left      bool
+	left      bool        // Leave was called
+	watchdog  *time.Timer // the silence timer, if any
 
 	// pathKeys is the LKH key bag: every node key this member holds on its
 	// leaf-to-root path, by node ID (see lkh.go). Nil until the leader
@@ -166,7 +174,7 @@ type Member struct {
 	lastAck          *wire.Envelope
 
 	events *queue.Queue[Event]
-	done   chan struct{}
+	done   chan struct{} // closed by the close-out
 	// ready is closed, under mu, when the first valid group key is
 	// installed (WaitReady).
 	ready chan struct{}
@@ -175,8 +183,8 @@ type Member struct {
 }
 
 // Join connects as user to the leader over conn, runs the three-message
-// authentication, and starts the receive loop. The long-term key is the
-// P_user shared with the leader (crypto.DeriveKey).
+// authentication, and hands conn's later frames to the member. The
+// long-term key is the P_user shared with the leader (crypto.DeriveKey).
 func Join(conn transport.Conn, user, leader string, longTerm crypto.Key) (*Member, error) {
 	return JoinOpts(conn, user, leader, longTerm, Options{})
 }
@@ -196,13 +204,13 @@ func JoinOpts(conn transport.Conn, user, leader string, longTerm crypto.Key, opt
 
 // attach is the one way a session attaches to a group. It sends the engine's
 // opening frame — AuthInitReq for a password join, Resume for a failover
-// resumption (a join is a resume with no prior state) — pumps the engine to
-// MemberConnected, builds the Member and starts its loops. The only
-// difference past the opening frame is what the completing frame carries: a
-// ResumeAck brings the post-promotion key material as an admin body, which
-// goes through the same apply path as any later AdminMsg, so a resumed
-// Member is ready on return while a joined one waits for its first key
-// (WaitReady). On failure the caller still owns conn.
+// resumption (a join is a resume with no prior state) — reads frames until
+// the engine reports MemberConnected, then makes the Member conn's consumer.
+// The only difference past the opening frame is what the completing frame
+// carries: a ResumeAck brings the post-promotion key material as an admin
+// body, which goes through the same apply path as any later AdminMsg, so a
+// resumed Member is ready on return while a joined one waits for its first
+// key (WaitReady). On failure the caller still owns conn.
 func attach(conn transport.Conn, engine *core.MemberSession, opening wire.Envelope, opts Options) (*Member, error) {
 	// The silence timeout also bounds the exchange itself: neither handshake
 	// retransmits, so over a lossy link a lost frame would otherwise block
@@ -237,10 +245,14 @@ func attach(conn transport.Conn, engine *core.MemberSession, opening wire.Envelo
 		conn:    conn,
 		engine:  engine,
 		silence: opts.SilenceTimeout,
+		session: opts.session,
 		view:    map[string]bool{engine.User(): true},
 		events:  queue.New[Event](),
 		done:    make(chan struct{}),
 		ready:   make(chan struct{}),
+	}
+	if m.session != nil {
+		m.events = m.session.events
 	}
 	m.mu.Lock()
 	out := m.applyAdminLocked(ev, env.Payload)
@@ -252,7 +264,7 @@ func attach(conn transport.Conn, engine *core.MemberSession, opening wire.Envelo
 	}
 	// The completing reply goes out only now: the leader (re)starts the
 	// pipeline on it, and what follows must find this frame's events queued
-	// ahead of its own and a running receive loop.
+	// ahead of its own.
 	if err := conn.Send(*ev.Reply); err != nil {
 		return nil, fmt.Errorf("member: send %s: %w", ev.Reply.Type, err)
 	}
@@ -261,39 +273,58 @@ func attach(conn transport.Conn, engine *core.MemberSession, opening wire.Envelo
 	}
 	m.emit(out, ev.Seq)
 	m.lastRecv.Store(time.Now().UnixNano())
-	go m.recvLoop()
 	if m.silence > 0 {
-		go m.silenceWatchdog()
+		m.mu.Lock() // the timer reads its own handle under m.mu
+		m.watchdog = time.AfterFunc(m.silence, m.checkSilence)
+		m.mu.Unlock()
 	}
+	conn.Consume(m.push)
 	return m, nil
 }
 
-// silenceWatchdog closes the connection when the leader has been silent
-// past the configured timeout, so the receive loop fails distinguishably
-// (ErrLeaderSilent) and a supervisor can rejoin elsewhere. This is the
-// member-side half of the liveness layer: the leader detects dead members
-// via ack deadlines, the member detects a dead leader via silence.
-func (m *Member) silenceWatchdog() {
-	tick := m.silence / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-t.C:
-			last := time.Unix(0, m.lastRecv.Load())
-			if time.Since(last) > m.silence {
-				m.silenced.Store(true)
-				mWatchdogTrips.Inc()
-				m.conn.Close()
-				return
-			}
+// checkSilence is the silence timer, the member-side half of the liveness
+// layer: it re-arms for the rest of the timeout while frames arrive, and past
+// it ends the session with ErrLeaderSilent, so a supervisor can fail over.
+func (m *Member) checkSilence() {
+	if quiet := time.Since(time.Unix(0, m.lastRecv.Load())); quiet < m.silence {
+		m.mu.Lock()
+		if !m.ended.Load() {
+			m.watchdog.Reset(m.silence - quiet)
 		}
+		m.mu.Unlock()
+	} else if m.finish(ErrLeaderSilent) {
+		mWatchdogTrips.Inc()
+		m.conn.Close()
 	}
+}
+
+// finish is the one close-out, run by the first end with its cause: Leave
+// (nil, whatever raced it), the silence timer (ErrLeaderSilent) or the end of
+// the stream (transport.ErrClosed). EventClosed is the last event (a
+// Session's member reports to the Session instead). It reports whether it ran.
+func (m *Member) finish(cause error) bool {
+	m.mu.Lock()
+	if m.ended.Load() {
+		m.mu.Unlock()
+		return false
+	}
+	m.ended.Store(true)
+	if m.left {
+		cause = nil
+	}
+	if m.session == nil {
+		m.events.Push(Event{Kind: EventClosed, Err: cause})
+		m.events.Close()
+	}
+	close(m.done)
+	if m.watchdog != nil {
+		m.watchdog.Stop()
+	}
+	m.mu.Unlock()
+	if m.session != nil {
+		m.session.lost(m, cause)
+	}
+	return true
 }
 
 // Name returns this member's identity.
@@ -337,12 +368,18 @@ func (m *Member) GroupKey() (crypto.Key, uint64) {
 // from the handshake), so there is a short window where a freshly joined
 // member cannot encrypt yet.
 func (m *Member) WaitReady(timeout time.Duration) error {
+	return m.waitReady(timeout, nil)
+}
+
+// waitReady is WaitReady that also gives up when cancel closes.
+func (m *Member) waitReady(timeout time.Duration, cancel <-chan struct{}) error {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
 	case <-m.ready:
 	case <-m.done: // the connection died or was left first; no key will come
 	case <-t.C:
+	case <-cancel:
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -404,7 +441,7 @@ func (m *Member) SendData(data []byte) error {
 }
 
 // Leave ends the session with the unreplayable ReqClose and closes the
-// connection.
+// connection. The session's EventClosed carries nil.
 func (m *Member) Leave() error {
 	m.mu.Lock()
 	if m.left {
@@ -412,56 +449,36 @@ func (m *Member) Leave() error {
 		return ErrLeft
 	}
 	m.left = true
+	closeEnv, err := m.engine.Leave()
 	m.mu.Unlock()
-
-	closeEnv, err := m.engineLeave()
 	if err == nil {
 		err = m.conn.Send(closeEnv)
 	}
 	// Closing the connection sends what was queued on it first, so the
 	// ReqClose is not lost to the teardown.
 	m.conn.Close()
-	<-m.done
+	m.finish(nil)
 	return err
 }
 
-// engineLeave serializes access to the engine against the receive loop.
-func (m *Member) engineLeave() (wire.Envelope, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.engine.Leave()
-}
-
-// recvLoop drives the engine with incoming frames until the connection
-// drops.
-func (m *Member) recvLoop() {
-	defer close(m.done)
-	for {
-		env, err := m.conn.Recv()
-		if err != nil {
-			m.mu.Lock()
-			left := m.left
-			m.mu.Unlock()
-			if left {
-				err = nil
-			} else if m.silenced.Load() {
-				err = ErrLeaderSilent
-			}
-			m.events.Push(Event{Kind: EventClosed, Err: err})
-			m.events.Close()
-			return
-		}
-		m.lastRecv.Store(time.Now().UnixNano())
-		m.handle(env)
+// push is the member as its connection's reader drives it: each frame goes
+// to the engine, and the end of the stream ends the session.
+func (m *Member) push(env wire.Envelope, ok bool) {
+	if !ok {
+		m.finish(transport.ErrClosed)
+		return
 	}
+	if m.ended.Load() {
+		return
+	}
+	m.lastRecv.Store(time.Now().UnixNano())
+	m.handle(env)
 }
 
 // handle processes one received frame.
 func (m *Member) handle(env wire.Envelope) {
 	switch env.Type {
-	case wire.TypeAdminMsg:
-		m.handleAdmin(env)
-	case wire.TypeResumeAck:
+	case wire.TypeAdminMsg, wire.TypeResumeAck:
 		// A retransmitted ResumeAck (our completing ack was lost) is rejected
 		// by the engine — the resumption already consumed it — but the re-ack
 		// cache seeded by attach answers it, same as a duplicate AdminMsg.
@@ -475,10 +492,14 @@ func (m *Member) handle(env wire.Envelope) {
 	}
 }
 
-// handleAdmin feeds an AdminMsg to the engine, sends the acknowledgment,
-// and applies the body to the view.
+// handleAdmin feeds an AdminMsg to the engine, applies the body to the view,
+// sends the acknowledgment off m.mu, then queues the body's events.
 func (m *Member) handleAdmin(env wire.Envelope) {
 	m.mu.Lock()
+	if m.ended.Load() {
+		m.mu.Unlock()
+		return
+	}
 	ev, err := m.engine.Handle(env)
 	if err != nil {
 		// A duplicate of the last acked AdminMsg means the leader never got
@@ -497,11 +518,9 @@ func (m *Member) handleAdmin(env wire.Envelope) {
 	}
 	out := m.applyAdminLocked(ev, env.Payload)
 	m.mu.Unlock()
-
-	if err := m.conn.Send(*ev.Reply); err != nil {
-		return
+	if m.conn.Send(*ev.Reply) == nil {
+		m.emit(out, ev.Seq)
 	}
-	m.emit(out, ev.Seq)
 }
 
 // applyAdminLocked applies one frame the engine accepted to the member's
@@ -556,9 +575,15 @@ func (m *Member) applyChangesLocked(out []Event, changes []wire.MemberChange) []
 	return out
 }
 
-// emit delivers the events produced by one group-management message to the
-// application, each correlated with the leader's pipeline sequence.
+// emit queues the events produced by one group-management message for the
+// application, each correlated with the leader's pipeline sequence, unless
+// the session has ended.
 func (m *Member) emit(out []Event, seq uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.ended.Load() {
+		return
+	}
 	for _, e := range out {
 		if e.Kind != 0 {
 			e.Seq = seq
@@ -597,6 +622,10 @@ func (m *Member) handleAppData(env wire.Envelope) {
 		m.reject()
 		return
 	}
-	m.events.Push(Event{Kind: EventData, From: p.Sender, Epoch: p.Epoch, Data: p.Data})
-	mEvents.Inc()
+	m.mu.Lock()
+	if !m.ended.Load() {
+		m.events.Push(Event{Kind: EventData, From: p.Sender, Epoch: p.Epoch, Data: p.Data})
+		mEvents.Inc()
+	}
+	m.mu.Unlock()
 }

@@ -43,13 +43,10 @@ type SessionConfig struct {
 	// over [backoff/2, backoff) from a PRNG seeded by the user name — after
 	// a leader failure, thousands of members desynchronize their reconnect
 	// attempts deterministically instead of stampeding the promoted standby
-	// in lockstep. Zero means 50ms.
+	// in lockstep. Zero means 50ms. Rounds go on until Close.
 	Backoff time.Duration
-	// MaxRounds bounds rejoin rounds (a round tries every endpoint once);
-	// zero means unlimited.
-	MaxRounds int
-	// ReadyTimeout bounds the wait for the first group key after each
-	// join; zero means 10s.
+	// ReadyTimeout bounds each attach attempt, up to the first group key;
+	// zero means 10s.
 	ReadyTimeout time.Duration
 	// SilenceTimeout arms each underlying session's leader-silence
 	// watchdog (Options.SilenceTimeout): a wedged or partitioned leader is
@@ -61,15 +58,14 @@ type SessionConfig struct {
 // ErrDown is returned by Session.SendData while no leader is joined.
 var ErrDown = errors.New("member: session down, rejoining")
 
-// ErrGaveUp is carried by the final EventClosed after MaxRounds failed
-// rejoin rounds.
-var ErrGaveUp = errors.New("member: gave up rejoining")
-
-// Session is an auto-rejoining group membership. Events from successive
-// underlying sessions are delivered on one unified stream; an EventJoined
-// for the member itself marks each successful (re)join.
+// Session is an auto-rejoining group membership. Its members queue their
+// events straight into one unified stream, where an EventJoined for the
+// member itself marks each (re)join, after the events of the attach that
+// brought it up. A lost member arms the timer that runs the next rejoin
+// round, so no goroutine waits on the Session's behalf.
 type Session struct {
 	cfg SessionConfig
+	rng *jitterRNG // under mu
 
 	mu      sync.Mutex
 	current *Member // nil while down
@@ -77,14 +73,15 @@ type Session struct {
 	// Close can fail an exchange the endpoint never answers.
 	attaching transport.Conn
 	closed    bool
+	retry     *time.Timer // armed rejoin timer; nil once a round installs a member
 
 	events  *queue.Queue[Event]
-	done    chan struct{}
-	closing chan struct{} // closed by Close; cancels backoff waits
+	closing chan struct{} // closed by Close; fails an attempt waiting for its key
+	done    chan struct{} // closed once the final EventClosed is queued
 }
 
-// NewSession joins through the first reachable endpoint and starts the
-// supervision loop. It fails if the initial round reaches no endpoint.
+// NewSession joins through the first reachable endpoint. It fails if that
+// first round reaches no endpoint.
 func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.User == "" {
 		return nil, errors.New("member: session user must be non-empty")
@@ -100,15 +97,14 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	s := &Session{
 		cfg:     cfg,
+		rng:     newJitterRNG(cfg.User),
 		events:  queue.New[Event](),
-		done:    make(chan struct{}),
 		closing: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	m, _, err := s.attachOnce(nil)
-	if err != nil {
+	if _, err := s.attachOnce(nil); err != nil {
 		return nil, err
 	}
-	go s.supervise(m)
 	return s, nil
 }
 
@@ -119,145 +115,141 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 // only its address differs) the resumption sub-protocol goes first, and a
 // refusal falls back to the password join on the same endpoint. resumed
 // reports which route attached. ErrLeft means Close ended the attempt.
-func (s *Session) attachOnce(prior *core.SessionState) (m *Member, resumed bool, err error) {
+func (s *Session) attachOnce(prior *core.SessionState) (resumed bool, err error) {
 	err = errors.New("no endpoints")
 	for _, ep := range s.cfg.Endpoints {
 		if prior != nil && prior.Leader == ep.Leader {
 			mResumeAttempts.Inc()
-			if m, err = s.attachTo(ep, prior); err == nil {
-				return m, true, nil
+			if err = s.attachTo(ep, prior); err == nil {
+				return true, nil
 			}
 			mResumeFallback.Inc()
 		}
-		if m, err = s.attachTo(ep, nil); err == nil {
-			return m, false, nil
+		if err = s.attachTo(ep, nil); err == nil {
+			return false, nil
 		}
 		if errors.Is(err, ErrLeft) {
-			return nil, false, err
+			return false, err
 		}
 	}
-	return nil, false, fmt.Errorf("member: all endpoints failed: %w", err)
+	return false, fmt.Errorf("member: all endpoints failed: %w", err)
 }
 
 // attachTo runs one attach attempt against one endpoint: dial, resume from
-// prior (or join when nil), wait for the group key. The whole attempt is
-// bounded by ReadyTimeout — with no SilenceTimeout the handshake itself has
-// no deadline, and an endpoint that accepts and never answers must not wedge
-// the session — and its connection is visible to Close throughout.
-func (s *Session) attachTo(ep Endpoint, prior *core.SessionState) (*Member, error) {
+// prior (or join when nil), wait for the group key, install. The whole
+// attempt is bounded by ReadyTimeout — with no SilenceTimeout the handshake
+// itself has no deadline, and an endpoint that accepts and never answers
+// must not wedge the session — and Close can end it throughout.
+func (s *Session) attachTo(ep Endpoint, prior *core.SessionState) error {
 	conn, err := ep.Dial()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.mu.Lock()
 	if s.closed { // Close found nothing in flight to close
 		s.mu.Unlock()
 		conn.Close()
-		return nil, ErrLeft
+		return ErrLeft
 	}
 	s.attaching = conn
 	s.mu.Unlock()
+	deadline := time.Now().Add(s.cfg.ReadyTimeout)
 	bound := time.AfterFunc(s.cfg.ReadyTimeout, func() { conn.Close() })
 	defer bound.Stop()
 
 	var m *Member
-	opts := Options{SilenceTimeout: s.cfg.SilenceTimeout}
+	opts := Options{SilenceTimeout: s.cfg.SilenceTimeout, session: s}
 	if prior != nil {
 		m, err = Resume(conn, *prior, ep.LongTerm, opts)
 	} else {
 		m, err = JoinOpts(conn, s.cfg.User, ep.Leader, ep.LongTerm, opts)
 	}
 	if err == nil {
-		err = m.WaitReady(s.cfg.ReadyTimeout)
+		err = m.waitReady(time.Until(deadline), s.closing)
 	}
 
 	// Installing the member and forgetting the connection are one step under
 	// s.mu, so Close finds either the attempt's connection or the member it
-	// became — never neither (which would leave pump blocked on a session
-	// nobody closes).
+	// became. A member that ended before this step told no one (lost ignores
+	// it), so it fails the attempt.
 	s.mu.Lock()
 	s.attaching = nil
-	if err == nil && s.closed {
+	switch {
+	case s.closed:
 		err = ErrLeft
-	}
-	if err == nil {
-		s.current = m
+	case err == nil && m.ended.Load():
+		err = transport.ErrClosed
+	case err == nil:
+		s.current, s.retry = m, nil
+		s.events.Push(Event{Kind: EventJoined, Name: s.cfg.User})
 	}
 	s.mu.Unlock()
 	switch {
 	case err == nil:
-		return m, nil
+		return nil
 	case m != nil:
 		m.Leave()
 	default:
 		conn.Close()
 	}
-	return nil, err
+	return err
 }
 
-// supervise pumps the current member's events and re-attaches on
-// involuntary loss, one supervised loop with jittered exponential backoff. A
-// session lost to leader silence (failover) carries its state into the
-// attempts as prior, so they try the resumption sub-protocol — re-attaching
-// to the promoted standby under the existing session key — before the full
-// join; an ordinary connection loss to a healthy leader re-joins directly (a
-// live primary has no resumable entry and would refuse anyway).
-func (s *Session) supervise(m *Member) {
-	final := Event{Kind: EventClosed} // Err stays nil unless the session gives up
-	defer func() {
-		s.events.Push(final)
-		s.events.Close()
-		close(s.done)
-	}()
-	rng := newJitterRNG(s.cfg.User)
-	var (
-		prior   *core.SessionState
-		backoff time.Duration
-		round   int
-	)
-	for {
-		if m != nil {
-			s.events.Push(Event{Kind: EventJoined, Name: s.cfg.User})
-			failure := s.pump(m)
-			s.mu.Lock()
-			s.current = nil
-			s.mu.Unlock()
-			if failure == nil {
-				return // voluntary close
-			}
-			prior = nil
-			if errors.Is(failure, ErrLeaderSilent) {
-				if st, ok := m.ResumeState(); ok {
-					prior = &st
-				}
-			}
-			m, backoff, round = nil, s.cfg.Backoff, 0
-		}
-		if round++; s.cfg.MaxRounds > 0 && round > s.cfg.MaxRounds {
-			final.Err = ErrGaveUp
-			return
-		}
-		// The wait is cancellable: Close must not block behind a sleep that
-		// can reach 32x the base backoff.
-		wait := time.NewTimer(rng.jittered(backoff))
-		select {
-		case <-wait.C:
-		case <-s.closing:
-			wait.Stop()
-			return
-		}
-		if backoff < 32*s.cfg.Backoff {
-			backoff *= 2
-		}
-		next, resumed, err := s.attachOnce(prior)
-		if errors.Is(err, ErrLeft) {
-			return // Close ended the attempt
-		}
-		if !resumed {
-			mRejoins.Inc() // the round reached the password join
-		}
-		m = next
+// lost is a member's close-out reported to s: an installed member lost
+// involuntarily arms the first rejoin round. One lost to leader silence
+// (failover) hands its state to the rounds as prior, so they try the
+// resumption sub-protocol before the full join; after an ordinary connection
+// loss a live primary has no resumable entry and would refuse anyway.
+func (s *Session) lost(m *Member, cause error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.current != m {
+		return
 	}
+	s.current = nil
+	if s.closed {
+		return
+	}
+	var prior *core.SessionState
+	if errors.Is(cause, ErrLeaderSilent) {
+		if st, ok := m.ResumeState(); ok {
+			prior = &st
+		}
+	}
+	s.retryLocked(prior, s.cfg.Backoff)
+}
+
+// retryLocked arms the jittered wait before the next rejoin round; each
+// failed round doubles it, up to 32 times Backoff. Caller holds s.mu.
+func (s *Session) retryLocked(prior *core.SessionState, backoff time.Duration) {
+	next := min(2*backoff, 32*s.cfg.Backoff)
+	s.retry = time.AfterFunc(s.rng.jittered(backoff), func() { s.round(prior, next) })
+}
+
+// round runs one rejoin round on the retry timer's goroutine. A failed round
+// arms the next; one that Close overtook ends the session for Close.
+func (s *Session) round(prior *core.SessionState, backoff time.Duration) {
+	resumed, err := s.attachOnce(prior)
+	if !resumed && !errors.Is(err, ErrLeft) {
+		mRejoins.Inc() // the round reached the password join
+	}
+	if err == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		s.end()
+		return
+	}
+	s.retryLocked(prior, backoff)
+}
+
+// end queues the final EventClosed, behind every event of every member.
+func (s *Session) end() {
+	s.events.Push(Event{Kind: EventClosed})
+	s.events.Close()
+	close(s.done)
 }
 
 // jitterRNG is a tiny deterministic PRNG (splitmix64) seeded from the
@@ -294,21 +286,6 @@ func (r *jitterRNG) jittered(d time.Duration) time.Duration {
 	return time.Duration(half + r.next()%half)
 }
 
-// pump forwards m's events until it closes; it returns the closure error
-// (nil for a voluntary leave).
-func (s *Session) pump(m *Member) error {
-	for {
-		ev, err := m.Next()
-		if err != nil {
-			return nil // drained after voluntary leave
-		}
-		if ev.Kind == EventClosed {
-			return ev.Err
-		}
-		s.events.Push(ev)
-	}
-}
-
 // Next blocks for the next event of the unified stream.
 func (s *Session) Next() (Event, error) {
 	ev, err := s.events.Pop()
@@ -326,9 +303,7 @@ func (s *Session) TryNext() (Event, bool) {
 // SendData multicasts through the current session; while down it returns
 // ErrDown so the application can buffer or drop.
 func (s *Session) SendData(data []byte) error {
-	s.mu.Lock()
-	m := s.current
-	s.mu.Unlock()
+	m := s.cur()
 	if m == nil {
 		return ErrDown
 	}
@@ -337,9 +312,7 @@ func (s *Session) SendData(data []byte) error {
 
 // Members returns the current view, or nil while down.
 func (s *Session) Members() []string {
-	s.mu.Lock()
-	m := s.current
-	s.mu.Unlock()
+	m := s.cur()
 	if m == nil {
 		return nil
 	}
@@ -348,9 +321,7 @@ func (s *Session) Members() []string {
 
 // Epoch returns the current group-key epoch, or zero while down.
 func (s *Session) Epoch() uint64 {
-	s.mu.Lock()
-	m := s.current
-	s.mu.Unlock()
+	m := s.cur()
 	if m == nil {
 		return 0
 	}
@@ -358,14 +329,18 @@ func (s *Session) Epoch() uint64 {
 }
 
 // Up reports whether a leader is currently joined.
-func (s *Session) Up() bool {
+func (s *Session) Up() bool { return s.cur() != nil }
+
+// cur returns the current member, nil while down.
+func (s *Session) cur() *Member {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.current != nil
+	return s.current
 }
 
-// Close leaves the group (if joined) and stops the supervision loop,
-// interrupting any in-progress rejoin backoff or attach attempt.
+// Close leaves the group (if joined) and stops rejoining: it stops a pending
+// rejoin wait and fails an attach attempt in flight. It returns once the
+// final EventClosed is queued.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -375,6 +350,8 @@ func (s *Session) Close() error {
 	s.closed = true
 	close(s.closing)
 	m, attaching := s.current, s.attaching
+	// A round whose timer has fired is in flight, and it ends the session.
+	inFlight := s.retry != nil && !s.retry.Stop()
 	s.mu.Unlock()
 
 	var err error
@@ -383,6 +360,9 @@ func (s *Session) Close() error {
 	}
 	if attaching != nil {
 		attaching.Close()
+	}
+	if !inFlight {
+		s.end()
 	}
 	<-s.done
 	return err

@@ -7,15 +7,17 @@
 // accepted connection. A single-session client (DialTCP) is the one-stream
 // case: a Mux with one unlabeled stream whose Close hangs up the socket.
 //
-// The read loop calls a stream's Push (a leader's session) with each frame,
-// so a session costs no goroutine, and every stream of the socket waits for
-// it. A stream without one queues frames for Recv in a bounded window, and
-// one whose Recv falls behind is killed (MuxClose both ways) rather than
-// allowed to stall the shared socket — the same "bounded memory beats
-// unbounded hope" policy the group layer applies to slow members, applied
-// one layer down. The same goes for a peer that stops reading the socket
-// itself: no sender and no stream Close ever waits for the socket, and a
-// write that stalls for writeTimeout hangs the connection up.
+// The read loop calls a stream's Push (a leader's session, a client's
+// member) with each frame, so a session costs no goroutine, and every stream
+// of the socket waits for it; when the socket ends, by a hangup or a local
+// Close, the loop ends every stream still open. A stream without a Push
+// queues frames for Recv in a bounded window, and one whose Recv falls
+// behind is killed (MuxClose both ways) rather than allowed to stall the
+// shared socket — the same "bounded memory beats unbounded hope" policy the
+// group layer applies to slow members, applied one layer down. The same goes
+// for a peer that stops reading the socket itself: no sender and no stream
+// Close ever waits for the socket, and a write that stalls for writeTimeout
+// hangs the connection up.
 //
 // One writer goroutine per socket drains every stream with something to send
 // and flushes once per pass: a fan-out to n members on one socket costs one
@@ -63,7 +65,8 @@ const DefaultRecvWindow = 256
 type MuxConfig struct {
 	// Accept, set on the server side, is invoked on the read loop once per
 	// new inbound stream, before its first frame. It must not wait on the
-	// network: attach a Push (Leader.ServeConn) or queue the Conn.
+	// network: attach a Push (Leader.ServeConn) or queue the Conn. A client
+	// side (Accept nil) attaches its Pushes itself, after Open.
 	Accept func(group string, c Conn)
 	// Logf, if non-nil, receives diagnostics (killed streams, decode
 	// errors).
@@ -242,7 +245,7 @@ func (m *Mux) run() error {
 			break
 		}
 	}
-	m.hangup(true)
+	m.hangup()
 	m.mu.Lock()
 	ended := slices.Collect(maps.Values(m.streams))
 	clear(m.streams)
@@ -416,20 +419,20 @@ func (m *Mux) closeStream(s *muxStream, tombstone bool) bool {
 
 // Close has the writer take a last pass, so a send that returned nil is not
 // lost to a local hangup, then tears down the connection and every stream
-// on it; no stream's Push hears of it. A writer parked on a stalled peer
-// holds Close up to writeTimeout.
+// on it; the read loop then ends each stream still open, as on a peer
+// hangup. A writer parked on a stalled peer holds Close up to writeTimeout.
 func (m *Mux) Close() error {
 	m.shut(ErrClosed)
 	m.post()
 	<-m.wdone
-	return m.hangup(false)
+	return m.hangup()
 }
 
 // hangup tears down the connection and every stream on it without flushing.
 // The read loop calls it on exit, so a socket whose peer hung up is released
-// at once rather than held until its owner remembers to close it. Unless
-// Close asked for it, the streams stay listed for the read loop to end.
-func (m *Mux) hangup(end bool) error {
+// at once rather than held until its owner remembers to close it. The
+// streams stay listed for the read loop to end.
+func (m *Mux) hangup() error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -438,9 +441,6 @@ func (m *Mux) hangup(end bool) error {
 	m.closed = true
 	for _, s := range m.streams {
 		s.recvQ.Close()
-	}
-	if !end {
-		clear(m.streams)
 	}
 	m.mu.Unlock()
 	m.shut(ErrClosed)
@@ -496,7 +496,7 @@ func (m *Mux) writeLoop() {
 				mHangupWrite.Inc()
 			}
 			m.shut(err)
-			m.hangup(true)
+			m.hangup()
 			return
 		}
 	}

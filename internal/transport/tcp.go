@@ -28,12 +28,16 @@ func setNoDelay(c net.Conn) {
 
 // soleStream is the one stream of a single-session connection: a mux stream
 // like any other, except that closing it hangs up the socket it alone uses.
+// The stream closes first, so its own Close never reaches its Push.
 type soleStream struct {
 	Conn
 	m *Mux
 }
 
-func (s soleStream) Close() error { return s.m.Close() }
+func (s soleStream) Close() error {
+	s.Conn.Close()
+	return s.m.Close()
+}
 
 // NewNetConn wraps an established net.Conn (TCP, Unix socket, net.Pipe) as a
 // single-session connection: a client Mux carrying one stream with no group

@@ -8,8 +8,9 @@
 // No sender waits for a peer: a TCP socket has one writer goroutine, and a
 // sender with an outbox (a leader's member session) attaches it as a Pull
 // that the writer drains and seals; a stalled socket leaves frames there.
-// Nor does a receiver need a goroutine: the socket's one reader calls a
-// leader session's Push; without a Push, frames queue for Recv.
+// Nor does a receiver need a goroutine: the socket's one reader calls each
+// stream's Push — a leader's session, a client's member; without a Push,
+// frames queue for Recv.
 package transport
 
 import (
@@ -91,9 +92,9 @@ type Pull func(buf []Outgoing) []Outgoing
 
 // Push is a connection's inbound side as its reader sees it: called per
 // arrived frame, in order and never concurrently, then once with ok false
-// when the peer or the socket ends the stream, but never for this side's
-// own Close, which may run under a lock the Push takes. It must not wait on
-// the network.
+// when the peer or the socket ends the stream — a local Mux.Close included —
+// but never for this side's own Close of the connection, which may run under
+// a lock the Push takes. It must not wait on the network.
 type Push func(e wire.Envelope, ok bool)
 
 // Conn is a bidirectional, message-oriented point-to-point link.
@@ -110,8 +111,8 @@ type Conn interface {
 	// Wake tells the writer the Pull has frames. It never blocks and never
 	// calls the Pull, so a pusher may hold any lock of its own.
 	Wake()
-	// Consume makes push the connection's consumer, once: frames that
-	// arrived before it are pushed first, in order, and Recv is not used.
+	// Consume makes push the connection's consumer, once, even after Recv
+	// (a handshake): frames that arrived before it are pushed first, in order.
 	Consume(push Push)
 	// Recv blocks until an envelope arrives or the connection closes.
 	Recv() (wire.Envelope, error)
