@@ -176,6 +176,8 @@ type memberConn struct {
 	// syncedEpoch is the last epoch at which a KeySyncReq was answered,
 	// rate-limiting path-key resyncs to one per member per epoch.
 	syncedEpoch uint64
+	// held is the LKH key updates waiting for unacked to empty (hold).
+	held []*keyUpdate
 }
 
 // outFrame is one element of a member's outbox: a shared pre-encoded
@@ -592,9 +594,15 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 		}
 	}
 	if ev.Closed {
-		s.unacked = nil
+		s.unacked, s.held = nil, nil
 	}
 	overflow := false
+	if len(s.unacked) == 0 { // held key updates go out ahead of the next AdminMsg
+		for _, ku := range s.held {
+			overflow = overflow || errors.Is(s.pushOut(outFrame{ku: ku}), queue.ErrFull)
+		}
+		s.held = nil
+	}
 	if ev.Reply != nil {
 		// The engine drained the next queued admin body into a pre-sealed
 		// AdminMsg (or emitted the AuthKeyDist during the handshake).

@@ -7,16 +7,17 @@ package group
 // AEAD seal — one KeyUpdate frame encoded once and fanned out to the
 // subtree — instead of the flat path's n per-member re-seals.
 //
-// Division of labor under the locking discipline: mutations and rotations
-// are computed under Leader.mu (pure bookkeeping, no crypto), and
-// rekeyLocked queues each lkh.Update on its subtree's outboxes before the
-// lock is released, as one shared keyUpdate frame. The first outbox drain
-// to reach that frame seals and encodes it, once, after the same sealFrame
-// wait that admin bodies take, so AEAD work never holds the control-plane
-// lock and no survivor can hold the new root key while a peer's copy is
-// not yet queued. The joiner of a rotation is skipped: sendCurrentKeysLocked
-// gives it the whole path. Receivers are version-gated (last writer wins),
-// so reordering against the ack-gated PathKeys pipeline is harmless.
+// Mutations and rotations are computed under Leader.mu (no crypto), and
+// rekeyLocked hands each lkh.Update, as one shared keyUpdate frame, to its
+// subtree before the lock is released: onto a member's outbox, or, while
+// an AdminMsg to it is unacknowledged, into its held list, where a newer
+// update to the node replaces it until the ack pushes the list onto the
+// outbox. A busy member gets the newest key per node once per ack round
+// trip, as with a flat NewGroupKey. The first drain to reach a frame seals
+// it once, off the lock, after the sealFrame wait admin bodies take. The
+// joiner of a rotation is skipped: sendCurrentKeysLocked gives it the whole
+// path. Receivers are version-gated (last writer wins), so reordering
+// against the ack-gated PathKeys pipeline is harmless.
 //
 // Delivery is fire-and-forget. A member that cannot open an update — it
 // missed frames across a reconnect, or an eviction raced — sends
@@ -25,6 +26,7 @@ package group
 // rate-limited to one resync per member per epoch.
 
 import (
+	"slices"
 	"sync"
 
 	"enclaves/internal/crypto"
@@ -49,8 +51,8 @@ func fromReplNode(n wire.ReplLKHNode) lkh.Record {
 
 // keyUpdate is one rotated node key on its way to a child subtree: the
 // KeyUpdate payload without its box, and the two keys that make the box.
-// The same *keyUpdate sits on every outbox of the subtree; encode seals it
-// for all of them.
+// The same *keyUpdate sits on every outbox, or held list, of the subtree;
+// encode seals it for all of them.
 type keyUpdate struct {
 	p               wire.KeyUpdatePayload
 	newKey, sealKey crypto.Key
@@ -59,34 +61,43 @@ type keyUpdate struct {
 }
 
 // queueKeyUpdatesLocked puts each update of one rotation on the outboxes
-// of its subtree, all but skip's. Caller holds g.mu, so when the rotation
-// returns every target's copy is queued, ahead of anything a member can
-// seal under the new keys. An update whose only target is skip is never
-// sealed.
+// of its subtree, all but skip's, or holds it for a busy member. Caller
+// holds g.mu, so when the rotation returns every idle target's copy is
+// queued, ahead of anything a member can seal under the new keys. An update
+// whose only target is skip is never sealed.
 func (g *Leader) queueKeyUpdatesLocked(ups []lkh.Update, skip string) {
-	var targets, overflowed []*memberConn
+	var overflowed []*memberConn
 	for _, up := range ups {
-		targets = targets[:0]
+		ku := &keyUpdate{newKey: up.NewKey, sealKey: up.SealKey, p: wire.KeyUpdatePayload{
+			Node: uint64(up.Node), Ver: up.Ver, Under: uint64(up.Under), Epoch: g.epoch, Root: up.Root,
+		}}
 		for _, user := range up.Members {
-			if s := g.reg.get(user); s != nil && user != skip {
-				targets = append(targets, s)
+			if s := g.reg.get(user); s != nil && user != skip && !s.hold(ku) {
+				if g.pushFrameTo(s, outFrame{ku: ku}) {
+					overflowed = append(overflowed, s)
+				}
 			}
 		}
-		if len(targets) == 0 {
-			continue
-		}
-		ku := &keyUpdate{
-			p: wire.KeyUpdatePayload{
-				Node: uint64(up.Node), Ver: up.Ver, Under: uint64(up.Under),
-				Epoch: g.epoch, Root: up.Root,
-			},
-			newKey: up.NewKey, sealKey: up.SealKey,
-		}
-		overflowed = append(overflowed, g.fanoutPush(targets, outFrame{ku: ku})...)
 	}
 	for _, s := range overflowed {
 		g.evictLocked(s, "outbox overflow (slow consumer)")
 	}
+}
+
+// hold keeps ku back while an AdminMsg to s is unacknowledged, replacing an
+// older update to its node, and reports whether it did. A rotation sends a
+// member a suffix of its path, bottom-up, so appending the newer entry
+// keeps every update behind the key that seals it.
+func (s *memberConn) hold(ku *keyUpdate) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.unacked) == 0 {
+		return false
+	}
+	n := len(s.held)
+	s.held = append(slices.DeleteFunc(s.held, func(h *keyUpdate) bool { return h.p.Node == ku.p.Node }), ku)
+	mLKHFolded.Add(uint64(n + 1 - len(s.held)))
+	return true
 }
 
 // encode seals the new node key under the child subtree's key and encodes

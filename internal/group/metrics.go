@@ -37,6 +37,8 @@ var (
 	// a folded key is one a member skips for the newer key queued after it.
 	mKeys       = metrics.NewCounter("group_keys_total")
 	mKeysFolded = metrics.NewCounter("group_keys_folded_total")
+	// mLKHFolded counts held LKH key updates replaced by a newer one.
+	mLKHFolded = metrics.NewCounter("group_lkh_updates_folded_total")
 
 	mAdminSent   = metrics.NewCounter("group_admin_sent_total")
 	mAdminAcked  = metrics.NewCounter("group_admin_acked_total")

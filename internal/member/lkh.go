@@ -7,7 +7,8 @@ package member
 // the bag, and applying it just stores the rotated node's new key. Updates
 // are version-gated (last writer wins per node), so duplicated or reordered
 // frames are harmless; the update flagged Root also installs the new group
-// key, with the same one-epoch grace as a flat NewGroupKey.
+// key, with the same one-epoch grace as a flat NewGroupKey. Behind an
+// unacknowledged AdminMsg a member gets only the newest update per node.
 //
 // KeyUpdate delivery is fire-and-forget. When an update does not fit the
 // bag — sealed under a key we never held, or its AEAD fails because an
@@ -28,8 +29,9 @@ type pathEntry struct {
 }
 
 // handleKeyUpdate applies one subtree key rotation. The AEAD open runs
-// outside m.mu (lock discipline: no crypto under the state lock), so the
-// version gate is re-checked before the store.
+// outside m.mu (lock discipline: no crypto under the state lock); only this
+// member's frames, one at a time on its stream's Push, write the bag, so
+// the version gate still holds at the store.
 func (m *Member) handleKeyUpdate(env wire.Envelope) {
 	p, err := wire.UnmarshalKeyUpdate(env.Payload)
 	if err != nil {
@@ -79,9 +81,6 @@ func (m *Member) handleKeyUpdate(env wire.Envelope) {
 	defer m.mu.Unlock()
 	if m.ended.Load() {
 		return
-	}
-	if cur, ok := m.pathKeys[p.Node]; ok && cur.ver >= p.Ver {
-		return // lost the race against a newer rotation or a resync
 	}
 	m.pathKeys[p.Node] = pathEntry{ver: p.Ver, key: key}
 	mKeyUpdates.Inc()
@@ -152,13 +151,7 @@ func (m *Member) requestKeySync(target uint64) {
 		return
 	}
 	m.syncEpoch = target
-	epoch := m.epoch
 	m.mu.Unlock()
 	mKeySyncReqs.Inc()
-	m.conn.Send(wire.Envelope{
-		Type:     wire.TypeKeySyncReq,
-		Sender:   m.name,
-		Receiver: m.leader,
-		Payload:  wire.KeySyncPayload{Epoch: epoch}.Marshal(),
-	})
+	m.conn.Send(wire.Envelope{Type: wire.TypeKeySyncReq, Sender: m.name, Receiver: m.leader})
 }

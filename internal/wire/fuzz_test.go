@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -198,7 +199,7 @@ func FuzzKeyUpdate(f *testing.F) {
 	ku := KeyUpdatePayload{Node: 9, Ver: 3, Under: 4, Epoch: 12, Root: true, Box: bytes.Repeat([]byte{0xAB}, 60)}
 	f.Add(ku.Marshal())
 	f.Add(KeyUpdatePayload{Node: 1, Ver: 1, Under: 2, Epoch: 1}.Marshal())
-	f.Add(KeySyncPayload{Epoch: 41}.Marshal())
+	f.Add(binary.BigEndian.AppendUint64(nil, 41)) // an older client's KeySyncReq payload, its epoch
 	f.Add(adminBody(PathKeys{Epoch: 7, Root: 1, Leaf: 5}))
 	f.Add(adminBody(NewGroupKey{Epoch: 8}))
 	f.Add(adminBody(NewGroupKey{Epoch: 9, Changes: []MemberChange{{Name: "carol"}}}))

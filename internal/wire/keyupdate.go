@@ -18,9 +18,10 @@ import (
 // what turns a membership rekey from O(n) seals into O(log n). The clear
 // routing fields (Node, Ver, Under, Epoch, Root) are bound into the AEAD
 // additional data of Box, so a relabeled or replayed box fails to open
-// under the altered routing. Delivery is fire-and-forget: a member that
-// cannot open or has fallen behind sends KeySyncReq (no payload beyond its
-// current epoch) on its authenticated connection and receives a fresh
+// under the altered routing. The leader sends a member with an AdminMsg
+// unacknowledged only the newest update per node, after the ack. Delivery
+// is fire-and-forget: a member that cannot open or has fallen behind sends
+// an empty KeySyncReq on its authenticated connection and receives a fresh
 // PathKeys admin message.
 
 // KeyUpdatePayload is the content of a KeyUpdate frame.
@@ -78,21 +79,6 @@ func UnmarshalKeyUpdate(data []byte) (KeyUpdatePayload, error) {
 		return KeyUpdatePayload{}, fmt.Errorf("%w: key update: %v", ErrBadPayload, err)
 	}
 	return out, nil
-}
-
-// KeySyncPayload is the content of KeySyncReq: the member's current
-// group-key epoch, purely diagnostic (the leader answers with the member's
-// full current path regardless; identity comes from the authenticated
-// connection, never from this forgeable payload).
-type KeySyncPayload struct {
-	Epoch uint64
-}
-
-// Marshal encodes the payload deterministically.
-func (p KeySyncPayload) Marshal() []byte {
-	var b builder
-	b.putUint64(p.Epoch)
-	return b.bytes
 }
 
 // MaxReplNodes bounds the replicated key tree: a tree over MaxReplMembers

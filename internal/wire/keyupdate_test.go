@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"enclaves/internal/crypto"
@@ -68,16 +67,6 @@ func TestKeyUpdateSealOpenBindsRouting(t *testing.T) {
 		if _, err := crypto.Open(key, q.Box, q.AD()); err == nil {
 			t.Fatal("tampered routing field accepted")
 		}
-	}
-}
-
-// TestKeySyncPayloadRoundTrip pins KeySyncReq's payload: the member's
-// epoch as 8 big-endian bytes. The leader never decodes it (the payload is
-// diagnostic), so the test reads it back itself.
-func TestKeySyncPayloadRoundTrip(t *testing.T) {
-	data := KeySyncPayload{Epoch: 99}.Marshal()
-	if len(data) != 8 || binary.BigEndian.Uint64(data) != 99 {
-		t.Fatalf("key sync payload = %x, want the epoch 99 as 8 big-endian bytes", data)
 	}
 }
 
