@@ -19,7 +19,10 @@ import (
 //     sink (fmt/log/slog, printf-shaped helpers and func values), to
 //     metrics, to errors.New, or into an audit/metrics *Event literal,
 //     which is exported and retained;
-//   - such a byte sequence converted to string.
+//   - such a byte sequence converted to string;
+//   - at the same sinks, a value whose type reaches a crypto.Key through an
+//     unexported struct field, where fmt cannot call Key's Format and
+//     prints the raw bytes (a pointer on the way hides them from some verbs).
 //
 // A name that also marks a derived, non-secret value (fingerprint, hash,
 // id, ...) is not key material. Values are not followed through locals or
@@ -98,13 +101,45 @@ func isByteSeq(t types.Type) bool {
 	return false
 }
 
-// reportKeyArgs flags each argument that is key material reaching sink.
+// reportKeyArgs flags each argument that is key material, or holds a key
+// in an unexported field, reaching sink.
 func reportKeyArgs(p *Pass, info *types.Info, args []ast.Expr, sink string) {
 	for _, a := range args {
 		if desc, ok := keyMaterial(info, a); ok {
 			p.Reportf(a.Pos(), "%s reaches %s: log fingerprints (Key.Fingerprint), never key bytes", desc, sink)
+		} else if t := info.TypeOf(a); t != nil && hidesKey(t, false, map[types.Type]bool{}) {
+			p.Reportf(a.Pos(), "%s holds a crypto.Key in an unexported field, which %s prints raw: log its fingerprint",
+				types.TypeString(t, (*types.Package).Name), sink)
 		}
 	}
+}
+
+// hidesKey reports whether a value of type t reaches a crypto.Key through
+// an unexported struct field (unexported: one was crossed already), by way
+// of fields, pointers, slices, arrays and maps. seen records each type
+// visited and whether below an unexported field, which sees every key the
+// other visit would: it guards recursive types.
+func hidesKey(t types.Type, unexported bool, seen map[types.Type]bool) bool {
+	if typeIs(t, cryptoPath, "Key") {
+		return unexported
+	}
+	if was, ok := seen[t]; ok && (was || !unexported) {
+		return false
+	}
+	seen[t] = unexported
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := range u.NumFields() {
+			if f := u.Field(i); hidesKey(f.Type(), unexported || !f.Exported(), seen) {
+				return true
+			}
+		}
+	case *types.Map:
+		return hidesKey(u.Key(), unexported, seen) || hidesKey(u.Elem(), unexported, seen)
+	case interface{ Elem() types.Type }: // pointer, slice, array, channel
+		return hidesKey(u.Elem(), unexported, seen)
+	}
+	return false
 }
 
 // checkKeyCall flags key material converted to string or passed to a

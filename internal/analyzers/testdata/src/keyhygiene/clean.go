@@ -23,3 +23,15 @@ func report(k crypto.Key, keyID string) Event {
 func seal(k crypto.Key, plain []byte) ([]byte, error) {
 	return crypto.Seal(k, plain, nil)
 }
+
+// Published holds its key in an exported field, where fmt calls Key's
+// Format; a list of them, recursive, holds nothing unexported.
+type Published struct {
+	Key  crypto.Key
+	Next *Published
+}
+
+// describe prints keys fmt formats through Key's Format.
+func describe(p Published, k crypto.Key, ks []crypto.Key) {
+	fmt.Printf("%v %+v %#v %x\n", p, &p, k, ks)
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -349,6 +350,112 @@ func TestKeysFoldBehindAck(t *testing.T) {
 	}
 	if got := l.PendingAdmin(); got != 3 {
 		t.Errorf("pending = %d after %d one-change keys, want 3", got, n)
+	}
+}
+
+// TestKeyBoxesFoldBehindAck: LKH key bodies behind one outstanding AdminMsg
+// fold as keys do, and their boxes newest-wins per node: the member gets
+// one body with the newest epoch, every change in send order, the older
+// boxes to nodes no later rotation rotated again, then the newest
+// rotation's boxes, so every box comes after the box that seals its Under.
+// No fold writes into a caller's array, and the fold stops at
+// wire.MaxDeltaNames changes or wire.MaxPathEntries boxes.
+func TestKeyBoxesFoldBehindAck(t *testing.T) {
+	m, l := newPair(t)
+	handshake(t, m, l)
+	env, err := l.Send(wire.Heartbeat{})
+	if err != nil || env == nil {
+		t.Fatalf("first Send: %v, %v", env, err)
+	}
+	// The member's path: leaf 10 under node 5 under node 2 under root 1.
+	box := func(node, ver, under uint64, epoch uint64) wire.KeyBox {
+		return wire.KeyBox{Node: node, Ver: ver, Under: under, Epoch: epoch, Root: node == 1, Box: []byte{byte(node), byte(ver)}}
+	}
+	body := func(epoch uint64, c wire.MemberChange, boxes ...wire.KeyBox) wire.KeyBoxes {
+		// Spare capacity a fold must not use.
+		return wire.KeyBoxes{Epoch: epoch, Changes: append(make([]wire.MemberChange, 0, 4), c),
+			Boxes: append(make([]wire.KeyBox, 0, 8), boxes...)}
+	}
+	sent := []wire.KeyBoxes{
+		body(2, wire.MemberChange{Name: "a"}, box(5, 1, 10, 2), box(2, 1, 5, 2), box(1, 1, 2, 2)),
+		body(3, wire.MemberChange{Name: "b", Left: true}, box(2, 2, 5, 3), box(1, 2, 2, 3)),
+		body(4, wire.MemberChange{Name: "c"}, box(1, 3, 2, 4)),
+	}
+	var kept []wire.KeyBoxes
+	for _, b := range sent {
+		kept = append(kept, wire.KeyBoxes{Epoch: b.Epoch, Changes: slices.Clone(b.Changes), Boxes: slices.Clone(b.Boxes)})
+		if _, err := l.Send(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, b := range sent {
+		if !slices.Equal(b.Changes[:cap(b.Changes)][1:], make([]wire.MemberChange, cap(b.Changes)-1)) ||
+			!reflect.DeepEqual(b.Boxes, kept[i].Boxes) ||
+			!reflect.DeepEqual(b.Boxes[:cap(b.Boxes)][len(b.Boxes):], make([]wire.KeyBox, cap(b.Boxes)-len(b.Boxes))) {
+			t.Fatal("a fold wrote into the caller's array")
+		}
+	}
+	if got := l.PendingAdmin(); got != 1 {
+		t.Fatalf("pending = %d after three key bodies, want 1", got)
+	}
+	if got := l.PendingBoxes(); got != 3 {
+		t.Fatalf("pending boxes = %d, want 3 (one per path node)", got)
+	}
+	want := wire.KeyBoxes{Epoch: 4,
+		Changes: []wire.MemberChange{{Name: "a"}, {Name: "b", Left: true}, {Name: "c"}},
+		Boxes:   []wire.KeyBox{box(5, 1, 10, 2), box(2, 2, 5, 3), box(1, 3, 2, 4)}}
+	var got []wire.AdminBody
+	for env != nil {
+		mev, err := m.Handle(*env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, mev.Admin)
+		lev, err := l.Handle(*mev.Reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env = lev.Reply
+	}
+	if len(got) != 2 || !reflect.DeepEqual(got[1], want) {
+		t.Fatalf("member received %v, want a heartbeat then\n %+v", got, want)
+	}
+	for i, b := range want.Boxes {
+		if j := slices.IndexFunc(got[1].(wire.KeyBoxes).Boxes, func(o wire.KeyBox) bool { return o.Node == b.Under }); j >= i {
+			t.Errorf("box %d (node %d) comes before the box to node %d that seals it", i, b.Node, b.Under)
+		}
+	}
+
+	// The fold stops at wire.MaxDeltaNames changes and at
+	// wire.MaxPathEntries boxes.
+	if env, err := l.Send(wire.Heartbeat{}); err != nil || env == nil {
+		t.Fatalf("Send on an idle pipeline: %v, %v", env, err)
+	}
+	const n = 2*wire.MaxDeltaNames + 2
+	for e := uint64(1); e <= n; e++ {
+		if _, err := l.Send(body(e, wire.MemberChange{Name: "m"}, box(1, e, 2, e))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.PendingAdmin(); got != 3 {
+		t.Errorf("pending = %d after %d one-change key bodies, want 3", got, n)
+	}
+	wide := func(from uint64) wire.KeyBoxes {
+		b := wire.KeyBoxes{Epoch: n + from}
+		for i := range uint64(wire.MaxPathEntries/2 + 1) {
+			b.Boxes = append(b.Boxes, box(from+i, 1, 0, n+from))
+		}
+		return b
+	}
+	for _, b := range []wire.KeyBoxes{wide(1000), wide(2000)} {
+		if _, err := l.Send(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first folds into the tail's one box; the second would pass the
+	// bound.
+	if got := l.PendingAdmin(); got != 4 {
+		t.Errorf("pending = %d after two key bodies of %d boxes each, want 4", got, wire.MaxPathEntries/2+1)
 	}
 }
 

@@ -288,10 +288,11 @@ func (l *LeaderSession) Send(body wire.AdminBody) (*wire.Envelope, error) {
 // the tail when both are of one kind and their changes fit in
 // wire.MaxDeltaNames: a wire.MemberChanges appends its changes, and a
 // wire.NewGroupKey replaces the older key with its epoch and key and both
-// bodies' changes, in order. A member skips the superseded key, never a
-// change. Only the tail folds, so nothing folds across another body. Queued
-// lists are clipped: the first fold copies the caller's (possibly shared)
-// array, and later folds append to that private copy.
+// bodies' changes, in order. A wire.KeyBoxes folds as a key does, its
+// boxes newest-wins per node (foldBoxes). A member skips the superseded key,
+// never a change. Only the tail folds, so nothing folds across another
+// body. Queued lists are clipped: the first fold copies the caller's
+// (possibly shared) array, and later folds append to that private copy.
 func (l *LeaderSession) enqueue(body wire.AdminBody) {
 	var tail wire.AdminBody
 	n := len(l.pending)
@@ -315,10 +316,44 @@ func (l *LeaderSession) enqueue(body wire.AdminBody) {
 		}
 		b.Changes = slices.Clip(b.Changes)
 		body = b
+	case wire.KeyBoxes:
+		if last, ok := tail.(wire.KeyBoxes); ok && len(last.Changes)+len(b.Changes) <= wire.MaxDeltaNames {
+			if boxes := foldBoxes(last.Boxes, b.Boxes); len(boxes) <= wire.MaxPathEntries {
+				b.Changes, b.Boxes = append(last.Changes, b.Changes...), boxes
+				l.pending[n-1] = b
+				return
+			}
+		}
+		b.Changes, b.Boxes = slices.Clip(b.Changes), slices.Clip(b.Boxes)
+		body = b
 	default:
 		// MemberList, PathKeys and Heartbeat never fold.
 	}
 	l.pending = append(l.pending, body)
+}
+
+// foldBoxes returns, in a new array, the older boxes to nodes newer does
+// not rotate again, then newer. A rotation rotates every ancestor of a
+// node it rotates, so every box still follows the box that seals its Under.
+func foldBoxes(older, newer []wire.KeyBox) []wire.KeyBox {
+	out := make([]wire.KeyBox, 0, len(older)+len(newer))
+	for _, o := range older {
+		if !slices.ContainsFunc(newer, func(b wire.KeyBox) bool { return b.Node == o.Node }) {
+			out = append(out, o)
+		}
+	}
+	return slices.Clip(append(out, newer...))
+}
+
+// PendingBoxes returns how many key boxes the queued bodies carry.
+func (l *LeaderSession) PendingBoxes() int {
+	n := 0
+	for _, body := range l.pending {
+		if b, ok := body.(wire.KeyBoxes); ok {
+			n += len(b.Boxes)
+		}
+	}
+	return n
 }
 
 // maybeSendNext drains the head of the pending queue into ev.Reply when the

@@ -224,6 +224,12 @@ func (p *Plaintext) AppendString(s string) {
 	p.b = append(p.b, s...)
 }
 
+// AppendBytes appends v behind its 4-byte big-endian length.
+func (p *Plaintext) AppendBytes(v []byte) {
+	p.b = binary.BigEndian.AppendUint32(p.b, uint32(len(v)))
+	p.b = append(p.b, v...)
+}
+
 // AppendSized appends what fill appends behind its 4-byte big-endian
 // length: a nested encoding, such as an AdminMsg's body.
 func (p *Plaintext) AppendSized(fill func(*Plaintext)) {

@@ -98,11 +98,10 @@ func adminEvents(m *member.Member) []member.Event {
 }
 
 // TestAdminMsgsPerChange counts the AdminMsgs one leave and one join cost a
-// 16-member group. Flat and rotating at once, the key carries the change:
-// n-1 for a leave, n+1 for a join (the joiner's key and its MemberList).
-// Where no key message carries the change the standalone notices are what
-// they always were: n-1 under LKH (keys travel as KeyUpdate frames) and with
-// the policy off. Serial changes never fold (each body finds the pipeline
+// 16-member group. Rotating at once, the key body carries the change, a
+// NewGroupKey or under LKH a KeyBoxes: n-1 for a leave, n+1 for a join (the
+// joiner's keys and its MemberList). With the policy off the standalone
+// notices cost the same. Serial changes never fold (each body finds the pipeline
 // idle), so the counts are the same with notice and key folding. Every message is acknowledged
 // exactly once, and after each change every member's view and epoch are the
 // leader's.
@@ -189,9 +188,9 @@ func (c holdAcksConn) Send(e wire.Envelope) error {
 	return c.Conn.Send(e)
 }
 
-// TestJoinStormFoldsNotices: under LKH a join reaches the members already
-// in the group as a notice (the keys travel as KeyUpdate frames), and
-// notices queued behind an unacknowledged AdminMsg fold into one. 64
+// TestJoinStormFoldsNotices: with no rotation on join a join reaches the
+// members already in the group as a notice, and notices queued behind an
+// unacknowledged AdminMsg fold into one. 64
 // joiners, 16 at a time, reach survivors that hold their acks until the
 // storm is over: each survivor gets the first join alone and the other 63
 // in one folded message, two AdminMsgs where one per join cost 64, and
@@ -201,7 +200,7 @@ func TestJoinStormFoldsNotices(t *testing.T) {
 	const survivors, joiners, wave = 4, 64, 16
 	var mu sync.Mutex
 	var order []string // joins in the leader's order
-	cfg := Config{Name: leaderName, Rekey: DefaultRekeyPolicy(), LKH: true, Users: map[string]crypto.Key{},
+	cfg := Config{Name: leaderName, Rekey: RekeyPolicy{OnLeave: true}, LKH: true, Users: map[string]crypto.Key{},
 		OnEvent: func(e Event) {
 			if e.Kind == EventJoined {
 				mu.Lock()
@@ -304,8 +303,8 @@ func TestJoinStormFoldsNotices(t *testing.T) {
 // dropped by design. With the change and the key in one message, and no
 // body sealed before the change has fanned out (sealFrame), the key is in
 // every survivor's outbox before anyone can have sealed under it. Under LKH
-// the KeyUpdates are queued with the rotation and sealed behind the same
-// wait, so the same holds for the new root key.
+// the KeyBoxes carry the change, are queued with the rotation and are
+// sealed behind the same wait, so the same holds for the new root key.
 func TestRekeyWindowClosed(t *testing.T) {
 	for _, tc := range []struct {
 		name string

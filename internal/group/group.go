@@ -59,9 +59,8 @@ type Config struct {
 	// hierarchy (internal/lkh): members hold their leaf-to-root path keys,
 	// the root key is the group key, and a rotation re-seals only the
 	// ~log_k(n) keys on the affected path, one seal per child subtree,
-	// delivered as fire-and-forget KeyUpdate frames with PathKeys resync
-	// over the reliable pipeline. Off by default — the flat path remains
-	// the verified baseline.
+	// delivered as KeyBoxes admin bodies over the reliable pipeline. Off by
+	// default — the flat path remains the verified baseline.
 	LKH bool
 	// LKHArity is the key tree's branching factor k (lkh.DefaultArity when
 	// < 2). Only meaningful with LKH set.
@@ -173,27 +172,22 @@ type memberConn struct {
 	// pacing heartbeats.
 	unacked   []unackedAdmin
 	lastAdmin time.Time
-	// syncedEpoch is the last epoch at which a KeySyncReq was answered,
-	// rate-limiting path-key resyncs to one per member per epoch.
-	syncedEpoch uint64
-	// held is the LKH key updates waiting for unacked to empty (hold).
-	held []*keyUpdate
 }
 
 // outFrame is one element of a member's outbox: a shared pre-encoded
 // fan-out frame (enc, used by the AppData relay so the envelope is encoded
 // once for all N recipients), a pre-sealed frame forwarded verbatim
-// (retransmissions, engine-drained replies), an LKH key update shared by
-// its subtree (ku, sealed once by the first drain to reach it), or an admin
-// body that the connection's writer seals into an AdminMsg outside the
-// global lock — broadcasts under Leader.mu only enqueue, which is why the
+// (retransmissions, engine-drained replies), or an admin body that the
+// connection's writer seals into an AdminMsg outside the global lock — an
+// LKH KeyBoxes once the first drain to reach its shared boxes has sealed
+// them. Broadcasts under Leader.mu only enqueue, which is why the
 // lock-hold time per broadcast is O(members) queue pushes rather than
 // O(members) AEAD seals.
 type outFrame struct {
 	env    wire.Envelope
 	enc    *transport.Encoded
-	ku     *keyUpdate
 	body   wire.AdminBody
+	boxes  []*keyBox // a KeyBoxes body's, unsealed
 	sealed bool
 }
 
@@ -459,8 +453,7 @@ func (g *Leader) Rekey() error {
 // the joiner it must not reach, which gets the current keys from
 // sendCurrentKeysLocked instead: the flat path broadcasts one NewGroupKey
 // carrying the changes. Under LKH the rotation covers the dirty paths (the
-// root always included), keys travel as KeyUpdate frames queued here, the
-// caller has announced the change itself, and changes is empty.
+// root always included), and each member's KeyBoxes carries the changes.
 func (g *Leader) rekeyLocked(cause string, changes []wire.MemberChange, skip string) error {
 	var (
 		kg  crypto.Key
@@ -486,7 +479,7 @@ func (g *Leader) rekeyLocked(cause string, changes []wire.MemberChange, skip str
 	}
 	g.log.record(change{kind: changeRekeyed, epoch: g.epoch, detail: cause, repl: wire.ReplDeltaPayload{GroupKey: kg}})
 	if g.tree != nil {
-		g.queueKeyUpdatesLocked(ups, skip)
+		g.queueKeyBoxesLocked(ups, changes, skip)
 		return nil
 	}
 	g.broadcastAdminLocked(wire.NewGroupKey{Epoch: g.epoch, Key: kg, Changes: changes}, skip)
@@ -560,8 +553,6 @@ func (g *Leader) handle(s *memberConn, env wire.Envelope) bool {
 	switch env.Type {
 	case wire.TypeAppData:
 		g.relay(s, env)
-	case wire.TypeKeySyncReq:
-		g.handleKeySync(s)
 	default:
 		return g.handleProtocol(s, env)
 	}
@@ -594,15 +585,9 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 		}
 	}
 	if ev.Closed {
-		s.unacked, s.held = nil, nil
+		s.unacked = nil
 	}
 	overflow := false
-	if len(s.unacked) == 0 { // held key updates go out ahead of the next AdminMsg
-		for _, ku := range s.held {
-			overflow = overflow || errors.Is(s.pushOut(outFrame{ku: ku}), queue.ErrFull)
-		}
-		s.held = nil
-	}
 	if ev.Reply != nil {
 		// The engine drained the next queued admin body into a pre-sealed
 		// AdminMsg (or emitted the AuthKeyDist during the handshake).
@@ -661,11 +646,11 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 }
 
 // sealFrame resolves one outbox element into a wire frame. Encoded and
-// pre-sealed frames pass through; a key update is sealed by its first
-// drain and shared; admin bodies go through the member's engine, which
+// pre-sealed frames pass through; admin bodies — an LKH rotation's once
+// its shared boxes are sealed — go through the member's engine, which
 // seals an AdminMsg when the ack-gated pipeline is free and queues the
-// body internally otherwise (nothing to transmit yet), folding a notice
-// into a notice already queued.
+// body internally otherwise (nothing to transmit yet), folding a notice or
+// key into one already queued.
 func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool) {
 	switch {
 	case f.enc != nil:
@@ -683,14 +668,13 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool)
 	if closed {
 		return transport.Outgoing{}, false
 	}
-	if f.ku != nil {
-		enc := f.ku.encode(g)
-		return transport.Outgoing{Enc: enc}, enc != nil
+	if f.boxes != nil {
+		f.body = g.sealBoxes(f.body.(wire.KeyBoxes), f.boxes)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := time.Now()
-	queued := s.engine.PendingAdmin()
+	queued, boxes := s.engine.PendingAdmin(), s.engine.PendingBoxes()+len(f.boxes)
 	env, err := s.engine.Send(f.body)
 	if err != nil {
 		g.logf("group: admin to %s: %v", s.user, err)
@@ -703,10 +687,11 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool)
 		if folded {
 			mNoticesFolded.Inc()
 		}
-	case wire.NewGroupKey:
+	case wire.NewGroupKey, wire.KeyBoxes:
 		mKeys.Inc()
 		if folded {
 			mKeysFolded.Inc()
+			mLKHFolded.Add(uint64(boxes - s.engine.PendingBoxes()))
 		}
 	default:
 		// The other bodies never fold.
@@ -721,8 +706,8 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool)
 
 // departedLocked records a departure (left, expelled or evicted, with its
 // detail), announces it and rotates the key per policy. The caller must have
-// removed the member from the registry already, so the rotation's
-// NewGroupKey cannot reach it.
+// removed the member from the registry already, so the rotation's keys
+// cannot reach it.
 func (g *Leader) departedLocked(user string, kind changeKind, detail string) {
 	mMembers.Add(-1)
 	g.tm.left()
@@ -739,35 +724,45 @@ func (g *Leader) departedLocked(user string, kind changeKind, detail string) {
 }
 
 // announceLocked tells every member but skip about one membership change and
-// rotates if the policy asks for it. A flat rotation carries the change
-// itself — one AdminMsg per member, and after a leave the departed member's
-// key is dead one ack round trip later, not two. The notice travels on its
-// own only where no NewGroupKey carries it: LKH, the policy off, a
-// resumption.
+// rotates if the policy asks for it. A rotation's key body, a NewGroupKey
+// or an LKH KeyBoxes, carries the change itself — one AdminMsg per member,
+// and after a leave the departed member's key is dead one ack round trip
+// later, not two. The notice travels on its own only where no rotation
+// carries it: the policy off, a resumption.
 func (g *Leader) announceLocked(notice wire.MemberChanges, cause, skip string, rotate bool) {
-	if !rotate || g.tree != nil {
+	if !rotate {
 		g.broadcastAdminLocked(notice, skip)
-		notice.Changes = nil
+		return
 	}
-	if rotate {
-		if err := g.rekeyLocked(cause, notice.Changes, skip); err != nil {
-			g.logf("group: rekey (%s): %v", cause, err)
-		}
+	if err := g.rekeyLocked(cause, notice.Changes, skip); err != nil {
+		g.logf("group: rekey (%s): %v", cause, err)
 	}
 }
 
 // broadcastAdminLocked queues an admin body for every member except skip.
+func (g *Leader) broadcastAdminLocked(body wire.AdminBody, skip string) {
+	g.broadcastLocked(skip, func(*memberConn) outFrame { return outFrame{body: body} })
+}
+
+// broadcastLocked queues frame's admin body for every member except skip.
 // Only the enqueues happen under Leader.mu — each connection's writer seals
 // the AdminMsgs outside the lock — so the hold time measured here is the
-// fan-out cost, not members × AEAD.
-func (g *Leader) broadcastAdminLocked(body wire.AdminBody, skip string) {
+// fan-out cost, not members × AEAD. A caller holding Leader.mu keeps
+// broadcasts totally ordered: broadcast N's frames are on every outbox
+// before the lock releases and broadcast N+1 can start.
+func (g *Leader) broadcastLocked(skip string, frame func(*memberConn) outFrame) {
 	start := time.Now()
 	g.bcastBuf = g.reg.appendAll(g.bcastBuf[:0], skip)
-	overflowed := g.fanoutPush(g.bcastBuf, outFrame{body: body})
+	var overflowed []*memberConn
+	for _, s := range g.bcastBuf {
+		if g.pushFrameTo(s, frame(s)) {
+			overflowed = append(overflowed, s)
+		}
+	}
+	clear(g.bcastBuf) // drop member references until the next broadcast
 	for _, s := range overflowed {
 		g.evictLocked(s, "outbox overflow (slow consumer)")
 	}
-	clear(g.bcastBuf) // drop member references until the next broadcast
 	mBroadcastHold.Observe(time.Since(start))
 }
 
@@ -778,20 +773,6 @@ func (g *Leader) sendAdminLocked(s *memberConn, body wire.AdminBody) {
 	if g.pushFrameTo(s, outFrame{body: body}) {
 		g.evictLocked(s, "outbox overflow (slow consumer)")
 	}
-}
-
-// fanoutPush pushes frame onto every target's outbox and returns the
-// members whose outbox overflowed. A caller holding Leader.mu keeps
-// broadcasts totally ordered: broadcast N's frames are on every outbox
-// before the lock releases and broadcast N+1 can start.
-func (g *Leader) fanoutPush(targets []*memberConn, frame outFrame) []*memberConn {
-	var overflowed []*memberConn
-	for _, s := range targets {
-		if g.pushFrameTo(s, frame) {
-			overflowed = append(overflowed, s)
-		}
-	}
-	return overflowed
 }
 
 // pushFrameTo enqueues one frame on a member's outbox and reports overflow
@@ -841,7 +822,12 @@ func (g *Leader) relay(from *memberConn, env wire.Envelope) {
 	// members instead of N, and in-memory pipes never trigger the encode at
 	// all (Encoded realizes its bytes lazily).
 	enc := transport.NewEncoded(env)
-	overflowed := g.fanoutPush(targets, outFrame{enc: enc})
+	var overflowed []*memberConn
+	for _, s := range targets {
+		if g.pushFrameTo(s, outFrame{enc: enc}) {
+			overflowed = append(overflowed, s)
+		}
+	}
 	clear(targets)
 	*tp = targets
 	targetsPool.Put(tp)

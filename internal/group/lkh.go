@@ -3,35 +3,28 @@ package group
 // Logical-key-hierarchy rekeying (see internal/lkh). With Config.LKH set,
 // the leader maintains a k-ary key tree whose root key IS the group key:
 // a membership rekey rotates only the ~log_k(n) keys on the affected path,
-// and each rotated key is delivered to its child subtree with a single
-// AEAD seal — one KeyUpdate frame encoded once and fanned out to the
-// subtree — instead of the flat path's n per-member re-seals.
+// and each rotated key reaches its child subtree under a single AEAD seal
+// instead of the flat path's n per-member re-seals.
 //
 // Mutations and rotations are computed under Leader.mu (no crypto), and
-// rekeyLocked hands each lkh.Update, as one shared keyUpdate frame, to its
-// subtree before the lock is released: onto a member's outbox, or, while
-// an AdminMsg to it is unacknowledged, into its held list, where a newer
-// update to the node replaces it until the ack pushes the list onto the
-// outbox. A busy member gets the newest key per node once per ack round
-// trip, as with a flat NewGroupKey. The first drain to reach a frame seals
-// it once, off the lock, after the sealFrame wait admin bodies take. The
-// joiner of a rotation is skipped: sendCurrentKeysLocked gives it the whole
-// path. Receivers are version-gated (last writer wins), so reordering
-// against the ack-gated PathKeys pipeline is harmless.
+// rekeyLocked gives each member, before the lock is released, one KeyBoxes
+// on its outbox: the change the rotation answers and the member's rotated
+// path nodes, bottom-up, each a keyBox shared by its child subtree. The
+// first drain to reach a box seals it for the whole subtree, off the lock
+// and after the sealFrame wait; the body then rides the AdminMsg pipeline
+// like a flat NewGroupKey, and folds like one behind an unacknowledged
+// AdminMsg. A rotation's joiner is skipped: sendCurrentKeysLocked gives it
+// the whole path.
 //
-// Delivery is fire-and-forget. A member that cannot open an update — it
-// missed frames across a reconnect, or an eviction raced — sends
-// KeySyncReq on its authenticated connection and gets its complete current
-// path back as a PathKeys admin message over the reliable pipeline,
-// rate-limited to one resync per member per epoch.
+// The pipeline delivers in order and exactly once, so a member holds the
+// key each box is sealed under; one that fails to open ends the member with
+// member.ErrKeyBox, and a member.Session rejoins and gets its path.
 
 import (
-	"slices"
 	"sync"
 
 	"enclaves/internal/crypto"
 	"enclaves/internal/lkh"
-	"enclaves/internal/transport"
 	"enclaves/internal/wire"
 )
 
@@ -49,78 +42,55 @@ func fromReplNode(n wire.ReplLKHNode) lkh.Record {
 	}
 }
 
-// keyUpdate is one rotated node key on its way to a child subtree: the
-// KeyUpdate payload without its box, and the two keys that make the box.
-// The same *keyUpdate sits on every outbox, or held list, of the subtree;
-// encode seals it for all of them.
-type keyUpdate struct {
-	p               wire.KeyUpdatePayload
+// keyBox is one rotated node key on its way to a child subtree: the box
+// entry, its Box empty until sealed, and the two keys that make the box.
+// The same *keyBox rides the outFrame of every member of the subtree.
+type keyBox struct {
+	b               wire.KeyBox
 	newKey, sealKey crypto.Key
 	once            sync.Once
-	enc             *transport.Encoded
 }
 
-// queueKeyUpdatesLocked puts each update of one rotation on the outboxes
-// of its subtree, all but skip's, or holds it for a busy member. Caller
-// holds g.mu, so when the rotation returns every idle target's copy is
-// queued, ahead of anything a member can seal under the new keys. An update
-// whose only target is skip is never sealed.
-func (g *Leader) queueKeyUpdatesLocked(ups []lkh.Update, skip string) {
-	var overflowed []*memberConn
+// queueKeyBoxesLocked gives every member but skip its KeyBoxes for one
+// rotation, carrying changes. Caller holds g.mu, so when the rotation
+// returns every member's copy is queued, ahead of anything a member can
+// seal under the new keys. A box whose only target is skip is never
+// sealed.
+func (g *Leader) queueKeyBoxesLocked(ups []lkh.Update, changes []wire.MemberChange, skip string) {
+	paths := make(map[string][]*keyBox)
 	for _, up := range ups {
-		ku := &keyUpdate{newKey: up.NewKey, sealKey: up.SealKey, p: wire.KeyUpdatePayload{
+		kb := &keyBox{newKey: up.NewKey, sealKey: up.SealKey, b: wire.KeyBox{
 			Node: uint64(up.Node), Ver: up.Ver, Under: uint64(up.Under), Epoch: g.epoch, Root: up.Root,
 		}}
 		for _, user := range up.Members {
-			if s := g.reg.get(user); s != nil && user != skip && !s.hold(ku) {
-				if g.pushFrameTo(s, outFrame{ku: ku}) {
-					overflowed = append(overflowed, s)
-				}
+			paths[user] = append(paths[user], kb)
+		}
+	}
+	body := wire.KeyBoxes{Epoch: g.epoch, Changes: changes}
+	g.broadcastLocked(skip, func(s *memberConn) outFrame { return outFrame{body: body, boxes: paths[s.user]} })
+}
+
+// sealBoxes returns body with boxes, each sealed on its first call — one
+// AEAD seal of the new node key under the child subtree's key per box
+// whatever the subtree's size, which is the O(log n). A box that fails to
+// seal travels empty and fails to open at the member. Callers hold no lock.
+func (g *Leader) sealBoxes(body wire.KeyBoxes, boxes []*keyBox) wire.KeyBoxes {
+	body.Boxes = make([]wire.KeyBox, len(boxes))
+	for i, k := range boxes {
+		k.once.Do(func() {
+			c, err := crypto.NewCipher(k.sealKey)
+			if err == nil {
+				k.b.Box, err = c.SealPlaintext(wire.BoxPlaintext(k.newKey), k.b.AD())
 			}
-		}
+			if err != nil {
+				g.logf("group: key box seal: %v", err)
+				return
+			}
+			mLKHSeals.Inc()
+		})
+		body.Boxes[i] = k.b
 	}
-	for _, s := range overflowed {
-		g.evictLocked(s, "outbox overflow (slow consumer)")
-	}
-}
-
-// hold keeps ku back while an AdminMsg to s is unacknowledged, replacing an
-// older update to its node, and reports whether it did. A rotation sends a
-// member a suffix of its path, bottom-up, so appending the newer entry
-// keeps every update behind the key that seals it.
-func (s *memberConn) hold(ku *keyUpdate) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.unacked) == 0 {
-		return false
-	}
-	n := len(s.held)
-	s.held = append(slices.DeleteFunc(s.held, func(h *keyUpdate) bool { return h.p.Node == ku.p.Node }), ku)
-	mLKHFolded.Add(uint64(n + 1 - len(s.held)))
-	return true
-}
-
-// encode seals the new node key under the child subtree's key and encodes
-// the frame, on the first call only — one AEAD seal per update whatever the
-// subtree's size, which is the O(log n) — and returns the shared bytes, or
-// nil if sealing failed. Callers hold no lock.
-func (u *keyUpdate) encode(g *Leader) *transport.Encoded {
-	u.once.Do(func() {
-		c, err := crypto.NewCipher(u.sealKey)
-		if err != nil {
-			g.logf("group: key-update cipher: %v", err)
-			return
-		}
-		box, err := c.SealPlaintext(wire.BoxPlaintext(u.newKey), u.p.AD())
-		if err != nil {
-			g.logf("group: key-update seal: %v", err)
-			return
-		}
-		u.p.Box = box
-		mLKHSeals.Inc()
-		u.enc = transport.NewEncoded(wire.Envelope{Type: wire.TypeKeyUpdate, Sender: g.name, Payload: u.p.Marshal()})
-	})
-	return u.enc
+	return body
 }
 
 // pathKeysLocked builds the PathKeys admin body for one member: its
@@ -199,31 +169,4 @@ func (g *Leader) replTreeLocked() {
 		d.Removed = append(d.Removed, uint64(id))
 	}
 	g.log.record(change{kind: changeTree, repl: d})
-}
-
-// handleKeySync answers a member's KeySyncReq with its complete current
-// path over the reliable admin pipeline, at most once per member per epoch
-// (a flood of requests costs the group nothing beyond the first answer).
-func (g *Leader) handleKeySync(s *memberConn) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed || g.tree == nil || g.reg.get(s.user) != s {
-		return
-	}
-	s.mu.Lock()
-	served := s.syncedEpoch >= g.epoch
-	if !served {
-		s.syncedEpoch = g.epoch
-	}
-	s.mu.Unlock()
-	if served {
-		return
-	}
-	pk, ok := g.pathKeysLocked(s.user)
-	if !ok {
-		return
-	}
-	mKeySyncs.Inc()
-	g.logf("group: resyncing path keys for %s at epoch %d", s.user, g.epoch)
-	g.sendAdminLocked(s, pk)
 }

@@ -1,7 +1,9 @@
 package group
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -55,8 +57,8 @@ func enableMetrics(t *testing.T) {
 }
 
 // TestLKHGroupEndToEnd drives the whole LKH path over real connections:
-// joins deliver leaf-to-root paths, rotations arrive as subtree KeyUpdate
-// frames, multicast flows under the tree's root key, and an expulsion
+// joins deliver leaf-to-root paths, rotations arrive as KeyBoxes bodies
+// with boxes sealed once per subtree, multicast flows under the tree's root key, and an expulsion
 // rotates the departed member's path so its last key dies with it.
 func TestLKHGroupEndToEnd(t *testing.T) {
 	enableMetrics(t)
@@ -98,7 +100,7 @@ func TestLKHGroupEndToEnd(t *testing.T) {
 	}
 
 	// The on-join rotations were delivered as subtree updates, not flat
-	// re-seals: the leader sealed KeyUpdate frames and members applied them.
+	// re-seals: the leader sealed key boxes and members opened them.
 	if d := counterVal(t, "group_lkh_seals_total") - sealsBefore; d == 0 {
 		t.Error("no LKH seals recorded across six joins")
 	}
@@ -152,64 +154,57 @@ func TestLKHGroupEndToEnd(t *testing.T) {
 	delete(members, "frank")
 }
 
-// TestLKHResyncRepairsPath forges an unopenable KeyUpdate at one member.
-// The member must not wedge: it asks for a resync (once — the request is
-// rate-limited per epoch) and the leader answers with its complete path
-// over the reliable pipeline, after which rotations apply normally again.
-func TestLKHResyncRepairsPath(t *testing.T) {
+// TestLKHUnopenableBoxRejoins hands members a KeyBoxes whose box does not
+// open, as if their paths had diverged from the tree. A plain member ends
+// with member.ErrKeyBox; a Session's member ends the same way, and the
+// Session rejoins, gets its path as PathKeys and follows the group at the
+// current epoch.
+func TestLKHUnopenableBoxRejoins(t *testing.T) {
 	enableMetrics(t)
 	g, net := testLKHGroup(t, DefaultRekeyPolicy(), 2, "alice", "bob", "carol")
-	for _, u := range []string{"alice", "bob", "carol"} {
-		m := join(t, net, u)
-		defer m.Leave()
-		if u != "alice" {
-			continue
-		}
-		waitFor(t, "alice keyed", func() bool { return m.Epoch() > 0 })
-
-		reqsBefore := counterVal(t, "member_key_sync_reqs_total")
-		syncsBefore := counterVal(t, "group_key_syncs_total")
-
-		// Forge two updates sealed under alice's own leaf key but with a box
-		// her key cannot open — a lost-rotation stand-in. Both arrive; only
-		// one resync may result.
-		g.mu.Lock()
-		entries, ok := g.tree.Path("alice")
-		epoch := g.epoch
-		s := g.reg.get("alice")
-		g.mu.Unlock()
-		if !ok || s == nil {
-			t.Fatal("leader has no path for alice")
-		}
-		for i := 0; i < 2; i++ {
-			p := wire.KeyUpdatePayload{
-				Node:  ^uint64(0) - uint64(i), // nodes alice does not hold
-				Ver:   ^uint64(0),
-				Under: uint64(entries[0].Node),
-				Epoch: epoch,
-				Box:   make([]byte, 48),
-			}
-			env := wire.Envelope{Type: wire.TypeKeyUpdate, Sender: leaderName, Payload: p.Marshal()}
-			g.fanoutPush([]*memberConn{s}, outFrame{enc: transport.NewEncoded(env)})
-		}
-
-		waitFor(t, "resync served", func() bool {
-			return counterVal(t, "group_key_syncs_total")-syncsBefore >= 1
-		})
-		// Rate limit on both ends: one request sent, one answer served.
-		if d := counterVal(t, "member_key_sync_reqs_total") - reqsBefore; d != 1 {
-			t.Errorf("member sent %d KeySyncReq, want 1", d)
-		}
-		if d := counterVal(t, "group_key_syncs_total") - syncsBefore; d != 1 {
-			t.Errorf("leader served %d resyncs, want 1", d)
-		}
-
-		// The repaired path still tracks rotations.
-		if err := g.Rekey(); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "alice follows the next rotation", func() bool { return m.Epoch() == g.Epoch() })
+	bob := join(t, net, "bob")
+	defer bob.Leave()
+	sess, err := member.NewSession(member.SessionConfig{
+		User: "carol",
+		Endpoints: []member.Endpoint{{Leader: leaderName, LongTerm: crypto.DeriveKey("carol", leaderName, "carol-pw"),
+			Dial: func() (transport.Conn, error) { return net.Dial(leaderName) }}},
+		Backoff: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer sess.Close()
+	alice := join(t, net, "alice")
+	waitFor(t, "everyone keyed at the leader's epoch", func() bool {
+		e := g.Epoch()
+		return alice.Epoch() == e && bob.Epoch() == e && sess.Epoch() == e
+	})
+
+	// unopenable sends user a box sealed, as it claims, under its own leaf
+	// key, which it holds, but which does not open.
+	unopenable := func(user string) {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		entries, ok := g.tree.Path(user)
+		s := g.reg.get(user)
+		if !ok || s == nil {
+			t.Fatalf("leader has no path for %s", user)
+		}
+		g.sendAdminLocked(s, wire.KeyBoxes{Epoch: g.epoch, Boxes: []wire.KeyBox{
+			{Node: ^uint64(0), Ver: 1, Under: uint64(entries[0].Node), Epoch: g.epoch, Box: make([]byte, 48)}}})
+	}
+	unopenable("alice")
+	if ev := waitEvent(t, alice, "alice's end", func(e member.Event) bool { return e.Kind == member.EventClosed }); !errors.Is(ev.Err, member.ErrKeyBox) {
+		t.Fatalf("alice ended with %v, want member.ErrKeyBox", ev.Err)
+	}
+
+	rejoins := counterVal(t, "member_rejoins_total")
+	unopenable("carol")
+	waitFor(t, "carol's session to rejoin at the leader's epoch", func() bool {
+		e := g.Epoch()
+		return counterVal(t, "member_rejoins_total") > rejoins && sess.Up() && sess.Epoch() == e &&
+			bob.Epoch() == e && slices.Equal(g.Members(), []string{"bob", "carol"})
+	})
 }
 
 // TestLKHFailoverResume kills an LKH primary and promotes the standby from
@@ -408,12 +403,12 @@ func TestLKHFailoverResume(t *testing.T) {
 	})
 }
 
-// TestLKHJoinerSkippedUpdatesSealedOnce: a rotation's KeyUpdates skip its
+// TestLKHJoinerSkippedUpdatesSealedOnce: a rotation's key boxes skip its
 // joiner, which gets its whole path as PathKeys instead, so no joiner is
-// handed a KeyUpdate it has no key bag for and rejects it. And an update is
-// sealed once for its whole subtree: a manual Rekey of an 8-member binary
-// tree rotates only the root, so it costs one seal per child of the root,
-// not one per member, while every member applies one update.
+// handed a box it has no key bag for. And a box is sealed once for its
+// whole subtree: a manual Rekey of an 8-member binary tree rotates only the
+// root, so it costs one seal per child of the root, not one per member,
+// while every member opens one box.
 func TestLKHJoinerSkippedUpdatesSealedOnce(t *testing.T) {
 	withMetrics(t)
 	const n = 8
@@ -447,9 +442,9 @@ func TestLKHJoinerSkippedUpdatesSealedOnce(t *testing.T) {
 	}
 	quiesce(t, g, ms)
 	if got := mLKHSeals.Value() - seals; got != uint64(children) {
-		t.Errorf("a manual rekey sealed %d KeyUpdates, want %d (the root's children)", got, children)
+		t.Errorf("a manual rekey sealed %d key boxes, want %d (the root's children)", got, children)
 	}
 	if got := counterVal(t, "member_key_updates_total") - applied; got != n {
-		t.Errorf("members applied %d KeyUpdates, want %d (one each)", got, n)
+		t.Errorf("members opened %d key boxes, want %d (one each)", got, n)
 	}
 }

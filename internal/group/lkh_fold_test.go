@@ -11,27 +11,34 @@ import (
 	"enclaves/internal/wire"
 )
 
-// tapConn is a member-side Conn that records the KeyUpdates it delivers and
-// the KeySyncReqs it sends. While holding, it keeps the member's acks back
-// without blocking the member, so the leader sees its AdminMsg
-// unacknowledged while the member goes on reading.
+// tapConn is a member-side Conn that counts the AdminMsgs it delivers and
+// any frame of the retired LKH types 25 (KeyUpdate) and 26 (KeySyncReq)
+// that crosses it. While holding, it keeps the member's acks back without
+// blocking the member, so the leader sees its AdminMsg unacknowledged while
+// the member goes on reading.
 type tapConn struct {
 	transport.Conn
 	mu      sync.Mutex
 	holding bool
 	acks    []wire.Envelope
-	updates []wire.KeyUpdatePayload
-	syncs   int
+	admins  int
+	retired int
 }
+
+// retiredLKHType reports a frame of a retired LKH frame type.
+func retiredLKHType(e wire.Envelope) bool { return e.Type == 25 || e.Type == 26 }
 
 func (c *tapConn) Consume(push transport.Push) {
 	c.Conn.Consume(func(e wire.Envelope, ok bool) {
-		if ok && e.Type == wire.TypeKeyUpdate {
-			if p, err := wire.UnmarshalKeyUpdate(e.Payload); err == nil {
-				c.mu.Lock()
-				c.updates = append(c.updates, p)
-				c.mu.Unlock()
+		if ok {
+			c.mu.Lock()
+			if e.Type == wire.TypeAdminMsg {
+				c.admins++
 			}
+			if retiredLKHType(e) {
+				c.retired++
+			}
+			c.mu.Unlock()
 		}
 		push(e, ok)
 	})
@@ -39,8 +46,8 @@ func (c *tapConn) Consume(push transport.Push) {
 
 func (c *tapConn) Send(e wire.Envelope) error {
 	c.mu.Lock()
-	if e.Type == wire.TypeKeySyncReq {
-		c.syncs++
+	if retiredLKHType(e) {
+		c.retired++
 	}
 	if e.Type == wire.TypeAck && c.holding {
 		c.acks = append(c.acks, e)
@@ -74,21 +81,24 @@ func (c *tapConn) heldAcks() int {
 	return len(c.acks)
 }
 
-// take returns the KeyUpdates delivered since the last take.
-func (c *tapConn) take() []wire.KeyUpdatePayload {
+// take returns how many AdminMsgs were delivered since the last take.
+func (c *tapConn) take() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := c.updates
-	c.updates = nil
-	return out
+	n := c.admins
+	c.admins = 0
+	return n
 }
 
 // TestLKHUpdatesFoldBehindAck: a member with an AdminMsg unacknowledged is
-// sent no KeyUpdate while its path rotates again and again; after its ack
-// it gets exactly one per rotated node of its path, at the newest version,
-// and opens them all. A member with nothing unacknowledged gets each
-// rotation's updates as the rotation happens, acking nothing in between.
-// An eviction with updates held sends none and leaves no outbox backlog.
+// sent nothing while its path rotates again and again, and then its root
+// alone; its rotations' key bodies fold in its engine into one with one box
+// per node of its path, the newest, each after the box that seals it, and
+// after its ack that one AdminMsg brings it to the leader's key, which it
+// goes on following. A member with nothing unacknowledged gets one
+// AdminMsg per rotation. An eviction with bodies queued sends none and
+// leaves no outbox backlog, and no frame of a retired LKH type crosses any
+// connection.
 func TestLKHUpdatesFoldBehindAck(t *testing.T) {
 	withMetrics(t)
 	const n, rotations = 6, 4
@@ -130,13 +140,15 @@ func TestLKHUpdatesFoldBehindAck(t *testing.T) {
 		g.mu.Unlock()
 		waitFor(t, "the busy member to hold its ack", func() bool { return busy.heldAcks() == 1 })
 	}
-	// rotate rotates the busy member's whole path and waits for the idle
-	// member to install the new group key.
-	rotate := func() uint64 {
+	// rotate rotates the busy member's whole path, or the root alone, and
+	// waits for the idle member to install the new group key.
+	rotate := func(path bool) uint64 {
 		t.Helper()
-		g.mu.Lock()
-		g.tree.MarkDirty(bm.Name())
-		g.mu.Unlock()
+		if path {
+			g.mu.Lock()
+			g.tree.MarkDirty(bm.Name())
+			g.mu.Unlock()
+		}
 		if err := g.Rekey(); err != nil {
 			t.Fatal(err)
 		}
@@ -144,92 +156,78 @@ func TestLKHUpdatesFoldBehindAck(t *testing.T) {
 		waitFor(t, fmt.Sprintf("the idle member at epoch %d", epoch), func() bool { return im.Epoch() == epoch })
 		return epoch
 	}
-	// path is the busy member's internal nodes (leaf keys never rotate),
-	// bottom-up, with their current versions.
-	path := func() map[uint64]uint64 {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		entries, ok := g.tree.Path(bm.Name())
-		if !ok {
-			t.Fatal("the busy member has no path")
-		}
-		vers := map[uint64]uint64{}
-		for _, e := range entries[1:] {
-			vers[uint64(e.Node)] = e.Ver
-		}
-		return vers
+	// pending is the busy member's queued bodies and the boxes they carry.
+	pending := func() (int, int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.engine.PendingAdmin(), s.engine.PendingBoxes()
 	}
 
 	unacked()
 	busy.take()
 	idle.take()
-	idle.hold() // the idle member never has anything to acknowledge
-	folded, rejected := mLKHFolded.Value(), bm.Rejected()
+	folded, keys, rejected := mLKHFolded.Value(), mKeys.Value(), bm.Rejected()
 	start := bm.Epoch()
 	for r := 0; r < rotations; r++ {
-		epoch := rotate()
-		var roots []uint64
-		for _, p := range idle.take() {
-			if p.Root {
-				roots = append(roots, p.Epoch)
-			}
-		}
-		if len(roots) != 1 || roots[0] != epoch {
-			t.Fatalf("rotation %d: the idle member got root updates for epochs %v, want [%d]", r, roots, epoch)
+		rotate(r < rotations-1)
+		if got := idle.take(); got != 1 {
+			t.Fatalf("rotation %d: the idle member got %d AdminMsgs, want 1", r, got)
 		}
 	}
-	if got := idle.heldAcks(); got != 0 {
-		t.Fatalf("the idle member acknowledged %d AdminMsgs during the rotations, want 0", got)
-	}
-	if got := busy.take(); len(got) != 0 {
-		t.Fatalf("the busy member was sent %d KeyUpdates behind its unacknowledged AdminMsg, want 0", len(got))
+	if got := busy.take(); got != 0 {
+		t.Fatalf("the busy member was sent %d AdminMsgs behind its unacknowledged one, want 0", got)
 	}
 	if got := bm.Epoch(); got != start {
 		t.Fatalf("the busy member moved to epoch %d behind its unacknowledged AdminMsg, want %d", got, start)
 	}
-	vers := path()
-	if got, want := mLKHFolded.Value()-folded, uint64((rotations-1)*len(vers)); got != want {
-		t.Fatalf("%d updates folded, want %d (%d rotations of a %d-node path)", got, want, rotations, len(vers))
+	waitFor(t, "every key body in its member's engine", func() bool { return mKeys.Value()-keys == rotations*n })
+	g.mu.Lock()
+	entries, ok := g.tree.Path(bm.Name())
+	g.mu.Unlock()
+	if !ok {
+		t.Fatal("the busy member has no path")
+	}
+	nodes := len(entries) - 1 // leaf keys never rotate
+	if bodies, boxes := pending(); bodies != 1 || boxes != nodes {
+		t.Fatalf("the busy member has %d bodies with %d boxes queued, want 1 with one per node of its %d-node path", bodies, boxes, nodes)
+	}
+	if got, want := mLKHFolded.Value()-folded, uint64((rotations-2)*nodes+1); got != want {
+		t.Fatalf("%d boxes folded, want %d (%d rotations of a %d-node path, then the root's)", got, want, rotations-1, nodes)
 	}
 
 	busy.release()
 	waitFor(t, "the busy member at the leader's epoch", func() bool { return bm.Epoch() == g.Epoch() })
-	got := busy.take()
-	if len(got) != len(vers) {
-		t.Fatalf("after its ack the busy member got %d KeyUpdates, want one per node of its %d-node path", len(got), len(vers))
+	if got := busy.take(); got != 1 {
+		t.Fatalf("after its ack the busy member got %d AdminMsgs, want 1 folded", got)
 	}
-	for _, p := range got {
-		want, ok := vers[p.Node]
-		if !ok || p.Ver != want {
-			t.Fatalf("update to node %d at version %d, want one per path node at its current version %v", p.Node, p.Ver, vers)
-		}
-		delete(vers, p.Node)
-	}
-	busy.mu.Lock()
-	syncs := busy.syncs
-	busy.mu.Unlock()
-	if syncs != 0 || bm.Rejected() != rejected {
-		t.Fatalf("the busy member sent %d KeySyncReqs and rejected %d frames, want 0 and 0", syncs, bm.Rejected()-rejected)
+	// The folded body left the member the newest key of every path node: the
+	// next rotation's boxes open under them.
+	epoch := rotate(true)
+	waitFor(t, "the busy member to follow the next rotation", func() bool { return bm.Epoch() == epoch })
+	if bm.Rejected() != rejected {
+		t.Fatalf("the busy member rejected %d frames, want 0", bm.Rejected()-rejected)
 	}
 
-	// Updates held at an eviction go nowhere.
+	// Bodies queued at an eviction go nowhere.
 	unacked()
-	rotate()
-	s.mu.Lock()
-	held := len(s.held)
-	s.mu.Unlock()
-	if held == 0 {
-		t.Fatal("no update held for the busy member")
-	}
+	rotate(true)
+	waitFor(t, "a key body queued for the busy member", func() bool { _, boxes := pending(); return boxes > 0 })
 	busy.take()
-	idle.release()
 	g.mu.Lock()
 	g.evictLocked(s, "test")
 	g.mu.Unlock()
 	busy.release()
 	quiesce(t, g, ms[1:])
 	waitFor(t, "the outbox gauge back to its quiescent value", func() bool { return mOutboxDepth.Value() == gauge })
-	if got := busy.take(); len(got) != 0 {
-		t.Fatalf("the evicted member was sent %d KeyUpdates, want 0", len(got))
+	if got := busy.take(); got != 0 {
+		t.Fatalf("the evicted member was sent %d AdminMsgs, want 0", got)
+	}
+	for i, c := range taps {
+		c.mu.Lock()
+		retired := c.retired
+		c.mu.Unlock()
+		if retired != 0 {
+			t.Errorf("u%d's connection carried %d frames of the retired types 25 and 26", i, retired)
+		}
 	}
 }

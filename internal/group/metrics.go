@@ -21,23 +21,23 @@ var (
 	mResumes        = metrics.NewCounter("group_resumes_total")
 	mResumeRejected = metrics.NewCounter("group_resume_rejected_total")
 
-	// mLKHSeals counts KeyUpdate seals, one per update whatever its subtree
-	// size (the first member writer to pop it seals it for all) — the
+	// mLKHSeals counts LKH key-box seals, one per box whatever its subtree
+	// size (the first member writer to reach it seals it for all) — the
 	// quantity LKH makes logarithmic: per rotation it is ~arity·depth,
-	// versus the flat broadcast's n. mKeySyncs
-	// counts PathKeys resyncs served in answer to KeySyncReq.
+	// versus the flat broadcast's n.
 	mLKHSeals = metrics.NewCounter("group_lkh_seals_total")
-	mKeySyncs = metrics.NewCounter("group_key_syncs_total")
 
 	// mNotices counts notices (wire.MemberChanges) handed to member engines;
 	// mNoticesFolded those folded into a notice already queued there.
 	mNotices       = metrics.NewCounter("group_notices_total")
 	mNoticesFolded = metrics.NewCounter("group_notices_folded_total")
-	// mKeys and mKeysFolded count the same for flat keys (wire.NewGroupKey):
-	// a folded key is one a member skips for the newer key queued after it.
+	// mKeys and mKeysFolded count the same for key bodies (wire.NewGroupKey,
+	// and wire.KeyBoxes under LKH): a folded key is one a member skips for
+	// the newer key queued after it.
 	mKeys       = metrics.NewCounter("group_keys_total")
 	mKeysFolded = metrics.NewCounter("group_keys_folded_total")
-	// mLKHFolded counts held LKH key updates replaced by a newer one.
+	// mLKHFolded counts the LKH key boxes those folds drop, each for a newer
+	// box to the same node.
 	mLKHFolded = metrics.NewCounter("group_lkh_updates_folded_total")
 
 	mAdminSent   = metrics.NewCounter("group_admin_sent_total")

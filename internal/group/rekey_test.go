@@ -315,7 +315,7 @@ func rekeyRacingClose(t *testing.T, g *Leader) {
 }
 
 // TestRekeyRacesClose tears the leader down while it rotates, many times
-// over, flat and LKH both; under LKH the rotation queues its KeyUpdates
+// over, flat and LKH both; under LKH the rotation queues its KeyBoxes
 // under the same lock, so it must lose to Close the same way.
 func TestRekeyRacesClose(t *testing.T) {
 	for i := 0; i < 40; i++ {

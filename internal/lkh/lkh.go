@@ -33,9 +33,10 @@
 //     under the parent's NEW key, and so on up to the root — and learns
 //     only post-join keys.
 //
-// Nodes carry a version, bumped on every rotation, so updates are
-// idempotent and order-insensitive on the receiving side (last writer by
-// version wins); a member that misses updates resynchronizes out of band.
+// Nodes carry a version, bumped on every rotation and bound into each
+// delivered box's additional data, so a box is never mistaken for another
+// rotation's. Delivery order is the caller's: internal/group hands each
+// member its boxes over the in-order AdminMsg pipeline, bottom-up.
 package lkh
 
 import (

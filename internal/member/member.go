@@ -158,10 +158,9 @@ type Member struct {
 
 	// pathKeys is the LKH key bag: every node key this member holds on its
 	// leaf-to-root path, by node ID (see lkh.go). Nil until the leader
-	// delivers the first PathKeys — i.e. nil for flat-keyed groups.
-	// syncEpoch rate-limits outbound KeySyncReq to one per target epoch.
-	pathKeys  map[uint64]pathEntry
-	syncEpoch uint64
+	// delivers the first PathKeys — i.e. nil for flat-keyed groups. Only
+	// the member's frame handlers touch it, one at a time.
+	pathKeys map[uint64]crypto.Key
 
 	// lastAdminPayload/lastAck cache the most recently acknowledged
 	// AdminMsg and its ack (under mu). When the leader retransmits an
@@ -483,8 +482,6 @@ func (m *Member) handle(env wire.Envelope) {
 		// by the engine — the resumption already consumed it — but the re-ack
 		// cache seeded by attach answers it, same as a duplicate AdminMsg.
 		m.handleAdmin(env)
-	case wire.TypeKeyUpdate:
-		m.handleKeyUpdate(env)
 	case wire.TypeAppData:
 		m.handleAppData(env)
 	default:
@@ -493,7 +490,9 @@ func (m *Member) handle(env wire.Envelope) {
 }
 
 // handleAdmin feeds an AdminMsg to the engine, applies the body to the view,
-// sends the acknowledgment off m.mu, then queues the body's events.
+// sends the acknowledgment off m.mu, then queues the body's events. A
+// KeyBoxes body's boxes open off m.mu first; one that does not ends the
+// member with ErrKeyBox, unacknowledged.
 func (m *Member) handleAdmin(env wire.Envelope) {
 	m.mu.Lock()
 	if m.ended.Load() {
@@ -515,6 +514,16 @@ func (m *Member) handleAdmin(env wire.Envelope) {
 			m.conn.Send(*resend)
 		}
 		return
+	}
+	if body, ok := ev.Admin.(wire.KeyBoxes); ok {
+		m.mu.Unlock()
+		if err := m.openBoxes(body); err != nil {
+			if m.finish(err) {
+				m.conn.Close()
+			}
+			return
+		}
+		m.mu.Lock()
 	}
 	out := m.applyAdminLocked(ev, env.Payload)
 	m.mu.Unlock()
@@ -539,6 +548,16 @@ func (m *Member) applyAdminLocked(ev core.MemberEvent, payload []byte) []Event {
 		out = m.applyChangesLocked(out, body.Changes)
 		m.installGroupKeyLocked(body.Key, body.Epoch)
 		out = append(out, Event{Kind: EventRekey, Epoch: body.Epoch})
+	case wire.KeyBoxes:
+		// handleAdmin opened the boxes into the bag; the root box's key is
+		// the new group key.
+		out = m.applyChangesLocked(out, body.Changes)
+		for _, b := range body.Boxes {
+			if b.Root {
+				m.installGroupKeyLocked(m.pathKeys[b.Node], body.Epoch)
+				out = append(out, Event{Kind: EventRekey, Epoch: body.Epoch})
+			}
+		}
 	case wire.PathKeys:
 		out = append(out, m.applyPathKeysLocked(body))
 	case wire.MemberChanges:

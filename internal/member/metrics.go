@@ -21,8 +21,6 @@ var (
 	mResumed        = metrics.NewCounter("member_resumed_total")
 	mResumeFallback = metrics.NewCounter("member_resume_fallback_total")
 
-	// LKH: subtree key updates applied to the path-key bag, and KeySyncReq
-	// resyncs sent after an update that did not fit the bag.
-	mKeyUpdates  = metrics.NewCounter("member_key_updates_total")
-	mKeySyncReqs = metrics.NewCounter("member_key_sync_reqs_total")
+	// LKH: key boxes opened into the path-key bag.
+	mKeyUpdates = metrics.NewCounter("member_key_updates_total")
 )

@@ -11,7 +11,7 @@ import (
 
 // AdminBody is a group-management message body — the field X of the
 // AdminMsg exchange (Section 3.2). Concrete bodies: NewGroupKey,
-// MemberChanges, MemberList, Heartbeat, PathKeys.
+// MemberChanges, MemberList, Heartbeat, PathKeys, KeyBoxes.
 type AdminBody interface {
 	// AdminKind returns the body's wire tag.
 	AdminKind() AdminKind
@@ -32,6 +32,7 @@ const (
 	AdminPathKeys      AdminKind = 6
 	AdminMemberChanges AdminKind = 7
 	AdminNewGroupKey   AdminKind = 8
+	AdminKeyBoxes      AdminKind = 9
 )
 
 var adminKindNames = map[AdminKind]string{
@@ -40,6 +41,7 @@ var adminKindNames = map[AdminKind]string{
 	AdminHeartbeat:     "Heartbeat",
 	AdminPathKeys:      "PathKeys",
 	AdminMemberChanges: "MemberChanges",
+	AdminKeyBoxes:      "KeyBoxes",
 }
 
 func (k AdminKind) String() string {
@@ -90,9 +92,10 @@ func (c MemberChange) String() string {
 }
 
 // MemberChanges announces membership changes where no key message carries
-// them: under LKH, with the rekey policy off, and for resumptions. Receivers apply them in order. A notice is sent as one
-// change; core.LeaderSession.Send folds notices queued behind one
-// unacknowledged AdminMsg into one body of up to MaxDeltaNames.
+// them: with the rekey policy off, and for resumptions. Receivers apply
+// them in order. A notice is sent as one change; core.LeaderSession.Send
+// folds notices queued behind one unacknowledged AdminMsg into one body of
+// up to MaxDeltaNames.
 type MemberChanges struct {
 	Changes []MemberChange
 }
@@ -143,17 +146,16 @@ type PathEntry struct {
 	Key  crypto.Key
 }
 
-// MaxPathEntries bounds a PathKeys message: a sane key tree over
-// MaxReplMembers leaves is under 64 levels deep by an astronomical margin.
+// MaxPathEntries bounds a PathKeys message and a KeyBoxes body's boxes: a
+// sane key tree over MaxReplMembers leaves is under 64 levels deep by an
+// astronomical margin.
 const MaxPathEntries = 64
 
 // PathKeys hands a member its complete leaf-to-root key path of the
 // logical key hierarchy: the leaf it owns, every ancestor key up to the
 // root (whose key is the group key of Epoch), all version-stamped. It is
-// sent on join, on resume, and in answer to a KeySyncReq, and rides the
-// reliable ack-gated AdminMsg pipeline under K_a — unlike the
-// fire-and-forget KeyUpdate frames it repairs. Entries are ordered leaf
-// first, root last.
+// sent on join and on resume, and later rotations arrive as KeyBoxes.
+// Entries are ordered leaf first, root last.
 type PathKeys struct {
 	Epoch   uint64
 	Root    uint64 // node whose key is the group key
@@ -208,6 +210,8 @@ func appendAdminBody(b *crypto.Plaintext, body AdminBody) {
 			b.AppendUint64(e.Ver)
 			b.AppendKey(e.Key)
 		}
+	case KeyBoxes:
+		putKeyBoxes(b, v)
 	}
 }
 
@@ -313,6 +317,12 @@ func UnmarshalAdminBody(data []byte) (AdminBody, error) {
 		}
 		if err := p.finish(); err != nil {
 			return nil, fmt.Errorf("%w: path keys: %v", ErrBadPayload, err)
+		}
+		return out, nil
+	case AdminKeyBoxes:
+		out, err := parseKeyBoxes(&p)
+		if err != nil {
+			return nil, fmt.Errorf("%w: key boxes: %v", ErrBadPayload, err)
 		}
 		return out, nil
 	default:

@@ -9,9 +9,9 @@ import (
 // fuzzSeeds is a seed corpus covering every message type: one valid frame
 // per Type, with representative sender/receiver/payload shapes (empty names,
 // empty payloads, binary payloads, max-length names). It keeps a frame for
-// each retired type byte 9-20 too: no engine sends them, but the framing
-// carries any type byte opaquely, and the improved A1/A4 scenarios inject
-// exactly such frames.
+// each retired type byte 9-20, 25 and 26 too: no engine sends them, but the
+// framing carries any type byte opaquely, and the improved A1/A4 scenarios
+// inject exactly such frames.
 func fuzzSeeds(f *F) []Envelope {
 	f.Helper()
 	long := string(bytes.Repeat([]byte{'n'}, MaxNameLen))
@@ -40,8 +40,8 @@ func fuzzSeeds(f *F) []Envelope {
 		{Type: TypeReplDelta, Sender: "leader", Receiver: "standby", Payload: []byte{0x03, 0x00}},
 		{Type: TypeResume, Sender: "alice", Receiver: "leader", Payload: bytes.Repeat([]byte{0x5A}, 32)},
 		{Type: TypeResumeAck, Sender: "leader", Receiver: "alice"},
-		{Type: TypeKeyUpdate, Sender: "leader", Receiver: "", Payload: bytes.Repeat([]byte{0x42}, 96)},
-		{Type: TypeKeySyncReq, Sender: "alice", Receiver: "leader", Payload: []byte{0, 0, 0, 0, 0, 0, 0, 7}},
+		{Type: 25, Sender: "leader", Receiver: "", Payload: bytes.Repeat([]byte{0x42}, 96)},
+		{Type: 26, Sender: "alice", Receiver: "leader", Payload: []byte{0, 0, 0, 0, 0, 0, 0, 7}},
 	}
 	return seeds
 }
@@ -189,17 +189,18 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzKeyUpdate drives the key-carrying payload codecs and the admin-body
-// decoder with arbitrary bytes: neither UnmarshalKeyUpdate nor
-// UnmarshalAdminBody may panic or over-allocate, whatever they accept as a
-// KeyUpdate, PathKeys, NewGroupKey or MemberChanges must re-marshal
-// canonically (including the AD prefix KeyUpdate seals bind to), and no
-// accepted delta list is longer than MaxDeltaNames.
+// FuzzKeyUpdate drives the admin-body decoder, the home of the key-carrying
+// bodies, with arbitrary bytes: UnmarshalAdminBody may not panic or
+// over-allocate, whatever it accepts as a KeyBoxes, PathKeys, NewGroupKey
+// or MemberChanges must re-marshal canonically (a KeyBoxes box with the AD
+// fields its seal binds to), and no accepted delta list is longer than
+// MaxDeltaNames nor box list longer than MaxPathEntries. The name and the
+// first seeds are those of the retired KeyUpdate frame's codec.
 func FuzzKeyUpdate(f *testing.F) {
-	ku := KeyUpdatePayload{Node: 9, Ver: 3, Under: 4, Epoch: 12, Root: true, Box: bytes.Repeat([]byte{0xAB}, 60)}
-	f.Add(ku.Marshal())
-	f.Add(KeyUpdatePayload{Node: 1, Ver: 1, Under: 2, Epoch: 1}.Marshal())
-	f.Add(binary.BigEndian.AppendUint64(nil, 41)) // an older client's KeySyncReq payload, its epoch
+	box := KeyBox{Node: 9, Ver: 3, Under: 4, Epoch: 12, Root: true, Box: bytes.Repeat([]byte{0xAB}, 60)}
+	f.Add(adminBody(KeyBoxes{Epoch: 12, Boxes: []KeyBox{box}}))
+	f.Add(adminBody(KeyBoxes{Epoch: 1, Boxes: []KeyBox{{Node: 1, Ver: 1, Under: 2, Epoch: 1}}}))
+	f.Add(binary.BigEndian.AppendUint64(nil, 41)) // the epoch a retired KeySyncReq carried
 	f.Add(adminBody(PathKeys{Epoch: 7, Root: 1, Leaf: 5}))
 	f.Add(adminBody(NewGroupKey{Epoch: 8}))
 	f.Add(adminBody(NewGroupKey{Epoch: 9, Changes: []MemberChange{{Name: "carol"}}}))
@@ -210,32 +211,36 @@ func FuzzKeyUpdate(f *testing.F) {
 	f.Add(adminBody(MemberChanges{Changes: []MemberChange{{Name: "erin"}, {Name: ""}, {Name: "erin", Left: true}}}))
 	f.Add(adminBody(MemberChanges{Changes: make([]MemberChange, MaxDeltaNames+1)}))
 	f.Add(adminBody(NewGroupKey{Epoch: 11, Changes: make([]MemberChange, MaxDeltaNames+1)}))
+	f.Add(adminBody(KeyBoxes{Epoch: 13, Changes: []MemberChange{{Name: "dave", Left: true}},
+		Boxes: []KeyBox{{Node: 4, Ver: 2, Under: 9, Epoch: 13}, box}}))
+	f.Add(adminBody(KeyBoxes{Epoch: 14, Boxes: make([]KeyBox, MaxPathEntries+1)}))
+	rootFlag := adminBody(KeyBoxes{Epoch: 15, Boxes: []KeyBox{{Node: 1}}})
+	rootFlag[len(rootFlag)-5] = 2 // the box's root flag, before its empty Box
+	f.Add(rootFlag)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, err := UnmarshalKeyUpdate(data); err == nil {
-			if !bytes.Equal(p.Marshal(), data) {
-				t.Fatalf("accepted key update is not canonical: %x", data)
-			}
-			if !bytes.Equal(p.Marshal()[:len(p.AD())], p.AD()) {
-				t.Fatal("AD is not a prefix of the encoding")
+		body, err := UnmarshalAdminBody(data)
+		if err != nil {
+			return
+		}
+		switch body.(type) {
+		case KeyBoxes, PathKeys, NewGroupKey, MemberChanges:
+			if !bytes.Equal(adminBody(body), data) {
+				t.Fatalf("accepted %s is not canonical: %x", body.AdminKind(), data)
 			}
 		}
-		if body, err := UnmarshalAdminBody(data); err == nil {
-			switch body.(type) {
-			case PathKeys, NewGroupKey, MemberChanges:
-				if !bytes.Equal(adminBody(body), data) {
-					t.Fatalf("accepted %s is not canonical: %x", body.AdminKind(), data)
-				}
+		switch b := body.(type) {
+		case MemberChanges:
+			if len(b.Changes) > MaxDeltaNames {
+				t.Fatalf("accepted %d member changes", len(b.Changes))
 			}
-			switch b := body.(type) {
-			case MemberChanges:
-				if len(b.Changes) > MaxDeltaNames {
-					t.Fatalf("accepted %d member changes", len(b.Changes))
-				}
-			case NewGroupKey:
-				if len(b.Changes) > MaxDeltaNames {
-					t.Fatalf("accepted a key with %d changes", len(b.Changes))
-				}
+		case NewGroupKey:
+			if len(b.Changes) > MaxDeltaNames {
+				t.Fatalf("accepted a key with %d changes", len(b.Changes))
+			}
+		case KeyBoxes:
+			if len(b.Changes) > MaxDeltaNames || len(b.Boxes) > MaxPathEntries {
+				t.Fatalf("accepted key boxes with %d changes and %d boxes", len(b.Changes), len(b.Boxes))
 			}
 		}
 	})

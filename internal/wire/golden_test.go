@@ -80,6 +80,12 @@ func TestKeyPlaintextGolden(t *testing.T) {
 			"000000014c00000005616c6963653333333333333333333333333333333344444444444444444444444444444444000000000000000c0000003308000000000000000a000000000000000000000000000000000000000000000000000000000000000701000000052b64617665"},
 		{"KeyUpdate box", plain(BoxPlaintext(k(8))),
 			"0000000000000000000000000000000000000000000000000000000000000008"},
+		{"KeyBoxes", adminBody(KeyBoxes{Epoch: 11, Changes: []MemberChange{{Name: "bob", Left: true}}, Boxes: []KeyBox{
+			{Node: 6, Ver: 2, Under: 12, Epoch: 11, Box: []byte{0xaa, 0xaa, 0xaa, 0xaa}},
+			{Node: 1, Ver: 5, Under: 6, Epoch: 11, Root: true, Box: []byte{0xbb, 0xbb, 0xbb, 0xbb}}}}),
+			"09" + "000000000000000b" + "01" + "000000042d626f62" + "02" +
+				"0000000000000006" + "0000000000000002" + "000000000000000c" + "000000000000000b" + "00" + "00000004aaaaaaaa" +
+				"0000000000000001" + "0000000000000005" + "0000000000000006" + "000000000000000b" + "01" + "00000004bbbbbbbb"},
 		{"ReplState", plain(ReplStatePayload{Standby: "S", Primary: "P",
 			Echo: fixedNonce(0x55), Next: fixedNonce(0x66), Epoch: 3, GroupKey: k(10), AuditSeq: 40,
 			Members: []ReplMember{

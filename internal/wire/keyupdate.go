@@ -2,83 +2,114 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 
 	"enclaves/internal/crypto"
 )
 
 // This file defines the wire form of the logical-key-hierarchy (LKH)
-// rekeying layer: the KeyUpdate frame that delivers one rotated tree-node
-// key to a whole subtree with a single seal, and the PathKeys admin body
-// (admin.go) that hands a member its complete leaf-to-root path over the
-// reliable ack-gated pipeline.
+// rekeying layer: the KeyBoxes admin body that carries a rotation's keys
+// to one member, beside PathKeys (admin.go), which hands a member its whole
+// path on join and resume. Both ride the AdminMsg pipeline under K_a, so
+// they arrive authenticated, in order and exactly once (Section 5.4).
 //
-// A KeyUpdate says: "tree node Node now has key version Ver; the new key is
-// in Box, sealed under the current key of child Under". Members of Under's
-// subtree share Under's key, so one ciphertext serves them all — this is
-// what turns a membership rekey from O(n) seals into O(log n). The clear
-// routing fields (Node, Ver, Under, Epoch, Root) are bound into the AEAD
-// additional data of Box, so a relabeled or replayed box fails to open
-// under the altered routing. The leader sends a member with an AdminMsg
-// unacknowledged only the newest update per node, after the ack. Delivery
-// is fire-and-forget: a member that cannot open or has fallen behind sends
-// an empty KeySyncReq on its authenticated connection and receives a fresh
-// PathKeys admin message.
+// A KeyBox is one rotated node's new key, sealed under the current key of
+// its child Under. Under's subtree shares that key, so the leader seals
+// each box once and the same bytes ride every subtree member's AdminMsg:
+// O(log n) seals per rekey, not O(n). The clear routing fields are bound
+// into the box's AEAD additional data, so a box moved to another node,
+// version or epoch fails to open.
 
-// KeyUpdatePayload is the content of a KeyUpdate frame.
-type KeyUpdatePayload struct {
+// KeyBox is one rotated tree-node key in a KeyBoxes body.
+type KeyBox struct {
 	Node  uint64 // rotated tree node
-	Ver   uint64 // its new key version (receivers apply last-writer-wins)
+	Ver   uint64 // its new key version
 	Under uint64 // child whose current key seals Box
-	Epoch uint64 // group-key epoch this rotation establishes
+	Epoch uint64 // group-key epoch the box's rotation established
 	Root  bool   // Node is the root: Box holds the new group key
 	Box   []byte // the new node key, AEAD-sealed under Under's key
 }
 
 // AD returns the additional-data encoding of the clear routing fields,
 // which the sealer and opener both bind into Box's AEAD.
-func (p KeyUpdatePayload) AD() []byte {
-	var b builder
-	b.putUint64(p.Node)
-	b.putUint64(p.Ver)
-	b.putUint64(p.Under)
-	b.putUint64(p.Epoch)
-	b.putUint8(boolByte(p.Root))
-	return b.bytes
+func (b KeyBox) AD() []byte {
+	var out builder
+	out.putUint64(b.Node)
+	out.putUint64(b.Ver)
+	out.putUint64(b.Under)
+	out.putUint64(b.Epoch)
+	out.putUint8(boolByte(b.Root))
+	return out.bytes
 }
 
-// Marshal encodes the payload deterministically.
-func (p KeyUpdatePayload) Marshal() []byte {
-	b := builder{bytes: p.AD()}
-	b.putBytes(p.Box)
-	return b.bytes
-}
-
-// BoxPlaintext is the content of a KeyUpdate's Box: the new node key, raw.
+// BoxPlaintext is the content of a KeyBox's Box: the new node key, raw.
 func BoxPlaintext(k crypto.Key) crypto.Plaintext {
 	var b crypto.Plaintext
 	b.AppendKey(k)
 	return b
 }
 
-// UnmarshalKeyUpdate decodes a KeyUpdatePayload.
-func UnmarshalKeyUpdate(data []byte) (KeyUpdatePayload, error) {
-	p := parser{data: data}
-	out := KeyUpdatePayload{
-		Node:  p.uint64(),
-		Ver:   p.uint64(),
-		Under: p.uint64(),
-		Epoch: p.uint64(),
+// KeyBoxes delivers a rotation's keys to one member: the changes the
+// rotation answers, as in a NewGroupKey, then the rotated nodes of the
+// member's path, bottom-up, the Root box holding the group key of Epoch.
+// Each box's Under is a key the member holds or one a box before it opens.
+// core.LeaderSession.Send folds bodies queued behind one unacknowledged
+// AdminMsg: changes appended up to MaxDeltaNames, boxes newest-wins per node.
+type KeyBoxes struct {
+	Epoch   uint64
+	Changes []MemberChange
+	Boxes   []KeyBox
+}
+
+// AdminKind implements AdminBody.
+func (KeyBoxes) AdminKind() AdminKind { return AdminKeyBoxes }
+
+func (b KeyBoxes) String() string {
+	return fmt.Sprintf("KeyBoxes(epoch=%d, %v, %d boxes)", b.Epoch, b.Changes, len(b.Boxes))
+}
+
+// putKeyBoxes encodes a KeyBoxes body after its kind tag: the epoch, the
+// changes, a one-byte box count, then each box as its AD fields and Box.
+func putKeyBoxes(b *crypto.Plaintext, v KeyBoxes) {
+	b.AppendUint64(v.Epoch)
+	putChanges(b, v.Changes)
+	b.AppendUint8(uint8(len(v.Boxes)))
+	for _, k := range v.Boxes {
+		b.AppendUint64(k.Node)
+		b.AppendUint64(k.Ver)
+		b.AppendUint64(k.Under)
+		b.AppendUint64(k.Epoch)
+		b.AppendUint8(boolByte(k.Root))
+		b.AppendBytes(k.Box)
 	}
-	flag := p.uint8()
-	if p.err == nil && flag > 1 {
-		return KeyUpdatePayload{}, fmt.Errorf("%w: key update root flag %d", ErrBadPayload, flag)
+}
+
+// parseKeyBoxes decodes a KeyBoxes body after its kind tag, refusing more
+// than MaxPathEntries boxes before any is read and a root flag that is not
+// 0 or 1.
+func parseKeyBoxes(p *parser) (KeyBoxes, error) {
+	out := KeyBoxes{Epoch: p.uint64()}
+	changes, err := parseChanges(p)
+	if err != nil {
+		return KeyBoxes{}, err
 	}
-	out.Root = flag == 1
-	out.Box = p.bytes()
-	if err := p.finish(); err != nil {
-		return KeyUpdatePayload{}, fmt.Errorf("%w: key update: %v", ErrBadPayload, err)
+	out.Changes = changes
+	n := p.uint8()
+	if n > MaxPathEntries {
+		return KeyBoxes{}, fmt.Errorf("%d key boxes", n)
 	}
-	return out, nil
+	out.Boxes = slices.Grow([]KeyBox(nil), int(n)) // nil when empty
+	for ; n > 0 && p.err == nil; n-- {
+		k := KeyBox{Node: p.uint64(), Ver: p.uint64(), Under: p.uint64(), Epoch: p.uint64()}
+		if flag := p.uint8(); flag > 1 {
+			p.fail() // non-canonical root flag
+		} else {
+			k.Root = flag == 1
+		}
+		k.Box = p.bytes()
+		out.Boxes = append(out.Boxes, k)
+	}
+	return out, p.finish()
 }
 
 // MaxReplNodes bounds the replicated key tree: a tree over MaxReplMembers

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"enclaves/internal/crypto"
@@ -16,28 +18,27 @@ func testKey(t *testing.T) crypto.Key {
 	return k
 }
 
-func TestKeyUpdatePayloadRoundTrip(t *testing.T) {
-	in := KeyUpdatePayload{
-		Node:  12,
-		Ver:   7,
-		Under: 5,
-		Epoch: 33,
-		Root:  true,
-		Box:   bytes.Repeat([]byte{0xCD}, 60),
+func TestKeyBoxesRoundTrip(t *testing.T) {
+	in := KeyBoxes{
+		Epoch:   33,
+		Changes: []MemberChange{{Name: "bob", Left: true}, {Name: "carol"}},
+		Boxes: []KeyBox{
+			{Node: 5, Ver: 2, Under: 9, Epoch: 31, Box: bytes.Repeat([]byte{0xAB}, 60)},
+			{Node: 12, Ver: 7, Under: 5, Epoch: 33, Root: true, Box: bytes.Repeat([]byte{0xCD}, 60)},
+		},
 	}
-	out, err := UnmarshalKeyUpdate(in.Marshal())
+	body, err := UnmarshalAdminBody(adminBody(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Node != in.Node || out.Ver != in.Ver || out.Under != in.Under ||
-		out.Epoch != in.Epoch || out.Root != in.Root || !bytes.Equal(out.Box, in.Box) {
-		t.Fatalf("round trip changed payload: %+v != %+v", out, in)
+	if out, ok := body.(KeyBoxes); !ok || !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip changed body: %+v != %+v", body, in)
 	}
-	// The AD prefix must cover every clear routing field, so a relabeled
-	// box cannot be re-routed: different routing, different AD.
-	other := in
+	// The AD must cover every clear routing field, so a relabeled box
+	// cannot be re-routed: different routing, different AD.
+	other := in.Boxes[1]
 	other.Under = 6
-	if bytes.Equal(in.AD(), other.AD()) {
+	if bytes.Equal(in.Boxes[1].AD(), other.AD()) {
 		t.Fatal("AD does not bind the Under field")
 	}
 }
@@ -45,7 +46,7 @@ func TestKeyUpdatePayloadRoundTrip(t *testing.T) {
 func TestKeyUpdateSealOpenBindsRouting(t *testing.T) {
 	key := testKey(t)
 	newKey := testKey(t)
-	p := KeyUpdatePayload{Node: 3, Ver: 2, Under: 9, Epoch: 4}
+	p := KeyBox{Node: 3, Ver: 2, Under: 9, Epoch: 4}
 	box, err := crypto.SealPlaintext(key, BoxPlaintext(newKey), p.AD())
 	if err != nil {
 		t.Fatal(err)
@@ -55,18 +56,36 @@ func TestKeyUpdateSealOpenBindsRouting(t *testing.T) {
 		t.Fatalf("open own seal: %v", err)
 	}
 	// Tampering with any clear field must break the open.
-	for _, mutate := range []func(*KeyUpdatePayload){
-		func(q *KeyUpdatePayload) { q.Node++ },
-		func(q *KeyUpdatePayload) { q.Ver++ },
-		func(q *KeyUpdatePayload) { q.Under++ },
-		func(q *KeyUpdatePayload) { q.Epoch++ },
-		func(q *KeyUpdatePayload) { q.Root = !q.Root },
+	for _, mutate := range []func(*KeyBox){
+		func(q *KeyBox) { q.Node++ },
+		func(q *KeyBox) { q.Ver++ },
+		func(q *KeyBox) { q.Under++ },
+		func(q *KeyBox) { q.Epoch++ },
+		func(q *KeyBox) { q.Root = !q.Root },
 	} {
 		q := p
 		mutate(&q)
 		if _, err := crypto.Open(key, q.Box, q.AD()); err == nil {
 			t.Fatal("tampered routing field accepted")
 		}
+	}
+}
+
+// TestKeyBoxesRejectsMalformed: more boxes than MaxPathEntries are refused
+// before any is read, and a root flag other than 0 or 1 is refused.
+func TestKeyBoxesRejectsMalformed(t *testing.T) {
+	var b builder
+	b.putUint8(uint8(AdminKeyBoxes))
+	b.putUint64(1)
+	b.putUint8(0)
+	b.putUint8(MaxPathEntries + 1)
+	if _, err := UnmarshalAdminBody(b.bytes); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("oversized box list: err = %v", err)
+	}
+	flag := adminBody(KeyBoxes{Epoch: 1, Boxes: []KeyBox{{Node: 1}}})
+	flag[len(flag)-5] = 2
+	if _, err := UnmarshalAdminBody(flag); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("root flag 2: err = %v", err)
 	}
 }
 

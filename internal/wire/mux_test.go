@@ -175,11 +175,12 @@ func TestReadRawFrameDispatch(t *testing.T) {
 func FuzzMux(f *testing.F) {
 	// Every message type rides inside a mux frame, so mutation reaches the
 	// inner parser's edges for the whole protocol, not just app data. The
-	// retired bytes 9-20 ride too: the mux carries any type byte opaquely.
+	// retired bytes 9-20, 25 and 26 ride too: the mux carries any type byte
+	// opaquely.
 	allTypes := []Type{
 		TypeAuthInitReq, TypeAuthKeyDist, TypeAuthAckKey, TypeAdminMsg,
-		TypeAck, TypeReqClose, TypeCloseAck, TypeAppData, TypeKeySyncReq,
-		TypeKeyUpdate, TypeReplState, TypeReplDelta, TypeResume,
+		TypeAck, TypeReqClose, TypeCloseAck, TypeAppData, 26,
+		25, TypeReplState, TypeReplDelta, TypeResume,
 		TypeResumeAck,
 	}
 	for b := Type(9); b <= 20; b++ {

@@ -49,16 +49,12 @@ const (
 	TypeReplDelta
 	TypeResume
 	TypeResumeAck
-
-	// Logical key hierarchy (LKH) rekeying. KeyUpdate carries one rotated
-	// tree-node key sealed under a subtree key, fanned out encode-once to
-	// the subtree's members; KeySyncReq is a member's request for a fresh
-	// PathKeys admin message after it detects a missed update (updates are
-	// fire-and-forget, so loss is repaired by resynchronization, not
-	// retransmission).
-	TypeKeyUpdate
-	TypeKeySyncReq
 )
+
+// Types 25 and 26 carried the logical key hierarchy's fire-and-forget
+// KeyUpdate frame and the KeySyncReq that repaired a lost one. LKH keys now
+// ride the AdminMsg pipeline as the KeyBoxes body; the two bytes are
+// retired and never to be reused.
 
 var typeNames = map[Type]string{
 	TypeAuthInitReq: "AuthInitReq",
@@ -73,8 +69,6 @@ var typeNames = map[Type]string{
 	TypeReplDelta:   "ReplDelta",
 	TypeResume:      "Resume",
 	TypeResumeAck:   "ResumeAck",
-	TypeKeyUpdate:   "KeyUpdate",
-	TypeKeySyncReq:  "KeySyncReq",
 }
 
 func (t Type) String() string {

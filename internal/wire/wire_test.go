@@ -144,7 +144,7 @@ func TestReadFrameRejectsHugeLength(t *testing.T) {
 }
 
 func TestTypeString(t *testing.T) {
-	if TypeAuthInitReq.String() != "AuthInitReq" || TypeKeySyncReq.String() != "KeySyncReq" {
+	if TypeAuthInitReq.String() != "AuthInitReq" || TypeResumeAck.String() != "ResumeAck" {
 		t.Error("type names wrong")
 	}
 	if !strings.Contains(Type(200).String(), "200") {
@@ -153,7 +153,8 @@ func TestTypeString(t *testing.T) {
 }
 
 // TestTypeNumbersArePinned pins every type's byte on the wire and its name.
-// Bytes 9-20 carried the retired legacy protocol and are never reused, so
+// Bytes 9-20 carried the retired legacy protocol and bytes 25 and 26 LKH's
+// retired KeyUpdate and KeySyncReq frames; they are never reused, so
 // neither deleting a type nor adding one may renumber the rest.
 func TestTypeNumbersArePinned(t *testing.T) {
 	want := []struct {
@@ -173,8 +174,6 @@ func TestTypeNumbersArePinned(t *testing.T) {
 		{TypeReplDelta, 22, "ReplDelta"},
 		{TypeResume, 23, "Resume"},
 		{TypeResumeAck, 24, "ResumeAck"},
-		{TypeKeyUpdate, 25, "KeyUpdate"},
-		{TypeKeySyncReq, 26, "KeySyncReq"},
 	}
 	if len(typeNames) != len(want) {
 		t.Errorf("typeNames has %d entries, the table pins %d", len(typeNames), len(want))
@@ -184,7 +183,7 @@ func TestTypeNumbersArePinned(t *testing.T) {
 			t.Errorf("%s = %d, want %s = %d", w.typ, uint8(w.typ), w.name, w.b)
 		}
 	}
-	for b := 9; b <= 20; b++ {
+	for _, b := range []int{9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 25, 26} {
 		if _, ok := typeNames[Type(b)]; ok {
 			t.Errorf("retired type byte %d is reused by %s", b, Type(b))
 		}
@@ -206,6 +205,7 @@ func TestAdminKindsArePinned(t *testing.T) {
 		{PathKeys{}, 6, "PathKeys"},
 		{MemberChanges{}, 7, "MemberChanges"},
 		{NewGroupKey{}, 8, "NewGroupKey"},
+		{KeyBoxes{}, 9, "KeyBoxes"},
 	}
 	if len(adminKindNames) != len(want) {
 		t.Errorf("adminKindNames has %d entries, the table pins %d", len(adminKindNames), len(want))

@@ -5,8 +5,9 @@ package enclaves
 // The departure-triggered rekey is the scalability cliff of flat group
 // keying: every epoch the leader re-seals the new group key once per member
 // (O(n) AEAD seals), while the LKH key tree re-seals only the departed
-// member's leaf-to-root path (~arity·log_arity(n) seals, each fanned out to
-// its subtree as one pre-encoded frame). These tests and benchmarks measure
+// member's leaf-to-root path (~arity·log_arity(n) seals, each box carried
+// to its subtree in the AdminMsgs its members get for the change anyway).
+// These tests and benchmarks measure
 // exactly that seal layer — the per-epoch cryptographic work, with the
 // session transport factored out — and record the flat-vs-LKH curve up to
 // members=65536 in BENCH_scale.json.
@@ -39,11 +40,11 @@ func buildTree(tb testing.TB, n, arity int) *lkh.Tree {
 	return tree
 }
 
-// sealUpdates performs the leader's per-update work for one rotation:
-// one AEAD seal of the rotated key under the child subtree's current key
-// and one payload encode per update (internal/group's keyUpdate.encode,
-// run once per update by the first member writer to pop it).
-// It returns the seal count.
+// sealUpdates performs the leader's per-box work for one rotation: one
+// AEAD seal of the rotated key under the child subtree's current key,
+// bound to the box entry's AD (internal/group's keyBoxes.body, run once
+// per box by the first member writer to reach it). The box then rides
+// each subtree member's AdminMsg. It returns the seal count.
 func sealUpdates(tb testing.TB, epoch uint64, ups []lkh.Update) int {
 	tb.Helper()
 	for _, up := range ups {
@@ -51,19 +52,16 @@ func sealUpdates(tb testing.TB, epoch uint64, ups []lkh.Update) int {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		p := wire.KeyUpdatePayload{
+		b := wire.KeyBox{
 			Node:  uint64(up.Node),
 			Ver:   up.Ver,
 			Under: uint64(up.Under),
 			Epoch: epoch,
 			Root:  up.Root,
 		}
-		box, err := c.SealPlaintext(wire.BoxPlaintext(up.NewKey), p.AD())
-		if err != nil {
+		if b.Box, err = c.SealPlaintext(wire.BoxPlaintext(up.NewKey), b.AD()); err != nil {
 			tb.Fatal(err)
 		}
-		p.Box = box
-		_ = p.Marshal()
 	}
 	return len(ups)
 }
@@ -135,7 +133,7 @@ func flatRekey(tb testing.TB, ciphers []*crypto.Cipher, names []string, epoch ui
 }
 
 // lkhRekey is one LKH churn epoch at the seal layer: one member departs,
-// the dirty paths rotate, each update is sealed and encoded, and the member
+// the dirty paths rotate, each box is sealed, and the member
 // rejoins (so the tree size is steady across iterations — the rejoined
 // path is carried by the NEXT rotation, exactly as under real churn).
 // Returns the seal count.
@@ -195,7 +193,7 @@ func TestLKHSealCountLogarithmic(t *testing.T) {
 	t.Logf("n=%d arity=%d: departure rekey = %d seals (flat would be %d)", n, arity, len(ups1), n)
 
 	// Wall-clock comparison over departure epochs: remove + rotate + seal
-	// + encode on the LKH side vs n seal + encode on the flat side. (The
+	// on the LKH side vs n seal + encode on the flat side. (The
 	// outbox pushes that deliver either variant are O(n) pointer work
 	// common to both and excluded from both.)
 	ciphers := flatCiphers(t, n)
