@@ -59,7 +59,7 @@ type LeaderEvent struct {
 type LeaderSession struct {
 	leader   string
 	user     string
-	longTerm *crypto.Cipher // cached AEAD under P_user
+	longTerm *crypto.Cipher // AEAD under P_user, until AuthKeyDist is sealed
 
 	phase       LeaderPhase
 	sessionKey  crypto.Key
@@ -76,26 +76,28 @@ type LeaderSession struct {
 }
 
 // NewLeaderSession returns a leader-side engine for the given user,
-// authenticated by the shared long-term key P_user. The AEAD key schedules
-// for P_user (and later K_a) are built once here and cached, so per-message
-// sealing pays only the AEAD operation itself.
+// authenticated by the shared long-term key P_user. The AEAD key schedule
+// for P_user is built here and dropped once the AuthKeyDist is sealed; K_a's
+// is cached for the session, so per-message sealing pays only the AEAD
+// operation itself.
 func NewLeaderSession(leader, user string, longTerm crypto.Key) (*LeaderSession, error) {
-	if user == "" || leader == "" {
-		return nil, fmt.Errorf("core: user and leader names must be non-empty")
-	}
-	if !longTerm.Valid() {
-		return nil, fmt.Errorf("core: invalid long-term key")
-	}
-	lt, err := crypto.NewCipher(longTerm)
+	lt, err := newCipher(user, leader, longTerm, longTerm)
 	if err != nil {
 		return nil, err
 	}
-	return &LeaderSession{
-		leader:   leader,
-		user:     user,
-		longTerm: lt,
-		phase:    LeaderIdle,
-	}, nil
+	return &LeaderSession{leader: leader, user: user, longTerm: lt, phase: LeaderIdle}, nil
+}
+
+// newCipher checks an engine's names and long-term key and returns the AEAD
+// under k: P_user itself for a handshake, K_a for a resumption.
+func newCipher(user, leader string, longTerm, k crypto.Key) (*crypto.Cipher, error) {
+	if user == "" || leader == "" {
+		return nil, fmt.Errorf("core: user and leader names must be non-empty")
+	}
+	if !longTerm.Valid() || !k.Valid() {
+		return nil, fmt.Errorf("core: invalid long-term or session key")
+	}
+	return crypto.NewCipher(k)
 }
 
 // User returns the member's identity.
@@ -175,6 +177,7 @@ func (l *LeaderSession) handleInitReq(env wire.Envelope) (LeaderEvent, error) {
 
 	l.sessionKey = ka
 	l.session = session
+	l.longTerm = nil // P_user seals nothing more
 	l.myNonce = n2
 	l.phase = LeaderWaitingForKeyAck
 	return LeaderEvent{Reply: &reply}, nil

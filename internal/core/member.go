@@ -55,7 +55,7 @@ type MemberEvent struct {
 type MemberSession struct {
 	user     string
 	leader   string
-	longTerm *crypto.Cipher // cached AEAD under P_user
+	longTerm *crypto.Cipher // AEAD under P_user, until AuthKeyDist is opened
 
 	phase      MemberPhase
 	n1         crypto.Nonce // nonce of the outstanding AuthInitReq
@@ -68,24 +68,14 @@ type MemberSession struct {
 
 // NewMemberSession returns a member engine for the given user, using the
 // long-term key P_user shared with the leader (see crypto.DeriveKey). As on
-// the leader side, the AEAD key schedules are precomputed once per key.
+// the leader side, P_user's AEAD lives until the handshake uses it up and
+// K_a's is cached for the session.
 func NewMemberSession(user, leader string, longTerm crypto.Key) (*MemberSession, error) {
-	if user == "" || leader == "" {
-		return nil, fmt.Errorf("core: user and leader names must be non-empty")
-	}
-	if !longTerm.Valid() {
-		return nil, fmt.Errorf("core: invalid long-term key")
-	}
-	lt, err := crypto.NewCipher(longTerm)
+	lt, err := newCipher(user, leader, longTerm, longTerm)
 	if err != nil {
 		return nil, err
 	}
-	return &MemberSession{
-		user:     user,
-		leader:   leader,
-		longTerm: lt,
-		phase:    MemberNotConnected,
-	}, nil
+	return &MemberSession{user: user, leader: leader, longTerm: lt, phase: MemberNotConnected}, nil
 }
 
 // User returns the member's identity.
@@ -108,7 +98,7 @@ func (m *MemberSession) SessionKey() crypto.Key { return m.sessionKey }
 // Start begins the join protocol: it returns the AuthInitReq envelope
 // (message 1 of Section 3.2) and moves to WaitingForKey.
 func (m *MemberSession) Start() (wire.Envelope, error) {
-	if m.phase != MemberNotConnected {
+	if m.phase != MemberNotConnected || m.longTerm == nil {
 		return wire.Envelope{}, fmt.Errorf("%w: Start in phase %s", ErrState, m.phase)
 	}
 	n1, err := crypto.NewNonce()
@@ -180,6 +170,7 @@ func (m *MemberSession) handleKeyDist(env wire.Envelope) (MemberEvent, error) {
 
 	m.sessionKey = p.SessionKey
 	m.session = session
+	m.longTerm = nil // P_user opens nothing more
 	m.myNonce = n3
 	m.phase = MemberConnected
 	m.accepted = 0

@@ -54,25 +54,15 @@ func (l *LeaderSession) ExportState() (SessionState, bool) {
 
 // ResumeLeaderSession rebuilds a leader-side engine from replicated session
 // state, Connected and ready to verify the member's Resume. The promoted
-// standby constructs one per replicated member.
+// standby constructs one per replicated member. It never needs P_user's
+// AEAD, so it builds none; longTerm is only checked.
 func ResumeLeaderSession(leader, user string, longTerm crypto.Key, st SessionState) (*LeaderSession, error) {
-	l, err := NewLeaderSession(leader, user, longTerm)
+	session, err := newCipher(user, leader, longTerm, st.SessionKey)
 	if err != nil {
 		return nil, err
 	}
-	if !st.SessionKey.Valid() {
-		return nil, fmt.Errorf("core: resume with invalid session key")
-	}
-	session, err := crypto.NewCipher(st.SessionKey)
-	if err != nil {
-		return nil, err
-	}
-	l.sessionKey = st.SessionKey
-	l.session = session
-	l.memberNonce = st.Nonce
-	l.seq = st.Seq
-	l.phase = LeaderConnected
-	return l, nil
+	return &LeaderSession{leader: leader, user: user, phase: LeaderConnected,
+		sessionKey: st.SessionKey, session: session, memberNonce: st.Nonce, seq: st.Seq}, nil
 }
 
 // HandleResume verifies a member's Resume against the replicated session
@@ -120,22 +110,14 @@ func (m *MemberSession) ExportState() (SessionState, bool) {
 
 // ResumeMemberSession rebuilds a member engine from the session state of a
 // previous connection, ready to StartResume against a promoted standby.
+// Like the leader's, it holds no AEAD under P_user, so it cannot Start.
 func ResumeMemberSession(user, leader string, longTerm crypto.Key, st SessionState) (*MemberSession, error) {
-	m, err := NewMemberSession(user, leader, longTerm)
+	session, err := newCipher(user, leader, longTerm, st.SessionKey)
 	if err != nil {
 		return nil, err
 	}
-	if !st.SessionKey.Valid() {
-		return nil, fmt.Errorf("core: resume with invalid session key")
-	}
-	session, err := crypto.NewCipher(st.SessionKey)
-	if err != nil {
-		return nil, err
-	}
-	m.sessionKey = st.SessionKey
-	m.session = session
-	m.myNonce = st.Nonce
-	return m, nil
+	return &MemberSession{user: user, leader: leader, phase: MemberNotConnected,
+		sessionKey: st.SessionKey, session: session, myNonce: st.Nonce}, nil
 }
 
 // StartResume begins resumption: it returns the Resume envelope

@@ -221,3 +221,47 @@ func TestResumeRequiresState(t *testing.T) {
 		t.Fatalf("StartResume on fresh engine: err = %v, want ErrState", err)
 	}
 }
+
+// TestLongTermAEADOnlyForTheHandshake: an engine holds the AEAD under
+// P_user only until the handshake has used it — the leader's until it has
+// sealed the AuthKeyDist, the member's until it has opened it — and a
+// resumed engine never builds one, so a resumed member cannot Start a
+// password handshake.
+func TestLongTermAEADOnlyForTheHandshake(t *testing.T) {
+	m, l := newPair(t)
+	if m.longTerm == nil || l.longTerm == nil {
+		t.Fatal("a fresh engine has no AEAD under P_user")
+	}
+	initReq, err := m.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lev, err := l.Handle(initReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.longTerm != nil {
+		t.Error("the leader holds P_user's AEAD after sealing the AuthKeyDist")
+	}
+	if m.longTerm == nil {
+		t.Fatal("the member dropped P_user's AEAD before opening the AuthKeyDist")
+	}
+	if _, err := m.Handle(*lev.Reply); err != nil {
+		t.Fatal(err)
+	}
+	if m.longTerm != nil {
+		t.Error("the member holds P_user's AEAD after opening the AuthKeyDist")
+	}
+
+	rm, rl, _ := resumedPair(t)
+	if rm.longTerm != nil || rl.longTerm != nil {
+		t.Error("a resumed engine built an AEAD under P_user")
+	}
+	fresh, err := ResumeMemberSession(testUser, testLeader, crypto.DeriveKey(testUser, testLeader, "pw"), SessionState{SessionKey: rm.sessionKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Start(); !errors.Is(err, ErrState) {
+		t.Fatalf("Start on a resumed engine: err = %v, want ErrState", err)
+	}
+}

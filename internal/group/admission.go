@@ -216,7 +216,7 @@ func (g *Leader) admitLocked(s *memberConn, resumed bool) {
 	// On a resumption this is the first body in the fresh outbox: the engine
 	// seals it as the ResumeAck, and the rest queues behind the member's ack.
 	g.sendCurrentKeysLocked(s)
-	g.sendAdminLocked(s, wire.MemberList{Names: g.reg.names()})
+	g.sendAdminLocked(s, wire.MemberList{Names: g.reg.names()}) // a set to the member: unsorted
 }
 
 // serveReplica authenticates a standby's subscription hello and attaches it

@@ -153,10 +153,9 @@ type Leader struct {
 // slow member; a member too slow to drain the bounded outbox is evicted
 // (Config.OutboxLimit) instead of growing leader memory without bound.
 type memberConn struct {
-	user   string
-	conn   transport.Conn
-	out    *queue.Queue[outFrame]
-	frames []outFrame // drain's scratch, the connection writer's alone
+	user string
+	conn transport.Conn
+	out  *queue.Queue[outFrame]
 
 	// mu guards the protocol engine and the retransmit bookkeeping below,
 	// so AEAD sealing and ack handling contend per member instead of on
@@ -178,17 +177,15 @@ type memberConn struct {
 // fan-out frame (enc, used by the AppData relay so the envelope is encoded
 // once for all N recipients), a pre-sealed frame forwarded verbatim
 // (retransmissions, engine-drained replies), or an admin body that the
-// connection's writer seals into an AdminMsg outside the global lock — an
-// LKH KeyBoxes once the first drain to reach its shared boxes has sealed
-// them. Broadcasts under Leader.mu only enqueue, which is why the
-// lock-hold time per broadcast is O(members) queue pushes rather than
-// O(members) AEAD seals.
+// connection's writer seals into an AdminMsg outside the global lock (an
+// LKH KeyBoxes with the member's deepest box). Broadcasts under Leader.mu
+// only enqueue: O(members) queue pushes per broadcast, not O(members) AEAD
+// seals. Five words, since an outbox's array outlives its bursts.
 type outFrame struct {
-	env    wire.Envelope
-	enc    *transport.Encoded
-	body   wire.AdminBody
-	boxes  []*keyBox // a KeyBoxes body's, unsealed
-	sealed bool
+	env  *wire.Envelope
+	enc  *transport.Encoded
+	body wire.AdminBody
+	box  *keyBox
 }
 
 // pushOut enqueues one outbox frame and wakes the connection's writer,
@@ -361,7 +358,9 @@ func (g *Leader) Name() string { return g.name }
 // the registry, never Leader.mu, so monitoring cannot stall the control
 // plane.
 func (g *Leader) Members() []string {
-	return g.reg.names()
+	names := g.reg.names()
+	slices.Sort(names)
+	return names
 }
 
 // Epoch returns the current group-key epoch.
@@ -533,17 +532,23 @@ func (g *Leader) dropLocked(conn transport.Conn, s *memberConn) {
 	}
 }
 
+// framesPool lends drain its pop buffer: no member keeps one per batch.
+var framesPool = sync.Pool{New: func() any { return new([]outFrame) }}
+
 // drain is the member's transport.Pull: every queued frame, sealed on the
 // connection's writer, outside Leader.mu.
 func (g *Leader) drain(s *memberConn, buf []transport.Outgoing) []transport.Outgoing {
-	s.frames, _ = s.out.PopAll(s.frames)
-	s.drained(len(s.frames))
-	for _, f := range s.frames {
+	fp := framesPool.Get().(*[]outFrame)
+	frames, _ := s.out.PopAll(*fp)
+	s.drained(len(frames))
+	for _, f := range frames {
 		if out, ok := g.sealFrame(s, f); ok {
 			buf = append(buf, out)
 		}
 	}
-	clear(s.frames)
+	clear(frames)
+	*fp = frames
+	framesPool.Put(fp)
 	return buf
 }
 
@@ -593,7 +598,7 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 		// AdminMsg (or emitted the AuthKeyDist during the handshake).
 		// Retransmit tracking records it only once the enqueue succeeds, so
 		// a full or closed outbox leaves no phantom liveness state behind.
-		switch err := s.pushOut(outFrame{env: *ev.Reply, sealed: true}); {
+		switch err := s.pushOut(outFrame{env: ev.Reply}); {
 		case err == nil:
 			if ev.Reply.Type == wire.TypeAdminMsg {
 				s.trackLocked(*ev.Reply, now)
@@ -646,17 +651,17 @@ func (g *Leader) handleProtocol(s *memberConn, env wire.Envelope) bool {
 }
 
 // sealFrame resolves one outbox element into a wire frame. Encoded and
-// pre-sealed frames pass through; admin bodies — an LKH rotation's once
-// its shared boxes are sealed — go through the member's engine, which
-// seals an AdminMsg when the ack-gated pipeline is free and queues the
-// body internally otherwise (nothing to transmit yet), folding a notice or
-// key into one already queued.
+// pre-sealed frames pass through; admin bodies — an LKH rotation's with
+// its box chain sealed — go through the member's engine, which seals an
+// AdminMsg when the ack-gated pipeline is free and queues the body
+// internally otherwise (nothing to transmit yet), folding a notice or key
+// into one already queued. The clock is read only for a body that goes out.
 func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool) {
 	switch {
 	case f.enc != nil:
 		return transport.Outgoing{Enc: f.enc}, true
-	case f.sealed:
-		return transport.Outgoing{Env: f.env}, true
+	case f.env != nil:
+		return transport.Outgoing{Env: *f.env}, true
 	}
 	// A membership change holds mu for its whole fan-out and this read side
 	// waits one out, so nobody holds a rotation's key, and multicasts under
@@ -668,13 +673,18 @@ func (g *Leader) sealFrame(s *memberConn, f outFrame) (transport.Outgoing, bool)
 	if closed {
 		return transport.Outgoing{}, false
 	}
-	if f.boxes != nil {
-		f.body = g.sealBoxes(f.body.(wire.KeyBoxes), f.boxes)
+	boxes := 0
+	if f.box != nil {
+		kb := g.sealChain(f.body.(wire.KeyBoxes), f.box)
+		f.body, boxes = kb, len(kb.Boxes)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := time.Now()
-	queued, boxes := s.engine.PendingAdmin(), s.engine.PendingBoxes()+len(f.boxes)
+	var start time.Time
+	if s.engine.Phase() == core.LeaderConnected { // Send emits
+		start = time.Now()
+	}
+	queued, boxes := s.engine.PendingAdmin(), s.engine.PendingBoxes()+boxes
 	env, err := s.engine.Send(f.body)
 	if err != nil {
 		g.logf("group: admin to %s: %v", s.user, err)
@@ -755,7 +765,7 @@ func (g *Leader) broadcastLocked(skip string, frame func(*memberConn) outFrame) 
 	g.bcastBuf = g.reg.appendAll(g.bcastBuf[:0], skip)
 	var overflowed []*memberConn
 	for _, s := range g.bcastBuf {
-		if g.pushFrameTo(s, frame(s)) {
+		if g.pushFrameTo(s, frame(s), start) {
 			overflowed = append(overflowed, s)
 		}
 	}
@@ -770,22 +780,22 @@ func (g *Leader) broadcastLocked(skip string, frame func(*memberConn) outFrame) 
 // connection's writer to seal; a full outbox evicts per the slow-consumer
 // policy (bounded memory beats unbounded hope).
 func (g *Leader) sendAdminLocked(s *memberConn, body wire.AdminBody) {
-	if g.pushFrameTo(s, outFrame{body: body}) {
+	if g.pushFrameTo(s, outFrame{body: body}, time.Now()) {
 		g.evictLocked(s, "outbox overflow (slow consumer)")
 	}
 }
 
 // pushFrameTo enqueues one frame on a member's outbox and reports overflow
 // (true) so the caller can route the eviction through the group lock.
-// Heartbeat pacing advances only when an admin-body enqueue succeeds, and a
-// closed outbox (member tearing down) is not an error worth surfacing. It
-// touches only the outbox and the member's own lock, never Leader.mu.
-func (g *Leader) pushFrameTo(s *memberConn, f outFrame) bool {
+// Heartbeat pacing advances to now only when an admin-body enqueue succeeds,
+// and a closed outbox (member tearing down) is not an error worth surfacing.
+// It touches only the outbox and the member's own lock, never Leader.mu.
+func (g *Leader) pushFrameTo(s *memberConn, f outFrame, now time.Time) bool {
 	switch err := s.pushOut(f); {
 	case err == nil:
 		if f.body != nil {
 			s.mu.Lock()
-			s.lastAdmin = time.Now()
+			s.lastAdmin = now
 			s.mu.Unlock()
 		}
 		return false
@@ -824,7 +834,7 @@ func (g *Leader) relay(from *memberConn, env wire.Envelope) {
 	enc := transport.NewEncoded(env)
 	var overflowed []*memberConn
 	for _, s := range targets {
-		if g.pushFrameTo(s, outFrame{enc: enc}) {
+		if g.pushFrameTo(s, outFrame{enc: enc}, time.Time{}) {
 			overflowed = append(overflowed, s)
 		}
 	}

@@ -106,8 +106,10 @@ func (g *Leader) livenessTick(now time.Time) {
 				// the member is re-acked by its nonce cache without state
 				// change, so retransmission is always safe. The pacing stamp
 				// advances only when the enqueue succeeds — a full outbox
-				// retries next tick until the ack deadline decides.
-				switch err := s.pushOut(outFrame{env: s.unacked[0].env, sealed: true}); {
+				// retries next tick until the ack deadline decides. The
+				// frame points at a copy: an ack zeroes the FIFO slot.
+				env := s.unacked[0].env
+				switch err := s.pushOut(outFrame{env: &env}); {
 				case err == nil:
 					s.unacked[0].resentAt = now
 					mRetransmits.Inc()

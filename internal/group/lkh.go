@@ -8,19 +8,21 @@ package group
 //
 // Mutations and rotations are computed under Leader.mu (no crypto), and
 // rekeyLocked gives each member, before the lock is released, one KeyBoxes
-// on its outbox: the change the rotation answers and the member's rotated
-// path nodes, bottom-up, each a keyBox shared by its child subtree. The
-// first drain to reach a box seals it for the whole subtree, off the lock
-// and after the sealFrame wait; the body then rides the AdminMsg pipeline
-// like a flat NewGroupKey, and folds like one behind an unacknowledged
-// AdminMsg. A rotation's joiner is skipped: sendCurrentKeysLocked gives it
-// the whole path.
+// on its outbox: the change the rotation answers and the member's deepest
+// rotated box, linked to the box above it. The first drain to reach a box
+// seals it and builds its chain to the root off the lock, after the
+// sealFrame wait: box lists are built once per subtree, not only sealed
+// once. The body then rides the AdminMsg pipeline like a flat NewGroupKey,
+// and folds like one (into a new array) behind an unacknowledged AdminMsg.
+// A rotation's joiner is skipped (its boxes are never sealed):
+// sendCurrentKeysLocked gives it the whole path.
 //
 // The pipeline delivers in order and exactly once, so a member holds the
 // key each box is sealed under; one that fails to open ends the member with
 // member.ErrKeyBox, and a member.Session rejoins and gets its path.
 
 import (
+	"slices"
 	"sync"
 
 	"enclaves/internal/crypto"
@@ -43,53 +45,60 @@ func fromReplNode(n wire.ReplLKHNode) lkh.Record {
 }
 
 // keyBox is one rotated node key on its way to a child subtree: the box
-// entry, its Box empty until sealed, and the two keys that make the box.
-// The same *keyBox rides the outFrame of every member of the subtree.
+// entry, its Box empty until sealed, the two keys that make the box, the
+// box to its node's parent (nil at the root), and, once sealed, its chain.
 type keyBox struct {
 	b               wire.KeyBox
 	newKey, sealKey crypto.Key
+	up              *keyBox
 	once            sync.Once
+	chain           []wire.KeyBox
 }
 
 // queueKeyBoxesLocked gives every member but skip its KeyBoxes for one
 // rotation, carrying changes. Caller holds g.mu, so when the rotation
 // returns every member's copy is queued, ahead of anything a member can
-// seal under the new keys. A box whose only target is skip is never
-// sealed.
+// seal under the new keys. Read top-down, ups give a box's parent before
+// the box and a member's deeper box after its shallower one.
 func (g *Leader) queueKeyBoxesLocked(ups []lkh.Update, changes []wire.MemberChange, skip string) {
-	paths := make(map[string][]*keyBox)
-	for _, up := range ups {
-		kb := &keyBox{newKey: up.NewKey, sealKey: up.SealKey, b: wire.KeyBox{
+	above := make(map[lkh.NodeID]*keyBox, len(ups)) // by Under
+	deepest := make(map[string]*keyBox, g.reg.size())
+	for _, up := range slices.Backward(ups) {
+		kb := &keyBox{newKey: up.NewKey, sealKey: up.SealKey, up: above[up.Node], b: wire.KeyBox{
 			Node: uint64(up.Node), Ver: up.Ver, Under: uint64(up.Under), Epoch: g.epoch, Root: up.Root,
 		}}
+		above[up.Under] = kb
 		for _, user := range up.Members {
-			paths[user] = append(paths[user], kb)
+			deepest[user] = kb
 		}
 	}
-	body := wire.KeyBoxes{Epoch: g.epoch, Changes: changes}
-	g.broadcastLocked(skip, func(s *memberConn) outFrame { return outFrame{body: body, boxes: paths[s.user]} })
+	var body wire.AdminBody = wire.KeyBoxes{Epoch: g.epoch, Changes: changes}
+	g.broadcastLocked(skip, func(s *memberConn) outFrame { return outFrame{body: body, box: deepest[s.user]} })
 }
 
-// sealBoxes returns body with boxes, each sealed on its first call — one
-// AEAD seal of the new node key under the child subtree's key per box
-// whatever the subtree's size, which is the O(log n). A box that fails to
-// seal travels empty and fails to open at the member. Callers hold no lock.
-func (g *Leader) sealBoxes(body wire.KeyBoxes, boxes []*keyBox) wire.KeyBoxes {
-	body.Boxes = make([]wire.KeyBox, len(boxes))
-	for i, k := range boxes {
-		k.once.Do(func() {
-			c, err := crypto.NewCipher(k.sealKey)
-			if err == nil {
-				k.b.Box, err = c.SealPlaintext(wire.BoxPlaintext(k.newKey), k.b.AD())
-			}
-			if err != nil {
-				g.logf("group: key box seal: %v", err)
-				return
-			}
+// sealChain returns body with k's chain as its Boxes, built on the first
+// call: k's box sealed — the new node key under the child subtree's key,
+// once whatever the subtree's size, which is the O(log n) — then the chain
+// above it, one array for every member below k. A box that fails to seal
+// travels empty and fails to open at the member. Callers hold no lock.
+func (g *Leader) sealChain(body wire.KeyBoxes, k *keyBox) wire.KeyBoxes {
+	k.once.Do(func() {
+		var up []wire.KeyBox
+		if k.up != nil {
+			up = g.sealChain(body, k.up).Boxes
+		}
+		c, err := crypto.NewCipher(k.sealKey)
+		if err == nil {
+			k.b.Box, err = c.SealPlaintext(wire.BoxPlaintext(k.newKey), k.b.AD())
+		}
+		if err != nil {
+			g.logf("group: key box seal: %v", err)
+		} else {
 			mLKHSeals.Inc()
-		})
-		body.Boxes[i] = k.b
-	}
+		}
+		k.chain = append(append(make([]wire.KeyBox, 0, 1+len(up)), k.b), up...)
+	})
+	body.Boxes = k.chain
 	return body
 }
 

@@ -1,7 +1,6 @@
 package group
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -82,16 +81,15 @@ func (r *registry) remove(s *memberConn) bool {
 // size returns the live member count.
 func (r *registry) size() int { return int(r.n.Load()) }
 
-// names returns the membership in sorted order: exact whenever the caller
-// holds Leader.mu (no mutation can interleave the walk), and a consistent
-// monitoring view otherwise.
+// names returns the membership in registry order, unsorted: exact whenever
+// the caller holds Leader.mu (no mutation can interleave the walk), and a
+// consistent monitoring view otherwise.
 func (r *registry) names() []string {
 	out := make([]string, 0, r.size())
 	r.m.Range(func(u, _ any) bool {
 		out = append(out, u.(string))
 		return true
 	})
-	sort.Strings(out)
 	return out
 }
 

@@ -166,7 +166,7 @@ func TestLockedLeaderStallsNoOtherFrames(t *testing.T) {
 	if err != nil || hb == nil {
 		t.Fatalf("heartbeat to alice: %v, %v", hb, err)
 	}
-	if err := s.pushOut(outFrame{env: *hb, sealed: true}); err != nil {
+	if err := s.pushOut(outFrame{env: hb}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "alice's ack handled while A's Leader.mu is held", func() bool { return unacked() == 0 })

@@ -42,9 +42,9 @@ func buildTree(tb testing.TB, n, arity int) *lkh.Tree {
 
 // sealUpdates performs the leader's per-box work for one rotation: one
 // AEAD seal of the rotated key under the child subtree's current key,
-// bound to the box entry's AD (internal/group's keyBoxes.body, run once
-// per box by the first member writer to reach it). The box then rides
-// each subtree member's AdminMsg. It returns the seal count.
+// bound to the box entry's AD (internal/group's sealChain, run once per
+// box by the first member writer to reach it). The box then rides each
+// subtree member's AdminMsg. It returns the seal count.
 func sealUpdates(tb testing.TB, epoch uint64, ups []lkh.Update) int {
 	tb.Helper()
 	for _, up := range ups {
