@@ -28,8 +28,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"enclaves/internal/analyzers"
@@ -225,11 +227,17 @@ func writeSARIF(path string, diags []analyzers.Diagnostic, cwd string) error {
 }
 
 // writeBench renders the wall-time profile CI archives next to the runtime
-// benchmark snapshots.
+// benchmark snapshots, stamped like them with go version, GOMAXPROCS and
+// the commit checked out.
 func writeBench(path string, timings []analyzers.Timing, packages, findings int, loadMS, checkMS float64) error {
+	commit := "unknown"
+	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
 	out := struct {
 		Go         string             `json:"go"`
 		GOMAXPROCS int                `json:"gomaxprocs"`
+		Commit     string             `json:"commit"`
 		Packages   int                `json:"packages"`
 		Findings   int                `json:"findings"`
 		LoadMS     float64            `json:"load_ms"`
@@ -239,6 +247,7 @@ func writeBench(path string, timings []analyzers.Timing, packages, findings int,
 	}{
 		Go:         runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Commit:     commit,
 		Packages:   packages,
 		Findings:   findings,
 		LoadMS:     loadMS,

@@ -16,9 +16,6 @@ import (
 // CI runs exactly this — including the SARIF and bench artifacts the CI job
 // archives.
 func TestRunCleanTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source")
-	}
 	sarifPath := filepath.Join(t.TempDir(), "lint.sarif")
 	findingsPath := filepath.Join(t.TempDir(), "lint-findings.json")
 	benchPath := filepath.Join(t.TempDir(), "BENCH_lint.json")

@@ -20,8 +20,9 @@
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf, testdata corpora with // want comments) but is
 // built entirely on the standard library: the module is intentionally
-// dependency-free, so loading and type-checking go through go/parser,
-// go/types and go/importer's source importer instead of go/packages.
+// dependency-free, so loading goes through one `go list -export` call and
+// type-checking through go/parser, go/types and go/importer's gc export
+// data reader instead of go/packages.
 package analyzers
 
 import (

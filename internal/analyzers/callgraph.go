@@ -19,9 +19,9 @@ import (
 // A FuncID names a declared function or method uniquely across the module:
 // "pkg/path.Name" for package functions, "pkg/path.(Recv).Name" for methods
 // (pointerness of the receiver is erased — a method set has one body either
-// way). IDs are strings, never *types.Func pointers: the source importer
-// type-checks its own copies of imported packages, so object identity does
-// not survive unit boundaries but path+name identity does.
+// way). IDs are strings, never *types.Func pointers: every unit imports its
+// own copies of the packages it depends on, so object identity does not
+// survive unit boundaries but path+name identity does.
 type FuncID string
 
 // funcID derives the module-wide ID for f, or "" when f is nil or has no

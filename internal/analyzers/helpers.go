@@ -7,8 +7,9 @@ import (
 )
 
 // Import paths the analyzers key on. Cross-unit identity is by path+name
-// string, never types.Object pointer equality: the source importer caches
-// its own package instances, distinct from the objects of units loaded here.
+// string, never types.Object pointer equality: each unit's importer builds
+// its own package instances from export data, distinct from the objects of
+// units loaded here.
 const (
 	cryptoPath    = "enclaves/internal/crypto"
 	transportPath = "enclaves/internal/transport"

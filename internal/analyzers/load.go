@@ -1,18 +1,21 @@
 package analyzers
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // A Unit is one type-checked package variant: either a package's primary
@@ -42,155 +45,124 @@ type Unit struct {
 // package, whose files are all test files).
 func (u *Unit) IsTest(f *ast.File) bool { return u.test[f] }
 
-// The source importer re-type-checks every imported package from source, so
-// one shared instance (and its package cache) is reused across all loads in
-// the process. The importer requires positions in the same FileSet it hands
-// out, so the FileSet is shared too.
-var (
-	sharedFset *token.FileSet
-	sharedImp  types.Importer
-	importOnce sync.Once
-)
-
-func sharedContext() (*token.FileSet, types.Importer) {
-	importOnce.Do(func() {
-		sharedFset = token.NewFileSet()
-		sharedImp = importer.ForCompiler(sharedFset, "source", nil)
-	})
-	return sharedFset, sharedImp
+// listed is the part of one `go list -json` record the loader reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	Name       string
+	Export     string
+	GoFiles    []string
+	ImportMap  map[string]string
+	ForTest    string
+	Match      []string
 }
 
-// Load expands command-line patterns ("./...", "./internal/wire") relative
-// to the current directory and loads every matched package directory.
+// Load loads every package the patterns ("./...", "./internal/wire") match,
+// expanded by the go tool from the current directory.
 func Load(patterns []string) ([]*Unit, error) {
-	cwd, err := os.Getwd()
+	return load("", "", patterns)
+}
+
+// LoadDir loads the one package in dir under importPath, which overrides
+// the go tool's path for it: the corpora under testdata are loaded under
+// the scoped paths the analyzers gate on.
+func LoadDir(dir, importPath string) ([]*Unit, error) {
+	return load(dir, importPath, []string{"."})
+}
+
+// load makes one `go list -deps -export -test -json` call in dir ("" for
+// the current directory). The go tool expands the patterns, applies build
+// constraints and compiles every dependency to export data; each matched
+// package is then type-checked from source against that export data. A
+// package yields up to two units: its primary unit (non-test files plus
+// in-package _test.go files, the go tool's "p [p.test]" variant) and its
+// external X_test package. A package that does not compile fails the go
+// list call, and its stderr is the error.
+func load(dir, importPath string, patterns []string) ([]*Unit, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-test", "-json"}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
-	}
-	root, modPath, err := findModule(cwd)
-	if err != nil {
-		return nil, err
-	}
-	var dirs []string
-	seen := map[string]bool{}
-	for _, pat := range patterns {
-		var matched []string
-		switch {
-		case pat == "..." || strings.HasSuffix(pat, "/..."):
-			base := strings.TrimSuffix(strings.TrimSuffix(pat, "..."), "/")
-			if base == "" {
-				base = "."
-			}
-			matched, err = goDirs(filepath.Join(cwd, base))
-			if err != nil {
-				return nil, err
-			}
-		default:
-			matched = []string{filepath.Join(cwd, pat)}
+		if msg := strings.TrimSpace(stderr.String()); msg != "" {
+			return nil, errors.New(msg)
 		}
-		for _, d := range matched {
-			abs, err := filepath.Abs(d)
-			if err != nil {
-				return nil, err
-			}
-			if !seen[abs] {
-				seen[abs] = true
-				dirs = append(dirs, abs)
-			}
+		return nil, fmt.Errorf("go list: %v", err)
+	}
+	byPath := map[string]*listed{}
+	var roots []*listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listed)
+		if err := dec.Decode(p); err != nil {
+			return nil, fmt.Errorf("go list: %v", err)
+		}
+		byPath[p.ImportPath] = p
+		if len(p.Match) > 0 && p.ForTest == "" {
+			roots = append(roots, p)
 		}
 	}
-	sort.Strings(dirs)
+	slices.SortFunc(roots, func(a, b *listed) int { return strings.Compare(a.Dir, b.Dir) })
+	fset := token.NewFileSet()
 	var units []*Unit
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			return nil, fmt.Errorf("%s is outside module %s", dir, modPath)
+	for _, r := range roots {
+		path := r.ImportPath
+		if importPath != "" {
+			path = importPath
 		}
-		path := modPath
-		if rel != "." {
-			path = modPath + "/" + filepath.ToSlash(rel)
+		primary := byPath[r.ImportPath+" ["+r.ImportPath+".test]"]
+		if primary == nil {
+			primary = r
 		}
-		us, err := LoadDir(dir, path)
-		if err != nil {
-			return nil, err
+		for _, v := range []*listed{primary, byPath[r.ImportPath+"_test ["+r.ImportPath+".test]"]} {
+			if v == nil || len(v.GoFiles) == 0 {
+				continue
+			}
+			u, err := parseUnit(fset, v, path)
+			if err != nil {
+				return nil, err
+			}
+			if err := typecheck(u, importer.ForCompiler(fset, "gc", exportLookup(v, byPath))); err != nil {
+				return nil, err
+			}
+			units = append(units, u)
 		}
-		units = append(units, us...)
 	}
 	return units, nil
 }
 
-// LoadDir parses and type-checks the package(s) in one directory. It returns
-// up to two units: the primary package and, when present, its external
-// X_test package. Directories with no Go files yield no units.
-func LoadDir(dir, importPath string) ([]*Unit, error) {
-	fset, imp := sharedContext()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	type parsed struct {
-		file *ast.File
-		test bool
-	}
-	byPkg := map[string][]parsed{}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		// Honor build constraints for the default context: files excluded by
-		// //go:build lines or GOOS/GOARCH filename suffixes (a !race stub and
-		// its race twin, say) must not be type-checked into one unit.
-		match, err := build.Default.MatchFile(dir, e.Name())
+// parseUnit parses the files of one listed package variant.
+func parseUnit(fset *token.FileSet, v *listed, path string) (*Unit, error) {
+	u := &Unit{Path: path, Dir: v.Dir, Name: v.Name, Fset: fset, test: map[*ast.File]bool{}}
+	for _, name := range slices.Sorted(slices.Values(v.GoFiles)) {
+		f, err := parser.ParseFile(fset, filepath.Join(v.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		if !match {
-			continue
+		u.Files = append(u.Files, f)
+		if strings.HasSuffix(name, "_test.go") {
+			u.test[f] = true
 		}
-		names = append(names, e.Name())
+		dirs, bad := parseIgnores(fset, f)
+		u.ignores = append(u.ignores, dirs...)
+		u.badIgnores = append(u.badIgnores, bad...)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		full := filepath.Join(dir, name)
-		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
+	return u, nil
+}
+
+// exportLookup opens the export data v's imports were compiled against.
+// An X_test package's ImportMap sends the package under test (and anything
+// importing it) to its test variant.
+func exportLookup(v *listed, byPath map[string]*listed) func(string) (io.ReadCloser, error) {
+	return func(path string) (io.ReadCloser, error) {
+		if id, ok := v.ImportMap[path]; ok {
+			path = id
 		}
-		pkg := f.Name.Name
-		byPkg[pkg] = append(byPkg[pkg], parsed{file: f, test: strings.HasSuffix(name, "_test.go")})
+		if p := byPath[path]; p != nil && p.Export != "" {
+			return os.Open(p.Export)
+		}
+		return nil, fmt.Errorf("no export data for %s", path)
 	}
-	var pkgNames []string
-	for n := range byPkg {
-		pkgNames = append(pkgNames, n)
-	}
-	sort.Strings(pkgNames)
-	var units []*Unit
-	for _, pkgName := range pkgNames {
-		group := byPkg[pkgName]
-		u := &Unit{
-			Path: importPath,
-			Dir:  dir,
-			Name: pkgName,
-			Fset: fset,
-			test: map[*ast.File]bool{},
-		}
-		external := strings.HasSuffix(pkgName, "_test")
-		for _, p := range group {
-			u.Files = append(u.Files, p.file)
-			if p.test || external {
-				u.test[p.file] = true
-			}
-			dirs, bad := parseIgnores(fset, p.file)
-			u.ignores = append(u.ignores, dirs...)
-			u.badIgnores = append(u.badIgnores, bad...)
-		}
-		if err := typecheck(u, imp); err != nil {
-			return nil, err
-		}
-		units = append(units, u)
-	}
-	return units, nil
 }
 
 func typecheck(u *Unit, imp types.Importer) error {
@@ -224,59 +196,4 @@ func typecheck(u *Unit, imp types.Importer) error {
 	}
 	u.Pkg = pkg
 	return nil
-}
-
-// goDirs walks root collecting directories that contain at least one .go
-// file, skipping testdata, vendor, and dot directories.
-func goDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(d.Name(), ".go") {
-			dirs = append(dirs, filepath.Dir(path))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	out := dirs[:0]
-	for i, d := range dirs {
-		if i == 0 || dirs[i-1] != d {
-			out = append(out, d)
-		}
-	}
-	return out, nil
-}
-
-// findModule locates the enclosing go.mod and returns the module root
-// directory and module path.
-func findModule(dir string) (root, path string, err error) {
-	for d := dir; ; {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("%s/go.mod has no module directive", d)
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		d = parent
-	}
 }

@@ -98,8 +98,8 @@ type nonceEngine struct {
 }
 
 // scanFreshAnnotations indexes //enclavelint:fresh field annotations across
-// every unit (string-keyed, so the index survives the source importer's
-// duplicated type objects).
+// every unit (string-keyed, so the index survives the importers' duplicated
+// type objects).
 func (e *nonceEngine) scanFreshAnnotations() {
 	for _, u := range e.Module.Units {
 		for _, f := range u.Files {

@@ -11,9 +11,6 @@ import (
 // here means either a real invariant regression or an exemption that lost
 // its justification.
 func TestTreeIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source")
-	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)

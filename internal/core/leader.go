@@ -368,6 +368,9 @@ func (l *LeaderSession) maybeSendNext(ev *LeaderEvent) error {
 	body := l.pending[0]
 	l.pending[0] = nil // the backing array outlives the pop
 	l.pending = l.pending[1:]
+	if len(l.pending) == 0 {
+		l.pending = nil // an idle session keeps no array
+	}
 	env, err := l.emitAdmin(body)
 	if err != nil {
 		return err

@@ -239,6 +239,9 @@ func (s *memberConn) ackLocked(seq uint64, now time.Time) {
 		s.unacked[0] = unackedAdmin{}
 		s.unacked = s.unacked[1:]
 	}
+	if len(s.unacked) == 0 {
+		s.unacked = nil // an idle session keeps no array
+	}
 }
 
 // NewLeader creates a leader with the given configuration and generates the

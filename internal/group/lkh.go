@@ -59,21 +59,25 @@ type keyBox struct {
 // rotation, carrying changes. Caller holds g.mu, so when the rotation
 // returns every member's copy is queued, ahead of anything a member can
 // seal under the new keys. Read top-down, ups give a box's parent before
-// the box and a member's deeper box after its shallower one.
+// the box. A member's box is the deepest one on its leaf-to-root path: the
+// first its walk up the tree meets.
 func (g *Leader) queueKeyBoxesLocked(ups []lkh.Update, changes []wire.MemberChange, skip string) {
-	above := make(map[lkh.NodeID]*keyBox, len(ups)) // by Under
-	deepest := make(map[string]*keyBox, g.reg.size())
+	under := make(map[lkh.NodeID]*keyBox, len(ups))
 	for _, up := range slices.Backward(ups) {
-		kb := &keyBox{newKey: up.NewKey, sealKey: up.SealKey, up: above[up.Node], b: wire.KeyBox{
+		under[up.Under] = &keyBox{newKey: up.NewKey, sealKey: up.SealKey, up: under[up.Node], b: wire.KeyBox{
 			Node: uint64(up.Node), Ver: up.Ver, Under: uint64(up.Under), Epoch: g.epoch, Root: up.Root,
 		}}
-		above[up.Under] = kb
-		for _, user := range up.Members {
-			deepest[user] = kb
-		}
 	}
 	var body wire.AdminBody = wire.KeyBoxes{Epoch: g.epoch, Changes: changes}
-	g.broadcastLocked(skip, func(s *memberConn) outFrame { return outFrame{body: body, box: deepest[s.user]} })
+	g.broadcastLocked(skip, func(s *memberConn) outFrame {
+		f := outFrame{body: body}
+		for id := range g.tree.PathIDs(s.user) {
+			if f.box = under[id]; f.box != nil {
+				break
+			}
+		}
+		return f
+	})
 }
 
 // sealChain returns body with k's chain as its Boxes, built on the first

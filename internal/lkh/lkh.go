@@ -42,6 +42,7 @@ package lkh
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 
 	"enclaves/internal/crypto"
@@ -57,16 +58,16 @@ type NodeID uint64
 const DefaultArity = 4
 
 // Update describes one rotated key for delivery: node Node now has NewKey
-// (version Ver), and the ciphertext for the members below child Under must
-// be sealed under SealKey (Under's current key). Root marks the rotation
-// of the root — its NewKey is the new group key.
+// (version Ver), and the ciphertext for the members below child Under —
+// those with Under on their PathIDs — must be sealed under SealKey (Under's
+// current key). Root marks the rotation of the root — its NewKey is the new
+// group key.
 type Update struct {
 	Node    NodeID
 	Ver     uint64
 	NewKey  crypto.Key
 	Under   NodeID
 	SealKey crypto.Key
-	Members []string
 	Root    bool
 }
 
@@ -353,7 +354,6 @@ func (t *Tree) RotateDirty() ([]Update, error) {
 				NewKey:  n.key,
 				Under:   c.id,
 				SealKey: c.key,
-				Members: membersOf(c),
 				Root:    n == t.root,
 			})
 		}
@@ -373,25 +373,6 @@ func depth(n *node) int {
 	return d
 }
 
-func membersOf(n *node) []string {
-	if n.user != "" {
-		return []string{n.user}
-	}
-	out := make([]string, 0, n.size)
-	var walk func(*node)
-	walk = func(x *node) {
-		if x.user != "" {
-			out = append(out, x.user)
-			return
-		}
-		for _, c := range x.children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return out
-}
-
 // Path returns user's leaf-to-root path entries (leaf first, root last).
 func (t *Tree) Path(user string) ([]Entry, bool) {
 	leaf, ok := t.leaves[user]
@@ -403,6 +384,16 @@ func (t *Tree) Path(user string) ([]Entry, bool) {
 		out = append(out, Entry{Node: n.id, Ver: n.ver, Key: n.key})
 	}
 	return out, true
+}
+
+// PathIDs yields the node IDs of user's leaf-to-root path, leaf first:
+// Path without the keys or an allocation. It yields nothing for a user not
+// in the tree.
+func (t *Tree) PathIDs(user string) iter.Seq[NodeID] {
+	return func(yield func(NodeID) bool) {
+		for n := t.leaves[user]; n != nil && yield(n.id); n = n.parent {
+		}
+	}
 }
 
 // Leaf returns the ID and key of user's leaf.

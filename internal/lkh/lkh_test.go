@@ -206,11 +206,20 @@ func TestRotationCostLogarithmic(t *testing.T) {
 		t.Fatalf("suspiciously few updates: %d", len(ups))
 	}
 
-	// Recipient count: ~every member gets the root update, so total
-	// deliveries stay O(n), while seal count stays O(log n).
-	total := 0
+	// Recipient count: every remaining member has a rotated subtree on its
+	// path, so deliveries stay O(n), while seal count stays O(log n).
+	under := map[NodeID]bool{}
 	for _, u := range ups {
-		total += len(u.Members)
+		under[u.Under] = true
+	}
+	total := 0
+	for _, m := range tree.Members() {
+		for id := range tree.PathIDs(m) {
+			if under[id] {
+				total++
+				break
+			}
+		}
 	}
 	if total < n-1 {
 		t.Fatalf("rotation reached only %d of %d member-deliveries", total, n-1)
@@ -380,10 +389,8 @@ func TestRemoveLastMemberKeepsRoot(t *testing.T) {
 	}
 	ups := rotate(t, tree)
 	// Nobody to deliver to, but the root must survive and rotate.
-	for _, u := range ups {
-		if len(u.Members) != 0 {
-			t.Fatalf("update addressed to %v in an empty group", u.Members)
-		}
+	if len(ups) != 0 {
+		t.Fatalf("%d updates addressed in an empty group", len(ups))
 	}
 	if tree.Size() != 0 {
 		t.Fatal("size not zero")

@@ -52,8 +52,9 @@ func lkhRotations(t *testing.T) (*lkh.Tree, wire.PathKeys, []wire.KeyBoxes) {
 			t.Fatal(err)
 		}
 		body := wire.KeyBoxes{Epoch: uint64(i) + 2, Changes: []wire.MemberChange{step.change}}
+		path := slices.Collect(tree.PathIDs(userName))
 		for _, up := range ups {
-			if !slices.Contains(up.Members, userName) {
+			if !slices.Contains(path, up.Under) {
 				continue
 			}
 			b := wire.KeyBox{Node: uint64(up.Node), Ver: up.Ver, Under: uint64(up.Under), Epoch: body.Epoch, Root: up.Root}
