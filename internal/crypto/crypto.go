@@ -197,13 +197,20 @@ func (c *Cipher) Open(ciphertext, ad []byte) ([]byte, error) {
 	return plain, nil
 }
 
+// AppendLenPrefixed appends v behind its 4-byte big-endian length: the byte
+// string field of the wire package's encodings, keyless ones appended to a
+// []byte and Plaintext's alike. Integers are fixed-width big-endian.
+func AppendLenPrefixed[S string | []byte](b []byte, v S) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
+	return append(b, v...)
+}
+
 // Plaintext is a message under construction that may carry keys. Raw key
 // bytes leave this package only inside one: AppendKey is the one way a key
 // enters a plaintext, and a Plaintext has no way out but sealing
 // (Cipher.SealPlaintext, SealPlaintext). It prints as its length whatever
 // the verb. The zero value is empty and ready to use. The appenders write
-// the wire package's field encodings: fixed-width big-endian integers, and
-// byte strings behind a 4-byte length.
+// the wire package's field encodings.
 type Plaintext struct{ b []byte }
 
 // AppendKey appends the key's 32 raw bytes; the zero Key appends zeros.
@@ -219,16 +226,10 @@ func (p *Plaintext) AppendUint8(v uint8) { p.b = append(p.b, v) }
 func (p *Plaintext) AppendUint64(v uint64) { p.b = binary.BigEndian.AppendUint64(p.b, v) }
 
 // AppendString appends s behind its 4-byte big-endian length.
-func (p *Plaintext) AppendString(s string) {
-	p.b = binary.BigEndian.AppendUint32(p.b, uint32(len(s)))
-	p.b = append(p.b, s...)
-}
+func (p *Plaintext) AppendString(s string) { p.b = AppendLenPrefixed(p.b, s) }
 
 // AppendBytes appends v behind its 4-byte big-endian length.
-func (p *Plaintext) AppendBytes(v []byte) {
-	p.b = binary.BigEndian.AppendUint32(p.b, uint32(len(v)))
-	p.b = append(p.b, v...)
-}
+func (p *Plaintext) AppendBytes(v []byte) { p.b = AppendLenPrefixed(p.b, v) }
 
 // AppendSized appends what fill appends behind its 4-byte big-endian
 // length: a nested encoding, such as an AdminMsg's body.

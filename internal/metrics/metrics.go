@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -293,12 +292,4 @@ func (r *Registry) WriteJSON(w interface{ Write([]byte) (int, error) }) error {
 	}
 	_, err = w.Write(append(b, '\n'))
 	return err
-}
-
-// Handler serves Default's snapshot as application/json.
-func Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		Default.WriteJSON(w)
-	})
 }

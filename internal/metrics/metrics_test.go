@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"net/http/httptest"
 	"sort"
 	"sync"
 	"testing"
@@ -193,18 +192,27 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-func TestHandler(t *testing.T) {
-	rec := httptest.NewRecorder()
-	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
-		t.Fatalf("content type = %q", ct)
+var writeJSONProbe = NewCounter("test_write_json_total")
+
+// TestDefaultWriteJSON: the process-wide registry, which enclaved's
+// /metrics serves, writes one JSON object that names every instrument.
+func TestDefaultWriteJSON(t *testing.T) {
+	withEnabled(t, writeJSONProbe.Inc)
+	var buf bytes.Buffer
+	if err := Default.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
 	var decoded map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &decoded); err != nil {
-		t.Fatalf("handler body not JSON: %v", err)
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatalf("snapshot not JSON: %v", err)
+	}
+	for _, name := range Default.Names() {
+		if _, ok := decoded[name]; !ok {
+			t.Errorf("snapshot misses %s", name)
+		}
+	}
+	if got, want := decoded["test_write_json_total"], float64(writeJSONProbe.Value()); got != want || want == 0 {
+		t.Errorf("test_write_json_total = %v, want %v > 0", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -74,12 +75,12 @@ func TestKeyUpdateSealOpenBindsRouting(t *testing.T) {
 // TestKeyBoxesRejectsMalformed: more boxes than MaxPathEntries are refused
 // before any is read, and a root flag other than 0 or 1 is refused.
 func TestKeyBoxesRejectsMalformed(t *testing.T) {
-	var b builder
-	b.putUint8(uint8(AdminKeyBoxes))
-	b.putUint64(1)
-	b.putUint8(0)
-	b.putUint8(MaxPathEntries + 1)
-	if _, err := UnmarshalAdminBody(b.bytes); !errors.Is(err, ErrBadPayload) {
+	var b []byte
+	b = append(b, uint8(AdminKeyBoxes))
+	b = binary.BigEndian.AppendUint64(b, 1)
+	b = append(b, 0)
+	b = append(b, MaxPathEntries+1)
+	if _, err := UnmarshalAdminBody(b); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("oversized box list: err = %v", err)
 	}
 	flag := adminBody(KeyBoxes{Epoch: 1, Boxes: []KeyBox{{Node: 1}}})
@@ -127,13 +128,13 @@ func TestPathKeysAdminBodyRoundTrip(t *testing.T) {
 }
 
 func TestPathKeysRejectsOversizedPath(t *testing.T) {
-	var b builder
-	b.putUint8(uint8(AdminPathKeys))
-	b.putUint64(1)
-	b.putUint64(1)
-	b.putUint64(2)
-	b.putUint64(MaxPathEntries + 1)
-	if _, err := UnmarshalAdminBody(b.bytes); err == nil {
+	var b []byte
+	b = append(b, uint8(AdminPathKeys))
+	b = binary.BigEndian.AppendUint64(b, 1)
+	b = binary.BigEndian.AppendUint64(b, 1)
+	b = binary.BigEndian.AppendUint64(b, 2)
+	b = binary.BigEndian.AppendUint64(b, MaxPathEntries+1)
+	if _, err := UnmarshalAdminBody(b); err == nil {
 		t.Fatal("oversized path accepted")
 	}
 }

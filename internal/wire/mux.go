@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"enclaves/internal/crypto"
 )
 
 const (
@@ -73,7 +75,7 @@ func muxHeaderSize(group string) int { return 3 + 4 + 4 + len(group) }
 func appendMuxHeader(dst []byte, group string, stream uint32, flag MuxFlag) []byte {
 	dst = append(dst, muxMagic, muxVersion, uint8(flag))
 	dst = binary.BigEndian.AppendUint32(dst, stream)
-	return appendLenPrefixed(dst, group)
+	return crypto.AppendLenPrefixed(dst, group)
 }
 
 // checkMuxBounds rejects mux frames beyond the encoding limits before any

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"enclaves/internal/crypto"
 )
 
 func TestMuxRoundTrip(t *testing.T) {
@@ -99,13 +101,13 @@ func TestMuxBounds(t *testing.T) {
 	}
 	// An oversized group smuggled past encoding must still be rejected by the
 	// decoder.
-	var b builder
-	b.putUint8(muxMagic)
-	b.putUint8(muxVersion)
-	b.putUint8(uint8(MuxClose))
-	b.bytes = append(b.bytes, 0, 0, 0, 1) // stream
-	b.putString(longGroup)
-	if _, err := DecodeMux(b.bytes); err == nil {
+	var b []byte
+	b = append(b, muxMagic)
+	b = append(b, muxVersion)
+	b = append(b, uint8(MuxClose))
+	b = append(b, 0, 0, 0, 1) // stream
+	b = crypto.AppendLenPrefixed(b, longGroup)
+	if _, err := DecodeMux(b); err == nil {
 		t.Fatal("oversized decoded group accepted")
 	}
 }

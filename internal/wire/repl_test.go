@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -71,16 +72,16 @@ func TestReplStateEmptySnapshotRoundTrip(t *testing.T) {
 func TestReplStateRejectsMemberBound(t *testing.T) {
 	// Hand-build a snapshot header declaring an absurd member count: it must
 	// be rejected on the declared count, before any allocation.
-	var b builder
-	b.putUint8(0)
-	b.putString("s")
-	b.putString("p")
-	b.bytes = append(b.bytes, make([]byte, 2*crypto.NonceSize)...)
-	b.putUint64(1)                                             // epoch
-	b.bytes = append(b.bytes, make([]byte, crypto.KeySize)...) // group key
-	b.putUint64(0)                                             // audit seq
-	b.putUint64(MaxReplMembers + 1)                            // member count over the bound
-	if _, err := UnmarshalReplState(b.bytes); err == nil {
+	var b []byte
+	b = append(b, 0)
+	b = crypto.AppendLenPrefixed(b, "s")
+	b = crypto.AppendLenPrefixed(b, "p")
+	b = append(b, make([]byte, 2*crypto.NonceSize)...)
+	b = binary.BigEndian.AppendUint64(b, 1)                // epoch
+	b = append(b, make([]byte, crypto.KeySize)...)         // group key
+	b = binary.BigEndian.AppendUint64(b, 0)                // audit seq
+	b = binary.BigEndian.AppendUint64(b, MaxReplMembers+1) // member count over the bound
+	if _, err := UnmarshalReplState(b); err == nil {
 		t.Fatal("snapshot over MaxReplMembers accepted")
 	} else if !strings.Contains(err.Error(), "members") {
 		t.Fatalf("wrong rejection: %v", err)
@@ -131,17 +132,17 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 }
 
 func TestReplDeltaRejectsUnknownKind(t *testing.T) {
-	var b builder
-	b.putString("p")
-	b.putString("s")
-	b.bytes = append(b.bytes, make([]byte, 2*crypto.NonceSize)...)
-	b.putUint8(0) // kind 0 is below every defined ReplDeltaKind
-	b.putUint64(0)
-	if _, err := UnmarshalReplDelta(b.bytes); err == nil {
+	var b []byte
+	b = crypto.AppendLenPrefixed(b, "p")
+	b = crypto.AppendLenPrefixed(b, "s")
+	b = append(b, make([]byte, 2*crypto.NonceSize)...)
+	b = append(b, 0) // kind 0 is below every defined ReplDeltaKind
+	b = binary.BigEndian.AppendUint64(b, 0)
+	if _, err := UnmarshalReplDelta(b); err == nil {
 		t.Fatal("delta with kind 0 accepted")
 	}
-	b.bytes[len(b.bytes)-9] = uint8(ReplPing) + 1 // one past the last kind
-	if _, err := UnmarshalReplDelta(b.bytes); err == nil {
+	b[len(b)-9] = uint8(ReplPing) + 1 // one past the last kind
+	if _, err := UnmarshalReplDelta(b); err == nil {
 		t.Fatal("delta with out-of-range kind accepted")
 	}
 }
@@ -174,14 +175,14 @@ func TestReplPayloadsRejectGarbageAndTrailing(t *testing.T) {
 // retiredPendingDelta encodes a delta in the layout of the retired
 // pending-rekey delta: kind byte 7, then the armed flag.
 func retiredPendingDelta(flag uint8) []byte {
-	var b builder
-	b.putString("p")
-	b.putString("s")
-	b.bytes = append(b.bytes, make([]byte, 2*crypto.NonceSize)...)
-	b.putUint8(7)
-	b.putUint64(0)
-	b.putUint8(flag)
-	return b.bytes
+	var b []byte
+	b = crypto.AppendLenPrefixed(b, "p")
+	b = crypto.AppendLenPrefixed(b, "s")
+	b = append(b, make([]byte, 2*crypto.NonceSize)...)
+	b = append(b, 7)
+	b = binary.BigEndian.AppendUint64(b, 0)
+	b = append(b, flag)
+	return b
 }
 
 // TestReplDeltaKindsArePinned pins the delta kind bytes 1 to 6. Byte 7

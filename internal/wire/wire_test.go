@@ -225,18 +225,18 @@ func TestAdminKindsArePinned(t *testing.T) {
 		}
 		// The retired encodings: one name after bytes 2 and 3; after byte 1
 		// epoch, key, one joined name and no left names.
-		var old builder
-		old.putUint8(b)
+		var old []byte
+		old = append(old, b)
 		if b == 1 {
-			old.putUint64(2)
-			old.bytes = append(old.bytes, make([]byte, crypto.KeySize)...)
-			old.putUint8(1)
+			old = binary.BigEndian.AppendUint64(old, 2)
+			old = append(old, make([]byte, crypto.KeySize)...)
+			old = append(old, 1)
 		}
-		old.putString("bob")
+		old = crypto.AppendLenPrefixed(old, "bob")
 		if b == 1 {
-			old.putUint8(0)
+			old = append(old, 0)
 		}
-		if body, err := UnmarshalAdminBody(old.bytes); !errors.Is(err, ErrBadPayload) {
+		if body, err := UnmarshalAdminBody(old); !errors.Is(err, ErrBadPayload) {
 			t.Errorf("retired kind byte %d decoded as %v (err %v)", b, body, err)
 		}
 	}
@@ -261,11 +261,11 @@ func TestMemberChangesBound(t *testing.T) {
 	}
 
 	for _, change := range []string{"", "bob", "*bob"} {
-		var bad builder
-		bad.putUint8(uint8(AdminMemberChanges))
-		bad.putUint8(1)
-		bad.putString(change)
-		if body, err := UnmarshalAdminBody(bad.bytes); !errors.Is(err, ErrBadPayload) {
+		var bad []byte
+		bad = append(bad, uint8(AdminMemberChanges))
+		bad = append(bad, 1)
+		bad = crypto.AppendLenPrefixed(bad, change)
+		if body, err := UnmarshalAdminBody(bad); !errors.Is(err, ErrBadPayload) {
 			t.Errorf("change %q accepted as %v", change, body)
 		}
 	}
