@@ -250,7 +250,7 @@ func UnmarshalAdminBody(data []byte) (AdminBody, error) {
 	switch kind {
 	case AdminNewGroupKey:
 		out := NewGroupKey{Epoch: p.uint64()}
-		raw := p.fixed(crypto.KeySize)
+		raw := p.take(crypto.KeySize)
 		changes, err := parseChanges(&p)
 		if err == nil {
 			err = p.finish()
@@ -304,7 +304,7 @@ func UnmarshalAdminBody(data []byte) (AdminBody, error) {
 			out.Entries = make([]PathEntry, 0, n)
 			for i := uint64(0); i < n && p.err == nil; i++ {
 				e := PathEntry{Node: p.uint64(), Ver: p.uint64()}
-				raw := p.fixed(crypto.KeySize)
+				raw := p.take(crypto.KeySize)
 				if p.err == nil {
 					k, err := crypto.KeyFromBytes(raw)
 					if err != nil {

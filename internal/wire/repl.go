@@ -156,8 +156,8 @@ func UnmarshalReplState(data []byte) (ReplStatePayload, error) {
 		Standby: p.string(),
 		Primary: p.string(),
 	}
-	copy(out.Echo[:], p.fixed(crypto.NonceSize))
-	copy(out.Next[:], p.fixed(crypto.NonceSize))
+	copy(out.Echo[:], p.take(crypto.NonceSize))
+	copy(out.Next[:], p.take(crypto.NonceSize))
 	if out.Hello {
 		if err := p.finish(); err != nil {
 			return ReplStatePayload{}, fmt.Errorf("%w: repl hello: %v", ErrBadPayload, err)
@@ -165,7 +165,7 @@ func UnmarshalReplState(data []byte) (ReplStatePayload, error) {
 		return out, nil
 	}
 	out.Epoch = p.uint64()
-	gk := p.fixed(crypto.KeySize)
+	gk := p.take(crypto.KeySize)
 	out.AuditSeq = p.uint64()
 	n := p.uint64()
 	if p.err == nil && n > MaxReplMembers {
@@ -176,8 +176,8 @@ func UnmarshalReplState(data []byte) (ReplStatePayload, error) {
 		for i := uint64(0); i < n && p.err == nil; i++ {
 			var m ReplMember
 			m.User = p.string()
-			raw := p.fixed(crypto.KeySize)
-			copy(m.Nonce[:], p.fixed(crypto.NonceSize))
+			raw := p.take(crypto.KeySize)
+			copy(m.Nonce[:], p.take(crypto.NonceSize))
 			m.Seq = p.uint64()
 			if p.err == nil {
 				k, err := crypto.KeyFromBytes(raw)
@@ -283,15 +283,15 @@ func UnmarshalReplDelta(data []byte) (ReplDeltaPayload, error) {
 		Primary: p.string(),
 		Standby: p.string(),
 	}
-	copy(out.Echo[:], p.fixed(crypto.NonceSize))
-	copy(out.Next[:], p.fixed(crypto.NonceSize))
+	copy(out.Echo[:], p.take(crypto.NonceSize))
+	copy(out.Next[:], p.take(crypto.NonceSize))
 	out.Kind = ReplDeltaKind(p.uint8())
 	out.AuditSeq = p.uint64()
 	switch out.Kind {
 	case ReplMemberUp:
 		out.User = p.string()
-		raw := p.fixed(crypto.KeySize)
-		copy(out.Nonce[:], p.fixed(crypto.NonceSize))
+		raw := p.take(crypto.KeySize)
+		copy(out.Nonce[:], p.take(crypto.NonceSize))
 		out.Seq = p.uint64()
 		if p.err == nil {
 			k, err := crypto.KeyFromBytes(raw)
@@ -304,7 +304,7 @@ func UnmarshalReplDelta(data []byte) (ReplDeltaPayload, error) {
 		out.User = p.string()
 	case ReplRekey:
 		out.Epoch = p.uint64()
-		raw := p.fixed(crypto.KeySize)
+		raw := p.take(crypto.KeySize)
 		if p.err == nil {
 			k, err := crypto.KeyFromBytes(raw)
 			if err != nil {
@@ -314,7 +314,7 @@ func UnmarshalReplDelta(data []byte) (ReplDeltaPayload, error) {
 		}
 	case ReplSessionSync:
 		out.User = p.string()
-		copy(out.Nonce[:], p.fixed(crypto.NonceSize))
+		copy(out.Nonce[:], p.take(crypto.NonceSize))
 		out.Seq = p.uint64()
 	case ReplPing:
 		// No fields.
