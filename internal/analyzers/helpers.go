@@ -103,16 +103,6 @@ func isLockWrapper(t types.Type) bool {
 	return false
 }
 
-// isMethod reports whether f is a method named name whose receiver is the
-// named type pkgPath.typeName (pointer or value).
-func isMethod(f *types.Func, pkgPath, typeName, name string) bool {
-	if f == nil || f.Name() != name {
-		return false
-	}
-	rt := recvType(f)
-	return rt != nil && typeIs(rt, pkgPath, typeName)
-}
-
 // constsOfType returns the names of every package-level constant declared
 // with exactly the named type t, in declaration-scope (sorted) order.
 func constsOfType(t *types.Named) []string {

@@ -1,8 +1,10 @@
 // Package crypto provides the symmetric cryptography used by the Enclaves
 // runtime: an AEAD cipher (AES-256-GCM) realizing the symbolic {X}_K
 // abstraction of the paper, password-based derivation of long-term keys
-// P_a (PBKDF2-HMAC-SHA256, implemented on the standard library), and
-// generation of random keys and nonces.
+// P_a (PBKDF2-HMAC-SHA256: each block's U_1 on the standard library's
+// HMAC, and U_2…U_c in one register-resident SHA-NI loop on amd64 CPUs
+// that have the SHA extensions, on that HMAC elsewhere), and generation of
+// random keys and nonces.
 //
 // The paper assumes an ideal symmetric cipher: ciphertexts reveal nothing
 // about the plaintext and cannot be created or modified without the key.
@@ -20,6 +22,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -133,12 +136,6 @@ func NewNonce() (Nonce, error) {
 // Equal compares two nonces in constant time.
 func (n Nonce) Equal(other Nonce) bool {
 	return subtle.ConstantTimeCompare(n[:], other[:]) == 1
-}
-
-// IsZero reports whether the nonce is all zeros (unset).
-func (n Nonce) IsZero() bool {
-	var zero Nonce
-	return n == zero
 }
 
 func (n Nonce) String() string {
@@ -293,7 +290,7 @@ const DeriveKeyIterations = 4096
 // passwords at different leaders produce unrelated keys.
 func DeriveKey(user, leader, password string) Key {
 	salt := []byte("enclaves/v1|" + leader + "|" + user)
-	raw := pbkdf2([]byte(password), salt, DeriveKeyIterations, KeySize)
+	raw := pbkdf2([]byte(password), salt, DeriveKeyIterations, KeySize, haveSHANI)
 	k, _ := KeyFromBytes(raw) // length is KeySize by construction
 	return k
 }
@@ -334,22 +331,39 @@ func DeriveKeys(passwords map[string]string, leaders ...string) map[string]map[s
 	return out
 }
 
-// pbkdf2 implements PBKDF2-HMAC-SHA256 (RFC 2898) on the standard library.
-// One keyed HMAC serves the whole derivation: Reset restores the state
-// precomputed from the password, so an iteration costs two SHA-256
-// compressions and no allocation.
-func pbkdf2(password, salt []byte, iter, keyLen int) []byte {
+// pbkdf2 implements PBKDF2-HMAC-SHA256 (RFC 2898). One keyed HMAC, Reset
+// per use, computes each block's U_1. pbkdf2Rounds runs U_2…U_c if kernel
+// is set (only where haveSHANI holds) and midstates reads the HMAC's
+// chaining values; otherwise the HMAC runs them, two SHA-256 compressions
+// and no allocation an iteration.
+func pbkdf2(password, salt []byte, iter, keyLen int, kernel bool) []byte {
 	mac := hmac.New(sha256.New, password)
+	// One allocation serves as the digest state midstates reads, each
+	// block's counter and the portable loop's U.
+	scratch := make([]byte, 0, digestStateLen)
+	var istate, ostate [8]uint32
+	kernel = kernel && midstates(password, scratch, &istate, &ostate)
 	numBlocks := (keyLen + sha256.Size - 1) / sha256.Size
 	out := make([]byte, 0, numBlocks*sha256.Size)
-	u := make([]byte, 0, sha256.Size)
 	for i := 1; i <= numBlocks; i++ {
 		mac.Reset()
 		mac.Write(salt)
-		mac.Write(binary.BigEndian.AppendUint32(nil, uint32(i)))
+		mac.Write(binary.BigEndian.AppendUint32(scratch[:0], uint32(i)))
 		out = mac.Sum(out)
 		t := out[len(out)-sha256.Size:]
-		u = append(u[:0], t...)
+		if kernel {
+			var uw, tw [8]uint32
+			for w := range uw {
+				uw[w] = binary.BigEndian.Uint32(t[4*w:])
+			}
+			tw = uw
+			pbkdf2Rounds(&istate, &ostate, &uw, &tw, iter-1)
+			for w, v := range tw {
+				binary.BigEndian.PutUint32(t[4*w:], v)
+			}
+			continue
+		}
+		u := append(scratch[:0], t...)
 		for j := 1; j < iter; j++ {
 			mac.Reset()
 			mac.Write(u)
@@ -358,4 +372,41 @@ func pbkdf2(password, salt []byte, iter, keyLen int) []byte {
 		}
 	}
 	return out[:keyLen]
+}
+
+// digestStateLen is the length of sha256's AppendBinary state: "sha\x03",
+// H_0..H_7 big-endian, the 64-byte buffer and the length.
+const digestStateLen = 4 + sha256.Size + sha256.BlockSize + 8
+
+// midstates sets istate and ostate to the SHA-256 chaining values after
+// HMAC's ipad and opad key blocks, read from the digest's AppendBinary
+// state into buf's capacity. It reports false if the state is not laid
+// out so.
+func midstates(key, buf []byte, istate, ostate *[8]uint32) bool {
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	h := sha256.New()
+	ab, ok := h.(encoding.BinaryAppender)
+	if !ok {
+		return false
+	}
+	var block [sha256.BlockSize]byte
+	for i, cv := range [...]*[8]uint32{istate, ostate} {
+		for j := range block {
+			block[j] = [...]byte{0x36, 0x5c}[i]
+		}
+		subtle.XORBytes(block[:], block[:len(key)], key)
+		h.Reset()
+		h.Write(block[:])
+		b, err := ab.AppendBinary(buf[:0])
+		if err != nil || len(b) != digestStateLen || string(b[:4]) != "sha\x03" {
+			return false
+		}
+		for w := range cv {
+			cv[w] = binary.BigEndian.Uint32(b[4+4*w:])
+		}
+	}
+	return true
 }

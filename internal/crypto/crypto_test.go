@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"strings"
@@ -142,12 +143,8 @@ func TestNonce(t *testing.T) {
 	if !n1.Equal(n1) {
 		t.Error("nonce not equal to itself")
 	}
-	if n1.IsZero() {
+	if n1 == (Nonce{}) {
 		t.Error("fresh nonce is zero")
-	}
-	var zero Nonce
-	if !zero.IsZero() {
-		t.Error("zero nonce not reported zero")
 	}
 	if len(n1.String()) == 0 {
 		t.Error("empty nonce string")
@@ -278,9 +275,9 @@ func TestDeriveKeySeparation(t *testing.T) {
 // {1, 2, 4096} and output lengths {20, 32, 64} — truncated, exact and
 // multi-block — on the RFC 7914 section 11 inputs ("passwd"/"salt", whose
 // c=1 dkLen=64 row is the RFC's own vector, and "Password"/"NaCl") and on
-// the widely published "password"/"salt" set.
+// the widely published "password"/"salt" set, on both paths.
 func TestPBKDF2KnownAnswers(t *testing.T) {
-	for _, tc := range []struct {
+	answers := []struct {
 		password, salt string
 		iter, keyLen   int
 		want           string
@@ -303,12 +300,77 @@ func TestPBKDF2KnownAnswers(t *testing.T) {
 		{"Password", "NaCl", 4096, 20, "438b6f1df76520b1c9989ddf976545b40f1ab4d9"},
 		{"Password", "NaCl", 4096, 64, "438b6f1df76520b1c9989ddf976545b40f1ab4d9da723a81aa5083108b0da61f" +
 			"e1a2be306bc4e96259eaefdeb066a3bf6ecfa07de966472029831582717d7e6a"},
-	} {
-		got := hex.EncodeToString(pbkdf2([]byte(tc.password), []byte(tc.salt), tc.iter, tc.keyLen))
-		if got != tc.want {
-			t.Errorf("pbkdf2(%q, %q, c=%d, dkLen=%d) = %s, want %s", tc.password, tc.salt, tc.iter, tc.keyLen, got, tc.want)
+	}
+	pbkdf2Paths(t, func(t *testing.T, kernel bool) {
+		for _, tc := range answers {
+			got := hex.EncodeToString(pbkdf2([]byte(tc.password), []byte(tc.salt), tc.iter, tc.keyLen, kernel))
+			if got != tc.want {
+				t.Errorf("pbkdf2(%q, %q, c=%d, dkLen=%d) = %s, want %s", tc.password, tc.salt, tc.iter, tc.keyLen, got, tc.want)
+			}
+		}
+	})
+}
+
+// pbkdf2Paths runs f as one subtest per PBKDF2 path: the portable HMAC
+// loop, and the pbkdf2Rounds kernel where the CPU has it.
+func pbkdf2Paths(t *testing.T, f func(t *testing.T, kernel bool)) {
+	t.Run("portable", func(t *testing.T) { f(t, false) })
+	t.Run("kernel", func(t *testing.T) {
+		requireKernel(t)
+		f(t, true)
+	})
+}
+
+// requireKernel skips where the CPU lacks the kernel's instructions, and
+// fails where sha256's state no longer yields HMAC's midstates: pbkdf2
+// would then never run the kernel.
+func requireKernel(t testing.TB) {
+	t.Helper()
+	if !haveSHANI {
+		t.Skip("CPU lacks the SHA extensions, SSSE3 or SSE4.1: the pbkdf2Rounds kernel is not run")
+	}
+	var istate, ostate [8]uint32
+	if !midstates([]byte("key"), nil, &istate, &ostate) {
+		t.Fatal("sha256 AppendBinary state unreadable: pbkdf2 takes the portable path on every CPU")
+	}
+}
+
+// TestPBKDF2KernelMatchesPortable compares the two paths on passwords of
+// every length from 0 to 130 bytes (past 64 HMAC hashes the key first),
+// random salts of 0–100 bytes, c in {1, 2, 3, 4096} and dkLen in {1, 20,
+// 32, 33, 64, 100}; every (c, dkLen) pair comes up 10 or 11 times.
+func TestPBKDF2KernelMatchesPortable(t *testing.T) {
+	requireKernel(t)
+	r := rand.New(rand.NewPCG(2001, 50))
+	randBytes := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(r.Uint32())
+		}
+		return b
+	}
+	for i := range 262 {
+		password, salt := randBytes(i%131), randBytes(r.IntN(101))
+		iter, keyLen := []int{1, 2, 3, 4096}[i%4], []int{1, 20, 32, 33, 64, 100}[i/4%6]
+		want := pbkdf2(password, salt, iter, keyLen, false)
+		if got := pbkdf2(password, salt, iter, keyLen, true); !bytes.Equal(got, want) {
+			t.Fatalf("password %x, salt %x, c=%d, dkLen=%d: kernel %x, portable %x", password, salt, iter, keyLen, got, want)
 		}
 	}
+}
+
+// FuzzPBKDF2 compares the kernel with the portable loop at c up to 4096
+// and dkLen up to 128.
+func FuzzPBKDF2(f *testing.F) {
+	requireKernel(f)
+	f.Add([]byte("password"), []byte("salt"), uint16(4095), uint8(31))
+	f.Add(bytes.Repeat([]byte{0xA5}, 130), []byte{}, uint16(2), uint8(99))
+	f.Fuzz(func(t *testing.T, password, salt []byte, iter uint16, keyLen uint8) {
+		c, n := 1+int(iter%4096), 1+int(keyLen%128)
+		if got, want := pbkdf2(password, salt, c, n, true), pbkdf2(password, salt, c, n, false); !bytes.Equal(got, want) {
+			t.Errorf("c=%d, dkLen=%d: kernel %x, portable %x", c, n, got, want)
+		}
+	})
 }
 
 func TestPBKDF2SecondVector(t *testing.T) {
@@ -316,13 +378,14 @@ func TestPBKDF2SecondVector(t *testing.T) {
 	if testing.Short() {
 		t.Skip("80000 iterations in -short mode")
 	}
-	got := pbkdf2([]byte("Password"), []byte("NaCl"), 80000, 64)
 	want, _ := hex.DecodeString(
 		"4ddcd8f60b98be21830cee5ef22701f9641a4418d04c0414aeff08876b34ab56" +
 			"a1d425a1225833549adb841b51c9b3176a272bdebba1d078478f62b397f33c8d")
-	if !bytes.Equal(got, want) {
-		t.Errorf("pbkdf2 = %x, want %x", got, want)
-	}
+	pbkdf2Paths(t, func(t *testing.T, kernel bool) {
+		if got := pbkdf2([]byte("Password"), []byte("NaCl"), 80000, 64, kernel); !bytes.Equal(got, want) {
+			t.Errorf("pbkdf2 = %x, want %x", got, want)
+		}
+	})
 }
 
 // TestDeriveKeyGolden pins DeriveKey's output to the bytes every deployed
@@ -335,6 +398,12 @@ func TestDeriveKeyGolden(t *testing.T) {
 	if got := hex.EncodeToString(k.bytes[:]); got != want {
 		t.Errorf("DeriveKey(alice, leader, hunter2) = %s, want %s", got, want)
 	}
+	pbkdf2Paths(t, func(t *testing.T, kernel bool) {
+		raw := pbkdf2([]byte("hunter2"), []byte("enclaves/v1|leader|alice"), DeriveKeyIterations, KeySize, kernel)
+		if got := hex.EncodeToString(raw); got != want {
+			t.Errorf("pbkdf2 under DeriveKey(alice, leader, hunter2) = %s, want %s", got, want)
+		}
+	})
 }
 
 // TestDeriveKeyAllocs fails if the kernel goes back to building an HMAC per

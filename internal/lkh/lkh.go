@@ -154,9 +154,6 @@ func (t *Tree) RootID() NodeID { return t.root.id }
 // RootKey returns the current root key — the group key.
 func (t *Tree) RootKey() crypto.Key { return t.root.key }
 
-// RootVer returns the root key's version.
-func (t *Tree) RootVer() uint64 { return t.root.ver }
-
 func (t *Tree) newNode(parent *node, user string) (*node, error) {
 	key, err := crypto.NewKey()
 	if err != nil {

@@ -290,12 +290,12 @@ func TestRecordsRoundTrip(t *testing.T) {
 
 	// The rebuilt tree keeps working: a join and a rotation succeed and
 	// allocate a fresh node ID (no reuse).
-	before := rebuilt.RootVer()
+	before := rebuilt.root.ver
 	mustJoin(t, rebuilt, "g")
 	if _, err := rebuilt.RotateDirty(); err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.RootVer() <= before {
+	if rebuilt.root.ver <= before {
 		t.Fatal("rebuilt tree did not rotate")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,10 +39,7 @@ func Disable() { on.Store(false) }
 func Enabled() bool { return on.Load() }
 
 // Counter is a monotonically increasing uint64.
-type Counter struct {
-	name string
-	v    atomic.Uint64
-}
+type Counter struct{ v atomic.Uint64 }
 
 // Inc adds 1.
 func (c *Counter) Inc() {
@@ -65,10 +61,7 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 func (c *Counter) snapshotValue() any { return c.v.Load() }
 
 // Gauge is an instantaneous int64 (depths, sizes, membership counts).
-type Gauge struct {
-	name string
-	v    atomic.Int64
-}
+type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) {
@@ -98,7 +91,6 @@ func (g *Gauge) snapshotValue() any { return g.v.Load() }
 // of the bucket the target rank lands in, capped at the observed maximum, so
 // p50/p99 are conservative to within one bucket width.
 type Histogram struct {
-	name   string
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sumNS  atomic.Uint64
@@ -239,21 +231,21 @@ func (r *Registry) register(name string, in instrument) {
 // NewCounter registers a counter with Default. Call at package init; a
 // duplicate name panics.
 func NewCounter(name string) *Counter {
-	c := &Counter{name: name}
+	c := new(Counter)
 	Default.register(name, c)
 	return c
 }
 
 // NewGauge registers a gauge with Default.
 func NewGauge(name string) *Gauge {
-	g := &Gauge{name: name}
+	g := new(Gauge)
 	Default.register(name, g)
 	return g
 }
 
 // NewHistogram registers a latency histogram with Default.
 func NewHistogram(name string) *Histogram {
-	h := &Histogram{name: name}
+	h := new(Histogram)
 	Default.register(name, h)
 	return h
 }
@@ -269,18 +261,6 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = in.snapshotValue()
 	}
 	return out
-}
-
-// Names returns the registered instrument names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.inst))
-	for n := range r.inst {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON writes the snapshot as indented JSON (expvar-style: one flat

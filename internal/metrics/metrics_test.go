@@ -24,17 +24,37 @@ func withEnabled(t *testing.T, f func()) {
 	f()
 }
 
+// Instruments register with Default once, at package init, as the
+// runtime's do: a second NewCounter of a name panics, so a test that
+// registered in its body would fail under -count=2. The tests below read
+// these through deltas, which hold on a repeated run.
+var (
+	testCounter      = NewCounter("test_counter_total")
+	testGauge        = NewGauge("test_gauge")
+	testDisabled     = NewCounter("test_disabled_total")
+	testDisabledHist = NewHistogram("test_disabled_hist")
+	testHist         = NewHistogram("test_hist")
+	testHistEdges    = NewHistogram("test_hist_edges")
+	testConcCounter  = NewCounter("test_conc_total")
+	testConcGauge    = NewGauge("test_conc_gauge")
+	testConcHist     = NewHistogram("test_conc_hist")
+	testDupCounter   = NewCounter("test_dup_total")
+	testVecCounter   = NewCounterVec("test_vec_counter_total")
+	testVecGauge     = NewGaugeVec("test_vec_gauge")
+	writeJSONProbe   = NewCounter("test_write_json_total")
+)
+
 func TestCounterGauge(t *testing.T) {
-	c := NewCounter("test_counter_total")
-	g := NewGauge("test_gauge")
+	c, g := testCounter, testGauge
+	c0 := c.Value()
 	withEnabled(t, func() {
 		c.Inc()
 		c.Add(4)
 		g.Set(7)
 		g.Add(-2)
 	})
-	if v := c.Value(); v != 5 {
-		t.Fatalf("counter = %d, want 5", v)
+	if v := c.Value() - c0; v != 5 {
+		t.Fatalf("counter grew by %d, want 5", v)
 	}
 	if v := g.Value(); v != 5 {
 		t.Fatalf("gauge = %d, want 5", v)
@@ -42,26 +62,27 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestDisabledPathIsNoop(t *testing.T) {
-	c := NewCounter("test_disabled_total")
-	h := NewHistogram("test_disabled_hist")
+	c, h := testDisabled, testDisabledHist
 	if Enabled() {
 		t.Fatal("metrics enabled at test start; tests assume the default-off state")
 	}
+	n0 := h.Count()
 	c.Inc()
 	c.Add(100)
 	h.Observe(time.Second)
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("disabled instruments recorded: counter=%d hist=%d", c.Value(), h.Count())
+	if c.Value() != 0 || h.Count() != n0 {
+		t.Fatalf("disabled instruments recorded: counter=%d hist=%d", c.Value(), h.Count()-n0)
 	}
 	// Record is the owner's own measurement: it ignores the switch.
 	h.Record(time.Second)
-	if h.Count() != 1 || h.Max() != time.Second {
-		t.Fatalf("Record while disabled: count=%d max=%v", h.Count(), h.Max())
+	if h.Count() != n0+1 || h.Max() != time.Second {
+		t.Fatalf("Record while disabled: count=%d max=%v", h.Count()-n0, h.Max())
 	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram("test_hist")
+	h := testHist
+	n0 := h.Count()
 	withEnabled(t, func() {
 		// 90 fast observations and 10 slow ones: p50 must land in the fast
 		// band, p99 in the slow band, and both are conservative (upper
@@ -73,8 +94,8 @@ func TestHistogramQuantiles(t *testing.T) {
 			h.Observe(80 * time.Millisecond)
 		}
 	})
-	if n := h.Count(); n != 100 {
-		t.Fatalf("count = %d, want 100", n)
+	if n := h.Count() - n0; n != 100 {
+		t.Fatalf("count grew by %d, want 100", n)
 	}
 	p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
 	if p50 < 50*time.Microsecond || p50 > time.Millisecond {
@@ -89,14 +110,15 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramOverflowAndNegative(t *testing.T) {
-	h := NewHistogram("test_hist_edges")
+	h := testHistEdges
+	n0 := h.Count()
 	withEnabled(t, func() {
 		h.Observe(-time.Second)     // clamps to 0
 		h.Observe(time.Hour)        // overflow bucket
 		h.Observe(30 * time.Minute) // overflow bucket
 	})
-	if n := h.Count(); n != 3 {
-		t.Fatalf("count = %d, want 3", n)
+	if n := h.Count() - n0; n != 3 {
+		t.Fatalf("count grew by %d, want 3", n)
 	}
 	// Overflow quantiles report the tracked max, not a bucket bound.
 	if q := h.Quantile(1.0); q != time.Hour {
@@ -161,8 +183,7 @@ func TestHistogramResolution(t *testing.T) {
 
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
-	c := &Counter{name: "c"}
-	h := &Histogram{name: "h"}
+	c, h := new(Counter), new(Histogram)
 	r.register("c_total", c)
 	r.register("h_latency", h)
 	withEnabled(t, func() {
@@ -192,8 +213,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-var writeJSONProbe = NewCounter("test_write_json_total")
-
 // TestDefaultWriteJSON: the process-wide registry, which enclaved's
 // /metrics serves, writes one JSON object that names every instrument.
 func TestDefaultWriteJSON(t *testing.T) {
@@ -206,7 +225,7 @@ func TestDefaultWriteJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("snapshot not JSON: %v", err)
 	}
-	for _, name := range Default.Names() {
+	for name := range Default.inst {
 		if _, ok := decoded[name]; !ok {
 			t.Errorf("snapshot misses %s", name)
 		}
@@ -220,9 +239,8 @@ func TestDefaultWriteJSON(t *testing.T) {
 // goroutines; run with -race this is the memory-safety proof for the
 // lock-free paths.
 func TestConcurrentUpdates(t *testing.T) {
-	c := NewCounter("test_conc_total")
-	g := NewGauge("test_conc_gauge")
-	h := NewHistogram("test_conc_hist")
+	c, g, h := testConcCounter, testConcGauge, testConcHist
+	c0, n0 := c.Value(), h.Count()
 	withEnabled(t, func() {
 		const workers, each = 8, 1000
 		var wg sync.WaitGroup
@@ -238,21 +256,22 @@ func TestConcurrentUpdates(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		if c.Value() != workers*each {
-			t.Errorf("counter = %d, want %d", c.Value(), workers*each)
+		if c.Value()-c0 != workers*each {
+			t.Errorf("counter grew by %d, want %d", c.Value()-c0, workers*each)
 		}
-		if h.Count() != workers*each {
-			t.Errorf("hist count = %d, want %d", h.Count(), workers*each)
+		if h.Count()-n0 != workers*each {
+			t.Errorf("hist count grew by %d, want %d", h.Count()-n0, workers*each)
 		}
 	})
 }
 
+// TestDuplicateNamePanics registers a name Default already holds
+// (testDupCounter's, at package init): that second registration panics.
 func TestDuplicateNamePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	NewCounter("test_dup_total")
 	NewCounter("test_dup_total")
 }

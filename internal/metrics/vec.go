@@ -8,25 +8,34 @@ package metrics
 
 import "sync"
 
-// CounterVec is a family of Counters keyed by a label value.
-type CounterVec struct {
-	name string
-
+// Vec is a family of Counters or Gauges keyed by a label value.
+type Vec[I Counter | Gauge] struct {
 	mu       sync.RWMutex
-	children map[string]*Counter
+	children map[string]*I
 }
 
+// CounterVec and GaugeVec are the two families the runtime registers.
+type (
+	CounterVec = Vec[Counter]
+	GaugeVec   = Vec[Gauge]
+)
+
 // NewCounterVec registers a labeled counter family with Default.
-func NewCounterVec(name string) *CounterVec {
-	v := &CounterVec{name: name, children: make(map[string]*Counter)}
+func NewCounterVec(name string) *CounterVec { return newVec[Counter](name) }
+
+// NewGaugeVec registers a labeled gauge family with Default.
+func NewGaugeVec(name string) *GaugeVec { return newVec[Gauge](name) }
+
+func newVec[I Counter | Gauge](name string) *Vec[I] {
+	v := &Vec[I]{children: make(map[string]*I)}
 	Default.register(name, v)
 	return v
 }
 
-// With returns the child counter for label, creating it on first use. The
+// With returns the child for label, creating it on first use. The
 // steady-state path is one RLock and a map probe; creation takes the write
 // lock with a double-check so racing firsts converge on one child.
-func (v *CounterVec) With(label string) *Counter {
+func (v *Vec[I]) With(label string) *I {
 	v.mu.RLock()
 	c := v.children[label]
 	v.mu.RUnlock()
@@ -36,7 +45,7 @@ func (v *CounterVec) With(label string) *Counter {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if c = v.children[label]; c == nil {
-		c = &Counter{name: v.name + "{" + label + "}"}
+		c = new(I)
 		v.children[label] = c
 	}
 	return c
@@ -44,81 +53,19 @@ func (v *CounterVec) With(label string) *Counter {
 
 // Remove drops the child for label (tenant GC). A later With recreates it
 // from zero.
-func (v *CounterVec) Remove(label string) {
+func (v *Vec[I]) Remove(label string) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	delete(v.children, label)
 }
 
-// Labels returns the number of live children.
-func (v *CounterVec) Labels() int {
+// snapshotValue maps each label to its child's value.
+func (v *Vec[I]) snapshotValue() any {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.children)
-}
-
-func (v *CounterVec) snapshotValue() any {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]uint64, len(v.children))
+	out := make(map[string]any, len(v.children))
 	for label, c := range v.children {
-		out[label] = c.Value()
-	}
-	return out
-}
-
-// GaugeVec is a family of Gauges keyed by a label value.
-type GaugeVec struct {
-	name string
-
-	mu       sync.RWMutex
-	children map[string]*Gauge
-}
-
-// NewGaugeVec registers a labeled gauge family with Default.
-func NewGaugeVec(name string) *GaugeVec {
-	v := &GaugeVec{name: name, children: make(map[string]*Gauge)}
-	Default.register(name, v)
-	return v
-}
-
-// With returns the child gauge for label, creating it on first use.
-func (v *GaugeVec) With(label string) *Gauge {
-	v.mu.RLock()
-	g := v.children[label]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g = v.children[label]; g == nil {
-		g = &Gauge{name: v.name + "{" + label + "}"}
-		v.children[label] = g
-	}
-	return g
-}
-
-// Remove drops the child for label (tenant GC).
-func (v *GaugeVec) Remove(label string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.children, label)
-}
-
-// Labels returns the number of live children.
-func (v *GaugeVec) Labels() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.children)
-}
-
-func (v *GaugeVec) snapshotValue() any {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]int64, len(v.children))
-	for label, g := range v.children {
-		out[label] = g.Value()
+		out[label] = any(c).(instrument).snapshotValue()
 	}
 	return out
 }

@@ -10,7 +10,9 @@ import (
 func TestCounterVec(t *testing.T) {
 	Enable()
 	defer Disable()
-	v := NewCounterVec("test_vec_counter_total")
+	v := testVecCounter
+	v.Remove("g0") // a repeated run starts both labels from zero
+	v.Remove("g1")
 	v.With("g0").Inc()
 	v.With("g0").Add(2)
 	v.With("g1").Inc()
@@ -24,14 +26,14 @@ func TestCounterVec(t *testing.T) {
 	if v.With("g0") != v.With("g0") {
 		t.Error("With returned distinct children for one label")
 	}
-	snap := v.snapshotValue().(map[string]uint64)
-	if snap["g0"] != 3 || snap["g1"] != 1 {
+	snap := v.snapshotValue().(map[string]any)
+	if snap["g0"] != uint64(3) || snap["g1"] != uint64(1) {
 		t.Errorf("snapshot = %v", snap)
 	}
 	// Remove drops state; recreation starts from zero.
 	v.Remove("g0")
-	if got := v.Labels(); got != 1 {
-		t.Errorf("Labels after Remove = %d, want 1", got)
+	if got := len(v.children); got != 1 {
+		t.Errorf("%d children after Remove, want 1", got)
 	}
 	if got := v.With("g0").Value(); got != 0 {
 		t.Errorf("recreated child = %d, want 0", got)
@@ -41,20 +43,21 @@ func TestCounterVec(t *testing.T) {
 func TestGaugeVec(t *testing.T) {
 	Enable()
 	defer Disable()
-	v := NewGaugeVec("test_vec_gauge")
+	v := testVecGauge
+	v.Remove("b") // a repeated run starts from zero
 	v.With("a").Set(7)
 	v.With("b").Add(-2)
 	if got := v.With("a").Value(); got != 7 {
 		t.Errorf("a = %d, want 7", got)
 	}
-	snap := v.snapshotValue().(map[string]int64)
-	if snap["a"] != 7 || snap["b"] != -2 {
+	snap := v.snapshotValue().(map[string]any)
+	if snap["a"] != int64(7) || snap["b"] != int64(-2) {
 		t.Errorf("snapshot = %v", snap)
 	}
 	v.Remove("a")
 	v.Remove("a") // idempotent
-	if got := v.Labels(); got != 1 {
-		t.Errorf("Labels = %d, want 1", got)
+	if got := len(v.children); got != 1 {
+		t.Errorf("%d children after Remove, want 1", got)
 	}
 }
 
@@ -64,8 +67,8 @@ func TestVecSnapshotNested(t *testing.T) {
 	Enable()
 	defer Disable()
 	r := NewRegistry()
-	v := &CounterVec{name: "tenant_joins_total", children: make(map[string]*Counter)}
-	r.register(v.name, v)
+	v := &CounterVec{children: make(map[string]*Counter)}
+	r.register("tenant_joins_total", v)
 	v.With("alpha").Add(5)
 	v.With("beta").Inc()
 
@@ -87,7 +90,7 @@ func TestVecSnapshotNested(t *testing.T) {
 func TestVecConcurrent(t *testing.T) {
 	Enable()
 	defer Disable()
-	v := &CounterVec{name: "test_vec_race", children: make(map[string]*Counter)}
+	v := &CounterVec{children: make(map[string]*Counter)}
 	labels := []string{"g0", "g1", "g2", "g3"}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
