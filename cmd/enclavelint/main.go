@@ -1,14 +1,14 @@
 // Command enclavelint runs the protocol-invariant analyzers over the
 // module: the code-level analogues of the paper's machine-checked secrecy
-// invariants. All six come from one registry and run over the whole module,
+// invariants. All five come from one registry and run over the whole module,
 // each gating the packages it is scoped to. Four are syntactic checks
 // (crypto/rand only, cached AEADs on hot paths, exhaustive wire-type
 // handling, and keytaint: no key-named bytes in logs, errors or events);
-// two are flow analyses on one engine — a statement walker and a summary
-// fixpoint — that follow values and effects across call edges (noncereuse:
-// fresh nonces; lockorder: declared lock order, and no seal or send under a
-// lock). Raw key bytes reaching the network only sealed is enforced by
-// crypto's types, not by a lint.
+// lockorder is a flow analysis — a statement walker and a summary fixpoint
+// that follow locks across call edges — for the declared lock order and no
+// seal or send under a lock. Raw key bytes reaching the network only sealed,
+// and every fresh nonce being a new draw, are enforced by crypto's types,
+// not by a lint.
 //
 // Usage:
 //

@@ -3,19 +3,18 @@
 // never seal under a protocol lock (PR 2) and take locks in the declared
 // order, always use the cached AEAD on hot paths (PR 3), never draw crypto
 // material from math/rand, handle every wire message type exhaustively,
-// never reuse a nonce, and never let key-named bytes reach logs, errors or
-// audit events. That raw key bytes reach the network only sealed is not a
-// lint rule: crypto's types enforce it (crypto.Plaintext).
+// and never let key-named bytes reach logs, errors or audit events. Two
+// protocol rules are not lint rules, because crypto's types enforce them:
+// raw key bytes reach the network only sealed, and a fresh nonce is drawn
+// where it is encoded (crypto.Plaintext's AppendKey and AppendFresh).
 //
 // There is one analyzer kind: every Analyzer runs over the whole Module and
 // every finding is scoped by its file's package. Four are syntactic checks
 // that range over the module's units (cryptorand, cachedcipher,
-// wireexhaustive, keytaint). The other two (noncereuse, lockorder) are flow
-// analyses on one engine: a statement walker (flow.go) threads a lattice
-// state through each function body, and solve (callgraph.go) carries
-// per-function summaries across call edges to a fixpoint. Each flow analyzer
-// is its lattice — clone, join, loop passes, transfer hooks — plus its sink
-// and report rules.
+// wireexhaustive, keytaint). The fifth, lockorder, is a flow analysis: a
+// statement walker (flow.go) threads the held locks through each function
+// body, and solve (callgraph.go) carries per-function summaries of the
+// locks each function acquires across call edges to a fixpoint.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf, testdata corpora with // want comments) but is
@@ -128,13 +127,13 @@ func parseIgnores(fset *token.FileSet, f *ast.File) ([]ignoreDirective, []Diagno
 				dir, fields = dir+fields[0], fields[1:]
 			}
 			switch {
-			case dir == LockOrderAnnotation || dir == FreshAnnotation:
+			case dir == LockOrderAnnotation:
 			case dir == GuardedByAnnotation:
 				if !onFunc[c] {
 					report("guardedby directive is not on a function's doc comment, so it checks nothing: move it to the function whose callers hold the lock, or make it a plain comment")
 				}
 			case dir != IgnorePrefix:
-				report("unknown directive %s (want ignore, lockorder, guardedby or fresh): it is ignored", dir)
+				report("unknown directive %s (want ignore, lockorder or guardedby): it is ignored", dir)
 			case len(fields) == 0:
 				report("ignore directive names no analyzers (want //enclavelint:ignore <analyzer,...> <justification>)")
 			case len(fields) < 2:

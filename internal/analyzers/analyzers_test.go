@@ -12,7 +12,6 @@ func TestCryptoRandCorpus(t *testing.T)     { runCorpus(t, CryptoRand, "cryptora
 func TestCachedCipherCorpus(t *testing.T)   { runCorpus(t, CachedCipher, "cachedcipher") }
 func TestWireExhaustiveCorpus(t *testing.T) { runCorpus(t, WireExhaustive, "wireexhaustive") }
 func TestKeyTaintCorpus(t *testing.T)       { runCorpus(t, KeyTaint, "keytaint") }
-func TestNonceReuseCorpus(t *testing.T)     { runCorpus(t, NonceReuse, "noncereuse") }
 func TestLockOrderCorpus(t *testing.T)      { runCorpus(t, LockOrder, "lockorder") }
 
 // The keyhygiene and sealunderlock corpora seed keytaint's logging sinks

@@ -11,10 +11,9 @@ import (
 
 // This file is the interprocedural half of the framework: a module-wide
 // function index and call graph over every loaded unit, and the one summary
-// fixpoint. A check that inspects one package at a time cannot see a nonce
-// consumed by a sealing helper or a lock taken two frames down. The flow
-// analyzers (noncereuse, lockorder) follow values and effects across call
-// edges using per-function summaries that solve computes to a fixpoint.
+// fixpoint. A check that inspects one package at a time cannot see a lock
+// taken two frames down. lockorder follows locks across call edges using
+// per-function summaries that solve computes to a fixpoint.
 
 // A FuncID names a declared function or method uniquely across the module:
 // "pkg/path.Name" for package functions, "pkg/path.(Recv).Name" for methods
@@ -45,71 +44,6 @@ type FuncNode struct {
 	ID   FuncID
 	Decl *ast.FuncDecl
 	Unit *Unit
-	Obj  *types.Func
-}
-
-// Sig returns the function's signature.
-func (fn *FuncNode) Sig() *types.Signature {
-	return fn.Obj.Type().(*types.Signature)
-}
-
-// Params returns the dataflow parameter list: the receiver (when present)
-// followed by the declared parameters, so summaries can treat methods and
-// functions uniformly with the receiver as parameter 0.
-func (fn *FuncNode) Params() []*types.Var { return recvFirstParams(fn.Obj) }
-
-// recvFirstParams returns f's receiver (when present) followed by its
-// declared parameters.
-func recvFirstParams(f *types.Func) []*types.Var {
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil {
-		return nil
-	}
-	var out []*types.Var
-	if sig.Recv() != nil {
-		out = append(out, sig.Recv())
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		out = append(out, sig.Params().At(i))
-	}
-	return out
-}
-
-// callerArg is one caller-side argument paired with the callee parameter
-// slot it feeds (receiver-first indexing; variadic overflow clamps onto the
-// last parameter).
-type callerArg struct {
-	expr  ast.Expr
-	param int
-}
-
-// callArgsOf enumerates a call's arguments with their callee parameter
-// slots, the method receiver included as parameter 0.
-func callArgsOf(call *ast.CallExpr, f *types.Func) []callerArg {
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil {
-		return nil
-	}
-	var out []callerArg
-	offset := 0
-	if sig.Recv() != nil {
-		offset = 1
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			out = append(out, callerArg{expr: sel.X, param: 0})
-		}
-	}
-	nparams := sig.Params().Len()
-	for i, a := range call.Args {
-		p := i
-		if sig.Variadic() && p >= nparams-1 {
-			p = nparams - 1
-		}
-		if p >= nparams {
-			continue
-		}
-		out = append(out, callerArg{expr: a, param: p + offset})
-	}
-	return out
 }
 
 // A Module is what every analyzer runs over: the loaded units, all non-test
@@ -164,7 +98,7 @@ func BuildModule(units []*Unit) *Module {
 				if id == "" {
 					continue
 				}
-				m.Funcs[id] = &FuncNode{ID: id, Decl: fd, Unit: u, Obj: obj}
+				m.Funcs[id] = &FuncNode{ID: id, Decl: fd, Unit: u}
 			}
 		}
 	}
@@ -190,19 +124,20 @@ func (m *Module) PathOfFile(filename string) string {
 	return ""
 }
 
-// A solver carries one flow analyzer's per-function summaries to a
-// fixpoint, then reports. Its embedded Pass is the analyzer's.
-type solver[T any] struct {
+// A solver carries lockorder's per-function summaries, the lock classes
+// each function acquires, to a fixpoint, then reports. Its embedded Pass is
+// the analyzer's.
+type solver struct {
 	*Pass
-	sums      map[FuncID]T
+	sums      map[FuncID]lockSet
 	reporting bool
 	reported  map[token.Pos]bool
 }
 
 // solve iterates analyze over every function until no summary changes, at
 // most 12 passes, then walks each function once more with reporting on.
-func (s *solver[T]) solve(analyze func(*FuncNode) T) {
-	s.sums, s.reported = map[FuncID]T{}, map[token.Pos]bool{}
+func (s *solver) solve(analyze func(*FuncNode) lockSet) {
+	s.sums, s.reported = map[FuncID]lockSet{}, map[token.Pos]bool{}
 	for range 12 {
 		changed := false
 		s.Module.EachFunc(func(fn *FuncNode) {
@@ -220,9 +155,9 @@ func (s *solver[T]) solve(analyze func(*FuncNode) T) {
 	s.Module.EachFunc(func(fn *FuncNode) { analyze(fn) })
 }
 
-// reportf records a finding once the summaries are stable, at most once per
-// position: a loop body walked twice must not report twice.
-func (s *solver[T]) reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding once the summaries are stable, at most one per
+// position.
+func (s *solver) reportf(pos token.Pos, format string, args ...any) {
 	if !s.reporting || s.reported[pos] {
 		return
 	}

@@ -4,14 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"maps"
 	"sort"
 	"strings"
 )
 
-// LockOrder machine-checks the two lock invariants on the shared flow
-// walker, tracking held locks (defer Unlock keeps a lock held; goroutine
-// and function-literal bodies start lock-free).
+// LockOrder machine-checks the two lock invariants on a statement walker
+// (flow.go) that tracks held locks (defer Unlock keeps a lock held;
+// goroutine and function-literal bodies start lock-free).
 //
 // Order. internal/group's concurrency comment declares the acquisition order
 //
@@ -68,7 +67,7 @@ const GuardedByAnnotation = "//enclavelint:guardedby"
 
 func runLockOrder(p *Pass) {
 	e := &lockOrderEngine{
-		solver:  solver[lockSet]{Pass: p},
+		solver:  solver{Pass: p},
 		before:  map[string]map[string]bool{},
 		display: map[string]string{},
 		guards:  map[FuncID][]string{},
@@ -82,7 +81,7 @@ func runLockOrder(p *Pass) {
 // and, transitively, its callees may acquire, excluding goroutine and
 // function-literal bodies, which run on their own stacks.
 type lockOrderEngine struct {
-	solver[lockSet]
+	solver
 	// before[a][b] means class a must be acquired before class b on any
 	// path holding both (transitively closed).
 	before  map[string]map[string]bool
@@ -368,8 +367,8 @@ type lockOrderHeld map[string]heldLock
 
 // analyze walks one function body, recording the classes it acquires and
 // — once reporting — flagging order violations and seals under a lock.
-// Branch bodies get a copy of the held set and the join keeps the entry
-// state: a lock acquired inside a branch does not leak past it.
+// Branch and loop bodies get a copy of the held set: a lock acquired inside
+// one does not leak past it.
 func (e *lockOrderEngine) analyze(fn *FuncNode) lockSet {
 	w := &lockOrderWalker{eng: e, fn: fn, info: fn.Unit.Info, acquires: lockSet{}}
 	held := lockOrderHeld{}
@@ -380,32 +379,25 @@ func (e *lockOrderEngine) analyze(fn *FuncNode) lockSet {
 	if strings.HasSuffix(fn.Decl.Name.Name, "Locked") {
 		held[callerLock] = heldLock{pos: fn.Decl.Pos(), expr: callerLock}
 	}
-	// A goroutine or literal body starts lock-free, and without the *Locked
-	// convention: closures built inside *Locked functions are typically
-	// enqueued to run after release (the PR 2 writer-goroutine pattern).
-	w.f = &flow[lockOrderHeld]{
-		clone: maps.Clone[lockOrderHeld], loops: 1,
-		entry:    func(lockOrderHeld) lockOrderHeld { return lockOrderHeld{} },
-		call:     w.call,
-		deferred: w.deferred,
-	}
-	w.f.block(held, fn.Decl.Body.List)
+	w.block(held, fn.Decl.Body.List)
 	return w.acquires
 }
 
 type lockOrderWalker struct {
-	f        *flow[lockOrderHeld]
 	eng      *lockOrderEngine
 	fn       *FuncNode
 	info     *types.Info
 	acquires lockSet
+	// detached is set while a goroutine or function-literal body is
+	// walked: its acquisitions do not count toward the summary.
+	detached bool
 }
 
 // deferred keeps a lock held past defer X.Unlock(), which releases at
 // return; any other deferred call is checked where it stands.
 func (w *lockOrderWalker) deferred(held lockOrderHeld, d *ast.DeferStmt) {
 	if lk, op := w.eng.lockOp(w.info, d.Call); op != opUnlock || lk.expr == "" {
-		w.f.expr(held, d.Call)
+		w.expr(held, d.Call)
 	}
 }
 
@@ -441,7 +433,7 @@ func (w *lockOrderWalker) acquire(call *ast.CallExpr, lk heldLock, held lockOrde
 					e.display[lk.cls], e.display[h.cls], e.Module.Fset.Position(h.pos).Line, e.display[lk.cls], e.display[h.cls])
 			}
 		}
-		if !w.f.detached {
+		if !w.detached {
 			w.acquires[lk.cls] = true
 		}
 	}
@@ -460,7 +452,7 @@ func (w *lockOrderWalker) checkCall(call *ast.CallExpr, held lockOrderHeld) {
 	if id == "" {
 		return
 	}
-	if !w.f.detached {
+	if !w.detached {
 		for cls := range e.sums[id] {
 			w.acquires[cls] = true
 		}

@@ -3,8 +3,8 @@ package analyzers
 import "slices"
 
 // A ScopedAnalyzer pairs an analyzer with the exact import paths whose
-// findings it gates. The analyzer still sees the whole module (the flow
-// analyzers' summaries cross package lines); only diagnostics landing in a
+// findings it gates. The analyzer still sees the whole module (lockorder's
+// summaries cross package lines); only diagnostics landing in a
 // scoped package are reported. Scoping lives here — in the registry, not
 // inside the analyzers — so the same analyzers run unconditionally over
 // testdata corpora in tests.
@@ -43,8 +43,6 @@ const (
 //   - keytaint: everywhere key material lives or flows — the key hierarchy
 //     (crypto, lkh), the protocol engines, replication (K_r), and the wire
 //     layer.
-//   - noncereuse: the packages that seal freshness chains — the protocol
-//     engines and the replica delta stream.
 //   - lockorder: every package that locks — the annotated hierarchies and
 //     their callers, plus every package that also seals or sends under a
 //     lock.
@@ -54,7 +52,6 @@ func Registry() []ScopedAnalyzer {
 		{CachedCipher, []string{pkgCore, pkgMember, pkgGroup, pkgReplica}},
 		{WireExhaustive, []string{pkgCore, pkgMember, pkgGroup, pkgWire, pkgReplica}},
 		{KeyTaint, []string{pkgCrypto, pkgCore, pkgMember, pkgGroup, pkgWire, pkgReplica, pkgLkh}},
-		{NonceReuse, []string{pkgCore, pkgMember, pkgGroup, pkgReplica}},
 		{LockOrder, []string{pkgCore, pkgMember, pkgGroup, pkgTransport, pkgReplica, pkgLkh}},
 	}
 }

@@ -2,7 +2,7 @@ package analyzers
 
 import "testing"
 
-// TestRegistryScope pins the one registry's six analyzers and which
+// TestRegistryScope pins the one registry's five analyzers and which
 // packages each gates — the scope table is part of the contract (faultnet's
 // seeded randomness and the attack driver's one-shot ciphers are
 // deliberate, not oversights).
@@ -11,8 +11,8 @@ func TestRegistryScope(t *testing.T) {
 	for _, sa := range Registry() {
 		applies[sa.Name] = sa.Applies
 	}
-	if len(applies) != 6 || len(Registry()) != 6 {
-		t.Fatalf("registry has %d analyzers (%d distinct), want 6", len(Registry()), len(applies))
+	if len(applies) != 5 || len(Registry()) != 5 {
+		t.Fatalf("registry has %d analyzers (%d distinct), want 5", len(Registry()), len(applies))
 	}
 	cases := []struct {
 		analyzer string
@@ -31,7 +31,6 @@ func TestRegistryScope(t *testing.T) {
 		{"lockorder", "enclaves/internal/crypto", false}, // no locks there
 		{"keytaint", "enclaves/internal/crypto", true},
 		{"keytaint", "enclaves/internal/faultnet", false},
-		{"noncereuse", "enclaves/internal/replica", true},
 	}
 	for _, c := range cases {
 		f, ok := applies[c.analyzer]

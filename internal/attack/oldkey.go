@@ -78,8 +78,8 @@ func OldSessionKeyCompromise(Medium) (Outcome, error) {
 	}
 	forgeries := []wire.Envelope{}
 	adminForged := wire.Envelope{Type: wire.TypeAdminMsg, Sender: leaderName, Receiver: victimName}
-	p := wire.AdminMsgPayload{Leader: leaderName, User: victimName, Seq: 1, Body: wire.Left(evilName)}
-	if box, err := crypto.SealPlaintext(leakedKey, p.Marshal(), adminForged.Header()); err == nil {
+	p, _ := wire.AdminMsgPayload{Leader: leaderName, User: victimName, Seq: 1, Body: wire.Left(evilName)}.Marshal()
+	if box, err := crypto.SealPlaintext(leakedKey, p, adminForged.Header()); err == nil {
 		adminForged.Payload = box
 		forgeries = append(forgeries, adminForged)
 	}

@@ -164,8 +164,8 @@ func MembershipForgeryImproved(net Medium) (Outcome, error) {
 	// Attempt 1: AdminMsg-shaped forgery under the (leaked) group key.
 	kg, _ := evil.GroupKey()
 	forged := wire.Envelope{Type: wire.TypeAdminMsg, Sender: leaderName, Receiver: victimName}
-	p := wire.AdminMsgPayload{Leader: leaderName, User: victimName, Seq: 99, Body: wire.Left(evilName)}
-	box, err := crypto.SealPlaintext(kg, p.Marshal(), forged.Header())
+	p, _ := wire.AdminMsgPayload{Leader: leaderName, User: victimName, Seq: 99, Body: wire.Left(evilName)}.Marshal()
+	box, err := crypto.SealPlaintext(kg, p, forged.Header())
 	if err != nil {
 		return out, err
 	}

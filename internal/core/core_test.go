@@ -196,6 +196,64 @@ func TestAdminPipelineOrder(t *testing.T) {
 	}
 }
 
+// TestNonceChainFresh opens every message of a join and 16 AdminMsg/Ack
+// rounds: no fresh nonce either side seals repeats, and each is the value
+// the other side's next message echoes, which the sealing side accepts.
+func TestNonceChainFresh(t *testing.T) {
+	m, l := newPair(t)
+	longTerm := crypto.DeriveKey(testUser, testLeader, "correct horse battery")
+	initReq, keyDist, keyAck := handshake(t, m, l)
+	open := func(k crypto.Key, env wire.Envelope) []byte {
+		t.Helper()
+		plain, err := crypto.Open(k, env.Payload, env.Header())
+		if err != nil {
+			t.Fatalf("%s: %v", env.Type, err)
+		}
+		return plain
+	}
+	sealer := map[crypto.Nonce]string{}
+	var last crypto.Nonce // the fresh value the next message must echo
+	chain := func(name string, echo, fresh crypto.Nonce, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if echo != last {
+			t.Errorf("%s echoes %v, want %v", name, echo, last)
+		}
+		if prev, dup := sealer[fresh]; dup {
+			t.Errorf("%s seals %v, which %s sealed", name, fresh, prev)
+		}
+		sealer[fresh], last = name, fresh
+	}
+	ai, err := wire.UnmarshalAuthInit(open(longTerm, initReq))
+	chain("AuthInit", last, ai.N1, err)
+	kd, err := wire.UnmarshalAuthKeyDist(open(longTerm, keyDist))
+	chain("AuthKeyDist", kd.N1, kd.N2, err)
+	ka, err := wire.UnmarshalAck(open(m.SessionKey(), keyAck))
+	chain("AuthAckKey", ka.NPrev, ka.NNext, err)
+	for i := range 16 {
+		envp, err := l.Send(wire.Heartbeat{})
+		if err != nil || envp == nil {
+			t.Fatalf("round %d: Send = %v, %v", i, envp, err)
+		}
+		adm, err := wire.UnmarshalAdminMsg(open(m.SessionKey(), *envp))
+		chain(fmt.Sprintf("AdminMsg %d", i), adm.NPrev, adm.NNext, err)
+		mev, err := m.Handle(*envp)
+		if err != nil || mev.Reply == nil {
+			t.Fatalf("round %d: member event %+v, %v", i, mev, err)
+		}
+		ack, err := wire.UnmarshalAck(open(m.SessionKey(), *mev.Reply))
+		chain(fmt.Sprintf("Ack %d", i), ack.NPrev, ack.NNext, err)
+		if lev, err := l.Handle(*mev.Reply); err != nil || !lev.Acked {
+			t.Fatalf("round %d: leader event %+v, %v", i, lev, err)
+		}
+	}
+	if len(sealer) != 3+2*16 {
+		t.Errorf("%d distinct fresh nonces, want %d", len(sealer), 3+2*16)
+	}
+}
+
 // TestNoticesFoldBehindAck: 200 notices behind one outstanding AdminMsg
 // leave ceil(200/64) pending bodies whose flattened changes are the 200 in
 // send order; a key body queued between notices ends the fold, so the
@@ -549,8 +607,8 @@ func TestForgedAdminRejected(t *testing.T) {
 	// Forge an AdminMsg under a key the attacker controls.
 	evilKey, _ := crypto.NewKey()
 	env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: testLeader, Receiver: testUser}
-	p := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 9, Body: wire.Left("bob")}
-	box, _ := crypto.SealPlaintext(evilKey, p.Marshal(), env.Header())
+	p, _ := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 9, Body: wire.Left("bob")}.Marshal()
+	box, _ := crypto.SealPlaintext(evilKey, p, env.Header())
 	env.Payload = box
 	if _, err := m.Handle(env); !errors.Is(err, ErrAuth) {
 		t.Errorf("forged AdminMsg accepted: err = %v", err)

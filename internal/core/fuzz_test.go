@@ -219,8 +219,8 @@ func TestForgeryUnderDerivedKeysRejected(t *testing.T) {
 	randomKey, _ := crypto.NewKey()
 	for _, k := range []crypto.Key{otherLongTerm, randomKey} {
 		env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: testLeader, Receiver: testUser}
-		p := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 1, Body: wire.Left("bob")}
-		box, err := crypto.SealPlaintext(k, p.Marshal(), env.Header())
+		p, _ := wire.AdminMsgPayload{Leader: testLeader, User: testUser, Seq: 1, Body: wire.Left("bob")}.Marshal()
+		box, err := crypto.SealPlaintext(k, p, env.Header())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,13 +163,9 @@ func (l *LeaderSession) handleInitReq(env wire.Envelope) (LeaderEvent, error) {
 	if err != nil {
 		return LeaderEvent{}, err
 	}
-	n2, err := crypto.NewNonce()
-	if err != nil {
-		return LeaderEvent{}, err
-	}
 	reply := wire.Envelope{Type: wire.TypeAuthKeyDist, Sender: l.leader, Receiver: l.user}
-	dist := wire.AuthKeyDistPayload{Leader: l.leader, User: l.user, N1: p.N1, N2: n2, SessionKey: ka}
-	box, err := l.longTerm.SealPlaintext(dist.Marshal(), reply.Header())
+	dist, n2 := wire.AuthKeyDistPayload{Leader: l.leader, User: l.user, N1: p.N1, SessionKey: ka}.Marshal()
+	box, err := l.longTerm.SealPlaintext(dist, reply.Header())
 	if err != nil {
 		return LeaderEvent{}, err
 	}
@@ -384,24 +380,19 @@ func (l *LeaderSession) maybeSendNext(ev *LeaderEvent) error {
 // {L, A, N_f, N_l, X}_Ka: the same shape under a distinct envelope type,
 // authenticated through the AEAD header.
 func (l *LeaderSession) emitAdmin(body wire.AdminBody) (*wire.Envelope, error) {
-	next, err := crypto.NewNonce()
-	if err != nil {
-		return nil, err
-	}
 	env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: l.leader, Receiver: l.user}
 	if l.resumeAckDue {
 		env.Type = wire.TypeResumeAck
 	}
 	l.seq++
-	p := wire.AdminMsgPayload{
+	p, next := wire.AdminMsgPayload{
 		Leader: l.leader,
 		User:   l.user,
 		NPrev:  l.memberNonce,
-		NNext:  next,
 		Seq:    l.seq,
 		Body:   body,
-	}
-	box, err := l.session.SealPlaintext(p.Marshal(), env.Header())
+	}.Marshal()
+	box, err := l.session.SealPlaintext(p, env.Header())
 	if err != nil {
 		return nil, err
 	}

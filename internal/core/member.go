@@ -101,13 +101,9 @@ func (m *MemberSession) Start() (wire.Envelope, error) {
 	if m.phase != MemberNotConnected || m.longTerm == nil {
 		return wire.Envelope{}, fmt.Errorf("%w: Start in phase %s", ErrState, m.phase)
 	}
-	n1, err := crypto.NewNonce()
-	if err != nil {
-		return wire.Envelope{}, err
-	}
 	env := wire.Envelope{Type: wire.TypeAuthInitReq, Sender: m.user, Receiver: m.leader}
-	payload := wire.AuthInitPayload{User: m.user, Leader: m.leader, N1: n1}
-	box, err := m.longTerm.Seal(payload.Marshal(), env.Header())
+	payload, n1 := wire.AuthInitPayload{User: m.user, Leader: m.leader}.Marshal()
+	box, err := m.longTerm.SealPlaintext(payload, env.Header())
 	if err != nil {
 		return wire.Envelope{}, err
 	}
@@ -156,13 +152,9 @@ func (m *MemberSession) handleKeyDist(env wire.Envelope) (MemberEvent, error) {
 	if err != nil {
 		return MemberEvent{}, err
 	}
-	n3, err := crypto.NewNonce()
-	if err != nil {
-		return MemberEvent{}, err
-	}
 	reply := wire.Envelope{Type: wire.TypeAuthAckKey, Sender: m.user, Receiver: m.leader}
-	ack := wire.AckPayload{User: m.user, Leader: m.leader, NPrev: p.N2, NNext: n3}
-	box, err := session.Seal(ack.Marshal(), reply.Header())
+	ack, n3 := wire.AckPayload{User: m.user, Leader: m.leader, NPrev: p.N2}.Marshal()
+	box, err := session.SealPlaintext(ack, reply.Header())
 	if err != nil {
 		return MemberEvent{}, err
 	}
@@ -209,13 +201,9 @@ func (m *MemberSession) handleAdmin(env wire.Envelope) (MemberEvent, error) {
 		return MemberEvent{}, fmt.Errorf("%w: admin msg carries stale nonce", ErrFreshness)
 	}
 
-	next, err := crypto.NewNonce()
-	if err != nil {
-		return MemberEvent{}, err
-	}
 	reply := wire.Envelope{Type: wire.TypeAck, Sender: m.user, Receiver: m.leader}
-	ack := wire.AckPayload{User: m.user, Leader: m.leader, NPrev: p.NNext, NNext: next}
-	box, err := m.session.Seal(ack.Marshal(), reply.Header())
+	ack, next := wire.AckPayload{User: m.user, Leader: m.leader, NPrev: p.NNext}.Marshal()
+	box, err := m.session.SealPlaintext(ack, reply.Header())
 	if err != nil {
 		return MemberEvent{}, err
 	}

@@ -127,13 +127,9 @@ func (m *MemberSession) StartResume() (wire.Envelope, error) {
 	if m.phase != MemberNotConnected || m.session == nil {
 		return wire.Envelope{}, fmt.Errorf("%w: StartResume in phase %s", ErrState, m.phase)
 	}
-	nf, err := crypto.NewNonce()
-	if err != nil {
-		return wire.Envelope{}, err
-	}
 	env := wire.Envelope{Type: wire.TypeResume, Sender: m.user, Receiver: m.leader}
-	p := wire.AckPayload{User: m.user, Leader: m.leader, NPrev: m.myNonce, NNext: nf}
-	box, err := m.session.Seal(p.Marshal(), env.Header())
+	p, nf := wire.AckPayload{User: m.user, Leader: m.leader, NPrev: m.myNonce}.Marshal()
+	box, err := m.session.SealPlaintext(p, env.Header())
 	if err != nil {
 		return wire.Envelope{}, err
 	}

@@ -4,7 +4,7 @@
 // P_a (PBKDF2-HMAC-SHA256: each block's U_1 on the standard library's
 // HMAC, and U_2…U_c in one register-resident SHA-NI loop on amd64 CPUs
 // that have the SHA extensions, on that HMAC elsewhere), and generation of
-// random keys and nonces.
+// random keys and of the fresh nonces a plaintext draws.
 //
 // The paper assumes an ideal symmetric cipher: ciphertexts reveal nothing
 // about the plaintext and cannot be created or modified without the key.
@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -121,17 +122,9 @@ func (k Key) Fingerprint() [8]byte {
 	return fp
 }
 
-// Nonce is a protocol freshness value (the N_i of the paper).
+// Nonce is a protocol freshness value (the N_i of the paper). A fresh one
+// is drawn only inside a plaintext, by Plaintext.AppendFresh.
 type Nonce [NonceSize]byte
-
-// NewNonce generates a fresh random nonce.
-func NewNonce() (Nonce, error) {
-	var n Nonce
-	if _, err := rand.Read(n[:]); err != nil {
-		return Nonce{}, fmt.Errorf("crypto: generate nonce: %w", err)
-	}
-	return n, nil
-}
 
 // Equal compares two nonces in constant time.
 func (n Nonce) Equal(other Nonce) bool {
@@ -202,19 +195,36 @@ func AppendLenPrefixed[S string | []byte](b []byte, v S) []byte {
 	return append(b, v...)
 }
 
-// Plaintext is a message under construction that may carry keys. Raw key
-// bytes leave this package only inside one: AppendKey is the one way a key
-// enters a plaintext, and a Plaintext has no way out but sealing
-// (Cipher.SealPlaintext, SealPlaintext). It prints as its length whatever
-// the verb. The zero value is empty and ready to use. The appenders write
-// the wire package's field encodings.
+// Plaintext is a message under construction that may carry keys and fresh
+// nonces. Raw key bytes leave this package only inside one: AppendKey is the
+// one way a key enters a plaintext, and a Plaintext has no way out but
+// sealing (Cipher.SealPlaintext, SealPlaintext). A fresh nonce is drawn
+// only here too: AppendFresh is the one place the runtime makes one, and
+// every call is a new draw, so no nonce can be sealed as fresh twice. It
+// prints as its length whatever the verb. The zero value is empty and ready
+// to use. The appenders write the wire package's field encodings.
 type Plaintext struct{ b []byte }
+
+// Grow makes room for n more bytes, so that appending them allocates at
+// most once.
+func (p *Plaintext) Grow(n int) { p.b = slices.Grow(p.b, n) }
 
 // AppendKey appends the key's 32 raw bytes; the zero Key appends zeros.
 func (p *Plaintext) AppendKey(k Key) { p.b = append(p.b, k.bytes[:]...) }
 
-// AppendNonce appends the nonce's raw bytes.
+// AppendNonce appends the nonce's raw bytes: an echo of a nonce received.
 func (p *Plaintext) AppendNonce(n Nonce) { p.b = append(p.b, n[:]...) }
+
+// AppendFresh draws NonceSize bytes from crypto/rand straight into the
+// plaintext and returns a copy, the value the next message must echo. It
+// returns no error: since Go 1.24 crypto/rand.Read never fails (it crashes
+// the program rather than return short).
+func (p *Plaintext) AppendFresh() Nonce {
+	at := len(p.b)
+	p.b = append(p.b, make([]byte, NonceSize)...)
+	rand.Read(p.b[at:])
+	return Nonce(p.b[at:])
+}
 
 // AppendUint8 appends one byte.
 func (p *Plaintext) AppendUint8(v uint8) { p.b = append(p.b, v) }

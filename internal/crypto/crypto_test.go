@@ -128,14 +128,18 @@ func TestKeyFingerprint(t *testing.T) {
 	}
 }
 
+// TestNonce: each AppendFresh lands in the plaintext after what was there,
+// is the value returned, and differs from the draw before.
 func TestNonce(t *testing.T) {
-	n1, err := NewNonce()
-	if err != nil {
-		t.Fatal(err)
+	var p Plaintext
+	p.AppendUint8(7)
+	n1 := p.AppendFresh()
+	n2 := p.AppendFresh()
+	if len(p.b) != 1+2*NonceSize || p.b[0] != 7 {
+		t.Fatalf("plaintext is %x, want 07 and two nonces", p.b)
 	}
-	n2, err := NewNonce()
-	if err != nil {
-		t.Fatal(err)
+	if Nonce(p.b[1:]) != n1 || Nonce(p.b[1+NonceSize:]) != n2 {
+		t.Error("returned nonces are not the bytes appended")
 	}
 	if n1.Equal(n2) {
 		t.Error("two fresh nonces are equal")
@@ -477,16 +481,17 @@ func BenchmarkDeriveKeys(b *testing.B) {
 
 // TestKeyAPISurface pins the type-level rule that raw key bytes never leave
 // this package: no exported method of Key or Plaintext returns a byte
-// slice, byte array or string, apart from Fingerprint's truncated hash and
-// String's redacted form, and neither of those reveals the key. Neither
-// type has an exported field.
+// slice, byte array or string, apart from Fingerprint's truncated hash,
+// String's redacted form and the nonce AppendFresh draws, and none of
+// those reveals the key. Neither type has an exported field.
 func TestKeyAPISurface(t *testing.T) {
 	raw := bytes.Repeat([]byte{0xA5, 0x3C}, KeySize/2)
 	k, _ := KeyFromBytes(raw)
 	var p Plaintext
 	p.AppendKey(k)
-	allowed := map[string]bool{"Fingerprint": true, "String": true}
-	for _, v := range []any{k, &k, p, &p} {
+	q := p // AppendFresh is called on the copy
+	allowed := map[string]bool{"Fingerprint": true, "String": true, "AppendFresh": true}
+	for _, v := range []any{k, &k, p, &q} {
 		rv := reflect.ValueOf(v)
 		if st := reflect.Indirect(rv).Type(); st.Kind() == reflect.Struct {
 			for i := range st.NumField() {

@@ -446,8 +446,8 @@ func TestForgedAdminCounted(t *testing.T) {
 	f, m := joinThrough(t)
 	evil, _ := crypto.NewKey()
 	env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: leaderName, Receiver: userName}
-	p := wire.AdminMsgPayload{Leader: leaderName, User: userName, Seq: 1, Body: wire.Left("bob")}
-	box, _ := crypto.SealPlaintext(evil, p.Marshal(), env.Header())
+	p, _ := wire.AdminMsgPayload{Leader: leaderName, User: userName, Seq: 1, Body: wire.Left("bob")}.Marshal()
+	box, _ := crypto.SealPlaintext(evil, p, env.Header())
 	env.Payload = box
 	before := m.Rejected()
 	if err := f.conn.Send(env); err != nil {

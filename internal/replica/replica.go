@@ -274,24 +274,20 @@ func (s *Sender) writer(sub *subscriber, n0 crypto.Nonce) {
 		if err != nil {
 			return
 		}
-		next, err := crypto.NewNonce()
-		if err != nil {
-			s.drop(sub, "nonce generation failed")
-			return
-		}
 		var env wire.Envelope
 		var plain crypto.Plaintext
+		var next crypto.Nonce
 		if it.snap != nil {
 			p := *it.snap
-			p.Standby, p.Primary, p.Echo, p.Next = sub.standby, s.primary, last, next
+			p.Standby, p.Primary, p.Echo = sub.standby, s.primary, last
 			env = wire.Envelope{Type: wire.TypeReplState, Sender: s.primary, Receiver: sub.standby}
-			plain = p.Marshal()
+			plain, next = p.Marshal()
 			mSnapshots.Inc()
 		} else {
 			d := it.delta
-			d.Primary, d.Standby, d.Echo, d.Next = s.primary, sub.standby, last, next
+			d.Primary, d.Standby, d.Echo = s.primary, sub.standby, last
 			env = wire.Envelope{Type: wire.TypeReplDelta, Sender: s.primary, Receiver: sub.standby}
-			plain = d.Marshal()
+			plain, next = d.Marshal()
 		}
 		box, err := s.cipher.SealPlaintext(plain, env.Header())
 		if err != nil {

@@ -208,13 +208,9 @@ func (s *Standby) subscribeOnce(cipher *crypto.Cipher) error {
 		}
 	}()
 
-	n0, err := crypto.NewNonce()
-	if err != nil {
-		return err
-	}
 	hello := wire.Envelope{Type: wire.TypeReplState, Sender: s.cfg.Standby, Receiver: s.cfg.Primary}
-	hp := wire.ReplStatePayload{Hello: true, Standby: s.cfg.Standby, Primary: s.cfg.Primary, Next: n0}
-	box, err := cipher.SealPlaintext(hp.Marshal(), hello.Header())
+	hp, n0 := wire.ReplStatePayload{Hello: true, Standby: s.cfg.Standby, Primary: s.cfg.Primary}.Marshal()
+	box, err := cipher.SealPlaintext(hp, hello.Header())
 	if err != nil {
 		return err
 	}

@@ -151,7 +151,8 @@ func TestReplLKHDeltaRoundTrip(t *testing.T) {
 		},
 		Removed: []uint64{3, 5},
 	}
-	out, err := UnmarshalReplDelta(plain(in.Marshal()))
+	data, _ := opened(in.Marshal())
+	out, err := UnmarshalReplDelta(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,8 @@ func TestReplStateCarriesTree(t *testing.T) {
 			{ID: 2, Parent: 1, Ver: 1, User: "alice", Key: testKey(t)},
 		},
 	}
-	out, err := UnmarshalReplState(plain(in.Marshal()))
+	data, _ := opened(in.Marshal())
+	out, err := UnmarshalReplState(data)
 	if err != nil {
 		t.Fatal(err)
 	}

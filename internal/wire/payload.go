@@ -12,21 +12,28 @@ import (
 // payloads — {A, L, N1}_Pa etc. — exactly as the verified model requires;
 // receivers check them against their own expectations, never against the
 // forgeable envelope header.
+//
+// A payload that carries a fresh nonce draws it while it encodes
+// (crypto.Plaintext.AppendFresh) and never reads its freshness field to
+// encode: Marshal returns the plaintext and the nonce it drew, which the
+// sender keeps to check the echo. The field is what Unmarshal fills.
 
 // AuthInitPayload is the content of AuthInitReq: {A, L, N1}_Pa.
 type AuthInitPayload struct {
 	User   string
 	Leader string
 	// N1 is the member's fresh challenge for this exchange.
-	//enclavelint:fresh
 	N1 crypto.Nonce
 }
 
-// Marshal encodes the payload deterministically.
-func (p AuthInitPayload) Marshal() []byte {
-	b := make([]byte, 0, 8+len(p.User)+len(p.Leader)+crypto.NonceSize)
-	b = crypto.AppendLenPrefixed(crypto.AppendLenPrefixed(b, p.User), p.Leader)
-	return append(b, p.N1[:]...)
+// Marshal encodes the payload with a freshly drawn N1 and returns that N1.
+func (p AuthInitPayload) Marshal() (crypto.Plaintext, crypto.Nonce) {
+	var b crypto.Plaintext
+	b.Grow(8 + len(p.User) + len(p.Leader) + crypto.NonceSize)
+	b.AppendString(p.User)
+	b.AppendString(p.Leader)
+	n1 := b.AppendFresh()
+	return b, n1
 }
 
 // UnmarshalAuthInit decodes an AuthInitPayload.
@@ -50,22 +57,21 @@ type AuthKeyDistPayload struct {
 	User   string
 	// N1 echoes the member's challenge; N2 is the leader's fresh
 	// counter-challenge.
-	N1 crypto.Nonce
-	//enclavelint:fresh
+	N1         crypto.Nonce
 	N2         crypto.Nonce
 	SessionKey crypto.Key
 }
 
-// Marshal encodes the payload deterministically, into a plaintext that
-// only sealing consumes: it carries K_a.
-func (p AuthKeyDistPayload) Marshal() crypto.Plaintext {
+// Marshal encodes the payload with a freshly drawn N2, into a plaintext
+// that only sealing consumes: it carries K_a. It returns that N2.
+func (p AuthKeyDistPayload) Marshal() (crypto.Plaintext, crypto.Nonce) {
 	var b crypto.Plaintext
 	b.AppendString(p.Leader)
 	b.AppendString(p.User)
 	b.AppendNonce(p.N1)
-	b.AppendNonce(p.N2)
+	n2 := b.AppendFresh()
 	b.AppendKey(p.SessionKey)
-	return b
+	return b, n2
 }
 
 // UnmarshalAuthKeyDist decodes an AuthKeyDistPayload.
@@ -101,11 +107,16 @@ type AckPayload struct {
 	NNext  crypto.Nonce
 }
 
-// Marshal encodes the payload deterministically.
-func (p AckPayload) Marshal() []byte {
-	b := make([]byte, 0, 8+len(p.User)+len(p.Leader)+2*crypto.NonceSize)
-	b = crypto.AppendLenPrefixed(crypto.AppendLenPrefixed(b, p.User), p.Leader)
-	return append(append(b, p.NPrev[:]...), p.NNext[:]...)
+// Marshal encodes the payload with a freshly drawn NNext and returns that
+// NNext.
+func (p AckPayload) Marshal() (crypto.Plaintext, crypto.Nonce) {
+	var b crypto.Plaintext
+	b.Grow(8 + len(p.User) + len(p.Leader) + 2*crypto.NonceSize)
+	b.AppendString(p.User)
+	b.AppendString(p.Leader)
+	b.AppendNonce(p.NPrev)
+	next := b.AppendFresh()
+	return b, next
 }
 
 // UnmarshalAck decodes an AckPayload.
@@ -136,17 +147,18 @@ type AdminMsgPayload struct {
 	Body   AdminBody
 }
 
-// Marshal encodes the payload deterministically, into a plaintext that
-// only sealing consumes: the body may carry keys.
-func (p AdminMsgPayload) Marshal() crypto.Plaintext {
+// Marshal encodes the payload with a freshly drawn NNext, into a plaintext
+// that only sealing consumes: the body may carry keys. It returns that
+// NNext.
+func (p AdminMsgPayload) Marshal() (crypto.Plaintext, crypto.Nonce) {
 	var b crypto.Plaintext
 	b.AppendString(p.Leader)
 	b.AppendString(p.User)
 	b.AppendNonce(p.NPrev)
-	b.AppendNonce(p.NNext)
+	next := b.AppendFresh()
 	b.AppendUint64(p.Seq)
 	b.AppendSized(func(b *crypto.Plaintext) { appendAdminBody(b, p.Body) })
-	return b
+	return b, next
 }
 
 // UnmarshalAdminMsg decodes an AdminMsgPayload.

@@ -114,17 +114,18 @@ type ReplStatePayload struct {
 	Tree     []ReplLKHNode
 }
 
-// Marshal encodes the payload deterministically, into a plaintext that
-// only sealing consumes: a snapshot carries every key.
-func (p ReplStatePayload) Marshal() crypto.Plaintext {
+// Marshal encodes the payload with a freshly drawn Next, into a plaintext
+// that only sealing consumes: a snapshot carries every key. It returns that
+// Next.
+func (p ReplStatePayload) Marshal() (crypto.Plaintext, crypto.Nonce) {
 	var b crypto.Plaintext
 	b.AppendUint8(boolByte(p.Hello))
 	b.AppendString(p.Standby)
 	b.AppendString(p.Primary)
 	b.AppendNonce(p.Echo)
-	b.AppendNonce(p.Next)
+	next := b.AppendFresh()
 	if p.Hello {
-		return b
+		return b, next
 	}
 	b.AppendUint64(p.Epoch)
 	b.AppendKey(p.GroupKey)
@@ -141,7 +142,7 @@ func (p ReplStatePayload) Marshal() crypto.Plaintext {
 	for _, n := range p.Tree {
 		appendReplLKHNode(&b, n)
 	}
-	return b
+	return b, next
 }
 
 // UnmarshalReplState decodes a ReplStatePayload.
@@ -236,14 +237,14 @@ type ReplDeltaPayload struct {
 	Removed  []uint64      // LKH: removed tree-node IDs
 }
 
-// Marshal encodes the payload deterministically, into a plaintext that
-// only sealing consumes: a delta may carry keys.
-func (p ReplDeltaPayload) Marshal() crypto.Plaintext {
+// Marshal encodes the payload with a freshly drawn Next, into a plaintext
+// that only sealing consumes: a delta may carry keys. It returns that Next.
+func (p ReplDeltaPayload) Marshal() (crypto.Plaintext, crypto.Nonce) {
 	var b crypto.Plaintext
 	b.AppendString(p.Primary)
 	b.AppendString(p.Standby)
 	b.AppendNonce(p.Echo)
-	b.AppendNonce(p.Next)
+	next := b.AppendFresh()
 	b.AppendUint8(uint8(p.Kind))
 	b.AppendUint64(p.AuditSeq)
 	switch p.Kind {
@@ -273,7 +274,7 @@ func (p ReplDeltaPayload) Marshal() crypto.Plaintext {
 			b.AppendUint64(id)
 		}
 	}
-	return b
+	return b, next
 }
 
 // UnmarshalReplDelta decodes a ReplDeltaPayload.

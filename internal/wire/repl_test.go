@@ -10,12 +10,13 @@ import (
 )
 
 func TestReplStateHelloRoundTrip(t *testing.T) {
-	in := ReplStatePayload{Hello: true, Standby: "standby", Primary: "leader", Next: mustNonce(t)}
-	out, err := UnmarshalReplState(plain(in.Marshal()))
+	in := ReplStatePayload{Hello: true, Standby: "standby", Primary: "leader"}
+	data, next := opened(in.Marshal())
+	out, err := UnmarshalReplState(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Hello || out.Standby != in.Standby || out.Primary != in.Primary || !out.Next.Equal(in.Next) {
+	if !out.Hello || out.Standby != in.Standby || out.Primary != in.Primary || !out.Next.Equal(next) {
 		t.Fatalf("round trip changed hello: %+v != %+v", out, in)
 	}
 	if len(out.Members) != 0 || out.Epoch != 0 || out.GroupKey.Valid() {
@@ -27,23 +28,23 @@ func TestReplStateSnapshotRoundTrip(t *testing.T) {
 	in := ReplStatePayload{
 		Standby:  "standby",
 		Primary:  "leader",
-		Echo:     mustNonce(t),
-		Next:     mustNonce(t),
+		Echo:     randNonce(),
 		Epoch:    42,
 		GroupKey: mustKey(t),
 		AuditSeq: 1009,
 		Members: []ReplMember{
-			{User: "alice", SessionKey: mustKey(t), Nonce: mustNonce(t), Seq: 7},
-			{User: "bob", SessionKey: mustKey(t), Nonce: mustNonce(t), Seq: 0},
+			{User: "alice", SessionKey: mustKey(t), Nonce: randNonce(), Seq: 7},
+			{User: "bob", SessionKey: mustKey(t), Nonce: randNonce(), Seq: 0},
 			{User: "", SessionKey: mustKey(t)},
 		},
 	}
-	out, err := UnmarshalReplState(plain(in.Marshal()))
+	data, next := opened(in.Marshal())
+	out, err := UnmarshalReplState(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Hello || out.Standby != in.Standby || out.Primary != in.Primary ||
-		!out.Echo.Equal(in.Echo) || !out.Next.Equal(in.Next) ||
+		!out.Echo.Equal(in.Echo) || !out.Next.Equal(next) ||
 		out.Epoch != in.Epoch || !out.GroupKey.Equal(in.GroupKey) || out.AuditSeq != in.AuditSeq {
 		t.Fatalf("round trip changed snapshot: %+v != %+v", out, in)
 	}
@@ -59,8 +60,9 @@ func TestReplStateSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestReplStateEmptySnapshotRoundTrip(t *testing.T) {
-	in := ReplStatePayload{Standby: "s", Primary: "p", Next: mustNonce(t), GroupKey: mustKey(t)}
-	out, err := UnmarshalReplState(plain(in.Marshal()))
+	in := ReplStatePayload{Standby: "s", Primary: "p", GroupKey: mustKey(t)}
+	data, _ := opened(in.Marshal())
+	out, err := UnmarshalReplState(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +92,12 @@ func TestReplStateRejectsMemberBound(t *testing.T) {
 
 func replDeltaCases(t *testing.T) []ReplDeltaPayload {
 	t.Helper()
-	base := ReplDeltaPayload{Primary: "leader", Standby: "standby", Echo: mustNonce(t), Next: mustNonce(t), AuditSeq: 33}
+	base := ReplDeltaPayload{Primary: "leader", Standby: "standby", Echo: randNonce(), AuditSeq: 33}
 	up := base
 	up.Kind = ReplMemberUp
 	up.User = "alice"
 	up.Session = mustKey(t)
-	up.Nonce = mustNonce(t)
+	up.Nonce = randNonce()
 	up.Seq = 12
 	down := base
 	down.Kind = ReplMemberDown
@@ -107,7 +109,7 @@ func replDeltaCases(t *testing.T) []ReplDeltaPayload {
 	sync := base
 	sync.Kind = ReplSessionSync
 	sync.User = "carol"
-	sync.Nonce = mustNonce(t)
+	sync.Nonce = randNonce()
 	sync.Seq = 99
 	ping := base
 	ping.Kind = ReplPing
@@ -116,12 +118,13 @@ func replDeltaCases(t *testing.T) []ReplDeltaPayload {
 
 func TestReplDeltaRoundTrip(t *testing.T) {
 	for _, in := range replDeltaCases(t) {
-		out, err := UnmarshalReplDelta(plain(in.Marshal()))
+		data, next := opened(in.Marshal())
+		out, err := UnmarshalReplDelta(data)
 		if err != nil {
 			t.Fatalf("%v: %v", in.Kind, err)
 		}
 		if out.Primary != in.Primary || out.Standby != in.Standby ||
-			!out.Echo.Equal(in.Echo) || !out.Next.Equal(in.Next) ||
+			!out.Echo.Equal(in.Echo) || !out.Next.Equal(next) ||
 			out.Kind != in.Kind || out.AuditSeq != in.AuditSeq ||
 			out.User != in.User || !out.Session.Equal(in.Session) ||
 			!out.Nonce.Equal(in.Nonce) || out.Seq != in.Seq ||
@@ -157,16 +160,17 @@ func TestReplPayloadsRejectGarbageAndTrailing(t *testing.T) {
 			t.Errorf("ReplDelta accepted %x", g)
 		}
 	}
-	hello := ReplStatePayload{Hello: true, Standby: "s", Primary: "p", Next: mustNonce(t)}
-	if _, err := UnmarshalReplState(append(plain(hello.Marshal()), 0)); err == nil {
+	hello, _ := opened(ReplStatePayload{Hello: true, Standby: "s", Primary: "p"}.Marshal())
+	if _, err := UnmarshalReplState(append(hello, 0)); err == nil {
 		t.Error("ReplState hello accepted trailing byte")
 	}
-	snap := ReplStatePayload{Standby: "s", Primary: "p", Next: mustNonce(t), GroupKey: mustKey(t)}
-	if _, err := UnmarshalReplState(append(plain(snap.Marshal()), 0)); err == nil {
+	snap, _ := opened(ReplStatePayload{Standby: "s", Primary: "p", GroupKey: mustKey(t)}.Marshal())
+	if _, err := UnmarshalReplState(append(snap, 0)); err == nil {
 		t.Error("ReplState snapshot accepted trailing byte")
 	}
 	for _, d := range replDeltaCases(t) {
-		if _, err := UnmarshalReplDelta(append(plain(d.Marshal()), 0)); err == nil {
+		data, _ := opened(d.Marshal())
+		if _, err := UnmarshalReplDelta(append(data, 0)); err == nil {
 			t.Errorf("ReplDelta %v accepted trailing byte", d.Kind)
 		}
 	}
@@ -224,11 +228,11 @@ func FuzzReplPayloads(f *testing.F) {
 			Members: []ReplMember{{User: "alice", Seq: 1}}},
 	}
 	for _, p := range seedState {
-		f.Add(plain(p.Marshal()))
+		f.Add(spliced(crypto.Nonce{})(p.Marshal()))
 	}
 	for _, k := range []ReplDeltaKind{ReplMemberUp, ReplMemberDown, ReplRekey, ReplSessionSync, ReplPing} {
 		p := ReplDeltaPayload{Primary: "p", Standby: "s", Kind: k, User: "alice", Seq: 4, Epoch: 2}
-		f.Add(plain(p.Marshal()))
+		f.Add(spliced(crypto.Nonce{})(p.Marshal()))
 	}
 	f.Add(retiredPendingDelta(1)) // rejected: the kind byte is retired
 	seedKey, err := crypto.KeyFromBytes(make([]byte, crypto.KeySize))
@@ -238,15 +242,16 @@ func FuzzReplPayloads(f *testing.F) {
 	lkhDelta := ReplDeltaPayload{Primary: "p", Standby: "s", Kind: ReplLKH,
 		Nodes:   []ReplLKHNode{{ID: 3, Parent: 1, Ver: 2, User: "alice", Key: seedKey, Dirty: true}},
 		Removed: []uint64{7, 9}}
-	f.Add(plain(lkhDelta.Marshal()))
+	f.Add(spliced(crypto.Nonce{})(lkhDelta.Marshal()))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Marshal draws Next afresh; the decoded one goes back in its place.
 		if p, err := UnmarshalReplState(data); err == nil {
-			if got := plain(p.Marshal()); string(got) != string(data) {
+			if got := spliced(p.Next)(p.Marshal()); string(got) != string(data) {
 				t.Fatalf("ReplState accepted non-canonical payload:\n in %x\nout %x", data, got)
 			}
 		}
 		if p, err := UnmarshalReplDelta(data); err == nil {
-			if got := plain(p.Marshal()); string(got) != string(data) {
+			if got := spliced(p.Next)(p.Marshal()); string(got) != string(data) {
 				t.Fatalf("ReplDelta accepted non-canonical payload:\n in %x\nout %x", data, got)
 			}
 		}

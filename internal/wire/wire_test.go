@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -271,12 +272,10 @@ func TestMemberChangesBound(t *testing.T) {
 	}
 }
 
-func mustNonce(t *testing.T) crypto.Nonce {
-	t.Helper()
-	n, err := crypto.NewNonce()
-	if err != nil {
-		t.Fatal(err)
-	}
+// randNonce is an arbitrary nonce for an echo field.
+func randNonce() crypto.Nonce {
+	var n crypto.Nonce
+	rand.Read(n[:])
 	return n
 }
 
@@ -290,35 +289,38 @@ func mustKey(t *testing.T) crypto.Key {
 }
 
 func TestAuthInitPayloadRoundTrip(t *testing.T) {
-	in := AuthInitPayload{User: "alice", Leader: "leader", N1: mustNonce(t)}
-	out, err := UnmarshalAuthInit(in.Marshal())
+	in := AuthInitPayload{User: "alice", Leader: "leader"}
+	data, n1 := opened(in.Marshal())
+	out, err := UnmarshalAuthInit(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.User != in.User || out.Leader != in.Leader || !out.N1.Equal(in.N1) {
+	if out.User != in.User || out.Leader != in.Leader || !out.N1.Equal(n1) {
 		t.Errorf("round trip: got %+v", out)
 	}
 }
 
 func TestAuthKeyDistPayloadRoundTrip(t *testing.T) {
-	in := AuthKeyDistPayload{Leader: "l", User: "u", N1: mustNonce(t), N2: mustNonce(t), SessionKey: mustKey(t)}
-	out, err := UnmarshalAuthKeyDist(plain(in.Marshal()))
+	in := AuthKeyDistPayload{Leader: "l", User: "u", N1: randNonce(), SessionKey: mustKey(t)}
+	data, n2 := opened(in.Marshal())
+	out, err := UnmarshalAuthKeyDist(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Leader != in.Leader || out.User != in.User ||
-		!out.N1.Equal(in.N1) || !out.N2.Equal(in.N2) || !out.SessionKey.Equal(in.SessionKey) {
+		!out.N1.Equal(in.N1) || !out.N2.Equal(n2) || !out.SessionKey.Equal(in.SessionKey) {
 		t.Errorf("round trip: got %+v", out)
 	}
 }
 
 func TestAckPayloadRoundTrip(t *testing.T) {
-	in := AckPayload{User: "u", Leader: "l", NPrev: mustNonce(t), NNext: mustNonce(t)}
-	out, err := UnmarshalAck(in.Marshal())
+	in := AckPayload{User: "u", Leader: "l", NPrev: randNonce()}
+	data, next := opened(in.Marshal())
+	out, err := UnmarshalAck(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
+	if in.NNext = next; out != in {
 		t.Errorf("round trip: got %+v want %+v", out, in)
 	}
 }
@@ -352,14 +354,15 @@ func TestAdminMsgPayloadRoundTrip(t *testing.T) {
 		t.Run(body.String(), func(t *testing.T) {
 			in := AdminMsgPayload{
 				Leader: "l", User: "u",
-				NPrev: mustNonce(t), NNext: mustNonce(t),
-				Seq: 7, Body: body,
+				NPrev: randNonce(),
+				Seq:   7, Body: body,
 			}
-			out, err := UnmarshalAdminMsg(plain(in.Marshal()))
+			data, next := opened(in.Marshal())
+			out, err := UnmarshalAdminMsg(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out.Seq != in.Seq || !out.NPrev.Equal(in.NPrev) || !out.NNext.Equal(in.NNext) {
+			if out.Seq != in.Seq || !out.NPrev.Equal(in.NPrev) || !out.NNext.Equal(next) {
 				t.Errorf("header round trip: got %+v", out)
 			}
 			if out.Body.String() != body.String() {
@@ -417,9 +420,8 @@ func TestPayloadUnmarshalRejectsGarbage(t *testing.T) {
 }
 
 func TestPayloadUnmarshalRejectsTrailingBytes(t *testing.T) {
-	in := AckPayload{User: "u", Leader: "l", NPrev: mustNonce(t), NNext: mustNonce(t)}
-	data := append(in.Marshal(), 0x00)
-	if _, err := UnmarshalAck(data); err == nil {
+	data, _ := opened(AckPayload{User: "u", Leader: "l", NPrev: randNonce()}.Marshal())
+	if _, err := UnmarshalAck(append(data, 0x00)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }

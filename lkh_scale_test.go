@@ -108,19 +108,14 @@ func flatRekey(tb testing.TB, ciphers []*crypto.Cipher, names []string, epoch ui
 	}
 	body := wire.NewGroupKey{Epoch: epoch, Key: key}
 	for i, c := range ciphers {
-		next, err := crypto.NewNonce()
-		if err != nil {
-			tb.Fatal(err)
-		}
 		env := wire.Envelope{Type: wire.TypeAdminMsg, Sender: benchLeader, Receiver: names[i]}
-		p := wire.AdminMsgPayload{
+		p, _ := wire.AdminMsgPayload{
 			Leader: benchLeader,
 			User:   names[i],
-			NNext:  next,
 			Seq:    epoch,
 			Body:   body,
-		}
-		box, err := c.SealPlaintext(p.Marshal(), env.Header())
+		}.Marshal()
+		box, err := c.SealPlaintext(p, env.Header())
 		if err != nil {
 			tb.Fatal(err)
 		}
